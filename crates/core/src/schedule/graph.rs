@@ -29,8 +29,9 @@ pub(crate) struct OppNode {
 }
 
 /// Endpoint of an arc in the per-follower opportunity graph. `Ord` so
-/// constraint assembly can use ordered maps — ILP model construction
-/// must be deterministic for reproducible schedules.
+/// the ordered-map reference assembly in the ILP tests can key on it;
+/// production assembly numbers endpoints instead (nodes, then rest
+/// relays by follower) in the same order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum End {
     /// The follower's initial state.
@@ -224,12 +225,21 @@ impl OpportunityGraph {
     }
 }
 
+// Both lookups binary-search the sorted rest times. Each predicate is
+// monotone in `r`, so a linear scan's first match, if any, sits at the
+// `partition_point`; re-checking the predicate there keeps the answer
+// identical to the scan, even for a NaN query time.
+
+/// First rest at or after `t` (within 1e-9).
 fn first_rest_at_or_after(rests: &[f64], t: f64) -> Option<usize> {
-    rests.iter().position(|&r| r >= t - 1e-9)
+    let q = rests.partition_point(|&r| !(r >= t - 1e-9));
+    rests.get(q).filter(|&&r| r >= t - 1e-9).map(|_| q)
 }
 
+/// First rest within 1e-9 of `t`.
 fn rest_index_at(rests: &[f64], t: f64) -> Option<usize> {
-    rests.iter().position(|&r| (r - t).abs() < 1e-9)
+    let q = rests.partition_point(|&r| !(r - t > -1e-9));
+    rests.get(q).filter(|&&r| (r - t).abs() < 1e-9).map(|_| q)
 }
 
 #[cfg(test)]
@@ -237,9 +247,69 @@ mod tests {
     use super::*;
     use crate::schedule::{FollowerState, TaskSpec};
     use crate::SensingSpec;
+    use eagleeye_check::{check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_rng::SplitMix64;
 
     fn problem(tasks: Vec<TaskSpec>, followers: Vec<FollowerState>) -> SchedulingProblem {
         SchedulingProblem::new(SensingSpec::paper_default(), tasks, followers).unwrap()
+    }
+
+    /// The linear scans the binary-search lookups replaced.
+    fn first_rest_at_or_after_linear(rests: &[f64], t: f64) -> Option<usize> {
+        rests.iter().position(|&r| r >= t - 1e-9)
+    }
+
+    fn rest_index_at_linear(rests: &[f64], t: f64) -> Option<usize> {
+        rests.iter().position(|&r| (r - t).abs() < 1e-9)
+    }
+
+    /// Seeded rest times built as `build` builds them (sorted, deduped
+    /// within 1e-9), with chains of near-equal times whose steps
+    /// straddle the dedup tolerance.
+    fn seeded_rests(seed: u64, n: usize) -> Vec<f64> {
+        let mut rng = SplitMix64::new(seed);
+        let mut times = Vec::new();
+        for _ in 0..n {
+            let base = rng.range_f64(-10.0, 200.0);
+            times.push(base);
+            if rng.chance(0.4) {
+                let step = [0.4e-9, 0.9e-9, 1e-9, 1.1e-9, 2e-9][rng.range_usize(0, 5)];
+                for k in 1..=rng.range_usize(1, 5) {
+                    times.push(base + step * k as f64);
+                }
+            }
+        }
+        times.sort_by(|a, b| a.total_cmp(b));
+        times.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        times
+    }
+
+    #[test]
+    fn rest_lookups_match_linear_scans() {
+        check_cases(
+            256,
+            "graph_rest_lookups_match_linear_scans",
+            (u64_range(0, u64::MAX), usize_range(0, 40)),
+            |&(seed, n)| {
+                let rests = seeded_rests(seed, n);
+                let mut rng = SplitMix64::new(seed ^ 0x7e57);
+                let mut queries = vec![f64::NAN, -1e9, 1e9];
+                for &r in &rests {
+                    for d in [0.0, 0.5e-9, 1e-9, 1.5e-9, 2e-9, 1.0] {
+                        queries.extend([r + d, r - d]);
+                    }
+                }
+                queries.extend((0..16).map(|_| rng.range_f64(-20.0, 210.0)));
+                for t in queries {
+                    prop_assert_eq!(
+                        first_rest_at_or_after(&rests, t),
+                        first_rest_at_or_after_linear(&rests, t)
+                    );
+                    prop_assert_eq!(rest_index_at(&rests, t), rest_index_at_linear(&rests, t));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -3,7 +3,6 @@ use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
 pub use eagleeye_ilp::SolverTier;
 use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus, VarId};
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The paper's ILP-based actuation-aware scheduler (§4.3).
@@ -215,71 +214,7 @@ impl IlpScheduler {
             return Ok(followers.iter().map(|&f| (f, Vec::new())).collect());
         }
 
-        let mut model = Model::maximize();
-        let arc_vars: Vec<VarId> = graph
-            .arcs
-            .iter()
-            .map(|a| {
-                let value = match a.to {
-                    End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
-                    _ => 0.0,
-                };
-                model.add_binary_var(value)
-            })
-            .collect();
-
-        // Index arcs by endpoint for constraint assembly. Ordered maps:
-        // constraint order must be deterministic so identical problems
-        // produce identical schedules (ties in the simplex are broken by
-        // row order).
-        let mut out_of: BTreeMap<End, Vec<usize>> = BTreeMap::new();
-        let mut into: BTreeMap<End, Vec<usize>> = BTreeMap::new();
-        let mut source_out: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, a) in graph.arcs.iter().enumerate() {
-            match a.from {
-                End::Source => source_out.entry(a.follower).or_default().push(i),
-                from => out_of.entry(from).or_default().push(i),
-            }
-            into.entry(a.to).or_default().push(i);
-        }
-
-        // One unit of flow per follower.
-        for &f in followers {
-            if let Some(arcs) = source_out.get(&f) {
-                model.add_constraint(arcs.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
-            }
-        }
-
-        // Flow conservation (out ≤ in) at every node and rest relay.
-        let mut ends: Vec<End> = Vec::new();
-        ends.extend((0..graph.nodes.len()).map(End::Node));
-        for (f, rests) in graph.rest_times.iter().enumerate() {
-            ends.extend((0..rests.len()).map(|q| End::Rest(f, q)));
-        }
-        for end in ends {
-            let outs = out_of.get(&end);
-            if outs.is_none() {
-                continue;
-            }
-            let ins = into.get(&end);
-            let terms = outs
-                .into_iter()
-                .flatten()
-                .map(|&i| (arc_vars[i], 1.0))
-                .chain(ins.into_iter().flatten().map(|&i| (arc_vars[i], -1.0)));
-            model.add_constraint(terms, Sense::Le, 0.0)?;
-        }
-
-        // Capture-once coupling per task.
-        let mut task_in: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, a) in graph.arcs.iter().enumerate() {
-            if let End::Node(v) = a.to {
-                task_in.entry(graph.nodes[v].task).or_default().push(i);
-            }
-        }
-        for arcs in task_in.values() {
-            model.add_constraint(arcs.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
-        }
+        let (model, arc_vars) = assemble(problem, &graph, followers)?;
 
         let sol = match model.solve(&SolveOptions {
             time_limit: Some(self.time_limit),
@@ -358,6 +293,140 @@ impl IlpScheduler {
         }
         Ok(result)
     }
+}
+
+/// Arcs grouped by an integer key in compressed-sparse-row form: the
+/// arcs of key `k` are `arcs[offsets[k]..offsets[k + 1]]`, in arc order
+/// (a stable counting sort).
+struct ArcGroups {
+    offsets: Vec<usize>,
+    arcs: Vec<usize>,
+}
+
+impl ArcGroups {
+    /// Groups `(arc, key)` pairs, every key below `n_keys`.
+    fn new(n_keys: usize, keyed: impl Iterator<Item = (usize, usize)> + Clone) -> ArcGroups {
+        let mut offsets = vec![0usize; n_keys + 1];
+        for (_, k) in keyed.clone() {
+            offsets[k + 1] += 1;
+        }
+        for k in 0..n_keys {
+            offsets[k + 1] += offsets[k];
+        }
+        let mut next = offsets.clone();
+        let mut arcs = vec![0usize; offsets[n_keys]];
+        for (i, k) in keyed {
+            arcs[next[k]] = i;
+            next[k] += 1;
+        }
+        ArcGroups { offsets, arcs }
+    }
+
+    fn get(&self, k: usize) -> &[usize] {
+        &self.arcs[self.offsets[k]..self.offsets[k + 1]]
+    }
+}
+
+/// Formulates the opportunity graph as the scheduling MILP: one binary
+/// per arc, valued by the task its head captures, and then the rows in
+/// this order:
+///
+/// 1. capacity — one unit of flow out of each follower's source, in
+///    `followers` order;
+/// 2. conservation (out ≤ in) — one per endpoint with outgoing arcs, by
+///    endpoint id: capture nodes first, then each follower's rest
+///    relays in follower order;
+/// 3. capture-once — one per task with an incoming arc, by task id.
+///
+/// Terms follow arc order (outgoing before incoming in a conservation
+/// row). Simplex ties are broken by row order, so horizon memo digests
+/// and golden schedules depend on this order (DESIGN.md §15).
+fn assemble(
+    problem: &SchedulingProblem,
+    graph: &OpportunityGraph,
+    followers: &[usize],
+) -> Result<(Model, Vec<VarId>), CoreError> {
+    let mut model = Model::maximize();
+    let arc_vars: Vec<VarId> = graph
+        .arcs
+        .iter()
+        .map(|a| {
+            let value = match a.to {
+                End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
+                _ => 0.0,
+            };
+            model.add_binary_var(value)
+        })
+        .collect();
+
+    // Endpoint ids: node `v` is `v`; rest relay `q` of follower `f`
+    // follows all nodes and the relays of followers before `f`.
+    let n_nodes = graph.nodes.len();
+    let mut rest_base = Vec::with_capacity(graph.rest_times.len());
+    let mut n_ends = n_nodes;
+    for rests in &graph.rest_times {
+        rest_base.push(n_ends);
+        n_ends += rests.len();
+    }
+    let end_id = |e: End| match e {
+        End::Node(v) => Some(v),
+        End::Rest(f, q) => Some(rest_base[f] + q),
+        End::Source => None,
+    };
+    let arcs = graph.arcs.iter().enumerate();
+    let source_out = ArcGroups::new(
+        problem.followers().len(),
+        arcs.clone()
+            .filter(|(_, a)| a.from == End::Source)
+            .map(|(i, a)| (i, a.follower)),
+    );
+    let out_of = ArcGroups::new(
+        n_ends,
+        arcs.clone()
+            .filter_map(|(i, a)| end_id(a.from).map(|e| (i, e))),
+    );
+    let into = ArcGroups::new(
+        n_ends,
+        arcs.clone()
+            .filter_map(|(i, a)| end_id(a.to).map(|e| (i, e))),
+    );
+    let task_in = ArcGroups::new(
+        problem.tasks().len(),
+        arcs.filter_map(|(i, a)| match a.to {
+            End::Node(v) => Some((i, graph.nodes[v].task)),
+            _ => None,
+        }),
+    );
+
+    // One unit of flow per follower.
+    for &f in followers {
+        let outs = source_out.get(f);
+        if !outs.is_empty() {
+            model.add_constraint(outs.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
+        }
+    }
+
+    // Flow conservation (out ≤ in) at every node and rest relay.
+    for end in 0..n_ends {
+        let outs = out_of.get(end);
+        if outs.is_empty() {
+            continue;
+        }
+        let terms = outs
+            .iter()
+            .map(|&i| (arc_vars[i], 1.0))
+            .chain(into.get(end).iter().map(|&i| (arc_vars[i], -1.0)));
+        model.add_constraint(terms, Sense::Le, 0.0)?;
+    }
+
+    // Capture-once coupling per task.
+    for task in 0..problem.tasks().len() {
+        let ins = task_in.get(task);
+        if !ins.is_empty() {
+            model.add_constraint(ins.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
+        }
+    }
+    Ok((model, arc_vars))
 }
 
 impl IlpScheduler {
@@ -441,9 +510,174 @@ mod tests {
     use super::*;
     use crate::schedule::{FollowerState, TaskSpec};
     use crate::SensingSpec;
+    use eagleeye_check::{any_bool, check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_rng::SplitMix64;
+    use std::collections::BTreeMap;
 
     fn problem(tasks: Vec<TaskSpec>, followers: Vec<FollowerState>) -> SchedulingProblem {
         SchedulingProblem::new(SensingSpec::paper_default(), tasks, followers).unwrap()
+    }
+
+    /// The ordered-map assembly [`assemble`] replaced, kept as its
+    /// oracle: the same rows, terms, senses and right-hand sides.
+    fn assemble_reference(
+        problem: &SchedulingProblem,
+        graph: &OpportunityGraph,
+        followers: &[usize],
+    ) -> (Model, Vec<VarId>) {
+        let mut model = Model::maximize();
+        let arc_vars: Vec<VarId> = graph
+            .arcs
+            .iter()
+            .map(|a| {
+                let value = match a.to {
+                    End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
+                    _ => 0.0,
+                };
+                model.add_binary_var(value)
+            })
+            .collect();
+        let mut out_of: BTreeMap<End, Vec<usize>> = BTreeMap::new();
+        let mut into: BTreeMap<End, Vec<usize>> = BTreeMap::new();
+        let mut source_out: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, a) in graph.arcs.iter().enumerate() {
+            match a.from {
+                End::Source => source_out.entry(a.follower).or_default().push(i),
+                from => out_of.entry(from).or_default().push(i),
+            }
+            into.entry(a.to).or_default().push(i);
+        }
+        for &f in followers {
+            if let Some(arcs) = source_out.get(&f) {
+                let terms = arcs.iter().map(|&i| (arc_vars[i], 1.0));
+                model.add_constraint(terms, Sense::Le, 1.0).unwrap();
+            }
+        }
+        let mut ends: Vec<End> = (0..graph.nodes.len()).map(End::Node).collect();
+        for (f, rests) in graph.rest_times.iter().enumerate() {
+            ends.extend((0..rests.len()).map(|q| End::Rest(f, q)));
+        }
+        for end in ends {
+            let Some(outs) = out_of.get(&end) else {
+                continue;
+            };
+            let terms = outs.iter().map(|&i| (arc_vars[i], 1.0)).chain(
+                into.get(&end)
+                    .into_iter()
+                    .flatten()
+                    .map(|&i| (arc_vars[i], -1.0)),
+            );
+            model.add_constraint(terms, Sense::Le, 0.0).unwrap();
+        }
+        let mut task_in: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, a) in graph.arcs.iter().enumerate() {
+            if let End::Node(v) = a.to {
+                task_in.entry(graph.nodes[v].task).or_default().push(i);
+            }
+        }
+        for arcs in task_in.values() {
+            let terms = arcs.iter().map(|&i| (arc_vars[i], 1.0));
+            model.add_constraint(terms, Sense::Le, 1.0).unwrap();
+        }
+        (model, arc_vars)
+    }
+
+    /// A seeded frame of `n_tasks` tasks and `n_followers` followers,
+    /// optionally busy and off-nadir at the start.
+    fn seeded_problem(
+        seed: u64,
+        n_tasks: usize,
+        n_followers: usize,
+        carried: bool,
+    ) -> SchedulingProblem {
+        let mut rng = SplitMix64::new(seed);
+        let tasks = (0..n_tasks)
+            .map(|_| {
+                TaskSpec::new(
+                    rng.range_f64(-50_000.0, 50_000.0),
+                    rng.range_f64(-60_000.0, 60_000.0),
+                    rng.range_f64(0.5, 4.0),
+                )
+            })
+            .collect();
+        let followers = (0..n_followers)
+            .map(|k| {
+                let mut f = FollowerState::at_start(-100_000.0 - 20_000.0 * k as f64);
+                if carried {
+                    f.available_from_s = rng.range_f64(0.0, 6.0);
+                    f.pointing_offset = (rng.range_f64(-40_000.0, 40_000.0), 0.0);
+                }
+                f
+            })
+            .collect();
+        problem(tasks, followers)
+    }
+
+    /// Assembles one subproblem both ways: the joint solve over every
+    /// follower, or (with `decompose`) follower `seed % n` alone with a
+    /// seeded set of tasks excluded, as sequential decomposition does.
+    fn assembly_agrees(
+        p: &SchedulingProblem,
+        seed: u64,
+        slots: usize,
+        decompose: bool,
+    ) -> ((Model, Vec<VarId>), (Model, Vec<VarId>)) {
+        let n_followers = p.followers().len();
+        let mut rng = SplitMix64::new(seed ^ 0x5eed);
+        let (followers, excluded): (Vec<usize>, Vec<bool>) = if decompose {
+            let f = seed as usize % n_followers;
+            let excluded = (0..p.tasks().len()).map(|_| rng.chance(0.3)).collect();
+            (vec![f], excluded)
+        } else {
+            ((0..n_followers).collect(), vec![false; p.tasks().len()])
+        };
+        let graph = OpportunityGraph::build(p, slots, Some(&followers), &excluded);
+        (
+            assemble(p, &graph, &followers).unwrap(),
+            assemble_reference(p, &graph, &followers),
+        )
+    }
+
+    #[test]
+    fn assembly_matches_ordered_map_reference() {
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(0, 14),
+            usize_range(1, 4),
+            usize_range(1, 6),
+            any_bool(),
+            any_bool(),
+        );
+        check_cases(
+            128,
+            "ilp_assembly_matches_ordered_map_reference",
+            gen,
+            |&(seed, n_tasks, n_followers, slots, decompose, carried)| {
+                let p = seeded_problem(seed, n_tasks, n_followers, carried);
+                let (got, want) = assembly_agrees(&p, seed, slots, decompose);
+                prop_assert_eq!(got, want);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn assembly_matches_reference_on_empty_and_single_task_graphs() {
+        for n_tasks in [0, 1] {
+            for decompose in [false, true] {
+                let p = seeded_problem(3, n_tasks, 2, true);
+                let (got, want) = assembly_agrees(&p, 3, 5, decompose);
+                assert_eq!(got, want, "{n_tasks} tasks, decompose {decompose}");
+            }
+        }
+        // A task no follower can see leaves the graph empty.
+        let p = problem(
+            vec![TaskSpec::new(95_000.0, 50_000.0, 1.0)],
+            vec![FollowerState::at_start(-100_000.0)],
+        );
+        let (got, want) = assembly_agrees(&p, 0, 3, false);
+        assert_eq!(got.0.num_constraints(), 0);
+        assert_eq!(got, want);
     }
 
     #[test]

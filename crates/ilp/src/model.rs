@@ -1,5 +1,5 @@
 use crate::branch::{self, SolveOptions, SolveStats};
-use crate::simplex::{self, LpProblem, LpResult, LpRow, RowSense, WarmBasis};
+use crate::simplex::{self, LpProblem, LpResult, LpRow, RowRef, RowSense, WarmBasis};
 use crate::IlpError;
 use std::fmt;
 
@@ -244,7 +244,8 @@ impl Model {
                 context: "constraint right-hand side",
             });
         }
-        let mut merged: Vec<(usize, f64)> = Vec::new();
+        let terms = terms.into_iter();
+        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(terms.size_hint().0);
         for (v, c) in terms {
             if v.0 >= self.vars.len() {
                 return Err(IlpError::UnknownVariable {
@@ -389,32 +390,37 @@ impl Model {
             })
             .collect();
 
-        let rows: Vec<LpRow> = self
+        // Rows borrow the model's terms; only the shifted rhs is new.
+        let rows: Vec<RowRef<'_>> = self
             .rows
             .iter()
             .map(|r| {
                 let shift: f64 = r.terms.iter().map(|&(j, c)| c * lower[j]).sum();
-                LpRow {
-                    coeffs: r.terms.clone(),
-                    sense: match r.sense {
-                        Sense::Le => RowSense::Le,
-                        Sense::Eq => RowSense::Eq,
-                        Sense::Ge => RowSense::Ge,
-                    },
-                    rhs: r.rhs - shift,
-                }
+                let sense = match r.sense {
+                    Sense::Le => RowSense::Le,
+                    Sense::Eq => RowSense::Eq,
+                    Sense::Ge => RowSense::Ge,
+                };
+                (r.terms.as_slice(), sense, r.rhs - shift)
             })
             .collect();
 
-        let problem = LpProblem {
-            cost,
-            upper: shifted_upper,
-            rows,
-        };
         let outcome = if sparse {
+            let problem = LpProblem {
+                cost,
+                upper: shifted_upper,
+                rows: rows
+                    .iter()
+                    .map(|&(coeffs, sense, rhs)| LpRow {
+                        coeffs: coeffs.to_vec(),
+                        sense,
+                        rhs,
+                    })
+                    .collect(),
+            };
             crate::sparse::solve_sparse_with_warm_start(&problem, deadline, warm)?
         } else {
-            simplex::solve_with_warm_start(&problem, deadline, warm)?
+            simplex::solve_rows(&cost, &shifted_upper, &rows, deadline, warm)?
         };
         match outcome {
             LpResult::Infeasible => Ok(None),

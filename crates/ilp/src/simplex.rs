@@ -133,40 +133,47 @@ pub(crate) const DEADLINE_CHECK_STRIDE: usize = 128;
 /// non-negative right-hand side.
 pub(crate) type NormRow = (Vec<(usize, f64)>, RowSense, f64);
 
-/// Validates `p` and normalizes every row to a non-negative right-hand
-/// side (negative-rhs rows have coefficients negated and the sense
-/// flipped). Shared by the dense tableau and the sparse revised
-/// simplex so both engines see the *same* rows in the same order —
-/// the precondition for [`WarmBasis`] interchangeability.
-pub(crate) fn normalized_rows(p: &LpProblem) -> Result<Vec<NormRow>, IlpError> {
-    let n_struct = p.cost.len();
-    if p.upper.len() != n_struct {
+/// A borrowed constraint row: coefficients, sense, right-hand side.
+pub(crate) type RowRef<'a> = (&'a [(usize, f64)], RowSense, f64);
+
+/// How one row is normalized: its sense and non-negative right-hand
+/// side after normalization, and whether its coefficients are negated.
+type RowNorm = (RowSense, f64, bool);
+
+/// Validates a standard-form problem and normalizes every row to a
+/// non-negative right-hand side: a negative-rhs row has its
+/// coefficients negated and its sense flipped. Reports, per row, the
+/// normalized sense and rhs and whether to negate, so the dense
+/// tableau can negate while scattering instead of copying the row.
+fn normalize(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Vec<RowNorm>, IlpError> {
+    let n_struct = cost.len();
+    if upper.len() != n_struct {
         return Err(IlpError::NonFiniteValue {
             context: "upper bound vector length",
         });
     }
-    for &c in &p.cost {
+    for &c in cost {
         if !c.is_finite() {
             return Err(IlpError::NonFiniteValue {
                 context: "objective coefficient",
             });
         }
     }
-    for &u in &p.upper {
+    for &u in upper {
         if u.is_nan() || u < 0.0 {
             return Err(IlpError::NonFiniteValue {
                 context: "variable upper bound",
             });
         }
     }
-    let mut norm_rows: Vec<NormRow> = Vec::with_capacity(p.rows.len());
-    for row in &p.rows {
-        if !row.rhs.is_finite() {
+    let mut norms: Vec<RowNorm> = Vec::with_capacity(rows.len());
+    for &(coeffs, sense, rhs) in rows {
+        if !rhs.is_finite() {
             return Err(IlpError::NonFiniteValue {
                 context: "row right-hand side",
             });
         }
-        for &(j, c) in &row.coeffs {
+        for &(j, c) in coeffs {
             if j >= n_struct {
                 return Err(IlpError::UnknownVariable {
                     index: j,
@@ -179,19 +186,47 @@ pub(crate) fn normalized_rows(p: &LpProblem) -> Result<Vec<NormRow>, IlpError> {
                 });
             }
         }
-        if row.rhs < 0.0 {
-            let flipped: Vec<(usize, f64)> = row.coeffs.iter().map(|&(j, c)| (j, -c)).collect();
-            let sense = match row.sense {
+        if rhs < 0.0 {
+            let flipped = match sense {
                 RowSense::Le => RowSense::Ge,
                 RowSense::Eq => RowSense::Eq,
                 RowSense::Ge => RowSense::Le,
             };
-            norm_rows.push((flipped, sense, -row.rhs));
+            norms.push((flipped, -rhs, true));
         } else {
-            norm_rows.push((row.coeffs.clone(), row.sense, row.rhs));
+            norms.push((sense, rhs, false));
         }
     }
-    Ok(norm_rows)
+    Ok(norms)
+}
+
+fn row_refs(p: &LpProblem) -> Vec<RowRef<'_>> {
+    p.rows
+        .iter()
+        .map(|r| (r.coeffs.as_slice(), r.sense, r.rhs))
+        .collect()
+}
+
+/// Validates `p` and normalizes every row to a non-negative right-hand
+/// side (negative-rhs rows have coefficients negated and the sense
+/// flipped). Shared by the dense tableau and the sparse revised
+/// simplex so both engines see the *same* rows in the same order —
+/// the precondition for [`WarmBasis`] interchangeability.
+pub(crate) fn normalized_rows(p: &LpProblem) -> Result<Vec<NormRow>, IlpError> {
+    let rows = row_refs(p);
+    let norms = normalize(&p.cost, &p.upper, &rows)?;
+    Ok(rows
+        .iter()
+        .zip(norms)
+        .map(|(&(coeffs, _, _), (sense, rhs, negate))| {
+            let coeffs = if negate {
+                coeffs.iter().map(|&(j, c)| (j, -c)).collect()
+            } else {
+                coeffs.to_vec()
+            };
+            (coeffs, sense, rhs)
+        })
+        .collect())
 }
 
 /// The `[structural | slack/surplus | artificial]` column layout both
@@ -211,14 +246,15 @@ pub(crate) struct ColumnLayout {
 /// Computes the shared column layout: one slack/surplus column per
 /// `Le`/`Ge` row, one artificial per `Eq`/`Ge` row, in row order.
 pub(crate) fn column_layout(n_struct: usize, rows: &[NormRow]) -> ColumnLayout {
-    let n_slack = rows
-        .iter()
-        .filter(|(_, s, _)| matches!(s, RowSense::Le | RowSense::Ge))
-        .count();
-    let n_art = rows
-        .iter()
-        .filter(|(_, s, _)| matches!(s, RowSense::Eq | RowSense::Ge))
-        .count();
+    layout_of_senses(n_struct, rows.iter().map(|r| r.1))
+}
+
+fn layout_of_senses(n_struct: usize, senses: impl Iterator<Item = RowSense>) -> ColumnLayout {
+    let (mut n_slack, mut n_art) = (0, 0);
+    for sense in senses {
+        n_slack += usize::from(matches!(sense, RowSense::Le | RowSense::Ge));
+        n_art += usize::from(matches!(sense, RowSense::Eq | RowSense::Ge));
+    }
     ColumnLayout {
         n_struct,
         slack_start: n_struct,
@@ -273,14 +309,33 @@ pub fn solve_with_warm_start(
     deadline: Option<Instant>,
     warm: Option<&WarmBasis>,
 ) -> Result<LpResult, IlpError> {
+    solve_rows(
+        &problem.cost,
+        &problem.upper,
+        &row_refs(problem),
+        deadline,
+        warm,
+    )
+}
+
+/// [`solve_with_warm_start`] on a problem given as borrowed parts, so
+/// callers holding rows in another form (a [`crate::Model`]'s
+/// constraints) need not copy them into an [`LpProblem`].
+pub(crate) fn solve_rows(
+    cost: &[f64],
+    upper: &[f64],
+    rows: &[RowRef<'_>],
+    deadline: Option<Instant>,
+    warm: Option<&WarmBasis>,
+) -> Result<LpResult, IlpError> {
     if let Some(basis) = warm {
-        let mut t = Tableau::new(problem)?;
+        let mut t = Tableau::new(cost, upper, rows)?;
         t.deadline = deadline;
         if let Some(result) = t.solve_warm(basis) {
             return result;
         }
     }
-    let mut t = Tableau::new(problem)?;
+    let mut t = Tableau::new(cost, upper, rows)?;
     t.deadline = deadline;
     t.solve()
 }
@@ -320,15 +375,15 @@ struct Tableau {
 }
 
 impl Tableau {
-    fn new(p: &LpProblem) -> Result<Self, IlpError> {
-        let n_struct = p.cost.len();
-        let m = p.rows.len();
+    fn new(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Self, IlpError> {
+        let n_struct = cost.len();
+        let m = rows.len();
 
         // Normalize rows so every right-hand side is non-negative.
-        let norm_rows = normalized_rows(p)?;
+        let norms = normalize(cost, upper, rows)?;
 
         // Column layout: [structural | slack/surplus | artificial].
-        let layout = column_layout(n_struct, &norm_rows);
+        let layout = layout_of_senses(n_struct, norms.iter().map(|n| n.0));
         let slack_start = layout.slack_start;
         let art_start = layout.art_start;
         let n_cols = layout.n_cols;
@@ -336,18 +391,21 @@ impl Tableau {
         let mut a = vec![0.0; m * n_cols];
         let mut b = vec![0.0; m];
         let mut basis = vec![0usize; m];
-        let mut upper = Vec::with_capacity(n_cols);
-        upper.extend_from_slice(&p.upper);
-        upper.resize(n_cols, f64::INFINITY);
+        let mut col_upper = Vec::with_capacity(n_cols);
+        col_upper.extend_from_slice(upper);
+        col_upper.resize(n_cols, f64::INFINITY);
 
         let mut next_slack = slack_start;
         let mut next_art = art_start;
-        for (i, (coeffs, sense, rhs)) in norm_rows.iter().enumerate() {
+        for (i, (&(coeffs, _, _), &(sense, rhs, negate))) in rows.iter().zip(&norms).enumerate() {
             let row = &mut a[i * n_cols..(i + 1) * n_cols];
+            // Multiplying by ±1 is exact: the scattered row equals the
+            // negated copy `normalized_rows` makes.
+            let sign = if negate { -1.0 } else { 1.0 };
             for &(j, c) in coeffs {
-                row[j] += c;
+                row[j] += sign * c;
             }
-            b[i] = *rhs;
+            b[i] = rhs;
             match sense {
                 RowSense::Le => {
                     row[next_slack] = 1.0;
@@ -374,9 +432,9 @@ impl Tableau {
             is_basic[j] = true;
         }
 
-        let mut cost = Vec::with_capacity(n_cols);
-        cost.extend_from_slice(&p.cost);
-        cost.resize(n_cols, 0.0);
+        let mut col_cost = Vec::with_capacity(n_cols);
+        col_cost.extend_from_slice(cost);
+        col_cost.resize(n_cols, 0.0);
 
         let max_iterations = 2_000 + 40 * (m + n_cols);
 
@@ -389,9 +447,9 @@ impl Tableau {
             basis,
             at_upper: vec![false; n_cols],
             is_basic,
-            upper,
+            upper: col_upper,
             art_start,
-            cost,
+            cost: col_cost,
             iterations: 0,
             pivots: 0,
             max_iterations,
@@ -402,6 +460,71 @@ impl Tableau {
     #[inline]
     fn row(&self, i: usize) -> &[f64] {
         &self.a[i * self.n_cols..(i + 1) * self.n_cols]
+    }
+
+    /// Pivots the matrix on `(r, j)`: scales row `r` so the pivot is
+    /// exactly 1, then eliminates column `j` from every other row. Row
+    /// `r` is read in place through split borrows rather than copied.
+    /// With `row_reduce_b = Some(b_r)` (basis installation, where `b_r`
+    /// is row `r`'s already scaled value) each eliminated row's basic
+    /// value is reduced alongside; otherwise basic values and reduced
+    /// costs are the caller's to update.
+    fn pivot_matrix(&mut self, r: usize, j: usize, row_reduce_b: Option<f64>) {
+        let n = self.n_cols;
+        let (head, rest) = self.a.split_at_mut(r * n);
+        let (row_r, tail) = rest.split_at_mut(n);
+        let inv = 1.0 / row_r[j];
+        // eagleeye-lint: allow(float-eq): scaling by exactly 1.0 is the identity, so skipping it leaves every bit unchanged
+        if inv != 1.0 {
+            for x in row_r.iter_mut() {
+                *x *= inv;
+            }
+        }
+        row_r[j] = 1.0;
+        let others = head.chunks_exact_mut(n).enumerate().chain(
+            tail.chunks_exact_mut(n)
+                .enumerate()
+                .map(|(k, row)| (r + 1 + k, row)),
+        );
+        for (i, row_i) in others {
+            let factor = row_i[j];
+            if factor.abs() > 1e-13 {
+                for (x, &rr) in row_i.iter_mut().zip(row_r.iter()) {
+                    *x -= factor * rr;
+                }
+                row_i[j] = 0.0;
+                if let Some(b_r) = row_reduce_b {
+                    self.b[i] -= factor * b_r;
+                }
+            }
+        }
+    }
+
+    /// Reduced costs `d = c - c_Bᵀ (B⁻¹ A)` of the current tableau.
+    fn reduced_costs(&self, cost: &[f64]) -> Vec<f64> {
+        let mut d = cost.to_vec();
+        for (i, &bj) in self.basis.iter().enumerate() {
+            let cb = cost[bj];
+            // eagleeye-lint: allow(float-eq): exact-zero sparsity skip; basis costs are copied, never computed, so 0.0 is exact
+            if cb != 0.0 {
+                for (dj, &aij) in d.iter_mut().zip(self.row(i)) {
+                    *dj -= cb * aij;
+                }
+            }
+        }
+        d
+    }
+
+    /// Applies the pivot on `(r, j)` to the reduced costs: `d -= d_j ·
+    /// row r` with the (already pivoted) row `r`.
+    fn update_reduced_costs(&self, d: &mut [f64], r: usize, j: usize) {
+        let dj = d[j];
+        if dj.abs() > 1e-13 {
+            for (x, &rr) in d.iter_mut().zip(self.row(r)) {
+                *x -= dj * rr;
+            }
+            d[j] = 0.0;
+        }
     }
 
     fn solve(mut self) -> Result<LpResult, IlpError> {
@@ -421,14 +544,14 @@ impl Tableau {
         }
 
         // Phase 2: the real objective.
-        let cost = self.cost.clone();
+        let cost = std::mem::take(&mut self.cost);
         let obj = self.run_phase(&cost, /*ban_artificials=*/ true)?;
         Ok(LpResult::Optimal(self.extract(obj, false)))
     }
 
     /// Reads the optimal solution (and its reusable basis) out of the
     /// final tableau.
-    fn extract(&self, obj: f64, warmed: bool) -> LpSolution {
+    fn extract(self, obj: f64, warmed: bool) -> LpSolution {
         let mut values = vec![0.0; self.n_struct];
         for j in 0..self.n_struct {
             if !self.is_basic[j] && self.at_upper[j] {
@@ -446,8 +569,8 @@ impl Tableau {
             iterations: self.iterations,
             pivots: self.pivots,
             basis: WarmBasis {
-                basis: self.basis.clone(),
-                at_upper: self.at_upper.clone(),
+                basis: self.basis,
+                at_upper: self.at_upper,
                 n_cols: self.n_cols,
             },
             warmed,
@@ -458,14 +581,14 @@ impl Tableau {
     /// feasibility with the dual simplex, then polish with the primal
     /// phase-2 loop. Returns `None` to reject (caller falls back to a
     /// fresh cold solve).
-    fn solve_warm(&mut self, warm: &WarmBasis) -> Option<Result<LpResult, IlpError>> {
+    fn solve_warm(mut self, warm: &WarmBasis) -> Option<Result<LpResult, IlpError>> {
         if !self.install(warm) {
             return None;
         }
         if !self.dual_restore() {
             return None;
         }
-        let cost = self.cost.clone();
+        let cost = std::mem::take(&mut self.cost);
         match self.run_phase(&cost, /*ban_artificials=*/ true) {
             Ok(obj) => Some(Ok(LpResult::Optimal(self.extract(obj, true)))),
             Err(e) => Some(Err(e)),
@@ -543,31 +666,8 @@ impl Tableau {
                 return false; // singular for this problem
             }
             let r = best_row;
-            let inv = 1.0 / self.a[r * self.n_cols + j];
-            {
-                let row_r = &mut self.a[r * self.n_cols..(r + 1) * self.n_cols];
-                for x in row_r.iter_mut() {
-                    *x *= inv;
-                }
-                row_r[j] = 1.0;
-            }
-            self.b[r] *= inv;
-            let row_r: Vec<f64> = self.a[r * self.n_cols..(r + 1) * self.n_cols].to_vec();
-            let b_r = self.b[r];
-            for i in 0..self.m {
-                if i == r {
-                    continue;
-                }
-                let factor = self.a[i * self.n_cols + j];
-                if factor.abs() > 1e-13 {
-                    let row_i = &mut self.a[i * self.n_cols..(i + 1) * self.n_cols];
-                    for (x, &rr) in row_i.iter_mut().zip(&row_r) {
-                        *x -= factor * rr;
-                    }
-                    row_i[j] = 0.0;
-                    self.b[i] -= factor * b_r;
-                }
-            }
+            self.b[r] *= 1.0 / self.a[r * self.n_cols + j];
+            self.pivot_matrix(r, j, Some(self.b[r]));
             assigned[r] = true;
             new_basis[r] = j;
         }
@@ -589,19 +689,8 @@ impl Tableau {
     /// eligible entering column (which the cold path must adjudicate;
     /// this path never declares infeasibility).
     fn dual_restore(&mut self) -> bool {
-        let cost = self.cost.clone();
         // Reduced costs from the freshly factored tableau.
-        let mut d = cost.clone();
-        for (i, &bj) in self.basis.iter().enumerate() {
-            let cb = cost[bj];
-            // eagleeye-lint: allow(float-eq): exact-zero sparsity skip; basis costs are copied, never computed, so 0.0 is exact
-            if cb != 0.0 {
-                let row = self.row(i).to_vec();
-                for (dj, &aij) in d.iter_mut().zip(&row) {
-                    *dj -= cb * aij;
-                }
-            }
-        }
+        let mut d = self.reduced_costs(&self.cost);
         // Dual feasibility: nonbasic at lower needs d_j ≥ 0, at upper
         // needs d_j ≤ 0. Fixed columns (bound-collapsed or artificial)
         // cannot move, so their sign is irrelevant.
@@ -722,35 +811,8 @@ impl Tableau {
             self.at_upper[j] = false;
             self.b[r] = entering_value;
 
-            let inv = 1.0 / alpha;
-            {
-                let row_r = &mut self.a[row_base..row_base + self.n_cols];
-                for x in row_r.iter_mut() {
-                    *x *= inv;
-                }
-                row_r[j] = 1.0;
-            }
-            let row_r: Vec<f64> = self.a[row_base..row_base + self.n_cols].to_vec();
-            for i in 0..self.m {
-                if i == r {
-                    continue;
-                }
-                let factor = self.a[i * self.n_cols + j];
-                if factor.abs() > 1e-13 {
-                    let row_i = &mut self.a[i * self.n_cols..(i + 1) * self.n_cols];
-                    for (x, &rr) in row_i.iter_mut().zip(&row_r) {
-                        *x -= factor * rr;
-                    }
-                    row_i[j] = 0.0;
-                }
-            }
-            let dj = d[j];
-            if dj.abs() > 1e-13 {
-                for (x, &rr) in d.iter_mut().zip(&row_r) {
-                    *x -= dj * rr;
-                }
-                d[j] = 0.0;
-            }
+            self.pivot_matrix(r, j, None);
+            self.update_reduced_costs(&mut d, r, j);
         }
     }
 
@@ -759,17 +821,7 @@ impl Tableau {
     fn run_phase(&mut self, cost: &[f64], ban_artificials: bool) -> Result<f64, IlpError> {
         // Reduced costs: d_j = c_j - c_Bᵀ (B⁻¹ A)_j, computed from the
         // current (already pivoted) tableau.
-        let mut d = cost.to_vec();
-        for (i, &bj) in self.basis.iter().enumerate() {
-            let cb = cost[bj];
-            // eagleeye-lint: allow(float-eq): exact-zero sparsity skip; basis costs are copied, never computed, so 0.0 is exact
-            if cb != 0.0 {
-                let row = self.row(i).to_vec();
-                for (dj, &aij) in d.iter_mut().zip(&row) {
-                    *dj -= cb * aij;
-                }
-            }
-        }
+        let mut d = self.reduced_costs(cost);
         let mut obj = {
             let mut o = 0.0;
             for (i, &bj) in self.basis.iter().enumerate() {
@@ -915,36 +967,8 @@ impl Tableau {
                     // Pivot: normalize row r, eliminate column j elsewhere.
                     let piv = self.a[r * self.n_cols + j];
                     debug_assert!(piv.abs() > PIVOT_TOL * 0.5, "tiny pivot {piv}");
-                    let inv = 1.0 / piv;
-                    {
-                        let row_r = &mut self.a[r * self.n_cols..(r + 1) * self.n_cols];
-                        for x in row_r.iter_mut() {
-                            *x *= inv;
-                        }
-                        row_r[j] = 1.0;
-                    }
-                    // Copy row r once to avoid aliasing during elimination.
-                    let row_r: Vec<f64> = self.a[r * self.n_cols..(r + 1) * self.n_cols].to_vec();
-                    for i in 0..self.m {
-                        if i == r {
-                            continue;
-                        }
-                        let factor = self.a[i * self.n_cols + j];
-                        if factor.abs() > 1e-13 {
-                            let row_i = &mut self.a[i * self.n_cols..(i + 1) * self.n_cols];
-                            for (x, &rr) in row_i.iter_mut().zip(&row_r) {
-                                *x -= factor * rr;
-                            }
-                            row_i[j] = 0.0;
-                        }
-                    }
-                    let dj = d[j];
-                    if dj.abs() > 1e-13 {
-                        for (x, &rr) in d.iter_mut().zip(&row_r) {
-                            *x -= dj * rr;
-                        }
-                        d[j] = 0.0;
-                    }
+                    self.pivot_matrix(r, j, None);
+                    self.update_reduced_costs(&mut d, r, j);
                 }
             }
         }
