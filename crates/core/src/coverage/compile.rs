@@ -226,9 +226,10 @@ impl CompiledTrack {
 /// the targets inside the low-res box with their projected `(x, y)`.
 ///
 /// Bit-identical to the legacy per-frame walk by construction: the
-/// candidate set comes from the same per-bucket [`BucketView`] the
-/// legacy `TargetSet::query_radius` consults (fetched once per
-/// five-minute segment instead of once per frame), refined by the same
+/// candidate set comes from the same [`BucketView`] the legacy
+/// `TargetSet::query_radius` consults (fetched once per five-minute
+/// segment, or once per chunk for a static set, instead of once per
+/// frame), refined by the same
 /// exact predicate (`within_radius_at`) in the same ascending order,
 /// then projected through the same [`LocalFrame`] and box test.
 pub(super) fn membership_chunk(

@@ -631,20 +631,21 @@ impl<'a> CoverageEvaluator<'a> {
         };
         let sats = layout.satellites();
         let scenario = self.compile.scenario(cache_key, sats.len());
+        // Missing slots with their pool digests, hashed once each.
         let mut missing = Vec::new();
         for i in 0..sats.len() {
             if scenario.track(i).is_some() {
                 self.compile.note_reuse();
-            } else if let Some(track) = self
-                .compile
-                .pool_get(self.track_digest(&sats[i], &geom, "swath"))
-            {
+                continue;
+            }
+            let digest = self.track_digest(&sats[i], &geom, "swath");
+            if let Some(track) = self.compile.pool_get(digest) {
                 // A sibling scenario (typically a what-if fork) already
                 // compiled this exact track; adopt it.
                 self.compile.note_share();
                 scenario.store(i, track);
             } else {
-                missing.push(i);
+                missing.push((i, digest));
             }
         }
         let threads = self.effective_threads();
@@ -657,7 +658,7 @@ impl<'a> CoverageEvaluator<'a> {
                 let rows = pool.try_par_map_observed(
                     &self.options.metrics,
                     &missing,
-                    |_, &i, metrics| {
+                    |_, &(i, _), metrics| {
                         let sw = Stopwatch::start();
                         let states =
                             grid.propagate_observed(&layout.ground_track(&sats[i])?, metrics)?;
@@ -684,15 +685,14 @@ impl<'a> CoverageEvaluator<'a> {
                     )
                 })?;
                 let mut parts = parts.into_iter();
-                for (mi, (states, _)) in rows.into_iter().enumerate() {
+                for (&(i, digest), (states, _)) in missing.iter().zip(rows) {
                     let sat_parts: Vec<_> = parts.by_ref().take(ranges.len()).collect();
                     let track = Arc::new(CompiledTrack::assemble(states, sat_parts));
                     self.compile.note_build();
-                    let digest = self.track_digest(&sats[missing[mi]], &geom, "swath");
-                    scenario.store(missing[mi], self.compile.pool_put(digest, track));
+                    scenario.store(i, self.compile.pool_put(digest, track));
                 }
             } else {
-                for &i in &missing {
+                for &(i, _) in &missing {
                     self.get_or_compile_track(
                         &scenario,
                         i,

@@ -1,7 +1,7 @@
 use eagleeye_geo::{greatcircle, GeodeticPoint, GridIndex};
 // eagleeye-lint: allow(determinism): bucket indices are read by key only; iteration order never escapes
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identifier of a target within its [`TargetSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -74,11 +74,13 @@ const BUCKET_S: f64 = 300.0;
 
 /// A set of targets with spatial indexing.
 ///
-/// For static targets a single [`GridIndex`] answers frame-membership
-/// queries. For moving targets the set lazily builds one index per
-/// five-minute time bucket (positions sampled at the bucket
-/// midpoint) and pads queries by the worst-case intra-bucket motion, so
-/// queries stay exact.
+/// When every target is static (`motion: None`), one lazily built
+/// [`GridIndex`] answers frame-membership queries at every time. When
+/// any target moves, the set lazily builds one index per five-minute
+/// time bucket (positions sampled at the bucket midpoint) and pads
+/// queries by the worst-case intra-bucket motion, so queries stay
+/// exact. Dataset-level invariants (total value, fastest speed) are
+/// computed once, at construction.
 ///
 /// # Example
 ///
@@ -100,16 +102,28 @@ const BUCKET_S: f64 = 300.0;
 pub struct TargetSet {
     targets: Vec<Target>,
     max_speed_m_s: f64,
-    /// Lazily-built per-bucket indices keyed by bucket number.
+    total_value: f64,
+    index: SpatialIndex,
+}
+
+/// The lazily built spatial index of a [`TargetSet`], chosen by its
+/// data: static positions never change, so one index serves every
+/// time; moving positions are sampled per time bucket.
+#[derive(Debug)]
+enum SpatialIndex {
+    /// Every target has `motion: None`.
+    Static(OnceLock<Arc<GridIndex>>),
+    /// Per-bucket indices keyed by bucket number.
     // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
-    bucket_indices: Mutex<HashMap<i64, Arc<GridIndex>>>,
+    Moving(Mutex<HashMap<i64, Arc<GridIndex>>>),
 }
 
 /// A snapshot of the spatial index for one time bucket: the
 /// lazily-built [`GridIndex`] over target positions sampled at the
 /// bucket midpoint, plus the worst-case intra-bucket motion pad that
 /// keeps queries exact. Obtained from [`TargetSet::bucket_view`]; valid
-/// for every query time inside that bucket.
+/// for every query time inside that bucket. A static set's view holds
+/// its one shared index, has no pad, and is valid at every time.
 ///
 /// Holding a view lets a caller that sweeps many frames within one
 /// bucket (the coverage compiler's per-segment sweep) take the
@@ -118,42 +132,48 @@ pub struct TargetSet {
 #[derive(Debug, Clone)]
 pub struct BucketView {
     index: Arc<GridIndex>,
-    bucket: i64,
+    /// The time bucket the view answers, or `None` for a static set's
+    /// view, which answers every time.
+    bucket: Option<i64>,
+    /// Sample time of the indexed positions (the bucket midpoint;
+    /// irrelevant for a static set, whose positions never change).
     midpoint_t_s: f64,
+    /// Query pad (meters) covering worst-case target drift between the
+    /// midpoint sample and any time inside the bucket.
     pad_m: f64,
 }
 
 impl BucketView {
-    /// True when `t_s` falls inside this view's time bucket, i.e. the
-    /// view answers queries at `t_s` exactly.
+    /// True when the view answers queries at `t_s` exactly: `t_s`
+    /// falls inside the view's time bucket, or the set is static.
     #[inline]
     pub fn covers(&self, t_s: f64) -> bool {
-        (t_s / BUCKET_S).floor() as i64 == self.bucket
+        self.bucket.is_none_or(|b| bucket_of(t_s) == b)
     }
+}
 
-    /// The bucket-midpoint sample time the index was built at.
-    #[inline]
-    pub fn midpoint_t_s(&self) -> f64 {
-        self.midpoint_t_s
-    }
-
-    /// The query pad (meters) covering worst-case target drift between
-    /// the midpoint sample and any time inside the bucket.
-    #[inline]
-    pub fn pad_m(&self) -> f64 {
-        self.pad_m
-    }
+/// The time bucket containing `t_s`.
+#[inline]
+fn bucket_of(t_s: f64) -> i64 {
+    (t_s / BUCKET_S).floor() as i64
 }
 
 impl TargetSet {
     /// Builds a target set.
     pub fn new(targets: Vec<Target>) -> Self {
         let max_speed_m_s = targets.iter().map(Target::speed_m_s).fold(0.0, f64::max);
+        let total_value = targets.iter().map(|t| t.value).sum();
+        let index = if targets.iter().all(|t| t.motion.is_none()) {
+            SpatialIndex::Static(OnceLock::new())
+        } else {
+            // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
+            SpatialIndex::Moving(Mutex::new(HashMap::new()))
+        };
         TargetSet {
             targets,
             max_speed_m_s,
-            // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
-            bucket_indices: Mutex::new(HashMap::new()),
+            total_value,
+            index,
         }
     }
 
@@ -201,8 +221,7 @@ impl TargetSet {
         self.targets
             .iter()
             .filter(|t| t.appears_at_s <= horizon_s && t.disappears_at_s >= 0.0)
-            .collect::<Vec<_>>()
-            .len()
+            .count()
     }
 
     /// Returns indices of targets that exist at `t_s` and lie within
@@ -216,40 +235,52 @@ impl TargetSet {
     }
 
     /// The spatial-index view for the time bucket containing `t_s`,
-    /// building the bucket's [`GridIndex`] on first use. Takes the
-    /// internal index lock once; the returned view queries lock-free.
+    /// building the [`GridIndex`] on first use. A static set has one
+    /// index and one view for every time; a moving set has one per
+    /// bucket. Takes the internal index lock at most once; the returned
+    /// view queries lock-free.
     pub fn bucket_view(&self, t_s: f64) -> BucketView {
-        let bucket = (t_s / BUCKET_S).floor() as i64;
-        let pad_m = self.max_speed_m_s * BUCKET_S; // worst-case drift from midpoint, doubled below
+        let buckets = match &self.index {
+            SpatialIndex::Static(index) => {
+                return BucketView {
+                    index: Arc::clone(index.get_or_init(|| Arc::new(self.grid_at(0.0)))),
+                    bucket: None,
+                    midpoint_t_s: 0.0,
+                    pad_m: 0.0,
+                };
+            }
+            SpatialIndex::Moving(buckets) => buckets,
+        };
+        let bucket = bucket_of(t_s);
         let midpoint_t_s = (bucket as f64 + 0.5) * BUCKET_S;
         // A poisoned lock only means another thread panicked mid-insert;
         // the cache itself is an optimization, so recover the guard.
-        let mut map = self
-            .bucket_indices
+        let index = buckets
             .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let index = map
+            .unwrap_or_else(|e| e.into_inner())
             .entry(bucket)
-            .or_insert_with(|| {
-                Arc::new(
-                    GridIndex::build(
-                        2.0,
-                        self.targets.iter().map(|t| {
-                            let p = t.position_at(midpoint_t_s);
-                            (p.lat_deg(), p.lon_deg())
-                        }),
-                    )
-                    // eagleeye-lint: allow(no-unwrap): cell size is the constant 2.0 above
-                    .expect("positive cell size"),
-                )
-            })
+            .or_insert_with(|| Arc::new(self.grid_at(midpoint_t_s)))
             .clone();
         BucketView {
             index,
-            bucket,
+            bucket: Some(bucket),
             midpoint_t_s,
-            pad_m,
+            // Twice the worst-case drift from the midpoint to a bucket edge.
+            pad_m: self.max_speed_m_s * BUCKET_S,
         }
+    }
+
+    /// A [`GridIndex`] over every target's position at `t_s`.
+    fn grid_at(&self, t_s: f64) -> GridIndex {
+        GridIndex::build(
+            2.0,
+            self.targets.iter().map(|t| {
+                let p = t.position_at(t_s);
+                (p.lat_deg(), p.lon_deg())
+            }),
+        )
+        // eagleeye-lint: allow(no-unwrap): cell size is the constant 2.0 above
+        .expect("positive cell size")
     }
 
     /// Candidate target indices within `radius_m` of `center` for any
@@ -289,9 +320,10 @@ impl TargetSet {
         t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
     }
 
-    /// Sum of values over all targets.
+    /// Sum of values over all targets, computed once at construction.
+    #[inline]
     pub fn total_value(&self) -> f64 {
-        self.targets.iter().map(|t| t.value).sum()
+        self.total_value
     }
 }
 
@@ -304,6 +336,9 @@ impl FromIterator<Target> for TargetSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagleeye_check::{
+        check_cases, f64_range, prop_assert, prop_assert_eq, vec_of, Failure, Gen,
+    };
 
     fn pt(lat: f64, lon: f64) -> GeodeticPoint {
         GeodeticPoint::from_degrees(lat, lon, 0.0).unwrap()
@@ -394,5 +429,212 @@ mod tests {
             .collect();
         assert_eq!(set.len(), 5);
         assert_eq!(set.total_value(), 5.0);
+    }
+
+    #[test]
+    fn count_existing_within_honours_windows() {
+        let mut late = Target::fixed(pt(0.0, 0.0), 1.0);
+        late.appears_at_s = 500.0;
+        let mut gone = Target::fixed(pt(1.0, 0.0), 1.0);
+        gone.appears_at_s = -100.0;
+        gone.disappears_at_s = -1.0;
+        let set = TargetSet::new(vec![Target::fixed(pt(2.0, 0.0), 1.0), late, gone]);
+        assert_eq!(set.count_existing_within(100.0), 1);
+        assert_eq!(set.count_existing_within(500.0), 2);
+    }
+
+    /// The per-bucket view every set used before static sets shared
+    /// one index: a fresh [`GridIndex`] over positions at the bucket
+    /// midpoint, padded by the set's worst-case intra-bucket drift.
+    fn reference_bucket_view(set: &TargetSet, t_s: f64) -> BucketView {
+        let bucket = (t_s / BUCKET_S).floor() as i64;
+        let midpoint_t_s = (bucket as f64 + 0.5) * BUCKET_S;
+        let index = GridIndex::build(
+            2.0,
+            set.targets.iter().map(|t| {
+                let p = t.position_at(midpoint_t_s);
+                (p.lat_deg(), p.lon_deg())
+            }),
+        )
+        .unwrap();
+        BucketView {
+            index: Arc::new(index),
+            bucket: Some(bucket),
+            midpoint_t_s,
+            pad_m: set.max_speed_m_s * BUCKET_S,
+        }
+    }
+
+    /// [`TargetSet::query_radius`] answered through the per-bucket
+    /// reference view.
+    fn reference_query_radius(
+        set: &TargetSet,
+        center: &GeodeticPoint,
+        radius_m: f64,
+        t_s: f64,
+    ) -> Vec<usize> {
+        let view = reference_bucket_view(set, t_s);
+        set.candidates_in(&view, center, radius_m)
+            .into_iter()
+            .filter(|&i| set.within_radius_at(i, center, radius_m, t_s))
+            .collect()
+    }
+
+    /// Points where the grid math is most fragile: both sides of the
+    /// antimeridian and both polar caps, plus a mid-latitude control.
+    fn edge_point_gen() -> impl Gen<Value = GeodeticPoint> {
+        (
+            f64_range(0.0, 5.0),
+            f64_range(-89.999, 89.999),
+            f64_range(-179.999, 179.999),
+        )
+            .map(|(region, lat, lon)| {
+                let (lat, lon) = match region as u32 {
+                    0 => (lat, 179.0 + (lon + 180.0) / 360.0),
+                    1 => (lat, -180.0 + (lon + 180.0) / 360.0),
+                    2 => (88.0 + (lat + 90.0) / 90.0, lon),
+                    3 => (-90.0 + (lat + 90.0) / 90.0, lon),
+                    _ => (lat, lon),
+                };
+                pt(lat.clamp(-90.0, 90.0), lon)
+            })
+    }
+
+    /// Static targets, some permanent and some with finite existence
+    /// windows, a share of which open or close exactly on a bucket
+    /// boundary.
+    fn static_target_gen() -> impl Gen<Value = Target> {
+        (
+            edge_point_gen(),
+            f64_range(0.1, 5.0),
+            f64_range(0.0, 4.0),
+            f64_range(0.0, 1500.0),
+            f64_range(0.0, 1500.0),
+        )
+            .map(|(position, value, kind, a, b)| {
+                let mut t = Target::fixed(position, value);
+                let on_boundary = |x: f64| (x / BUCKET_S).round() * BUCKET_S;
+                match kind as u32 {
+                    0 => {}
+                    1 => t.appears_at_s = a,
+                    2 => (t.appears_at_s, t.disappears_at_s) = (a.min(b), a.max(b)),
+                    _ => {
+                        (t.appears_at_s, t.disappears_at_s) =
+                            (on_boundary(a.min(b)), on_boundary(a.max(b)))
+                    }
+                }
+                t
+            })
+    }
+
+    /// A query `(center, radius, time)`. The bucket is assigned by the
+    /// query's position in its case (see the property); this draws the
+    /// offset inside it: exactly on the bucket's lower boundary, just
+    /// below its upper boundary, or anywhere inside.
+    fn query_gen() -> impl Gen<Value = (GeodeticPoint, f64, f64, f64)> {
+        (
+            edge_point_gen(),
+            f64_range(1_000.0, 2_500_000.0),
+            f64_range(0.0, 3.0),
+            f64_range(0.0, 1.0),
+        )
+    }
+
+    fn query_time(bucket: usize, kind: f64, frac: f64) -> f64 {
+        let lo = bucket as f64 * BUCKET_S;
+        match kind as u32 {
+            0 => lo,
+            1 => (lo + BUCKET_S).next_down(),
+            _ => lo + frac * BUCKET_S,
+        }
+    }
+
+    /// A static set's one shared index answers exactly what the old
+    /// per-bucket index answered, candidates and refined results
+    /// alike, at every query time — including through one view reused
+    /// across buckets, as the coverage compiler's segment sweep does.
+    #[test]
+    fn static_shared_index_matches_per_bucket_reference() {
+        check_cases(
+            128,
+            "static_shared_index_matches_per_bucket_reference",
+            (
+                vec_of(static_target_gen(), 0, 48),
+                vec_of(query_gen(), 4, 10),
+            ),
+            |(targets, queries)| {
+                let set = TargetSet::new(targets.clone());
+                prop_assert!(matches!(set.index, SpatialIndex::Static(_)));
+                let times: Vec<f64> = queries
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(_, _, kind, frac))| query_time(j % 4, kind, frac))
+                    .collect();
+                let shared = set.bucket_view(times[0]);
+                for (&(center, radius_m, _, _), &t) in queries.iter().zip(&times) {
+                    let view = set.bucket_view(t);
+                    prop_assert!(view.covers(t) && shared.covers(t));
+                    prop_assert!(Arc::ptr_eq(&view.index, &shared.index));
+                    let reference = reference_bucket_view(&set, t);
+                    let want = set.candidates_in(&reference, &center, radius_m);
+                    prop_assert_eq!(set.candidates_in(&view, &center, radius_m), want.clone());
+                    prop_assert_eq!(set.candidates_in(&shared, &center, radius_m), want);
+                    let exact = reference_query_radius(&set, &center, radius_m, t);
+                    prop_assert_eq!(set.query_radius(&center, radius_m, t), exact.clone());
+                    let refined: Vec<usize> = set
+                        .candidates_in(&shared, &center, radius_m)
+                        .into_iter()
+                        .filter(|&i| set.within_radius_at(i, &center, radius_m, t))
+                        .collect();
+                    prop_assert_eq!(refined, exact);
+                }
+                Ok::<(), Failure>(())
+            },
+        );
+    }
+
+    /// One moving target makes the whole set moving: it keeps one
+    /// padded index per bucket, and each view covers its bucket only.
+    #[test]
+    fn moving_set_keeps_an_index_per_bucket() {
+        let mut plane = Target::fixed(pt(0.0, 179.5), 1.0);
+        plane.motion = Some((250.0, std::f64::consts::FRAC_PI_2));
+        let set = TargetSet::new(vec![Target::fixed(pt(10.0, 10.0), 1.0), plane]);
+        assert!(matches!(set.index, SpatialIndex::Moving(_)));
+        let early = set.bucket_view(0.0);
+        assert!(Arc::ptr_eq(&early.index, &set.bucket_view(299.0).index));
+        let next = set.bucket_view(BUCKET_S);
+        assert!(!Arc::ptr_eq(&early.index, &next.index));
+        assert!(early.covers(BUCKET_S.next_down()) && !early.covers(BUCKET_S));
+        assert_eq!(early.pad_m, 250.0 * BUCKET_S);
+        for t in [0.0, 150.0, BUCKET_S, 1000.0, 4.0 * BUCKET_S] {
+            let center = plane.position_at(t);
+            let got = set.query_radius(&center, 5_000.0, t);
+            assert_eq!(got, reference_query_radius(&set, &center, 5_000.0, t));
+            assert_eq!(got, vec![1], "t = {t}");
+        }
+    }
+
+    /// The cached total is bit-identical to a fresh sum in target
+    /// order, on the empty set too.
+    #[test]
+    fn cached_total_value_matches_a_fresh_sum() {
+        let fresh = |targets: &[Target]| targets.iter().map(|t| t.value).sum::<f64>();
+        let empty = TargetSet::new(Vec::new());
+        assert_eq!(empty.total_value().to_bits(), fresh(&[]).to_bits());
+        check_cases(
+            128,
+            "cached_total_value_matches_a_fresh_sum",
+            vec_of((f64_range(-1e6, 1e6), f64_range(-12.0, 12.0)), 0, 64),
+            |draws| {
+                let targets: Vec<Target> = draws
+                    .iter()
+                    .map(|&(v, e)| Target::fixed(pt(0.0, 0.0), v * 10f64.powf(e)))
+                    .collect();
+                let set = TargetSet::new(targets.clone());
+                prop_assert_eq!(set.total_value().to_bits(), fresh(&targets).to_bits());
+                Ok::<(), Failure>(())
+            },
+        );
     }
 }
