@@ -15,10 +15,11 @@
 //!   stored struct-of-arrays, computed once by a segment sweep that
 //!   takes one [`BucketView`] per five-minute bucket and reproduces the
 //!   legacy per-frame `query_radius` + projection results bit-for-bit;
-//! * **solved horizons** — a digest-keyed memo of deterministic
-//!   scheduler results (schedule, solver diagnostics, fault repairs),
-//!   replayed instead of re-solved when a later evaluation presents the
-//!   exact same per-frame scheduling inputs.
+//! * **solved frames** — a memo of deterministic per-frame results
+//!   (cluster count, captures with their footprint centres and pointing
+//!   offsets, solver diagnostics, fault repairs), keyed on the inputs
+//!   to clustering and replayed instead of re-clustered and re-solved
+//!   when a later evaluation presents the exact same frame inputs.
 //!
 //! The evaluate phase then sweeps the sorted interval events per frame
 //! ([`IntervalSweep`]), so per-frame membership work is O(targets in
@@ -27,21 +28,25 @@
 //! # Determinism
 //!
 //! Everything cached here is a pure function of its recorded inputs:
-//! membership of `(track, grid, targets, geometry)`, solves of the
-//! digested horizon inputs (frame index, epoch, task list, follower
-//! states, slew/clip/task-cap modifiers). Memo state lives in
+//! membership of `(track, grid, targets, geometry)`, solved frames of
+//! the keyed [`FrameInputs`] (frame index, epoch, detected points,
+//! footprint size, clustering method, follower states, slew/clip/
+//! task-cap modifiers, repair onsets). Memo state lives in
 //! `BTreeMap`s (deterministic iteration, though nothing iterates them
 //! into a report) and replaying a memo applies exactly the report
 //! mutations the live solve applied, so warm and cold evaluations
 //! produce bit-identical [`super::CoverageReport`]s — the perf harness
 //! and the differential suite (`interval_engine_differential.rs`)
-//! assert this on every run.
+//! assert this on every run. A frame cut short by a wall-clock limit
+//! (a scheduler deadline, ILP clustering's 3 s cap) is the exception:
+//! the memo keeps the first live result and every replay returns it.
 
-use crate::schedule::{IlpRunStats, Schedule};
+use crate::clustering::ClusteringMethod;
+use crate::pointing::{GroundPoint, TimeWindow};
+use crate::schedule::{FollowerState, IlpRunStats, SolverTier};
 use crate::CoreError;
 use eagleeye_datasets::{BucketView, TargetSet};
 use eagleeye_geo::LocalFrame;
-use eagleeye_harden::ScenarioHasher;
 use eagleeye_orbit::TrackState;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -111,13 +116,17 @@ impl FrameCoeffs {
     }
 }
 
-/// A memoized per-horizon scheduler result: the final schedule (after
-/// any fault repair) plus every report mutation the live solve made, so
-/// replay is observationally identical to re-solving.
-#[derive(Debug, Clone)]
+/// A memoized frame: everything clustering, the horizon solve and any
+/// fault repair produced that the evaluator reads afterwards, so a
+/// replay neither clusters, nor builds tasks or a scheduling problem,
+/// nor solves — and is observationally identical to doing all three.
+#[derive(Debug)]
 pub(super) struct SolvedHorizon {
-    /// Post-repair schedule handed to capture execution.
-    pub schedule: Schedule,
+    /// Cluster count before the task cap (`per_frame_cluster_counts`).
+    pub clusters: usize,
+    /// Post-repair captures in execution order: slot by slot, each
+    /// slot's captures in time order.
+    pub captures: Vec<ReplayCapture>,
     /// ILP diagnostics recorded via `CoverageReport::add_ilp_stats`.
     pub ilp_stats: Option<IlpRunStats>,
     /// Which solver-provenance counters the solve incremented.
@@ -128,6 +137,21 @@ pub(super) struct SolvedHorizon {
     pub dropped_tasks: usize,
     /// `tasks_reassigned` increment.
     pub reassigned_tasks: usize,
+}
+
+/// One scheduled capture, with the geometry its execution reads.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct ReplayCapture {
+    /// Active-follower slot the capture is scheduled on.
+    pub slot: usize,
+    /// Capture time, seconds.
+    pub time_s: f64,
+    /// High-res footprint centre: cross-track and absolute along-track
+    /// offsets, meters.
+    pub centre: (f64, f64),
+    /// The follower's pointing offset after the capture
+    /// (`SchedulingProblem::capture_offset`).
+    pub offset: (f64, f64),
 }
 
 /// Solver-provenance counter increments of one horizon solve.
@@ -147,7 +171,7 @@ pub(super) enum SolvedOutcome {
 }
 
 /// One satellite's compiled pass: propagated states, access intervals
-/// with projected coefficients, and the horizon-solve memo.
+/// with projected coefficients, and the frame memo.
 #[derive(Debug)]
 pub(super) struct CompiledTrack {
     /// Batch-propagated state per grid epoch.
@@ -158,8 +182,8 @@ pub(super) struct CompiledTrack {
     pub coeffs: FrameCoeffs,
     /// Largest per-frame membership count (scratch preallocation size).
     pub peak_frame_entries: usize,
-    /// Digest-keyed memo of deterministic horizon solves.
-    pub solved: Mutex<BTreeMap<u64, SolvedHorizon>>,
+    /// Memo of solved frames, keyed by [`FrameInputs::key`].
+    pub solved: Mutex<BTreeMap<u64, Arc<SolvedHorizon>>>,
 }
 
 impl CompiledTrack {
@@ -211,14 +235,14 @@ impl CompiledTrack {
         }
     }
 
-    /// Looks up a memoized horizon solve by digest.
-    pub fn solved_get(&self, digest: u64) -> Option<SolvedHorizon> {
-        lock_unpoisoned(&self.solved).get(&digest).cloned()
+    /// Looks up a memoized frame by its key.
+    pub fn solved_get(&self, key: u64) -> Option<Arc<SolvedHorizon>> {
+        lock_unpoisoned(&self.solved).get(&key).cloned()
     }
 
-    /// Records a horizon solve for replay.
-    pub fn solved_put(&self, digest: u64, solved: SolvedHorizon) {
-        lock_unpoisoned(&self.solved).insert(digest, solved);
+    /// Records a solved frame for replay.
+    pub fn solved_put(&self, key: u64, solved: Arc<SolvedHorizon>) {
+        lock_unpoisoned(&self.solved).insert(key, solved);
     }
 }
 
@@ -340,77 +364,130 @@ impl<'a> IntervalSweep<'a> {
     }
 }
 
-/// Digest of every input a horizon solve (including fault repair)
-/// depends on, beyond the track-pool key already binding the options
-/// that do not flow through these per-frame inputs. Two horizons with
-/// equal digests received identical solver inputs, so replaying one's
-/// recorded result for the other is exact; any divergence (fault
-/// modifiers, recapture-scaled values, different follower state,
-/// mid-frame outage onsets driving a schedule repair) changes the
-/// digest and forces a live solve.
-///
-/// `repair_failures` carries the `(active-slot, onset)` pairs the
-/// fault-repair pass would act on this frame. They are a function of
-/// the fault plan, which is *not* part of the track-pool key (so
-/// fault-window what-if deltas can share tracks); digesting them here
-/// is what keeps memo replay exact across fault-plan edits.
-// eagleeye-lint: digest-of(TaskSpec, GroundPoint, FollowerState)
-#[allow(clippy::too_many_arguments)]
-pub(super) fn horizon_digest(
-    frame_idx: usize,
-    t: f64,
-    task_cap: usize,
-    slew_factor: f64,
-    clip: Option<(f64, f64)>,
-    tasks: &[crate::schedule::TaskSpec],
-    active: &[usize],
-    follower_states: &[crate::schedule::FollowerState],
-    repair_failures: &[(usize, f64)],
-    ilp_tier: crate::schedule::SolverTier,
-) -> u64 {
-    // The tier is part of the memo key (not a persisted codec): a
-    // sparse-tier solve is observationally equivalent but not
-    // bit-identical in its diagnostics, so replaying one under the
-    // other tier would leak those differences into the report.
-    let tier_byte: u64 = match ilp_tier {
-        crate::schedule::SolverTier::Dense => 0,
-        crate::schedule::SolverTier::Sparse => 1,
-        crate::schedule::SolverTier::Auto => 2,
-    };
-    let mut h = ScenarioHasher::new();
-    h.str("eagleeye-core/horizon/v2")
-        .u64(frame_idx as u64)
-        .f64(t)
-        .u64(task_cap as u64)
-        .f64(slew_factor)
-        .u64(tier_byte);
-    match clip {
-        Some((start, end)) => {
-            h.u64(1).f64(start).f64(end);
+/// The inputs of one frame's clustering, horizon solve and fault
+/// repair that vary per frame, beyond the track-pool key (which binds
+/// the orbit, sensing spec, membership geometry and scheduler label).
+/// A memo miss builds the frame from exactly these, so two frames with
+/// equal [`key`](Self::key)s cluster, solve and repair identically and
+/// replaying one's [`SolvedHorizon`] for the other is exact.
+#[derive(Debug)]
+pub(super) struct FrameInputs<'a> {
+    /// Frame index along the track.
+    pub frame_idx: usize,
+    /// Frame epoch, seconds.
+    pub t: f64,
+    /// Detected targets in detection order: projected `(x, y)` and the
+    /// recapture-scaled value.
+    pub points: &'a [(GroundPoint, f64)],
+    /// High-res footprint side, meters (the clustering box).
+    pub footprint_m: f64,
+    /// How the points are clustered into footprints.
+    pub clustering: ClusteringMethod,
+    /// Clusters kept for scheduling (radio-derated task cap).
+    pub task_cap: usize,
+    /// Slew-derate factor applied to the ADACS rate.
+    pub slew_factor: f64,
+    /// Mix-camera capture window, if any.
+    pub clip: Option<TimeWindow>,
+    /// Active (not failed) follower indices, one per schedule slot.
+    pub active: &'a [usize],
+    /// Carried state of each active follower.
+    pub follower_states: &'a [FollowerState],
+    /// `(active-slot, onset)` pairs the fault-repair pass acts on. They
+    /// come from the fault plan, which the track-pool key leaves out so
+    /// fault-window what-ifs can share tracks; keying them here keeps
+    /// replay exact across fault-plan edits.
+    pub repair_failures: &'a [(usize, f64)],
+    /// ILP solver tier: a sparse-tier solve is equivalent but not
+    /// bit-identical in its diagnostics.
+    pub ilp_tier: SolverTier,
+}
+
+impl FrameInputs<'_> {
+    /// The memo key: every field, hashed a 64-bit word at a time. The
+    /// key never leaves the process, so it needs no stable byte format.
+    // eagleeye-lint: digest-of(FrameInputs, GroundPoint, FollowerState, TimeWindow)
+    pub fn key(&self) -> u64 {
+        let clustering = match self.clustering {
+            ClusteringMethod::Ilp => 0,
+            ClusteringMethod::Greedy => 1,
+            ClusteringMethod::None => 2,
+        };
+        let tier = match self.ilp_tier {
+            SolverTier::Dense => 0,
+            SolverTier::Sparse => 1,
+            SolverTier::Auto => 2,
+        };
+        let mut h = WordHasher::new(b"eagleeye-core/frame/v1");
+        h.word(self.frame_idx as u64)
+            .f64(self.t)
+            .f64(self.footprint_m)
+            .word(clustering)
+            .word(self.task_cap as u64)
+            .f64(self.slew_factor)
+            .word(tier);
+        match self.clip {
+            Some(w) => h.word(1).f64(w.start_s).f64(w.end_s),
+            None => h.word(0),
+        };
+        h.word(self.points.len() as u64);
+        for (p, value) in self.points {
+            h.f64(p.cross_m).f64(p.along_m).f64(*value);
         }
-        None => {
-            h.u64(0);
+        h.word(self.active.len() as u64);
+        for (&k, fs) in self.active.iter().zip(self.follower_states) {
+            h.word(k as u64)
+                .f64(fs.along_at_0_m)
+                .f64(fs.available_from_s)
+                .f64(fs.pointing_offset.0)
+                .f64(fs.pointing_offset.1);
         }
+        h.word(self.repair_failures.len() as u64);
+        for &(slot, onset) in self.repair_failures {
+            h.word(slot as u64).f64(onset);
+        }
+        h.finish()
     }
-    h.u64(tasks.len() as u64);
-    for task in tasks {
-        h.f64(task.point.cross_m)
-            .f64(task.point.along_m)
-            .f64(task.value);
+}
+
+/// Word-at-a-time hash for in-memory keys: one multiply per 64-bit
+/// word, where a byte-wise FNV pays eight dependent ones. Each step is
+/// a bijection of the state for a fixed word, so inputs that differ
+/// only in their last word never collide.
+struct WordHasher(u64);
+
+impl WordHasher {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    /// Starts a hash under a domain tag.
+    fn new(domain: &[u8]) -> Self {
+        let mut h = WordHasher(0xcbf2_9ce4_8422_2325);
+        for chunk in domain.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            h.word(u64::from_le_bytes(word));
+        }
+        h.word(domain.len() as u64);
+        h
     }
-    h.u64(active.len() as u64);
-    for (&k, fs) in active.iter().zip(follower_states) {
-        h.u64(k as u64)
-            .f64(fs.along_at_0_m)
-            .f64(fs.available_from_s)
-            .f64(fs.pointing_offset.0)
-            .f64(fs.pointing_offset.1);
+
+    fn word(&mut self, w: u64) -> &mut Self {
+        let x = (self.0 ^ w).wrapping_mul(Self::K);
+        self.0 = x ^ (x >> 32);
+        self
     }
-    h.u64(repair_failures.len() as u64);
-    for &(slot, onset) in repair_failures {
-        h.u64(slot as u64).f64(onset);
+
+    fn f64(&mut self, x: f64) -> &mut Self {
+        self.word(x.to_bits())
     }
-    h.finish()
+
+    /// Final avalanche (the SplitMix64 finalizer).
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
 }
 
 /// One scenario's compiled tracks: slot `i` belongs to satellite `i` of

@@ -1,16 +1,16 @@
 use super::compile::{
-    horizon_digest, membership_chunk, CompileCache, CompileGeometry, CompileStats,
-    CompiledScenario, CompiledTrack, IntervalSweep, SolvedHorizon, SolvedOutcome,
+    membership_chunk, CompileCache, CompileGeometry, CompileStats, CompiledScenario, CompiledTrack,
+    FrameInputs, IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
 };
 use super::harden::{decode_leader_payload, encode_leader_payload};
 use super::{
     ConstellationConfig, CoverageReport, DegradedMode, FailurePlan, HardenOptions, HardenedOutcome,
     SchedulerKind,
 };
-use crate::clustering::{cluster, ClusteringMethod};
-use crate::pointing::TimeWindow;
+use crate::clustering::{cluster, Cluster, ClusteringMethod};
+use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
-    AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler, Schedule,
+    AbbScheduler, FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler,
     Scheduler, SchedulingProblem, SolverChoice, SolverTier, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
@@ -292,15 +292,16 @@ impl<'a> CoverageEvaluator<'a> {
     /// that determine its states/intervals/coefficients, plus the
     /// scheduler label that keeps memoized horizon solves from
     /// crossing solver identities. Options that flow entirely through
-    /// the per-frame [`horizon_digest`] (recall, seed, fault plan,
-    /// task caps, recapture scaling) are deliberately excluded — that
-    /// is what lets a what-if fork share tracks across those edits.
+    /// the per-frame memo key ([`FrameInputs::key`]: recall, seed,
+    /// fault plan, task caps, recapture scaling, clustering method)
+    /// are deliberately excluded — that is what lets a what-if fork
+    /// share tracks across those edits.
     // eagleeye-lint: digest-of(CoverageOptions, CompileGeometry)
-    // eagleeye-lint: digest-allow(CoverageOptions::recall, CoverageOptions::seed, CoverageOptions::max_tasks_per_frame, CoverageOptions::recapture_penalty): flow through the per-frame horizon_digest (task values, caps, clip), never through the compiled track
-    // eagleeye-lint: digest-allow(CoverageOptions::failure, CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; outage onsets and repairs are bound per frame by horizon_digest
+    // eagleeye-lint: digest-allow(CoverageOptions::recall, CoverageOptions::seed, CoverageOptions::max_tasks_per_frame, CoverageOptions::recapture_penalty): flow through the per-frame memo key (detected points and their values, task cap), never through the compiled track
+    // eagleeye-lint: digest-allow(CoverageOptions::failure, CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; follower sets, outage onsets and derates are bound per frame by the frame memo key
     // eagleeye-lint: digest-allow(CoverageOptions::orbital_planes, CoverageOptions::layout_slots): bound through the satellite's orbital elements already digested via the SatelliteSpec debug string
     // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics, CoverageOptions::reference_frame_walk): execution shape and observability only — compiled tracks are bit-identical across them (DESIGN.md section 8/10/13)
-    // eagleeye-lint: digest-allow(CoverageOptions::ilp_tier): memo discriminant carried by horizon_digest, not by the track pool
+    // eagleeye-lint: digest-allow(CoverageOptions::ilp_tier): memo discriminant carried by the frame memo key, not by the track pool
     fn track_digest(&self, sat: &SatelliteSpec, geom: &CompileGeometry, sched_label: &str) -> u64 {
         let o = &self.options;
         let mut h = ScenarioHasher::new();
@@ -1004,14 +1005,6 @@ impl<'a> CoverageEvaluator<'a> {
     ) -> Result<(), CoreError> {
         let spec = self.options.spec;
         let is_mix = mix_compute_s.is_some();
-        // The ILP and resilient schedulers are held concretely (not
-        // behind the trait object) so per-horizon solver diagnostics,
-        // outcomes, and repairs can be recorded in the report.
-        enum ActiveScheduler {
-            Plain(Box<dyn Scheduler>),
-            Ilp(IlpScheduler),
-            Resilient(ResilientScheduler),
-        }
         let scheduler = match scheduler_kind {
             SchedulerKind::Ilp => ActiveScheduler::Ilp(IlpScheduler {
                 tier: self.options.ilp_tier,
@@ -1098,9 +1091,11 @@ impl<'a> CoverageEvaluator<'a> {
         let peak = track.as_ref().map_or(0, |t| t.peak_frame_entries);
         let mut in_frame: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut detected: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
-        let mut points: Vec<(crate::pointing::GroundPoint, f64)> = Vec::with_capacity(peak);
+        let mut points: Vec<(GroundPoint, f64)> = Vec::with_capacity(peak);
         let mut failed: Vec<usize> = Vec::with_capacity(n_followers);
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
+        let mut follower_states: Vec<FollowerState> = Vec::with_capacity(n_followers);
+        let mut repair_failures: Vec<(usize, f64)> = Vec::with_capacity(n_followers);
 
         for (frame_idx, state) in states.iter().enumerate() {
             let t = grid.epochs()[frame_idx];
@@ -1186,7 +1181,7 @@ impl<'a> CoverageEvaluator<'a> {
                 continue;
             }
 
-            // Target clustering (§4.1), with optional recapture
+            // Clustering inputs (§4.1), with optional recapture
             // deprioritization (§4.7 extension): already-captured
             // targets get their priority scaled down so followers
             // favor new ones.
@@ -1198,30 +1193,12 @@ impl<'a> CoverageEvaluator<'a> {
                         value *= p.clamp(0.0, 1.0);
                     }
                 }
-                (crate::pointing::GroundPoint::new(x, y), value)
+                (GroundPoint::new(x, y), value)
             }));
-            let clu_sw = Stopwatch::start();
-            let mut clusters = cluster(&points, high_swath, high_swath, clustering_method)?;
-            report.clustering_time += clu_sw.elapsed();
-            report.per_frame_cluster_counts.push(clusters.len());
 
-            // Keep the most valuable clusters up to the cap (shrunk
-            // further when a radio-derate fault limits task uplink).
-            if clusters.len() > task_cap {
-                clusters.sort_by(|a, b| b.value.total_cmp(&a.value));
-                clusters.truncate(task_cap);
-            }
-
-            // Build the scheduling problem in absolute along-track
-            // coordinates so follower state carries across frames.
-            let along_origin = v * t;
-            // `tasks` and `follower_states` are consumed by value by the
-            // scheduling problem, so their allocations cannot be reused
-            // across frames the way the scratch buffers above are.
-            let tasks: Vec<TaskSpec> = clusters
-                .iter()
-                .map(|c| TaskSpec::new(c.center.cross_m, along_origin + c.center.along_m, c.value))
-                .collect();
+            // Follower set-up. None of it depends on the clusters, so
+            // it runs ahead of the memo lookup and a replayed frame
+            // never clusters.
             failed.clear();
             if let Some(f) = self.options.failure.as_ref().filter(|f| t >= f.fail_at_s) {
                 failed.extend_from_slice(&f.failed_followers);
@@ -1238,220 +1215,272 @@ impl<'a> CoverageEvaluator<'a> {
                     }
                 }
             }
-            let follower_states: Vec<FollowerState> = (0..n_followers)
-                .filter(|k| !failed.contains(k))
-                .map(|k| FollowerState {
-                    along_at_0_m: -trails[k],
-                    available_from_s: avail[k],
-                    pointing_offset: pointing[k],
-                })
-                .collect();
-            if follower_states.is_empty() {
-                continue;
-            }
             active.clear();
             active.extend((0..n_followers).filter(|k| !failed.contains(k)));
+            if active.is_empty() {
+                // Nobody to task, but the frame still counts its
+                // clusters.
+                let n = cluster_frame(&points, high_swath, clustering_method, report)?.len();
+                report.per_frame_cluster_counts.push(n);
+                continue;
+            }
+            follower_states.clear();
+            follower_states.extend(active.iter().map(|&k| FollowerState {
+                along_at_0_m: -trails[k],
+                available_from_s: avail[k],
+                pointing_offset: pointing[k],
+            }));
 
-            // An active slew-derate fault slows every follower's
-            // reaction wheels for this horizon.
             let slew_factor = fault_plan
                 .map(|p| p.slew_rate_factor(t))
                 .unwrap_or(1.0)
                 .clamp(0.01, 1.0);
-            let frame_spec = if slew_factor < 1.0 {
-                spec.with_adacs(Adacs::new(
-                    spec.adacs.rate_rad_s().to_degrees() * slew_factor,
-                    spec.adacs.overhead_s(),
-                )?)
-            } else {
-                spec
-            };
-
             let clip = mix_compute_s.map(|d| TimeWindow {
                 start_s: t + d,
                 end_s: t + spec.frame_cadence_s - return_slew_s,
             });
-            // Mid-horizon outage onsets for this frame, computed before
-            // the digest so they participate in it: two scenarios whose
-            // fault plans differ only mid-frame would otherwise collide
-            // on a digest and replay the wrong (un-repaired) memo.
-            let repair_failures: Vec<(usize, f64)> = match (fault_aware, fault_plan, &scheduler) {
-                (true, Some(p), ActiveScheduler::Resilient(_)) => active
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(slot, &k)| {
-                        p.follower_outage_onset(k, t, t + spec.frame_cadence_s)
-                            .map(|onset| (slot, onset))
-                    })
-                    .collect(),
-                _ => Vec::new(),
-            };
-            // Digest the exact solver inputs before the problem
-            // consumes them: the compiled track memoizes each solved
-            // horizon (including any fault repair) under this digest,
-            // so a warm evaluation replays the recorded result instead
-            // of re-solving. Any input divergence — fault modifiers,
-            // recapture-scaled task values, drifted follower state —
-            // changes the digest and forces a live solve.
-            let digest = track.as_ref().map(|tr| {
-                (
-                    tr,
-                    horizon_digest(
-                        frame_idx,
-                        t,
-                        task_cap,
-                        slew_factor,
-                        clip.as_ref().map(|w| (w.start_s, w.end_s)),
-                        &tasks,
-                        &active,
-                        &follower_states,
-                        &repair_failures,
-                        self.options.ilp_tier,
-                    ),
-                )
-            });
-            let problem =
-                SchedulingProblem::new_with_clip(frame_spec, tasks, follower_states, clip)?;
-            let memo = digest.as_ref().and_then(|(tr, d)| tr.solved_get(*d));
-            let sched_sw = Stopwatch::start();
-            let mut schedule;
-            if let Some(hit) = memo {
-                // Replay: apply exactly the report mutations the live
-                // solve made, then reuse its post-repair schedule.
-                self.compile.note_memo_hit();
-                if let Some(stats) = hit.ilp_stats.as_ref() {
-                    report.add_ilp_stats(stats);
-                }
-                match hit.outcome {
-                    SolvedOutcome::Plain => {}
-                    SolvedOutcome::IlpHorizon => report.ilp_horizons += 1,
-                    SolvedOutcome::GreedyFallback { deadline } => {
-                        report.greedy_fallbacks += 1;
-                        if deadline {
-                            report.deadline_fallbacks += 1;
-                        }
-                    }
-                }
-                report.scheduler_time += sched_sw.elapsed();
-                report.scheduler_calls += 1;
-                report.repairs_attempted += hit.repairs_attempted;
-                report.tasks_dropped_by_failures += hit.dropped_tasks;
-                report.tasks_reassigned += hit.reassigned_tasks;
-                schedule = hit.schedule;
-            } else {
-                if digest.is_some() {
-                    self.compile.note_memo_miss();
-                }
-                let mut solved = SolvedHorizon {
-                    schedule: Schedule::default(),
-                    ilp_stats: None,
-                    outcome: SolvedOutcome::Plain,
-                    repairs_attempted: 0,
-                    dropped_tasks: 0,
-                    reassigned_tasks: 0,
-                };
-                schedule = match &scheduler {
-                    ActiveScheduler::Plain(s) => s.schedule(&problem)?,
-                    ActiveScheduler::Ilp(s) => {
-                        let (schedule, stats) = s.schedule_with_stats(&problem)?;
-                        report.add_ilp_stats(&stats);
-                        solved.ilp_stats = Some(stats);
-                        schedule
-                    }
-                    ActiveScheduler::Resilient(rs) => {
-                        let outcome = rs.schedule_with_outcome(&problem)?;
-                        if let Some(stats) = outcome.ilp_stats.as_ref() {
-                            report.add_ilp_stats(stats);
-                            solved.ilp_stats = Some(*stats);
-                        }
-                        match outcome.solver {
-                            SolverChoice::Ilp => {
-                                report.ilp_horizons += 1;
-                                solved.outcome = SolvedOutcome::IlpHorizon;
-                            }
-                            SolverChoice::Greedy => {
-                                report.greedy_fallbacks += 1;
-                                let deadline = matches!(
-                                    outcome.fallback,
-                                    Some(crate::schedule::FallbackReason::Deadline)
-                                );
-                                if deadline {
-                                    report.deadline_fallbacks += 1;
-                                }
-                                solved.outcome = SolvedOutcome::GreedyFallback { deadline };
-                            }
-                        }
-                        outcome.schedule
-                    }
-                };
-                report.scheduler_time += sched_sw.elapsed();
-                report.scheduler_calls += 1;
-
-                // Mid-horizon follower failures: a fault-aware leader
-                // running the resilient scheduler truncates the failed
-                // follower's plan at the outage onset and re-plans the
-                // dropped tasks onto the survivors.
-                if fault_aware {
-                    if let ActiveScheduler::Resilient(rs) = &scheduler {
-                        if !repair_failures.is_empty() {
-                            let repaired = rs.repair(&problem, &schedule, &repair_failures)?;
-                            report.repairs_attempted += repair_failures.len();
-                            report.tasks_dropped_by_failures += repaired.dropped_tasks;
-                            report.tasks_reassigned += repaired.reassigned_tasks;
-                            solved.repairs_attempted = repair_failures.len();
-                            solved.dropped_tasks = repaired.dropped_tasks;
-                            solved.reassigned_tasks = repaired.reassigned_tasks;
-                            schedule = repaired.schedule;
-                        }
-                    }
-                }
-                if let Some((tr, d)) = digest {
-                    solved.schedule = schedule.clone();
-                    tr.solved_put(d, solved);
-                }
+            // Mid-horizon outage onsets the repair pass acts on. They
+            // are part of the frame key: two scenarios whose fault
+            // plans differ only mid-frame would otherwise share a key
+            // and replay the wrong (un-repaired) frame.
+            repair_failures.clear();
+            if let (true, Some(p), ActiveScheduler::Resilient(_)) =
+                (fault_aware, fault_plan, &scheduler)
+            {
+                repair_failures.extend(active.iter().enumerate().filter_map(|(slot, &k)| {
+                    p.follower_outage_onset(k, t, t + spec.frame_cadence_s)
+                        .map(|onset| (slot, onset))
+                }));
             }
+            let inputs = FrameInputs {
+                frame_idx,
+                t,
+                points: &points,
+                footprint_m: high_swath,
+                clustering: clustering_method,
+                task_cap,
+                slew_factor,
+                clip,
+                active: &active,
+                follower_states: &follower_states,
+                repair_failures: &repair_failures,
+                ilp_tier: self.options.ilp_tier,
+            };
+            // A compiled track memoizes every solved frame under the key
+            // of its inputs, so a warm evaluation replays the recorded
+            // frame instead of clustering and solving it again. Any
+            // input divergence — fault modifiers, recapture-scaled
+            // values, drifted follower state — changes the key and
+            // forces a live solve.
+            let key = track.as_ref().map(|tr| (tr, inputs.key()));
+            let solved = match key.as_ref().and_then(|(tr, k)| tr.solved_get(*k)) {
+                Some(hit) => {
+                    self.compile.note_memo_hit();
+                    hit
+                }
+                None => {
+                    if key.is_some() {
+                        self.compile.note_memo_miss();
+                    }
+                    let solved = Arc::new(self.solve_frame(&scheduler, &inputs, report)?);
+                    if let Some((tr, k)) = key {
+                        tr.solved_put(k, Arc::clone(&solved));
+                    }
+                    solved
+                }
+            };
+            record_solved(report, &solved);
 
             // Execute captures: mark every target inside each
             // captured footprint (including undetected ones — the
             // serendipity effect behind Fig. 15).
-            for (slot, seq) in schedule.sequences.iter().enumerate() {
-                let k = active[slot];
-                for cap in seq {
-                    // A capture commanded to a follower that is out
-                    // of service at capture time never happens.
-                    if fault_plan
-                        .map(|p| p.follower_out(k, cap.time_s))
-                        .unwrap_or(false)
-                    {
-                        report.captures_lost_to_faults += 1;
+            let along_origin = v * t;
+            for cap in &solved.captures {
+                let k = active[cap.slot];
+                // A capture commanded to a follower that is out of
+                // service at capture time never happens.
+                if fault_plan
+                    .map(|p| p.follower_out(k, cap.time_s))
+                    .unwrap_or(false)
+                {
+                    report.captures_lost_to_faults += 1;
+                    continue;
+                }
+                let (cx, cy_abs) = cap.centre;
+                for &(idx, _, _) in &in_frame {
+                    if captured[idx] {
                         continue;
                     }
-                    let c = &clusters[cap.task];
-                    let cx = c.center.cross_m;
-                    let cy_abs = along_origin + c.center.along_m;
-                    for &(idx, _, _) in &in_frame {
-                        if captured[idx] {
-                            continue;
-                        }
-                        // Re-evaluate the target position at capture
-                        // time (moving targets may have drifted).
-                        let p = self.targets.target(idx).position_at(cap.time_s);
-                        let (x2, y2) = frame.project(&p);
-                        let y2_abs = along_origin + y2;
-                        if (x2 - cx).abs() <= high_swath / 2.0
-                            && (y2_abs - cy_abs).abs() <= high_swath / 2.0
-                        {
-                            captured[idx] = true;
-                        }
+                    // Re-evaluate the target position at capture time
+                    // (moving targets may have drifted).
+                    let p = self.targets.target(idx).position_at(cap.time_s);
+                    let (x2, y2) = frame.project(&p);
+                    let y2_abs = along_origin + y2;
+                    if (x2 - cx).abs() <= high_swath / 2.0
+                        && (y2_abs - cy_abs).abs() <= high_swath / 2.0
+                    {
+                        captured[idx] = true;
                     }
-                    report.captures_commanded += 1;
-                    avail[k] = cap.time_s;
-                    pointing[k] = problem.capture_offset(slot, cap.task, cap.time_s);
                 }
+                report.captures_commanded += 1;
+                avail[k] = cap.time_s;
+                pointing[k] = cap.offset;
             }
         }
         Ok(())
     }
+
+    /// Clusters, schedules and (under mid-frame outages) repairs one
+    /// frame live, building only from `frame` and the track-bound
+    /// options, and returns the entry that execution and any later
+    /// replay read. Adds clustering and scheduler time to `report`;
+    /// the counters are applied from the entry by [`record_solved`].
+    fn solve_frame(
+        &self,
+        scheduler: &ActiveScheduler,
+        frame: &FrameInputs<'_>,
+        report: &mut CoverageReport,
+    ) -> Result<SolvedHorizon, CoreError> {
+        let spec = self.options.spec;
+        let mut clusters =
+            cluster_frame(frame.points, frame.footprint_m, frame.clustering, report)?;
+        let n_clusters = clusters.len();
+        // Keep the most valuable clusters up to the cap (shrunk
+        // further when a radio-derate fault limits task uplink).
+        if clusters.len() > frame.task_cap {
+            clusters.sort_by(|a, b| b.value.total_cmp(&a.value));
+            clusters.truncate(frame.task_cap);
+        }
+
+        // Build the scheduling problem in absolute along-track
+        // coordinates so follower state carries across frames.
+        let along_origin = spec.ground_speed_m_s * frame.t;
+        let tasks: Vec<TaskSpec> = clusters
+            .iter()
+            .map(|c| TaskSpec::new(c.center.cross_m, along_origin + c.center.along_m, c.value))
+            .collect();
+        // An active slew-derate fault slows every follower's reaction
+        // wheels for this horizon.
+        let frame_spec = if frame.slew_factor < 1.0 {
+            spec.with_adacs(Adacs::new(
+                spec.adacs.rate_rad_s().to_degrees() * frame.slew_factor,
+                spec.adacs.overhead_s(),
+            )?)
+        } else {
+            spec
+        };
+        let problem = SchedulingProblem::new_with_clip(
+            frame_spec,
+            tasks,
+            frame.follower_states.to_vec(),
+            frame.clip,
+        )?;
+
+        let mut solved = SolvedHorizon {
+            clusters: n_clusters,
+            captures: Vec::new(),
+            ilp_stats: None,
+            outcome: SolvedOutcome::Plain,
+            repairs_attempted: 0,
+            dropped_tasks: 0,
+            reassigned_tasks: 0,
+        };
+        let sched_sw = Stopwatch::start();
+        let mut schedule = match scheduler {
+            ActiveScheduler::Plain(s) => s.schedule(&problem)?,
+            ActiveScheduler::Ilp(s) => {
+                let (schedule, stats) = s.schedule_with_stats(&problem)?;
+                solved.ilp_stats = Some(stats);
+                schedule
+            }
+            ActiveScheduler::Resilient(rs) => {
+                let outcome = rs.schedule_with_outcome(&problem)?;
+                solved.ilp_stats = outcome.ilp_stats;
+                solved.outcome = match outcome.solver {
+                    SolverChoice::Ilp => SolvedOutcome::IlpHorizon,
+                    SolverChoice::Greedy => SolvedOutcome::GreedyFallback {
+                        deadline: matches!(outcome.fallback, Some(FallbackReason::Deadline)),
+                    },
+                };
+                outcome.schedule
+            }
+        };
+        report.scheduler_time += sched_sw.elapsed();
+
+        // Mid-horizon follower failures: a fault-aware leader running
+        // the resilient scheduler truncates the failed follower's plan
+        // at the outage onset and re-plans the dropped tasks onto the
+        // survivors.
+        if let ActiveScheduler::Resilient(rs) = scheduler {
+            if !frame.repair_failures.is_empty() {
+                let repaired = rs.repair(&problem, &schedule, frame.repair_failures)?;
+                solved.repairs_attempted = frame.repair_failures.len();
+                solved.dropped_tasks = repaired.dropped_tasks;
+                solved.reassigned_tasks = repaired.reassigned_tasks;
+                schedule = repaired.schedule;
+            }
+        }
+
+        solved.captures = Vec::with_capacity(schedule.sequences.iter().map(Vec::len).sum());
+        for (slot, seq) in schedule.sequences.iter().enumerate() {
+            for cap in seq {
+                let c = &clusters[cap.task];
+                solved.captures.push(ReplayCapture {
+                    slot,
+                    time_s: cap.time_s,
+                    centre: (c.center.cross_m, along_origin + c.center.along_m),
+                    offset: problem.capture_offset(slot, cap.task, cap.time_s),
+                });
+            }
+        }
+        Ok(solved)
+    }
+}
+
+/// A leader's horizon scheduler. The ILP and resilient schedulers are
+/// held concretely (not behind the trait object) so per-horizon solver
+/// diagnostics, outcomes, and repairs can be recorded in the report.
+enum ActiveScheduler {
+    Plain(Box<dyn Scheduler>),
+    Ilp(IlpScheduler),
+    Resilient(ResilientScheduler),
+}
+
+/// Clusters one frame's detected points into high-res footprints
+/// (§4.1), adding the time taken to `report`.
+fn cluster_frame(
+    points: &[(GroundPoint, f64)],
+    footprint_m: f64,
+    method: ClusteringMethod,
+    report: &mut CoverageReport,
+) -> Result<Vec<Cluster>, CoreError> {
+    let sw = Stopwatch::start();
+    let clusters = cluster(points, footprint_m, footprint_m, method)?;
+    report.clustering_time += sw.elapsed();
+    Ok(clusters)
+}
+
+/// Applies a solved frame's report counters, identically for a live
+/// solve and a replay.
+fn record_solved(report: &mut CoverageReport, solved: &SolvedHorizon) {
+    report.per_frame_cluster_counts.push(solved.clusters);
+    report.scheduler_calls += 1;
+    if let Some(stats) = solved.ilp_stats.as_ref() {
+        report.add_ilp_stats(stats);
+    }
+    match solved.outcome {
+        SolvedOutcome::Plain => {}
+        SolvedOutcome::IlpHorizon => report.ilp_horizons += 1,
+        SolvedOutcome::GreedyFallback { deadline } => {
+            report.greedy_fallbacks += 1;
+            if deadline {
+                report.deadline_fallbacks += 1;
+            }
+        }
+    }
+    report.repairs_attempted += solved.repairs_attempted;
+    report.tasks_dropped_by_failures += solved.dropped_tasks;
+    report.tasks_reassigned += solved.reassigned_tasks;
 }
 
 /// Deterministic detection roll in `[0, 1)` from (seed, target, frame).

@@ -25,8 +25,10 @@ use eagleeye_core::coverage::{
 use eagleeye_core::schedule::SolverTier;
 use eagleeye_datasets::{Target, TargetSet};
 use eagleeye_geo::GeodeticPoint;
+use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteRole};
 use eagleeye_sim::{FaultKind, FaultPlan};
 use std::sync::Arc;
+use std::time::Duration;
 
 const CASES: u32 = 12;
 
@@ -81,6 +83,53 @@ fn targets_for(kind: usize, seed: u64) -> TargetSet {
         // Sparse chain: hits the empty-frame sweep paths.
         _ => chain(18, 40).into_iter().collect(),
     }
+}
+
+/// Clumps of targets around the first leader's subsatellite point on
+/// every third frame of `options`' horizon, so most frames hold several
+/// targets, the clustering methods disagree, and the ILP scheduler does
+/// real work. Under a fine `layout_slots` pin the second leader trails
+/// the first by about one frame and revisits the same clumps.
+fn under_first_leader(options: &CoverageOptions, seed: u64) -> TargetSet {
+    let spec = &options.spec;
+    let layout = ConstellationLayout::with_planes_slotted(
+        1,
+        2,
+        spec.altitude_m,
+        options.inclination_rad,
+        1,
+        options.layout_slots.unwrap_or(1),
+    )
+    .expect("valid layout");
+    let leader = layout
+        .satellites()
+        .iter()
+        .find(|s| s.role == SatelliteRole::Leader)
+        .expect("one leader");
+    let grid = EpochGrid::for_horizon(0.0, options.duration_s, spec.frame_cadence_s);
+    let states = grid
+        .propagate(&layout.ground_track(leader).expect("ground track"))
+        .expect("propagation");
+    let mut targets = Vec::new();
+    for (f, state) in states.iter().enumerate().step_by(3) {
+        for clump in 0..2 {
+            let salt = (f * 2 + clump) as u64 * 8;
+            let lat = state.subsatellite.lat_deg() + jitter(seed, 0, salt, 0.6);
+            let lon = state.subsatellite.lon_deg() + jitter(seed, 0, salt ^ 1, 0.6);
+            for i in 1..5 {
+                targets.push(Target::fixed(
+                    GeodeticPoint::from_degrees(
+                        (lat + jitter(seed, i, salt, 0.1)).clamp(-89.0, 89.0),
+                        lon + jitter(seed, i, salt ^ 1, 0.1),
+                        0.0,
+                    )
+                    .expect("valid"),
+                    1.0 + jitter(seed, i, salt ^ 2, 0.8),
+                ));
+            }
+        }
+    }
+    targets.into_iter().collect()
 }
 
 fn scheduler_for(kind: usize) -> SchedulerKind {
@@ -402,23 +451,28 @@ fn moved_target_workloads_match_reference() {
 
 /// A warm evaluation (same evaluator, same config) replays the memo
 /// and compiled tracks and must reproduce the cold report exactly;
-/// the compile cache must actually register the reuse.
+/// the compile cache must actually register the reuse, and a replayed
+/// frame must not cluster. Scenarios that share tracks but differ in
+/// an input of the frame memo key (clustering method, recapture-scaled
+/// values, recall) must each still match a cold evaluation.
 #[test]
 fn warm_evaluation_reproduces_cold_report() {
-    let targets = targets_for(0, 77);
     let options = CoverageOptions {
-        duration_s: 1_800.0,
+        duration_s: 1_200.0,
         recall: 0.8,
         seed: 77,
+        layout_slots: Some(360),
         ..CoverageOptions::default()
     };
-    let config = ConstellationConfig::EagleEye {
+    let targets = under_first_leader(&options, 77);
+    let ilp_scheduled = |clustering| ConstellationConfig::EagleEye {
         groups: 2,
         followers_per_group: 2,
         scheduler: SchedulerKind::Ilp,
-        clustering: ClusteringMethod::Ilp,
+        clustering,
     };
-    let eval = CoverageEvaluator::new(&targets, options);
+    let config = ilp_scheduled(ClusteringMethod::Ilp);
+    let eval = CoverageEvaluator::new(&targets, options.clone());
     let cold = eval.evaluate(&config).expect("cold evaluation");
     let stats_cold = eval.compile_stats();
     assert!(stats_cold.track_builds > 0, "cold run must compile tracks");
@@ -440,6 +494,57 @@ fn warm_evaluation_reproduces_cold_report() {
     assert_eq!(
         stats_warm.track_builds, stats_cold.track_builds,
         "warm run must not recompile"
+    );
+    assert_eq!(
+        warm.clustering_time,
+        Duration::ZERO,
+        "a memo hit must replay the frame without clustering"
+    );
+
+    // The track-pool key binds the scheduler but not the clustering
+    // method, recapture penalty or recall, so all of these share the
+    // tracks (and frame memos) compiled above; only the frame key
+    // tells their frames apart.
+    let recaptured = CoverageOptions {
+        recapture_penalty: Some(0.0),
+        ..options.clone()
+    };
+    let recalled = CoverageOptions {
+        recall: 0.6,
+        ..options.clone()
+    };
+    let variants = [
+        (options.clone(), ClusteringMethod::Greedy),
+        (options.clone(), ClusteringMethod::None),
+        (recaptured, ClusteringMethod::Ilp),
+        (recalled, ClusteringMethod::Ilp),
+    ];
+    let shares_before = eval.compile_stats().track_shares;
+    for (opts, clustering) in variants {
+        let config = ilp_scheduled(clustering);
+        let shared = eval
+            .fork_with(opts.clone())
+            .evaluate(&config)
+            .expect("shared-pool evaluation");
+        let cold = CoverageEvaluator::new(&targets, opts.clone())
+            .evaluate(&config)
+            .expect("cold evaluation");
+        assert!(
+            shared.same_outcome(&cold),
+            "{clustering:?} clustering, recapture {:?}, recall {}: shared-pool \
+             evaluation diverged from cold:\ncold: {cold:?}\nshared: {shared:?}",
+            opts.recapture_penalty,
+            opts.recall
+        );
+    }
+    assert!(
+        eval.compile_stats().track_shares > shares_before,
+        "the variants must adopt the pooled tracks"
+    );
+    assert_eq!(
+        eval.compile_stats().track_builds,
+        stats_cold.track_builds,
+        "the variants must not compile tracks of their own"
     );
 
     // A different config on the same evaluator must not reuse the

@@ -161,10 +161,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         }
         "digest-coverage" => {
             "R8. The memo and checkpoint caches key on hand-enumerated digests\n\
-             (horizon_digest, track_digest, ScenarioHasher keys). A field that changes\n\
+             (the frame memo key, track_digest, ScenarioHasher keys). A field that changes\n\
              results but is missing from its digest is a silent stale-cache bug — the exact\n\
-             failure PR 8 paid for when mid-frame repair onsets were invisible to\n\
-             horizon_digest v1.\n\n\
+             failure the horizon memo once had when mid-frame repair onsets were invisible\n\
+             to its key.\n\n\
              Annotate the digest fn with\n\
                  // eagleeye-lint: digest-of(TypeA, TypeB)\n\
              and the rule requires every field of each named struct to be referenced in the\n\
