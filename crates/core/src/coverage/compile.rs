@@ -43,8 +43,8 @@
 
 use crate::clustering::ClusteringMethod;
 use crate::pointing::{GroundPoint, TimeWindow};
-use crate::schedule::{FollowerState, IlpRunStats, SolverTier};
-use crate::CoreError;
+use crate::schedule::{FollowerState, IlpRunStats};
+use crate::{CoreError, SensingSpec};
 use eagleeye_datasets::{BucketView, TargetSet};
 use eagleeye_geo::LocalFrame;
 use eagleeye_orbit::TrackState;
@@ -69,6 +69,19 @@ pub(super) struct CompileGeometry {
     pub half_cross_m: f64,
     /// Half the frame length (along-track box half-extent).
     pub half_along_m: f64,
+}
+
+impl CompileGeometry {
+    /// The membership box of a `swath_m`-wide frame under `spec`, with
+    /// a 2 km margin on the candidate radius.
+    pub fn frame_box(spec: &SensingSpec, swath_m: f64) -> Self {
+        let frame_len = spec.frame_length_m();
+        CompileGeometry {
+            bound_m: ((swath_m / 2.0).powi(2) + (frame_len / 2.0).powi(2)).sqrt() + 2_000.0,
+            half_cross_m: swath_m / 2.0,
+            half_along_m: frame_len / 2.0,
+        }
+    }
 }
 
 /// Sorted per-target access windows, struct-of-arrays: interval `j` is
@@ -255,7 +268,8 @@ impl CompiledTrack {
 /// segment, or once per chunk for a static set, instead of once per
 /// frame), refined by the same
 /// exact predicate (`within_radius_at`) in the same ascending order,
-/// then projected through the same [`LocalFrame`] and box test.
+/// then projected through the same [`LocalFrame`] and box test. The
+/// walk itself survives as this module's test oracle.
 pub(super) fn membership_chunk(
     states: &[TrackState],
     epochs: &[f64],
@@ -311,7 +325,8 @@ pub(super) fn membership_chunk(
 /// `advance` must be called once per frame, in order from the first
 /// frame: it opens the intervals entering at `frame` (kept ordered by
 /// target index), drops the ones that exited, and emits the active
-/// `(target, x, y)` tuples — exactly the legacy `in_frame` contents.
+/// `(target, x, y)` tuples — exactly what the legacy per-frame walk
+/// finds (the test oracle below checks this frame by frame).
 pub(super) struct IntervalSweep<'a> {
     track: &'a CompiledTrack,
     /// Next unopened interval (intervals are sorted by entry frame).
@@ -398,9 +413,6 @@ pub(super) struct FrameInputs<'a> {
     /// fault-window what-ifs can share tracks; keying them here keeps
     /// replay exact across fault-plan edits.
     pub repair_failures: &'a [(usize, f64)],
-    /// ILP solver tier: a sparse-tier solve is equivalent but not
-    /// bit-identical in its diagnostics.
-    pub ilp_tier: SolverTier,
 }
 
 impl FrameInputs<'_> {
@@ -413,19 +425,13 @@ impl FrameInputs<'_> {
             ClusteringMethod::Greedy => 1,
             ClusteringMethod::None => 2,
         };
-        let tier = match self.ilp_tier {
-            SolverTier::Dense => 0,
-            SolverTier::Sparse => 1,
-            SolverTier::Auto => 2,
-        };
         let mut h = WordHasher::new(b"eagleeye-core/frame/v1");
         h.word(self.frame_idx as u64)
             .f64(self.t)
             .f64(self.footprint_m)
             .word(clustering)
             .word(self.task_cap as u64)
-            .f64(self.slew_factor)
-            .word(tier);
+            .f64(self.slew_factor);
         match self.clip {
             Some(w) => h.word(1).f64(w.start_s).f64(w.end_s),
             None => h.word(0),
@@ -605,7 +611,7 @@ impl CompileCache {
         self.memo_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one live solve under an active memo.
+    /// Counts one live solve.
     pub fn note_memo_miss(&self) {
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
     }
@@ -619,5 +625,226 @@ impl CompileCache {
             memo_hits: self.memo_hits.load(Ordering::Relaxed),
             memo_misses: self.memo_misses.load(Ordering::Relaxed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eagleeye_check::{
+        check_cases, f64_range, prop_assert, prop_assert_eq, u64_range, usize_range,
+    };
+    use eagleeye_datasets::Target;
+    use eagleeye_geo::GeodeticPoint;
+    use eagleeye_orbit::{ConstellationLayout, EpochGrid};
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+
+    /// The per-frame walk the compiled engine replaced, kept as its
+    /// oracle: a spatial query per frame, each candidate projected into
+    /// the frame and box-tested. Members come out in query order, with
+    /// `x`/`y` as bits so equality is bit-equality.
+    fn frame_walk(
+        states: &[TrackState],
+        epochs: &[f64],
+        targets: &TargetSet,
+        geom: &CompileGeometry,
+    ) -> Vec<Vec<(usize, u64, u64)>> {
+        let mut frames = Vec::with_capacity(states.len());
+        for (state, &t) in states.iter().zip(epochs) {
+            let subsat = state.subsatellite.with_altitude(0.0).expect("ground point");
+            let frame = LocalFrame::new(subsat, state.heading_rad);
+            let mut in_frame = Vec::new();
+            for idx in targets.query_radius(&subsat, geom.bound_m, t) {
+                let (x, y) = frame.project(&targets.target(idx).position_at(t));
+                if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
+                    in_frame.push((idx, x.to_bits(), y.to_bits()));
+                }
+            }
+            frames.push(in_frame);
+        }
+        frames
+    }
+
+    /// Deterministic jitter in `[-scale/2, scale/2]` from `(seed, i, salt)`.
+    fn jitter(seed: u64, i: usize, salt: u64, scale: f64) -> f64 {
+        let x = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(i as u64)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+            .wrapping_add(salt)
+            .wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale
+    }
+
+    fn point(lat: f64, lon: f64) -> GeodeticPoint {
+        GeodeticPoint::from_degrees(lat.clamp(-89.9, 89.9), lon, 0.0).expect("valid point")
+    }
+
+    /// Clumps of targets around the satellite's own subsatellite
+    /// points, some near nadir and some around the low-res box edge, so
+    /// every geometry has members to find. `kind`: 0 static, 1 moving
+    /// with existence windows, 2 sparse, 3 dateline and polar frames
+    /// only, 4 the static set with one target moved by `dlat` degrees.
+    fn targets_under(
+        states: &[TrackState],
+        epochs: &[f64],
+        kind: usize,
+        seed: u64,
+        dlat: f64,
+    ) -> TargetSet {
+        let mut out = Vec::new();
+        for (f, (state, &t)) in states.iter().zip(epochs).enumerate() {
+            let (lat, lon) = (state.subsatellite.lat_deg(), state.subsatellite.lon_deg());
+            let keep = match kind {
+                2 => f % 40 == 0,
+                3 => lat.abs() > 60.0 || lon.abs() > 150.0,
+                _ => f % 2 == 0,
+            };
+            if !keep {
+                continue;
+            }
+            for i in 0..5 {
+                let salt = (f * 5 + i) as u64 * 4;
+                let scale = if i < 2 { 0.08 } else { 1.8 };
+                let mut target = Target::fixed(
+                    point(
+                        lat + jitter(seed, i, salt, scale),
+                        lon + jitter(seed, i, salt ^ 1, scale),
+                    ),
+                    1.0 + jitter(seed, i, salt ^ 2, 0.8),
+                );
+                if kind == 1 {
+                    target.motion = Some((
+                        50.0 + jitter(seed, i, salt ^ 3, 400.0).abs(),
+                        jitter(seed, i, salt ^ 4, std::f64::consts::TAU).abs(),
+                    ));
+                    target.appears_at_s = (t - jitter(seed, i, salt ^ 5, 120.0).abs()).max(0.0);
+                    target.disappears_at_s =
+                        target.appears_at_s + 30.0 + jitter(seed, i, salt ^ 6, 1_200.0).abs();
+                }
+                out.push(target);
+            }
+        }
+        if kind == 4 && !out.is_empty() {
+            let i = seed as usize % out.len();
+            let moved = &mut out[i];
+            moved.position = point(moved.position.lat_deg() + dlat, moved.position.lon_deg());
+        }
+        out.into_iter().collect()
+    }
+
+    /// The compiled membership (single- or multi-chunk compile, then
+    /// the interval sweep) equals the legacy per-frame walk frame by
+    /// frame — same targets, same order, bit-equal `x`/`y` — and the
+    /// interval targets (what swath coverage unions) are exactly the
+    /// walk's members, across static, moving, sparse, dateline/polar
+    /// and moved-target sets, leader and swath geometries, and every
+    /// satellite of a slot-pinned layout.
+    #[test]
+    fn swept_membership_matches_frame_walk() {
+        const CASES: u32 = 24;
+        let spec = SensingSpec::paper_default();
+        let nonempty = Cell::new(0u32);
+        let runs = Cell::new(0u32);
+        check_cases(
+            CASES,
+            "swept_membership_matches_frame_walk",
+            (
+                u64_range(0, u64::MAX),
+                (usize_range(0, 5), usize_range(0, 4)),
+                (usize_range(1, 4), usize_range(0, 3), usize_range(1, 3)),
+                (usize_range(0, 4), usize_range(1, 7)),
+                f64_range(-2.0, 2.0),
+            ),
+            |&(seed, (kind, shape), (groups, followers, planes), (spare, chunks), dlat)| {
+                let layout = ConstellationLayout::with_planes_slotted(
+                    groups,
+                    followers,
+                    spec.altitude_m,
+                    97.2_f64.to_radians(),
+                    planes,
+                    groups + spare,
+                )
+                .expect("valid layout");
+                let sats = layout.satellites();
+                let sat = &sats[seed as usize % sats.len()];
+                // One full orbit: every track reaches the polar caps and
+                // crosses the antimeridian.
+                let grid = EpochGrid::for_horizon(0.0, 6_000.0, spec.frame_cadence_s);
+                let states = grid
+                    .propagate(&layout.ground_track(sat).expect("ground track"))
+                    .expect("propagation");
+                let targets = targets_under(&states, grid.epochs(), kind, seed, dlat);
+
+                // Leader frames and low-res swath frames share one box.
+                // A box three frames long keeps targets in view across
+                // frames and chunk boundaries; the edge box shrinks the
+                // low-res one so a member sits exactly on its corner,
+                // pinning the closed box test.
+                let low = CompileGeometry::frame_box(&spec, spec.low_res.swath_m());
+                let geom = match shape {
+                    0 => low,
+                    1 => CompileGeometry::frame_box(&spec, spec.high_res.swath_m()),
+                    2 => CompileGeometry {
+                        bound_m: low.bound_m + 2.0 * low.half_along_m,
+                        half_along_m: 3.0 * low.half_along_m,
+                        ..low
+                    },
+                    _ => {
+                        let members: Vec<_> = frame_walk(&states, grid.epochs(), &targets, &low)
+                            .into_iter()
+                            .flatten()
+                            .collect();
+                        match members.get(seed as usize % members.len().max(1)) {
+                            Some(&(_, x, y)) => CompileGeometry {
+                                half_cross_m: f64::from_bits(x).abs(),
+                                half_along_m: f64::from_bits(y).abs(),
+                                ..low
+                            },
+                            None => low,
+                        }
+                    }
+                };
+
+                let parts = eagleeye_exec::chunk_ranges(grid.len(), chunks)
+                    .into_iter()
+                    .map(|range| membership_chunk(&states, grid.epochs(), range, &targets, &geom))
+                    .collect::<Result<Vec<_>, _>>()
+                    .expect("membership");
+                let track = CompiledTrack::assemble(states, parts);
+                let walk = frame_walk(&track.states, grid.epochs(), &targets, &geom);
+
+                let mut sweep = IntervalSweep::new(&track);
+                let mut swept = Vec::new();
+                for (f, expected) in walk.iter().enumerate() {
+                    sweep.advance(f as u32, &mut swept);
+                    let got: Vec<_> = swept
+                        .iter()
+                        .map(|&(idx, x, y)| (idx, x.to_bits(), y.to_bits()))
+                        .collect();
+                    prop_assert_eq!(&got, expected);
+                }
+                let walked: BTreeSet<usize> = walk.iter().flatten().map(|m| m.0).collect();
+                let intervals: BTreeSet<usize> =
+                    track.intervals.target.iter().map(|&t| t as usize).collect();
+                prop_assert_eq!(intervals, walked);
+                prop_assert!(
+                    track.peak_frame_entries == walk.iter().map(Vec::len).max().unwrap_or(0),
+                    "peak_frame_entries must be the widest frame"
+                );
+                runs.set(runs.get() + 1);
+                if !walked.is_empty() {
+                    nonempty.set(nonempty.get() + 1);
+                }
+                Ok(())
+            },
+        );
+        assert!(
+            2 * nonempty.get() > runs.get(),
+            "only {} of {} cases found members — the generators have drifted off the track",
+            nonempty.get(),
+            runs.get()
+        );
     }
 }

@@ -11,7 +11,7 @@ use crate::clustering::{cluster, Cluster, ClusteringMethod};
 use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
     AbbScheduler, FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler,
-    Scheduler, SchedulingProblem, SolverChoice, SolverTier, TaskSpec,
+    Scheduler, SchedulingProblem, SolverChoice, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
@@ -19,7 +19,7 @@ use eagleeye_exec::ExecPool;
 use eagleeye_geo::LocalFrame;
 use eagleeye_harden::{run_items, RunConfig, ScenarioHasher};
 use eagleeye_obs::{Metrics, Stopwatch};
-use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteSpec, TrackState};
+use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteSpec};
 use eagleeye_sim::FaultPlan;
 use std::sync::Arc;
 
@@ -28,9 +28,9 @@ use std::sync::Arc;
 pub struct CoverageOptions {
     /// Sensing configuration (cameras, ADACS, orbit geometry).
     pub spec: SensingSpec,
-    /// Simulated duration, seconds. The paper runs 24 h; the default is
-    /// 4 h, which preserves every trend at a fraction of the cost (see
-    /// EXPERIMENTS.md).
+    /// Simulated duration, seconds, finite and non-negative. The paper
+    /// runs 24 h; the default is 4 h, which preserves every trend at a
+    /// fraction of the cost (see EXPERIMENTS.md).
     pub duration_s: f64,
     /// Orbit inclination, radians (paper: 97.2°).
     pub inclination_rad: f64,
@@ -90,22 +90,6 @@ pub struct CoverageOptions {
     /// (timers and gauges are wall-clock/pool-shape and are exempt;
     /// see DESIGN.md §10).
     pub metrics: Metrics,
-    /// Evaluate with the legacy per-frame spatial-query walk instead of
-    /// the compiled access-interval engine (DESIGN.md §13). The two are
-    /// bit-identical; this switch exists so the differential suite can
-    /// prove it on arbitrary scenarios. Not part of the stable API.
-    #[doc(hidden)]
-    pub reference_frame_walk: bool,
-    /// Solver tier for the ILP-backed schedulers (DESIGN.md §15).
-    /// [`SolverTier::Dense`] (default) is the historical bit-stable
-    /// path and preserves every golden digest; [`SolverTier::Sparse`]
-    /// runs presolve + sparse revised simplex + pseudocost branching,
-    /// observationally equivalent (same statuses, objectives within
-    /// 1e-9) but not bit-identical in its solver diagnostics. The tier
-    /// participates in the horizon-memo digest, so warm what-if
-    /// re-evaluations never replay a horizon solved under a different
-    /// tier. Ignored by the non-ILP schedulers.
-    pub ilp_tier: SolverTier,
 }
 
 impl Default for CoverageOptions {
@@ -125,8 +109,6 @@ impl Default for CoverageOptions {
             degraded_mode: DegradedMode::default(),
             threads: 1,
             metrics: Metrics::disabled(),
-            reference_frame_walk: false,
-            ilp_tier: SolverTier::Dense,
         }
     }
 }
@@ -160,14 +142,39 @@ pub struct CoverageEvaluator<'a> {
     compile: Arc<CompileCache>,
 }
 
+/// What one configuration evaluates. [`CoverageEvaluator::run_for`] is
+/// the one place a [`ConstellationConfig`] is taken apart.
+enum Run {
+    /// A homogeneous constellation: `satellites` imaging `swath_m` wide.
+    Swath { satellites: usize, swath_m: f64 },
+    /// Independent per-leader passes.
+    Leader(LeaderRun),
+}
+
+/// The leader-follower shape of an EagleEye or Mix-Camera
+/// configuration. A Mix-Camera satellite is a group of one whose single
+/// follower is itself, losing `mix_compute_s` of each frame's capture
+/// window to onboard compute.
+#[derive(Debug, Clone, Copy)]
+struct LeaderRun {
+    groups: usize,
+    followers_per_group: usize,
+    scheduler: SchedulerKind,
+    clustering: ClusteringMethod,
+    mix_compute_s: Option<f64>,
+}
+
 /// Precomputed state shared by every per-leader pass of one
 /// leader-follower evaluation (see
 /// [`CoverageEvaluator::leader_scenario`]).
 struct LeaderScenario {
+    run: LeaderRun,
     layout: ConstellationLayout,
     grid: EpochGrid,
     leaders: Vec<SatelliteSpec>,
     n_followers: usize,
+    /// Compiled-track slots, one per leader.
+    compiled: Arc<CompiledScenario>,
 }
 
 impl<'a> CoverageEvaluator<'a> {
@@ -215,47 +222,102 @@ impl<'a> CoverageEvaluator<'a> {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidParameter`] for an invalid sensing spec, a
+    /// `duration_s` that is negative or not finite, or a `recall` or
+    /// `recapture_penalty` outside `[0, 1]` (the ranges
+    /// [`ScenarioDelta::apply`](super::ScenarioDelta::apply) enforces).
     /// Propagates orbit, geometry, and solver failures; zero-satellite
     /// configurations return an empty report rather than erroring.
     pub fn evaluate(&self, config: &ConstellationConfig) -> Result<CoverageReport, CoreError> {
-        self.options.spec.validate()?;
-        let _span = self.options.metrics.span("core/evaluate");
-        let key = self.compile_scenario_key(config);
-        let report = match *config {
-            ConstellationConfig::LowResOnly { satellites } => {
-                self.swath_membership(satellites, self.options.spec.low_res.swath_m(), &key)
+        let run = self.run_for(config)?;
+        self.evaluate_run(config, run)
+    }
+
+    /// Validates the options (see [`evaluate`](Self::evaluate)'s
+    /// errors) and decomposes `config`: the shared entry of
+    /// [`evaluate`](Self::evaluate) and
+    /// [`evaluate_hardened`](Self::evaluate_hardened).
+    fn run_for(&self, config: &ConstellationConfig) -> Result<Run, CoreError> {
+        let o = &self.options;
+        o.spec.validate()?;
+        let penalty = o.recapture_penalty.unwrap_or(1.0);
+        for (name, value, valid) in [
+            (
+                "duration_s",
+                o.duration_s,
+                o.duration_s.is_finite() && o.duration_s >= 0.0,
+            ),
+            ("recall", o.recall, (0.0..=1.0).contains(&o.recall)),
+            ("recapture_penalty", penalty, (0.0..=1.0).contains(&penalty)),
+        ] {
+            if !valid {
+                return Err(CoreError::InvalidParameter { name, value });
             }
-            ConstellationConfig::HighResOnly { satellites } => {
-                self.swath_membership(satellites, self.options.spec.high_res.swath_m(), &key)
-            }
+        }
+        let leader = |groups, followers_per_group, scheduler, clustering, mix_compute_s| {
+            Run::Leader(LeaderRun {
+                groups,
+                followers_per_group,
+                scheduler,
+                clustering,
+                mix_compute_s,
+            })
+        };
+        Ok(match *config {
+            ConstellationConfig::LowResOnly { satellites } => Run::Swath {
+                satellites,
+                swath_m: o.spec.low_res.swath_m(),
+            },
+            ConstellationConfig::HighResOnly { satellites } => Run::Swath {
+                satellites,
+                swath_m: o.spec.high_res.swath_m(),
+            },
             ConstellationConfig::EagleEye {
                 groups,
                 followers_per_group,
                 scheduler,
                 clustering,
-            } => self.leader_follower(
-                groups,
-                followers_per_group,
-                scheduler,
-                clustering,
-                None,
-                &key,
-            ),
+            } => leader(groups, followers_per_group, scheduler, clustering, None),
             ConstellationConfig::MixCamera {
                 satellites,
                 compute_time_s,
-            } => self.leader_follower(
+            } => leader(
                 satellites,
                 0,
                 SchedulerKind::Ilp,
                 ClusteringMethod::Ilp,
                 Some(compute_time_s),
-                &key,
             ),
+        })
+    }
+
+    /// The plain evaluation of a validated, decomposed `config`.
+    fn evaluate_run(
+        &self,
+        config: &ConstellationConfig,
+        run: Run,
+    ) -> Result<CoverageReport, CoreError> {
+        let _span = self.options.metrics.span("core/evaluate");
+        let key = self.compile_scenario_key(config);
+        let report = match run {
+            Run::Swath {
+                satellites,
+                swath_m,
+            } => self.swath_membership(satellites, swath_m, &key),
+            Run::Leader(run) => self.leader_follower(run, &key),
         }?;
         report.record_metrics(&self.options.metrics);
         self.record_compile_gauges();
         Ok(report)
+    }
+
+    /// An empty report over this evaluator's workload.
+    fn base_report(&self) -> CoverageReport {
+        CoverageReport {
+            total: self.targets.len(),
+            total_value: self.targets.total_value(),
+            ..Default::default()
+        }
     }
 
     /// Compiled-program reuse state goes to gauges only: counters and
@@ -300,8 +362,7 @@ impl<'a> CoverageEvaluator<'a> {
     // eagleeye-lint: digest-allow(CoverageOptions::recall, CoverageOptions::seed, CoverageOptions::max_tasks_per_frame, CoverageOptions::recapture_penalty): flow through the per-frame memo key (detected points and their values, task cap), never through the compiled track
     // eagleeye-lint: digest-allow(CoverageOptions::failure, CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; follower sets, outage onsets and derates are bound per frame by the frame memo key
     // eagleeye-lint: digest-allow(CoverageOptions::orbital_planes, CoverageOptions::layout_slots): bound through the satellite's orbital elements already digested via the SatelliteSpec debug string
-    // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics, CoverageOptions::reference_frame_walk): execution shape and observability only — compiled tracks are bit-identical across them (DESIGN.md section 8/10/13)
-    // eagleeye-lint: digest-allow(CoverageOptions::ilp_tier): memo discriminant carried by the frame memo key, not by the track pool
+    // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics): execution shape and observability only — compiled tracks are bit-identical across them (DESIGN.md section 8/10/13)
     fn track_digest(&self, sat: &SatelliteSpec, geom: &CompileGeometry, sched_label: &str) -> u64 {
         let o = &self.options;
         let mut h = ScenarioHasher::new();
@@ -360,13 +421,9 @@ impl<'a> CoverageEvaluator<'a> {
     /// may legitimately resume with a different pool size.
     // eagleeye-lint: digest-of(CoverageOptions)
     // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics): execution shape and observability — the report is identical at any thread count, so resuming under a different pool size or sink must stay legal
-    // eagleeye-lint: digest-allow(CoverageOptions::reference_frame_walk): bit-identical engine selector (proven by the differential suite); binding it would reject resumes that merely switched engines
     pub fn scenario_hash(&self, config: &ConstellationConfig) -> u64 {
         let o = &self.options;
         let mut h = ScenarioHasher::new();
-        // Domain bumped v1 -> v2 when `ilp_tier` joined the hash: the
-        // sparse tier is only observationally equivalent, so a resume
-        // must not merge partials solved under a different tier.
         h.str("eagleeye-core/coverage/v2")
             .str(&format!("{config:?}"))
             .str(&format!("{:?}", o.spec))
@@ -381,7 +438,8 @@ impl<'a> CoverageEvaluator<'a> {
             .str(&format!("{:?}", o.layout_slots))
             .str(&format!("{:?}", o.fault_plan))
             .str(&format!("{:?}", o.degraded_mode))
-            .str(&format!("{:?}", o.ilp_tier))
+            // The removed solver-tier option, always dense: keeps v2 hashes valid.
+            .str("Dense")
             .u64(self.targets.len() as u64)
             .f64(self.targets.total_value());
         h.finish()
@@ -418,61 +476,24 @@ impl<'a> CoverageEvaluator<'a> {
         config: &ConstellationConfig,
         harden: &HardenOptions,
     ) -> Result<HardenedOutcome, CoreError> {
-        self.options.spec.validate()?;
-        let decomposed = match *config {
-            ConstellationConfig::EagleEye {
-                groups,
-                followers_per_group,
-                scheduler,
-                clustering,
-            } => Some((groups, followers_per_group, scheduler, clustering, None)),
-            ConstellationConfig::MixCamera {
-                satellites,
-                compute_time_s,
-            } => Some((
-                satellites,
-                0,
-                SchedulerKind::Ilp,
-                ClusteringMethod::Ilp,
-                Some(compute_time_s),
-            )),
-            ConstellationConfig::LowResOnly { .. } | ConstellationConfig::HighResOnly { .. } => {
-                None
-            }
+        let complete = |report| HardenedOutcome {
+            report,
+            quarantined: Vec::new(),
+            resumed_passes: 0,
+            degrade_reason: None,
         };
-        let Some((groups, followers_per_group, scheduler_kind, clustering_method, mix_compute_s)) =
-            decomposed.filter(|_| self.options.recapture_penalty.is_none())
-        else {
-            let report = self.evaluate(config)?;
-            return Ok(HardenedOutcome {
-                report,
-                quarantined: Vec::new(),
-                resumed_passes: 0,
-                degrade_reason: None,
-            });
+        let run = match self.run_for(config)? {
+            Run::Leader(run) if self.options.recapture_penalty.is_none() => run,
+            run => return Ok(complete(self.evaluate_run(config, run)?)),
         };
 
         let _span = self.options.metrics.span("core/evaluate");
-        let mut report = CoverageReport {
-            total: self.targets.len(),
-            total_value: self.targets.total_value(),
-            ..Default::default()
-        };
-        let Some(sc) =
-            self.leader_scenario(groups, followers_per_group, mix_compute_s.is_some())?
-        else {
+        let mut report = self.base_report();
+        let Some(sc) = self.leader_scenario(run, &self.compile_scenario_key(config))? else {
             report.record_metrics(&self.options.metrics);
-            return Ok(HardenedOutcome {
-                report,
-                quarantined: Vec::new(),
-                resumed_passes: 0,
-                degrade_reason: None,
-            });
+            return Ok(complete(report));
         };
 
-        let scenario = self
-            .compile
-            .scenario(&self.compile_scenario_key(config), sc.leaders.len());
         let run_config = RunConfig {
             scenario_hash: self.scenario_hash(config),
             threads: self.effective_threads(),
@@ -486,24 +507,10 @@ impl<'a> CoverageEvaluator<'a> {
             // parallel path, but the fork snapshot travels inside the
             // checkpoint payload so resumed runs replay it exactly.
             let metrics = self.options.metrics.fork();
-            let mut part = CoverageReport::with_frame_capacity(sc.grid.len());
             let mut own = vec![false; self.targets.len()];
             let result = self
-                .leader_pass(
-                    &sc.leaders[i],
-                    i,
-                    &scenario,
-                    &sc.layout,
-                    sc.n_followers,
-                    mix_compute_s,
-                    scheduler_kind,
-                    clustering_method,
-                    &sc.grid,
-                    &metrics,
-                    &mut own,
-                    &mut part,
-                )
-                .map(|()| (part, own, metrics.snapshot()))
+                .leader_pass(&sc, i, &metrics, &mut own)
+                .map(|part| (part, own, metrics.snapshot()))
                 .map_err(|e| e.to_string());
             encode_leader_payload(result)
         })
@@ -604,32 +611,16 @@ impl<'a> CoverageEvaluator<'a> {
         swath_m: f64,
         cache_key: &str,
     ) -> Result<CoverageReport, CoreError> {
-        let mut report = CoverageReport {
-            total: self.targets.len(),
-            total_value: self.targets.total_value(),
-            ..Default::default()
-        };
+        let mut report = self.base_report();
         if satellites == 0 || self.targets.is_empty() {
             return Ok(report);
         }
         let spec = &self.options.spec;
         let layout = self.layout_for(satellites, 0)?;
         let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
-        let frame_len = spec.frame_length_m();
-        let bound = ((swath_m / 2.0).powi(2) + (frame_len / 2.0).powi(2)).sqrt() + 2_000.0;
+        let geom = CompileGeometry::frame_box(spec, swath_m);
         let mut captured = vec![false; self.targets.len()];
 
-        if self.options.reference_frame_walk {
-            return self.swath_membership_reference(
-                &layout, &grid, swath_m, frame_len, bound, report, captured,
-            );
-        }
-
-        let geom = CompileGeometry {
-            bound_m: bound,
-            half_cross_m: swath_m / 2.0,
-            half_along_m: frame_len / 2.0,
-        };
         let sats = layout.satellites();
         let scenario = self.compile.scenario(cache_key, sats.len());
         // Missing slots with their pool digests, hashed once each.
@@ -736,86 +727,11 @@ impl<'a> CoverageEvaluator<'a> {
         Ok(report)
     }
 
-    /// The legacy per-frame-query swath walk, kept as the reference
-    /// implementation the differential suite compares the compiled
-    /// engine against (`CoverageOptions::reference_frame_walk`).
-    #[allow(clippy::too_many_arguments)]
-    fn swath_membership_reference(
-        &self,
-        layout: &ConstellationLayout,
-        grid: &EpochGrid,
-        swath_m: f64,
-        frame_len: f64,
-        bound: f64,
-        mut report: CoverageReport,
-        mut captured: Vec<bool>,
-    ) -> Result<CoverageReport, CoreError> {
-        let pass = |sat: &SatelliteSpec,
-                    captured: &mut [bool],
-                    metrics: &Metrics|
-         -> Result<(usize, std::time::Duration), CoreError> {
-            // Batch-propagate this satellite over the horizon once; the
-            // frame loop reads cached states.
-            let prop_sw = Stopwatch::start();
-            let states = grid.propagate_observed(&layout.ground_track(sat)?, metrics)?;
-            let prop_elapsed = prop_sw.elapsed();
-            for (state, &t) in states.iter().zip(grid.epochs()) {
-                let frame =
-                    LocalFrame::new(state.subsatellite.with_altitude(0.0)?, state.heading_rad);
-                for idx in
-                    self.targets
-                        .query_radius(&state.subsatellite.with_altitude(0.0)?, bound, t)
-                {
-                    if captured[idx] {
-                        continue;
-                    }
-                    let p = self.targets.target(idx).position_at(t);
-                    let (x, y) = frame.project(&p);
-                    if x.abs() <= swath_m / 2.0 && y.abs() <= frame_len / 2.0 {
-                        captured[idx] = true;
-                    }
-                }
-            }
-            Ok((states.len(), prop_elapsed))
-        };
-
-        let threads = self.effective_threads();
-        if threads > 1 && layout.satellites().len() > 1 {
-            let pool = ExecPool::new(threads);
-            let parts = pool.try_par_map_observed(
-                &self.options.metrics,
-                layout.satellites(),
-                |_, sat, metrics| {
-                    let mut own = vec![false; self.targets.len()];
-                    let (frames, prop) = pass(sat, &mut own, metrics)?;
-                    Ok::<_, CoreError>((frames, prop, own))
-                },
-            )?;
-            for (frames, prop, own) in parts {
-                report.frames_processed += frames;
-                report.propagate_time += prop;
-                for (c, o) in captured.iter_mut().zip(&own) {
-                    *c |= *o;
-                }
-            }
-        } else {
-            for sat in layout.satellites() {
-                let (frames, prop) = pass(sat, &mut captured, &self.options.metrics)?;
-                report.frames_processed += frames;
-                report.propagate_time += prop;
-            }
-        }
-        self.finalize_captured(&mut report, &captured);
-        Ok(report)
-    }
-
     /// The compiled track for scenario slot `slot`, compiling it
     /// (batch propagation plus the single-chunk membership sweep) on
     /// first use. Propagation counters are recorded into `metrics` and
-    /// propagation wall time into `report` exactly where the legacy
-    /// walk recorded them, so a cold compiled evaluation is counter-
-    /// identical to the frame walk; a warm one records neither (the
-    /// work did not happen).
+    /// propagation wall time into `report`; a reused or shared track
+    /// records neither (the work did not happen).
     #[allow(clippy::too_many_arguments)]
     fn get_or_compile_track(
         &self,
@@ -852,10 +768,11 @@ impl<'a> CoverageEvaluator<'a> {
     /// Shared setup for the per-leader passes of an EagleEye or
     /// Mix-Camera evaluation: constellation layout, the epoch grid
     /// (frame epochs plus per-epoch sidereal trig, computed once and
-    /// shared by every leader's batch propagation), and the leader
-    /// roster. Returns `None` for configurations with nothing to run
-    /// (no groups, no targets, or no followers to capture with), which
-    /// evaluate to the empty base report.
+    /// shared by every leader's batch propagation), the leader roster,
+    /// and the compiled scenario under `cache_key`. Returns `None` for
+    /// configurations with nothing to run (no groups, no targets, or no
+    /// followers to capture with), which evaluate to the empty base
+    /// report.
     ///
     /// Computing this up front keeps the plain
     /// ([`leader_follower`](Self::leader_follower)) and crash-safe
@@ -864,13 +781,14 @@ impl<'a> CoverageEvaluator<'a> {
     /// bit-comparable.
     fn leader_scenario(
         &self,
-        groups: usize,
-        followers_per_group: usize,
-        is_mix: bool,
+        run: LeaderRun,
+        cache_key: &str,
     ) -> Result<Option<LeaderScenario>, CoreError> {
-        if groups == 0 || self.targets.is_empty() {
+        if run.groups == 0 || self.targets.is_empty() {
             return Ok(None);
         }
+        let is_mix = run.mix_compute_s.is_some();
+        let followers_per_group = if is_mix { 0 } else { run.followers_per_group };
         let n_followers = if is_mix { 1 } else { followers_per_group };
         if n_followers == 0 {
             // An EagleEye group without followers captures nothing in
@@ -878,7 +796,7 @@ impl<'a> CoverageEvaluator<'a> {
             return Ok(None);
         }
         let spec = &self.options.spec;
-        let layout = self.layout_for(groups, if is_mix { 0 } else { followers_per_group })?;
+        let layout = self.layout_for(run.groups, followers_per_group)?;
         let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
         let leaders: Vec<_> = layout
             .satellites()
@@ -886,11 +804,14 @@ impl<'a> CoverageEvaluator<'a> {
             .filter(|s| s.role == eagleeye_orbit::SatelliteRole::Leader)
             .copied()
             .collect();
+        let compiled = self.compile.scenario(cache_key, leaders.len());
         Ok(Some(LeaderScenario {
+            run,
             layout,
             grid,
             leaders,
             n_followers,
+            compiled,
         }))
     }
 
@@ -906,52 +827,24 @@ impl<'a> CoverageEvaluator<'a> {
     /// that path stays sequential to preserve its exact semantics.
     fn leader_follower(
         &self,
-        groups: usize,
-        followers_per_group: usize,
-        scheduler_kind: SchedulerKind,
-        clustering_method: ClusteringMethod,
-        mix_compute_s: Option<f64>,
+        run: LeaderRun,
         cache_key: &str,
     ) -> Result<CoverageReport, CoreError> {
-        let mut report = CoverageReport {
-            total: self.targets.len(),
-            total_value: self.targets.total_value(),
-            ..Default::default()
-        };
-        let Some(sc) =
-            self.leader_scenario(groups, followers_per_group, mix_compute_s.is_some())?
-        else {
+        let mut report = self.base_report();
+        let Some(sc) = self.leader_scenario(run, cache_key)? else {
             return Ok(report);
         };
 
-        let scenario = self.compile.scenario(cache_key, sc.leaders.len());
         let threads = self.effective_threads();
         let mut captured = vec![false; self.targets.len()];
         if threads > 1 && sc.leaders.len() > 1 && self.options.recapture_penalty.is_none() {
             let pool = ExecPool::new(threads);
-            let parts = pool.try_par_map_observed(
-                &self.options.metrics,
-                &sc.leaders,
-                |i, leader, metrics| {
-                    let mut part = CoverageReport::with_frame_capacity(sc.grid.len());
+            let parts =
+                pool.try_par_map_observed(&self.options.metrics, &sc.leaders, |i, _, metrics| {
                     let mut own = vec![false; self.targets.len()];
-                    self.leader_pass(
-                        leader,
-                        i,
-                        &scenario,
-                        &sc.layout,
-                        sc.n_followers,
-                        mix_compute_s,
-                        scheduler_kind,
-                        clustering_method,
-                        &sc.grid,
-                        metrics,
-                        &mut own,
-                        &mut part,
-                    )?;
+                    let part = self.leader_pass(&sc, i, metrics, &mut own)?;
                     Ok::<_, CoreError>((part, own))
-                },
-            )?;
+                })?;
             for (part, own) in parts {
                 report.absorb(part);
                 for (c, o) in captured.iter_mut().zip(&own) {
@@ -959,23 +852,8 @@ impl<'a> CoverageEvaluator<'a> {
                 }
             }
         } else {
-            for (i, leader) in sc.leaders.iter().enumerate() {
-                let mut part = CoverageReport::with_frame_capacity(sc.grid.len());
-                self.leader_pass(
-                    leader,
-                    i,
-                    &scenario,
-                    &sc.layout,
-                    sc.n_followers,
-                    mix_compute_s,
-                    scheduler_kind,
-                    clustering_method,
-                    &sc.grid,
-                    &self.options.metrics,
-                    &mut captured,
-                    &mut part,
-                )?;
-                report.absorb(part);
+            for i in 0..sc.leaders.len() {
+                report.absorb(self.leader_pass(&sc, i, &self.options.metrics, &mut captured)?);
             }
         }
         self.finalize_captured(&mut report, &captured);
@@ -984,88 +862,58 @@ impl<'a> CoverageEvaluator<'a> {
         Ok(report)
     }
 
-    /// One leader group's full pass over the horizon: detection,
-    /// clustering, follower scheduling, and capture execution, writing
-    /// marks into `captured` and counters into `report`.
-    #[allow(clippy::too_many_arguments)]
+    /// Leader `leader_idx`'s full pass over the horizon: detection,
+    /// clustering, follower scheduling, and capture execution. Marks
+    /// captures into `captured` and returns the pass's partial report.
     fn leader_pass(
         &self,
-        leader: &SatelliteSpec,
+        sc: &LeaderScenario,
         leader_idx: usize,
-        compiled: &CompiledScenario,
-        layout: &ConstellationLayout,
-        n_followers: usize,
-        mix_compute_s: Option<f64>,
-        scheduler_kind: SchedulerKind,
-        clustering_method: ClusteringMethod,
-        grid: &EpochGrid,
         metrics: &Metrics,
         captured: &mut [bool],
-        report: &mut CoverageReport,
-    ) -> Result<(), CoreError> {
+    ) -> Result<CoverageReport, CoreError> {
+        let LeaderScenario {
+            run,
+            layout,
+            grid,
+            leaders,
+            n_followers,
+            compiled,
+        } = sc;
+        let n_followers = *n_followers;
+        let mut report = CoverageReport::with_frame_capacity(grid.len());
         let spec = self.options.spec;
-        let is_mix = mix_compute_s.is_some();
-        let scheduler = match scheduler_kind {
-            SchedulerKind::Ilp => ActiveScheduler::Ilp(IlpScheduler {
-                tier: self.options.ilp_tier,
-                ..IlpScheduler::default()
-            }),
+        let is_mix = run.mix_compute_s.is_some();
+        let scheduler = match run.scheduler {
+            SchedulerKind::Ilp => ActiveScheduler::Ilp(IlpScheduler::default()),
             SchedulerKind::Greedy => ActiveScheduler::Plain(Box::new(GreedyScheduler)),
             SchedulerKind::Abb => {
                 ActiveScheduler::Plain(Box::new(AbbScheduler::with_frame_deadline()))
             }
-            SchedulerKind::Resilient => {
-                let mut resilient = ResilientScheduler::default();
-                resilient.ilp.tier = self.options.ilp_tier;
-                ActiveScheduler::Resilient(resilient)
-            }
+            SchedulerKind::Resilient => ActiveScheduler::Resilient(ResilientScheduler::default()),
         };
         let fault_plan = self.options.fault_plan.as_deref();
         let fault_aware = self.options.degraded_mode == DegradedMode::Resilient;
 
-        let frame_len = spec.frame_length_m();
-        let low_swath = spec.low_res.swath_m();
         let high_swath = spec.high_res.swath_m();
         let v = spec.ground_speed_m_s;
-        let bound = ((low_swath / 2.0).powi(2) + (frame_len / 2.0).powi(2)).sqrt() + 2_000.0;
         let return_slew_s = spec.adacs.min_slew_time_s(spec.theta_max_rad);
 
         // Compile or reuse this leader's track: batch propagation plus
         // the access-interval membership sweep, cached per
-        // configuration (DESIGN.md §13). The reference path propagates
-        // directly and queries per frame, exactly as before the
-        // compiled engine existed.
-        let geom = CompileGeometry {
-            bound_m: bound,
-            half_cross_m: low_swath / 2.0,
-            half_along_m: frame_len / 2.0,
-        };
-        let (track, reference_states): (Option<Arc<CompiledTrack>>, Option<Vec<TrackState>>) =
-            if self.options.reference_frame_walk {
-                let prop_sw = Stopwatch::start();
-                let states = grid.propagate_observed(&layout.ground_track(leader)?, metrics)?;
-                report.propagate_time += prop_sw.elapsed();
-                (None, Some(states))
-            } else {
-                let track = self.get_or_compile_track(
-                    compiled,
-                    leader_idx,
-                    leader,
-                    layout,
-                    grid,
-                    &geom,
-                    &format!("{scheduler_kind:?}"),
-                    metrics,
-                    report,
-                )?;
-                (Some(track), None)
-            };
-        let states: &[TrackState] = match (&track, &reference_states) {
-            (Some(t), _) => &t.states,
-            (None, Some(s)) => s,
-            (None, None) => unreachable!("one membership source is always set"),
-        };
-        let mut sweep = track.as_deref().map(IntervalSweep::new);
+        // configuration (DESIGN.md §13).
+        let track = self.get_or_compile_track(
+            compiled,
+            leader_idx,
+            &leaders[leader_idx],
+            layout,
+            grid,
+            &CompileGeometry::frame_box(&spec, spec.low_res.swath_m()),
+            &format!("{:?}", run.scheduler),
+            metrics,
+            &mut report,
+        )?;
+        let mut sweep = IntervalSweep::new(&track);
         // Per-frame detection timing costs two clock reads per frame,
         // so it only runs under enabled metrics (the report field stays
         // zero otherwise; timers are exempt from `same_outcome`).
@@ -1088,7 +936,7 @@ impl<'a> CoverageEvaluator<'a> {
         // Per-frame scratch, hoisted out of the loop and cleared each
         // frame instead of reallocated — sized to the compiled track's
         // peak per-frame membership so no frame ever regrows them.
-        let peak = track.as_ref().map_or(0, |t| t.peak_frame_entries);
+        let peak = track.peak_frame_entries;
         let mut in_frame: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut detected: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut points: Vec<(GroundPoint, f64)> = Vec::with_capacity(peak);
@@ -1097,15 +945,13 @@ impl<'a> CoverageEvaluator<'a> {
         let mut follower_states: Vec<FollowerState> = Vec::with_capacity(n_followers);
         let mut repair_failures: Vec<(usize, f64)> = Vec::with_capacity(n_followers);
 
-        for (frame_idx, state) in states.iter().enumerate() {
+        for (frame_idx, state) in track.states.iter().enumerate() {
             let t = grid.epochs()[frame_idx];
             let frame_id = frame_idx as u64;
             report.frames_processed += 1;
             if let Some(p) = fault_plan {
                 p.record_frame_activity(t, metrics);
             }
-            let subsat = state.subsatellite.with_altitude(0.0)?;
-            let frame = LocalFrame::new(subsat, state.heading_rad);
 
             let legacy_leader_failed = self
                 .options
@@ -1119,22 +965,10 @@ impl<'a> CoverageEvaluator<'a> {
             }
             let leader_failed = legacy_leader_failed || fault_leader_out;
 
-            // Targets inside the low-resolution frame: swept from the
+            // Targets inside the low-resolution frame, swept from the
             // compiled interval events (O(targets in view), no spatial
-            // query), or re-derived per frame on the reference path.
-            match sweep.as_mut() {
-                Some(sw) => sw.advance(frame_idx as u32, &mut in_frame),
-                None => {
-                    in_frame.clear();
-                    for idx in self.targets.query_radius(&subsat, bound, t) {
-                        let p = self.targets.target(idx).position_at(t);
-                        let (x, y) = frame.project(&p);
-                        if x.abs() <= low_swath / 2.0 && y.abs() <= frame_len / 2.0 {
-                            in_frame.push((idx, x, y));
-                        }
-                    }
-                }
-            }
+            // query).
+            sweep.advance(frame_idx as u32, &mut in_frame);
             if in_frame.is_empty() {
                 continue;
             }
@@ -1190,7 +1024,7 @@ impl<'a> CoverageEvaluator<'a> {
                 let mut value = self.targets.target(idx).value;
                 if let Some(p) = self.options.recapture_penalty {
                     if captured[idx] {
-                        value *= p.clamp(0.0, 1.0);
+                        value *= p;
                     }
                 }
                 (GroundPoint::new(x, y), value)
@@ -1220,7 +1054,7 @@ impl<'a> CoverageEvaluator<'a> {
             if active.is_empty() {
                 // Nobody to task, but the frame still counts its
                 // clusters.
-                let n = cluster_frame(&points, high_swath, clustering_method, report)?.len();
+                let n = cluster_frame(&points, high_swath, run.clustering, &mut report)?.len();
                 report.per_frame_cluster_counts.push(n);
                 continue;
             }
@@ -1235,7 +1069,7 @@ impl<'a> CoverageEvaluator<'a> {
                 .map(|p| p.slew_rate_factor(t))
                 .unwrap_or(1.0)
                 .clamp(0.01, 1.0);
-            let clip = mix_compute_s.map(|d| TimeWindow {
+            let clip = run.mix_compute_s.map(|d| TimeWindow {
                 start_s: t + d,
                 end_s: t + spec.frame_cadence_s - return_slew_s,
             });
@@ -1257,43 +1091,39 @@ impl<'a> CoverageEvaluator<'a> {
                 t,
                 points: &points,
                 footprint_m: high_swath,
-                clustering: clustering_method,
+                clustering: run.clustering,
                 task_cap,
                 slew_factor,
                 clip,
                 active: &active,
                 follower_states: &follower_states,
                 repair_failures: &repair_failures,
-                ilp_tier: self.options.ilp_tier,
             };
-            // A compiled track memoizes every solved frame under the key
-            // of its inputs, so a warm evaluation replays the recorded
-            // frame instead of clustering and solving it again. Any
-            // input divergence — fault modifiers, recapture-scaled
-            // values, drifted follower state — changes the key and
-            // forces a live solve.
-            let key = track.as_ref().map(|tr| (tr, inputs.key()));
-            let solved = match key.as_ref().and_then(|(tr, k)| tr.solved_get(*k)) {
+            // The track memoizes every solved frame under the key of its
+            // inputs, so a warm evaluation replays the recorded frame
+            // instead of clustering and solving it again. Any input
+            // divergence — fault modifiers, recapture-scaled values,
+            // drifted follower state — changes the key and forces a
+            // live solve.
+            let key = inputs.key();
+            let solved = match track.solved_get(key) {
                 Some(hit) => {
                     self.compile.note_memo_hit();
                     hit
                 }
                 None => {
-                    if key.is_some() {
-                        self.compile.note_memo_miss();
-                    }
-                    let solved = Arc::new(self.solve_frame(&scheduler, &inputs, report)?);
-                    if let Some((tr, k)) = key {
-                        tr.solved_put(k, Arc::clone(&solved));
-                    }
+                    self.compile.note_memo_miss();
+                    let solved = Arc::new(self.solve_frame(&scheduler, &inputs, &mut report)?);
+                    track.solved_put(key, Arc::clone(&solved));
                     solved
                 }
             };
-            record_solved(report, &solved);
+            record_solved(&mut report, &solved);
 
             // Execute captures: mark every target inside each
             // captured footprint (including undetected ones — the
             // serendipity effect behind Fig. 15).
+            let frame = LocalFrame::new(state.subsatellite.with_altitude(0.0)?, state.heading_rad);
             let along_origin = v * t;
             for cap in &solved.captures {
                 let k = active[cap.slot];
@@ -1327,7 +1157,7 @@ impl<'a> CoverageEvaluator<'a> {
                 pointing[k] = cap.offset;
             }
         }
-        Ok(())
+        Ok(report)
     }
 
     /// Clusters, schedules and (under mid-frame outages) repairs one
@@ -1682,63 +1512,158 @@ mod tests {
         // With inert HardenOptions the crash-safe path must be
         // indistinguishable from the plain evaluator: identical report
         // (modulo wall-clock timers) and identical non-exec counters
-        // and histograms, at 1 and 4 threads. Run the full gauntlet —
-        // imperfect recall, an active fault plan, resilient scheduling.
+        // and histograms, at 1 and 4 threads. One input per branch of
+        // the config decomposition: a resilient EagleEye run under the
+        // full gauntlet (imperfect recall, an active fault plan) and a
+        // Mix-Camera run decompose into leader passes; a swath config
+        // and a recapture-penalty run fall back to the plain path.
         let targets = meridian_targets(80);
-        let config = ConstellationConfig::EagleEye {
-            groups: 3,
-            followers_per_group: 2,
-            scheduler: SchedulerKind::Resilient,
-            clustering: ClusteringMethod::Ilp,
-        };
         let plan = Arc::new(FaultPlan::new(11).with_fault(
             eagleeye_sim::FaultKind::FollowerOutage { follower: 1 },
             600.0,
             f64::INFINITY,
         ));
-        let run = |threads: usize, hardened: bool| {
-            let mut opts = quick_options();
-            opts.recall = 0.8;
-            opts.fault_plan = Some(plan.clone());
-            opts.degraded_mode = DegradedMode::Resilient;
-            opts.threads = threads;
-            opts.metrics = Metrics::enabled();
-            let metrics = opts.metrics.clone();
-            let eval = CoverageEvaluator::new(&targets, opts);
-            let report = if hardened {
-                eval.evaluate_hardened(&config, &HardenOptions::new())
-                    .unwrap()
-                    .report
-            } else {
-                eval.evaluate(&config).unwrap()
+        let mut gauntlet = quick_options();
+        gauntlet.recall = 0.8;
+        gauntlet.fault_plan = Some(plan);
+        gauntlet.degraded_mode = DegradedMode::Resilient;
+        let mut recapture = quick_options();
+        recapture.recapture_penalty = Some(0.3);
+        let cases = [
+            (
+                gauntlet,
+                ConstellationConfig::EagleEye {
+                    groups: 3,
+                    followers_per_group: 2,
+                    scheduler: SchedulerKind::Resilient,
+                    clustering: ClusteringMethod::Ilp,
+                },
+                true,
+            ),
+            (
+                quick_options(),
+                ConstellationConfig::MixCamera {
+                    satellites: 3,
+                    compute_time_s: 1.4,
+                },
+                true,
+            ),
+            (
+                quick_options(),
+                ConstellationConfig::LowResOnly { satellites: 3 },
+                false,
+            ),
+            (recapture, ConstellationConfig::eagleeye(3, 1), false),
+        ];
+        for (opts, config, decomposed) in cases {
+            let run = |threads: usize, hardened: bool| {
+                let opts = CoverageOptions {
+                    threads,
+                    metrics: Metrics::enabled(),
+                    ..opts.clone()
+                };
+                let metrics = opts.metrics.clone();
+                let eval = CoverageEvaluator::new(&targets, opts);
+                let report = if hardened {
+                    eval.evaluate_hardened(&config, &HardenOptions::new())
+                        .unwrap()
+                        .report
+                } else {
+                    eval.evaluate(&config).unwrap()
+                };
+                (report, metrics.snapshot())
             };
-            (report, metrics.snapshot())
-        };
-        let (plain, plain_snap) = run(1, false);
-        assert!(plain.captured > 0);
-        assert!(!plain.degraded);
-        assert_eq!(plain.leader_passes_completed, 3);
-        assert_eq!(plain.leader_passes_total, 3);
-        for threads in [1, 4] {
-            let (hard, hard_snap) = run(threads, true);
-            assert!(
-                plain.same_outcome(&hard),
-                "threads={threads} hardened diverged:\n  plain: {plain:?}\n  hard: {hard:?}"
+            let (plain, plain_snap) = run(1, false);
+            assert!(plain.captured > 0, "{config:?} must capture");
+            assert!(!plain.degraded);
+            assert_eq!(plain.leader_passes_completed, plain.leader_passes_total);
+            for threads in [1, 4] {
+                let (hard, hard_snap) = run(threads, true);
+                assert!(
+                    plain.same_outcome(&hard),
+                    "{config:?} threads={threads} hardened diverged:\n  plain: {plain:?}\n  hard: {hard:?}"
+                );
+                assert_eq!(
+                    stable_counters(&plain_snap),
+                    stable_counters(&hard_snap),
+                    "{config:?} threads={threads} counters diverged"
+                );
+                assert_eq!(
+                    all_histograms(&plain_snap),
+                    all_histograms(&hard_snap),
+                    "{config:?} threads={threads} histograms diverged"
+                );
+                // Run-layer state is gauges only — completion 1.0, not
+                // degraded — and only a decomposed run records it.
+                let (completion, degraded) = if decomposed {
+                    (Some(1.0), Some(0.0))
+                } else {
+                    (None, None)
+                };
+                assert_eq!(hard_snap.gauge("harden/completion/leader_pass"), completion);
+                assert_eq!(hard_snap.gauge("harden/degraded"), degraded);
+            }
+        }
+    }
+
+    /// Both entry points reject `opts` as an invalid `name` before any
+    /// work starts, for a swath and a leader-follower configuration.
+    fn assert_rejected(opts: CoverageOptions, name: &str) {
+        let targets = meridian_targets(10);
+        let eval = CoverageEvaluator::new(&targets, opts);
+        for config in [
+            ConstellationConfig::LowResOnly { satellites: 1 },
+            ConstellationConfig::eagleeye(1, 1),
+        ] {
+            let plain = eval.evaluate(&config).unwrap_err();
+            let hardened = eval
+                .evaluate_hardened(&config, &HardenOptions::new())
+                .unwrap_err();
+            for err in [plain, hardened] {
+                assert!(
+                    matches!(err, CoreError::InvalidParameter { name: n, .. } if n == name),
+                    "{config:?}: expected invalid {name}, got {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rejects_duration_that_is_negative_or_not_finite() {
+        for duration_s in [f64::INFINITY, f64::NAN, -1.0] {
+            assert_rejected(
+                CoverageOptions {
+                    duration_s,
+                    ..quick_options()
+                },
+                "duration_s",
             );
-            assert_eq!(
-                stable_counters(&plain_snap),
-                stable_counters(&hard_snap),
-                "threads={threads} counters diverged"
+        }
+    }
+
+    #[test]
+    fn rejects_recall_outside_unit_interval() {
+        for recall in [f64::NAN, -0.1, 1.5] {
+            assert_rejected(
+                CoverageOptions {
+                    recall,
+                    ..quick_options()
+                },
+                "recall",
             );
-            assert_eq!(
-                all_histograms(&plain_snap),
-                all_histograms(&hard_snap),
-                "threads={threads} histograms diverged"
+        }
+    }
+
+    #[test]
+    fn rejects_recapture_penalty_outside_unit_interval() {
+        for penalty in [f64::NAN, -0.1, 1.5] {
+            assert_rejected(
+                CoverageOptions {
+                    recapture_penalty: Some(penalty),
+                    ..quick_options()
+                },
+                "recapture_penalty",
             );
-            // Run-layer state is gauges only — completion 1.0, not
-            // degraded.
-            assert_eq!(hard_snap.gauge("harden/completion/leader_pass"), Some(1.0));
-            assert_eq!(hard_snap.gauge("harden/degraded"), Some(0.0));
         }
     }
 
@@ -1916,11 +1841,6 @@ mod tests {
         let mut other_duration = quick_options();
         other_duration.duration_s += 1.0;
         assert_ne!(base, h(other_duration));
-        // The solver tier binds the scenario: sparse solves are only
-        // observationally equivalent, never a valid resume partner.
-        let mut sparse = quick_options();
-        sparse.ilp_tier = SolverTier::Sparse;
-        assert_ne!(base, h(sparse));
         let other_config = ConstellationConfig::eagleeye(3, 1);
         assert_ne!(
             base,

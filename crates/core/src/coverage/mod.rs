@@ -28,6 +28,13 @@
 //! those faults (excluding dead followers, repairing mid-pass failures
 //! with [`SchedulerKind::Resilient`]) or naively keeps tasking dead
 //! satellites — the baseline for the fault-tolerance study.
+//!
+//! [`CoverageEvaluator::evaluate`] and the crash-safe
+//! [`CoverageEvaluator::evaluate_hardened`] validate the options and take
+//! the configuration apart in one shared step. Membership always comes
+//! from the compiled access-interval engine (DESIGN.md §13); the
+//! per-frame spatial-query walk it replaced survives only as a test
+//! oracle beside the engine.
 
 mod compile;
 mod config;

@@ -90,8 +90,9 @@ pub struct CoverageReport {
     /// Incumbent hints accepted by the MILP solver across all horizons
     /// (zero on the memoized what-if path, which never passes hints).
     pub ilp_hints_accepted: usize,
-    /// ILP subproblems solved on the sparse tier (zero under the
-    /// dense default, keeping legacy digests byte-identical).
+    /// ILP subproblems solved on the sparse tier. Always zero: the
+    /// evaluator solves on the dense tier; the field keeps its codec
+    /// slot.
     pub ilp_sparse_solves: usize,
     /// Variables eliminated by presolve before the sparse searches.
     pub ilp_presolve_vars_eliminated: usize,

@@ -1,7 +1,6 @@
 use super::graph::{Arc, End, OpportunityGraph};
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
-pub use eagleeye_ilp::SolverTier;
 use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus, VarId};
 use std::time::Duration;
 
@@ -45,11 +44,6 @@ pub struct IlpScheduler {
     /// Above this joint capture-node count with more than one follower,
     /// decompose into sequential per-follower solves.
     pub joint_node_limit: usize,
-    /// Which `eagleeye-ilp` solver tier runs the per-horizon MILPs.
-    /// Defaults to [`SolverTier::Dense`] — the bit-stable path all
-    /// golden digests were recorded on; [`SolverTier::Sparse`] /
-    /// [`SolverTier::Auto`] enable the presolved sparse engine.
-    pub tier: SolverTier,
 }
 
 impl Default for IlpScheduler {
@@ -58,7 +52,6 @@ impl Default for IlpScheduler {
             slots_per_task: 0,
             time_limit: Duration::from_secs(10),
             joint_node_limit: 420,
-            tier: SolverTier::Dense,
         }
     }
 }
@@ -97,14 +90,14 @@ pub struct IlpRunStats {
     /// Incumbent hints accepted by the solver across all subproblems
     /// (the what-if path never passes hints, so this stays 0 there).
     pub hints_accepted: usize,
-    /// Subproblems solved on the sparse tier (0 under the dense
-    /// default, so dense digests are unaffected).
+    /// Subproblems solved on the sparse tier. Always 0: the scheduler
+    /// solves on the dense tier; the field keeps the report codec's slot.
     pub sparse_solves: usize,
     /// Variables eliminated by presolve, summed over all subproblems
-    /// (sparse tier only).
+    /// (sparse tier only, so always 0).
     pub presolve_vars_eliminated: usize,
     /// Constraint rows removed by presolve, summed over all
-    /// subproblems (sparse tier only).
+    /// subproblems (sparse tier only, so always 0).
     pub presolve_rows_removed: usize,
     /// True when the final answer came from the greedy baseline because
     /// it beat the (coarsely discretized) ILP solution.
@@ -218,7 +211,6 @@ impl IlpScheduler {
 
         let sol = match model.solve(&SolveOptions {
             time_limit: Some(self.time_limit),
-            tier: self.tier,
             ..SolveOptions::default()
         }) {
             Ok(sol) => sol,

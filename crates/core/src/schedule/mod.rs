@@ -47,7 +47,7 @@ mod types;
 pub use abb::AbbScheduler;
 pub use dp::DpScheduler;
 pub use greedy::GreedyScheduler;
-pub use ilp::{IlpRunStats, IlpScheduler, SolverTier};
+pub use ilp::{IlpRunStats, IlpScheduler};
 pub use problem::{FollowerState, SchedulingProblem, TaskSpec};
 pub use resilient::{
     validate_schedule, FallbackReason, RepairOutcome, ResilientScheduler, ScheduleOutcome,

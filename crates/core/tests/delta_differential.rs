@@ -13,88 +13,30 @@
 //! observability counter bit-for-bit. `orbit/*` counters are exempt by
 //! design — eliding re-propagation is the point of sharing — as are
 //! `exec/*` pool-shape counters, matching the threading contract.
-//!
-//! Cases additionally draw a solver tier (dense / sparse / auto,
-//! DESIGN.md §15): the bit-identity contract holds within each tier,
-//! and the tier is part of the horizon-memo digest so incremental
-//! replays never cross tiers.
+//! Targets sit in clumps under the parent's leader tracks
+//! (`common::under_leaders`), so most frames detect, cluster and
+//! schedule.
 //!
 //! Runs on the `eagleeye-check` harness: replay a failure with
 //! `EAGLEEYE_CHECK_SEED`, scale the budget with `EAGLEEYE_CHECK_CASES`.
 //!
 //! [`fork_with`]: eagleeye_core::coverage::CoverageEvaluator::fork_with
 
+mod common;
+
+use common::{clustering_for, scheduler_for, under_leaders};
 use eagleeye_check::{check_cases, f64_range, u64_range, usize_range};
 use eagleeye_core::clustering::ClusteringMethod;
 use eagleeye_core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, DegradedMode,
     ScenarioDelta, SchedulerKind,
 };
-use eagleeye_core::schedule::SolverTier;
-use eagleeye_datasets::{Target, TargetSet};
-use eagleeye_geo::GeodeticPoint;
+use eagleeye_datasets::TargetSet;
 use eagleeye_obs::Metrics;
 use eagleeye_sim::{FaultKind, FaultPlan};
 use std::sync::Arc;
 
 const CASES: u32 = 8;
-
-/// Deterministic jitter in `[-scale/2, scale/2]`, a pure function of
-/// `(seed, i, salt)`.
-fn jitter(seed: u64, i: usize, salt: u64, scale: f64) -> f64 {
-    let x = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(i as u64)
-        .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-        .wrapping_add(salt)
-        .wrapping_mul(0x94D0_49BB_1331_11EB);
-    ((x >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * scale
-}
-
-/// Targets strung under the RAAN-0 ground track so the scenarios
-/// actually detect, cluster, schedule, and capture.
-fn targets_for(seed: u64) -> TargetSet {
-    (0..100)
-        .map(|i| {
-            let lat = -50.0 + 100.0 * i as f64 / 100.0 + jitter(seed, i, 10, 2.0);
-            let lon = jitter(seed, i, 11, 3.0);
-            Target::fixed(
-                GeodeticPoint::from_degrees(lat, lon, 0.0).expect("valid"),
-                1.0 + jitter(seed, i, 12, 0.8),
-            )
-        })
-        .collect()
-}
-
-fn scheduler_for(kind: usize) -> SchedulerKind {
-    // `Abb` is wall-clock-budgeted and not run-to-run deterministic.
-    match kind % 3 {
-        0 => SchedulerKind::Ilp,
-        1 => SchedulerKind::Greedy,
-        _ => SchedulerKind::Resilient,
-    }
-}
-
-fn clustering_for(kind: usize) -> ClusteringMethod {
-    match kind % 3 {
-        0 => ClusteringMethod::Ilp,
-        1 => ClusteringMethod::Greedy,
-        _ => ClusteringMethod::None,
-    }
-}
-
-/// Solver-tier axis (DESIGN.md §15): the sparse presolved tier must
-/// uphold the same cold-vs-delta bit-identity as the dense default —
-/// within a tier the solver is fully deterministic, and the tier
-/// participates in the horizon-memo digest so replays never cross
-/// tiers.
-fn tier_for(kind: usize) -> SolverTier {
-    match kind % 3 {
-        0 => SolverTier::Dense,
-        1 => SolverTier::Sparse,
-        _ => SolverTier::Auto,
-    }
-}
 
 /// The delta under test, drawn from the case's choices. Structural
 /// edits, parameter nudges, and every fault-window class are covered.
@@ -201,15 +143,14 @@ fn delta_evaluation_is_bit_identical_to_cold() {
         "delta_evaluation_is_bit_identical_to_cold",
         (
             u64_range(0, u64::MAX),
-            (usize_range(2, 3), usize_range(1, 2)),
-            (usize_range(0, 2), usize_range(0, 2), usize_range(0, 2)),
+            (usize_range(2, 4), usize_range(1, 3)),
+            (usize_range(0, 3), usize_range(0, 3), usize_range(0, 3)),
             f64_range(0.6, 1.0),
-            usize_range(0, 9),
+            usize_range(0, 10),
             f64_range(0.0, 1.0),
             f64_range(0.0, 900.0),
         ),
         |&(seed, (groups, followers), (skind, ckind, tkind), recall, dkind, dparam, at_s)| {
-            let targets = targets_for(seed);
             let parent_cfg = ConstellationConfig::EagleEye {
                 groups,
                 followers_per_group: followers,
@@ -239,11 +180,11 @@ fn delta_evaluation_is_bit_identical_to_cold() {
                 } else {
                     DegradedMode::Naive
                 },
-                ilp_tier: tier_for(tkind),
                 ..CoverageOptions::default()
             };
             let delta = delta_for(dkind, dparam, at_s);
 
+            let targets = under_leaders(&parent_opts, &parent_cfg, tkind, seed);
             let parent = CoverageEvaluator::new(&targets, parent_opts);
             parent.evaluate(&parent_cfg).expect("parent evaluation");
 
@@ -274,7 +215,6 @@ fn delta_evaluation_is_bit_identical_to_cold() {
 /// incremental path silently recompiled everything.
 #[test]
 fn pinned_remove_group_delta_reuses_parent_work() {
-    let targets = targets_for(42);
     let parent_cfg = ConstellationConfig::EagleEye {
         groups: 3,
         followers_per_group: 1,
@@ -287,6 +227,7 @@ fn pinned_remove_group_delta_reuses_parent_work() {
         layout_slots: Some(3),
         ..CoverageOptions::default()
     };
+    let targets = under_leaders(&parent_opts, &parent_cfg, 0, 42);
     let parent = CoverageEvaluator::new(&targets, parent_opts);
     parent.evaluate(&parent_cfg).expect("parent evaluation");
 
@@ -315,47 +256,5 @@ fn pinned_remove_group_delta_reuses_parent_work() {
     assert!(
         report.same_outcome(&cold),
         "reused child diverged:\ndelta: {report:?}\ncold: {cold:?}"
-    );
-}
-
-/// Pinned sparse-tier case: regardless of what the random axis above
-/// draws, at least one delta-vs-cold comparison must run the sparse
-/// presolved tier end to end, exercise it (sparse-solve counters are
-/// nonzero), and stay bit-identical at 1 and 4 threads.
-#[test]
-fn sparse_tier_delta_matches_cold() {
-    let targets = targets_for(7);
-    let parent_cfg = ConstellationConfig::EagleEye {
-        groups: 2,
-        followers_per_group: 2,
-        scheduler: SchedulerKind::Ilp,
-        clustering: ClusteringMethod::Ilp,
-    };
-    let parent_opts = CoverageOptions {
-        duration_s: 1_000.0,
-        seed: 7,
-        ilp_tier: SolverTier::Sparse,
-        ..CoverageOptions::default()
-    };
-    let parent = CoverageEvaluator::new(&targets, parent_opts);
-    parent.evaluate(&parent_cfg).expect("parent evaluation");
-
-    let (child_cfg, child_opts) = ScenarioDelta::AddFollower
-        .apply(&parent_cfg, parent.options())
-        .expect("apply");
-    let single = assert_delta_matches_cold(&parent, &targets, &child_cfg, &child_opts, 1);
-    let multi = assert_delta_matches_cold(&parent, &targets, &child_cfg, &child_opts, 4);
-    assert!(
-        single.same_outcome(&multi),
-        "sparse-tier delta diverged across thread counts:\
-         \nthreads=1: {single:?}\nthreads=4: {multi:?}"
-    );
-    assert!(
-        single.scheduler_calls > 0 && single.captured > 0,
-        "the pinned sparse scenario must actually schedule and capture: {single:?}"
-    );
-    assert!(
-        single.ilp_sparse_solves > 0,
-        "the sparse tier must actually run (ilp/sparse_solves > 0): {single:?}"
     );
 }

@@ -39,10 +39,11 @@ impl Deadline {
         Deadline { at: None }
     }
 
-    /// A deadline `budget` from now.
+    /// A deadline `budget` from now. A budget too large to represent
+    /// as an [`Instant`] can never expire, so it means no deadline.
     pub fn after(budget: Duration) -> Self {
         Deadline {
-            at: Some(Instant::now() + budget),
+            at: Instant::now().checked_add(budget),
         }
     }
 
@@ -223,6 +224,15 @@ mod tests {
         assert!(!f.requested());
         std::thread::spawn(move || clone.request()).join().unwrap();
         assert!(f.requested());
+    }
+
+    #[test]
+    fn unrepresentable_budget_means_no_deadline() {
+        for budget in [Duration::MAX, Duration::from_secs_f64(1e19)] {
+            let d = Deadline::after(budget);
+            assert!(!d.is_set());
+            assert!(!d.expired());
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! The engine deliberately shares every *contract* with the dense
 //! tableau:
 //!
-//! * rows are normalized by [`crate::simplex::normalized_rows`] and
-//!   columns laid out by [`crate::simplex::column_layout`], so a
+//! * rows are normalized by `simplex::normalized_rows` and
+//!   columns laid out by `simplex::column_layout`, so a
 //!   [`WarmBasis`] captured by either engine installs into the other;
 //! * phase 1 minimizes the artificial sum, phase 2 pins artificials;
 //! * Dantzig pricing with the same stall→Bland anti-cycling switch,

@@ -25,6 +25,7 @@ use eagleeye::orbit::{GroundTrack, J2Propagator, Sgp4Propagator, Tle};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::Duration;
 
 const USAGE: &str = "\
 eagleeye — mixed-resolution leader-follower constellation toolkit
@@ -118,6 +119,18 @@ fn get_usize(o: &Flags, key: &str, default: usize) -> Result<usize, String> {
     }
 }
 
+/// `--deadline SECONDS` as a wall-clock budget: `None` when absent or
+/// not positive, an error when it is not a representable duration.
+fn get_deadline(o: &Flags) -> Result<Option<Duration>, String> {
+    let secs = get_f64(o, "deadline", 0.0)?;
+    if secs <= 0.0 {
+        return Ok(None);
+    }
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|e| format!("--deadline: `{secs}` seconds is not a usable budget ({e})"))
+}
+
 fn get_workload(o: &Flags) -> Result<Workload, String> {
     match o.get("workload").map(String::as_str).unwrap_or("ships") {
         "ships" => Ok(Workload::ShipDetection),
@@ -138,7 +151,7 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
     let recall = get_f64(o, "recall", 1.0)?;
     let planes = get_usize(o, "planes", 1)?;
     let threads = get_usize(o, "threads", 1)?;
-    let deadline_s = get_f64(o, "deadline", 0.0)?;
+    let deadline = get_deadline(o)?;
 
     let config = match o.get("config").map(String::as_str).unwrap_or("eagleeye") {
         "eagleeye" => {
@@ -169,15 +182,15 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
 
     // --checkpoint / --deadline route through the crash-safe run layer
     // (eagleeye-harden); without them the plain evaluator runs.
-    let report = if o.contains_key("checkpoint") || deadline_s > 0.0 {
+    let report = if o.contains_key("checkpoint") || deadline.is_some() {
         let mut harden = HardenOptions::new();
         if let Some(path) = o.get("checkpoint") {
             let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
             spec.resume = o.contains_key("resume");
             harden.checkpoint = Some(spec);
         }
-        if deadline_s > 0.0 {
-            harden.deadline = Deadline::after(std::time::Duration::from_secs_f64(deadline_s));
+        if let Some(budget) = deadline {
+            harden.deadline = Deadline::after(budget);
         }
         let out = eval
             .evaluate_hardened(&config, &harden)
@@ -423,6 +436,22 @@ mod tests {
         assert!(parse_flags(&args).is_err());
         let args: Vec<String> = vec!["--sats".into()];
         assert!(parse_flags(&args).is_err());
+    }
+
+    #[test]
+    fn deadline_flag_never_panics() {
+        assert_eq!(get_deadline(&flags(&[])).unwrap(), None);
+        assert_eq!(get_deadline(&flags(&["--deadline", "0"])).unwrap(), None);
+        assert_eq!(
+            get_deadline(&flags(&["--deadline", "2.5"])).unwrap(),
+            Some(Duration::from_millis(2_500))
+        );
+        for bad in ["inf", "NaN", "1e300"] {
+            assert!(get_deadline(&flags(&["--deadline", bad])).is_err(), "{bad}");
+        }
+        // Representable as a duration but not as an instant: no deadline.
+        let budget = get_deadline(&flags(&["--deadline", "1e19"])).unwrap();
+        assert!(!Deadline::after(budget.expect("positive budget")).is_set());
     }
 
     #[test]
