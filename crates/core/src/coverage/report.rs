@@ -5,8 +5,10 @@ use std::time::Duration;
 
 /// Version byte leading every [`CoverageReport::to_bytes`] payload.
 /// Version 2 appended the ILP warm-start counters; version 3 appended
-/// the solver-tier counters (hints, sparse solves, presolve).
-const REPORT_CODEC_VERSION: u8 = 3;
+/// four solver-tier counters (hints, sparse solves, presolve) that were
+/// always zero. Version 4 drops them again: its layout is version 2's
+/// under a new version byte, so a version 3 payload is rejected.
+const REPORT_CODEC_VERSION: u8 = 4;
 
 /// Result of a coverage evaluation run.
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
@@ -87,17 +89,6 @@ pub struct CoverageReport {
     /// Nodes whose warm basis was rejected and fell back to a cold
     /// solve.
     pub ilp_warm_rejects: usize,
-    /// Incumbent hints accepted by the MILP solver across all horizons
-    /// (zero on the memoized what-if path, which never passes hints).
-    pub ilp_hints_accepted: usize,
-    /// ILP subproblems solved on the sparse tier. Always zero: the
-    /// evaluator solves on the dense tier; the field keeps its codec
-    /// slot.
-    pub ilp_sparse_solves: usize,
-    /// Variables eliminated by presolve before the sparse searches.
-    pub ilp_presolve_vars_eliminated: usize,
-    /// Constraint rows removed by presolve before the sparse searches.
-    pub ilp_presolve_rows_removed: usize,
     /// True when the crash-safe run layer stopped this evaluation early
     /// (deadline exceeded or shutdown requested) and the report covers
     /// only the leader passes that finished. Anytime results: every
@@ -199,10 +190,6 @@ impl CoverageReport {
         self.ilp_iteration_limit_hits += part.ilp_iteration_limit_hits;
         self.ilp_warm_starts += part.ilp_warm_starts;
         self.ilp_warm_rejects += part.ilp_warm_rejects;
-        self.ilp_hints_accepted += part.ilp_hints_accepted;
-        self.ilp_sparse_solves += part.ilp_sparse_solves;
-        self.ilp_presolve_vars_eliminated += part.ilp_presolve_vars_eliminated;
-        self.ilp_presolve_rows_removed += part.ilp_presolve_rows_removed;
     }
 
     /// Folds one horizon's ILP solver diagnostics into the report.
@@ -219,10 +206,6 @@ impl CoverageReport {
         self.ilp_iteration_limit_hits += stats.iteration_limit_hits;
         self.ilp_warm_starts += stats.warm_starts;
         self.ilp_warm_rejects += stats.warm_rejects;
-        self.ilp_hints_accepted += stats.hints_accepted;
-        self.ilp_sparse_solves += stats.sparse_solves;
-        self.ilp_presolve_vars_eliminated += stats.presolve_vars_eliminated;
-        self.ilp_presolve_rows_removed += stats.presolve_rows_removed;
     }
 
     /// Mirrors the report into a metrics registry under the `core/*`
@@ -270,16 +253,6 @@ impl CoverageReport {
         );
         metrics.add("ilp/warm_starts", self.ilp_warm_starts as u64);
         metrics.add("ilp/warm_rejects", self.ilp_warm_rejects as u64);
-        metrics.add("ilp/hints_accepted", self.ilp_hints_accepted as u64);
-        metrics.add("ilp/sparse_solves", self.ilp_sparse_solves as u64);
-        metrics.add(
-            "ilp/presolve_vars_eliminated",
-            self.ilp_presolve_vars_eliminated as u64,
-        );
-        metrics.add(
-            "ilp/presolve_rows_removed",
-            self.ilp_presolve_rows_removed as u64,
-        );
         const FRAME_BUCKETS: &[u64] = &[1, 2, 5, 10, 20, 50];
         for &n in &self.per_frame_target_counts {
             metrics.observe("core/frame_targets", n as u64, FRAME_BUCKETS);
@@ -339,10 +312,6 @@ impl CoverageReport {
             ilp_iteration_limit_hits,
             ilp_warm_starts,
             ilp_warm_rejects,
-            ilp_hints_accepted,
-            ilp_sparse_solves,
-            ilp_presolve_vars_eliminated,
-            ilp_presolve_rows_removed,
             degraded,
             leader_passes_completed,
             leader_passes_total,
@@ -375,10 +344,6 @@ impl CoverageReport {
             && *ilp_iteration_limit_hits == other.ilp_iteration_limit_hits
             && *ilp_warm_starts == other.ilp_warm_starts
             && *ilp_warm_rejects == other.ilp_warm_rejects
-            && *ilp_hints_accepted == other.ilp_hints_accepted
-            && *ilp_sparse_solves == other.ilp_sparse_solves
-            && *ilp_presolve_vars_eliminated == other.ilp_presolve_vars_eliminated
-            && *ilp_presolve_rows_removed == other.ilp_presolve_rows_removed
             && *degraded == other.degraded
             && *leader_passes_completed == other.leader_passes_completed
             && *leader_passes_total == other.leader_passes_total
@@ -461,10 +426,6 @@ impl CoverageReport {
         w.usize(self.ilp_iteration_limit_hits);
         w.usize(self.ilp_warm_starts);
         w.usize(self.ilp_warm_rejects);
-        w.usize(self.ilp_hints_accepted);
-        w.usize(self.ilp_sparse_solves);
-        w.usize(self.ilp_presolve_vars_eliminated);
-        w.usize(self.ilp_presolve_rows_removed);
         w.bool(self.degraded);
         w.usize(self.leader_passes_completed);
         w.usize(self.leader_passes_total);
@@ -531,10 +492,6 @@ impl CoverageReport {
         out.ilp_iteration_limit_hits = r.usize()?;
         out.ilp_warm_starts = r.usize()?;
         out.ilp_warm_rejects = r.usize()?;
-        out.ilp_hints_accepted = r.usize()?;
-        out.ilp_sparse_solves = r.usize()?;
-        out.ilp_presolve_vars_eliminated = r.usize()?;
-        out.ilp_presolve_rows_removed = r.usize()?;
         out.degraded = r.bool()?;
         out.leader_passes_completed = r.usize()?;
         out.leader_passes_total = r.usize()?;
@@ -635,10 +592,6 @@ mod tests {
             incumbent_updates: 3,
             warm_starts: 5,
             warm_rejects: 2,
-            hints_accepted: 1,
-            sparse_solves: 2,
-            presolve_vars_eliminated: 6,
-            presolve_rows_removed: 3,
             greedy_dominated: false,
         };
         let mut part = CoverageReport::default();
@@ -656,10 +609,6 @@ mod tests {
         assert_eq!(acc.ilp_iteration_limit_hits, 0);
         assert_eq!(acc.ilp_warm_starts, 10);
         assert_eq!(acc.ilp_warm_rejects, 4);
-        assert_eq!(acc.ilp_hints_accepted, 2);
-        assert_eq!(acc.ilp_sparse_solves, 4);
-        assert_eq!(acc.ilp_presolve_vars_eliminated, 12);
-        assert_eq!(acc.ilp_presolve_rows_removed, 6);
     }
 
     #[test]
@@ -738,10 +687,6 @@ mod tests {
             ilp_iteration_limit_hits: 0,
             ilp_warm_starts: 8,
             ilp_warm_rejects: 2,
-            ilp_hints_accepted: 1,
-            ilp_sparse_solves: 2,
-            ilp_presolve_vars_eliminated: 17,
-            ilp_presolve_rows_removed: 4,
             degraded: true,
             leader_passes_completed: 2,
             leader_passes_total: 5,
@@ -779,6 +724,14 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(CoverageReport::from_bytes(&long).is_err());
+        // A version 3 payload: this layout plus the four solver-tier
+        // counters ahead of the harden tail (one bool, two usizes).
+        let tail = bytes.len() - 1 - 2 * 8;
+        let mut v3 = bytes[..tail].to_vec();
+        v3[0] = 3;
+        v3.extend_from_slice(&[0u8; 4 * 8]);
+        v3.extend_from_slice(&bytes[tail..]);
+        assert!(CoverageReport::from_bytes(&v3).is_err());
     }
 
     #[test]
@@ -858,10 +811,6 @@ mod tests {
             ilp_iteration_limit_hits: _,
             ilp_warm_starts: _,
             ilp_warm_rejects: _,
-            ilp_hints_accepted: _,
-            ilp_sparse_solves: _,
-            ilp_presolve_vars_eliminated: _,
-            ilp_presolve_rows_removed: _,
             degraded: _,
             leader_passes_completed: _,
             leader_passes_total: _,
@@ -884,10 +833,6 @@ mod tests {
             incumbent_updates: _,
             warm_starts: _,
             warm_rejects: _,
-            hints_accepted: _,
-            sparse_solves: _,
-            presolve_vars_eliminated: _,
-            presolve_rows_removed: _,
             greedy_dominated: _,
         } = IlpRunStats::default();
     }

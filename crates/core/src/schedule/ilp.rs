@@ -87,18 +87,6 @@ pub struct IlpRunStats {
     /// Nodes whose warm basis was rejected (failed installation or dual
     /// restoration) and fell back to a cold solve.
     pub warm_rejects: usize,
-    /// Incumbent hints accepted by the solver across all subproblems
-    /// (the what-if path never passes hints, so this stays 0 there).
-    pub hints_accepted: usize,
-    /// Subproblems solved on the sparse tier. Always 0: the scheduler
-    /// solves on the dense tier; the field keeps the report codec's slot.
-    pub sparse_solves: usize,
-    /// Variables eliminated by presolve, summed over all subproblems
-    /// (sparse tier only, so always 0).
-    pub presolve_vars_eliminated: usize,
-    /// Constraint rows removed by presolve, summed over all
-    /// subproblems (sparse tier only, so always 0).
-    pub presolve_rows_removed: usize,
     /// True when the final answer came from the greedy baseline because
     /// it beat the (coarsely discretized) ILP solution.
     pub greedy_dominated: bool,
@@ -236,10 +224,6 @@ impl IlpScheduler {
         stats.incumbent_updates += solver.incumbent_updates;
         stats.warm_starts += solver.warm_starts;
         stats.warm_rejects += solver.warm_rejects;
-        stats.hints_accepted += solver.hints_accepted;
-        stats.sparse_solves += solver.sparse_solves;
-        stats.presolve_vars_eliminated += solver.presolve_vars_eliminated;
-        stats.presolve_rows_removed += solver.presolve_rows_removed;
         // Branch-and-bound converts an expired deadline into a limit
         // status (`Feasible` with the incumbent, `Unknown` without one)
         // rather than an error; count those as deadline hits too.

@@ -102,8 +102,7 @@ fn assert_pinned(name: &str, scheduler: &IlpScheduler, problem: &SchedulingProbl
     assert_eq!(stats, pin.stats, "{name}: solver effort moved\n{actual}");
 }
 
-/// Builds an [`IlpRunStats`] from the counters these pins exercise;
-/// tier, hint and presolve counters stay 0 on the dense default path.
+/// Builds an [`IlpRunStats`] from the counters these pins exercise.
 fn stats(
     subproblems: usize,
     nodes: (usize, usize),
@@ -122,10 +121,6 @@ fn stats(
         incumbent_updates,
         warm_starts: warm.0,
         warm_rejects: warm.1,
-        hints_accepted: 0,
-        sparse_solves: 0,
-        presolve_vars_eliminated: 0,
-        presolve_rows_removed: 0,
         greedy_dominated: false,
     }
 }

@@ -1,64 +1,19 @@
 //! Depth-first branch-and-bound over the LP relaxation.
 
-use crate::model::{Model, ObjectiveDirection, Sense, Solution, SolveStatus, VarKind};
+use crate::model::{Model, ObjectiveDirection, Solution, SolveStatus, VarKind};
 use crate::simplex::WarmBasis;
 use crate::IlpError;
 use eagleeye_harden::{crash_point, ByteReader, ByteWriter, CodecError};
 use std::time::{Duration, Instant};
 
-/// Which LP engine (and surrounding machinery) a solve runs on.
-///
-/// The tiers are *observationally equivalent*: same
-/// [`SolveStatus`], objectives within 1e-9, and — on instances with a
-/// unique optimum — the same solution vector (the
-/// `sparse_differential` suite is the oracle for this claim). They
-/// are **not** bit-identical in general: the sparse tier presolves,
-/// prices over CSC columns, and branches on pseudocosts, so its node
-/// ordering and float accumulation differ from the dense tableau.
-/// Anything that pins exact digests (golden regression, crash-resume)
-/// must therefore pick one tier and stay on it; the default is
-/// [`SolverTier::Dense`], the historical path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverTier {
-    /// Dense-tableau two-phase simplex with most-fractional branching
-    /// — the original engine, and the only one with
-    /// [`Frontier`] checkpoint/resume support.
-    #[default]
-    Dense,
-    /// Presolve + sparse revised simplex (CSC columns, explicit basis
-    /// inverse) + pseudocost branching. Faster on large sparse
-    /// instances; solutions are restored to the original variable
-    /// space through the postsolve map.
-    Sparse,
-    /// Choose per instance: [`SolverTier::Sparse`] when
-    /// `num_vars + num_constraints >=` [`AUTO_SPARSE_THRESHOLD`],
-    /// [`SolverTier::Dense`] below it.
-    Auto,
-}
-
-/// Instance size (`num_vars + num_constraints`) at which
-/// [`SolverTier::Auto`] switches from the dense to the sparse tier.
-pub const AUTO_SPARSE_THRESHOLD: usize = 256;
-
-impl SolverTier {
-    /// Resolves `Auto` against an instance size; `Dense` and `Sparse`
-    /// return themselves.
-    pub fn resolve(self, n_vars: usize, n_rows: usize) -> SolverTier {
-        match self {
-            SolverTier::Auto => {
-                if n_vars + n_rows >= AUTO_SPARSE_THRESHOLD {
-                    SolverTier::Sparse
-                } else {
-                    SolverTier::Dense
-                }
-            }
-            tier => tier,
-        }
-    }
-}
+/// Absolute tolerance for considering an LP value integral.
+const INTEGRALITY_TOL: f64 = 1e-6;
+/// Absolute objective gap below which a node is pruned against the
+/// incumbent.
+const ABSOLUTE_GAP: f64 = 1e-9;
 
 /// Options controlling a MILP solve.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveOptions {
     /// Wall-clock limit; `None` means unlimited. When the limit is hit
     /// the best incumbent is returned with [`SolveStatus::Feasible`]
@@ -66,39 +21,6 @@ pub struct SolveOptions {
     pub time_limit: Option<Duration>,
     /// Maximum branch-and-bound nodes to explore; `None` means unlimited.
     pub node_limit: Option<usize>,
-    /// Absolute tolerance for considering an LP value integral.
-    pub integrality_tol: f64,
-    /// Absolute objective gap below which a node is pruned against the
-    /// incumbent. Zero proves exact optimality.
-    pub absolute_gap: f64,
-    /// Optional candidate solution (one value per variable, in
-    /// [`crate::VarId::index`] order) used to seed the incumbent bound
-    /// before the search starts. The hint is validated against the
-    /// model — bounds, integrality, and every constraint — and
-    /// silently discarded if it fails, so a stale or foreign hint can
-    /// never corrupt a solve; an accepted hint is counted in
-    /// [`SolveStats::hints_accepted`]. Ignored when resuming from a
-    /// [`Frontier`], whose incumbent already reflects it. On the
-    /// sparse tier the validated hint is additionally projected into
-    /// the presolved variable space through the postsolve map, so a
-    /// hint survives presolve eliminating variables.
-    pub incumbent_hint: Option<Vec<f64>>,
-    /// Which solver tier runs the search (default
-    /// [`SolverTier::Dense`], the bit-stable historical path).
-    pub tier: SolverTier,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            time_limit: None,
-            node_limit: None,
-            integrality_tol: 1e-6,
-            absolute_gap: 1e-9,
-            incumbent_hint: None,
-            tier: SolverTier::Dense,
-        }
-    }
 }
 
 impl SolveOptions {
@@ -136,18 +58,6 @@ pub struct SolveStats {
     /// falling back to a cold solve. Counted on feasible nodes, where
     /// the outcome of the attempt is observable.
     pub warm_rejects: usize,
-    /// Incumbent hints ([`SolveOptions::incumbent_hint`]) that passed
-    /// validation and seeded the initial bound (0 or 1 per solve).
-    pub hints_accepted: usize,
-    /// Solves that ran on the sparse tier (0 or 1 per solve; always 0
-    /// on the dense path, so dense digests are unaffected).
-    pub sparse_solves: usize,
-    /// Variables eliminated by presolve before the search (sparse tier
-    /// only; 0 on the dense path).
-    pub presolve_vars_eliminated: usize,
-    /// Constraint rows removed by presolve before the search (sparse
-    /// tier only; 0 on the dense path).
-    pub presolve_rows_removed: usize,
     /// Wall-clock time from solve start until the first incumbent was
     /// found; `None` when the search ended with no feasible solution.
     pub time_to_first_incumbent: Option<Duration>,
@@ -207,7 +117,7 @@ impl Frontier {
     /// Serializes the frontier (little-endian, floats as raw bits).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u8(2); // format version (2 = warm bases + warm/hint stats)
+        w.u8(3); // format version (3 = warm bases + warm stats)
         w.bool(self.incumbent.is_some());
         if let Some((obj, values)) = &self.incumbent {
             w.f64(*obj);
@@ -243,11 +153,6 @@ impl Frontier {
         w.u64(self.stats.incumbent_updates as u64);
         w.u64(self.stats.warm_starts as u64);
         w.u64(self.stats.warm_rejects as u64);
-        w.u64(self.stats.hints_accepted as u64);
-        // Sparse-tier counters (sparse_solves, presolve_*) are not
-        // serialized: frontiers are produced only by the dense
-        // resumable path, where those counters are always zero — and
-        // `from_bytes` restores them as zero via `SolveStats::default`.
         w.bool(self.stats.time_to_first_incumbent.is_some());
         if let Some(t) = self.stats.time_to_first_incumbent {
             w.u64(t.as_secs());
@@ -265,41 +170,33 @@ impl Frontier {
     /// [`CodecError`] on truncation or an unknown format version.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
-        if r.u8()? != 2 {
+        if r.u8()? != 3 {
             return Err(CodecError {
                 context: "frontier format version",
             });
         }
+        // Every length below is read from the payload, so nothing is
+        // preallocated from it: a forged length fails on truncation
+        // instead of panicking on capacity overflow.
         let incumbent = if r.bool()? {
             let obj = r.f64()?;
             let n = r.usize()?;
-            let mut values = Vec::with_capacity(n);
-            for _ in 0..n {
-                values.push(r.f64()?);
-            }
+            let values = (0..n).map(|_| r.f64()).collect::<Result<_, _>>()?;
             Some((obj, values))
         } else {
             None
         };
-        let n_open = r.usize()?;
-        let mut open = Vec::with_capacity(n_open);
-        for _ in 0..n_open {
+        let mut open = Vec::new();
+        for _ in 0..r.usize()? {
             let n_ov = r.usize()?;
-            let mut overrides = Vec::with_capacity(n_ov);
-            for _ in 0..n_ov {
-                overrides.push((r.usize()?, r.f64()?, r.f64()?));
-            }
+            let overrides = (0..n_ov)
+                .map(|_| Ok((r.usize()?, r.f64()?, r.f64()?)))
+                .collect::<Result<_, CodecError>>()?;
             let warm = if r.bool()? {
                 let n_cols = r.usize()?;
                 let n_basis = r.usize()?;
-                let mut basis = Vec::with_capacity(n_basis);
-                for _ in 0..n_basis {
-                    basis.push(r.usize()?);
-                }
-                let mut at_upper = Vec::with_capacity(n_cols);
-                for _ in 0..n_cols {
-                    at_upper.push(r.bool()?);
-                }
+                let basis = (0..n_basis).map(|_| r.usize()).collect::<Result<_, _>>()?;
+                let at_upper = (0..n_cols).map(|_| r.bool()).collect::<Result<_, _>>()?;
                 Some(WarmBasis {
                     basis,
                     at_upper,
@@ -318,7 +215,6 @@ impl Frontier {
             incumbent_updates: r.u64()? as usize,
             warm_starts: r.u64()? as usize,
             warm_rejects: r.u64()? as usize,
-            hints_accepted: r.u64()? as usize,
             ..SolveStats::default()
         };
         if r.bool()? {
@@ -338,327 +234,10 @@ impl Frontier {
     }
 }
 
-/// Validates an incumbent hint against the model: length, bounds,
-/// integrality of integer variables, and every constraint row. Returns
-/// the hint's objective value (model direction) when valid.
-fn validated_hint_objective(model: &Model, hint: &[f64], integrality_tol: f64) -> Option<f64> {
-    if hint.len() != model.num_vars() {
-        return None;
-    }
-    for (var, &x) in model.vars.iter().zip(hint) {
-        if !x.is_finite() || x < var.lower - 1e-9 || x > var.upper + 1e-9 {
-            return None;
-        }
-        if var.kind == VarKind::Integer && (x - x.round()).abs() > integrality_tol {
-            return None;
-        }
-    }
-    for row in &model.rows {
-        let lhs: f64 = row.terms.iter().map(|&(j, c)| c * hint[j]).sum();
-        let ok = match row.sense {
-            Sense::Le => lhs <= row.rhs + 1e-6,
-            Sense::Ge => lhs >= row.rhs - 1e-6,
-            Sense::Eq => (lhs - row.rhs).abs() <= 1e-6,
-        };
-        if !ok {
-            return None;
-        }
-    }
-    Some(model.vars.iter().zip(hint).map(|(v, &x)| v.obj * x).sum())
-}
-
-pub(crate) fn solve_milp(model: &Model, options: &SolveOptions) -> Result<Solution, IlpError> {
-    match options
-        .tier
-        .resolve(model.num_vars(), model.num_constraints())
-    {
-        SolverTier::Sparse => solve_milp_sparse(model, options),
-        // `Auto` has been resolved away; anything else is the dense path.
-        _ => solve_milp_resumable(model, options, None).map(|(solution, _)| solution),
-    }
-}
-
-/// Per-variable pseudocost record: observed objective degradation per
-/// unit of fractional distance, separately for up and down branches,
-/// blended with a cost-magnitude prior until real observations arrive.
-#[derive(Debug, Clone)]
-struct PseudoCost {
-    prior: f64,
-    up_sum: f64,
-    up_n: f64,
-    down_sum: f64,
-    down_n: f64,
-}
-
-impl PseudoCost {
-    fn new(obj_coeff: f64) -> Self {
-        PseudoCost {
-            prior: 1.0 + obj_coeff.abs(),
-            up_sum: 0.0,
-            up_n: 0.0,
-            down_sum: 0.0,
-            down_n: 0.0,
-        }
-    }
-
-    fn observe(&mut self, is_up: bool, per_unit: f64) {
-        if is_up {
-            self.up_sum += per_unit;
-            self.up_n += 1.0;
-        } else {
-            self.down_sum += per_unit;
-            self.down_n += 1.0;
-        }
-    }
-
-    fn up_estimate(&self) -> f64 {
-        (self.prior + self.up_sum) / (1.0 + self.up_n)
-    }
-
-    fn down_estimate(&self) -> f64 {
-        (self.prior + self.down_sum) / (1.0 + self.down_n)
-    }
-}
-
-/// A sparse-tier search node. Unlike the dense [`Node`] it also
-/// remembers *how* it was created (branch variable, direction, and the
-/// parent relaxation objective) so the pseudocost table can be updated
-/// once this node's own relaxation is solved.
-#[derive(Debug, Clone)]
-struct SparseNode {
-    overrides: Vec<(usize, f64, f64)>,
-    warm: Option<WarmBasis>,
-    /// `(reduced var, branched up, fractional distance, parent obj)`.
-    branch: Option<(usize, bool, f64, f64)>,
-}
-
-/// Depth-first branch-and-bound on the sparse tier: presolve the
-/// model, search the reduced space with sparse-revised-simplex
-/// relaxations and pseudocost branching, then postsolve the incumbent
-/// back to the original variable space. Deadline, node-limit,
-/// warm-start, and status semantics mirror the dense path; node
-/// *ordering* intentionally does not (pseudocost selection is the
-/// point — it is what shrinks the node counts the obs counters track).
-fn solve_milp_sparse(model: &Model, options: &SolveOptions) -> Result<Solution, IlpError> {
-    use crate::presolve::{presolve, PresolveResult};
-
-    // eagleeye-lint: allow(clock): anchors the optional B&B wall-clock deadline; deterministic whenever no deadline is set
-    let start = Instant::now();
-    let sign = match model.direction() {
-        ObjectiveDirection::Minimize => 1.0,
-        ObjectiveDirection::Maximize => -1.0,
-    };
-
-    let pre = match presolve(model) {
-        PresolveResult::Reduced(p) => p,
-        PresolveResult::Infeasible => {
-            // Proven infeasible before any LP ran.
-            return Ok(Solution {
-                status: SolveStatus::Infeasible,
-                objective: f64::NAN,
-                values: vec![f64::NAN; model.num_vars()],
-                stats: SolveStats {
-                    sparse_solves: 1,
-                    elapsed: start.elapsed(),
-                    ..SolveStats::default()
-                },
-            });
-        }
-    };
-    let reduced = &pre.model;
-    let mut stats = SolveStats {
-        sparse_solves: 1,
-        presolve_vars_eliminated: pre.stats.vars_eliminated,
-        presolve_rows_removed: pre.stats.rows_removed,
-        ..SolveStats::default()
-    };
-
-    // Seed the incumbent from a validated hint. Validation runs
-    // against the ORIGINAL model (the caller's space); the accepted
-    // hint is then projected through the postsolve map into the
-    // reduced space, so presolve eliminating variables no longer
-    // drops the hint. Internal objectives are minimize-signed over the
-    // reduced model: original = reduced + offset (model direction).
-    let mut incumbent: Option<(f64, Vec<f64>)> = None;
-    if let Some(hint) = options.incumbent_hint.as_deref() {
-        if let Some(obj) = validated_hint_objective(model, hint, options.integrality_tol) {
-            if let Some(projected) = pre.map.project(hint) {
-                stats.hints_accepted += 1;
-                incumbent = Some((sign * (obj - pre.offset), projected));
-            }
-        }
-    }
-
-    let int_vars: Vec<usize> = reduced
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.kind == VarKind::Integer)
-        .map(|(j, _)| j)
-        .collect();
-    let mut pseudo: Vec<PseudoCost> = reduced
-        .vars
-        .iter()
-        .map(|v| PseudoCost::new(v.obj))
-        .collect();
-
-    let mut stack = vec![SparseNode {
-        overrides: Vec::new(),
-        warm: None,
-        branch: None,
-    }];
-    let mut limit_hit = false;
-    let deadline = options.time_limit.map(|tl| start + tl);
-
-    while let Some(node) = stack.pop() {
-        if let Some(tl) = options.time_limit {
-            if start.elapsed() >= tl {
-                limit_hit = true;
-                break;
-            }
-        }
-        if let Some(nl) = options.node_limit {
-            if stats.nodes_explored >= nl {
-                limit_hit = true;
-                break;
-            }
-        }
-        // Same crash-injection site as the dense path, so fault drills
-        // exercise both tiers.
-        crash_point("bnb_node");
-
-        stats.nodes_explored += 1;
-        let relaxed =
-            match reduced.solve_relaxation_sparse(&node.overrides, deadline, node.warm.as_ref()) {
-                Ok(r) => r,
-                Err(IlpError::Deadline) => {
-                    stats.nodes_explored -= 1;
-                    limit_hit = true;
-                    break;
-                }
-                Err(IlpError::Unbounded) if stats.nodes_explored > 1 => {
-                    return Err(IlpError::Unbounded);
-                }
-                Err(e) => return Err(e),
-            };
-        let Some(rlp) = relaxed else {
-            continue; // infeasible node
-        };
-        if rlp.warmed {
-            stats.warm_starts += 1;
-        } else if node.warm.is_some() {
-            stats.warm_rejects += 1;
-        }
-        let (obj, values) = (rlp.obj, rlp.values);
-        stats.lp_iterations += rlp.iterations;
-        stats.lp_pivots += rlp.pivots;
-
-        // Feed the pseudocost table: this node's relaxation tells us
-        // what the branch that created it actually cost per unit of
-        // fractional distance.
-        if let Some((j, is_up, dist, parent_obj)) = node.branch {
-            if dist > 1e-9 {
-                let per_unit = (obj - parent_obj).max(0.0) / dist;
-                pseudo[j].observe(is_up, per_unit);
-            }
-        }
-
-        // Bound pruning.
-        if let Some((best, _)) = &incumbent {
-            if obj >= *best - options.absolute_gap {
-                stats.nodes_pruned += 1;
-                continue;
-            }
-        }
-
-        // Pseudocost branching: pick the fractional integer variable
-        // with the largest product of estimated up/down degradations.
-        // Strict `>` keeps ties on the lowest index — deterministic.
-        let mut branch_var: Option<(usize, f64, f64)> = None; // (var, score, lp value)
-        for &j in &int_vars {
-            let v = values[j];
-            if (v - v.round()).abs() > options.integrality_tol {
-                let frac = v - v.floor();
-                let score = (pseudo[j].down_estimate() * frac).max(1e-6)
-                    * (pseudo[j].up_estimate() * (1.0 - frac)).max(1e-6);
-                match branch_var {
-                    Some((_, best_score, _)) if score <= best_score => {}
-                    _ => branch_var = Some((j, score, v)),
-                }
-            }
-        }
-
-        match branch_var {
-            None => {
-                let better = match &incumbent {
-                    Some((best, _)) => obj < *best - 1e-12,
-                    None => true,
-                };
-                if better {
-                    stats.incumbent_updates += 1;
-                    if stats.time_to_first_incumbent.is_none() {
-                        stats.time_to_first_incumbent = Some(start.elapsed());
-                    }
-                    incumbent = Some((obj, values));
-                }
-            }
-            Some((j, _, v)) => {
-                let floor = v.floor();
-                let ceil = v.ceil();
-                let frac = v - floor;
-                let mut down = node.overrides.clone();
-                down.push((j, reduced.vars[j].lower, floor));
-                let mut up = node.overrides.clone();
-                up.push((j, ceil, reduced.vars[j].upper));
-                let down_node = SparseNode {
-                    overrides: down,
-                    warm: Some(rlp.basis.clone()),
-                    branch: Some((j, false, frac, obj)),
-                };
-                let up_node = SparseNode {
-                    overrides: up,
-                    warm: Some(rlp.basis),
-                    branch: Some((j, true, 1.0 - frac, obj)),
-                };
-                // Explore the side closer to the LP value first
-                // (pushed last so it pops first), like the dense path.
-                if frac < 0.5 {
-                    stack.push(up_node);
-                    stack.push(down_node);
-                } else {
-                    stack.push(down_node);
-                    stack.push(up_node);
-                }
-            }
-        }
-    }
-
-    stats.elapsed = start.elapsed();
-    Ok(match incumbent {
-        Some((internal_obj, reduced_values)) => Solution {
-            status: if limit_hit {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Optimal
-            },
-            // original = reduced + offset, both in the model direction.
-            objective: sign * internal_obj + pre.offset,
-            values: pre.map.restore(&reduced_values),
-            stats,
-        },
-        None => Solution {
-            status: if limit_hit {
-                SolveStatus::Unknown
-            } else {
-                SolveStatus::Infeasible
-            },
-            objective: f64::NAN,
-            values: vec![f64::NAN; model.num_vars()],
-            stats,
-        },
-    })
-}
-
+/// Depth-first branch-and-bound with most-fractional branching. A
+/// `resume` frontier continues an interrupted search exactly where it
+/// stopped; the returned frontier is `Some` whenever a limit stopped
+/// the search with open nodes left.
 pub(crate) fn solve_milp_resumable(
     model: &Model,
     options: &SolveOptions,
@@ -690,28 +269,15 @@ pub(crate) fn solve_milp_resumable(
             frontier.open,
             frontier.stats.elapsed,
         ),
-        None => {
-            let mut stats = SolveStats::default();
-            // Seed the incumbent bound from a validated hint (the
-            // internal objective is always minimize-signed). The hint
-            // only prunes; it never counts as an incumbent update and
-            // never stamps a discovery time.
-            let incumbent = options.incumbent_hint.as_deref().and_then(|hint| {
-                validated_hint_objective(model, hint, options.integrality_tol).map(|obj| {
-                    stats.hints_accepted += 1;
-                    (sign * obj, hint.to_vec())
-                })
-            });
-            (
-                stats,
-                incumbent,
-                vec![Node {
-                    overrides: Vec::new(),
-                    warm: None,
-                }],
-                Duration::ZERO,
-            )
-        }
+        None => (
+            SolveStats::default(),
+            None,
+            vec![Node {
+                overrides: Vec::new(),
+                warm: None,
+            }],
+            Duration::ZERO,
+        ),
     };
     let mut limit_hit = false;
     let deadline = options.time_limit.map(|tl| start + tl);
@@ -769,7 +335,7 @@ pub(crate) fn solve_milp_resumable(
 
         // Bound pruning.
         if let Some((best, _)) = &incumbent {
-            if obj >= *best - options.absolute_gap {
+            if obj >= *best - ABSOLUTE_GAP {
                 stats.nodes_pruned += 1;
                 continue;
             }
@@ -780,7 +346,7 @@ pub(crate) fn solve_milp_resumable(
         for &j in &int_vars {
             let v = values[j];
             let frac = (v - v.round()).abs();
-            if frac > options.integrality_tol {
+            if frac > INTEGRALITY_TOL {
                 let dist_to_half = (v - v.floor() - 0.5).abs();
                 match branch_var {
                     Some((_, best)) if dist_to_half >= best => {}
@@ -809,7 +375,7 @@ pub(crate) fn solve_milp_resumable(
                 let floor = v.floor();
                 let ceil = v.ceil();
                 let mut down = node.overrides.clone();
-                down.push((j, f64::NEG_INFINITY.max(model.vars[j].lower), floor));
+                down.push((j, model.vars[j].lower, floor));
                 let mut up = node.overrides.clone();
                 up.push((j, ceil, model.vars[j].upper));
                 // Both children inherit this node's optimal basis:
@@ -1044,7 +610,7 @@ mod tests {
 
     /// Deterministic stats: everything except the wall-clock fields.
     #[allow(clippy::type_complexity)]
-    fn det_stats(s: &SolveStats) -> (usize, usize, usize, usize, usize, usize, usize, usize) {
+    fn det_stats(s: &SolveStats) -> (usize, usize, usize, usize, usize, usize, usize) {
         (
             s.nodes_explored,
             s.lp_iterations,
@@ -1053,7 +619,6 @@ mod tests {
             s.incumbent_updates,
             s.warm_starts,
             s.warm_rejects,
-            s.hints_accepted,
         )
     }
 
@@ -1139,8 +704,50 @@ mod tests {
     fn frontier_rejects_malformed_bytes() {
         assert!(Frontier::from_bytes(&[]).is_err());
         assert!(Frontier::from_bytes(&[9]).is_err());
-        // Version-1 payloads (pre warm-basis format) must be rejected.
+        // Version-1 payloads (pre warm-basis format) and version-2
+        // payloads (with a hint counter) must be rejected.
         assert!(Frontier::from_bytes(&[1, 0, 0]).is_err());
+        assert!(Frontier::from_bytes(&[2, 0, 0]).is_err());
+        // Forged lengths must fail as truncated, never panic on a
+        // capacity overflow: incumbent values, open nodes, overrides,
+        // basis columns and at-upper flags in turn.
+        let forged_len = |prefix: &[u8], tail: &[u64]| {
+            let mut w = ByteWriter::new();
+            for &b in prefix {
+                w.u8(b);
+            }
+            for &v in tail {
+                w.u64(v);
+            }
+            w.into_bytes()
+        };
+        for n in [1u64 << 61, u64::MAX] {
+            let payloads = [
+                // Incumbent with `n` values.
+                forged_len(&[3, 1], &[0, n]),
+                // `n` open nodes.
+                forged_len(&[3, 0], &[n]),
+                // One open node with `n` overrides.
+                forged_len(&[3, 0], &[1, n]),
+                // One open node whose warm basis has `n` columns.
+                {
+                    let mut b = forged_len(&[3, 0], &[1, 0]);
+                    b.push(1);
+                    b.extend(forged_len(&[], &[n, 0]));
+                    b
+                },
+                // ... or `n` basic columns.
+                {
+                    let mut b = forged_len(&[3, 0], &[1, 0]);
+                    b.push(1);
+                    b.extend(forged_len(&[], &[0, n]));
+                    b
+                },
+            ];
+            for bytes in payloads {
+                assert!(Frontier::from_bytes(&bytes).is_err(), "{bytes:?}");
+            }
+        }
         let f = Frontier {
             incumbent: Some((1.5, vec![0.0, 1.0])),
             open: vec![
@@ -1188,82 +795,6 @@ mod tests {
             stats.warm_starts > 0,
             "bound-tightened children should mostly accept the parent basis"
         );
-        assert_eq!(stats.hints_accepted, 0);
-    }
-
-    #[test]
-    fn valid_incumbent_hint_seeds_the_bound() {
-        let values = [10.0, 13.0, 7.0, 8.0, 2.0, 9.0];
-        let weights = [5.0, 6.0, 3.0, 4.0, 1.0, 5.0];
-        let (m, _) = knapsack(&values, &weights, 11.0);
-        let baseline = m.solve(&SolveOptions::default()).unwrap();
-        // Seed with the known optimum: the search must accept the hint
-        // and still prove optimality of the same objective.
-        let opts = SolveOptions {
-            incumbent_hint: Some(baseline.values().to_vec()),
-            ..SolveOptions::default()
-        };
-        let hinted = m.solve(&opts).unwrap();
-        assert_eq!(hinted.status(), SolveStatus::Optimal);
-        assert_eq!(hinted.stats().hints_accepted, 1);
-        // The hint's objective is recomputed from the model, so it can
-        // differ from the LP-accumulated baseline in the last bits.
-        assert!((hinted.objective() - baseline.objective()).abs() < 1e-9);
-        // A seeded optimal incumbent means no node can improve on it.
-        assert_eq!(hinted.stats().incumbent_updates, 0);
-        assert!(hinted.stats().time_to_first_incumbent.is_none());
-        assert!(
-            hinted.stats().nodes_pruned >= baseline.stats().nodes_pruned,
-            "an optimal seed can only prune more"
-        );
-    }
-
-    #[test]
-    fn invalid_incumbent_hints_are_discarded() {
-        let values = [10.0, 13.0, 7.0];
-        let weights = [5.0, 6.0, 3.0];
-        let (m, _) = knapsack(&values, &weights, 8.0);
-        let baseline = m.solve(&SolveOptions::default()).unwrap();
-        let bad_hints = [
-            vec![1.0],                // wrong length
-            vec![1.0, 1.0, 1.0],      // violates the knapsack row
-            vec![0.5, 0.0, 0.0],      // fractional integer variable
-            vec![2.0, 0.0, 0.0],      // out of bounds
-            vec![f64::NAN, 0.0, 0.0], // non-finite
-        ];
-        for hint in bad_hints {
-            let opts = SolveOptions {
-                incumbent_hint: Some(hint.clone()),
-                ..SolveOptions::default()
-            };
-            let sol = m.solve(&opts).unwrap();
-            assert_eq!(sol.stats().hints_accepted, 0, "hint {hint:?}");
-            assert_eq!(sol.objective().to_bits(), baseline.objective().to_bits());
-            assert_eq!(sol.values, baseline.values);
-            assert_eq!(
-                sol.stats().incumbent_updates,
-                baseline.stats().incumbent_updates
-            );
-        }
-    }
-
-    #[test]
-    fn suboptimal_hint_is_replaced_by_the_true_optimum() {
-        let values = [10.0, 13.0, 7.0, 8.0];
-        let weights = [5.0, 6.0, 3.0, 4.0];
-        let (m, _) = knapsack(&values, &weights, 9.0);
-        let baseline = m.solve(&SolveOptions::default()).unwrap();
-        // All-zeros is always feasible for a knapsack but far from
-        // optimal: the search must accept it, then beat it.
-        let opts = SolveOptions {
-            incumbent_hint: Some(vec![0.0; 4]),
-            ..SolveOptions::default()
-        };
-        let sol = m.solve(&opts).unwrap();
-        assert_eq!(sol.stats().hints_accepted, 1);
-        assert!(sol.stats().incumbent_updates >= 1);
-        assert_eq!(sol.objective().to_bits(), baseline.objective().to_bits());
-        assert_eq!(sol.values, baseline.values);
     }
 
     #[test]

@@ -8,21 +8,16 @@
 //! * [`Model`] — a builder for LP/MILP models: variables with bounds
 //!   (continuous or integer), linear constraints, and a linear objective.
 //! * A dense, bounded-variable, two-phase **primal simplex** for the LP
-//!   relaxation ([`simplex`] module).
+//!   relaxation, warm-started from the parent node's basis.
 //! * A depth-first **branch-and-bound** with most-fractional branching,
-//!   incumbent pruning, and time/node limits for integrality.
-//! * A **sparse tier** ([`SolverTier::Sparse`]): a [`presolve`] pass
-//!   with an exact postsolve map, a CSC-based **sparse revised
-//!   simplex** ([`sparse`] module), and **pseudocost branching** —
-//!   selected per solve via [`SolveOptions::tier`], observationally
-//!   equivalent to the dense tier (same statuses, objectives within
-//!   1e-9) but faster on large sparse instances.
+//!   incumbent pruning, and time/node limits for integrality. An
+//!   interrupted search hands back its [`Frontier`], which resumes it
+//!   exactly.
 //!
 //! The instances EagleEye produces are small (hundreds of variables per
 //! scheduling frame) and near-network-structured, so an exact dense solver
 //! closes them in milliseconds — reproducing the runtime behaviour of
-//! Fig. 12a. The sparse tier exists for the full-scale workloads where
-//! the dense tableau is the named bottleneck.
+//! Fig. 12a.
 //!
 //! # Example: a tiny knapsack
 //!
@@ -45,10 +40,8 @@
 mod branch;
 mod error;
 mod model;
-pub mod presolve;
-pub mod simplex;
-pub mod sparse;
+mod simplex;
 
-pub use branch::{Frontier, SolveOptions, SolveStats, SolverTier, AUTO_SPARSE_THRESHOLD};
+pub use branch::{Frontier, SolveOptions, SolveStats};
 pub use error::IlpError;
 pub use model::{Model, ObjectiveDirection, Sense, Solution, SolveStatus, VarId, VarKind};

@@ -1,5 +1,5 @@
 use crate::branch::{self, SolveOptions, SolveStats};
-use crate::simplex::{self, LpProblem, LpResult, LpRow, RowRef, RowSense, WarmBasis};
+use crate::simplex::{self, LpResult, RowRef, RowSense, WarmBasis};
 use crate::IlpError;
 use std::fmt;
 
@@ -274,13 +274,6 @@ impl Model {
     /// Solves the model to integer optimality (continuous models solve in
     /// a single LP call).
     ///
-    /// [`SolveOptions::tier`] picks the engine:
-    /// [`SolverTier::Dense`](crate::SolverTier::Dense) (the default,
-    /// bit-stable historical path),
-    /// [`SolverTier::Sparse`](crate::SolverTier::Sparse) (presolve +
-    /// sparse revised simplex + pseudocost branching), or
-    /// [`SolverTier::Auto`](crate::SolverTier::Auto) by instance size.
-    ///
     /// # Errors
     ///
     /// * [`IlpError::Unbounded`] when the relaxation is unbounded.
@@ -289,7 +282,8 @@ impl Model {
     /// Infeasibility and resource limits are **not** errors; they are
     /// reported through [`Solution::status`].
     pub fn solve(&self, options: &SolveOptions) -> Result<Solution, IlpError> {
-        branch::solve_milp(self, options)
+        self.solve_resumable(options, None)
+            .map(|(solution, _)| solution)
     }
 
     /// [`Model::solve`] with checkpoint/resume support: pass the
@@ -301,11 +295,6 @@ impl Model {
     /// resuming is then exact — the search explores the same nodes in
     /// the same order as an uninterrupted solve, so the final solution
     /// and deterministic stats are identical.
-    ///
-    /// Checkpoint/resume is a dense-path feature:
-    /// [`SolveOptions::tier`] is ignored here and the search always
-    /// runs on [`SolverTier::Dense`](crate::SolverTier::Dense), so
-    /// crash-resume digests cannot drift with the tier default.
     ///
     /// # Errors
     ///
@@ -326,29 +315,6 @@ impl Model {
         bound_overrides: &[(usize, f64, f64)],
         deadline: Option<std::time::Instant>,
         warm: Option<&WarmBasis>,
-    ) -> Result<Option<RelaxedLp>, IlpError> {
-        self.solve_relaxation_impl(bound_overrides, deadline, warm, false)
-    }
-
-    /// [`Model::solve_relaxation`] on the sparse revised simplex
-    /// instead of the dense tableau. Warm bases are interchangeable
-    /// between the two engines (same column layout), so the sparse
-    /// B&B inherits the dense warm-start machinery unchanged.
-    pub(crate) fn solve_relaxation_sparse(
-        &self,
-        bound_overrides: &[(usize, f64, f64)],
-        deadline: Option<std::time::Instant>,
-        warm: Option<&WarmBasis>,
-    ) -> Result<Option<RelaxedLp>, IlpError> {
-        self.solve_relaxation_impl(bound_overrides, deadline, warm, true)
-    }
-
-    fn solve_relaxation_impl(
-        &self,
-        bound_overrides: &[(usize, f64, f64)],
-        deadline: Option<std::time::Instant>,
-        warm: Option<&WarmBasis>,
-        sparse: bool,
     ) -> Result<Option<RelaxedLp>, IlpError> {
         // Effective bounds.
         let mut lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
@@ -405,24 +371,7 @@ impl Model {
             })
             .collect();
 
-        let outcome = if sparse {
-            let problem = LpProblem {
-                cost,
-                upper: shifted_upper,
-                rows: rows
-                    .iter()
-                    .map(|&(coeffs, sense, rhs)| LpRow {
-                        coeffs: coeffs.to_vec(),
-                        sense,
-                        rhs,
-                    })
-                    .collect(),
-            };
-            crate::sparse::solve_sparse_with_warm_start(&problem, deadline, warm)?
-        } else {
-            simplex::solve_rows(&cost, &shifted_upper, &rows, deadline, warm)?
-        };
-        match outcome {
+        match simplex::solve_rows(&cost, &shifted_upper, &rows, deadline, warm)? {
             LpResult::Infeasible => Ok(None),
             LpResult::Optimal(s) => {
                 let values: Vec<f64> = s.values.iter().zip(&lower).map(|(x, lo)| x + lo).collect();
@@ -607,5 +556,83 @@ mod tests {
         let mut m = Model::maximize();
         let _x = m.add_continuous_var(0.0, f64::INFINITY, 1.0).unwrap();
         assert_eq!(m.solve(&SolveOptions::default()), Err(IlpError::Unbounded));
+    }
+
+    /// Edge-case models solved end to end through [`Model::solve`]:
+    /// each builds a model and names the verdict (status, objective and
+    /// values, or error) it must produce.
+    #[test]
+    fn edge_models_solve_to_their_known_verdicts() {
+        type Expected = Result<(SolveStatus, f64, Vec<f64>), IlpError>;
+        let infeasible = || Ok((SolveStatus::Infeasible, f64::NAN, Vec::new()));
+        let cases: Vec<(&str, Model, Expected)> = vec![
+            (
+                "empty model",
+                Model::minimize(),
+                Ok((SolveStatus::Optimal, 0.0, vec![])),
+            ),
+            (
+                "all variables fixed, one integer fixed at 3",
+                {
+                    let mut m = Model::minimize();
+                    let a = m.add_continuous_var(1.5, 1.5, 2.0).unwrap();
+                    let b = m.add_integer_var(3.0, 3.0, -1.0).unwrap();
+                    m.add_constraint([(a, 1.0), (b, 1.0)], Sense::Le, 5.0)
+                        .unwrap();
+                    m
+                },
+                Ok((SolveStatus::Optimal, 2.0 * 1.5 - 3.0, vec![1.5, 3.0])),
+            ),
+            (
+                "integer domain (0.2, 0.8) holds no integer",
+                {
+                    let mut m = Model::minimize();
+                    m.add_integer_var(0.2, 0.8, 1.0).unwrap();
+                    m
+                },
+                infeasible(),
+            ),
+            (
+                "conflicting singleton rows",
+                {
+                    let mut m = Model::minimize();
+                    let y = m.add_continuous_var(0.0, 10.0, 1.0).unwrap();
+                    m.add_constraint([(y, 1.0)], Sense::Ge, 3.0).unwrap();
+                    m.add_constraint([(y, 1.0)], Sense::Le, 1.0).unwrap();
+                    m
+                },
+                infeasible(),
+            ),
+            (
+                "unbounded ray",
+                {
+                    let mut m = Model::maximize();
+                    let x = m.add_continuous_var(0.0, f64::INFINITY, 1.0).unwrap();
+                    let y = m.add_binary_var(1.0);
+                    m.add_constraint([(x, 1.0), (y, -1.0)], Sense::Ge, 0.0)
+                        .unwrap();
+                    m
+                },
+                Err(IlpError::Unbounded),
+            ),
+        ];
+        for (name, model, expected) in cases {
+            let got = model.solve(&SolveOptions::default());
+            match (got, expected) {
+                (Ok(sol), Ok((status, objective, values))) => {
+                    assert_eq!(sol.status(), status, "{name}");
+                    if status == SolveStatus::Infeasible {
+                        assert!(sol.objective().is_nan(), "{name}");
+                        assert!(!sol.is_usable(), "{name}");
+                    } else {
+                        assert!((sol.objective() - objective).abs() < 1e-12, "{name}");
+                        assert_eq!(sol.values(), values.as_slice(), "{name}");
+                    }
+                }
+                (got, expected) => {
+                    assert_eq!(got.map(|s| s.status()), expected.map(|e| e.0), "{name}")
+                }
+            }
+        }
     }
 }

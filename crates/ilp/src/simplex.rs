@@ -17,9 +17,8 @@
 //! Dantzig pricing to Bland's rule after a stretch of non-improving
 //! iterations, which guarantees termination.
 //!
-//! Most users should go through [`crate::Model`]; this module is public
-//! for callers who already have a standard-form problem (and for the
-//! property-based tests that hammer the engine directly).
+//! [`crate::Model`] is the only entry point: it shifts each node's
+//! bounds into this form and calls [`solve_rows`].
 
 use crate::IlpError;
 use std::time::Instant;
@@ -33,29 +32,6 @@ pub enum RowSense {
     Eq,
     /// `aᵀx ≥ b`
     Ge,
-}
-
-/// A single constraint row in sparse form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LpRow {
-    /// `(variable index, coefficient)` pairs; indices must be unique.
-    pub coeffs: Vec<(usize, f64)>,
-    /// Relational sense.
-    pub sense: RowSense,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-/// A linear program in computational standard form (see module docs).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct LpProblem {
-    /// Objective coefficients (minimization), one per variable.
-    pub cost: Vec<f64>,
-    /// Upper bounds, one per variable; `f64::INFINITY` means unbounded.
-    /// All lower bounds are zero.
-    pub upper: Vec<f64>,
-    /// Constraint rows.
-    pub rows: Vec<LpRow>,
 }
 
 /// Outcome of an LP solve.
@@ -83,7 +59,7 @@ pub struct LpSolution {
     pub pivots: usize,
     /// The optimal basis, reusable to warm-start a solve of a nearby
     /// problem (same rows and columns, nudged bounds) via
-    /// [`solve_with_warm_start`].
+    /// [`solve_rows`].
     pub basis: WarmBasis,
     /// True when this solve skipped phase 1 by installing a caller
     /// supplied [`WarmBasis`]; false for a cold two-phase solve
@@ -95,7 +71,7 @@ pub struct LpSolution {
 /// the bound each nonbasic column rests at.
 ///
 /// Captured from every [`LpSolution`] and accepted by
-/// [`solve_with_warm_start`] for a problem with the *same column
+/// [`solve_rows`] for a problem with the *same column
 /// layout* (identical rows and variables; only the bounds and
 /// right-hand sides may differ — exactly the shape of adjacent
 /// branch-and-bound nodes). An incompatible or numerically unusable
@@ -115,23 +91,19 @@ pub struct WarmBasis {
     pub n_cols: usize,
 }
 
-pub(crate) const COST_TOL: f64 = 1e-9;
-pub(crate) const PIVOT_TOL: f64 = 1e-9;
-pub(crate) const FEAS_TOL: f64 = 1e-7;
+const COST_TOL: f64 = 1e-9;
+const PIVOT_TOL: f64 = 1e-9;
+const FEAS_TOL: f64 = 1e-7;
 /// Minimum acceptable pivot magnitude while factoring a warm basis;
 /// anything smaller means the basis is (near-)singular for this
 /// problem and the warm start is rejected.
-pub(crate) const INSTALL_PIVOT_TOL: f64 = 1e-8;
+const INSTALL_PIVOT_TOL: f64 = 1e-8;
 /// Consecutive non-improving iterations before switching to Bland's rule.
-pub(crate) const STALL_LIMIT: usize = 64;
+const STALL_LIMIT: usize = 64;
 /// Pivot iterations between deadline checks. `Instant::now()` in the
 /// pivot loop is pure overhead at this granularity; checking every
 /// 128 iterations keeps overshoot well under a millisecond.
-pub(crate) const DEADLINE_CHECK_STRIDE: usize = 128;
-
-/// A row after standard-form normalization: coefficients, sense, and a
-/// non-negative right-hand side.
-pub(crate) type NormRow = (Vec<(usize, f64)>, RowSense, f64);
+const DEADLINE_CHECK_STRIDE: usize = 128;
 
 /// A borrowed constraint row: coefficients, sense, right-hand side.
 pub(crate) type RowRef<'a> = (&'a [(usize, f64)], RowSense, f64);
@@ -200,96 +172,8 @@ fn normalize(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Vec<Row
     Ok(norms)
 }
 
-fn row_refs(p: &LpProblem) -> Vec<RowRef<'_>> {
-    p.rows
-        .iter()
-        .map(|r| (r.coeffs.as_slice(), r.sense, r.rhs))
-        .collect()
-}
-
-/// Validates `p` and normalizes every row to a non-negative right-hand
-/// side (negative-rhs rows have coefficients negated and the sense
-/// flipped). Shared by the dense tableau and the sparse revised
-/// simplex so both engines see the *same* rows in the same order —
-/// the precondition for [`WarmBasis`] interchangeability.
-pub(crate) fn normalized_rows(p: &LpProblem) -> Result<Vec<NormRow>, IlpError> {
-    let rows = row_refs(p);
-    let norms = normalize(&p.cost, &p.upper, &rows)?;
-    Ok(rows
-        .iter()
-        .zip(norms)
-        .map(|(&(coeffs, _, _), (sense, rhs, negate))| {
-            let coeffs = if negate {
-                coeffs.iter().map(|&(j, c)| (j, -c)).collect()
-            } else {
-                coeffs.to_vec()
-            };
-            (coeffs, sense, rhs)
-        })
-        .collect())
-}
-
-/// The `[structural | slack/surplus | artificial]` column layout both
-/// engines share for a given normalized row set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ColumnLayout {
-    /// Structural column count (columns `0..slack_start`).
-    pub n_struct: usize,
-    /// First slack/surplus column.
-    pub slack_start: usize,
-    /// First artificial column.
-    pub art_start: usize,
-    /// Total column count.
-    pub n_cols: usize,
-}
-
-/// Computes the shared column layout: one slack/surplus column per
-/// `Le`/`Ge` row, one artificial per `Eq`/`Ge` row, in row order.
-pub(crate) fn column_layout(n_struct: usize, rows: &[NormRow]) -> ColumnLayout {
-    layout_of_senses(n_struct, rows.iter().map(|r| r.1))
-}
-
-fn layout_of_senses(n_struct: usize, senses: impl Iterator<Item = RowSense>) -> ColumnLayout {
-    let (mut n_slack, mut n_art) = (0, 0);
-    for sense in senses {
-        n_slack += usize::from(matches!(sense, RowSense::Le | RowSense::Ge));
-        n_art += usize::from(matches!(sense, RowSense::Eq | RowSense::Ge));
-    }
-    ColumnLayout {
-        n_struct,
-        slack_start: n_struct,
-        art_start: n_struct + n_slack,
-        n_cols: n_struct + n_slack + n_art,
-    }
-}
-
-/// Solves the LP.
-///
-/// # Errors
-///
-/// * [`IlpError::Unbounded`] when the objective is unbounded below.
-/// * [`IlpError::IterationLimit`] if the iteration cap is exceeded
-///   (indicates numerical trouble; the cap scales with problem size).
-/// * [`IlpError::NonFiniteValue`] for NaN/infinite input data.
-pub fn solve(problem: &LpProblem) -> Result<LpResult, IlpError> {
-    solve_with_deadline(problem, None)
-}
-
-/// Solves the LP, aborting with [`IlpError::Deadline`] if the wall clock
-/// passes `deadline` mid-solve (checked every few hundred iterations).
-///
-/// # Errors
-///
-/// Same as [`solve`], plus [`IlpError::Deadline`].
-pub fn solve_with_deadline(
-    problem: &LpProblem,
-    deadline: Option<Instant>,
-) -> Result<LpResult, IlpError> {
-    solve_with_warm_start(problem, deadline, None)
-}
-
-/// Solves the LP, optionally warm-starting from a basis captured off a
-/// nearby problem (see [`WarmBasis`]).
+/// Solves the LP given as borrowed parts, optionally warm-starting
+/// from a basis captured off a nearby problem (see [`WarmBasis`]).
 ///
 /// The warm path installs the basis, verifies dual feasibility of the
 /// reduced costs, and runs a bounded-variable dual simplex to restore
@@ -303,24 +187,13 @@ pub fn solve_with_deadline(
 ///
 /// # Errors
 ///
-/// Same as [`solve_with_deadline`].
-pub fn solve_with_warm_start(
-    problem: &LpProblem,
-    deadline: Option<Instant>,
-    warm: Option<&WarmBasis>,
-) -> Result<LpResult, IlpError> {
-    solve_rows(
-        &problem.cost,
-        &problem.upper,
-        &row_refs(problem),
-        deadline,
-        warm,
-    )
-}
-
-/// [`solve_with_warm_start`] on a problem given as borrowed parts, so
-/// callers holding rows in another form (a [`crate::Model`]'s
-/// constraints) need not copy them into an [`LpProblem`].
+/// * [`IlpError::Unbounded`] when the objective is unbounded below.
+/// * [`IlpError::IterationLimit`] if the iteration cap is exceeded
+///   (indicates numerical trouble; the cap scales with problem size).
+/// * [`IlpError::NonFiniteValue`] / [`IlpError::UnknownVariable`] for
+///   malformed input data.
+/// * [`IlpError::Deadline`] if the wall clock passes `deadline`
+///   mid-solve (checked every few hundred iterations).
 pub(crate) fn solve_rows(
     cost: &[f64],
     upper: &[f64],
@@ -382,11 +255,17 @@ impl Tableau {
         // Normalize rows so every right-hand side is non-negative.
         let norms = normalize(cost, upper, rows)?;
 
-        // Column layout: [structural | slack/surplus | artificial].
-        let layout = layout_of_senses(n_struct, norms.iter().map(|n| n.0));
-        let slack_start = layout.slack_start;
-        let art_start = layout.art_start;
-        let n_cols = layout.n_cols;
+        // Column layout: [structural | slack/surplus | artificial], one
+        // slack/surplus per `Le`/`Ge` row and one artificial per
+        // `Eq`/`Ge` row, in row order.
+        let (mut n_slack, mut n_art) = (0, 0);
+        for &(sense, _, _) in &norms {
+            n_slack += usize::from(matches!(sense, RowSense::Le | RowSense::Ge));
+            n_art += usize::from(matches!(sense, RowSense::Eq | RowSense::Ge));
+        }
+        let slack_start = n_struct;
+        let art_start = n_struct + n_slack;
+        let n_cols = art_start + n_art;
 
         let mut a = vec![0.0; m * n_cols];
         let mut b = vec![0.0; m];
@@ -399,8 +278,8 @@ impl Tableau {
         let mut next_art = art_start;
         for (i, (&(coeffs, _, _), &(sense, rhs, negate))) in rows.iter().zip(&norms).enumerate() {
             let row = &mut a[i * n_cols..(i + 1) * n_cols];
-            // Multiplying by ±1 is exact: the scattered row equals the
-            // negated copy `normalized_rows` makes.
+            // Multiplying by ±1 is exact, so negating while scattering
+            // equals negating a copy of the row first.
             let sign = if negate { -1.0 } else { 1.0 };
             for &(j, c) in coeffs {
                 row[j] += sign * c;
@@ -978,6 +857,48 @@ impl Tableau {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A single constraint row in sparse form.
+    #[derive(Debug, Clone, PartialEq)]
+    struct LpRow {
+        /// `(variable index, coefficient)` pairs; indices must be unique.
+        coeffs: Vec<(usize, f64)>,
+        /// Relational sense.
+        sense: RowSense,
+        /// Right-hand side.
+        rhs: f64,
+    }
+
+    /// A linear program in computational standard form (see module docs).
+    #[derive(Debug, Clone, PartialEq, Default)]
+    struct LpProblem {
+        /// Objective coefficients (minimization), one per variable.
+        cost: Vec<f64>,
+        /// Upper bounds, one per variable; `f64::INFINITY` means unbounded.
+        /// All lower bounds are zero.
+        upper: Vec<f64>,
+        /// Constraint rows.
+        rows: Vec<LpRow>,
+    }
+
+    fn row_refs(p: &LpProblem) -> Vec<RowRef<'_>> {
+        p.rows
+            .iter()
+            .map(|r| (r.coeffs.as_slice(), r.sense, r.rhs))
+            .collect()
+    }
+
+    fn solve(p: &LpProblem) -> Result<LpResult, IlpError> {
+        solve_with_warm_start(p, None, None)
+    }
+
+    fn solve_with_warm_start(
+        p: &LpProblem,
+        deadline: Option<Instant>,
+        warm: Option<&WarmBasis>,
+    ) -> Result<LpResult, IlpError> {
+        solve_rows(&p.cost, &p.upper, &row_refs(p), deadline, warm)
+    }
 
     fn row(coeffs: &[(usize, f64)], sense: RowSense, rhs: f64) -> LpRow {
         LpRow {

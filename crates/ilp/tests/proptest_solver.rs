@@ -452,64 +452,3 @@ fn degenerate_duplicated_rows_match_enumeration() {
         },
     );
 }
-
-/// Re-solving a model with its own solution as the incumbent hint must
-/// accept the hint and reproduce the same verdict — across random
-/// programs, including infeasible ones (where the solve has no values
-/// worth hinting, so hinting the NaN vector must be safely discarded).
-#[test]
-fn incumbent_hint_replay_matches_plain_solve() {
-    check_cases(
-        CASES,
-        "incumbent_hint_replay_matches_plain_solve",
-        small_ip_gen(),
-        |ip| {
-            let build = || {
-                let mut m = if ip.maximize {
-                    Model::maximize()
-                } else {
-                    Model::minimize()
-                };
-                let vars: Vec<_> = ip
-                    .upper
-                    .iter()
-                    .zip(&ip.obj)
-                    .map(|(&ub, &c)| m.add_integer_var(0.0, ub as f64, c as f64).unwrap())
-                    .collect();
-                for (coeffs, sense, rhs) in &ip.rows {
-                    let sense = match sense {
-                        0 => Sense::Le,
-                        1 => Sense::Ge,
-                        _ => Sense::Eq,
-                    };
-                    m.add_constraint(
-                        vars.iter().zip(coeffs).map(|(&v, &c)| (v, c as f64)),
-                        sense,
-                        *rhs as f64,
-                    )
-                    .unwrap();
-                }
-                m
-            };
-            let plain = build().solve(&SolveOptions::default()).unwrap();
-            let opts = SolveOptions {
-                incumbent_hint: Some(plain.values().to_vec()),
-                ..SolveOptions::default()
-            };
-            let hinted = build().solve(&opts).unwrap();
-            prop_assert_eq!(hinted.status(), plain.status());
-            if plain.is_usable() {
-                prop_assert_eq!(hinted.stats().hints_accepted, 1);
-                prop_assert!(
-                    (hinted.objective() - plain.objective()).abs() < 1e-6,
-                    "hinted {} vs plain {}",
-                    hinted.objective(),
-                    plain.objective()
-                );
-            } else {
-                prop_assert_eq!(hinted.stats().hints_accepted, 0);
-            }
-            Ok(())
-        },
-    );
-}

@@ -343,20 +343,17 @@ impl MetricsRegistry {
         }
         for _ in 0..r.usize()? {
             let k = r.str()?.to_string();
+            // Lengths come from the payload: collect without
+            // preallocating, so a forged length fails on truncation
+            // instead of panicking on capacity overflow.
             let n_bounds = r.usize()?;
-            let mut bounds = Vec::with_capacity(n_bounds);
-            for _ in 0..n_bounds {
-                bounds.push(r.u64()?);
-            }
+            let bounds: Vec<u64> = (0..n_bounds).map(|_| r.u64()).collect::<Result<_, _>>()?;
             if bounds.is_empty() || bounds.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(CodecError {
                     context: "histogram bounds",
                 });
             }
-            let mut counts = Vec::with_capacity(n_bounds + 1);
-            for _ in 0..=n_bounds {
-                counts.push(r.u64()?);
-            }
+            let counts: Vec<u64> = (0..=n_bounds).map(|_| r.u64()).collect::<Result<_, _>>()?;
             let sum = r.u128()?;
             let count = r.u64()?;
             if counts.iter().sum::<u64>() != count {
@@ -513,6 +510,20 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(MetricsRegistry::from_bytes(&trailing).is_err());
+        // Forged lengths: a histogram claiming 2^61 (or usize::MAX)
+        // bounds must fail as truncated, not panic allocating.
+        for forged in [1u64 << 61, u64::MAX] {
+            let mut w = ByteWriter::new();
+            w.u8(1);
+            w.usize(0); // counters
+            w.usize(0); // gauges
+            w.usize(0); // timers
+            w.usize(1); // histograms
+            w.str("h");
+            w.u64(forged);
+            w.u64(4);
+            assert!(MetricsRegistry::from_bytes(&w.into_bytes()).is_err());
+        }
     }
 
     #[test]

@@ -57,7 +57,9 @@ impl Battery {
     pub fn deposit(&mut self, energy_j: f64) -> f64 {
         let e = energy_j.max(0.0);
         let stored = e.min(self.capacity_j - self.charge_j);
-        self.charge_j += stored;
+        // `charge + (capacity - charge)` can round one ulp above
+        // capacity; clamp so the state of charge never exceeds 1.
+        self.charge_j = (self.charge_j + stored).min(self.capacity_j);
         stored
     }
 

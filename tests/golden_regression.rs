@@ -41,19 +41,12 @@ const GOLDEN_COUNTERS: &[(&str, u64)] = &[
     ("core/tasks_dropped_by_failures", 0),
     ("core/tasks_reassigned", 0),
     ("ilp/deadline_hits", 0),
-    // Sparse-tier counters pin at zero: the golden scenario runs the
-    // dense tier (the digest-stable default), which never presolves,
-    // accepts hints, or routes a subproblem through the sparse path.
-    ("ilp/hints_accepted", 0),
     ("ilp/incumbent_updates", 4),
     ("ilp/iteration_limit_hits", 0),
     ("ilp/lp_iterations", 30),
     ("ilp/lp_pivots", 22),
     ("ilp/nodes_explored", 4),
     ("ilp/nodes_pruned", 0),
-    ("ilp/presolve_rows_removed", 0),
-    ("ilp/presolve_vars_eliminated", 0),
-    ("ilp/sparse_solves", 0),
     ("ilp/subproblems", 4),
     // Warm starts record 0 here: the miniature scenario's horizons are
     // solved once each, so no basis is ever offered for reuse.
