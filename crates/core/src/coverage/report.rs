@@ -84,10 +84,11 @@ pub struct CoverageReport {
     pub ilp_deadline_hits: usize,
     /// ILP subproblems abandoned on the simplex iteration cap.
     pub ilp_iteration_limit_hits: usize,
-    /// Branch-and-bound nodes solved from a warm-started parent basis.
+    /// Branch-and-bound nodes re-solved from their parent's final
+    /// simplex tableau.
     pub ilp_warm_starts: usize,
-    /// Nodes whose warm basis was rejected and fell back to a cold
-    /// solve.
+    /// Nodes whose inherited tableau was rejected and fell back to a
+    /// cold solve.
     pub ilp_warm_rejects: usize,
     /// True when the crash-safe run layer stopped this evaluation early
     /// (deadline exceeded or shutdown requested) and the report covers

@@ -81,10 +81,10 @@ pub struct IlpRunStats {
     pub lp_pivots: usize,
     /// Incumbent replacements across all subproblems.
     pub incumbent_updates: usize,
-    /// Branch-and-bound nodes whose LP relaxation was solved from a
-    /// warm-started (parent) basis, summed over all subproblems.
+    /// Branch-and-bound nodes whose LP relaxation was re-solved from
+    /// the parent's final simplex tableau, summed over all subproblems.
     pub warm_starts: usize,
-    /// Nodes whose warm basis was rejected (failed installation or dual
+    /// Nodes whose inherited tableau was rejected (failed dual
     /// restoration) and fell back to a cold solve.
     pub warm_rejects: usize,
     /// True when the final answer came from the greedy baseline because

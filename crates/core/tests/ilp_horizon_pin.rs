@@ -157,17 +157,17 @@ fn two_followers_eight_tasks() {
 
 #[test]
 fn two_followers_twenty_tasks() {
-    // Warm-started children, one rejected warm basis, two incumbents.
+    // Warm-started children, two incumbents.
     let p = frame_problem(8, 20, 3.0, true);
     assert_pinned(
         "2x20",
         &pinned(2),
         &p,
         &Pin {
-            captured: [&[18, 1, 4, 16, 17, 6, 19], &[3, 12, 14, 11, 0, 9, 15, 13]],
-            time_digest: 0xc1ca9dc0247b374b,
+            captured: [&[18, 1, 4, 16, 14, 11, 3], &[12, 17, 6, 19, 0, 9, 15, 13]],
+            time_digest: 0xfdf4c6e9aa469c68,
             total_value_bits: 0x4040e6cac1452dcf,
-            stats: stats(1, (7, 2), (625, 605), 2, (5, 1)),
+            stats: stats(1, (9, 3), (439, 424), 2, (8, 0)),
         },
     );
 }
@@ -181,12 +181,12 @@ fn two_followers_forty_tasks() {
         &p,
         &Pin {
             captured: [
-                &[30, 36, 34, 24, 28, 26, 9, 6, 18, 0, 12, 23, 2, 17],
-                &[11, 4, 29, 35, 21, 32, 19, 37, 38, 8, 33, 25, 22],
+                &[30, 36, 35, 34, 24, 19, 37, 9, 6, 18, 0, 12, 23, 2, 17],
+                &[11, 4, 29, 21, 32, 28, 26, 38, 8, 33, 25, 22],
             ],
-            time_digest: 0xee14b089e32691f9,
+            time_digest: 0x727334f0cd761b87,
             total_value_bits: 0x4050b9e763fc9f5b,
-            stats: stats(1, (5, 2), (1241, 1220), 1, (3, 1)),
+            stats: stats(1, (7, 3), (619, 605), 1, (6, 0)),
         },
     );
 }
@@ -200,12 +200,14 @@ fn two_followers_forty_tasks_carried_state() {
         &p,
         &Pin {
             captured: [
-                &[6, 22, 39, 23, 8, 20, 1, 34, 29, 7, 38, 10, 14, 18, 9, 19],
-                &[28, 30, 2, 33, 27, 13, 31, 16, 5, 12, 37, 25, 4, 17, 35, 15],
+                &[
+                    6, 22, 39, 27, 8, 20, 1, 34, 29, 7, 38, 10, 14, 25, 18, 9, 19,
+                ],
+                &[28, 30, 2, 33, 23, 13, 31, 16, 5, 12, 37, 4, 17, 35, 15],
             ],
-            time_digest: 0x5f7767bae636d6e2,
+            time_digest: 0xae52dfe84d06b655,
             total_value_bits: 0x4050fb8750803d81,
-            stats: stats(1, (3, 1), (1268, 1245), 1, (1, 1)),
+            stats: stats(1, (3, 1), (770, 758), 1, (2, 0)),
         },
     );
 }

@@ -1,9 +1,10 @@
 //! Depth-first branch-and-bound over the LP relaxation.
 
 use crate::model::{Model, ObjectiveDirection, Solution, SolveStatus, VarKind};
-use crate::simplex::WarmBasis;
+use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
 use eagleeye_harden::{crash_point, ByteReader, ByteWriter, CodecError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Absolute tolerance for considering an LP value integral.
@@ -49,14 +50,14 @@ pub struct SolveStats {
     /// How many times a new best integral solution replaced the
     /// incumbent (1 = the first feasible solution was already optimal).
     pub incumbent_updates: usize,
-    /// Nodes whose LP relaxation was solved from an inherited warm
-    /// basis (parent's optimal basis, installed and dual-simplex
-    /// restored) instead of a cold two-phase solve.
+    /// Nodes whose LP relaxation was re-solved from the parent's final
+    /// simplex tableau (bound change applied, dual-simplex restored)
+    /// instead of a cold two-phase solve.
     pub warm_starts: usize,
-    /// Nodes that carried a warm basis which the simplex rejected
-    /// (layout mismatch, singular factorization, dual infeasibility),
-    /// falling back to a cold solve. Counted on feasible nodes, where
-    /// the outcome of the attempt is observable.
+    /// Nodes whose inherited tableau the simplex rejected (dual
+    /// infeasibility, a capped or stuck dual loop), falling back to a
+    /// cold solve. Counted on feasible nodes, where the outcome of the
+    /// attempt is observable.
     pub warm_rejects: usize,
     /// Wall-clock time from solve start until the first incumbent was
     /// found; `None` when the search ended with no feasible solution.
@@ -66,11 +67,12 @@ pub struct SolveStats {
 }
 
 /// A search node: a set of variable bound overrides plus the parent
-/// relaxation's optimal basis to warm-start this node's LP.
+/// relaxation's final tableau, shared by both children, to re-solve
+/// this node's LP from.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     overrides: Vec<(usize, f64, f64)>,
-    warm: Option<WarmBasis>,
+    tableau: Option<Arc<Tableau>>,
 }
 
 /// A paused branch-and-bound search: the best incumbent found so far
@@ -89,9 +91,10 @@ pub struct Frontier {
     /// Internal (minimize-sign) incumbent objective and values.
     incumbent: Option<(f64, Vec<f64>)>,
     /// Open nodes, bottom of the DFS stack first. Each node carries
-    /// its inherited warm basis so a resumed search warm-starts the
-    /// same nodes an uninterrupted one would — keeping the warm
-    /// counters and LP effort stats bit-identical across resumes.
+    /// its inherited tableau so a resumed search re-solves the same
+    /// nodes from the same bits an uninterrupted one would — keeping
+    /// the solution, the warm counters and the LP effort stats
+    /// bit-identical across resumes.
     open: Vec<Node>,
     /// Deterministic counters carried across segments; wall-clock
     /// fields accumulate per-segment elapsed time.
@@ -117,7 +120,7 @@ impl Frontier {
     /// Serializes the frontier (little-endian, floats as raw bits).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.u8(3); // format version (3 = warm bases + warm stats)
+        w.u8(4); // format version (4 = inherited tableaux)
         w.bool(self.incumbent.is_some());
         if let Some((obj, values)) = &self.incumbent {
             w.f64(*obj);
@@ -134,16 +137,9 @@ impl Frontier {
                 w.f64(lo);
                 w.f64(hi);
             }
-            w.bool(node.warm.is_some());
-            if let Some(basis) = &node.warm {
-                w.usize(basis.n_cols);
-                w.usize(basis.basis.len());
-                for &j in &basis.basis {
-                    w.usize(j);
-                }
-                for &flag in &basis.at_upper {
-                    w.bool(flag);
-                }
+            w.bool(node.tableau.is_some());
+            if let Some(tableau) = &node.tableau {
+                tableau.write(&mut w);
             }
         }
         w.u64(self.stats.nodes_explored as u64);
@@ -167,10 +163,11 @@ impl Frontier {
     ///
     /// # Errors
     ///
-    /// [`CodecError`] on truncation or an unknown format version.
+    /// [`CodecError`] on truncation, an unknown format version, or an
+    /// inherited tableau whose dimensions or basis do not fit.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
-        if r.u8()? != 3 {
+        if r.u8()? != 4 {
             return Err(CodecError {
                 context: "frontier format version",
             });
@@ -192,20 +189,12 @@ impl Frontier {
             let overrides = (0..n_ov)
                 .map(|_| Ok((r.usize()?, r.f64()?, r.f64()?)))
                 .collect::<Result<_, CodecError>>()?;
-            let warm = if r.bool()? {
-                let n_cols = r.usize()?;
-                let n_basis = r.usize()?;
-                let basis = (0..n_basis).map(|_| r.usize()).collect::<Result<_, _>>()?;
-                let at_upper = (0..n_cols).map(|_| r.bool()).collect::<Result<_, _>>()?;
-                Some(WarmBasis {
-                    basis,
-                    at_upper,
-                    n_cols,
-                })
+            let tableau = if r.bool()? {
+                Some(Arc::new(Tableau::read(&mut r)?))
             } else {
                 None
             };
-            open.push(Node { overrides, warm });
+            open.push(Node { overrides, tableau });
         }
         let mut stats = SolveStats {
             nodes_explored: r.u64()? as usize,
@@ -274,7 +263,7 @@ pub(crate) fn solve_milp_resumable(
             None,
             vec![Node {
                 overrides: Vec::new(),
-                warm: None,
+                tableau: None,
             }],
             Duration::ZERO,
         ),
@@ -282,7 +271,7 @@ pub(crate) fn solve_milp_resumable(
     let mut limit_hit = false;
     let deadline = options.time_limit.map(|tl| start + tl);
 
-    while let Some(node) = stack.pop() {
+    while let Some(mut node) = stack.pop() {
         if let Some(tl) = options.time_limit {
             if start.elapsed() >= tl {
                 stack.push(node);
@@ -303,7 +292,16 @@ pub(crate) fn solve_milp_resumable(
         crash_point("bnb_node");
 
         stats.nodes_explored += 1;
-        let relaxed = match model.solve_relaxation(&node.overrides, deadline, node.warm.as_ref()) {
+        // The first child popped copies the tableau its sibling still
+        // shares; the second takes it over. Only a node without one
+        // (the root) polls the deadline inside its LP: a child's LP
+        // consumes its tableau, so it runs to completion and the clock
+        // is checked between nodes, and a node handed back on Deadline
+        // is always intact.
+        let inherited = node.tableau.take().map(Arc::unwrap_or_clone);
+        let warm = inherited.is_some();
+        let lp_deadline = if warm { None } else { deadline };
+        let relaxed = match model.solve_relaxation(&node.overrides, lp_deadline, inherited) {
             Ok(r) => r,
             Err(IlpError::Deadline) => {
                 // The node was not fully explored: give it back to the
@@ -321,17 +319,24 @@ pub(crate) fn solve_milp_resumable(
             }
             Err(e) => return Err(e),
         };
-        let Some(rlp) = relaxed else {
+        let Some(LpSolution {
+            objective: obj,
+            values,
+            iterations,
+            pivots,
+            warmed,
+            tableau,
+        }) = relaxed
+        else {
             continue; // infeasible node
         };
-        if rlp.warmed {
+        if warmed {
             stats.warm_starts += 1;
-        } else if node.warm.is_some() {
+        } else if warm {
             stats.warm_rejects += 1;
         }
-        let (obj, values) = (rlp.obj, rlp.values);
-        stats.lp_iterations += rlp.iterations;
-        stats.lp_pivots += rlp.pivots;
+        stats.lp_iterations += iterations;
+        stats.lp_pivots += pivots;
 
         // Bound pruning.
         if let Some((best, _)) = &incumbent {
@@ -378,32 +383,25 @@ pub(crate) fn solve_milp_resumable(
                 down.push((j, model.vars[j].lower, floor));
                 let mut up = node.overrides.clone();
                 up.push((j, ceil, model.vars[j].upper));
-                // Both children inherit this node's optimal basis:
-                // only one variable's bound tightened, so the basis
+                // Both children inherit this node's final tableau:
+                // only one variable's bound tightened, so its basis
                 // stays dual feasible and re-solves in a few dual
                 // pivots. Explore the side closer to the LP value
                 // first (pushed last so it pops first).
-                let warm_a = Some(rlp.basis.clone());
-                let warm_b = Some(rlp.basis);
-                if v - floor < 0.5 {
-                    stack.push(Node {
-                        overrides: up,
-                        warm: warm_a,
-                    });
-                    stack.push(Node {
-                        overrides: down,
-                        warm: warm_b,
-                    });
+                let tableau = Arc::new(tableau);
+                let (first, second) = if v - floor < 0.5 {
+                    (down, up)
                 } else {
-                    stack.push(Node {
-                        overrides: down,
-                        warm: warm_a,
-                    });
-                    stack.push(Node {
-                        overrides: up,
-                        warm: warm_b,
-                    });
-                }
+                    (up, down)
+                };
+                stack.push(Node {
+                    overrides: second,
+                    tableau: Some(Arc::clone(&tableau)),
+                });
+                stack.push(Node {
+                    overrides: first,
+                    tableau: Some(tableau),
+                });
             }
         }
     }
@@ -625,18 +623,22 @@ mod tests {
     #[test]
     fn interrupted_and_resumed_solve_matches_uninterrupted() {
         // A knapsack the solver genuinely branches on (~69 nodes), so
-        // every stride interrupts the search several times.
+        // every stride interrupts the search several times, often
+        // while an open sibling still holds its parent's tableau.
         let values = [41.0, 50.0, 49.0, 59.0, 45.0, 47.0];
         let weights = [31.0, 37.0, 38.0, 46.0, 35.0, 40.0];
         let (m, _) = knapsack(&values, &weights, 100.0);
         let baseline = m.solve(&SolveOptions::default()).unwrap();
         assert_eq!(baseline.status(), SolveStatus::Optimal);
         assert!(baseline.stats().nodes_explored > 10);
+        assert!(baseline.stats().warm_starts > 1);
 
-        // Interrupt the search every few nodes and resume until done.
-        for stride in [1usize, 2, 3, 5] {
+        // Interrupt the search every few nodes and resume until done,
+        // half the strides through the frontier's bytes.
+        for stride in [1usize, 2, 3, 5, 7, 11] {
+            let through_bytes = stride % 2 == 1;
             let mut frontier: Option<Frontier> = None;
-            let mut segments = 0;
+            let (mut segments, mut held_tableaux) = (0, 0);
             let solution = loop {
                 segments += 1;
                 assert!(segments < 10_000, "stride {stride} never converged");
@@ -648,18 +650,30 @@ mod tests {
                 };
                 let (sol, next) = m.solve_resumable(&opts, frontier.take()).unwrap();
                 match next {
-                    Some(f) => frontier = Some(f),
+                    Some(f) => {
+                        held_tableaux += f.open.iter().filter(|n| n.tableau.is_some()).count();
+                        frontier = Some(if through_bytes {
+                            Frontier::from_bytes(&f.to_bytes()).unwrap()
+                        } else {
+                            f
+                        });
+                    }
                     None => break sol,
                 }
             };
-            assert!(segments > 1, "stride {stride} should actually interrupt");
+            assert!(segments > 2, "stride {stride} should interrupt repeatedly");
+            assert!(
+                held_tableaux > 0,
+                "stride {stride}: no open node held a tableau"
+            );
             assert_eq!(solution.status(), SolveStatus::Optimal, "stride {stride}");
             assert_eq!(
                 solution.objective().to_bits(),
                 baseline.objective().to_bits(),
                 "stride {stride}"
             );
-            assert_eq!(solution.values, baseline.values, "stride {stride}");
+            let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&solution), bits(&baseline), "stride {stride}");
             assert_eq!(
                 det_stats(solution.stats()),
                 det_stats(baseline.stats()),
@@ -680,6 +694,7 @@ mod tests {
         let (_, frontier) = m.solve_resumable(&opts, None).unwrap();
         let frontier = frontier.expect("3-node limit must interrupt this knapsack");
         assert!(frontier.nodes_open() > 0);
+        assert!(frontier.open.iter().all(|n| n.tableau.is_some()));
         let bytes = frontier.to_bytes();
         let back = Frontier::from_bytes(&bytes).unwrap();
         assert_eq!(back, frontier);
@@ -704,13 +719,60 @@ mod tests {
     fn frontier_rejects_malformed_bytes() {
         assert!(Frontier::from_bytes(&[]).is_err());
         assert!(Frontier::from_bytes(&[9]).is_err());
-        // Version-1 payloads (pre warm-basis format) and version-2
-        // payloads (with a hint counter) must be rejected.
-        assert!(Frontier::from_bytes(&[1, 0, 0]).is_err());
-        assert!(Frontier::from_bytes(&[2, 0, 0]).is_err());
+        // Payloads of every earlier version are rejected: 1 (no warm
+        // state), 2 (a hint counter), 3 (warm bases, not tableaux).
+        for version in 1..=3 {
+            assert!(Frontier::from_bytes(&[version, 0, 0]).is_err());
+        }
+        // Two rows, so the tableau's basis has two entries.
+        let (mut m, x) = knapsack(&[10.0, 13.0, 7.0], &[5.0, 6.0, 3.0], 8.0);
+        m.add_constraint([(x[0], 1.0), (x[1], 1.0)], Sense::Le, 1.0)
+            .unwrap();
+        let tableau = m
+            .solve_relaxation(&[], None, None)
+            .unwrap()
+            .expect("feasible")
+            .tableau;
+        let f = Frontier {
+            incumbent: Some((1.5, vec![0.0, 1.0, 0.0])),
+            open: vec![
+                Node {
+                    overrides: vec![(0, 0.0, 0.0)],
+                    tableau: Some(Arc::new(tableau)),
+                },
+                Node {
+                    overrides: vec![],
+                    tableau: None,
+                },
+            ],
+            stats: SolveStats::default(),
+        };
+        let bytes = f.to_bytes();
+        assert_eq!(Frontier::from_bytes(&bytes).unwrap(), f);
+        assert!(Frontier::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(Frontier::from_bytes(&trailing).is_err());
+
+        // A v3 payload of the same frontier (its warm basis laid out as
+        // column count, basis length, basis, flags) is rejected.
+        let mut v3 = ByteWriter::new();
+        v3.u8(3);
+        v3.bool(false);
+        v3.usize(1);
+        v3.usize(0);
+        v3.bool(true);
+        for word in [4, 1, 3] {
+            v3.usize(word);
+        }
+        for _ in 0..4 {
+            v3.bool(false);
+        }
+        assert!(Frontier::from_bytes(&v3.into_bytes()).is_err());
+
         // Forged lengths must fail as truncated, never panic on a
         // capacity overflow: incumbent values, open nodes, overrides,
-        // basis columns and at-upper flags in turn.
+        // then each tableau dimension in turn.
         let forged_len = |prefix: &[u8], tail: &[u64]| {
             let mut w = ByteWriter::new();
             for &b in prefix {
@@ -721,57 +783,50 @@ mod tests {
             }
             w.into_bytes()
         };
+        // One open node with no overrides and a tableau of the given
+        // dimensions (n_struct, m, n_cols, art_start), then `pad`
+        // zero bytes.
+        let forged_tableau = |dims: [u64; 4], pad: usize| {
+            let mut b = forged_len(&[4, 0], &[1, 0]);
+            b.push(1);
+            b.extend(forged_len(&[], &dims));
+            b.resize(b.len() + pad, 0);
+            b
+        };
         for n in [1u64 << 61, u64::MAX] {
             let payloads = [
-                // Incumbent with `n` values.
-                forged_len(&[3, 1], &[0, n]),
-                // `n` open nodes.
-                forged_len(&[3, 0], &[n]),
-                // One open node with `n` overrides.
-                forged_len(&[3, 0], &[1, n]),
-                // One open node whose warm basis has `n` columns.
-                {
-                    let mut b = forged_len(&[3, 0], &[1, 0]);
-                    b.push(1);
-                    b.extend(forged_len(&[], &[n, 0]));
-                    b
-                },
-                // ... or `n` basic columns.
-                {
-                    let mut b = forged_len(&[3, 0], &[1, 0]);
-                    b.push(1);
-                    b.extend(forged_len(&[], &[0, n]));
-                    b
-                },
+                forged_len(&[4, 1], &[0, n]),
+                forged_len(&[4, 0], &[n]),
+                forged_len(&[4, 0], &[1, n]),
+                forged_tableau([n, 1, n, n], 4096),
+                forged_tableau([1, n, 2, 1], 4096),
+                forged_tableau([1, 2, n, 1], 4096),
+                forged_tableau([1, n, n, 1], 4096),
             ];
             for bytes in payloads {
                 assert!(Frontier::from_bytes(&bytes).is_err(), "{bytes:?}");
             }
         }
-        let f = Frontier {
-            incumbent: Some((1.5, vec![0.0, 1.0])),
-            open: vec![
-                Node {
-                    overrides: vec![(0, 0.0, 1.0)],
-                    warm: Some(WarmBasis {
-                        basis: vec![2],
-                        at_upper: vec![false, true, false],
-                        n_cols: 3,
-                    }),
-                },
-                Node {
-                    overrides: vec![],
-                    warm: None,
-                },
-            ],
-            stats: SolveStats::default(),
-        };
-        let bytes = f.to_bytes();
-        assert_eq!(Frontier::from_bytes(&bytes).unwrap(), f);
-        assert!(Frontier::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut trailing = bytes;
-        trailing.push(0);
-        assert!(Frontier::from_bytes(&trailing).is_err());
+        // Tampering with a valid payload: an artificial-column start
+        // past the last column or before the structural ones, and a
+        // basis that names a column twice or past the last one. The
+        // first tableau's dimensions follow the version byte, the
+        // incumbent (flag, objective, length, 3 values), the open-node
+        // count, the override count, one override and the tableau flag.
+        let dims = 1 + (1 + 8 + 8 + 24) + 8 + 8 + 24 + 1;
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        let (n_struct, n_cols) = (word(dims), word(dims + 16));
+        let basis_at = dims + 32;
+        for (at, forged) in [
+            (dims + 24, n_cols + 1),
+            (dims + 24, n_struct - 1),
+            (basis_at, n_cols),
+            (basis_at, word(basis_at + 8)),
+        ] {
+            let mut tampered = bytes.clone();
+            tampered[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            assert!(Frontier::from_bytes(&tampered).is_err(), "{at}: {forged}");
+        }
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! * [`Model`] — a builder for LP/MILP models: variables with bounds
 //!   (continuous or integer), linear constraints, and a linear objective.
 //! * A dense, bounded-variable, two-phase **primal simplex** for the LP
-//!   relaxation, warm-started from the parent node's basis.
+//!   relaxation. Only the root is solved cold: every other node takes
+//!   its parent's final tableau, applies its one bound change and
+//!   re-solves with a few dual-simplex pivots.
 //! * A depth-first **branch-and-bound** with most-fractional branching,
 //!   incumbent pruning, and time/node limits for integrality. An
-//!   interrupted search hands back its [`Frontier`], which resumes it
-//!   exactly.
+//!   interrupted search hands back its [`Frontier`] (open nodes with
+//!   their inherited tableaux, as raw bits), which resumes it exactly.
 //!
 //! The instances EagleEye produces are small (hundreds of variables per
 //! scheduling frame) and near-network-structured, so an exact dense solver

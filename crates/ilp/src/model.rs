@@ -1,21 +1,7 @@
 use crate::branch::{self, SolveOptions, SolveStats};
-use crate::simplex::{self, LpResult, RowRef, RowSense, WarmBasis};
+use crate::simplex::{self, LpSolution, RowRef, RowSense, Tableau};
 use crate::IlpError;
 use std::fmt;
-
-/// LP-relaxation outcome for a feasible node: the internal (minimize
-/// sign) objective, variable values in model space, solver effort, and
-/// the optimal basis for warm-starting child nodes.
-#[derive(Debug, Clone)]
-pub(crate) struct RelaxedLp {
-    pub obj: f64,
-    pub values: Vec<f64>,
-    pub iterations: usize,
-    pub pivots: usize,
-    pub basis: WarmBasis,
-    /// Whether the supplied warm basis was actually used.
-    pub warmed: bool,
-}
 
 /// Handle to a variable in a [`Model`].
 ///
@@ -308,14 +294,17 @@ impl Model {
     }
 
     /// Solves the LP relaxation with per-variable bound overrides
-    /// (used by branch-and-bound), optionally warm-starting from a
-    /// sibling/parent basis. Returns `None` if infeasible.
+    /// (used by branch-and-bound), re-solving from the parent's final
+    /// tableau when one is inherited and falling back to a cold solve
+    /// when that re-solve is rejected. Returns `None` if infeasible;
+    /// otherwise the solution's objective is the internal (minimize
+    /// sign) one and its values are in model space.
     pub(crate) fn solve_relaxation(
         &self,
         bound_overrides: &[(usize, f64, f64)],
         deadline: Option<std::time::Instant>,
-        warm: Option<&WarmBasis>,
-    ) -> Result<Option<RelaxedLp>, IlpError> {
+        inherited: Option<Tableau>,
+    ) -> Result<Option<LpSolution>, IlpError> {
         // Effective bounds.
         let mut lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
         let mut upper: Vec<f64> = self.vars.iter().map(|v| v.upper).collect();
@@ -356,37 +345,32 @@ impl Model {
             })
             .collect();
 
-        // Rows borrow the model's terms; only the shifted rhs is new.
-        let rows: Vec<RowRef<'_>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let shift: f64 = r.terms.iter().map(|&(j, c)| c * lower[j]).sum();
-                let sense = match r.sense {
-                    Sense::Le => RowSense::Le,
-                    Sense::Eq => RowSense::Eq,
-                    Sense::Ge => RowSense::Ge,
-                };
-                (r.terms.as_slice(), sense, r.rhs - shift)
-            })
-            .collect();
-
-        match simplex::solve_rows(&cost, &shifted_upper, &rows, deadline, warm)? {
-            LpResult::Infeasible => Ok(None),
-            LpResult::Optimal(s) => {
-                let values: Vec<f64> = s.values.iter().zip(&lower).map(|(x, lo)| x + lo).collect();
-                // Internal objective is always "minimize sign * obj".
-                let internal = s.objective + sign * obj_const;
-                Ok(Some(RelaxedLp {
-                    obj: internal,
-                    values,
-                    iterations: s.iterations,
-                    pivots: s.pivots,
-                    basis: s.basis,
-                    warmed: s.warmed,
-                }))
+        let result = match inherited.and_then(|t| t.resolve(&lower, &shifted_upper)) {
+            Some(result) => Some(result?),
+            None => {
+                // Rows borrow the model's terms; only the shifted rhs is new.
+                let rows: Vec<RowRef<'_>> = self
+                    .rows
+                    .iter()
+                    .map(|r| {
+                        let shift: f64 = r.terms.iter().map(|&(j, c)| c * lower[j]).sum();
+                        let sense = match r.sense {
+                            Sense::Le => RowSense::Le,
+                            Sense::Eq => RowSense::Eq,
+                            Sense::Ge => RowSense::Ge,
+                        };
+                        (r.terms.as_slice(), sense, r.rhs - shift)
+                    })
+                    .collect();
+                simplex::solve_rows(&cost, &lower, &shifted_upper, &rows, deadline)?
             }
-        }
+        };
+        Ok(result.map(|s| LpSolution {
+            values: s.values.iter().zip(&lower).map(|(x, lo)| x + lo).collect(),
+            // Internal objective is always "minimize sign * obj".
+            objective: s.objective + sign * obj_const,
+            ..s
+        }))
     }
 }
 

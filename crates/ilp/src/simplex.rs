@@ -17,10 +17,12 @@
 //! Dantzig pricing to Bland's rule after a stretch of non-improving
 //! iterations, which guarantees termination.
 //!
-//! [`crate::Model`] is the only entry point: it shifts each node's
-//! bounds into this form and calls [`solve_rows`].
+//! [`crate::Model`] is the only entry point: it shifts a node's bounds
+//! into this form and either calls [`solve_rows`] (a cold solve) or
+//! hands the node's inherited final [`Tableau`] to [`Tableau::resolve`].
 
 use crate::IlpError;
+use eagleeye_harden::{ByteReader, ByteWriter, CodecError};
 use std::time::Instant;
 
 /// Relational sense of a row.
@@ -34,16 +36,8 @@ pub enum RowSense {
     Ge,
 }
 
-/// Outcome of an LP solve.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LpResult {
-    /// An optimal basic solution was found.
-    Optimal(LpSolution),
-    /// No feasible point exists.
-    Infeasible,
-}
-
-/// An optimal LP solution.
+/// An optimal LP solution. A solve returns `None` in its place when no
+/// feasible point exists.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LpSolution {
     /// Optimal objective value (for the minimization form).
@@ -57,47 +51,17 @@ pub struct LpSolution {
     /// bound without a basis change) are counted in `iterations` but
     /// not here, so `pivots <= iterations`.
     pub pivots: usize,
-    /// The optimal basis, reusable to warm-start a solve of a nearby
-    /// problem (same rows and columns, nudged bounds) via
-    /// [`solve_rows`].
-    pub basis: WarmBasis,
-    /// True when this solve skipped phase 1 by installing a caller
-    /// supplied [`WarmBasis`]; false for a cold two-phase solve
-    /// (including the fallback after a rejected warm basis).
+    /// True when this solve re-solved an inherited tableau
+    /// ([`Tableau::resolve`]); false for a cold two-phase solve.
     pub warmed: bool,
-}
-
-/// A simplex basis snapshot: which column is basic in each row, plus
-/// the bound each nonbasic column rests at.
-///
-/// Captured from every [`LpSolution`] and accepted by
-/// [`solve_rows`] for a problem with the *same column
-/// layout* (identical rows and variables; only the bounds and
-/// right-hand sides may differ — exactly the shape of adjacent
-/// branch-and-bound nodes). An incompatible or numerically unusable
-/// basis is rejected deterministically and the solve falls back to the
-/// cold two-phase path, so warm starts can change iteration counts but
-/// never the outcome semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmBasis {
-    /// Basic column per row (a set of `m` distinct column indices).
-    pub basis: Vec<usize>,
-    /// Whether each nonbasic column rests at its upper bound
-    /// (length `n_cols`; `false` for basic columns).
-    pub at_upper: Vec<bool>,
-    /// Total tableau columns the basis was captured against
-    /// (structural + slack/surplus + artificial); a mismatch rejects
-    /// the warm start.
-    pub n_cols: usize,
+    /// The final tableau, which a child problem (same rows and
+    /// columns, other bounds) re-solves from.
+    pub tableau: Tableau,
 }
 
 const COST_TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
-/// Minimum acceptable pivot magnitude while factoring a warm basis;
-/// anything smaller means the basis is (near-)singular for this
-/// problem and the warm start is rejected.
-const INSTALL_PIVOT_TOL: f64 = 1e-8;
 /// Consecutive non-improving iterations before switching to Bland's rule.
 const STALL_LIMIT: usize = 64;
 /// Pivot iterations between deadline checks. `Instant::now()` in the
@@ -172,18 +136,11 @@ fn normalize(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Vec<Row
     Ok(norms)
 }
 
-/// Solves the LP given as borrowed parts, optionally warm-starting
-/// from a basis captured off a nearby problem (see [`WarmBasis`]).
-///
-/// The warm path installs the basis, verifies dual feasibility of the
-/// reduced costs, and runs a bounded-variable dual simplex to restore
-/// primal feasibility — typically a handful of pivots when only bounds
-/// changed. Every failure mode (layout mismatch, singular basis, dual
-/// infeasibility, stalled dual loop) rejects the warm basis and falls
-/// back to the cold two-phase solve, so the result is always valid;
-/// [`LpSolution::warmed`] records which path produced it. The warm
-/// path never declares infeasibility itself — that verdict is always
-/// delegated to the cold path's phase 1.
+/// Solves the LP given as borrowed parts with the cold two-phase
+/// simplex. `lower` is the model-space lower bound each structural
+/// column was shifted by (`upper` and the rows' right-hand sides are
+/// already shifted); the returned tableau records it so a child can
+/// re-solve for other bounds ([`Tableau::resolve`]).
 ///
 /// # Errors
 ///
@@ -196,25 +153,17 @@ fn normalize(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Vec<Row
 ///   mid-solve (checked every few hundred iterations).
 pub(crate) fn solve_rows(
     cost: &[f64],
+    lower: &[f64],
     upper: &[f64],
     rows: &[RowRef<'_>],
     deadline: Option<Instant>,
-    warm: Option<&WarmBasis>,
-) -> Result<LpResult, IlpError> {
-    if let Some(basis) = warm {
-        let mut t = Tableau::new(cost, upper, rows)?;
-        t.deadline = deadline;
-        if let Some(result) = t.solve_warm(basis) {
-            return result;
-        }
-    }
-    let mut t = Tableau::new(cost, upper, rows)?;
-    t.deadline = deadline;
-    t.solve()
+) -> Result<Option<LpSolution>, IlpError> {
+    Tableau::new(cost, lower, upper, rows)?.solve(deadline)
 }
 
 /// Dense simplex tableau with bounded variables.
-struct Tableau {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tableau {
     /// Number of structural variables (prefix of the column space).
     n_struct: usize,
     /// Total columns (structural + slack/surplus + artificial).
@@ -231,24 +180,28 @@ struct Tableau {
     at_upper: Vec<bool>,
     /// Whether each column is basic.
     is_basic: Vec<bool>,
-    /// Upper bound per column.
+    /// Model-space lower bound each structural column is shifted by.
+    lower: Vec<f64>,
+    /// Upper bound per column (shifted, so every lower bound is 0).
     upper: Vec<f64>,
     /// First artificial column index (artificials are `art_start..n_cols`).
     art_start: usize,
     /// Phase-2 cost per column.
     cost: Vec<f64>,
-    /// Iterations used so far.
+    /// Iterations used by the solve in progress.
     iterations: usize,
-    /// Basis-changing pivots so far (excludes bound flips).
+    /// Basis-changing pivots of the solve in progress (excludes bound
+    /// flips).
     pivots: usize,
-    /// Iteration cap.
-    max_iterations: usize,
-    /// Optional wall-clock deadline.
-    deadline: Option<Instant>,
 }
 
 impl Tableau {
-    fn new(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Self, IlpError> {
+    fn new(
+        cost: &[f64],
+        lower: &[f64],
+        upper: &[f64],
+        rows: &[RowRef<'_>],
+    ) -> Result<Self, IlpError> {
         let n_struct = cost.len();
         let m = rows.len();
 
@@ -315,8 +268,6 @@ impl Tableau {
         col_cost.extend_from_slice(cost);
         col_cost.resize(n_cols, 0.0);
 
-        let max_iterations = 2_000 + 40 * (m + n_cols);
-
         Ok(Tableau {
             n_struct,
             n_cols,
@@ -326,14 +277,18 @@ impl Tableau {
             basis,
             at_upper: vec![false; n_cols],
             is_basic,
+            lower: lower.to_vec(),
             upper: col_upper,
             art_start,
             cost: col_cost,
             iterations: 0,
             pivots: 0,
-            max_iterations,
-            deadline: None,
         })
+    }
+
+    /// Iteration cap per solve; scales with the problem size.
+    fn max_iterations(&self) -> usize {
+        2_000 + 40 * (self.m + self.n_cols)
     }
 
     #[inline]
@@ -344,11 +299,8 @@ impl Tableau {
     /// Pivots the matrix on `(r, j)`: scales row `r` so the pivot is
     /// exactly 1, then eliminates column `j` from every other row. Row
     /// `r` is read in place through split borrows rather than copied.
-    /// With `row_reduce_b = Some(b_r)` (basis installation, where `b_r`
-    /// is row `r`'s already scaled value) each eliminated row's basic
-    /// value is reduced alongside; otherwise basic values and reduced
-    /// costs are the caller's to update.
-    fn pivot_matrix(&mut self, r: usize, j: usize, row_reduce_b: Option<f64>) {
+    /// Basic values and reduced costs are the caller's to update.
+    fn pivot_matrix(&mut self, r: usize, j: usize) {
         let n = self.n_cols;
         let (head, rest) = self.a.split_at_mut(r * n);
         let (row_r, tail) = rest.split_at_mut(n);
@@ -360,21 +312,13 @@ impl Tableau {
             }
         }
         row_r[j] = 1.0;
-        let others = head.chunks_exact_mut(n).enumerate().chain(
-            tail.chunks_exact_mut(n)
-                .enumerate()
-                .map(|(k, row)| (r + 1 + k, row)),
-        );
-        for (i, row_i) in others {
+        for row_i in head.chunks_exact_mut(n).chain(tail.chunks_exact_mut(n)) {
             let factor = row_i[j];
             if factor.abs() > 1e-13 {
                 for (x, &rr) in row_i.iter_mut().zip(row_r.iter()) {
                     *x -= factor * rr;
                 }
                 row_i[j] = 0.0;
-                if let Some(b_r) = row_reduce_b {
-                    self.b[i] -= factor * b_r;
-                }
             }
         }
     }
@@ -406,15 +350,15 @@ impl Tableau {
         }
     }
 
-    fn solve(mut self) -> Result<LpResult, IlpError> {
+    fn solve(mut self, deadline: Option<Instant>) -> Result<Option<LpSolution>, IlpError> {
         // Phase 1: minimize the sum of artificials.
         if self.art_start < self.n_cols {
             let phase1_cost: Vec<f64> = (0..self.n_cols)
                 .map(|j| if j >= self.art_start { 1.0 } else { 0.0 })
                 .collect();
-            let obj = self.run_phase(&phase1_cost, /*ban_artificials=*/ false)?;
+            let obj = self.run_phase(&phase1_cost, /*ban_artificials=*/ false, deadline)?;
             if obj > FEAS_TOL {
-                return Ok(LpResult::Infeasible);
+                return Ok(None);
             }
             // Pin artificials at zero for phase 2.
             for j in self.art_start..self.n_cols {
@@ -423,14 +367,22 @@ impl Tableau {
         }
 
         // Phase 2: the real objective.
-        let cost = std::mem::take(&mut self.cost);
-        let obj = self.run_phase(&cost, /*ban_artificials=*/ true)?;
-        Ok(LpResult::Optimal(self.extract(obj, false)))
+        let obj = self.phase_two(deadline)?;
+        Ok(Some(self.extract(obj, false)))
     }
 
-    /// Reads the optimal solution (and its reusable basis) out of the
-    /// final tableau.
-    fn extract(self, obj: f64, warmed: bool) -> LpSolution {
+    /// Phase 2: optimizes the real objective from the current basis.
+    fn phase_two(&mut self, deadline: Option<Instant>) -> Result<f64, IlpError> {
+        let cost = std::mem::take(&mut self.cost);
+        let obj = self.run_phase(&cost, /*ban_artificials=*/ true, deadline);
+        self.cost = cost;
+        obj
+    }
+
+    /// Reads the optimal solution out of the final tableau, which the
+    /// solution keeps (with its effort counters reset) for children to
+    /// re-solve from.
+    fn extract(mut self, obj: f64, warmed: bool) -> LpSolution {
         let mut values = vec![0.0; self.n_struct];
         for j in 0..self.n_struct {
             if !self.is_basic[j] && self.at_upper[j] {
@@ -445,130 +397,77 @@ impl Tableau {
         LpSolution {
             objective: obj,
             values,
-            iterations: self.iterations,
-            pivots: self.pivots,
-            basis: WarmBasis {
-                basis: self.basis,
-                at_upper: self.at_upper,
-                n_cols: self.n_cols,
-            },
+            iterations: std::mem::take(&mut self.iterations),
+            pivots: std::mem::take(&mut self.pivots),
             warmed,
+            tableau: self,
         }
     }
 
-    /// Attempts the warm-start path: install the basis, restore primal
-    /// feasibility with the dual simplex, then polish with the primal
-    /// phase-2 loop. Returns `None` to reject (caller falls back to a
-    /// fresh cold solve).
-    fn solve_warm(mut self, warm: &WarmBasis) -> Option<Result<LpResult, IlpError>> {
-        if !self.install(warm) {
+    /// Re-solves this final tableau of a parent problem for a child
+    /// that differs only in its structural bounds (`lower` in model
+    /// space, `upper` shifted by it, as [`solve_rows`] takes them):
+    /// moves the basic values to the new bounds in O(m) per changed
+    /// column, restores primal feasibility with the dual simplex, then
+    /// polishes with phase 2. Returns `None` to reject (the caller
+    /// falls back to a cold solve): on a dimension mismatch, or when
+    /// [`Tableau::dual_restore`] gives up. This path never declares
+    /// infeasibility itself — that verdict is always the cold path's
+    /// phase 1 — and never polls a deadline.
+    pub(crate) fn resolve(
+        mut self,
+        lower: &[f64],
+        upper: &[f64],
+    ) -> Option<Result<LpSolution, IlpError>> {
+        if lower.len() != self.n_struct || upper.len() != self.n_struct {
             return None;
         }
+        self.rebound(lower, upper);
         if !self.dual_restore() {
             return None;
         }
-        let cost = std::mem::take(&mut self.cost);
-        match self.run_phase(&cost, /*ban_artificials=*/ true) {
-            Ok(obj) => Some(Ok(LpResult::Optimal(self.extract(obj, true)))),
-            Err(e) => Some(Err(e)),
-        }
+        Some(self.phase_two(None).map(|obj| self.extract(obj, true)))
     }
 
-    /// Installs a warm basis into the fresh tableau: validates the
-    /// layout, pins artificials at zero (the warm path replaces
-    /// phase 1), places nonbasic columns at their recorded bounds, and
-    /// factors the basis with Gauss-Jordan elimination (partial
-    /// pivoting over unassigned rows). Returns false to reject.
-    fn install(&mut self, warm: &WarmBasis) -> bool {
-        if warm.n_cols != self.n_cols
-            || warm.basis.len() != self.m
-            || warm.at_upper.len() != self.n_cols
-        {
-            return false;
-        }
-        let mut in_basis = vec![false; self.n_cols];
-        for &j in &warm.basis {
-            if j >= self.n_cols || in_basis[j] {
-                return false;
+    /// Moves the tableau to new structural bounds, keeping its basis
+    /// and reduced costs. A basic column keeps its value, re-expressed
+    /// against its new lower bound; a nonbasic column moves to the same
+    /// side of its new range (the lower side when the new upper bound
+    /// is infinite) and every basic value absorbs the step. A basic
+    /// value left outside its new range is the dual simplex's to fix.
+    fn rebound(&mut self, lower: &[f64], upper: &[f64]) {
+        for j in 0..self.n_struct {
+            let (lo, up) = (lower[j], upper[j]);
+            if lo == self.lower[j] && up == self.upper[j] {
+                continue;
             }
-            in_basis[j] = true;
-        }
-        // The warm path skips phase 1 entirely: pin artificials so any
-        // that remain basic are forced to zero by the dual loop and no
-        // nonbasic one can ever re-enter at a nonzero value.
-        for j in self.art_start..self.n_cols {
-            self.upper[j] = 0.0;
-        }
-        // Nonbasic columns at their recorded bound. An at-upper flag on
-        // a column whose bound is now infinite cannot be honored.
-        for j in 0..self.art_start {
-            if !in_basis[j] && warm.at_upper[j] {
-                if !self.upper[j].is_finite() {
-                    return false;
+            if self.is_basic[j] {
+                if let Some(r) = self.basis.iter().position(|&k| k == j) {
+                    self.b[r] -= lo - self.lower[j];
                 }
-                self.at_upper[j] = true;
-            }
-        }
-        // Shift the right-hand side by the nonbasic-at-upper columns
-        // while `a` still holds the original (unpivoted) matrix.
-        for j in 0..self.art_start {
-            if self.at_upper[j] && !in_basis[j] {
-                let u = self.upper[j];
-                if u > 0.0 {
+            } else {
+                let old = self.lower[j] + if self.at_upper[j] { self.upper[j] } else { 0.0 };
+                self.at_upper[j] &= up.is_finite();
+                let new = lo + if self.at_upper[j] { up } else { 0.0 };
+                if new != old {
+                    let step = new - old;
                     for i in 0..self.m {
-                        self.b[i] -= self.a[i * self.n_cols + j] * u;
+                        self.b[i] -= step * self.a[i * self.n_cols + j];
                     }
                 }
             }
+            self.lower[j] = lo;
+            self.upper[j] = up;
         }
-        // Factor: process basis columns in ascending order; for each,
-        // pivot on the largest-magnitude entry among unassigned rows
-        // (row reduction includes `b`, yielding B⁻¹ applied to both).
-        let mut cols: Vec<usize> = warm.basis.clone();
-        cols.sort_unstable();
-        let mut assigned = vec![false; self.m];
-        let mut new_basis = vec![0usize; self.m];
-        for &j in &cols {
-            let mut best_row = usize::MAX;
-            let mut best_mag = 0.0f64;
-            for i in 0..self.m {
-                if assigned[i] {
-                    continue;
-                }
-                let mag = self.a[i * self.n_cols + j].abs();
-                if mag > best_mag {
-                    best_mag = mag;
-                    best_row = i;
-                }
-            }
-            if best_mag <= INSTALL_PIVOT_TOL {
-                return false; // singular for this problem
-            }
-            let r = best_row;
-            self.b[r] *= 1.0 / self.a[r * self.n_cols + j];
-            self.pivot_matrix(r, j, Some(self.b[r]));
-            assigned[r] = true;
-            new_basis[r] = j;
-        }
-        self.basis = new_basis;
-        for flag in self.is_basic.iter_mut() {
-            *flag = false;
-        }
-        for &j in &self.basis {
-            self.is_basic[j] = true;
-            self.at_upper[j] = false;
-        }
-        true
     }
 
     /// Restores primal feasibility with a bounded-variable dual
     /// simplex, assuming (and first verifying) dual feasibility of the
-    /// installed basis. Returns false to reject the warm start — on a
+    /// current basis. Returns false to reject the re-solve — on a
     /// dual-infeasible basis, a stalled/capped loop, or a row with no
     /// eligible entering column (which the cold path must adjudicate;
     /// this path never declares infeasibility).
     fn dual_restore(&mut self) -> bool {
-        // Reduced costs from the freshly factored tableau.
         let mut d = self.reduced_costs(&self.cost);
         // Dual feasibility: nonbasic at lower needs d_j ≥ 0, at upper
         // needs d_j ≤ 0. Fixed columns (bound-collapsed or artificial)
@@ -621,7 +520,7 @@ impl Tableau {
                 return false;
             }
             self.iterations += 1;
-            if self.iterations > self.max_iterations {
+            if self.iterations > self.max_iterations() {
                 return false;
             }
 
@@ -690,14 +589,19 @@ impl Tableau {
             self.at_upper[j] = false;
             self.b[r] = entering_value;
 
-            self.pivot_matrix(r, j, None);
+            self.pivot_matrix(r, j);
             self.update_reduced_costs(&mut d, r, j);
         }
     }
 
     /// Runs simplex iterations for one phase with the given cost vector.
     /// Returns the phase objective value at optimality.
-    fn run_phase(&mut self, cost: &[f64], ban_artificials: bool) -> Result<f64, IlpError> {
+    fn run_phase(
+        &mut self,
+        cost: &[f64],
+        ban_artificials: bool,
+        deadline: Option<Instant>,
+    ) -> Result<f64, IlpError> {
         // Reduced costs: d_j = c_j - c_Bᵀ (B⁻¹ A)_j, computed from the
         // current (already pivoted) tableau.
         let mut d = self.reduced_costs(cost);
@@ -717,13 +621,13 @@ impl Tableau {
         let mut stall = 0usize;
         loop {
             self.iterations += 1;
-            if self.iterations > self.max_iterations {
+            if self.iterations > self.max_iterations() {
                 return Err(IlpError::IterationLimit {
-                    limit: self.max_iterations,
+                    limit: self.max_iterations(),
                 });
             }
             if self.iterations.is_multiple_of(DEADLINE_CHECK_STRIDE) {
-                if let Some(d) = self.deadline {
+                if let Some(d) = deadline {
                     // eagleeye-lint: allow(clock): strided deadline poll is wall-clock by design (DESIGN.md §8); deterministic whenever no deadline is set
                     if Instant::now() >= d {
                         return Err(IlpError::Deadline);
@@ -846,11 +750,85 @@ impl Tableau {
                     // Pivot: normalize row r, eliminate column j elsewhere.
                     let piv = self.a[r * self.n_cols + j];
                     debug_assert!(piv.abs() > PIVOT_TOL * 0.5, "tiny pivot {piv}");
-                    self.pivot_matrix(r, j, None);
+                    self.pivot_matrix(r, j);
                     self.update_reduced_costs(&mut d, r, j);
                 }
             }
         }
+    }
+
+    /// Appends the tableau as raw bits: dimensions, basis, bound state,
+    /// costs, basic values, then the matrix row by row. The effort
+    /// counters are not written; a stored tableau is a final one, whose
+    /// counters [`Tableau::extract`] already reset.
+    pub(crate) fn write(&self, w: &mut ByteWriter) {
+        for dim in [self.n_struct, self.m, self.n_cols, self.art_start] {
+            w.usize(dim);
+        }
+        for &j in &self.basis {
+            w.usize(j);
+        }
+        for &flag in &self.at_upper {
+            w.bool(flag);
+        }
+        let floats = self.lower.iter().chain(&self.upper).chain(&self.cost);
+        for &x in floats.chain(&self.b).chain(&self.a) {
+            w.f64(x);
+        }
+    }
+
+    /// Reads a tableau written by [`Tableau::write`].
+    ///
+    /// The dimensions are checked against the bytes left in `r` before
+    /// anything is read for them, and nothing is preallocated from
+    /// them, so forged dimensions fail as a [`CodecError`]. So does a
+    /// basis that names a column twice or past the last one.
+    pub(crate) fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (n_struct, m, n_cols, art_start) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
+        // 8 bytes per basis entry and float, 1 per at-upper flag.
+        let payload = || {
+            let words = m
+                .checked_mul(n_cols)?
+                .checked_add(n_struct)?
+                .checked_add(n_cols.checked_mul(2)?)?
+                .checked_add(m.checked_mul(2)?)?;
+            words.checked_mul(8)?.checked_add(n_cols)
+        };
+        if n_struct > art_start
+            || art_start > n_cols
+            || payload().is_none_or(|bytes| bytes > r.remaining())
+        {
+            return Err(CodecError {
+                context: "tableau dimensions",
+            });
+        }
+        let basis: Vec<usize> = (0..m).map(|_| r.usize()).collect::<Result<_, _>>()?;
+        let mut is_basic = vec![false; n_cols];
+        for &j in &basis {
+            if j >= n_cols || std::mem::replace(&mut is_basic[j], true) {
+                return Err(CodecError {
+                    context: "tableau basis",
+                });
+            }
+        }
+        let at_upper = (0..n_cols).map(|_| r.bool()).collect::<Result<_, _>>()?;
+        let mut floats = |n: usize| (0..n).map(|_| r.f64()).collect::<Result<Vec<_>, _>>();
+        Ok(Tableau {
+            n_struct,
+            n_cols,
+            m,
+            lower: floats(n_struct)?,
+            upper: floats(n_cols)?,
+            cost: floats(n_cols)?,
+            b: floats(m)?,
+            a: floats(m * n_cols)?,
+            basis,
+            at_upper,
+            is_basic,
+            art_start,
+            iterations: 0,
+            pivots: 0,
+        })
     }
 }
 
@@ -888,16 +866,16 @@ mod tests {
             .collect()
     }
 
-    fn solve(p: &LpProblem) -> Result<LpResult, IlpError> {
-        solve_with_warm_start(p, None, None)
+    fn solve(p: &LpProblem) -> Result<Option<LpSolution>, IlpError> {
+        let lower = vec![0.0; p.cost.len()];
+        solve_rows(&p.cost, &lower, &p.upper, &row_refs(p), None)
     }
 
-    fn solve_with_warm_start(
-        p: &LpProblem,
-        deadline: Option<Instant>,
-        warm: Option<&WarmBasis>,
-    ) -> Result<LpResult, IlpError> {
-        solve_rows(&p.cost, &p.upper, &row_refs(p), deadline, warm)
+    /// Re-solves `parent`'s final tableau for `child`, which shares its
+    /// rows and differs only in upper bounds.
+    fn resolve(parent: &LpSolution, child: &LpProblem) -> Option<Result<LpSolution, IlpError>> {
+        let lower = vec![0.0; child.cost.len()];
+        parent.tableau.clone().resolve(&lower, &child.upper)
     }
 
     fn row(coeffs: &[(usize, f64)], sense: RowSense, rhs: f64) -> LpRow {
@@ -925,7 +903,7 @@ mod tests {
             ],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, -36.0);
                 assert_close(s.values[0], 2.0);
                 assert_close(s.values[1], 6.0);
@@ -946,7 +924,7 @@ mod tests {
             ],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, 10.0);
                 assert_close(s.values[0], 6.0);
                 assert_close(s.values[1], 4.0);
@@ -966,7 +944,7 @@ mod tests {
                 row(&[(0, 1.0)], RowSense::Le, 3.0),
             ],
         };
-        assert_eq!(solve(&p).unwrap(), LpResult::Infeasible);
+        assert_eq!(solve(&p).unwrap(), None);
     }
 
     #[test]
@@ -989,7 +967,7 @@ mod tests {
             rows: vec![row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.5)],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, -1.5);
                 assert!(s.values[0] <= 1.0 + 1e-9);
                 assert!(s.values[1] <= 1.0 + 1e-9);
@@ -1007,7 +985,7 @@ mod tests {
             rows: vec![],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, -3.0);
                 assert_close(s.values[0], 1.0);
                 assert_close(s.values[1], 1.0);
@@ -1025,7 +1003,7 @@ mod tests {
             rows: vec![row(&[(0, 1.0), (1, -1.0)], RowSense::Le, -2.0)],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, 2.0);
                 assert_close(s.values[1], 2.0);
             }
@@ -1047,7 +1025,7 @@ mod tests {
             ],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => assert_close(s.objective, -1.0),
+            Some(s) => assert_close(s.objective, -1.0),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1067,7 +1045,7 @@ mod tests {
             ],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, 6.0);
                 for v in &s.values {
                     assert!((v - v.round()).abs() < 1e-7, "fractional {v}");
@@ -1090,7 +1068,7 @@ mod tests {
             ],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => assert_close(s.objective, 8.0),
+            Some(s) => assert_close(s.objective, 8.0),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1124,7 +1102,7 @@ mod tests {
             rows: vec![row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.0)],
         };
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_close(s.objective, -1.0);
                 assert_close(s.values[1], 0.0);
             }
@@ -1141,7 +1119,7 @@ mod tests {
             rows: vec![],
         };
         match solve(&flips).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_eq!(s.pivots, 0);
                 assert!(s.iterations >= 2, "two flips expected");
             }
@@ -1158,7 +1136,7 @@ mod tests {
             ],
         };
         match solve(&vertex).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert!(s.pivots >= 1);
                 assert!(s.pivots <= s.iterations);
             }
@@ -1170,7 +1148,7 @@ mod tests {
     fn empty_problem_is_trivially_optimal() {
         let p = LpProblem::default();
         match solve(&p).unwrap() {
-            LpResult::Optimal(s) => {
+            Some(s) => {
                 assert_eq!(s.objective, 0.0);
                 assert!(s.values.is_empty());
             }
@@ -1178,16 +1156,15 @@ mod tests {
         }
     }
 
-    fn optimal(result: Result<LpResult, IlpError>) -> LpSolution {
+    fn optimal(result: Result<Option<LpSolution>, IlpError>) -> LpSolution {
         match result.unwrap() {
-            LpResult::Optimal(s) => s,
+            Some(s) => s,
             other => panic!("unexpected {other:?}"),
         }
     }
 
-    #[test]
-    fn warm_restart_from_own_basis_is_accepted() {
-        let p = LpProblem {
+    fn textbook() -> LpProblem {
+        LpProblem {
             cost: vec![-3.0, -5.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
@@ -1195,25 +1172,32 @@ mod tests {
                 row(&[(1, 2.0)], RowSense::Le, 12.0),
                 row(&[(0, 3.0), (1, 2.0)], RowSense::Le, 18.0),
             ],
-        };
+        }
+    }
+
+    #[test]
+    fn resolve_with_unchanged_bounds_is_pivot_free() {
+        let p = textbook();
         let cold = optimal(solve(&p));
         assert!(!cold.warmed);
-        let warm = optimal(solve_with_warm_start(&p, None, Some(&cold.basis)));
-        assert!(warm.warmed, "own optimal basis must be accepted");
+        assert!(cold.pivots > 0);
+        let warm = resolve(&cold, &p)
+            .expect("own final tableau is accepted")
+            .unwrap();
+        assert!(warm.warmed);
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
         assert_eq!(warm.values, cold.values);
-        assert!(
-            warm.pivots <= cold.pivots,
-            "restart from the optimal basis cannot need more pivots"
-        );
+        assert_eq!((warm.iterations, warm.pivots), (1, 0));
+        // The solution hands its tableau on with the counters reset.
+        assert_eq!(warm.tableau, cold.tableau);
     }
 
     #[test]
     fn warm_start_with_nudged_bounds_matches_cold() {
         // A parent LP and a "child" with a tightened upper bound — the
         // exact shape branch-and-bound produces. The parent basis stays
-        // dual feasible, so the warm path must accept it and land on
-        // the same optimum the cold solve finds.
+        // dual feasible, so the inherited tableau must be accepted and
+        // land on the same optimum the cold solve finds.
         let parent = LpProblem {
             cost: vec![-2.0, -3.0, -1.0],
             upper: vec![4.0, 4.0, 4.0],
@@ -1227,7 +1211,8 @@ mod tests {
             let mut child = parent.clone();
             child.upper[1] = cap;
             let cold = optimal(solve(&child));
-            let warm = optimal(solve_with_warm_start(&child, None, Some(&base.basis)));
+            let warm = resolve(&base, &child).expect("accepted").unwrap();
+            assert!(warm.warmed);
             assert!(
                 (warm.objective - cold.objective).abs() < 1e-9,
                 "cap {cap}: warm {} vs cold {}",
@@ -1238,60 +1223,31 @@ mod tests {
     }
 
     #[test]
-    fn malformed_warm_bases_fall_back_to_cold() {
-        let p = LpProblem {
-            cost: vec![1.0, 1.0],
-            upper: vec![f64::INFINITY, f64::INFINITY],
-            rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Eq, 10.0),
-                row(&[(0, 1.0), (1, -1.0)], RowSense::Eq, 2.0),
-            ],
-        };
+    fn resolve_rejects_what_it_cannot_reuse() {
+        let p = textbook();
         let cold = optimal(solve(&p));
-        let bad = [
-            // Wrong column count.
-            WarmBasis {
-                basis: vec![0, 1],
-                at_upper: vec![false; 3],
-                n_cols: 3,
-            },
-            // Duplicate basic column.
-            WarmBasis {
-                basis: vec![0, 0],
-                at_upper: vec![false; cold.basis.n_cols],
-                n_cols: cold.basis.n_cols,
-            },
-            // Out-of-range basic column.
-            WarmBasis {
-                basis: vec![0, 99],
-                at_upper: vec![false; cold.basis.n_cols],
-                n_cols: cold.basis.n_cols,
-            },
-            // At-upper flag on a nonbasic unbounded column: basis on
-            // the two artificials leaves both structurals nonbasic,
-            // and x0 has no finite upper bound to rest at.
-            WarmBasis {
-                basis: vec![cold.basis.n_cols - 2, cold.basis.n_cols - 1],
-                at_upper: {
-                    let mut f = vec![false; cold.basis.n_cols];
-                    f[0] = true;
-                    f
-                },
-                n_cols: cold.basis.n_cols,
-            },
-        ];
-        for (k, basis) in bad.iter().enumerate() {
-            let s = optimal(solve_with_warm_start(&p, None, Some(basis)));
-            assert!(!s.warmed, "bad basis {k} must be rejected");
-            assert_eq!(s.objective.to_bits(), cold.objective.to_bits());
-            assert_eq!(s.values, cold.values);
-        }
+        // Bounds for another column count.
+        assert!(cold.tableau.clone().resolve(&[0.0], &[1.0]).is_none());
+        // A column resting at a finite upper bound whose bound becomes
+        // infinite falls to its lower side, where its reduced cost is
+        // dual infeasible: max x with x ≤ 1 by bound and x ≤ 5 by row.
+        let capped = LpProblem {
+            cost: vec![-1.0],
+            upper: vec![1.0],
+            rows: vec![row(&[(0, 1.0)], RowSense::Le, 5.0)],
+        };
+        let base = optimal(solve(&capped));
+        assert!(base.tableau.at_upper[0]);
+        let mut loose = capped.clone();
+        loose.upper[0] = f64::INFINITY;
+        assert!(resolve(&base, &loose).is_none());
+        assert_close(optimal(solve(&loose)).objective, -5.0);
     }
 
     #[test]
     fn warm_start_never_declares_infeasibility_itself() {
-        // Child bounds make the system infeasible; the warm path must
-        // hand the verdict to the cold path rather than guessing.
+        // Child bounds make the system infeasible; the inherited
+        // tableau is rejected so the cold path gives the verdict.
         let parent = LpProblem {
             cost: vec![1.0, 1.0],
             upper: vec![10.0, 10.0],
@@ -1304,10 +1260,135 @@ mod tests {
         let mut child = parent.clone();
         child.upper[0] = 1.0;
         child.upper[1] = 1.0;
-        assert_eq!(
-            solve_with_warm_start(&child, None, Some(&base.basis)).unwrap(),
-            LpResult::Infeasible
-        );
+        assert!(resolve(&base, &child).is_none());
+        assert_eq!(solve(&child).unwrap(), None);
+    }
+
+    /// Deterministic stream of unit-interval draws for seeded cases.
+    struct Draws(u64);
+
+    impl Draws {
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = self.0;
+            x ^= x >> 30;
+            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^= x >> 27;
+            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^= x >> 31;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.unit() * n as f64) as usize
+        }
+    }
+
+    /// A seeded LP over 2–6 bounded continuous variables (lower bounds
+    /// in {-2, 0, 1}) with 1–5 mixed ≤/≥/= rows, feasible at a witness
+    /// point inside the box.
+    fn seeded_model(seed: u64) -> crate::Model {
+        let mut d = Draws(seed);
+        let mut model = if d.below(2) == 0 {
+            crate::Model::minimize()
+        } else {
+            crate::Model::maximize()
+        };
+        let n = 2 + d.below(5);
+        let mut vars = Vec::new();
+        let mut witness = Vec::new();
+        for _ in 0..n {
+            let lo = [-2.0, 0.0, 1.0][d.below(3)];
+            let hi = lo + 1.0 + 9.0 * d.unit();
+            let obj = (8.0 * d.unit() - 4.0).round();
+            vars.push(model.add_continuous_var(lo, hi, obj).unwrap());
+            witness.push(lo + (hi - lo) * d.unit());
+        }
+        for _ in 0..1 + d.below(5) {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if d.below(4) != 0 {
+                    terms.push((v, (6.0 * d.unit() - 3.0).round()));
+                }
+            }
+            let at: f64 = terms
+                .iter()
+                .map(|&(v, c): &(crate::VarId, f64)| c * witness[v.index()])
+                .sum();
+            let slack = 3.0 * d.unit();
+            let (sense, rhs) = match d.below(3) {
+                0 => (crate::Sense::Le, at + slack),
+                1 => (crate::Sense::Ge, at - slack),
+                _ => (crate::Sense::Eq, at),
+            };
+            model.add_constraint(terms, sense, rhs).unwrap();
+        }
+        model
+    }
+
+    /// Re-solving a parent's final tableau after one bound tightening
+    /// gives the status and objective of a cold solve of the child, for
+    /// basic and nonbasic columns, in both directions, including
+    /// children whose shifted right-hand sides change sign.
+    #[test]
+    fn inherited_resolve_matches_cold_solve() {
+        // (basic, up) -> children compared, per combination.
+        let mut compared = [[0usize; 2]; 2];
+        let (mut accepted, mut infeasible, mut negative_rhs) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let model = seeded_model(seed);
+            let root = model
+                .solve_relaxation(&[], None, None)
+                .unwrap()
+                .expect("feasible at the witness");
+            for (j, var) in model.vars.iter().enumerate() {
+                let v = root.values[j];
+                for frac in [0.25, 0.75] {
+                    for up in [false, true] {
+                        let bound = if up {
+                            (j, v + frac * (var.upper - v), var.upper)
+                        } else {
+                            (j, var.lower, v - frac * (v - var.lower))
+                        };
+                        let shifted_rhs_flips = model.rows.iter().any(|r| {
+                            let shifted = |lo_j: f64| {
+                                let shift: f64 = r
+                                    .terms
+                                    .iter()
+                                    .map(|&(k, c)| {
+                                        c * if k == j { lo_j } else { model.vars[k].lower }
+                                    })
+                                    .sum();
+                                r.rhs - shift
+                            };
+                            (shifted(var.lower) < 0.0) != (shifted(bound.1) < 0.0)
+                        });
+                        let inherited = Some(root.tableau.clone());
+                        let warm = model.solve_relaxation(&[bound], None, inherited).unwrap();
+                        let cold = model.solve_relaxation(&[bound], None, None).unwrap();
+                        match (&warm, &cold) {
+                            (None, None) => infeasible += 1,
+                            (Some(w), Some(c)) => {
+                                assert!(
+                                    (w.objective - c.objective).abs() <= 1e-9,
+                                    "seed {seed} var {j} bound {bound:?}: inherited {} vs cold {}",
+                                    w.objective,
+                                    c.objective
+                                );
+                                accepted += usize::from(w.warmed);
+                            }
+                            _ => {
+                                panic!("seed {seed} var {j} bound {bound:?}: {warm:?} vs {cold:?}")
+                            }
+                        }
+                        compared[usize::from(root.tableau.is_basic[j])][usize::from(up)] += 1;
+                        negative_rhs += usize::from(shifted_rhs_flips && warm.is_some());
+                    }
+                }
+            }
+        }
+        assert!(compared.iter().flatten().all(|&n| n > 20), "{compared:?}");
+        assert!(accepted > 100 && infeasible > 10 && negative_rhs > 10);
     }
 
     /// Seeded degenerate LP with deliberate ratio-test ties: `copies`
@@ -1349,11 +1430,10 @@ mod tests {
 
     #[test]
     fn degenerate_ties_terminate_cold_and_warm() {
-        // Anti-cycling regression (satellite for the warm-start work):
-        // the stall→Bland switch must keep terminating when the solve
-        // is warm-started from a degenerate optimal basis, and both
-        // paths must agree with the analytic optimum (put the whole
-        // budget on the most valuable variable).
+        // Anti-cycling regression: the stall→Bland switch must keep
+        // terminating when a degenerate optimal tableau is re-solved,
+        // and both paths must agree with the analytic optimum (put the
+        // whole budget on the most valuable variable).
         for seed in [1u64, 7, 42, 1234, 99999] {
             for (n, copies) in [(3usize, 3usize), (4, 5), (6, 4)] {
                 let p = degenerate_tie_problem(seed, n, copies);
@@ -1364,16 +1444,16 @@ mod tests {
                     "seed {seed} n {n}: cold {} want {want}",
                     cold.objective
                 );
-                // Warm restart from the degenerate optimal basis.
-                let warm = optimal(solve_with_warm_start(&p, None, Some(&cold.basis)));
+                // Re-solve the degenerate optimal tableau unchanged.
+                let warm = resolve(&cold, &p).expect("accepted").unwrap();
                 assert!((warm.objective - want).abs() < 1e-9);
-                // Warm start a *perturbed* child (tighter caps) from
-                // the degenerate parent basis: must terminate and
-                // match its own cold solve.
+                // Re-solve it for a child with every variable capped
+                // below the budget: must terminate and match the
+                // child's own cold solve.
                 let mut child = p.clone();
-                child.rows[copies].rhs = 0.5; // first per-variable cap
+                child.upper = vec![0.5; n];
                 let child_cold = optimal(solve(&child));
-                let child_warm = optimal(solve_with_warm_start(&child, None, Some(&cold.basis)));
+                let child_warm = resolve(&cold, &child).expect("accepted").unwrap();
                 assert!(
                     (child_warm.objective - child_cold.objective).abs() < 1e-9,
                     "seed {seed} n {n}: warm child {} vs cold child {}",

@@ -4,13 +4,16 @@
 //! `EAGLEEYE_CHECK_CASES`). Includes the MILP-vs-enumeration
 //! differential oracle: on every random small integer program the
 //! branch-and-bound answer (status *and* objective) must match an
-//! exhaustive scan of the integer lattice.
+//! exhaustive scan of the integer lattice. A second oracle checks the
+//! children branch-and-bound re-solves from their parent's final
+//! tableau against cold solves of the same children.
 
 use eagleeye_check::{
     any_bool, check_cases, f64_range, prop_assert, prop_assert_eq, usize_range, vec_of, Gen,
     PropResult,
 };
 use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus};
+use std::cell::Cell;
 
 const CASES: u32 = 64;
 /// The acceptance-critical differential oracle runs at a higher budget.
@@ -352,7 +355,9 @@ fn enumerate_optimum(ip: &SmallIp) -> Option<i64> {
     }
 }
 
-fn check_milp_matches_enumeration(ip: &SmallIp) -> PropResult {
+/// Checks `ip` against [`enumerate_optimum`], adding the solve's warm
+/// starts to `warm_starts`.
+fn check_milp_matches_enumeration(ip: &SmallIp, warm_starts: &Cell<usize>) -> PropResult {
     let mut m = if ip.maximize {
         Model::maximize()
     } else {
@@ -378,6 +383,7 @@ fn check_milp_matches_enumeration(ip: &SmallIp) -> PropResult {
         .unwrap();
     }
     let sol = m.solve(&SolveOptions::default()).unwrap();
+    warm_starts.set(warm_starts.get() + sol.stats().warm_starts);
     match enumerate_optimum(ip) {
         None => {
             prop_assert_eq!(sol.status(), SolveStatus::Infeasible);
@@ -420,11 +426,16 @@ fn check_milp_matches_enumeration(ip: &SmallIp) -> PropResult {
 /// rows and both optimization directions.
 #[test]
 fn milp_matches_enumeration() {
+    let warm_starts = Cell::new(0);
     check_cases(
         ORACLE_CASES,
         "milp_matches_enumeration",
         small_ip_gen(),
-        check_milp_matches_enumeration,
+        |ip| check_milp_matches_enumeration(ip, &warm_starts),
+    );
+    assert!(
+        warm_starts.get() > 0,
+        "no case re-solved an inherited tableau"
     );
 }
 
@@ -437,6 +448,7 @@ fn milp_matches_enumeration() {
 /// must still terminate and agree with the oracle.
 #[test]
 fn degenerate_duplicated_rows_match_enumeration() {
+    let warm_starts = Cell::new(0);
     check_cases(
         ORACLE_CASES,
         "degenerate_duplicated_rows_match_enumeration",
@@ -448,7 +460,154 @@ fn degenerate_duplicated_rows_match_enumeration() {
                 .iter()
                 .flat_map(|row| std::iter::repeat_n(row.clone(), *copies))
                 .collect();
-            check_milp_matches_enumeration(&degenerate)
+            check_milp_matches_enumeration(&degenerate, &warm_starts)
         },
+    );
+    assert!(
+        warm_starts.get() > 0,
+        "no case re-solved an inherited tableau"
+    );
+}
+
+/// A random mixed program: 1–4 continuous variables in [0, 10] and one
+/// integer variable in [0, 3] (last), with half-step coefficients on
+/// mixed-sense rows, either direction. Rows sit at or around a
+/// witness point, so some programs are infeasible and most are not.
+#[derive(Debug, Clone)]
+struct MixedLp {
+    maximize: bool,
+    /// Objective per variable.
+    obj: Vec<f64>,
+    /// Rows: (coefficients, sense tag 0=Le 1=Ge 2=Eq, rhs).
+    rows: Vec<(Vec<f64>, u8, f64)>,
+}
+
+impl MixedLp {
+    /// The program as a model; `fixed` pins the integer variable to a
+    /// value and makes it continuous, which leaves a pure LP.
+    fn model(&self, fixed: Option<f64>) -> Model {
+        let mut m = if self.maximize {
+            Model::maximize()
+        } else {
+            Model::minimize()
+        };
+        let (int_obj, cont_obj) = self.obj.split_last().expect("one integer variable");
+        let mut vars: Vec<_> = cont_obj
+            .iter()
+            .map(|&c| m.add_continuous_var(0.0, 10.0, c).unwrap())
+            .collect();
+        vars.push(match fixed {
+            Some(k) => m.add_continuous_var(k, k, *int_obj).unwrap(),
+            None => m.add_integer_var(0.0, 3.0, *int_obj).unwrap(),
+        });
+        for (coeffs, sense, rhs) in &self.rows {
+            let sense = match sense {
+                0 => Sense::Le,
+                1 => Sense::Ge,
+                _ => Sense::Eq,
+            };
+            m.add_constraint(vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)), sense, *rhs)
+                .unwrap();
+        }
+        m
+    }
+}
+
+fn half_steps(lo: f64, hi: f64) -> impl Gen<Value = f64> {
+    f64_range(lo, hi).map(|x| (2.0 * x).round() / 2.0)
+}
+
+fn mixed_lp_gen() -> impl Gen<Value = MixedLp> {
+    (
+        any_bool(),
+        usize_range(1, 5),
+        vec_of(half_steps(-4.0, 4.0), 5, 6),
+        usize_range(1, 5),
+        vec_of(
+            (
+                vec_of(half_steps(-3.0, 3.0), 5, 6),
+                usize_range(0, 3),
+                f64_range(-1.0, 4.0),
+            ),
+            4,
+            5,
+        ),
+        vec_of(f64_range(0.0, 10.0), 4, 5),
+        eagleeye_check::u64_range(0, 4),
+    )
+        .map(|(maximize, n, obj, n_rows, raw_rows, witness, k)| {
+            // The first `n` entries serve the continuous variables and
+            // the last one the integer variable.
+            let pick = |v: &[f64]| v[..n].iter().chain(&v[4..]).copied().collect::<Vec<_>>();
+            let mut point = witness[..n].to_vec();
+            point.push(k as f64);
+            MixedLp {
+                maximize,
+                obj: pick(&obj),
+                rows: raw_rows[..n_rows]
+                    .iter()
+                    .map(|(c, sense, offset)| {
+                        let coeffs = pick(c);
+                        let at: f64 = coeffs.iter().zip(&point).map(|(a, x)| a * x).sum();
+                        let rhs = match sense {
+                            0 => at + offset,
+                            1 => at - offset,
+                            _ => at,
+                        };
+                        (coeffs, *sense as u8, rhs)
+                    })
+                    .collect(),
+            }
+        })
+}
+
+/// Branch-and-bound re-solves every child from its parent's final
+/// tableau; the answer must equal the best cold solve of the program
+/// with the integer variable fixed at each of its values — status, and
+/// objective to within 1e-9 (relative beyond 1).
+#[test]
+fn inherited_tableau_branching_matches_cold_fixed_solves() {
+    let warm_starts = Cell::new(0);
+    check_cases(
+        ORACLE_CASES,
+        "inherited_tableau_branching_matches_cold_fixed_solves",
+        mixed_lp_gen(),
+        |lp| {
+            let sol = lp.model(None).solve(&SolveOptions::default()).unwrap();
+            warm_starts.set(warm_starts.get() + sol.stats().warm_starts);
+            let mut best: Option<f64> = None;
+            for k in 0..=3 {
+                let fixed = lp
+                    .model(Some(k as f64))
+                    .solve(&SolveOptions::default())
+                    .unwrap();
+                prop_assert_eq!(fixed.stats().warm_starts, 0);
+                if fixed.status() == SolveStatus::Optimal {
+                    let o = fixed.objective();
+                    best = Some(match best {
+                        Some(b) if lp.maximize => b.max(o),
+                        Some(b) => b.min(o),
+                        None => o,
+                    });
+                }
+            }
+            match best {
+                None => prop_assert_eq!(sol.status(), SolveStatus::Infeasible),
+                Some(best) => {
+                    prop_assert_eq!(sol.status(), SolveStatus::Optimal);
+                    prop_assert!(
+                        (sol.objective() - best).abs() <= 1e-9 * best.abs().max(1.0),
+                        "branch-and-bound {} vs cold fixed solves {}",
+                        sol.objective(),
+                        best
+                    );
+                }
+            }
+            Ok(())
+        },
+    );
+    assert!(
+        warm_starts.get() > 0,
+        "no case re-solved an inherited tableau"
     );
 }
