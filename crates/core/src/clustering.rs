@@ -11,6 +11,15 @@
 //! minimum set cover, solved exactly with the ILP solver
 //! (`eagleeye-ilp`) or approximately with the classic greedy heuristic.
 //!
+//! Most frames need no solver. A candidate that is the only cover of
+//! some point is *forced*: every cover contains it. When the forced
+//! candidates already cover every point — as in sparse frames, where
+//! each point's canonical boxes all cover the same set — they are the
+//! unique minimum cover, and the exact method returns them without
+//! building a model. Such frames never touch the ILP's 3 s wall-clock
+//! limit, so their clusters cannot depend on the machine. Only frames
+//! with a real choice left go to the ILP.
+//!
 //! A cluster's value is the sum of its members' priority scores; the
 //! scheduler then treats each cluster as a single capture task.
 //!
@@ -109,12 +118,8 @@ pub fn cluster(
             .collect()),
         ClusteringMethod::Greedy => {
             let candidates = candidates(points, box_w_m, box_h_m);
-            Ok(assemble(
-                points,
-                box_w_m,
-                box_h_m,
-                greedy_cover(points.len(), &candidates),
-            ))
+            let chosen = greedy_cover(points.len(), &candidates);
+            Ok(assemble(points, &candidates, chosen))
         }
         ClusteringMethod::Ilp => {
             let candidates = candidates(points, box_w_m, box_h_m);
@@ -130,7 +135,7 @@ pub fn cluster(
                 )) => greedy_cover(points.len(), &candidates),
                 Err(e) => return Err(e),
             };
-            Ok(assemble(points, box_w_m, box_h_m, chosen))
+            Ok(assemble(points, &candidates, chosen))
         }
     }
 }
@@ -212,27 +217,55 @@ fn greedy_cover(n_points: usize, candidates: &[Candidate]) -> Vec<usize> {
     chosen
 }
 
-/// Exact minimum cover via ILP. Returns `None` when the solver hit its
-/// time limit without proving optimality (caller falls back to greedy).
-fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usize>>, CoreError> {
-    let mut model = Model::minimize();
-    let vars: Vec<_> = candidates
-        .iter()
-        .map(|_| model.add_binary_var(1.0))
-        .collect();
-    // point -> candidates covering it
+/// For each point, the candidates covering it, in candidate order.
+fn covering(n_points: usize, candidates: &[Candidate]) -> Vec<Vec<usize>> {
     let mut covering: Vec<Vec<usize>> = vec![Vec::new(); n_points];
     for (ci, c) in candidates.iter().enumerate() {
         for &p in &c.covered {
             covering[p].push(ci);
         }
     }
-    for cover in &covering {
-        if cover.is_empty() {
-            // A point no candidate covers cannot happen (its own anchor
-            // covers it), but guard against future candidate pruning.
-            return Ok(None);
+    covering
+}
+
+/// The forced cover, when it settles the instance. A candidate is
+/// forced when it is the only cover of some point, so every cover
+/// contains it. When the forced candidates cover every point they are
+/// the unique minimum cover — the ILP's only optimum — and come back in
+/// index order, as the ILP path reports its choice. `None` when some
+/// point is left to choose for.
+fn forced_cover(covering: &[Vec<usize>], n_candidates: usize) -> Option<Vec<usize>> {
+    let mut forced = vec![false; n_candidates];
+    for cover in covering {
+        if let [ci] = cover[..] {
+            forced[ci] = true;
         }
+    }
+    covering
+        .iter()
+        .all(|cover| cover.iter().any(|&ci| forced[ci]))
+        .then(|| (0..n_candidates).filter(|&ci| forced[ci]).collect())
+}
+
+/// Exact minimum cover: the forced cover when it covers every point,
+/// else an ILP. Returns `None` when the solver hit its time limit
+/// without proving optimality (caller falls back to greedy).
+fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usize>>, CoreError> {
+    let covering = covering(n_points, candidates);
+    if covering.iter().any(Vec::is_empty) {
+        // A point no candidate covers cannot happen (its own anchor
+        // covers it), but guard against future candidate pruning.
+        return Ok(None);
+    }
+    if let Some(forced) = forced_cover(&covering, candidates.len()) {
+        return Ok(Some(forced));
+    }
+    let mut model = Model::minimize();
+    let vars: Vec<_> = candidates
+        .iter()
+        .map(|_| model.add_binary_var(1.0))
+        .collect();
+    for cover in &covering {
         model.add_constraint(cover.iter().map(|&ci| (vars[ci], 1.0)), Sense::Ge, 1.0)?;
     }
     let options = SolveOptions::with_time_limit(Duration::from_secs(3));
@@ -247,17 +280,17 @@ fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usi
     ))
 }
 
-/// Builds [`Cluster`]s from chosen candidates, assigning each point to
-/// the first chosen box that covers it and centering each box on its
-/// members' bounding box (any center keeping members inside is valid).
-fn assemble(points: &[(GroundPoint, f64)], w: f64, h: f64, chosen: Vec<usize>) -> Vec<Cluster> {
-    // Re-derive coverage from geometry to stay independent of candidate
-    // bookkeeping.
+/// Builds [`Cluster`]s from the `chosen` indices into `candidates`,
+/// assigning each point to the first chosen box that covers it and
+/// centering each box on its members' bounding box (any center keeping
+/// members inside is valid).
+fn assemble(
+    points: &[(GroundPoint, f64)],
+    candidates: &[Candidate],
+    chosen: Vec<usize>,
+) -> Vec<Cluster> {
     let mut assigned = vec![false; points.len()];
     let mut clusters = Vec::new();
-    // chosen indexes into the candidate list; rebuild candidate geometry
-    // lazily by recomputing coverage.
-    let candidates = candidates(points, w, h);
     for ci in chosen {
         let c = &candidates[ci];
         let members: Vec<usize> = c
@@ -314,6 +347,9 @@ pub fn covers_all(points: &[(GroundPoint, f64)], clusters: &[Cluster], w: f64, h
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagleeye_check::{check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_rng::SplitMix64;
+    use std::cell::Cell;
 
     fn pts(coords: &[(f64, f64)]) -> Vec<(GroundPoint, f64)> {
         coords
@@ -431,5 +467,115 @@ mod tests {
         assert!(covers_all(&p, &c, 10_000.0, 10_000.0));
         assert!(c.len() < 200, "clusters {}", c.len());
         assert!(elapsed.as_secs() < 30, "took {elapsed:?}");
+    }
+
+    /// The minimum cover as it was chosen before forced covers: always
+    /// through the ILP, kept as the oracle of [`ilp_cover`].
+    fn ilp_cover_reference(
+        n_points: usize,
+        candidates: &[Candidate],
+    ) -> Result<Option<Vec<usize>>, CoreError> {
+        let mut model = Model::minimize();
+        let vars: Vec<_> = candidates
+            .iter()
+            .map(|_| model.add_binary_var(1.0))
+            .collect();
+        for cover in &covering(n_points, candidates) {
+            if cover.is_empty() {
+                return Ok(None);
+            }
+            model.add_constraint(cover.iter().map(|&ci| (vars[ci], 1.0)), Sense::Ge, 1.0)?;
+        }
+        let sol = model.solve(&SolveOptions::with_time_limit(Duration::from_secs(3)))?;
+        if !sol.is_usable() {
+            return Ok(None);
+        }
+        Ok(Some(
+            (0..candidates.len())
+                .filter(|&ci| sol.value(vars[ci]) > 0.5)
+                .collect(),
+        ))
+    }
+
+    /// `cluster(.., ClusteringMethod::Ilp)` through the always-ILP cover.
+    fn cluster_reference(points: &[(GroundPoint, f64)], w: f64, h: f64) -> Vec<Cluster> {
+        let candidates = candidates(points, w, h);
+        let chosen = match ilp_cover_reference(points.len(), &candidates) {
+            Ok(Some(chosen)) => chosen,
+            Ok(None)
+            | Err(CoreError::Solver(
+                eagleeye_ilp::IlpError::IterationLimit { .. } | eagleeye_ilp::IlpError::Deadline,
+            )) => greedy_cover(points.len(), &candidates),
+            Err(e) => panic!("reference cover failed: {e}"),
+        };
+        assemble(points, &candidates, chosen)
+    }
+
+    /// A seeded point set of one of four kinds for a `w × h` box:
+    /// isolated (far apart), clustered (a few tight groups), duplicated
+    /// (repeated positions) or box-edge (on a lattice of exact half-box
+    /// steps, so boxes end exactly on points).
+    fn seeded_points(seed: u64, kind: usize, n: usize, w: f64, h: f64) -> Vec<(GroundPoint, f64)> {
+        let mut rng = SplitMix64::new(seed);
+        let mut pts: Vec<(GroundPoint, f64)> = Vec::with_capacity(n);
+        for i in 0..n {
+            let value = rng.range_f64(0.1, 3.0);
+            let p = match kind {
+                0 => GroundPoint::new(
+                    (i % 6) as f64 * 3.0 * w + rng.range_f64(0.0, w),
+                    (i / 6) as f64 * 3.0 * h + rng.range_f64(0.0, h),
+                ),
+                1 => {
+                    let g = rng.range_usize(0, 1 + n / 6) as f64;
+                    GroundPoint::new(
+                        g * 2.5 * w + rng.range_f64(0.0, 1.6 * w),
+                        g * 0.7 * h + rng.range_f64(0.0, 1.6 * h),
+                    )
+                }
+                2 if i > 0 && rng.chance(0.5) => pts[rng.range_usize(0, i)].0,
+                2 => GroundPoint::new(rng.range_f64(0.0, 4.0 * w), rng.range_f64(0.0, 4.0 * h)),
+                _ => GroundPoint::new(
+                    rng.range_usize(0, 7) as f64 * w / 2.0,
+                    rng.range_usize(0, 7) as f64 * h / 2.0,
+                ),
+            };
+            pts.push((p, value));
+        }
+        pts
+    }
+
+    /// Forced covers change no answer: over isolated, clustered,
+    /// duplicated and box-edge point sets, `cluster(.., Ilp)` returns
+    /// exactly the clusters of the always-ILP path. Both branches must
+    /// fire: instances the forced cover settles, and instances that
+    /// fall through to the ILP.
+    #[test]
+    fn forced_cover_matches_always_ilp_reference() {
+        let (w, h) = (10_000.0, 8_000.0);
+        let (forced, fell_through) = (Cell::new(0usize), Cell::new(0usize));
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(0, 4),
+            usize_range(1, 40),
+        );
+        check_cases(
+            256,
+            "forced_cover_matches_always_ilp_reference",
+            gen,
+            |&(seed, kind, n)| {
+                let pts = seeded_points(seed, kind, n, w, h);
+                let cands = candidates(&pts, w, h);
+                match forced_cover(&covering(pts.len(), &cands), cands.len()) {
+                    Some(_) => forced.set(forced.get() + 1),
+                    None => fell_through.set(fell_through.get() + 1),
+                }
+                let got = cluster(&pts, w, h, ClusteringMethod::Ilp)
+                    .map_err(|e| eagleeye_check::Failure::fail(format!("cluster failed: {e}")))?;
+                prop_assert_eq!(got, cluster_reference(&pts, w, h));
+                Ok(())
+            },
+        );
+        assert!(forced.get() > 0, "the forced path never fired");
+        assert!(fell_through.get() > 0, "the ILP fall-through never fired");
     }
 }

@@ -83,8 +83,7 @@ impl OpportunityGraph {
         let mut nodes: Vec<OppNode> = Vec::new();
         let mut rest_times: Vec<Vec<f64>> = vec![Vec::new(); problem.followers().len()];
         for &f in &follower_ids {
-            for (j, task) in problem.tasks().iter().enumerate() {
-                let _ = task;
+            for j in 0..problem.tasks().len() {
                 if *excluded_tasks.get(j).unwrap_or(&false) {
                     continue;
                 }
@@ -110,8 +109,7 @@ impl OpportunityGraph {
         }
 
         // Rest times = sorted distinct node times per follower.
-        for (i, n) in nodes.iter().enumerate() {
-            let _ = i;
+        for n in &nodes {
             rest_times[n.follower].push(n.time_s);
         }
         for times in rest_times.iter_mut() {

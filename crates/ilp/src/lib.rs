@@ -10,7 +10,11 @@
 //! * A dense, bounded-variable, two-phase **primal simplex** for the LP
 //!   relaxation. Only the root is solved cold: every other node takes
 //!   its parent's final tableau, applies its one bound change and
-//!   re-solves with a few dual-simplex pivots.
+//!   re-solves with a few dual-simplex pivots. Pricing keeps one weight
+//!   per column (±1 by the bound it rests at, 0 when it cannot enter),
+//!   updated only at pivots and bound flips, so choosing the entering
+//!   column is one product per column; after a pivot that choice is made
+//!   in the same pass that updates the reduced costs.
 //! * A depth-first **branch-and-bound** with most-fractional branching,
 //!   incumbent pruning, and time/node limits for integrality. An
 //!   interrupted search hands back its [`Frontier`] (open nodes with

@@ -161,6 +161,24 @@ pub(crate) fn solve_rows(
     Tableau::new(cost, lower, upper, rows)?.solve(deadline)
 }
 
+/// Picks the entering column from the pricing weights `w` (see
+/// [`Tableau::pricing_weight`]) and reduced costs `d`: the first column
+/// with the largest `w·d` above `COST_TOL` (Dantzig), or under Bland's
+/// rule the first column above it. `None` means the phase is optimal.
+fn price(w: &[f64], d: &[f64], bland: bool) -> Option<usize> {
+    let (mut best, mut enter) = (COST_TOL, None);
+    for (j, (&wj, &dj)) in w.iter().zip(d).enumerate() {
+        let score = wj * dj;
+        if score > best {
+            if bland {
+                return Some(j);
+            }
+            (best, enter) = (score, Some(j));
+        }
+    }
+    enter
+}
+
 /// Dense simplex tableau with bounded variables.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Tableau {
@@ -348,6 +366,50 @@ impl Tableau {
             }
             d[j] = 0.0;
         }
+    }
+
+    /// Pricing weight of column `j` in a phase: `1` when it rests at its
+    /// upper bound (it enters by decreasing, which pays when `d_j > 0`),
+    /// `-1` at its lower bound (pays when `d_j < 0`), and `0` when it
+    /// cannot enter: basic, a banned artificial, or fixed (`upper ≤
+    /// PIVOT_TOL`, where a move or a flip changes nothing). A column is
+    /// eligible exactly when `w_j·d_j > COST_TOL`, and then `w_j·d_j` is
+    /// `|d_j|` bit for bit, since scaling by ±1 is exact.
+    fn pricing_weight(&self, j: usize, ban_artificials: bool) -> f64 {
+        if self.is_basic[j]
+            || (ban_artificials && j >= self.art_start)
+            || self.upper[j] <= PIVOT_TOL
+        {
+            0.0
+        } else if self.at_upper[j] {
+            1.0
+        } else {
+            -1.0
+        }
+    }
+
+    /// [`Tableau::update_reduced_costs`] fused with Dantzig pricing:
+    /// applies `d -= d_j · row r` and, in the same pass, picks the first
+    /// column with the largest `w·d` above `COST_TOL` from the updated
+    /// costs. When `d_j` is too small to apply, `d` is unchanged and one
+    /// plain [`price`] scan picks instead.
+    fn update_and_price(&self, d: &mut [f64], w: &[f64], r: usize, j: usize) -> Option<usize> {
+        let dj = d[j];
+        if !(dj.abs() > 1e-13) {
+            return price(w, d, false);
+        }
+        let (mut best, mut enter) = (COST_TOL, None);
+        for (k, ((x, &rr), &wk)) in d.iter_mut().zip(self.row(r)).zip(w).enumerate() {
+            *x -= dj * rr;
+            let score = wk * *x;
+            if score > best {
+                (best, enter) = (score, Some(k));
+            }
+        }
+        // Column `j` has just entered the basis, so its weight is 0 and
+        // zeroing its cost cannot change the choice.
+        d[j] = 0.0;
+        enter
     }
 
     fn solve(mut self, deadline: Option<Instant>) -> Result<Option<LpSolution>, IlpError> {
@@ -618,6 +680,13 @@ impl Tableau {
             o
         };
 
+        // Pricing weights change only at pivots and bound flips. After
+        // a pivot that applies `d_j`, the reduced-cost update also picks
+        // the next entering column (`priced`); otherwise one scan does.
+        let mut w: Vec<f64> = (0..self.n_cols)
+            .map(|j| self.pricing_weight(j, ban_artificials))
+            .collect();
+        let mut priced: Option<Option<usize>> = None;
         let mut stall = 0usize;
         loop {
             self.iterations += 1;
@@ -635,41 +704,10 @@ impl Tableau {
                 }
             }
             let use_bland = stall >= STALL_LIMIT;
-
-            // Entering-variable selection.
-            let mut enter: Option<(usize, f64)> = None; // (col, |d|)
-            for j in 0..self.n_cols {
-                if self.is_basic[j] || (ban_artificials && j >= self.art_start) {
-                    continue;
-                }
-                // Columns fixed at zero can never usefully move.
-                if self.upper[j] <= PIVOT_TOL && self.at_upper[j] {
-                    continue;
-                }
-                let dj = d[j];
-                let eligible = if self.at_upper[j] {
-                    dj > COST_TOL
-                } else {
-                    dj < -COST_TOL
-                };
-                if !eligible {
-                    continue;
-                }
-                if self.upper[j] <= PIVOT_TOL && !self.at_upper[j] && dj < -COST_TOL {
-                    // Fixed-at-zero column: a "flip" moves nothing; skip to
-                    // avoid cycling between bounds.
-                    continue;
-                }
-                if use_bland {
-                    enter = Some((j, dj.abs()));
-                    break;
-                }
-                match enter {
-                    Some((_, best)) if dj.abs() <= best => {}
-                    _ => enter = Some((j, dj.abs())),
-                }
-            }
-            let Some((j, _)) = enter else {
+            let enter = priced.take().unwrap_or_else(|| price(&w, &d, use_bland));
+            #[cfg(test)]
+            tests::check_pricing(self, &d, ban_artificials, use_bland, enter);
+            let Some(j) = enter else {
                 return Ok(obj);
             };
 
@@ -728,6 +766,7 @@ impl Tableau {
                         self.b[i] -= sigma * t * aij;
                     }
                     self.at_upper[j] = !self.at_upper[j];
+                    w[j] = -w[j];
                 }
                 Some((r, to_upper)) => {
                     self.pivots += 1;
@@ -750,8 +789,14 @@ impl Tableau {
                     // Pivot: normalize row r, eliminate column j elsewhere.
                     let piv = self.a[r * self.n_cols + j];
                     debug_assert!(piv.abs() > PIVOT_TOL * 0.5, "tiny pivot {piv}");
+                    w[v] = self.pricing_weight(v, ban_artificials);
+                    w[j] = 0.0;
                     self.pivot_matrix(r, j);
-                    self.update_reduced_costs(&mut d, r, j);
+                    if stall >= STALL_LIMIT {
+                        self.update_reduced_costs(&mut d, r, j);
+                    } else {
+                        priced = Some(self.update_and_price(&mut d, &w, r, j));
+                    }
                 }
             }
         }
@@ -835,6 +880,90 @@ impl Tableau {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// What [`check_pricing`] saw on this thread: primal iterations
+    /// checked, and how many of them priced by Bland's rule, ran in
+    /// phase 1, or had a fixed nonbasic structural column to skip.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct PricingProbe {
+        checked: usize,
+        bland: usize,
+        phase_one: usize,
+        fixed: usize,
+    }
+
+    thread_local! {
+        static PROBE: Cell<PricingProbe> = Cell::new(PricingProbe::default());
+    }
+
+    /// The branchy entering-column scan `run_phase` made before it kept
+    /// pricing weights: the oracle the weighted selection must match.
+    fn enter_reference(
+        t: &Tableau,
+        d: &[f64],
+        ban_artificials: bool,
+        use_bland: bool,
+    ) -> Option<usize> {
+        let mut enter: Option<(usize, f64)> = None; // (col, |d|)
+        for j in 0..t.n_cols {
+            if t.is_basic[j] || (ban_artificials && j >= t.art_start) {
+                continue;
+            }
+            // Columns fixed at zero can never usefully move.
+            if t.upper[j] <= PIVOT_TOL && t.at_upper[j] {
+                continue;
+            }
+            let dj = d[j];
+            let eligible = if t.at_upper[j] {
+                dj > COST_TOL
+            } else {
+                dj < -COST_TOL
+            };
+            if !eligible {
+                continue;
+            }
+            if t.upper[j] <= PIVOT_TOL && !t.at_upper[j] && dj < -COST_TOL {
+                // Fixed-at-zero column: a "flip" moves nothing; skip to
+                // avoid cycling between bounds.
+                continue;
+            }
+            if use_bland {
+                enter = Some((j, dj.abs()));
+                break;
+            }
+            match enter {
+                Some((_, best)) if dj.abs() <= best => {}
+                _ => enter = Some((j, dj.abs())),
+            }
+        }
+        enter.map(|(j, _)| j)
+    }
+
+    /// Called by `run_phase` on every primal iteration of a test build:
+    /// the entering column it chose must be the reference scan's.
+    pub(super) fn check_pricing(
+        t: &Tableau,
+        d: &[f64],
+        ban_artificials: bool,
+        use_bland: bool,
+        enter: Option<usize>,
+    ) {
+        assert_eq!(
+            enter,
+            enter_reference(t, d, ban_artificials, use_bland),
+            "weighted pricing disagrees with the reference scan (bland {use_bland})"
+        );
+        let fixed = (0..t.n_struct).any(|j| !t.is_basic[j] && t.upper[j] <= PIVOT_TOL);
+        PROBE.with(|p| {
+            let mut q = p.get();
+            q.checked += 1;
+            q.bland += usize::from(use_bland);
+            q.phase_one += usize::from(!ban_artificials);
+            q.fixed += usize::from(fixed);
+            p.set(q);
+        });
+    }
 
     /// A single constraint row in sparse form.
     #[derive(Debug, Clone, PartialEq)]
@@ -1462,5 +1591,67 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `n` columns, each held at 0 by its own `x_j ≤ 0` row and each
+    /// worth entering: every pivot is degenerate, so the run stalls
+    /// into Bland's rule once `n > STALL_LIMIT`.
+    fn stall_problem(n: usize) -> LpProblem {
+        LpProblem {
+            cost: (0..n).map(|j| -1.0 - (j % 3) as f64).collect(),
+            upper: vec![f64::INFINITY; n],
+            rows: (0..n)
+                .map(|j| row(&[(j, 1.0)], RowSense::Le, 0.0))
+                .collect(),
+        }
+    }
+
+    /// Every primal iteration of a seeded LP suite prices through
+    /// [`check_pricing`], which asserts that the weighted (and, after a
+    /// pivot, fused) selection equals the reference scan. The suite
+    /// covers bound flips, fixed columns, phase-1 artificials, inherited
+    /// re-solves and a stall long enough to force Bland's rule.
+    #[test]
+    fn weighted_pricing_matches_reference_scan() {
+        PROBE.with(|p| p.set(PricingProbe::default()));
+        let mut flips = 0;
+        // Rowless boxes: every iteration is a bound flip.
+        let boxed = LpProblem {
+            cost: vec![-1.0, 2.0, -3.0, 0.0],
+            upper: vec![1.0, 4.0, 0.5, 2.0],
+            rows: vec![],
+        };
+        let s = optimal(solve(&boxed));
+        assert_eq!(s.pivots, 0);
+        flips += s.iterations - 1;
+        for seed in 0..200u64 {
+            let model = seeded_model(seed);
+            let Some(root) = model.solve_relaxation(&[], None, None).unwrap() else {
+                continue;
+            };
+            // Cold solves without artificials end in one phase; the
+            // rest of their iterations beyond pivots are flips.
+            if root.tableau.art_start == root.tableau.n_cols {
+                flips += root.iterations - root.pivots - 1;
+            }
+            // Fix each variable at its root value (a fixed column) and
+            // re-solve both cold and from the inherited tableau.
+            for j in 0..model.vars.len() {
+                let v = root.values[j].clamp(model.vars[j].lower, model.vars[j].upper);
+                let fixed = [(j, v, v)];
+                let _ = model.solve_relaxation(&fixed, None, None).unwrap();
+                let _ = model
+                    .solve_relaxation(&fixed, None, Some(root.tableau.clone()))
+                    .unwrap();
+            }
+        }
+        let stall = optimal(solve(&stall_problem(STALL_LIMIT + 16)));
+        assert_eq!(stall.pivots, STALL_LIMIT + 16);
+        let probe = PROBE.with(Cell::get);
+        assert!(flips > 0, "no bound flips");
+        assert!(probe.checked > 1_000, "{probe:?}");
+        assert!(probe.bland > 0, "{probe:?}");
+        assert!(probe.phase_one > 0, "{probe:?}");
+        assert!(probe.fixed > 0, "{probe:?}");
     }
 }

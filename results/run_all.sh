@@ -9,6 +9,7 @@ $B/fig10_lookahead             > results/fig10.csv 2> results/fig10.log
 $B/fig14b_tiling               > results/fig14b.csv 2> results/fig14b.log
 $B/fig16_energy                > results/fig16.csv 2> results/fig16.log
 $B/fig12a_runtime              > results/fig12a.csv 2> results/fig12a.log
+$B/tab_clu                     > results/tab_clu.csv 2> results/tab_clu.log
 $B/fig14a_follower_capacity --fast > results/fig14a.csv 2> results/fig14a.log
 $B/fig4_swath_tradeoff  --hours 2 --scale 0.5 > results/fig4.csv  2> results/fig4.log
 $B/fig12b_target_cdf    --hours 2 --scale 1.0 > results/fig12b.csv 2> results/fig12b.log
