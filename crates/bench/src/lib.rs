@@ -37,10 +37,6 @@ use std::time::Duration;
 pub struct BenchCli {
     /// Shortened sweep mode.
     pub fast: bool,
-    /// CI smoke mode (`--smoke`): an even shorter configuration than
-    /// `--fast`, plus hard pass/fail gates in the binaries that
-    /// support it (see `perf_eval`).
-    pub smoke: bool,
     /// Simulation horizon, seconds.
     pub duration_s: f64,
     /// Dataset scale in `(0, 1]`.
@@ -72,7 +68,6 @@ impl Default for BenchCli {
     fn default() -> Self {
         BenchCli {
             fast: false,
-            smoke: false,
             duration_s: 3.0 * 3600.0,
             scale: 1.0,
             seed: 7,
@@ -106,12 +101,6 @@ impl BenchCli {
                     cli.fast = true;
                     cli.duration_s = 1.0 * 3600.0;
                     cli.scale = cli.scale.min(0.3);
-                }
-                "--smoke" => {
-                    cli.smoke = true;
-                    cli.fast = true;
-                    cli.duration_s = 0.5 * 3600.0;
-                    cli.scale = cli.scale.min(0.2);
                 }
                 "--hours" => {
                     let v = args.next().expect("--hours needs a value");
@@ -148,7 +137,7 @@ impl BenchCli {
                     cli.deadline = Deadline::after(Duration::from_secs_f64(secs));
                 }
                 other => panic!(
-                    "unknown flag {other}; supported: --fast --smoke --hours <h> --scale <f> \
+                    "unknown flag {other}; supported: --fast --hours <h> --scale <f> \
                      --seed <n> --threads <n> --checkpoint <path> --resume --ckpt-cadence <n> \
                      --deadline <s>"
                 ),
@@ -207,7 +196,6 @@ impl BenchCli {
     /// and checkpoint cadence are deliberately excluded: a sweep may
     /// resume with different parallelism.
     // eagleeye-lint: digest-of(BenchCli)
-    // eagleeye-lint: digest-allow(BenchCli::smoke): already bound — smoke mode only shrinks duration_s/scale and the sweep grid, all of which are hashed
     // eagleeye-lint: digest-allow(BenchCli::threads, BenchCli::checkpoint, BenchCli::deadline): execution shape — a sweep may legitimately resume with different parallelism, cadence, or budget
     // eagleeye-lint: digest-allow(BenchCli::metrics): observability sink; recorded metrics are identical at any thread count and never alter rows
     pub fn scenario_hash(&self, run: &str, total_items: usize) -> u64 {

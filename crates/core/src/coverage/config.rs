@@ -126,26 +126,6 @@ impl ConstellationConfig {
     }
 }
 
-/// A reliability scenario (paper §4.7): failures occurring at a given
-/// simulation time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailurePlan {
-    /// Simulation time at which the failures occur, seconds.
-    pub fail_at_s: f64,
-    /// Whether the group leader fails. Followers then fall back to
-    /// capturing nadir high-resolution imagery.
-    pub leader_failed: bool,
-    /// Indices of failed followers (excluded from scheduling).
-    pub failed_followers: Vec<usize>,
-}
-
-impl FailurePlan {
-    /// No failures.
-    pub fn none() -> Option<FailurePlan> {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

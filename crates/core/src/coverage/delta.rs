@@ -135,12 +135,7 @@ impl ScenarioDelta {
                 start_s,
                 end_s,
             } => {
-                if !(start_s >= 0.0 && end_s > start_s) {
-                    return Err(CoreError::InvalidParameter {
-                        name: "fault_window_end_s",
-                        value: end_s,
-                    });
-                }
+                check_fault_window(start_s, end_s)?;
                 let base = match options.fault_plan.as_deref() {
                     Some(plan) => plan.clone(),
                     None => FaultPlan::new(options.seed),
@@ -149,6 +144,21 @@ impl ScenarioDelta {
             }
         }
         Ok((child_cfg, child_opts))
+    }
+}
+
+/// Rejects a fault window `[start_s, end_s)` with a negative or NaN
+/// start or an end not after its start, as `fault_window_end_s`. The one
+/// rule for [`ScenarioDelta::FaultWindow`] and, at evaluation entry, for
+/// every fault of [`CoverageOptions::fault_plan`].
+pub(super) fn check_fault_window(start_s: f64, end_s: f64) -> Result<(), CoreError> {
+    if start_s >= 0.0 && end_s > start_s {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidParameter {
+            name: "fault_window_end_s",
+            value: end_s,
+        })
     }
 }
 

@@ -2,9 +2,10 @@ use super::compile::{
     membership_chunk, CompileCache, CompileGeometry, CompileStats, CompiledScenario, CompiledTrack,
     FrameInputs, IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
 };
+use super::delta::check_fault_window;
 use super::harden::{decode_leader_payload, encode_leader_payload};
 use super::{
-    ConstellationConfig, CoverageReport, DegradedMode, FailurePlan, HardenOptions, HardenedOutcome,
+    ConstellationConfig, CoverageReport, DegradedMode, HardenOptions, HardenedOutcome,
     SchedulerKind,
 };
 use crate::clustering::{cluster, Cluster, ClusteringMethod};
@@ -41,8 +42,6 @@ pub struct CoverageOptions {
     /// Cap on clusters handed to the scheduler per frame (more than the
     /// followers can capture anyway); highest-value clusters are kept.
     pub max_tasks_per_frame: usize,
-    /// Optional failure-injection scenario (paper §4.7).
-    pub failure: Option<FailurePlan>,
     /// Recapture deprioritization (paper §4.7 "Recapture", implemented
     /// here as an extension): when `Some(p)`, the leader multiplies the
     /// priority of targets the constellation has already captured by
@@ -64,7 +63,8 @@ pub struct CoverageOptions {
     /// Evaluation errors when the capacity is below the group count.
     pub layout_slots: Option<usize>,
     /// Optional seeded fault-injection plan (satellite outages,
-    /// detector dropout, radio/ADACS derating, brownouts). `None`
+    /// detector dropout, radio/ADACS derating, brownouts); leader and
+    /// follower outages are the paper's §4.7 failure scenarios. `None`
     /// reproduces the fault-free paper evaluation. Shared by `Arc` so
     /// Monte-Carlo sweep loops can evaluate one large plan under many
     /// configurations without copying it per evaluation.
@@ -101,7 +101,6 @@ impl Default for CoverageOptions {
             recall: 1.0,
             seed: 7,
             max_tasks_per_frame: 60,
-            failure: None,
             recapture_penalty: None,
             orbital_planes: 1,
             layout_slots: None,
@@ -224,7 +223,8 @@ impl<'a> CoverageEvaluator<'a> {
     ///
     /// [`CoreError::InvalidParameter`] for an invalid sensing spec, a
     /// `duration_s` that is negative or not finite, or a `recall` or
-    /// `recapture_penalty` outside `[0, 1]` (the ranges
+    /// `recapture_penalty` outside `[0, 1]`, or a fault window with a
+    /// negative or NaN start or an end not after its start (the rules
     /// [`ScenarioDelta::apply`](super::ScenarioDelta::apply) enforces).
     /// Propagates orbit, geometry, and solver failures; zero-satellite
     /// configurations return an empty report rather than erroring.
@@ -253,6 +253,9 @@ impl<'a> CoverageEvaluator<'a> {
             if !valid {
                 return Err(CoreError::InvalidParameter { name, value });
             }
+        }
+        for f in o.fault_plan.iter().flat_map(|p| p.faults()) {
+            check_fault_window(f.start_s, f.end_s)?;
         }
         let leader = |groups, followers_per_group, scheduler, clustering, mix_compute_s| {
             Run::Leader(LeaderRun {
@@ -360,7 +363,7 @@ impl<'a> CoverageEvaluator<'a> {
     /// share tracks across those edits.
     // eagleeye-lint: digest-of(CoverageOptions, CompileGeometry)
     // eagleeye-lint: digest-allow(CoverageOptions::recall, CoverageOptions::seed, CoverageOptions::max_tasks_per_frame, CoverageOptions::recapture_penalty): flow through the per-frame memo key (detected points and their values, task cap), never through the compiled track
-    // eagleeye-lint: digest-allow(CoverageOptions::failure, CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; follower sets, outage onsets and derates are bound per frame by the frame memo key
+    // eagleeye-lint: digest-allow(CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; follower sets, outage onsets and derates are bound per frame by the frame memo key
     // eagleeye-lint: digest-allow(CoverageOptions::orbital_planes, CoverageOptions::layout_slots): bound through the satellite's orbital elements already digested via the SatelliteSpec debug string
     // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics): execution shape and observability only — compiled tracks are bit-identical across them (DESIGN.md section 8/10/13)
     fn track_digest(&self, sat: &SatelliteSpec, geom: &CompileGeometry, sched_label: &str) -> u64 {
@@ -432,7 +435,8 @@ impl<'a> CoverageEvaluator<'a> {
             .f64(o.recall)
             .u64(o.seed)
             .u64(o.max_tasks_per_frame as u64)
-            .str(&format!("{:?}", o.failure))
+            // The removed `FailurePlan` option, always `None`: keeps v2 hashes valid.
+            .str("None")
             .str(&format!("{:?}", o.recapture_penalty))
             .u64(o.orbital_planes as u64)
             .str(&format!("{:?}", o.layout_slots))
@@ -940,7 +944,6 @@ impl<'a> CoverageEvaluator<'a> {
         let mut in_frame: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut detected: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut points: Vec<(GroundPoint, f64)> = Vec::with_capacity(peak);
-        let mut failed: Vec<usize> = Vec::with_capacity(n_followers);
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
         let mut follower_states: Vec<FollowerState> = Vec::with_capacity(n_followers);
         let mut repair_failures: Vec<(usize, f64)> = Vec::with_capacity(n_followers);
@@ -953,17 +956,10 @@ impl<'a> CoverageEvaluator<'a> {
                 p.record_frame_activity(t, metrics);
             }
 
-            let legacy_leader_failed = self
-                .options
-                .failure
-                .as_ref()
-                .map(|f| f.leader_failed && t >= f.fail_at_s)
-                .unwrap_or(false);
-            let fault_leader_out = fault_plan.map(|p| p.leader_out(t)).unwrap_or(false);
-            if fault_leader_out {
+            let leader_out = fault_plan.map(|p| p.leader_out(t)).unwrap_or(false);
+            if leader_out {
                 report.frames_leader_down += 1;
             }
-            let leader_failed = legacy_leader_failed || fault_leader_out;
 
             // Targets inside the low-resolution frame, swept from the
             // compiled interval events (O(targets in view), no spatial
@@ -974,7 +970,7 @@ impl<'a> CoverageEvaluator<'a> {
             }
             report.frames_with_targets += 1;
 
-            if leader_failed {
+            if leader_out {
                 // §4.7 fallback: followers capture nadir high-res.
                 for &(idx, x, _) in &in_frame {
                     if x.abs() <= high_swath / 2.0 {
@@ -1033,24 +1029,13 @@ impl<'a> CoverageEvaluator<'a> {
             // Follower set-up. None of it depends on the clusters, so
             // it runs ahead of the memo lookup and a replayed frame
             // never clusters.
-            failed.clear();
-            if let Some(f) = self.options.failure.as_ref().filter(|f| t >= f.fail_at_s) {
-                failed.extend_from_slice(&f.failed_followers);
-            }
-            // A fault-aware leader also excludes followers it knows
-            // to be out; a naive one keeps tasking them and loses
-            // those captures at execution time.
-            if fault_aware {
-                if let Some(p) = fault_plan {
-                    for k in 0..n_followers {
-                        if p.follower_out(k, t) && !failed.contains(&k) {
-                            failed.push(k);
-                        }
-                    }
-                }
-            }
+            // A fault-aware leader excludes followers it knows to be
+            // out; a naive one keeps tasking them and loses those
+            // captures at execution time.
             active.clear();
-            active.extend((0..n_followers).filter(|k| !failed.contains(k)));
+            active.extend((0..n_followers).filter(|&k| {
+                !(fault_aware && fault_plan.map(|p| p.follower_out(k, t)).unwrap_or(false))
+            }));
             if active.is_empty() {
                 // Nobody to task, but the frame still counts its
                 // clusters.
@@ -1668,6 +1653,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_fault_window_that_is_inverted_or_nan() {
+        for (start_s, end_s) in [(600.0, 300.0), (f64::NAN, 900.0)] {
+            assert_rejected(
+                CoverageOptions {
+                    fault_plan: Some(Arc::new(FaultPlan::new(1).with_fault(
+                        eagleeye_sim::FaultKind::LeaderOutage,
+                        start_s,
+                        end_s,
+                    ))),
+                    ..quick_options()
+                },
+                "fault_window_end_s",
+            );
+        }
+    }
+
+    #[test]
     fn expired_deadline_yields_valid_degraded_report() {
         let targets = meridian_targets(60);
         let config = ConstellationConfig::eagleeye(3, 1);
@@ -1923,27 +1925,28 @@ mod tests {
     fn leader_failure_falls_back_to_nadir() {
         let targets = meridian_targets(60);
         let mut opts = quick_options();
-        opts.failure = Some(FailurePlan {
-            fail_at_s: 0.0,
-            leader_failed: true,
-            failed_followers: vec![],
-        });
+        opts.fault_plan = Some(Arc::new(FaultPlan::new(1).with_fault(
+            eagleeye_sim::FaultKind::LeaderOutage,
+            0.0,
+            f64::INFINITY,
+        )));
         let eval = CoverageEvaluator::new(&targets, opts);
         let r = eval.evaluate(&ConstellationConfig::eagleeye(1, 1)).unwrap();
         // Degraded mode still captures nadir targets but commands no
-        // scheduled captures.
+        // scheduled captures, and every frame counts the leader down.
         assert_eq!(r.captures_commanded, 0);
+        assert_eq!(r.frames_leader_down, r.frames_processed);
     }
 
     #[test]
     fn all_followers_failed_captures_nothing() {
         let targets = meridian_targets(30);
         let mut opts = quick_options();
-        opts.failure = Some(FailurePlan {
-            fail_at_s: 0.0,
-            leader_failed: false,
-            failed_followers: vec![0],
-        });
+        opts.fault_plan = Some(Arc::new(FaultPlan::new(1).with_fault(
+            eagleeye_sim::FaultKind::FollowerOutage { follower: 0 },
+            0.0,
+            f64::INFINITY,
+        )));
         let eval = CoverageEvaluator::new(&targets, opts);
         let r = eval.evaluate(&ConstellationConfig::eagleeye(1, 1)).unwrap();
         assert_eq!(r.captured, 0);

@@ -17,17 +17,16 @@
 //! * **Mix-Camera** — both cameras on one satellite; onboard compute
 //!   time eats into each frame's capture window (paper Fig. 9/13).
 //!
-//! Failure injection (paper §4.7) is supported: a failed leader degrades
-//! its group to nadir high-resolution capture; failed followers are
-//! excluded from scheduling.
-//!
-//! Beyond the paper, richer fault timelines can be injected via
-//! [`CoverageOptions::fault_plan`] (an `Arc`-shared
-//! `eagleeye_sim::FaultPlan`: satellite outages, detector dropout,
-//! radio/ADACS derating, battery brownouts). [`DegradedMode`] selects whether the leader reacts to
-//! those faults (excluding dead followers, repairing mid-pass failures
-//! with [`SchedulerKind::Resilient`]) or naively keeps tasking dead
-//! satellites — the baseline for the fault-tolerance study.
+//! Faults are injected via [`CoverageOptions::fault_plan`] (an
+//! `Arc`-shared `eagleeye_sim::FaultPlan`). Its leader and follower
+//! outages are the paper's §4.7 reliability scenarios: while a leader is
+//! out, its group falls back to nadir high-resolution capture; beyond
+//! the paper, the plan also models detector dropout, radio/ADACS
+//! derating and battery brownouts. [`DegradedMode`] selects whether the
+//! leader reacts to follower outages (excluding dead followers,
+//! repairing mid-pass failures with [`SchedulerKind::Resilient`]) or
+//! naively keeps tasking dead satellites — the baseline for the
+//! fault-tolerance study.
 //!
 //! [`CoverageEvaluator::evaluate`] and the crash-safe
 //! [`CoverageEvaluator::evaluate_hardened`] validate the options and take
@@ -44,7 +43,7 @@ mod harden;
 mod report;
 
 pub use compile::CompileStats;
-pub use config::{ConstellationConfig, DegradedMode, FailurePlan, SchedulerKind};
+pub use config::{ConstellationConfig, DegradedMode, SchedulerKind};
 pub use delta::{DeltaStats, ScenarioDelta};
 pub use evaluator::{CoverageEvaluator, CoverageOptions};
 pub use harden::{HardenOptions, HardenedOutcome};

@@ -31,8 +31,8 @@ use eagleeye_core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, DegradedMode,
     ScenarioDelta, SchedulerKind,
 };
-use eagleeye_datasets::TargetSet;
-use eagleeye_obs::Metrics;
+use eagleeye_datasets::{TargetSet, Workload};
+use eagleeye_obs::{Metrics, Stopwatch};
 use eagleeye_sim::{FaultKind, FaultPlan};
 use std::sync::Arc;
 
@@ -256,5 +256,65 @@ fn pinned_remove_group_delta_reuses_parent_work() {
     assert!(
         report.same_outcome(&cold),
         "reused child diverged:\ndelta: {report:?}\ncold: {cold:?}"
+    );
+}
+
+/// The perf half of the what-if contract: the first one-group
+/// `RemoveGroup` delta on a freshly evaluated 12×2 parent costs under
+/// 10 % of a cold evaluation of the same child. Best of 3 reps, each on
+/// a fresh parent so the child is never already cached. A wall-clock
+/// gate: it runs only in optimised builds, where the cold child takes
+/// about 2.3 s on a 2-vCPU VM and the delta about 0.1 ms.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-clock gate; runs under --release")]
+fn remove_group_delta_costs_under_a_tenth_of_a_cold_child() {
+    const GROUPS: usize = 12;
+    const REPS: usize = 3;
+    const RATIO_GATE: f64 = 0.10;
+    let parent_cfg = ConstellationConfig::eagleeye(GROUPS, 2);
+    let parent_opts = CoverageOptions {
+        duration_s: 1_800.0,
+        seed: 7,
+        layout_slots: Some(GROUPS),
+        ..CoverageOptions::default()
+    };
+    let targets = Workload::ShipDetection.generate_scaled(0.2, 1_800.0, 7);
+
+    let mut delta_wall = f64::INFINITY;
+    let mut cold_wall = f64::INFINITY;
+    for rep in 0..REPS {
+        let parent = CoverageEvaluator::new(&targets, parent_opts.clone());
+        parent.evaluate(&parent_cfg).expect("parent evaluation");
+        let sw = Stopwatch::start();
+        let (delta, _) = parent
+            .what_if(&parent_cfg, &ScenarioDelta::RemoveGroup)
+            .expect("what-if evaluation");
+        delta_wall = delta_wall.min(sw.elapsed().as_secs_f64());
+
+        let (child_cfg, child_opts) = ScenarioDelta::RemoveGroup
+            .apply(&parent_cfg, parent.options())
+            .expect("apply");
+        let sw = Stopwatch::start();
+        let cold = CoverageEvaluator::new(&targets, child_opts)
+            .evaluate(&child_cfg)
+            .expect("cold child evaluation");
+        cold_wall = cold_wall.min(sw.elapsed().as_secs_f64());
+        assert!(
+            delta.same_outcome(&cold),
+            "rep={rep}: what-if report diverged from cold child:\ndelta: {delta:?}\ncold: {cold:?}"
+        );
+        assert!(
+            cold.scheduler_calls > 0 && cold.captured > 0,
+            "the child must schedule and capture for its wall time to mean anything: {cold:?}"
+        );
+    }
+    let ratio = delta_wall / cold_wall;
+    eprintln!("delta {delta_wall:.4} s, cold child {cold_wall:.4} s, ratio {ratio:.5}");
+    assert!(
+        ratio < RATIO_GATE,
+        "a one-group delta took {:.1} % of a cold child evaluation ({delta_wall:.4} s of \
+         {cold_wall:.4} s; gate {:.0} %): the incremental path has regressed",
+        ratio * 100.0,
+        RATIO_GATE * 100.0
     );
 }

@@ -31,7 +31,7 @@ use eagleeye_check::{check_cases, f64_range, prop_assert, u64_range, usize_range
 use eagleeye_core::clustering::ClusteringMethod;
 use eagleeye_core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, DegradedMode,
-    FailurePlan, ScenarioDelta, SchedulerKind,
+    ScenarioDelta, SchedulerKind,
 };
 use eagleeye_datasets::TargetSet;
 use eagleeye_geo::GeodeticPoint;
@@ -119,8 +119,9 @@ fn compiled_engine_matches_reference() {
     );
 }
 
-/// Fault plans and hard failures: outages, detector dropout, leader
-/// failures, dead followers, both degraded modes.
+/// Fault plans: outage and detector-dropout windows, plus permanent
+/// leader failures and dead followers from 600 s, under both degraded
+/// modes.
 #[test]
 fn compiled_engine_matches_reference_under_faults() {
     check_cases(
@@ -142,20 +143,22 @@ fn compiled_engine_matches_reference_under_faults() {
                 },
                 _ => FaultKind::FollowerOutage { follower: 1 },
             };
+            let mut plan = FaultPlan::new(seed).with_fault(fault, fault_at, fault_at + 700.0);
+            if seed % 2 == 0 {
+                plan = plan.with_fault(FaultKind::LeaderOutage, 600.0, f64::INFINITY);
+            }
+            if seed % 3 == 0 {
+                plan = plan.with_fault(
+                    FaultKind::FollowerOutage { follower: 0 },
+                    600.0,
+                    f64::INFINITY,
+                );
+            }
             let options = CoverageOptions {
                 duration_s: 1_200.0,
                 recall,
                 seed,
-                failure: Some(FailurePlan {
-                    fail_at_s: 600.0,
-                    leader_failed: seed % 2 == 0,
-                    failed_followers: if seed % 3 == 0 { vec![0] } else { vec![] },
-                }),
-                fault_plan: Some(Arc::new(FaultPlan::new(seed).with_fault(
-                    fault,
-                    fault_at,
-                    fault_at + 700.0,
-                ))),
+                fault_plan: Some(Arc::new(plan)),
                 degraded_mode: if degraded == 0 {
                     DegradedMode::Naive
                 } else {
@@ -328,119 +331,123 @@ fn moved_target_workloads_match_reference() {
 }
 
 /// A warm evaluation (same evaluator, same config) replays the memo
-/// and compiled tracks and must reproduce the cold report exactly;
+/// and compiled tracks and must reproduce the cold report exactly, at
+/// 1 and 4 threads;
 /// the compile cache must actually register the reuse, and a replayed
 /// frame must not cluster. Scenarios that share tracks but differ in
 /// an input of the frame memo key (clustering method, recapture-scaled
 /// values, recall) must each still match a cold evaluation.
 #[test]
 fn warm_evaluation_reproduces_cold_report() {
-    let options = CoverageOptions {
-        duration_s: 1_200.0,
-        recall: 0.8,
-        seed: 77,
-        layout_slots: Some(360),
-        ..CoverageOptions::default()
-    };
-    // One leader's clumps: under the fine `layout_slots` pin the second
-    // leader trails the first by about one frame and revisits them.
-    let targets = under_leaders(&options, &ConstellationConfig::eagleeye(1, 2), 0, 77);
-    let ilp_scheduled = |clustering| ConstellationConfig::EagleEye {
-        groups: 2,
-        followers_per_group: 2,
-        scheduler: SchedulerKind::Ilp,
-        clustering,
-    };
-    let config = ilp_scheduled(ClusteringMethod::Ilp);
-    let eval = CoverageEvaluator::new(&targets, options.clone());
-    let cold = eval.evaluate(&config).expect("cold evaluation");
-    let stats_cold = eval.compile_stats();
-    assert!(stats_cold.track_builds > 0, "cold run must compile tracks");
-    assert_eq!(stats_cold.memo_hits, 0, "cold run cannot hit the memo");
-    let warm = eval.evaluate(&config).expect("warm evaluation");
-    let stats_warm = eval.compile_stats();
-    assert!(
-        warm.same_outcome(&cold),
-        "warm replay diverged:\ncold: {cold:?}\nwarm: {warm:?}"
-    );
-    assert!(
-        stats_warm.track_reuses > stats_cold.track_reuses,
-        "warm run must reuse compiled tracks"
-    );
-    assert!(
-        stats_warm.memo_hits > 0,
-        "warm run must replay memoized horizon solves"
-    );
-    assert_eq!(
-        stats_warm.track_builds, stats_cold.track_builds,
-        "warm run must not recompile"
-    );
-    assert_eq!(
-        warm.clustering_time,
-        Duration::ZERO,
-        "a memo hit must replay the frame without clustering"
-    );
-
-    // The track-pool key binds the scheduler but not the clustering
-    // method, recapture penalty or recall, so all of these share the
-    // tracks (and frame memos) compiled above; only the frame key
-    // tells their frames apart.
-    let recaptured = CoverageOptions {
-        recapture_penalty: Some(0.0),
-        ..options.clone()
-    };
-    let recalled = CoverageOptions {
-        recall: 0.6,
-        ..options.clone()
-    };
-    let variants = [
-        (options.clone(), ClusteringMethod::Greedy),
-        (options.clone(), ClusteringMethod::None),
-        (recaptured, ClusteringMethod::Ilp),
-        (recalled, ClusteringMethod::Ilp),
-    ];
-    let shares_before = eval.compile_stats().track_shares;
-    for (opts, clustering) in variants {
-        let config = ilp_scheduled(clustering);
-        let shared = eval
-            .fork_with(opts.clone())
-            .evaluate(&config)
-            .expect("shared-pool evaluation");
-        let cold = CoverageEvaluator::new(&targets, opts.clone())
-            .evaluate(&config)
-            .expect("cold evaluation");
+    for threads in [1, 4] {
+        let options = CoverageOptions {
+            duration_s: 1_200.0,
+            recall: 0.8,
+            seed: 77,
+            layout_slots: Some(360),
+            threads,
+            ..CoverageOptions::default()
+        };
+        // One leader's clumps: under the fine `layout_slots` pin the second
+        // leader trails the first by about one frame and revisits them.
+        let targets = under_leaders(&options, &ConstellationConfig::eagleeye(1, 2), 0, 77);
+        let ilp_scheduled = |clustering| ConstellationConfig::EagleEye {
+            groups: 2,
+            followers_per_group: 2,
+            scheduler: SchedulerKind::Ilp,
+            clustering,
+        };
+        let config = ilp_scheduled(ClusteringMethod::Ilp);
+        let eval = CoverageEvaluator::new(&targets, options.clone());
+        let cold = eval.evaluate(&config).expect("cold evaluation");
+        let stats_cold = eval.compile_stats();
+        assert!(stats_cold.track_builds > 0, "cold run must compile tracks");
+        assert_eq!(stats_cold.memo_hits, 0, "cold run cannot hit the memo");
+        let warm = eval.evaluate(&config).expect("warm evaluation");
+        let stats_warm = eval.compile_stats();
         assert!(
-            shared.same_outcome(&cold),
-            "{clustering:?} clustering, recapture {:?}, recall {}: shared-pool \
-             evaluation diverged from cold:\ncold: {cold:?}\nshared: {shared:?}",
-            opts.recapture_penalty,
-            opts.recall
+            warm.same_outcome(&cold),
+            "threads={threads}: warm replay diverged:\ncold: {cold:?}\nwarm: {warm:?}"
         );
-    }
-    assert!(
-        eval.compile_stats().track_shares > shares_before,
-        "the variants must adopt the pooled tracks"
-    );
-    assert_eq!(
-        eval.compile_stats().track_builds,
-        stats_cold.track_builds,
-        "the variants must not compile tracks of their own"
-    );
+        assert!(
+            stats_warm.track_reuses > stats_cold.track_reuses,
+            "threads={threads}: warm run must reuse compiled tracks"
+        );
+        assert!(
+            stats_warm.memo_hits > 0,
+            "threads={threads}: warm run must replay memoized horizon solves"
+        );
+        assert_eq!(
+            stats_warm.track_builds, stats_cold.track_builds,
+            "warm run must not recompile"
+        );
+        assert_eq!(
+            warm.clustering_time,
+            Duration::ZERO,
+            "a memo hit must replay the frame without clustering"
+        );
 
-    // A different config on the same evaluator must not reuse the
-    // first config's scenario entry.
-    let other = ConstellationConfig::EagleEye {
-        groups: 2,
-        followers_per_group: 2,
-        scheduler: SchedulerKind::Greedy,
-        clustering: ClusteringMethod::Ilp,
-    };
-    let greedy = eval.evaluate(&other).expect("greedy evaluation");
-    assert!(
-        eval.compile_stats().track_builds > stats_warm.track_builds,
-        "a new config must compile its own tracks"
-    );
-    // And the greedy schedule genuinely differs from ILP here, which
-    // would be masked if the memo leaked across configs.
-    let _ = greedy;
+        // The track-pool key binds the scheduler but not the clustering
+        // method, recapture penalty or recall, so all of these share the
+        // tracks (and frame memos) compiled above; only the frame key
+        // tells their frames apart.
+        let recaptured = CoverageOptions {
+            recapture_penalty: Some(0.0),
+            ..options.clone()
+        };
+        let recalled = CoverageOptions {
+            recall: 0.6,
+            ..options.clone()
+        };
+        let variants = [
+            (options.clone(), ClusteringMethod::Greedy),
+            (options.clone(), ClusteringMethod::None),
+            (recaptured, ClusteringMethod::Ilp),
+            (recalled, ClusteringMethod::Ilp),
+        ];
+        let shares_before = eval.compile_stats().track_shares;
+        for (opts, clustering) in variants {
+            let config = ilp_scheduled(clustering);
+            let shared = eval
+                .fork_with(opts.clone())
+                .evaluate(&config)
+                .expect("shared-pool evaluation");
+            let cold = CoverageEvaluator::new(&targets, opts.clone())
+                .evaluate(&config)
+                .expect("cold evaluation");
+            assert!(
+                shared.same_outcome(&cold),
+                "{clustering:?} clustering, recapture {:?}, recall {}: shared-pool \
+                 evaluation diverged from cold:\ncold: {cold:?}\nshared: {shared:?}",
+                opts.recapture_penalty,
+                opts.recall
+            );
+        }
+        assert!(
+            eval.compile_stats().track_shares > shares_before,
+            "the variants must adopt the pooled tracks"
+        );
+        assert_eq!(
+            eval.compile_stats().track_builds,
+            stats_cold.track_builds,
+            "the variants must not compile tracks of their own"
+        );
+
+        // A different config on the same evaluator must not reuse the
+        // first config's scenario entry.
+        let other = ConstellationConfig::EagleEye {
+            groups: 2,
+            followers_per_group: 2,
+            scheduler: SchedulerKind::Greedy,
+            clustering: ClusteringMethod::Ilp,
+        };
+        let greedy = eval.evaluate(&other).expect("greedy evaluation");
+        assert!(
+            eval.compile_stats().track_builds > stats_warm.track_builds,
+            "a new config must compile its own tracks"
+        );
+        // And the greedy schedule genuinely differs from ILP here, which
+        // would be masked if the memo leaked across configs.
+        let _ = greedy;
+    }
 }

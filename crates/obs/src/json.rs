@@ -1,9 +1,9 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace writes JSON by hand (see [`crate::export`] and
-//! `perf_eval`); this parser exists so the `metrics_check` smoke
-//! binary and the golden tests can *read artifacts back* and validate
-//! their structure without an external dependency. It accepts strict
+//! The workspace writes JSON by hand (see [`crate::export`]); this
+//! parser exists so the `metrics_check` smoke binary and the golden
+//! tests can *read artifacts back* and validate their structure
+//! without an external dependency. It accepts strict
 //! JSON (RFC 8259) minus exotica we never emit: no `\u` surrogate
 //! pairs beyond the BMP and numbers are parsed with `f64::from_str`.
 

@@ -33,7 +33,7 @@
 //!
 //! [`Metrics::from_env`] returns an enabled handle iff
 //! `EAGLEEYE_TRACE=1` (any non-empty value other than `0`). Every
-//! figure binary and `perf_eval` does this at startup and calls
+//! figure binary does this at startup and calls
 //! [`export::write_run`] before exiting; with the variable unset the
 //! entire layer costs a handful of never-taken branches.
 //!

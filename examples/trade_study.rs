@@ -12,12 +12,11 @@
 //! cargo run --release --example trade_study
 //! ```
 
-use eagleeye::core::coverage::{
-    ConstellationConfig, CoverageEvaluator, CoverageOptions, FailurePlan,
-};
+use eagleeye::core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
 use eagleeye::core::{Adacs, SensingSpec};
 use eagleeye::datasets::{LakeGenerator, LakeSizeBand};
-use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
+use eagleeye::sim::{simulate_orbit, ActivityProfile, FaultKind, FaultPlan, PowerProfile};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lakes = LakeGenerator::new(LakeSizeBand::TenthToTenKm2)
@@ -68,27 +67,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Reliability: leader loss vs follower loss (paper §4.7).
     println!("\n-- failure injection (4 groups x 2 followers, fail at t=0) --");
-    for (name, plan) in [
+    for (name, failure) in [
         ("no failure", None),
-        (
-            "leader fails",
-            Some(FailurePlan {
-                fail_at_s: 0.0,
-                leader_failed: true,
-                failed_followers: vec![],
-            }),
-        ),
+        ("leader fails", Some(FaultKind::LeaderOutage)),
         (
             "1 follower fails",
-            Some(FailurePlan {
-                fail_at_s: 0.0,
-                leader_failed: false,
-                failed_followers: vec![0],
-            }),
+            Some(FaultKind::FollowerOutage { follower: 0 }),
         ),
     ] {
         let opts = CoverageOptions {
-            failure: plan,
+            fault_plan: failure
+                .map(|kind| Arc::new(FaultPlan::new(0).with_fault(kind, 0.0, f64::INFINITY))),
             ..options.clone()
         };
         let eval = CoverageEvaluator::new(&lakes, opts);

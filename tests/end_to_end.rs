@@ -3,10 +3,12 @@
 
 use eagleeye::core::clustering::ClusteringMethod;
 use eagleeye::core::coverage::{
-    ConstellationConfig, CoverageEvaluator, CoverageOptions, FailurePlan, SchedulerKind,
+    ConstellationConfig, CoverageEvaluator, CoverageOptions, SchedulerKind,
 };
 use eagleeye::datasets::{ShipGenerator, Target, TargetSet};
 use eagleeye::geo::GeodeticPoint;
+use eagleeye::sim::{FaultKind, FaultPlan};
+use std::sync::Arc;
 
 /// Targets strung under the first pass of a RAAN-0 polar orbit.
 fn meridian_targets(n: usize) -> TargetSet {
@@ -185,11 +187,11 @@ fn failed_follower_reduces_but_failure_free_group_recovers() {
     };
     let degraded = {
         let mut o = options(3_000.0);
-        o.failure = Some(FailurePlan {
-            fail_at_s: 0.0,
-            leader_failed: false,
-            failed_followers: vec![0],
-        });
+        o.fault_plan = Some(Arc::new(FaultPlan::new(0).with_fault(
+            FaultKind::FollowerOutage { follower: 0 },
+            0.0,
+            f64::INFINITY,
+        )));
         let eval = CoverageEvaluator::new(&targets, o);
         eval.evaluate(&ConstellationConfig::eagleeye(1, 2))
             .unwrap()
