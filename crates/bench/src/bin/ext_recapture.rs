@@ -1,10 +1,12 @@
 //! Extension ablation (paper §4.7 "Recapture"): unique-target coverage
 //! with and without recapture deprioritization.
 //!
-//! When the constellation re-identifies already-captured targets, the
-//! leader can scale their priority down and steer followers toward new
-//! ones. Expected shape: unique coverage never decreases, with the gain
-//! concentrated where revisits are common (dense workloads, longer runs).
+//! When a leader re-identifies targets its own group already captured,
+//! it can scale their priority down and steer its followers toward new
+//! ones (a leader knows only its own group's captures). The hoped-for
+//! shape is more unique coverage where revisits are common; the exact
+//! `captured` column shows where that fails (see EXPERIMENTS.md,
+//! EXT-RECAP).
 
 use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
@@ -44,13 +46,17 @@ fn main() {
             100.0 * report.coverage_fraction()
         );
         format!(
-            "{},{},{:.4},{}",
+            "{},{},{},{:.4},{}",
             workload.label(),
             label,
+            report.captured,
             report.coverage_fraction(),
             report.captures_commanded
         )
     });
-    print_csv("workload,policy,unique_coverage,captures_commanded", rows);
+    print_csv(
+        "workload,policy,captured,unique_coverage,captures_commanded",
+        rows,
+    );
     cli.finish("ext_recapture");
 }

@@ -14,6 +14,19 @@ pub enum SchedulerKind {
     Resilient,
 }
 
+impl SchedulerKind {
+    /// Short lowercase name, used in experiment labels and in the
+    /// compiled-track pool digest.
+    pub fn label(self) -> &'static str {
+        match self {
+            SchedulerKind::Ilp => "ilp",
+            SchedulerKind::Greedy => "greedy",
+            SchedulerKind::Abb => "abb",
+            SchedulerKind::Resilient => "resilient",
+        }
+    }
+}
+
 /// How the constellation reacts to faults injected via
 /// [`CoverageOptions::fault_plan`](super::CoverageOptions::fault_plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -108,12 +121,7 @@ impl ConstellationConfig {
                 format!(
                     "eagleeye({groups}x{}, {})",
                     followers_per_group,
-                    match scheduler {
-                        SchedulerKind::Ilp => "ilp",
-                        SchedulerKind::Greedy => "greedy",
-                        SchedulerKind::Abb => "abb",
-                        SchedulerKind::Resilient => "resilient",
-                    }
+                    scheduler.label()
                 )
             }
             ConstellationConfig::MixCamera {

@@ -44,9 +44,17 @@ pub struct CoverageOptions {
     pub max_tasks_per_frame: usize,
     /// Recapture deprioritization (paper §4.7 "Recapture", implemented
     /// here as an extension): when `Some(p)`, the leader multiplies the
-    /// priority of targets the constellation has already captured by
-    /// `p ∈ [0, 1]`, steering followers toward new targets. `None`
-    /// reproduces the paper's evaluated behaviour (no re-identification).
+    /// priority of targets its own group captured in an earlier frame
+    /// by `p ∈ [0, 1]`, steering its followers toward new targets.
+    /// `None` reproduces the paper's evaluated behaviour (no
+    /// re-identification).
+    ///
+    /// The knowledge is group-local by design: a leader commands only
+    /// its own followers and has no link to other groups (their
+    /// captures reach it only through the ground), so the captures it
+    /// causally knows of are its group's own. This also keeps every
+    /// leader pass independent, so recapture runs parallelize, checkpoint
+    /// and resume like any other.
     pub recapture_penalty: Option<f64>,
     /// Number of orbital planes to spread groups across (paper §4.7
     /// "Orbit Design", implemented here as an extension). 1 reproduces
@@ -72,14 +80,16 @@ pub struct CoverageOptions {
     /// How the constellation reacts to injected faults; irrelevant when
     /// `fault_plan` is `None`.
     pub degraded_mode: DegradedMode,
-    /// Worker threads for the per-group frame loops inside one
-    /// evaluation: `1` (default) runs sequentially, `0` uses
-    /// [`eagleeye_exec::available_parallelism`]. Leader groups share no
-    /// mutable state and every random draw is a pure function of
-    /// `(seed, target, frame)`, so the resulting [`CoverageReport`] is
-    /// identical at any thread count (see DESIGN.md §8). Keep the
-    /// default when an outer sweep already parallelizes whole
-    /// evaluations.
+    /// Worker threads for the per-group frame loops and the swath
+    /// compile inside one evaluation: `1` (default) runs the same pool
+    /// work inline, `0` uses [`eagleeye_exec::available_parallelism`].
+    /// Leader groups share no mutable state and every random draw is a
+    /// pure function of `(seed, target, frame)`, so the resulting
+    /// [`CoverageReport`] is identical at any thread count (see
+    /// DESIGN.md §8). Keep the default when an outer sweep already
+    /// parallelizes whole evaluations. A failing leader pass or swath
+    /// compile does not stop the others, at one thread too: every item
+    /// runs and the lowest-indexed error is returned.
     pub threads: usize,
     /// Observability sink (see `eagleeye-obs`). The default disabled
     /// handle costs one branch per instrumentation site; an enabled
@@ -465,9 +475,9 @@ impl<'a> CoverageEvaluator<'a> {
     /// (the hardened runner dispatches work itself rather than through
     /// [`ExecPool`]) — `harden/*` state is recorded as gauges only.
     ///
-    /// Swath-membership configurations and recapture-penalty runs do
-    /// not decompose into independent leader passes; they fall back to
-    /// the plain evaluator (complete or erroring, never partial).
+    /// Swath-membership configurations do not decompose into leader
+    /// passes; they fall back to the plain evaluator (complete or
+    /// erroring, never partial).
     ///
     /// # Errors
     ///
@@ -487,20 +497,20 @@ impl<'a> CoverageEvaluator<'a> {
             degrade_reason: None,
         };
         let run = match self.run_for(config)? {
-            Run::Leader(run) if self.options.recapture_penalty.is_none() => run,
+            Run::Leader(run) => run,
             run => return Ok(complete(self.evaluate_run(config, run)?)),
         };
 
         let _span = self.options.metrics.span("core/evaluate");
-        let mut report = self.base_report();
         let Some(sc) = self.leader_scenario(run, &self.compile_scenario_key(config))? else {
+            let report = self.base_report();
             report.record_metrics(&self.options.metrics);
             return Ok(complete(report));
         };
 
         let run_config = RunConfig {
             scenario_hash: self.scenario_hash(config),
-            threads: self.effective_threads(),
+            threads: ExecPool::new(self.options.threads).threads(),
             checkpoint: harden.checkpoint.clone(),
             deadline: harden.deadline,
             shutdown: harden.shutdown.clone(),
@@ -508,35 +518,31 @@ impl<'a> CoverageEvaluator<'a> {
         };
         let outcome = run_items(&run_config, sc.leaders.len(), |i| {
             // Same fork/absorb-in-leader-order discipline as the plain
-            // parallel path, but the fork snapshot travels inside the
-            // checkpoint payload so resumed runs replay it exactly.
+            // path, but the fork snapshot travels inside the checkpoint
+            // payload so resumed runs replay it exactly.
             let metrics = self.options.metrics.fork();
-            let mut own = vec![false; self.targets.len()];
             let result = self
-                .leader_pass(&sc, i, &metrics, &mut own)
-                .map(|part| (part, own, metrics.snapshot()))
+                .leader_pass(&sc, i, &metrics)
+                .map(|(part, captured)| (part, captured, metrics.snapshot()))
                 .map_err(|e| e.to_string());
-            encode_leader_payload(result)
+            encode_leader_payload(result, self.targets.len())
         })
         .map_err(|e| CoreError::Harden {
             message: e.to_string(),
         })?;
 
-        let mut captured = vec![false; self.targets.len()];
-        let mut completed = 0usize;
+        let mut passes = Vec::with_capacity(sc.leaders.len());
         for (i, payload) in outcome.payloads.iter().enumerate() {
             let Some(bytes) = payload else { continue };
-            let decoded = decode_leader_payload(bytes).map_err(|e| CoreError::Harden {
-                message: format!("leader pass {i}: {e}"),
+            let decoded = decode_leader_payload(bytes, self.targets.len()).map_err(|e| {
+                CoreError::Harden {
+                    message: format!("leader pass {i}: {e}"),
+                }
             })?;
             match decoded {
-                Ok((part, own, registry)) => {
-                    report.absorb(part);
-                    for (c, o) in captured.iter_mut().zip(&own) {
-                        *c |= *o;
-                    }
+                Ok((part, captured, registry)) => {
                     self.options.metrics.absorb_registry(&registry);
-                    completed += 1;
+                    passes.push((part, captured));
                 }
                 Err(message) => {
                     return Err(CoreError::Harden {
@@ -545,10 +551,7 @@ impl<'a> CoverageEvaluator<'a> {
                 }
             }
         }
-        self.finalize_captured(&mut report, &captured);
-        report.leader_passes_total = sc.leaders.len();
-        report.leader_passes_completed = completed;
-        report.degraded = completed < sc.leaders.len();
+        let report = self.merge_passes(passes, sc.leaders.len());
 
         // Run-layer state goes to gauges only: counters and histograms
         // must stay bit-identical between a resumed and an
@@ -556,7 +559,10 @@ impl<'a> CoverageEvaluator<'a> {
         // differs between the two (see DESIGN.md §10 and §12).
         let m = &self.options.metrics;
         m.gauge_max("harden/leader_passes_total", sc.leaders.len() as f64);
-        m.gauge_max("harden/leader_passes_completed", completed as f64);
+        m.gauge_max(
+            "harden/leader_passes_completed",
+            report.leader_passes_completed as f64,
+        );
         m.gauge_max(
             "harden/completion/leader_pass",
             report.completion_fraction(),
@@ -578,17 +584,8 @@ impl<'a> CoverageEvaluator<'a> {
         })
     }
 
-    /// Effective worker count for intra-evaluation parallelism.
-    fn effective_threads(&self) -> usize {
-        if self.options.threads == 0 {
-            eagleeye_exec::available_parallelism()
-        } else {
-            self.options.threads
-        }
-    }
-
-    /// Folds a per-satellite captured bitmap into the evaluation-wide
-    /// one and finalizes the captured totals.
+    /// Sets the captured totals from the evaluation-wide captured
+    /// bitmap.
     fn finalize_captured(&self, report: &mut CoverageReport, captured: &[bool]) {
         report.captured = captured.iter().filter(|c| **c).count();
         report.captured_value = captured
@@ -597,6 +594,30 @@ impl<'a> CoverageEvaluator<'a> {
             .filter(|(_, c)| **c)
             .map(|(i, _)| self.targets.target(i).value)
             .sum();
+    }
+
+    /// Merges leader passes in leader order: absorbs each partial
+    /// report, marks the targets its group captured, and finalizes the
+    /// captured totals and pass counts. A run of `total` passes that
+    /// merges fewer is degraded.
+    fn merge_passes(
+        &self,
+        passes: Vec<(CoverageReport, Vec<usize>)>,
+        total: usize,
+    ) -> CoverageReport {
+        let mut report = self.base_report();
+        let mut captured = vec![false; self.targets.len()];
+        report.leader_passes_completed = passes.len();
+        report.leader_passes_total = total;
+        report.degraded = passes.len() < total;
+        for (part, group_captures) in passes {
+            report.absorb(part);
+            for idx in group_captures {
+                captured[idx] = true;
+            }
+        }
+        self.finalize_captured(&mut report, &captured);
+        report
     }
 
     /// Homogeneous constellation: coverage = swath membership over time.
@@ -623,105 +644,78 @@ impl<'a> CoverageEvaluator<'a> {
         let layout = self.layout_for(satellites, 0)?;
         let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
         let geom = CompileGeometry::frame_box(spec, swath_m);
-        let mut captured = vec![false; self.targets.len()];
 
         let sats = layout.satellites();
         let scenario = self.compile.scenario(cache_key, sats.len());
-        // Missing slots with their pool digests, hashed once each.
+        // Tracks this scenario already holds or a sibling scenario
+        // (typically a what-if fork) compiled, and the missing slots
+        // with their pool digests, hashed once each.
+        let mut tracks = Vec::with_capacity(sats.len());
         let mut missing = Vec::new();
-        for i in 0..sats.len() {
-            if scenario.track(i).is_some() {
+        for (i, sat) in sats.iter().enumerate() {
+            if let Some(track) = scenario.track(i) {
                 self.compile.note_reuse();
+                tracks.push(track);
                 continue;
             }
-            let digest = self.track_digest(&sats[i], &geom, "swath");
+            let digest = self.track_digest(sat, &geom, "swath");
             if let Some(track) = self.compile.pool_get(digest) {
-                // A sibling scenario (typically a what-if fork) already
-                // compiled this exact track; adopt it.
                 self.compile.note_share();
-                scenario.store(i, track);
+                tracks.push(scenario.store(i, track));
             } else {
                 missing.push((i, digest));
             }
         }
-        let threads = self.effective_threads();
         if !missing.is_empty() {
-            if threads > 1 && !grid.is_empty() {
-                let pool = ExecPool::new(threads);
-                // Propagate the missing satellites in parallel; orbit
-                // counters land in per-item forks absorbed in item
-                // order — same totals as the sequential path.
-                let rows = pool.try_par_map_observed(
-                    &self.options.metrics,
-                    &missing,
-                    |_, &(i, _), metrics| {
-                        let sw = Stopwatch::start();
-                        let states =
-                            grid.propagate_observed(&layout.ground_track(&sats[i])?, metrics)?;
-                        Ok::<_, CoreError>((states, sw.elapsed()))
-                    },
-                )?;
-                for (_, prop) in &rows {
-                    report.propagate_time += *prop;
-                }
-                // Membership sweep over (satellite × frame-range) work
-                // items; merging in item order makes the compiled
-                // program independent of worker scheduling.
-                let ranges = eagleeye_exec::chunk_ranges(grid.len(), threads.saturating_mul(2));
-                let items: Vec<(usize, std::ops::Range<usize>)> = (0..missing.len())
-                    .flat_map(|mi| ranges.iter().cloned().map(move |r| (mi, r)))
-                    .collect();
-                let parts = pool.try_par_map(&items, |_, (mi, range)| {
-                    membership_chunk(
-                        &rows[*mi].0,
-                        grid.epochs(),
-                        range.clone(),
-                        self.targets,
-                        &geom,
-                    )
-                })?;
-                let mut parts = parts.into_iter();
-                for (&(i, digest), (states, _)) in missing.iter().zip(rows) {
-                    let sat_parts: Vec<_> = parts.by_ref().take(ranges.len()).collect();
-                    let track = Arc::new(CompiledTrack::assemble(states, sat_parts));
-                    self.compile.note_build();
-                    scenario.store(i, self.compile.pool_put(digest, track));
-                }
-            } else {
-                for &(i, _) in &missing {
-                    self.get_or_compile_track(
-                        &scenario,
-                        i,
-                        &sats[i],
-                        &layout,
-                        &grid,
-                        &geom,
-                        "swath",
-                        &self.options.metrics,
-                        &mut report,
-                    )?;
-                }
+            let pool = ExecPool::new(self.options.threads);
+            // Propagate the missing satellites; orbit counters land in
+            // per-item forks absorbed in item order.
+            let rows = pool.try_par_map_observed(
+                &self.options.metrics,
+                &missing,
+                |_, &(i, _), metrics| {
+                    let sw = Stopwatch::start();
+                    let states =
+                        grid.propagate_observed(&layout.ground_track(&sats[i])?, metrics)?;
+                    Ok::<_, CoreError>((states, sw.elapsed()))
+                },
+            )?;
+            for (_, prop) in &rows {
+                report.propagate_time += *prop;
+            }
+            // Membership sweep over (satellite × frame-range) work
+            // items; merging in item order makes the compiled program
+            // independent of worker scheduling. Each satellite splits
+            // into 2×threads − 1 frame ranges, so one thread compiles
+            // it as one range: every range sets up a run table over
+            // the whole workload.
+            let ranges = eagleeye_exec::chunk_ranges(grid.len(), 2 * pool.threads() - 1);
+            let items: Vec<(usize, std::ops::Range<usize>)> = (0..missing.len())
+                .flat_map(|mi| ranges.iter().cloned().map(move |r| (mi, r)))
+                .collect();
+            let parts = pool.try_par_map(&items, |_, (mi, range)| {
+                membership_chunk(
+                    &rows[*mi].0,
+                    grid.epochs(),
+                    range.clone(),
+                    self.targets,
+                    &geom,
+                )
+            })?;
+            let mut parts = parts.into_iter();
+            for (&(i, digest), (states, _)) in missing.iter().zip(rows) {
+                let sat_parts: Vec<_> = parts.by_ref().take(ranges.len()).collect();
+                let track = Arc::new(CompiledTrack::assemble(states, sat_parts));
+                self.compile.note_build();
+                tracks.push(scenario.store(i, self.compile.pool_put(digest, track)));
             }
         }
 
-        for i in 0..sats.len() {
-            // Every slot was filled by the compile phase above; falling
-            // back to a fresh compile (rather than unwrapping) keeps
-            // the invariant local and total.
-            let track = match scenario.track(i) {
-                Some(track) => track,
-                None => self.get_or_compile_track(
-                    &scenario,
-                    i,
-                    &sats[i],
-                    &layout,
-                    &grid,
-                    &geom,
-                    "swath",
-                    &self.options.metrics,
-                    &mut report,
-                )?,
-            };
+        // Coverage is the union of the tracks' interval targets: capture
+        // marking is idempotent and frame counts add, so the order in
+        // which the tracks were gathered is unobservable.
+        let mut captured = vec![false; self.targets.len()];
+        for track in &tracks {
             report.frames_processed += track.states.len();
             for &tgt in &track.intervals.target {
                 captured[tgt as usize] = true;
@@ -731,42 +725,42 @@ impl<'a> CoverageEvaluator<'a> {
         Ok(report)
     }
 
-    /// The compiled track for scenario slot `slot`, compiling it
-    /// (batch propagation plus the single-chunk membership sweep) on
-    /// first use. Propagation counters are recorded into `metrics` and
-    /// propagation wall time into `report`; a reused or shared track
-    /// records neither (the work did not happen).
-    #[allow(clippy::too_many_arguments)]
-    fn get_or_compile_track(
+    /// Leader `leader_idx`'s compiled track, compiling it (batch
+    /// propagation plus the single-chunk membership sweep of its
+    /// low-resolution frame) on first use. Propagation counters are
+    /// recorded into `metrics` and propagation wall time into `report`;
+    /// a reused or shared track records neither (the work did not
+    /// happen).
+    fn leader_track(
         &self,
-        scenario: &CompiledScenario,
-        slot: usize,
-        sat: &SatelliteSpec,
-        layout: &ConstellationLayout,
-        grid: &EpochGrid,
-        geom: &CompileGeometry,
-        sched_label: &str,
+        sc: &LeaderScenario,
+        leader_idx: usize,
         metrics: &Metrics,
         report: &mut CoverageReport,
     ) -> Result<Arc<CompiledTrack>, CoreError> {
-        if let Some(track) = scenario.track(slot) {
+        if let Some(track) = sc.compiled.track(leader_idx) {
             self.compile.note_reuse();
             return Ok(track);
         }
-        let digest = self.track_digest(sat, geom, sched_label);
+        let spec = &self.options.spec;
+        let geom = CompileGeometry::frame_box(spec, spec.low_res.swath_m());
+        let sat = &sc.leaders[leader_idx];
+        let digest = self.track_digest(sat, &geom, sc.run.scheduler.label());
         if let Some(track) = self.compile.pool_get(digest) {
             // Adopted from a sibling scenario's compile (what-if fork):
             // no propagation happened here, so no counters are recorded.
             self.compile.note_share();
-            return Ok(scenario.store(slot, track));
+            return Ok(sc.compiled.store(leader_idx, track));
         }
+        let grid = &sc.grid;
         let sw = Stopwatch::start();
-        let states = grid.propagate_observed(&layout.ground_track(sat)?, metrics)?;
+        let states = grid.propagate_observed(&sc.layout.ground_track(sat)?, metrics)?;
         report.propagate_time += sw.elapsed();
-        let part = membership_chunk(&states, grid.epochs(), 0..grid.len(), self.targets, geom)?;
+        let part = membership_chunk(&states, grid.epochs(), 0..grid.len(), self.targets, &geom)?;
         let track = Arc::new(CompiledTrack::assemble(states, vec![part]));
         self.compile.note_build();
-        Ok(scenario.store(slot, self.compile.pool_put(digest, track)))
+        let track = self.compile.pool_put(digest, track);
+        Ok(sc.compiled.store(leader_idx, track))
     }
 
     /// Shared setup for the per-leader passes of an EagleEye or
@@ -822,67 +816,43 @@ impl<'a> CoverageEvaluator<'a> {
     /// Leader-follower (EagleEye) and mix-camera evaluation.
     ///
     /// Each group's frame loop is independent — followers only ever
-    /// serve their own leader, capture marking is idempotent, and every
-    /// stochastic draw is a pure function of `(seed, target, frame)` —
-    /// so the per-leader passes run in parallel when
-    /// [`CoverageOptions::threads`] allows, merging partial reports and
-    /// OR-ing captured bitmaps in leader order. The one coupling is
-    /// recapture deprioritization, which reads the shared captured set;
-    /// that path stays sequential to preserve its exact semantics.
+    /// serve their own leader, recapture deprioritization reads only
+    /// the group's own captures, and every stochastic draw is a pure
+    /// function of `(seed, target, frame)` — so the per-leader passes
+    /// run as one pool map (inline at one thread) and
+    /// [`merge_passes`](Self::merge_passes) merges them in leader order.
     fn leader_follower(
         &self,
         run: LeaderRun,
         cache_key: &str,
     ) -> Result<CoverageReport, CoreError> {
-        let mut report = self.base_report();
         let Some(sc) = self.leader_scenario(run, cache_key)? else {
-            return Ok(report);
+            return Ok(self.base_report());
         };
-
-        let threads = self.effective_threads();
-        let mut captured = vec![false; self.targets.len()];
-        if threads > 1 && sc.leaders.len() > 1 && self.options.recapture_penalty.is_none() {
-            let pool = ExecPool::new(threads);
-            let parts =
-                pool.try_par_map_observed(&self.options.metrics, &sc.leaders, |i, _, metrics| {
-                    let mut own = vec![false; self.targets.len()];
-                    let part = self.leader_pass(&sc, i, metrics, &mut own)?;
-                    Ok::<_, CoreError>((part, own))
-                })?;
-            for (part, own) in parts {
-                report.absorb(part);
-                for (c, o) in captured.iter_mut().zip(&own) {
-                    *c |= *o;
-                }
-            }
-        } else {
-            for i in 0..sc.leaders.len() {
-                report.absorb(self.leader_pass(&sc, i, &self.options.metrics, &mut captured)?);
-            }
-        }
-        self.finalize_captured(&mut report, &captured);
-        report.leader_passes_completed = sc.leaders.len();
-        report.leader_passes_total = sc.leaders.len();
-        Ok(report)
+        let pool = ExecPool::new(self.options.threads);
+        let passes =
+            pool.try_par_map_observed(&self.options.metrics, &sc.leaders, |i, _, metrics| {
+                self.leader_pass(&sc, i, metrics)
+            })?;
+        Ok(self.merge_passes(passes, sc.leaders.len()))
     }
 
     /// Leader `leader_idx`'s full pass over the horizon: detection,
-    /// clustering, follower scheduling, and capture execution. Marks
-    /// captures into `captured` and returns the pass's partial report.
+    /// clustering, follower scheduling, and capture execution. Returns
+    /// the pass's partial report and the targets its group captured,
+    /// in capture order. Recapture deprioritization reads only these
+    /// captures: the pass starts from an empty captured set.
     fn leader_pass(
         &self,
         sc: &LeaderScenario,
         leader_idx: usize,
         metrics: &Metrics,
-        captured: &mut [bool],
-    ) -> Result<CoverageReport, CoreError> {
+    ) -> Result<(CoverageReport, Vec<usize>), CoreError> {
         let LeaderScenario {
             run,
-            layout,
             grid,
-            leaders,
             n_followers,
-            compiled,
+            ..
         } = sc;
         let n_followers = *n_followers;
         let mut report = CoverageReport::with_frame_capacity(grid.len());
@@ -906,17 +876,7 @@ impl<'a> CoverageEvaluator<'a> {
         // Compile or reuse this leader's track: batch propagation plus
         // the access-interval membership sweep, cached per
         // configuration (DESIGN.md §13).
-        let track = self.get_or_compile_track(
-            compiled,
-            leader_idx,
-            &leaders[leader_idx],
-            layout,
-            grid,
-            &CompileGeometry::frame_box(&spec, spec.low_res.swath_m()),
-            &format!("{:?}", run.scheduler),
-            metrics,
-            &mut report,
-        )?;
+        let track = self.leader_track(sc, leader_idx, metrics, &mut report)?;
         let mut sweep = IntervalSweep::new(&track);
         // Per-frame detection timing costs two clock reads per frame,
         // so it only runs under enabled metrics (the report field stays
@@ -947,6 +907,10 @@ impl<'a> CoverageEvaluator<'a> {
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
         let mut follower_states: Vec<FollowerState> = Vec::with_capacity(n_followers);
         let mut repair_failures: Vec<(usize, f64)> = Vec::with_capacity(n_followers);
+        // The group's captures, as a bitmap for the recapture lookups
+        // and as a list the merge reads without scanning the workload.
+        let mut captured = vec![false; self.targets.len()];
+        let mut group_captures = Vec::new();
 
         for (frame_idx, state) in track.states.iter().enumerate() {
             let t = grid.epochs()[frame_idx];
@@ -973,8 +937,9 @@ impl<'a> CoverageEvaluator<'a> {
             if leader_out {
                 // §4.7 fallback: followers capture nadir high-res.
                 for &(idx, x, _) in &in_frame {
-                    if x.abs() <= high_swath / 2.0 {
+                    if x.abs() <= high_swath / 2.0 && !captured[idx] {
                         captured[idx] = true;
+                        group_captures.push(idx);
                     }
                 }
                 continue;
@@ -1135,6 +1100,7 @@ impl<'a> CoverageEvaluator<'a> {
                         && (y2_abs - cy_abs).abs() <= high_swath / 2.0
                     {
                         captured[idx] = true;
+                        group_captures.push(idx);
                     }
                 }
                 report.captures_commanded += 1;
@@ -1142,7 +1108,7 @@ impl<'a> CoverageEvaluator<'a> {
                 pointing[k] = cap.offset;
             }
         }
-        Ok(report)
+        Ok((report, group_captures))
     }
 
     /// Clusters, schedules and (under mid-frame outages) repairs one
@@ -1339,14 +1305,41 @@ mod tests {
         }
     }
 
+    /// Targets of mixed value at 80–83° N, where the orbit turns: on
+    /// their second orbit the groups revisit targets they captured on
+    /// the first, so recapture deprioritization changes their task
+    /// values and the report.
+    fn polar_targets(n: usize) -> TargetSet {
+        (0..n)
+            .map(|i| {
+                let lat = 80.0 + 3.0 * (i as f64 * 0.618_033_988_75).fract();
+                let lon = 360.0 * (i as f64 * 0.414_213_562_37).fract() - 180.0;
+                Target::fixed(
+                    GeodeticPoint::from_degrees(lat, lon, 0.0).unwrap(),
+                    1.0 + (i % 3) as f64,
+                )
+            })
+            .collect()
+    }
+
+    /// Two orbits over [`polar_targets`] with recapture
+    /// deprioritization on.
+    fn recapture_options() -> CoverageOptions {
+        CoverageOptions {
+            duration_s: 3.0 * 3_600.0,
+            recapture_penalty: Some(0.3),
+            ..CoverageOptions::default()
+        }
+    }
+
     #[test]
     fn multithreaded_evaluation_is_deterministic() {
         // The full gauntlet: imperfect recall (stochastic detection),
         // an active fault plan, resilient scheduling, and several
         // leader groups — everything that could plausibly diverge under
-        // parallel execution. The report must be identical (modulo
+        // parallel execution — with and without recapture
+        // deprioritization. The report must be identical (modulo
         // wall-clock timing) at every thread count.
-        let targets = meridian_targets(80);
         let config = ConstellationConfig::EagleEye {
             groups: 3,
             followers_per_group: 2,
@@ -1358,23 +1351,75 @@ mod tests {
             600.0,
             f64::INFINITY,
         ));
-        let report_at = |threads: usize| {
-            let mut opts = quick_options();
-            opts.recall = 0.8;
-            opts.fault_plan = Some(plan.clone());
-            opts.degraded_mode = DegradedMode::Resilient;
-            opts.threads = threads;
-            CoverageEvaluator::new(&targets, opts)
-                .evaluate(&config)
-                .unwrap()
+        for (targets, base) in [
+            (meridian_targets(80), quick_options()),
+            (polar_targets(400), recapture_options()),
+        ] {
+            let report_at = |threads: usize| {
+                let mut opts = base.clone();
+                opts.recall = 0.8;
+                opts.fault_plan = Some(plan.clone());
+                opts.degraded_mode = DegradedMode::Resilient;
+                opts.threads = threads;
+                CoverageEvaluator::new(&targets, opts)
+                    .evaluate(&config)
+                    .unwrap()
+            };
+            let sequential = report_at(1);
+            assert!(sequential.captured > 0, "workload must exercise captures");
+            for threads in [2, 4, 8] {
+                let parallel = report_at(threads);
+                assert!(
+                    sequential.same_outcome(&parallel),
+                    "{:?} threads={threads} diverged:\n  seq: {sequential:?}\n  par: {parallel:?}",
+                    base.recapture_penalty
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recapture_reads_only_the_groups_own_captures() {
+        // A leader commands only its own followers, so the captures it
+        // causally knows of are its own group's. A recapture run must
+        // therefore equal the leader-order merge of independent leader
+        // passes. In this scenario (eight airplane-tracking groups, one
+        // hour) a bitmap shared across leaders changes the report: 24
+        // targets captured, not 23.
+        let duration_s = 3600.0;
+        let targets =
+            eagleeye_datasets::Workload::AirplaneTracking.generate_scaled(0.1, duration_s, 7);
+        let config = ConstellationConfig::eagleeye(8, 1);
+        let opts = CoverageOptions {
+            duration_s,
+            recapture_penalty: Some(0.0),
+            ..CoverageOptions::default()
         };
-        let sequential = report_at(1);
-        assert!(sequential.captured > 0, "workload must exercise captures");
-        for threads in [2, 4, 8] {
-            let parallel = report_at(threads);
+
+        let eval = CoverageEvaluator::new(&targets, opts.clone());
+        let Run::Leader(run) = eval.run_for(&config).unwrap() else {
+            panic!("{config:?} is not a leader-follower configuration");
+        };
+        let sc = eval.leader_scenario(run, "passes").unwrap().unwrap();
+        let passes = (0..sc.leaders.len())
+            .map(|i| eval.leader_pass(&sc, i, &opts.metrics).unwrap())
+            .collect();
+        let merged = eval.merge_passes(passes, sc.leaders.len());
+        assert!(merged.captured > 0, "workload must exercise captures");
+
+        for threads in [1, 4] {
+            let report = CoverageEvaluator::new(
+                &targets,
+                CoverageOptions {
+                    threads,
+                    ..opts.clone()
+                },
+            )
+            .evaluate(&config)
+            .unwrap();
             assert!(
-                sequential.same_outcome(&parallel),
-                "threads={threads} diverged:\n  seq: {sequential:?}\n  par: {parallel:?}"
+                report.same_outcome(&merged),
+                "threads={threads}:\n  report: {report:?}\n  passes: {merged:?}"
             );
         }
     }
@@ -1383,9 +1428,8 @@ mod tests {
     fn metrics_counters_are_deterministic_across_threads() {
         // Counters and histograms recorded under enabled metrics must
         // be bit-identical at every thread count, except the `exec/*`
-        // keys, which describe the execution mechanism itself (pool
-        // dispatches never happen in a sequential run). Gauges and
-        // timers are exempt by contract (DESIGN.md §10).
+        // keys, which describe the execution mechanism itself. Gauges
+        // and timers are exempt by contract (DESIGN.md §10).
         let targets = meridian_targets(80);
         let config = ConstellationConfig::EagleEye {
             groups: 3,
@@ -1499,10 +1543,10 @@ mod tests {
         // (modulo wall-clock timers) and identical non-exec counters
         // and histograms, at 1 and 4 threads. One input per branch of
         // the config decomposition: a resilient EagleEye run under the
-        // full gauntlet (imperfect recall, an active fault plan) and a
-        // Mix-Camera run decompose into leader passes; a swath config
-        // and a recapture-penalty run fall back to the plain path.
-        let targets = meridian_targets(80);
+        // full gauntlet (imperfect recall, an active fault plan), a
+        // Mix-Camera run and a recapture-penalty run decompose into
+        // leader passes; a swath config falls back to the plain path.
+        let meridian = meridian_targets(80);
         let plan = Arc::new(FaultPlan::new(11).with_fault(
             eagleeye_sim::FaultKind::FollowerOutage { follower: 1 },
             600.0,
@@ -1512,10 +1556,9 @@ mod tests {
         gauntlet.recall = 0.8;
         gauntlet.fault_plan = Some(plan);
         gauntlet.degraded_mode = DegradedMode::Resilient;
-        let mut recapture = quick_options();
-        recapture.recapture_penalty = Some(0.3);
         let cases = [
             (
+                &meridian,
                 gauntlet,
                 ConstellationConfig::EagleEye {
                     groups: 3,
@@ -1526,6 +1569,7 @@ mod tests {
                 true,
             ),
             (
+                &meridian,
                 quick_options(),
                 ConstellationConfig::MixCamera {
                     satellites: 3,
@@ -1534,13 +1578,19 @@ mod tests {
                 true,
             ),
             (
+                &meridian,
                 quick_options(),
                 ConstellationConfig::LowResOnly { satellites: 3 },
                 false,
             ),
-            (recapture, ConstellationConfig::eagleeye(3, 1), false),
+            (
+                &polar_targets(400),
+                recapture_options(),
+                ConstellationConfig::eagleeye(3, 1),
+                true,
+            ),
         ];
-        for (opts, config, decomposed) in cases {
+        for (targets, opts, config, decomposed) in cases {
             let run = |threads: usize, hardened: bool| {
                 let opts = CoverageOptions {
                     threads,
@@ -1548,7 +1598,7 @@ mod tests {
                     ..opts.clone()
                 };
                 let metrics = opts.metrics.clone();
-                let eval = CoverageEvaluator::new(&targets, opts);
+                let eval = CoverageEvaluator::new(targets, opts);
                 let report = if hardened {
                     eval.evaluate_hardened(&config, &HardenOptions::new())
                         .unwrap()
@@ -1703,11 +1753,16 @@ mod tests {
         // Interrupt a checkpointed evaluation via cooperative shutdown
         // as soon as the first checkpoint lands, then resume it; the
         // final report, counters, and histograms must be bit-identical
-        // to a never-interrupted run.
-        let targets = meridian_targets(80);
+        // to a never-interrupted run, with and without recapture
+        // deprioritization.
+        resume_reproduces_uninterrupted_run(&meridian_targets(80), quick_options());
+        resume_reproduces_uninterrupted_run(&polar_targets(400), recapture_options());
+    }
+
+    fn resume_reproduces_uninterrupted_run(targets: &TargetSet, base: CoverageOptions) {
         let config = ConstellationConfig::eagleeye(4, 1);
         let make_opts = || {
-            let mut opts = quick_options();
+            let mut opts = base.clone();
             opts.recall = 0.85;
             opts.metrics = Metrics::enabled();
             opts
@@ -1718,7 +1773,7 @@ mod tests {
         // Segment 1: single worker, checkpoint after every pass, shut
         // down once the first checkpoint file appears.
         let opts = make_opts();
-        let eval = CoverageEvaluator::new(&targets, opts);
+        let eval = CoverageEvaluator::new(targets, opts);
         let shutdown = eagleeye_harden::ShutdownFlag::new();
         let watcher = {
             let shutdown = shutdown.clone();
@@ -1748,7 +1803,7 @@ mod tests {
         // Segment 2: resume from the checkpoint and finish.
         let opts = make_opts();
         let metrics2 = opts.metrics.clone();
-        let eval2 = CoverageEvaluator::new(&targets, opts);
+        let eval2 = CoverageEvaluator::new(targets, opts);
         let harden2 =
             HardenOptions::new().with_checkpoint(eagleeye_harden::CheckpointSpec::new(&path, 1));
         let out2 = eval2.evaluate_hardened(&config, &harden2).unwrap();
@@ -1762,7 +1817,7 @@ mod tests {
         // Uninterrupted reference run (no checkpoint involved at all).
         let opts = make_opts();
         let metrics_cold = opts.metrics.clone();
-        let cold = CoverageEvaluator::new(&targets, opts)
+        let cold = CoverageEvaluator::new(targets, opts)
             .evaluate_hardened(&config, &HardenOptions::new())
             .unwrap();
         assert!(

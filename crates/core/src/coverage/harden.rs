@@ -87,11 +87,13 @@ const TAG_OK: u8 = 0;
 const TAG_ERR: u8 = 1;
 
 /// Encodes one leader pass's outcome as a checkpoint payload: either
-/// the partial report + captured bitmap + forked metrics registry, or
+/// the partial report + the group's captured targets (stored as a
+/// bitmap over the workload's `targets`) + forked metrics registry, or
 /// the error message the pass failed with (stored so a resumed run
 /// deterministically replays the failure instead of silently retrying).
 pub(super) fn encode_leader_payload(
-    result: Result<(CoverageReport, Vec<bool>, MetricsRegistry), String>,
+    result: Result<(CoverageReport, Vec<usize>, MetricsRegistry), String>,
+    targets: usize,
 ) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(PAYLOAD_VERSION);
@@ -99,7 +101,11 @@ pub(super) fn encode_leader_payload(
         Ok((report, captured, registry)) => {
             w.u8(TAG_OK);
             w.bytes(&report.to_bytes());
-            w.bitmap(&captured);
+            let mut bitmap = vec![false; targets];
+            for idx in captured {
+                bitmap[idx] = true;
+            }
+            w.bitmap(&bitmap);
             w.bytes(&registry.to_bytes());
         }
         Err(message) => {
@@ -110,13 +116,15 @@ pub(super) fn encode_leader_payload(
     w.into_bytes()
 }
 
-/// Decodes a payload written by [`encode_leader_payload`]. The outer
-/// `Result` is a malformed payload; the inner one is the replayed
+/// Decodes a payload written by [`encode_leader_payload`] over the
+/// same `targets`. The outer `Result` is a malformed payload (a captured
+/// bitmap of another length included); the inner one is the replayed
 /// outcome of the pass itself.
 #[allow(clippy::type_complexity)]
 pub(super) fn decode_leader_payload(
     bytes: &[u8],
-) -> Result<Result<(CoverageReport, Vec<bool>, MetricsRegistry), String>, CodecError> {
+    targets: usize,
+) -> Result<Result<(CoverageReport, Vec<usize>, MetricsRegistry), String>, CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.u8()? != PAYLOAD_VERSION {
         return Err(CodecError {
@@ -126,7 +134,13 @@ pub(super) fn decode_leader_payload(
     match r.u8()? {
         TAG_OK => {
             let report = CoverageReport::from_bytes(r.bytes()?)?;
-            let captured = r.bitmap()?;
+            let bitmap = r.bitmap()?;
+            if bitmap.len() != targets {
+                return Err(CodecError {
+                    context: "leader payload bitmap length",
+                });
+            }
+            let captured = (0..targets).filter(|&i| bitmap[i]).collect();
             let registry = MetricsRegistry::from_bytes(r.bytes()?)?;
             if !r.is_exhausted() {
                 return Err(CodecError {
@@ -165,42 +179,45 @@ mod tests {
             per_frame_target_counts: vec![3, 9],
             ..CoverageReport::default()
         };
-        let captured = vec![true, false, true, true, false];
+        let captured = vec![0, 2, 3];
         let metrics = Metrics::enabled();
         metrics.add("core/frames_processed", 4);
         metrics.observe("core/frame_targets", 3, &[1, 2, 5]);
         let registry = metrics.snapshot();
 
-        let bytes = encode_leader_payload(Ok((report.clone(), captured.clone(), registry.clone())));
-        let (r2, c2, g2) = decode_leader_payload(&bytes).unwrap().unwrap();
+        let bytes =
+            encode_leader_payload(Ok((report.clone(), captured.clone(), registry.clone())), 5);
+        let (r2, c2, g2) = decode_leader_payload(&bytes, 5).unwrap().unwrap();
         assert_eq!(r2, report);
         assert_eq!(c2, captured);
         assert_eq!(g2, registry);
+        // A bitmap over a different workload is rejected.
+        assert!(decode_leader_payload(&bytes, 6).is_err());
     }
 
     #[test]
     fn err_payload_replays_the_message() {
-        let bytes = encode_leader_payload(Err("orbit model failed: bad altitude".into()));
+        let bytes = encode_leader_payload(Err("orbit model failed: bad altitude".into()), 5);
         assert_eq!(
-            decode_leader_payload(&bytes).unwrap(),
+            decode_leader_payload(&bytes, 5).unwrap(),
             Err("orbit model failed: bad altitude".to_string())
         );
     }
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        let good = encode_leader_payload(Err("x".into()));
+        let good = encode_leader_payload(Err("x".into()), 5);
         for n in 0..good.len() {
-            assert!(decode_leader_payload(&good[..n]).is_err(), "n={n}");
+            assert!(decode_leader_payload(&good[..n], 5).is_err(), "n={n}");
         }
         let mut bad_version = good.clone();
         bad_version[0] = 9;
-        assert!(decode_leader_payload(&bad_version).is_err());
+        assert!(decode_leader_payload(&bad_version, 5).is_err());
         let mut bad_tag = good.clone();
         bad_tag[1] = 7;
-        assert!(decode_leader_payload(&bad_tag).is_err());
+        assert!(decode_leader_payload(&bad_tag, 5).is_err());
         let mut trailing = good.clone();
         trailing.push(0);
-        assert!(decode_leader_payload(&trailing).is_err());
+        assert!(decode_leader_payload(&trailing, 5).is_err());
     }
 }

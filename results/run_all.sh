@@ -21,4 +21,5 @@ $B/fig11b_slew_rate     --fast --hours 2 --scale 0.5 > results/fig11b.csv 2> res
 $B/fig11c_followers     --fast --hours 2 --scale 0.5 > results/fig11c.csv 2> results/fig11c.log
 $B/fig1b_constellation_size --fast --hours 1 --scale 0.3 > results/fig1b.csv 2> results/fig1b.log
 $B/ext_fault_tolerance         > results/ext_fault_tolerance.csv 2> results/ext_fault_tolerance.log
+$B/ext_recapture               > results/ext_recapture.csv 2> results/ext_recapture.log
 echo ALL_DONE
