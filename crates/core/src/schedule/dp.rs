@@ -64,7 +64,7 @@ impl Scheduler for DpScheduler {
         } else {
             2
         };
-        let graph = OpportunityGraph::build(problem, slots, None, &vec![false; n_tasks]);
+        let graph = OpportunityGraph::build(problem, slots, &[0], &vec![false; n_tasks]);
         let nodes = &graph.nodes;
         if nodes.is_empty() {
             return Ok(schedule);

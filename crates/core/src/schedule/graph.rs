@@ -50,85 +50,132 @@ pub(crate) struct Arc {
     pub to: End,
 }
 
-/// The assembled graph for one scheduling problem.
+/// The assembled graph for one scheduling problem, in flat arrays sized
+/// before they are filled.
 #[derive(Debug, Clone)]
 pub(crate) struct OpportunityGraph {
+    /// Capture nodes, grouped by follower in follower order, each
+    /// follower's in task then slot order.
     pub nodes: Vec<OppNode>,
-    /// Sorted distinct slot times per follower (rest-chain times).
-    pub rest_times: Vec<Vec<f64>>,
+    /// Every follower's sorted distinct slot times (its rest chain),
+    /// back to back in follower order: follower `f`'s are
+    /// `rest_times[rest_offsets[f]..rest_offsets[f + 1]]`.
+    rest_times: Vec<f64>,
+    rest_offsets: Vec<usize>,
     pub arcs: Vec<Arc>,
 }
 
 impl OpportunityGraph {
-    /// Builds the graph with `slots` capture slots per window, optionally
-    /// restricted to a subset of followers (`None` = all).
+    /// Builds the graph with `slots` capture slots per window over the
+    /// given followers (ascending follower ids), skipping excluded
+    /// tasks.
     pub(crate) fn build(
         problem: &SchedulingProblem,
         slots: usize,
-        followers: Option<&[usize]>,
+        followers: &[usize],
         excluded_tasks: &[bool],
     ) -> OpportunityGraph {
+        debug_assert!(followers.windows(2).all(|w| w[0] < w[1]));
         let spec = problem.spec();
         let slots = slots.max(1);
         let t_max = spec
             .adacs
             .min_slew_time_s(spec.max_pointing_separation_rad())
             + 1e-9;
-
-        let follower_ids: Vec<usize> = match followers {
-            Some(ids) => ids.to_vec(),
-            None => (0..problem.followers().len()).collect(),
+        let n_tasks = problem.tasks().len();
+        // The window of a task a follower may capture, and its slot
+        // count: one slot at the midpoint of a zero-length window.
+        let window_slots = |f: usize, j: usize| {
+            if *excluded_tasks.get(j).unwrap_or(&false) {
+                return None;
+            }
+            let w = problem.window(f, j)?;
+            let k = if slots == 1 || w.duration_s() < 1e-9 {
+                1
+            } else {
+                slots
+            };
+            Some((w, k))
         };
+        let n_nodes: usize = followers
+            .iter()
+            .flat_map(|&f| (0..n_tasks).filter_map(move |j| window_slots(f, j)))
+            .map(|(_, k)| k)
+            .sum();
 
-        let mut nodes: Vec<OppNode> = Vec::new();
-        let mut rest_times: Vec<Vec<f64>> = vec![Vec::new(); problem.followers().len()];
-        for &f in &follower_ids {
-            for j in 0..problem.tasks().len() {
-                if *excluded_tasks.get(j).unwrap_or(&false) {
-                    continue;
+        // Nodes, each follower's node indices sorted by time (a stable
+        // sort of its contiguous block), and its rest times: the sorted
+        // node times with near-duplicates (within 1e-9) dropped.
+        let mut nodes = Vec::with_capacity(n_nodes);
+        let mut order: Vec<usize> = Vec::with_capacity(n_nodes);
+        let mut rest_times = Vec::with_capacity(n_nodes);
+        let mut rest_offsets = vec![0usize; problem.followers().len() + 1];
+        let mut chosen = followers.iter().peekable();
+        for f in 0..problem.followers().len() {
+            if chosen.next_if_eq(&&f).is_some() {
+                let start = nodes.len();
+                for j in 0..n_tasks {
+                    let Some((w, k)) = window_slots(f, j) else {
+                        continue;
+                    };
+                    for s in 0..k {
+                        let t = if k == 1 {
+                            (w.start_s + w.end_s) / 2.0
+                        } else {
+                            w.start_s + w.duration_s() * s as f64 / (k - 1) as f64
+                        };
+                        nodes.push(OppNode {
+                            follower: f,
+                            task: j,
+                            time_s: t,
+                            offset: problem.capture_offset(f, j, t),
+                        });
+                    }
                 }
-                let Some(w) = problem.window(f, j) else {
-                    continue;
-                };
-                let times: Vec<f64> = if slots == 1 || w.duration_s() < 1e-9 {
-                    vec![(w.start_s + w.end_s) / 2.0]
-                } else {
-                    (0..slots)
-                        .map(|k| w.start_s + w.duration_s() * k as f64 / (slots - 1) as f64)
-                        .collect()
-                };
-                for t in times {
-                    nodes.push(OppNode {
-                        follower: f,
-                        task: j,
-                        time_s: t,
-                        offset: problem.capture_offset(f, j, t),
-                    });
+                order.extend(start..nodes.len());
+                order[start..].sort_by(|&a, &b| nodes[a].time_s.total_cmp(&nodes[b].time_s));
+                for &v in &order[start..] {
+                    let t = nodes[v].time_s;
+                    let near_last = rest_times[rest_offsets[f]..]
+                        .last()
+                        .is_some_and(|&r: &f64| (t - r).abs() < 1e-9);
+                    if !near_last {
+                        rest_times.push(t);
+                    }
                 }
             }
+            rest_offsets[f + 1] = rest_times.len();
         }
 
-        // Rest times = sorted distinct node times per follower.
-        for n in &nodes {
-            rest_times[n.follower].push(n.time_s);
-        }
-        for times in rest_times.iter_mut() {
-            times.sort_by(|a, b| a.total_cmp(b));
-            times.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        // Arcs per follower: at most one per node from the source, to
+        // the rest chain and from it, one per rest-chain link, plus one
+        // per node pair closer than `t_max`.
+        let mut arc_bound = 0;
+        let mut start = 0;
+        for &f in followers {
+            let idx = follower_block(&order, &nodes, start, f);
+            let mut far = 0;
+            for (a_pos, &u) in idx.iter().enumerate() {
+                far = far.max(a_pos + 1);
+                while far < idx.len() && !(nodes[idx[far]].time_s - nodes[u].time_s > t_max) {
+                    far += 1;
+                }
+                arc_bound += far - a_pos - 1;
+            }
+            arc_bound += 3 * idx.len() + 1 + (rest_offsets[f + 1] - rest_offsets[f]);
+            start += idx.len();
         }
 
-        // Per-follower node indices sorted by time for arc generation.
-        let mut arcs = Vec::new();
-        for &f in &follower_ids {
-            let mut idx: Vec<usize> = (0..nodes.len())
-                .filter(|&i| nodes[i].follower == f)
-                .collect();
-            idx.sort_by(|&a, &b| nodes[a].time_s.total_cmp(&nodes[b].time_s));
-            let rests = &rest_times[f];
+        let mut arcs = Vec::with_capacity(arc_bound);
+        let mut start = 0;
+        for &f in followers {
+            let idx = follower_block(&order, &nodes, start, f);
+            start += idx.len();
+            let rests = &rest_times[rest_offsets[f]..rest_offsets[f + 1]];
             let state = &problem.followers()[f];
 
             // Source arcs.
-            for &v in &idx {
+            for &v in idx {
                 let n = &nodes[v];
                 let dt = n.time_s - state.available_from_s;
                 if dt < -1e-9 {
@@ -192,7 +239,7 @@ impl OpportunityGraph {
                     to: End::Rest(f, q + 1),
                 });
             }
-            for &v in &idx {
+            for &v in idx {
                 if let Some(q) = rest_index_at(rests, nodes[v].time_s) {
                     arcs.push(Arc {
                         follower: f,
@@ -206,8 +253,26 @@ impl OpportunityGraph {
         OpportunityGraph {
             nodes,
             rest_times,
+            rest_offsets,
             arcs,
         }
+    }
+
+    /// Follower `f`'s rest times, sorted and distinct.
+    #[cfg(test)]
+    pub(crate) fn rests(&self, f: usize) -> &[f64] {
+        &self.rest_times[self.rest_offsets[f]..self.rest_offsets[f + 1]]
+    }
+
+    /// Rest relays over all followers.
+    pub(crate) fn n_rests(&self) -> usize {
+        self.rest_times.len()
+    }
+
+    /// Follower `f`'s first rest relay in the follower-order numbering
+    /// of all relays.
+    pub(crate) fn rest_base(&self, f: usize) -> usize {
+        self.rest_offsets[f]
     }
 
     /// Direct pairwise feasibility between two capture nodes of the same
@@ -221,6 +286,21 @@ impl OpportunityGraph {
         let rot = problem.rotation_between(u.offset, v.offset);
         problem.spec().adacs.can_rotate(rot, dt)
     }
+}
+
+/// Follower `f`'s time-sorted node indices: the block of `order` from
+/// `start` whose nodes belong to `f`.
+fn follower_block<'a>(
+    order: &'a [usize],
+    nodes: &[OppNode],
+    start: usize,
+    f: usize,
+) -> &'a [usize] {
+    let len = order[start..]
+        .iter()
+        .take_while(|&&v| nodes[v].follower == f)
+        .count();
+    &order[start..start + len]
 }
 
 // Both lookups binary-search the sorted rest times. Each predicate is
@@ -243,9 +323,10 @@ fn rest_index_at(rests: &[f64], t: f64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pointing::TimeWindow;
     use crate::schedule::{FollowerState, TaskSpec};
     use crate::SensingSpec;
-    use eagleeye_check::{check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_check::{check_cases, prop_assert, prop_assert_eq, u64_range, usize_range};
     use eagleeye_rng::SplitMix64;
 
     fn problem(tasks: Vec<TaskSpec>, followers: Vec<FollowerState>) -> SchedulingProblem {
@@ -310,6 +391,220 @@ mod tests {
         );
     }
 
+    /// The per-vector graph build the flat one replaced, kept as its
+    /// oracle: a `times` vector per window, rest times as one vector per
+    /// follower, and each follower's nodes found by filtering all of
+    /// them.
+    fn build_reference(
+        problem: &SchedulingProblem,
+        slots: usize,
+        followers: &[usize],
+        excluded_tasks: &[bool],
+    ) -> (Vec<OppNode>, Vec<Vec<f64>>, Vec<Arc>) {
+        let spec = problem.spec();
+        let slots = slots.max(1);
+        let t_max = spec
+            .adacs
+            .min_slew_time_s(spec.max_pointing_separation_rad())
+            + 1e-9;
+        let mut nodes: Vec<OppNode> = Vec::new();
+        let mut rest_times: Vec<Vec<f64>> = vec![Vec::new(); problem.followers().len()];
+        for &f in followers {
+            for j in 0..problem.tasks().len() {
+                if *excluded_tasks.get(j).unwrap_or(&false) {
+                    continue;
+                }
+                let Some(w) = problem.window(f, j) else {
+                    continue;
+                };
+                let times: Vec<f64> = if slots == 1 || w.duration_s() < 1e-9 {
+                    vec![(w.start_s + w.end_s) / 2.0]
+                } else {
+                    (0..slots)
+                        .map(|k| w.start_s + w.duration_s() * k as f64 / (slots - 1) as f64)
+                        .collect()
+                };
+                for t in times {
+                    nodes.push(OppNode {
+                        follower: f,
+                        task: j,
+                        time_s: t,
+                        offset: problem.capture_offset(f, j, t),
+                    });
+                }
+            }
+        }
+        for n in &nodes {
+            rest_times[n.follower].push(n.time_s);
+        }
+        for times in rest_times.iter_mut() {
+            times.sort_by(|a, b| a.total_cmp(b));
+            times.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+        }
+        let mut arcs = Vec::new();
+        for &f in followers {
+            let mut idx: Vec<usize> = (0..nodes.len())
+                .filter(|&i| nodes[i].follower == f)
+                .collect();
+            idx.sort_by(|&a, &b| nodes[a].time_s.total_cmp(&nodes[b].time_s));
+            let rests = &rest_times[f];
+            let state = &problem.followers()[f];
+            let arc = |from, to| Arc {
+                follower: f,
+                from,
+                to,
+            };
+            for &v in &idx {
+                let n = &nodes[v];
+                let dt = n.time_s - state.available_from_s;
+                if dt < -1e-9 {
+                    continue;
+                }
+                let rot = problem.rotation_between(state.pointing_offset, n.offset);
+                if spec.adacs.can_rotate(rot, dt) {
+                    arcs.push(arc(End::Source, End::Node(v)));
+                }
+            }
+            if let Some(q) = first_rest_at_or_after(rests, state.available_from_s + t_max) {
+                arcs.push(arc(End::Source, End::Rest(f, q)));
+            }
+            for (a_pos, &u) in idx.iter().enumerate() {
+                let nu = &nodes[u];
+                for &v in &idx[a_pos + 1..] {
+                    let nv = &nodes[v];
+                    let dt = nv.time_s - nu.time_s;
+                    if dt <= 1e-9 {
+                        continue;
+                    }
+                    if dt > t_max {
+                        break;
+                    }
+                    if nv.task == nu.task {
+                        continue;
+                    }
+                    let rot = problem.rotation_between(nu.offset, nv.offset);
+                    if spec.adacs.can_rotate(rot, dt) {
+                        arcs.push(arc(End::Node(u), End::Node(v)));
+                    }
+                }
+                if let Some(q) = first_rest_at_or_after(rests, nu.time_s + t_max) {
+                    arcs.push(arc(End::Node(u), End::Rest(f, q)));
+                }
+            }
+            for q in 0..rests.len().saturating_sub(1) {
+                arcs.push(arc(End::Rest(f, q), End::Rest(f, q + 1)));
+            }
+            for &v in &idx {
+                if let Some(q) = rest_index_at(rests, nodes[v].time_s) {
+                    arcs.push(arc(End::Rest(f, q), End::Node(v)));
+                }
+            }
+        }
+        (nodes, rest_times, arcs)
+    }
+
+    /// Node fields with every float as its bits.
+    fn node_bits(n: &OppNode) -> (usize, usize, u64, u64, u64) {
+        (
+            n.follower,
+            n.task,
+            n.time_s.to_bits(),
+            n.offset.0.to_bits(),
+            n.offset.1.to_bits(),
+        )
+    }
+
+    /// The flat build gives the reference's nodes, rest times and arcs,
+    /// bit for bit and in the same order: over follower subsets,
+    /// excluded tasks, clip windows (some of zero length) and the
+    /// single-slot path.
+    #[test]
+    fn flat_build_matches_per_vector_reference() {
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(0, 10),
+            usize_range(1, 4),
+            usize_range(1, 6),
+            usize_range(0, 3),
+        );
+        // Cases with a follower subset, an exclusion, a clip, a single slot.
+        let seen = std::cell::Cell::new([0usize; 4]);
+        check_cases(
+            192,
+            "graph_flat_build_matches_per_vector_reference",
+            gen,
+            |&(seed, n_tasks, n_followers, slots, clip_kind)| {
+                let mut rng = SplitMix64::new(seed);
+                let tasks = (0..n_tasks)
+                    .map(|_| {
+                        TaskSpec::new(
+                            rng.range_f64(-60_000.0, 60_000.0),
+                            rng.range_f64(-60_000.0, 60_000.0),
+                            rng.range_f64(0.5, 4.0),
+                        )
+                    })
+                    .collect();
+                let states = (0..n_followers)
+                    .map(|k| {
+                        let mut f = FollowerState::at_start(-100_000.0 - 20_000.0 * k as f64);
+                        if rng.chance(0.5) {
+                            f.available_from_s = rng.range_f64(0.0, 6.0);
+                            f.pointing_offset = (rng.range_f64(-40_000.0, 40_000.0), 0.0);
+                        }
+                        f
+                    })
+                    .collect();
+                // No clip, a clip a few seconds long, or a zero-length
+                // clip (every window collapses to one instant).
+                let clip = match clip_kind {
+                    0 => None,
+                    1 => {
+                        let a = rng.range_f64(0.0, 20.0);
+                        Some(TimeWindow::new(a, a + rng.range_f64(0.5, 10.0)).unwrap())
+                    }
+                    _ => {
+                        let a = rng.range_f64(0.0, 20.0);
+                        Some(TimeWindow::new(a, a).unwrap())
+                    }
+                };
+                let p = SchedulingProblem::new_with_clip(
+                    SensingSpec::paper_default(),
+                    tasks,
+                    states,
+                    clip,
+                )
+                .unwrap();
+                let followers: Vec<usize> = (0..n_followers).filter(|_| rng.chance(0.7)).collect();
+                let excluded: Vec<bool> = (0..n_tasks).map(|_| rng.chance(0.25)).collect();
+
+                let g = OpportunityGraph::build(&p, slots, &followers, &excluded);
+                let (nodes, rests, arcs) = build_reference(&p, slots, &followers, &excluded);
+                let bits = |ns: &[OppNode]| ns.iter().map(node_bits).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&g.nodes), bits(&nodes));
+                for (f, want) in rests.iter().enumerate() {
+                    let got: Vec<u64> = g.rests(f).iter().map(|t| t.to_bits()).collect();
+                    let want: Vec<u64> = want.iter().map(|t| t.to_bits()).collect();
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(g.n_rests(), rests.iter().map(Vec::len).sum::<usize>());
+                prop_assert_eq!(&g.arcs, &arcs);
+                prop_assert!(g.arcs.len() <= g.arcs.capacity());
+
+                let single = nodes.iter().any(|n| {
+                    slots == 1 || p.window(n.follower, n.task).unwrap().duration_s() < 1e-9
+                });
+                let mut count = seen.get();
+                count[0] += usize::from(followers.len() < n_followers);
+                count[1] += usize::from(excluded.contains(&true) && !nodes.is_empty());
+                count[2] += usize::from(clip.is_some() && !nodes.is_empty());
+                count[3] += usize::from(single);
+                seen.set(count);
+                Ok(())
+            },
+        );
+        assert!(seen.get().iter().all(|&n| n > 5), "{:?}", seen.get());
+    }
+
     #[test]
     fn nodes_cover_visible_tasks_only() {
         let p = problem(
@@ -319,7 +614,7 @@ mod tests {
             ],
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 3, None, &[false, false]);
+        let g = OpportunityGraph::build(&p, 3, &[0], &[false, false]);
         assert!(g.nodes.iter().all(|n| n.task == 0));
         assert_eq!(g.nodes.len(), 3);
     }
@@ -333,7 +628,7 @@ mod tests {
             ],
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 2, None, &[true, false]);
+        let g = OpportunityGraph::build(&p, 2, &[0], &[true, false]);
         assert!(g.nodes.iter().all(|n| n.task == 1));
     }
 
@@ -343,7 +638,7 @@ mod tests {
             vec![TaskSpec::new(20_000.0, 50_000.0, 1.0)],
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 4, None, &[false]);
+        let g = OpportunityGraph::build(&p, 4, &[0], &[false]);
         let w = p.window(0, 0).unwrap();
         assert_eq!(g.nodes.len(), 4);
         assert!((g.nodes[0].time_s - w.start_s).abs() < 1e-9);
@@ -358,7 +653,7 @@ mod tests {
                 .collect(),
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 3, None, &[false; 6]);
+        let g = OpportunityGraph::build(&p, 3, &[0], &[false; 6]);
         for a in &g.arcs {
             if let (End::Node(u), End::Node(v)) = (a.from, a.to) {
                 assert!(g.nodes[v].time_s > g.nodes[u].time_s);
@@ -377,7 +672,7 @@ mod tests {
             ],
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 2, None, &[false, false]);
+        let g = OpportunityGraph::build(&p, 2, &[0], &[false, false]);
         let has_direct = g.arcs.iter().any(|a| {
             matches!((a.from, a.to), (End::Node(u), End::Node(v))
                 if g.nodes[u].task == 0 && g.nodes[v].task == 1)
@@ -401,7 +696,7 @@ mod tests {
                 FollowerState::at_start(-120_000.0),
             ],
         );
-        let g = OpportunityGraph::build(&p, 2, Some(&[1]), &[false]);
+        let g = OpportunityGraph::build(&p, 2, &[1], &[false]);
         assert!(g.nodes.iter().all(|n| n.follower == 1));
     }
 
@@ -414,7 +709,7 @@ mod tests {
             ],
             vec![FollowerState::at_start(-100_000.0)],
         );
-        let g = OpportunityGraph::build(&p, 2, None, &[false, false]);
+        let g = OpportunityGraph::build(&p, 2, &[0], &[false, false]);
         // First slot of task 0 to last slot of task 1: plenty of time.
         let u = g.nodes.iter().find(|n| n.task == 0).unwrap();
         let v = g

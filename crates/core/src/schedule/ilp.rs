@@ -190,7 +190,7 @@ impl IlpScheduler {
     ) -> Result<Vec<(usize, Vec<Capture>)>, CoreError> {
         stats.subproblems += 1;
         let slots = self.slots_for(excluded.iter().filter(|e| !**e).count());
-        let graph = OpportunityGraph::build(problem, slots, Some(followers), excluded);
+        let graph = OpportunityGraph::build(problem, slots, followers, excluded);
         if graph.nodes.is_empty() {
             return Ok(followers.iter().map(|&f| (f, Vec::new())).collect());
         }
@@ -235,14 +235,15 @@ impl IlpScheduler {
         }
 
         // Extract one path per follower by walking chosen arcs.
-        let chosen: Vec<&Arc> = graph
-            .arcs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| sol.value(arc_vars[*i]) > 0.5)
-            .map(|(_, a)| a)
-            .collect();
-        let mut result = Vec::new();
+        let is_chosen = |i: &usize| sol.value(arc_vars[*i]) > 0.5;
+        let mut chosen: Vec<&Arc> =
+            Vec::with_capacity((0..graph.arcs.len()).filter(is_chosen).count());
+        chosen.extend(
+            (0..graph.arcs.len())
+                .filter(is_chosen)
+                .map(|i| &graph.arcs[i]),
+        );
+        let mut result = Vec::with_capacity(followers.len());
         for &f in followers {
             let mut seq = Vec::new();
             let mut at = End::Source;
@@ -271,38 +272,6 @@ impl IlpScheduler {
     }
 }
 
-/// Arcs grouped by an integer key in compressed-sparse-row form: the
-/// arcs of key `k` are `arcs[offsets[k]..offsets[k + 1]]`, in arc order
-/// (a stable counting sort).
-struct ArcGroups {
-    offsets: Vec<usize>,
-    arcs: Vec<usize>,
-}
-
-impl ArcGroups {
-    /// Groups `(arc, key)` pairs, every key below `n_keys`.
-    fn new(n_keys: usize, keyed: impl Iterator<Item = (usize, usize)> + Clone) -> ArcGroups {
-        let mut offsets = vec![0usize; n_keys + 1];
-        for (_, k) in keyed.clone() {
-            offsets[k + 1] += 1;
-        }
-        for k in 0..n_keys {
-            offsets[k + 1] += offsets[k];
-        }
-        let mut next = offsets.clone();
-        let mut arcs = vec![0usize; offsets[n_keys]];
-        for (i, k) in keyed {
-            arcs[next[k]] = i;
-            next[k] += 1;
-        }
-        ArcGroups { offsets, arcs }
-    }
-
-    fn get(&self, k: usize) -> &[usize] {
-        &self.arcs[self.offsets[k]..self.offsets[k + 1]]
-    }
-}
-
 /// Formulates the opportunity graph as the scheduling MILP: one binary
 /// per arc, valued by the task its head captures, and then the rows in
 /// this order:
@@ -322,85 +291,85 @@ fn assemble(
     graph: &OpportunityGraph,
     followers: &[usize],
 ) -> Result<(Model, Vec<VarId>), CoreError> {
-    let mut model = Model::maximize();
-    let arc_vars: Vec<VarId> = graph
-        .arcs
-        .iter()
-        .map(|a| {
-            let value = match a.to {
-                End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
-                _ => 0.0,
-            };
-            model.add_binary_var(value)
-        })
-        .collect();
-
-    // Endpoint ids: node `v` is `v`; rest relay `q` of follower `f`
-    // follows all nodes and the relays of followers before `f`.
+    // One counting sort groups every arc under up to three keys: its
+    // tail (a follower's source, or an endpoint), its head endpoint, and
+    // the task its head captures. Endpoint ids: node `v` is `v`; rest
+    // relay `q` of follower `f` follows all nodes and the relays of
+    // followers before `f`.
     let n_nodes = graph.nodes.len();
-    let mut rest_base = Vec::with_capacity(graph.rest_times.len());
-    let mut n_ends = n_nodes;
-    for rests in &graph.rest_times {
-        rest_base.push(n_ends);
-        n_ends += rests.len();
-    }
+    let n_ends = n_nodes + graph.n_rests();
+    let out_base = problem.followers().len();
+    let in_base = out_base + n_ends;
+    let task_base = in_base + n_ends;
+    let n_keys = task_base + problem.tasks().len();
     let end_id = |e: End| match e {
         End::Node(v) => Some(v),
-        End::Rest(f, q) => Some(rest_base[f] + q),
+        End::Rest(f, q) => Some(n_nodes + graph.rest_base(f) + q),
         End::Source => None,
     };
-    let arcs = graph.arcs.iter().enumerate();
-    let source_out = ArcGroups::new(
-        problem.followers().len(),
-        arcs.clone()
-            .filter(|(_, a)| a.from == End::Source)
-            .map(|(i, a)| (i, a.follower)),
-    );
-    let out_of = ArcGroups::new(
-        n_ends,
-        arcs.clone()
-            .filter_map(|(i, a)| end_id(a.from).map(|e| (i, e))),
-    );
-    let into = ArcGroups::new(
-        n_ends,
-        arcs.clone()
-            .filter_map(|(i, a)| end_id(a.to).map(|e| (i, e))),
-    );
-    let task_in = ArcGroups::new(
-        problem.tasks().len(),
-        arcs.filter_map(|(i, a)| match a.to {
-            End::Node(v) => Some((i, graph.nodes[v].task)),
-            _ => None,
-        }),
-    );
-
-    // One unit of flow per follower.
-    for &f in followers {
-        let outs = source_out.get(f);
-        if !outs.is_empty() {
-            model.add_constraint(outs.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
+    // An arc's keys; `n_keys` stands for none.
+    let keys = |a: &Arc| {
+        [
+            end_id(a.from).map_or(a.follower, |e| out_base + e),
+            end_id(a.to).map_or(n_keys, |e| in_base + e),
+            match a.to {
+                End::Node(v) => task_base + graph.nodes[v].task,
+                _ => n_keys,
+            },
+        ]
+    };
+    // After the fill, key `k`'s arcs are `grouped[offsets[k]..offsets[k
+    // + 1]]`, in arc order.
+    let mut offsets = vec![0usize; n_keys + 1];
+    for a in &graph.arcs {
+        for k in keys(a).into_iter().filter(|&k| k < n_keys) {
+            offsets[k] += 1;
         }
     }
-
-    // Flow conservation (out ≤ in) at every node and rest relay.
-    for end in 0..n_ends {
-        let outs = out_of.get(end);
-        if outs.is_empty() {
-            continue;
+    for k in 1..=n_keys {
+        offsets[k] += offsets[k - 1];
+    }
+    let mut grouped = vec![0usize; offsets[n_keys]];
+    for (i, a) in graph.arcs.iter().enumerate().rev() {
+        for k in keys(a).into_iter().filter(|&k| k < n_keys) {
+            offsets[k] -= 1;
+            grouped[offsets[k]] = i;
         }
-        let terms = outs
+    }
+    let group = |k: usize| &grouped[offsets[k]..offsets[k + 1]];
+
+    // Rows as (arcs with coefficient 1, arcs with -1, rhs), each with
+    // at least one arc of the first kind.
+    let capacity = followers.iter().map(|&f| (group(f), &[][..], 1.0));
+    let conservation = (0..n_ends).map(|e| (group(out_base + e), group(in_base + e), 0.0));
+    let capture_once = (task_base..n_keys).map(|k| (group(k), &[][..], 1.0));
+    let rows = || {
+        capacity
+            .clone()
+            .chain(conservation.clone())
+            .chain(capture_once.clone())
+            .filter(|(plus, _, _)| !plus.is_empty())
+    };
+    let (n_rows, n_terms) = rows().fold((0, 0), |(r, t), (plus, minus, _)| {
+        (r + 1, t + plus.len() + minus.len())
+    });
+
+    let mut model = Model::maximize();
+    model.reserve(graph.arcs.len(), n_rows, n_terms);
+    let mut arc_vars = Vec::with_capacity(graph.arcs.len());
+    for a in &graph.arcs {
+        let value = match a.to {
+            End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
+            _ => 0.0,
+        };
+        arc_vars.push(model.add_binary_var(value));
+    }
+    for (plus, minus, rhs) in rows() {
+        let terms = plus
             .iter()
             .map(|&i| (arc_vars[i], 1.0))
-            .chain(into.get(end).iter().map(|&i| (arc_vars[i], -1.0)));
-        model.add_constraint(terms, Sense::Le, 0.0)?;
-    }
-
-    // Capture-once coupling per task.
-    for task in 0..problem.tasks().len() {
-        let ins = task_in.get(task);
-        if !ins.is_empty() {
-            model.add_constraint(ins.iter().map(|&i| (arc_vars[i], 1.0)), Sense::Le, 1.0)?;
-        }
+            .chain(minus.iter().map(|&i| (arc_vars[i], -1.0)));
+        model.add_constraint(terms, Sense::Le, rhs)?;
     }
     Ok((model, arc_vars))
 }
@@ -530,8 +499,8 @@ mod tests {
             }
         }
         let mut ends: Vec<End> = (0..graph.nodes.len()).map(End::Node).collect();
-        for (f, rests) in graph.rest_times.iter().enumerate() {
-            ends.extend((0..rests.len()).map(|q| End::Rest(f, q)));
+        for f in 0..problem.followers().len() {
+            ends.extend((0..graph.rests(f).len()).map(|q| End::Rest(f, q)));
         }
         for end in ends {
             let Some(outs) = out_of.get(&end) else {
@@ -607,7 +576,7 @@ mod tests {
         } else {
             ((0..n_followers).collect(), vec![false; p.tasks().len()])
         };
-        let graph = OpportunityGraph::build(p, slots, Some(&followers), &excluded);
+        let graph = OpportunityGraph::build(p, slots, &followers, &excluded);
         (
             assemble(p, &graph, &followers).unwrap(),
             assemble_reference(p, &graph, &followers),

@@ -1,10 +1,9 @@
 //! Depth-first branch-and-bound over the LP relaxation.
 
-use crate::model::{Model, ObjectiveDirection, Solution, SolveStatus, VarKind};
+use crate::model::{Model, Solution, SolveStatus, VarKind};
 use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
 use eagleeye_harden::{crash_point, ByteReader, ByteWriter, CodecError};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Absolute tolerance for considering an LP value integral.
@@ -66,13 +65,21 @@ pub struct SolveStats {
     pub elapsed: Duration,
 }
 
-/// A search node: a set of variable bound overrides plus the parent
-/// relaxation's final tableau, shared by both children, to re-solve
-/// this node's LP from.
+/// An open node of a paused search: its variable bound overrides plus
+/// the parent relaxation's final tableau to re-solve its LP from.
 #[derive(Debug, Clone, PartialEq)]
 struct Node {
     overrides: Vec<(usize, f64, f64)>,
-    tableau: Option<Arc<Tableau>>,
+    tableau: Option<Tableau>,
+}
+
+/// An open node of the running search: its overrides are
+/// `bounds[start..end]` of the search's override stack, its own bound
+/// change last.
+struct Open {
+    start: usize,
+    end: usize,
+    tableau: Option<Tableau>,
 }
 
 /// A paused branch-and-bound search: the best incumbent found so far
@@ -103,13 +110,9 @@ pub struct Frontier {
 
 impl Frontier {
     /// Number of open nodes awaiting exploration.
-    pub fn nodes_open(&self) -> usize {
+    #[cfg(test)]
+    fn nodes_open(&self) -> usize {
         self.open.len()
-    }
-
-    /// True when an integral incumbent has been found.
-    pub fn has_incumbent(&self) -> bool {
-        self.incumbent.is_some()
     }
 
     /// The deterministic statistics accumulated so far.
@@ -190,7 +193,7 @@ impl Frontier {
                 .map(|_| Ok((r.usize()?, r.f64()?, r.f64()?)))
                 .collect::<Result<_, CodecError>>()?;
             let tableau = if r.bool()? {
-                Some(Arc::new(Tableau::read(&mut r)?))
+                Some(Tableau::read(&mut r)?)
             } else {
                 None
             };
@@ -227,6 +230,11 @@ impl Frontier {
 /// `resume` frontier continues an interrupted search exactly where it
 /// stopped; the returned frontier is `Some` whenever a limit stopped
 /// the search with open nodes left.
+///
+/// Open nodes keep their overrides on one stack, `bounds`, in the
+/// order of the DFS stack: when a node is popped, every override above
+/// its own belongs to a finished node and is dropped, and its children
+/// push copies of its overrides, each with its own bound change last.
 pub(crate) fn solve_milp_resumable(
     model: &Model,
     options: &SolveOptions,
@@ -234,39 +242,40 @@ pub(crate) fn solve_milp_resumable(
 ) -> Result<(Solution, Option<Frontier>), IlpError> {
     // eagleeye-lint: allow(clock): anchors the optional B&B wall-clock deadline; deterministic whenever no deadline is set
     let start = Instant::now();
-    let sign = match model.direction() {
-        ObjectiveDirection::Minimize => 1.0,
-        ObjectiveDirection::Maximize => -1.0,
-    };
-    let int_vars: Vec<usize> = model
-        .vars
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.kind == VarKind::Integer)
-        .map(|(j, _)| j)
-        .collect();
+    let sign = model.sign();
 
     // Either pick the search up exactly where a prior segment stopped,
     // or start fresh from the root relaxation.
-    let (mut stats, mut incumbent, mut stack, prior_elapsed) = match resume {
-        Some(frontier) => (
-            SolveStats {
-                elapsed: Duration::ZERO,
-                ..frontier.stats
-            },
-            frontier.incumbent,
-            frontier.open,
-            frontier.stats.elapsed,
-        ),
-        None => (
-            SolveStats::default(),
-            None,
-            vec![Node {
-                overrides: Vec::new(),
+    let mut bounds: Vec<(usize, f64, f64)> = Vec::new();
+    let mut stack: Vec<Open> = Vec::new();
+    let (mut stats, mut incumbent, prior_elapsed) = match resume {
+        Some(frontier) => {
+            for node in frontier.open {
+                let start = bounds.len();
+                bounds.extend(node.overrides);
+                stack.push(Open {
+                    start,
+                    end: bounds.len(),
+                    tableau: node.tableau,
+                });
+            }
+            (
+                SolveStats {
+                    elapsed: Duration::ZERO,
+                    ..frontier.stats
+                },
+                frontier.incumbent,
+                frontier.stats.elapsed,
+            )
+        }
+        None => {
+            stack.push(Open {
+                start: 0,
+                end: 0,
                 tableau: None,
-            }],
-            Duration::ZERO,
-        ),
+            });
+            (SolveStats::default(), None, Duration::ZERO)
+        }
     };
     let mut limit_hit = false;
     let deadline = options.time_limit.map(|tl| start + tl);
@@ -292,16 +301,16 @@ pub(crate) fn solve_milp_resumable(
         crash_point("bnb_node");
 
         stats.nodes_explored += 1;
-        // The first child popped copies the tableau its sibling still
-        // shares; the second takes it over. Only a node without one
-        // (the root) polls the deadline inside its LP: a child's LP
-        // consumes its tableau, so it runs to completion and the clock
-        // is checked between nodes, and a node handed back on Deadline
-        // is always intact.
-        let inherited = node.tableau.take().map(Arc::unwrap_or_clone);
+        bounds.truncate(node.end);
+        // Only a node without a tableau (the root) polls the deadline
+        // inside its LP: a child's LP consumes its tableau, so it runs
+        // to completion and the clock is checked between nodes, and a
+        // node handed back on Deadline is always intact.
+        let inherited = node.tableau.take();
         let warm = inherited.is_some();
         let lp_deadline = if warm { None } else { deadline };
-        let relaxed = match model.solve_relaxation(&node.overrides, lp_deadline, inherited) {
+        let overrides = &bounds[node.start..node.end];
+        let relaxed = match model.solve_relaxation(overrides, lp_deadline, inherited) {
             Ok(r) => r,
             Err(IlpError::Deadline) => {
                 // The node was not fully explored: give it back to the
@@ -312,16 +321,10 @@ pub(crate) fn solve_milp_resumable(
                 limit_hit = true;
                 break;
             }
-            Err(IlpError::Unbounded) if stats.nodes_explored > 1 => {
-                // A child with tightened integer bounds cannot be unbounded
-                // unless a continuous direction is unbounded — surface it.
-                return Err(IlpError::Unbounded);
-            }
             Err(e) => return Err(e),
         };
         let Some(LpSolution {
             objective: obj,
-            values,
             iterations,
             pivots,
             warmed,
@@ -347,8 +350,12 @@ pub(crate) fn solve_milp_resumable(
         }
 
         // Find the most fractional integer variable.
+        let values = tableau.values();
         let mut branch_var: Option<(usize, f64)> = None; // (var, fractional part dist)
-        for &j in &int_vars {
+        for (j, var) in model.vars.iter().enumerate() {
+            if var.kind != VarKind::Integer {
+                continue;
+            }
             let v = values[j];
             let frac = (v - v.round()).abs();
             if frac > INTEGRALITY_TOL {
@@ -372,36 +379,43 @@ pub(crate) fn solve_milp_resumable(
                     if stats.time_to_first_incumbent.is_none() {
                         stats.time_to_first_incumbent = Some(prior_elapsed + start.elapsed());
                     }
-                    incumbent = Some((obj, values));
+                    match &mut incumbent {
+                        Some((best, best_values)) => {
+                            *best = obj;
+                            best_values.copy_from_slice(values);
+                        }
+                        None => incumbent = Some((obj, values.to_vec())),
+                    }
                 }
             }
             Some((j, _)) => {
                 let v = values[j];
                 let floor = v.floor();
                 let ceil = v.ceil();
-                let mut down = node.overrides.clone();
-                down.push((j, model.vars[j].lower, floor));
-                let mut up = node.overrides.clone();
-                up.push((j, ceil, model.vars[j].upper));
+                let down = (j, model.vars[j].lower, floor);
+                let up = (j, ceil, model.vars[j].upper);
                 // Both children inherit this node's final tableau:
                 // only one variable's bound tightened, so its basis
                 // stays dual feasible and re-solves in a few dual
                 // pivots. Explore the side closer to the LP value
-                // first (pushed last so it pops first).
-                let tableau = Arc::new(tableau);
+                // first (pushed last so it pops first); it re-solves a
+                // copy, the other child the tableau itself.
                 let (first, second) = if v - floor < 0.5 {
                     (down, up)
                 } else {
                     (up, down)
                 };
-                stack.push(Node {
-                    overrides: second,
-                    tableau: Some(Arc::clone(&tableau)),
-                });
-                stack.push(Node {
-                    overrides: first,
-                    tableau: Some(tableau),
-                });
+                let copy = tableau.clone();
+                for (bound, tableau) in [(second, tableau), (first, copy)] {
+                    let start = bounds.len();
+                    bounds.extend_from_within(node.start..node.end);
+                    bounds.push(bound);
+                    stack.push(Open {
+                        start,
+                        end: bounds.len(),
+                        tableau: Some(tableau),
+                    });
+                }
             }
         }
     }
@@ -412,7 +426,13 @@ pub(crate) fn solve_milp_resumable(
     let frontier = if limit_hit && !stack.is_empty() {
         Some(Frontier {
             incumbent: incumbent.clone(),
-            open: stack,
+            open: stack
+                .into_iter()
+                .map(|node| Node {
+                    overrides: bounds[node.start..node.end].to_vec(),
+                    tableau: node.tableau,
+                })
+                .collect(),
             stats,
         })
     } else {
@@ -738,7 +758,7 @@ mod tests {
             open: vec![
                 Node {
                     overrides: vec![(0, 0.0, 0.0)],
-                    tableau: Some(Arc::new(tableau)),
+                    tableau: Some(tableau),
                 },
                 Node {
                     overrides: vec![],

@@ -1,5 +1,5 @@
 use crate::branch::{self, SolveOptions, SolveStats};
-use crate::simplex::{self, LpSolution, RowRef, RowSense, Tableau};
+use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
 use std::fmt;
 
@@ -62,11 +62,13 @@ pub(crate) struct VarDef {
     pub obj: f64,
 }
 
+/// A constraint row; its terms are `Model::terms[start..end]`.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RowDef {
-    pub terms: Vec<(usize, f64)>,
-    pub sense: Sense,
-    pub rhs: f64,
+    start: usize,
+    end: usize,
+    sense: Sense,
+    rhs: f64,
 }
 
 /// Builder and solver entry point for LP / MILP models.
@@ -97,7 +99,9 @@ pub(crate) struct RowDef {
 pub struct Model {
     pub(crate) direction: Option<ObjectiveDirection>,
     pub(crate) vars: Vec<VarDef>,
-    pub(crate) rows: Vec<RowDef>,
+    rows: Vec<RowDef>,
+    /// Every row's `(variable, coefficient)` terms, row after row.
+    terms: Vec<(usize, f64)>,
 }
 
 impl Model {
@@ -136,6 +140,15 @@ impl Model {
     /// Number of constraints.
     pub fn num_constraints(&self) -> usize {
         self.rows.len()
+    }
+
+    /// Reserves room for at least `vars` more variables and `rows` more
+    /// constraints with `terms` more terms in total, so a model whose
+    /// size is known up front is built without reallocating.
+    pub fn reserve(&mut self, vars: usize, rows: usize, terms: usize) {
+        self.vars.reserve(vars);
+        self.rows.reserve(rows);
+        self.terms.reserve(terms);
     }
 
     /// Adds a variable with explicit kind, bounds, and objective
@@ -230,31 +243,51 @@ impl Model {
                 context: "constraint right-hand side",
             });
         }
-        let terms = terms.into_iter();
-        let mut merged: Vec<(usize, f64)> = Vec::with_capacity(terms.size_hint().0);
+        let start = self.terms.len();
         for (v, c) in terms {
-            if v.0 >= self.vars.len() {
-                return Err(IlpError::UnknownVariable {
+            let invalid = if v.0 >= self.vars.len() {
+                Some(IlpError::UnknownVariable {
                     index: v.0,
                     var_count: self.vars.len(),
-                });
-            }
-            if !c.is_finite() {
-                return Err(IlpError::NonFiniteValue {
+                })
+            } else if !c.is_finite() {
+                Some(IlpError::NonFiniteValue {
                     context: "constraint coefficient",
-                });
+                })
+            } else {
+                None
+            };
+            if let Some(e) = invalid {
+                self.terms.truncate(start);
+                return Err(e);
             }
-            match merged.iter_mut().find(|(j, _)| *j == v.0) {
+            match self.terms[start..].iter_mut().find(|(j, _)| *j == v.0) {
                 Some((_, acc)) => *acc += c,
-                None => merged.push((v.0, c)),
+                None => self.terms.push((v.0, c)),
             }
         }
         self.rows.push(RowDef {
-            terms: merged,
+            start,
+            end: self.terms.len(),
             sense,
             rhs,
         });
         Ok(())
+    }
+
+    /// Every row as its terms, sense and right-hand side, in order.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&[(usize, f64)], Sense, f64)> + '_ {
+        self.rows
+            .iter()
+            .map(|r| (&self.terms[r.start..r.end], r.sense, r.rhs))
+    }
+
+    /// The internal objective is always "minimize `sign` · objective".
+    pub(crate) fn sign(&self) -> f64 {
+        match self.direction() {
+            ObjectiveDirection::Minimize => 1.0,
+            ObjectiveDirection::Maximize => -1.0,
+        }
     }
 
     /// Solves the model to integer optimality (continuous models solve in
@@ -293,84 +326,82 @@ impl Model {
         branch::solve_milp_resumable(self, options, resume)
     }
 
-    /// Solves the LP relaxation with per-variable bound overrides
-    /// (used by branch-and-bound), re-solving from the parent's final
-    /// tableau when one is inherited and falling back to a cold solve
-    /// when that re-solve is rejected. Returns `None` if infeasible;
-    /// otherwise the solution's objective is the internal (minimize
-    /// sign) one and its values are in model space.
+    /// Variable `j`'s bounds at a search node: its own, tightened by
+    /// each of the node's `(j, lower, upper)` overrides in order.
+    fn bounds(&self, j: usize, overrides: &[(usize, f64, f64)]) -> (f64, f64) {
+        let (mut lo, mut hi) = (self.vars[j].lower, self.vars[j].upper);
+        for &(k, l, h) in overrides {
+            if k == j {
+                lo = lo.max(l);
+                hi = hi.min(h);
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Solves the LP relaxation of the search node with these bound
+    /// overrides (used by branch-and-bound). A node with an `inherited`
+    /// tableau — its parent's final one — differs from the parent only
+    /// in its last override: that one column moves to its new bounds
+    /// and the tableau is re-solved, falling back to a cold solve when
+    /// the re-solve is rejected. Returns `None` if infeasible; otherwise
+    /// the solution's objective is the internal (minimize sign) one and
+    /// its values are in model space.
     pub(crate) fn solve_relaxation(
         &self,
         bound_overrides: &[(usize, f64, f64)],
         deadline: Option<std::time::Instant>,
         inherited: Option<Tableau>,
     ) -> Result<Option<LpSolution>, IlpError> {
-        // Effective bounds.
-        let mut lower: Vec<f64> = self.vars.iter().map(|v| v.lower).collect();
-        let mut upper: Vec<f64> = self.vars.iter().map(|v| v.upper).collect();
-        for &(j, lo, hi) in bound_overrides {
-            lower[j] = lower[j].max(lo);
-            upper[j] = upper[j].min(hi);
-        }
-        for j in 0..lower.len() {
-            if lower[j] > upper[j] + 1e-12 {
-                return Ok(None);
-            }
-        }
-
-        // Shift x = x' + lower so every variable has lb 0; constants move
-        // to the right-hand side.
-        let sign = match self.direction() {
-            ObjectiveDirection::Minimize => 1.0,
-            ObjectiveDirection::Maximize => -1.0,
-        };
-        let mut obj_const = 0.0;
-        let cost: Vec<f64> = self
-            .vars
-            .iter()
-            .enumerate()
-            .map(|(j, v)| {
-                obj_const += v.obj * lower[j];
-                sign * v.obj
-            })
-            .collect();
-        let shifted_upper: Vec<f64> = (0..self.vars.len())
-            .map(|j| {
-                let u = upper[j] - lower[j];
-                if u.is_finite() {
-                    u.max(0.0)
-                } else {
-                    f64::INFINITY
+        let warm = match inherited.filter(|t| t.n_struct() == self.vars.len()) {
+            Some(mut tableau) => {
+                if let Some(&(j, _, _)) = bound_overrides.last() {
+                    let (lo, hi) = self.bounds(j, bound_overrides);
+                    if lo > hi + 1e-12 {
+                        return Ok(None);
+                    }
+                    tableau.rebound(j, lo, shifted_upper(lo, hi));
                 }
-            })
-            .collect();
-
-        let result = match inherited.and_then(|t| t.resolve(&lower, &shifted_upper)) {
-            Some(result) => Some(result?),
+                tableau.resolve().transpose()?
+            }
+            None => None,
+        };
+        let solution = match warm {
+            Some(solution) => solution,
             None => {
-                // Rows borrow the model's terms; only the shifted rhs is new.
-                let rows: Vec<RowRef<'_>> = self
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        let shift: f64 = r.terms.iter().map(|&(j, c)| c * lower[j]).sum();
-                        let sense = match r.sense {
-                            Sense::Le => RowSense::Le,
-                            Sense::Eq => RowSense::Eq,
-                            Sense::Ge => RowSense::Ge,
-                        };
-                        (r.terms.as_slice(), sense, r.rhs - shift)
-                    })
-                    .collect();
-                simplex::solve_rows(&cost, &lower, &shifted_upper, &rows, deadline)?
+                if (0..self.vars.len()).any(|j| {
+                    let (lo, hi) = self.bounds(j, bound_overrides);
+                    lo > hi + 1e-12
+                }) {
+                    return Ok(None);
+                }
+                let cold = Tableau::new(self, |j| self.bounds(j, bound_overrides))?;
+                match cold.solve(deadline)? {
+                    Some(solution) => solution,
+                    None => return Ok(None),
+                }
             }
         };
-        Ok(result.map(|s| LpSolution {
-            values: s.values.iter().zip(&lower).map(|(x, lo)| x + lo).collect(),
-            // Internal objective is always "minimize sign * obj".
-            objective: s.objective + sign * obj_const,
-            ..s
+        // Undo the shift x = x' + lower of the objective; the values
+        // are already in model space.
+        let mut obj_const = 0.0;
+        for (v, lo) in self.vars.iter().zip(solution.tableau.lower()) {
+            obj_const += v.obj * lo;
+        }
+        Ok(Some(LpSolution {
+            objective: solution.objective + self.sign() * obj_const,
+            ..solution
         }))
+    }
+}
+
+/// A column's upper bound once its lower bound is shifted to zero.
+pub(crate) fn shifted_upper(lo: f64, hi: f64) -> f64 {
+    let u = hi - lo;
+    if u.is_finite() {
+        u.max(0.0)
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -439,6 +470,8 @@ impl Solution {
 mod tests {
     use super::*;
     use crate::SolveOptions;
+    use eagleeye_check::{check_cases, prop_assert, prop_assert_eq, u64_range, PropResult};
+    use std::cell::Cell;
 
     #[test]
     fn var_handles_index_sequentially() {
@@ -618,5 +651,215 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The per-node rebuild that children applying only their own bound
+    /// change replaced, kept as its oracle: every column's bounds are
+    /// recomputed from the whole override list, every column of the
+    /// inherited tableau is moved to them, and the objective constant
+    /// is summed from those bounds.
+    fn relax_rebuild(
+        model: &Model,
+        overrides: &[(usize, f64, f64)],
+        inherited: Option<Tableau>,
+    ) -> Result<Option<LpSolution>, IlpError> {
+        let n = model.vars.len();
+        let mut lower: Vec<f64> = model.vars.iter().map(|v| v.lower).collect();
+        let mut upper: Vec<f64> = model.vars.iter().map(|v| v.upper).collect();
+        for &(j, lo, hi) in overrides {
+            lower[j] = lower[j].max(lo);
+            upper[j] = upper[j].min(hi);
+        }
+        if (0..n).any(|j| lower[j] > upper[j] + 1e-12) {
+            return Ok(None);
+        }
+        let warm = match inherited.filter(|t| t.n_struct() == n) {
+            Some(mut t) => {
+                for j in 0..n {
+                    t.rebound(j, lower[j], shifted_upper(lower[j], upper[j]));
+                }
+                t.resolve().transpose()?
+            }
+            None => None,
+        };
+        let s = match warm {
+            Some(s) => s,
+            None => match Tableau::new(model, |j| (lower[j], upper[j]))?.solve(None)? {
+                Some(s) => s,
+                None => return Ok(None),
+            },
+        };
+        let mut obj_const = 0.0;
+        for (j, v) in model.vars.iter().enumerate() {
+            obj_const += v.obj * lower[j];
+        }
+        Ok(Some(LpSolution {
+            objective: s.objective + model.sign() * obj_const,
+            ..s
+        }))
+    }
+
+    /// A seeded MILP: 3–6 variables, general integers over fractional
+    /// or integral ranges (some negative) beside binaries and a
+    /// continuous one, under 2–4 mixed rows feasible at a witness.
+    fn seeded_milp(seed: u64) -> Model {
+        let mut state = seed;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = state;
+            x ^= x >> 30;
+            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x ^= x >> 27;
+            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^= x >> 31;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut m = if unit() < 0.5 {
+            Model::minimize()
+        } else {
+            Model::maximize()
+        };
+        let n = 3 + (unit() * 4.0) as usize;
+        let mut witness = Vec::new();
+        for k in 0..n {
+            let obj = (12.0 * unit() - 6.0).round();
+            let (lo, hi, kind) = match (k + (unit() * 3.0) as usize) % 4 {
+                0 => (0.0, 1.0, VarKind::Integer),
+                1 => {
+                    let lo = [-3.0, 0.0, 0.5][(unit() * 3.0) as usize];
+                    (
+                        lo,
+                        lo + 3.0 + (unit() * 6.0).round() + 0.5 * (unit() * 2.0).floor(),
+                        VarKind::Integer,
+                    )
+                }
+                2 => (0.0, 2.0 + (unit() * 8.0).round(), VarKind::Integer),
+                _ => (0.0, 4.0 * unit() + 1.0, VarKind::Continuous),
+            };
+            m.add_var(kind, lo, hi, obj).unwrap();
+            witness.push(lo + (hi - lo) * unit());
+        }
+        for _ in 0..2 + (unit() * 3.0) as usize {
+            let mut terms: Vec<(VarId, f64)> = Vec::new();
+            for j in 0..n {
+                if unit() < 0.8 {
+                    let c = (8.0 * unit() - 3.0).round() + 0.5 * (unit() * 2.0).floor();
+                    terms.push((VarId(j), c));
+                }
+            }
+            let at: f64 = terms.iter().map(|&(v, c)| c * witness[v.0]).sum();
+            let (sense, rhs) = match (unit() * 3.0) as usize {
+                0 => (Sense::Le, at + 2.0 * unit()),
+                1 => (Sense::Ge, at - 2.0 * unit()),
+                _ => (Sense::Le, at),
+            };
+            m.add_constraint(terms, sense, rhs).unwrap();
+        }
+        m
+    }
+
+    /// What the differential saw, summed over cases.
+    #[derive(Debug, Default, Clone, Copy)]
+    struct Seen {
+        children: usize,
+        warm: usize,
+        rejected: usize,
+        emptied: usize,
+        branched_twice: usize,
+    }
+
+    /// Explores `model`'s search tree as branch-and-bound does (most
+    /// fractional variable, the nearer side first, children inheriting
+    /// their parent's final tableau) and, at every child, solves its
+    /// relaxation both from its one bound change and by the full
+    /// rebuild from the same inherited tableau. Each child is also
+    /// offered a bound that empties its variable's domain.
+    fn one_bound_children_agree(model: &Model, seen: &Cell<Seen>) -> PropResult {
+        let bits = |s: &LpSolution| {
+            let values: Vec<u64> = s.values().iter().map(|v| v.to_bits()).collect();
+            (
+                s.objective.to_bits(),
+                values,
+                s.iterations,
+                s.pivots,
+                s.warmed,
+            )
+        };
+        let Some(root) = model.solve_relaxation(&[], None, None).unwrap() else {
+            return Ok(());
+        };
+        let mut stack = vec![(Vec::new(), root)];
+        let mut nodes = 0;
+        while let Some((overrides, parent)) = stack.pop() {
+            nodes += 1;
+            if nodes > 200 {
+                break;
+            }
+            let values = parent.values();
+            let Some(j) = (0..model.vars.len()).find(|&j| {
+                let v = values[j];
+                model.vars[j].kind == VarKind::Integer && (v - v.round()).abs() > 1e-6
+            }) else {
+                continue;
+            };
+            let v = values[j];
+            let var = &model.vars[j];
+            let emptying = (j, var.upper + 1.0, var.upper);
+            for bound in [
+                (j, var.lower, v.floor()),
+                (j, v.ceil(), var.upper),
+                emptying,
+            ] {
+                let mut child = overrides.clone();
+                child.push(bound);
+                let inherited = parent.tableau.clone();
+                let got = model.solve_relaxation(&child, None, Some(inherited.clone()));
+                let want = relax_rebuild(model, &child, Some(inherited));
+                let mut count = seen.get();
+                count.children += 1;
+                match (got, want) {
+                    (Ok(Some(got)), Ok(Some(want))) => {
+                        prop_assert_eq!(bits(&got), bits(&want));
+                        prop_assert!(got.tableau == want.tableau);
+                        count.warm += usize::from(got.warmed);
+                        count.rejected += usize::from(!got.warmed);
+                        if child.iter().filter(|o| o.0 == j).count() > 1 {
+                            count.branched_twice += 1;
+                        }
+                        if bound != emptying {
+                            stack.push((child, got));
+                        }
+                    }
+                    (got, want) => {
+                        prop_assert_eq!(
+                            got.map(|s| s.map(|s| bits(&s))),
+                            want.map(|s| s.map(|s| bits(&s)))
+                        );
+                        count.emptied += usize::from(bound == emptying);
+                    }
+                }
+                seen.set(count);
+            }
+        }
+        Ok(())
+    }
+
+    /// A child re-solved from its one bound change equals the full
+    /// rebuild bit for bit: objective, values, iterations, pivots, the
+    /// warm or cold verdict, and the final tableau.
+    #[test]
+    fn one_bound_children_match_full_rebuild() {
+        let seen = Cell::new(Seen::default());
+        check_cases(
+            160,
+            "ilp_one_bound_children_match_full_rebuild",
+            u64_range(0, u64::MAX),
+            |&seed| one_bound_children_agree(&seeded_milp(seed), &seen),
+        );
+        let seen = seen.get();
+        assert!(
+            seen.warm > 100 && seen.emptied > 50 && seen.branched_twice > 10,
+            "{seen:?}"
+        );
     }
 }

@@ -17,24 +17,19 @@
 //! Dantzig pricing to Bland's rule after a stretch of non-improving
 //! iterations, which guarantees termination.
 //!
-//! [`crate::Model`] is the only entry point: it shifts a node's bounds
-//! into this form and either calls [`solve_rows`] (a cold solve) or
-//! hands the node's inherited final [`Tableau`] to [`Tableau::resolve`].
+//! [`crate::Model`] is the only entry point: it builds a node's cold
+//! [`Tableau`] from its rows and shifted bounds ([`Tableau::new`]), or
+//! moves the parent's final tableau to the node's one new bound
+//! ([`Tableau::rebound`]) and re-solves it ([`Tableau::resolve`]).
+//!
+//! A tableau keeps its floats, indices and flags in three slabs, so a
+//! copy for a branch-and-bound child is three allocations and three
+//! `memcpy`s, and a solve allocates nothing beyond them.
 
+use crate::model::{shifted_upper, Model, Sense};
 use crate::IlpError;
 use eagleeye_harden::{ByteReader, ByteWriter, CodecError};
 use std::time::Instant;
-
-/// Relational sense of a row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowSense {
-    /// `aᵀx ≤ b`
-    Le,
-    /// `aᵀx = b`
-    Eq,
-    /// `aᵀx ≥ b`
-    Ge,
-}
 
 /// An optimal LP solution. A solve returns `None` in its place when no
 /// feasible point exists.
@@ -42,8 +37,6 @@ pub enum RowSense {
 pub struct LpSolution {
     /// Optimal objective value (for the minimization form).
     pub objective: f64,
-    /// Optimal value of every variable.
-    pub values: Vec<f64>,
     /// Total simplex iterations across both phases.
     pub iterations: usize,
     /// Basis-changing pivots across both phases. Iterations that
@@ -54,9 +47,19 @@ pub struct LpSolution {
     /// True when this solve re-solved an inherited tableau
     /// ([`Tableau::resolve`]); false for a cold two-phase solve.
     pub warmed: bool,
-    /// The final tableau, which a child problem (same rows and
-    /// columns, other bounds) re-solves from.
+    /// The final tableau, which holds the optimal values and which a
+    /// child problem (same rows and columns, other bounds) re-solves
+    /// from.
     pub tableau: Tableau,
+}
+
+#[cfg(test)]
+impl LpSolution {
+    /// Optimal value of every variable, in model space (the shift by
+    /// each column's lower bound undone).
+    pub fn values(&self) -> &[f64] {
+        self.tableau.values()
+    }
 }
 
 const COST_TOL: f64 = 1e-9;
@@ -69,100 +72,33 @@ const STALL_LIMIT: usize = 64;
 /// 128 iterations keeps overshoot well under a millisecond.
 const DEADLINE_CHECK_STRIDE: usize = 128;
 
-/// A borrowed constraint row: coefficients, sense, right-hand side.
-pub(crate) type RowRef<'a> = (&'a [(usize, f64)], RowSense, f64);
-
-/// How one row is normalized: its sense and non-negative right-hand
-/// side after normalization, and whether its coefficients are negated.
-type RowNorm = (RowSense, f64, bool);
-
-/// Validates a standard-form problem and normalizes every row to a
-/// non-negative right-hand side: a negative-rhs row has its
-/// coefficients negated and its sense flipped. Reports, per row, the
-/// normalized sense and rhs and whether to negate, so the dense
-/// tableau can negate while scattering instead of copying the row.
-fn normalize(cost: &[f64], upper: &[f64], rows: &[RowRef<'_>]) -> Result<Vec<RowNorm>, IlpError> {
-    let n_struct = cost.len();
-    if upper.len() != n_struct {
-        return Err(IlpError::NonFiniteValue {
-            context: "upper bound vector length",
-        });
-    }
-    for &c in cost {
-        if !c.is_finite() {
-            return Err(IlpError::NonFiniteValue {
-                context: "objective coefficient",
-            });
-        }
-    }
-    for &u in upper {
-        if u.is_nan() || u < 0.0 {
-            return Err(IlpError::NonFiniteValue {
-                context: "variable upper bound",
-            });
-        }
-    }
-    let mut norms: Vec<RowNorm> = Vec::with_capacity(rows.len());
-    for &(coeffs, sense, rhs) in rows {
-        if !rhs.is_finite() {
-            return Err(IlpError::NonFiniteValue {
-                context: "row right-hand side",
-            });
-        }
-        for &(j, c) in coeffs {
-            if j >= n_struct {
-                return Err(IlpError::UnknownVariable {
-                    index: j,
-                    var_count: n_struct,
-                });
-            }
-            if !c.is_finite() {
-                return Err(IlpError::NonFiniteValue {
-                    context: "row coefficient",
-                });
-            }
-        }
+/// `model`'s rows with every column `j` shifted by `lower(j)`, each
+/// normalized to a non-negative right-hand side: a negative-rhs row has
+/// its coefficients negated and its sense flipped. Yields each row's
+/// terms, normalized sense and rhs, and whether to negate, so the dense
+/// tableau negates while scattering instead of copying the row.
+fn normalized<'a>(
+    model: &'a Model,
+    lower: impl Fn(usize) -> f64 + 'a,
+) -> impl Iterator<Item = (&'a [(usize, f64)], Sense, f64, bool)> + 'a {
+    model.rows().map(move |(terms, sense, rhs)| {
+        let shift: f64 = terms.iter().map(|&(j, c)| c * lower(j)).sum();
+        let rhs = rhs - shift;
         if rhs < 0.0 {
             let flipped = match sense {
-                RowSense::Le => RowSense::Ge,
-                RowSense::Eq => RowSense::Eq,
-                RowSense::Ge => RowSense::Le,
+                Sense::Le => Sense::Ge,
+                Sense::Eq => Sense::Eq,
+                Sense::Ge => Sense::Le,
             };
-            norms.push((flipped, -rhs, true));
+            (terms, flipped, -rhs, true)
         } else {
-            norms.push((sense, rhs, false));
+            (terms, sense, rhs, false)
         }
-    }
-    Ok(norms)
-}
-
-/// Solves the LP given as borrowed parts with the cold two-phase
-/// simplex. `lower` is the model-space lower bound each structural
-/// column was shifted by (`upper` and the rows' right-hand sides are
-/// already shifted); the returned tableau records it so a child can
-/// re-solve for other bounds ([`Tableau::resolve`]).
-///
-/// # Errors
-///
-/// * [`IlpError::Unbounded`] when the objective is unbounded below.
-/// * [`IlpError::IterationLimit`] if the iteration cap is exceeded
-///   (indicates numerical trouble; the cap scales with problem size).
-/// * [`IlpError::NonFiniteValue`] / [`IlpError::UnknownVariable`] for
-///   malformed input data.
-/// * [`IlpError::Deadline`] if the wall clock passes `deadline`
-///   mid-solve (checked every few hundred iterations).
-pub(crate) fn solve_rows(
-    cost: &[f64],
-    lower: &[f64],
-    upper: &[f64],
-    rows: &[RowRef<'_>],
-    deadline: Option<Instant>,
-) -> Result<Option<LpSolution>, IlpError> {
-    Tableau::new(cost, lower, upper, rows)?.solve(deadline)
+    })
 }
 
 /// Picks the entering column from the pricing weights `w` (see
-/// [`Tableau::pricing_weight`]) and reduced costs `d`: the first column
+/// [`View::pricing_weight`]) and reduced costs `d`: the first column
 /// with the largest `w·d` above `COST_TOL` (Dantzig), or under Bland's
 /// rule the first column above it. `None` means the phase is optimal.
 fn price(w: &[f64], d: &[f64], bland: bool) -> Option<usize> {
@@ -179,8 +115,23 @@ fn price(w: &[f64], d: &[f64], bland: bool) -> Option<usize> {
     enter
 }
 
+/// Floats of a tableau's state: the matrix, basic values, lower
+/// bounds, upper bounds and costs.
+fn state_len(n_struct: usize, m: usize, n_cols: usize) -> usize {
+    m * n_cols + m + n_struct + 2 * n_cols
+}
+
 /// Dense simplex tableau with bounded variables.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// `floats` holds, back to back: the row-major `m x n_cols` matrix
+/// `B⁻¹A`; the basic values (one per row); the model-space lower bound
+/// each structural column is shifted by; the shifted upper bound and
+/// the phase-2 cost per column; then scratch that is not tableau state:
+/// the last solve's model-space values, and the reduced costs and
+/// pricing weights of the phase in progress. `flags` holds whether each
+/// nonbasic column sits at its upper bound, then whether each column is
+/// basic.
+#[derive(Debug, Clone)]
 pub(crate) struct Tableau {
     /// Number of structural variables (prefix of the column space).
     n_struct: usize,
@@ -188,24 +139,12 @@ pub(crate) struct Tableau {
     n_cols: usize,
     /// Number of rows.
     m: usize,
-    /// Row-major dense tableau, `m x n_cols`, maintained as `B⁻¹A`.
-    a: Vec<f64>,
-    /// Current basic variable values, one per row.
-    b: Vec<f64>,
-    /// Column index of the basic variable of each row.
-    basis: Vec<usize>,
-    /// Whether each *nonbasic* column currently sits at its upper bound.
-    at_upper: Vec<bool>,
-    /// Whether each column is basic.
-    is_basic: Vec<bool>,
-    /// Model-space lower bound each structural column is shifted by.
-    lower: Vec<f64>,
-    /// Upper bound per column (shifted, so every lower bound is 0).
-    upper: Vec<f64>,
     /// First artificial column index (artificials are `art_start..n_cols`).
     art_start: usize,
-    /// Phase-2 cost per column.
-    cost: Vec<f64>,
+    floats: Vec<f64>,
+    /// Column index of the basic variable of each row.
+    basis: Vec<usize>,
+    flags: Vec<bool>,
     /// Iterations used by the solve in progress.
     iterations: usize,
     /// Basis-changing pivots of the solve in progress (excludes bound
@@ -213,105 +152,425 @@ pub(crate) struct Tableau {
     pivots: usize,
 }
 
+/// Tableaux are equal when their state is: the scratch tail of
+/// `floats` (values, reduced costs, weights) is not compared, so a
+/// tableau read back from bytes equals the one written.
+impl PartialEq for Tableau {
+    fn eq(&self, other: &Self) -> bool {
+        let state = self.scratch_start();
+        (self.n_struct, self.n_cols, self.m, self.art_start)
+            == (other.n_struct, other.n_cols, other.m, other.art_start)
+            && self.floats[..state] == other.floats[..state]
+            && self.basis == other.basis
+            && self.flags == other.flags
+            && (self.iterations, self.pivots) == (other.iterations, other.pivots)
+    }
+}
+
+/// Disjoint borrows of one tableau's slabs, named by role.
+struct View<'t> {
+    n_struct: usize,
+    n_cols: usize,
+    m: usize,
+    art_start: usize,
+    a: &'t mut [f64],
+    b: &'t mut [f64],
+    lower: &'t mut [f64],
+    upper: &'t mut [f64],
+    cost: &'t mut [f64],
+    values: &'t mut [f64],
+    /// Reduced costs of the phase in progress.
+    d: &'t mut [f64],
+    /// Pricing weights of the phase in progress.
+    w: &'t mut [f64],
+    basis: &'t mut [usize],
+    at_upper: &'t mut [bool],
+    is_basic: &'t mut [bool],
+    iterations: &'t mut usize,
+    pivots: &'t mut usize,
+}
+
 impl Tableau {
-    fn new(
-        cost: &[f64],
-        lower: &[f64],
-        upper: &[f64],
-        rows: &[RowRef<'_>],
+    /// Builds the cold tableau of `model`'s rows with column `j` shifted
+    /// to the bounds `bound(j)` (model-space lower, upper).
+    ///
+    /// # Errors
+    ///
+    /// [`IlpError::NonFiniteValue`] / [`IlpError::UnknownVariable`] for
+    /// malformed input data, such as a shifted right-hand side that
+    /// overflows.
+    pub(crate) fn new(
+        model: &Model,
+        bound: impl Fn(usize) -> (f64, f64),
     ) -> Result<Self, IlpError> {
-        let n_struct = cost.len();
-        let m = rows.len();
-
-        // Normalize rows so every right-hand side is non-negative.
-        let norms = normalize(cost, upper, rows)?;
-
-        // Column layout: [structural | slack/surplus | artificial], one
-        // slack/surplus per `Le`/`Ge` row and one artificial per
-        // `Eq`/`Ge` row, in row order.
+        let n_struct = model.num_vars();
+        let m = model.num_constraints();
+        let sign = model.sign();
+        let shifted_upper = |j: usize| {
+            let (lo, hi) = bound(j);
+            shifted_upper(lo, hi)
+        };
+        // Validate, and count the column layout: [structural |
+        // slack/surplus | artificial], one slack/surplus per `Le`/`Ge`
+        // row and one artificial per `Eq`/`Ge` row, in row order.
+        for j in 0..n_struct {
+            if !(sign * model.vars[j].obj).is_finite() {
+                return Err(IlpError::NonFiniteValue {
+                    context: "objective coefficient",
+                });
+            }
+        }
+        for j in 0..n_struct {
+            let u = shifted_upper(j);
+            if u.is_nan() || u < 0.0 {
+                return Err(IlpError::NonFiniteValue {
+                    context: "variable upper bound",
+                });
+            }
+        }
         let (mut n_slack, mut n_art) = (0, 0);
-        for &(sense, _, _) in &norms {
-            n_slack += usize::from(matches!(sense, RowSense::Le | RowSense::Ge));
-            n_art += usize::from(matches!(sense, RowSense::Eq | RowSense::Ge));
+        for (terms, sense, rhs, _) in normalized(model, |j| bound(j).0) {
+            if !rhs.is_finite() {
+                return Err(IlpError::NonFiniteValue {
+                    context: "row right-hand side",
+                });
+            }
+            for &(j, c) in terms {
+                if j >= n_struct {
+                    return Err(IlpError::UnknownVariable {
+                        index: j,
+                        var_count: n_struct,
+                    });
+                }
+                if !c.is_finite() {
+                    return Err(IlpError::NonFiniteValue {
+                        context: "row coefficient",
+                    });
+                }
+            }
+            n_slack += usize::from(matches!(sense, Sense::Le | Sense::Ge));
+            n_art += usize::from(matches!(sense, Sense::Eq | Sense::Ge));
         }
         let slack_start = n_struct;
         let art_start = n_struct + n_slack;
         let n_cols = art_start + n_art;
 
-        let mut a = vec![0.0; m * n_cols];
-        let mut b = vec![0.0; m];
-        let mut basis = vec![0usize; m];
-        let mut col_upper = Vec::with_capacity(n_cols);
-        col_upper.extend_from_slice(upper);
-        col_upper.resize(n_cols, f64::INFINITY);
-
+        let mut t = Tableau::zeroed(n_struct, m, n_cols, art_start);
+        let v = t.view();
+        for j in 0..n_struct {
+            v.lower[j] = bound(j).0;
+            v.upper[j] = shifted_upper(j);
+            v.cost[j] = sign * model.vars[j].obj;
+        }
+        v.upper[n_struct..].fill(f64::INFINITY);
+        let lower: &[f64] = v.lower;
         let mut next_slack = slack_start;
         let mut next_art = art_start;
-        for (i, (&(coeffs, _, _), &(sense, rhs, negate))) in rows.iter().zip(&norms).enumerate() {
-            let row = &mut a[i * n_cols..(i + 1) * n_cols];
+        for (i, (terms, sense, rhs, negate)) in normalized(model, |j| lower[j]).enumerate() {
+            let row = &mut v.a[i * n_cols..(i + 1) * n_cols];
             // Multiplying by ±1 is exact, so negating while scattering
             // equals negating a copy of the row first.
             let sign = if negate { -1.0 } else { 1.0 };
-            for &(j, c) in coeffs {
+            for &(j, c) in terms {
                 row[j] += sign * c;
             }
-            b[i] = rhs;
+            v.b[i] = rhs;
             match sense {
-                RowSense::Le => {
+                Sense::Le => {
                     row[next_slack] = 1.0;
-                    basis[i] = next_slack;
+                    v.basis[i] = next_slack;
                     next_slack += 1;
                 }
-                RowSense::Ge => {
+                Sense::Ge => {
                     row[next_slack] = -1.0;
                     next_slack += 1;
                     row[next_art] = 1.0;
-                    basis[i] = next_art;
+                    v.basis[i] = next_art;
                     next_art += 1;
                 }
-                RowSense::Eq => {
+                Sense::Eq => {
                     row[next_art] = 1.0;
-                    basis[i] = next_art;
+                    v.basis[i] = next_art;
                     next_art += 1;
                 }
             }
         }
-
-        let mut is_basic = vec![false; n_cols];
-        for &j in &basis {
-            is_basic[j] = true;
+        for &j in v.basis.iter() {
+            v.is_basic[j] = true;
         }
+        Ok(t)
+    }
 
-        let mut col_cost = Vec::with_capacity(n_cols);
-        col_cost.extend_from_slice(cost);
-        col_cost.resize(n_cols, 0.0);
-
-        Ok(Tableau {
+    /// An all-zero tableau of these dimensions, with room for the
+    /// scratch (`n_struct` values, `2·n_cols` reduced costs and
+    /// weights) after its state.
+    fn zeroed(n_struct: usize, m: usize, n_cols: usize, art_start: usize) -> Tableau {
+        let state = state_len(n_struct, m, n_cols);
+        Tableau {
             n_struct,
             n_cols,
             m,
-            a,
-            b,
-            basis,
-            at_upper: vec![false; n_cols],
-            is_basic,
-            lower: lower.to_vec(),
-            upper: col_upper,
             art_start,
-            cost: col_cost,
+            floats: vec![0.0; state + n_struct + 2 * n_cols],
+            basis: vec![0usize; m],
+            flags: vec![false; 2 * n_cols],
             iterations: 0,
             pivots: 0,
-        })
+        }
     }
 
+    /// Where the scratch tail of `floats` starts.
+    fn scratch_start(&self) -> usize {
+        state_len(self.n_struct, self.m, self.n_cols)
+    }
+
+    fn view(&mut self) -> View<'_> {
+        let (n, m, n_cols) = (self.n_struct, self.m, self.n_cols);
+        let (a, rest) = self.floats.split_at_mut(m * n_cols);
+        let (b, rest) = rest.split_at_mut(m);
+        let (lower, rest) = rest.split_at_mut(n);
+        let (upper, rest) = rest.split_at_mut(n_cols);
+        let (cost, rest) = rest.split_at_mut(n_cols);
+        let (values, rest) = rest.split_at_mut(n);
+        let (d, w) = rest.split_at_mut(n_cols);
+        let (at_upper, is_basic) = self.flags.split_at_mut(n_cols);
+        View {
+            n_struct: n,
+            n_cols,
+            m,
+            art_start: self.art_start,
+            a,
+            b,
+            lower,
+            upper,
+            cost,
+            values,
+            d,
+            w,
+            basis: &mut self.basis,
+            at_upper,
+            is_basic,
+            iterations: &mut self.iterations,
+            pivots: &mut self.pivots,
+        }
+    }
+
+    /// Number of structural columns.
+    pub(crate) fn n_struct(&self) -> usize {
+        self.n_struct
+    }
+
+    /// The model-space lower bound each structural column is shifted by.
+    pub(crate) fn lower(&self) -> &[f64] {
+        let start = self.m * self.n_cols + self.m;
+        &self.floats[start..start + self.n_struct]
+    }
+
+    /// The model-space values the last solve of this tableau found.
+    pub(crate) fn values(&self) -> &[f64] {
+        let start = self.scratch_start();
+        &self.floats[start..start + self.n_struct]
+    }
+
+    /// Solves the LP with the cold two-phase simplex.
+    ///
+    /// # Errors
+    ///
+    /// * [`IlpError::Unbounded`] when the objective is unbounded below.
+    /// * [`IlpError::IterationLimit`] if the iteration cap is exceeded
+    ///   (indicates numerical trouble; the cap scales with problem size).
+    /// * [`IlpError::Deadline`] if the wall clock passes `deadline`
+    ///   mid-solve (checked every few hundred iterations).
+    pub(crate) fn solve(
+        mut self,
+        deadline: Option<Instant>,
+    ) -> Result<Option<LpSolution>, IlpError> {
+        let mut v = self.view();
+        // Phase 1: minimize the sum of artificials.
+        if v.art_start < v.n_cols {
+            let obj = v.run_phase(/*phase_one=*/ true, deadline)?;
+            if obj > FEAS_TOL {
+                return Ok(None);
+            }
+            // Pin artificials at zero for phase 2.
+            v.upper[v.art_start..].fill(0.0);
+        }
+
+        // Phase 2: the real objective.
+        let obj = v.run_phase(/*phase_one=*/ false, deadline)?;
+        Ok(Some(self.extract(obj, false)))
+    }
+
+    /// Reads the optimal solution out of the final tableau into its
+    /// values, which the solution keeps (with its effort counters
+    /// reset) for children to re-solve from.
+    fn extract(mut self, obj: f64, warmed: bool) -> LpSolution {
+        let v = self.view();
+        for j in 0..v.n_struct {
+            v.values[j] = if !v.is_basic[j] && v.at_upper[j] {
+                v.upper[j]
+            } else {
+                0.0
+            };
+        }
+        for (i, &j) in v.basis.iter().enumerate() {
+            if j < v.n_struct {
+                v.values[j] = v.b[i].max(0.0);
+            }
+        }
+        for (x, lo) in v.values.iter_mut().zip(v.lower.iter()) {
+            *x += lo;
+        }
+        LpSolution {
+            objective: obj,
+            iterations: std::mem::take(&mut self.iterations),
+            pivots: std::mem::take(&mut self.pivots),
+            warmed,
+            tableau: self,
+        }
+    }
+
+    /// Moves structural column `j` of this final tableau to new bounds
+    /// (`lo` in model space, `up` shifted by it), keeping its basis and
+    /// reduced costs. A basic column keeps its value, re-expressed
+    /// against its new lower bound in O(m); a nonbasic column moves to
+    /// the same side of its new range (the lower side when the new
+    /// upper bound is infinite) and every basic value absorbs the step.
+    /// A basic value left outside its new range is the dual simplex's
+    /// to fix ([`Tableau::resolve`]).
+    pub(crate) fn rebound(&mut self, j: usize, lo: f64, up: f64) {
+        let v = self.view();
+        if lo == v.lower[j] && up == v.upper[j] {
+            return;
+        }
+        if v.is_basic[j] {
+            if let Some(r) = v.basis.iter().position(|&k| k == j) {
+                v.b[r] -= lo - v.lower[j];
+            }
+        } else {
+            let old = v.lower[j] + if v.at_upper[j] { v.upper[j] } else { 0.0 };
+            v.at_upper[j] &= up.is_finite();
+            let new = lo + if v.at_upper[j] { up } else { 0.0 };
+            if new != old {
+                let step = new - old;
+                for i in 0..v.m {
+                    v.b[i] -= step * v.a[i * v.n_cols + j];
+                }
+            }
+        }
+        v.lower[j] = lo;
+        v.upper[j] = up;
+    }
+
+    /// Re-solves this final tableau of a parent problem, already moved
+    /// to a child's bounds ([`Tableau::rebound`]): restores primal
+    /// feasibility with the dual simplex, then polishes with phase 2.
+    /// Returns `None` to reject (the caller falls back to a cold solve)
+    /// when [`View::dual_restore`] gives up. This path never declares
+    /// infeasibility itself — that verdict is always the cold path's
+    /// phase 1 — and never polls a deadline.
+    pub(crate) fn resolve(mut self) -> Option<Result<LpSolution, IlpError>> {
+        let mut v = self.view();
+        if !v.dual_restore() {
+            return None;
+        }
+        let obj = v.run_phase(/*phase_one=*/ false, None);
+        Some(obj.map(|obj| self.extract(obj, true)))
+    }
+
+    /// Appends the tableau as raw bits: dimensions, basis, bound state,
+    /// costs, basic values, then the matrix row by row. The effort
+    /// counters and the scratch are not written; a stored tableau is a
+    /// final one, whose counters [`Tableau::extract`] already reset.
+    pub(crate) fn write(&self, w: &mut ByteWriter) {
+        for dim in [self.n_struct, self.m, self.n_cols, self.art_start] {
+            w.usize(dim);
+        }
+        for &j in &self.basis {
+            w.usize(j);
+        }
+        for &flag in &self.flags[..self.n_cols] {
+            w.bool(flag);
+        }
+        let (matrix, rest) = self.floats.split_at(self.m * self.n_cols);
+        let (b, rest) = rest.split_at(self.m);
+        let bounds_and_costs = &rest[..self.n_struct + 2 * self.n_cols];
+        for &x in bounds_and_costs.iter().chain(b).chain(matrix) {
+            w.f64(x);
+        }
+    }
+
+    /// Reads a tableau written by [`Tableau::write`].
+    ///
+    /// The dimensions are checked against the bytes left in `r` before
+    /// anything is allocated for them, so forged dimensions fail as a
+    /// [`CodecError`]. So does a basis that names a column twice or
+    /// past the last one.
+    pub(crate) fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (n_struct, m, n_cols, art_start) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
+        // 8 bytes per basis entry and float, 1 per at-upper flag.
+        let payload = || {
+            let words = m
+                .checked_mul(n_cols)?
+                .checked_add(n_struct)?
+                .checked_add(n_cols.checked_mul(2)?)?
+                .checked_add(m.checked_mul(2)?)?;
+            words.checked_mul(8)?.checked_add(n_cols)
+        };
+        if n_struct > art_start
+            || art_start > n_cols
+            || payload().is_none_or(|bytes| bytes > r.remaining())
+        {
+            return Err(CodecError {
+                context: "tableau dimensions",
+            });
+        }
+        let mut t = Tableau::zeroed(n_struct, m, n_cols, art_start);
+        let v = t.view();
+        for i in 0..m {
+            let j = r.usize()?;
+            if j >= n_cols || std::mem::replace(&mut v.is_basic[j], true) {
+                return Err(CodecError {
+                    context: "tableau basis",
+                });
+            }
+            v.basis[i] = j;
+        }
+        for flag in v.at_upper.iter_mut() {
+            *flag = r.bool()?;
+        }
+        for x in v
+            .lower
+            .iter_mut()
+            .chain(v.upper.iter_mut())
+            .chain(v.cost.iter_mut())
+        {
+            *x = r.f64()?;
+        }
+        for x in v.b.iter_mut().chain(v.a.iter_mut()) {
+            *x = r.f64()?;
+        }
+        Ok(t)
+    }
+}
+
+impl View<'_> {
     /// Iteration cap per solve; scales with the problem size.
     fn max_iterations(&self) -> usize {
         2_000 + 40 * (self.m + self.n_cols)
     }
 
+    /// Column `j`'s cost in a phase: 1 per artificial in phase 1, the
+    /// real cost in phase 2.
     #[inline]
-    fn row(&self, i: usize) -> &[f64] {
-        &self.a[i * self.n_cols..(i + 1) * self.n_cols]
+    fn phase_cost(&self, phase_one: bool, j: usize) -> f64 {
+        if !phase_one {
+            self.cost[j]
+        } else if j >= self.art_start {
+            1.0
+        } else {
+            0.0
+        }
     }
 
     /// Pivots the matrix on `(r, j)`: scales row `r` so the pivot is
@@ -341,30 +600,34 @@ impl Tableau {
         }
     }
 
-    /// Reduced costs `d = c - c_Bᵀ (B⁻¹ A)` of the current tableau.
-    fn reduced_costs(&self, cost: &[f64]) -> Vec<f64> {
-        let mut d = cost.to_vec();
-        for (i, &bj) in self.basis.iter().enumerate() {
-            let cb = cost[bj];
+    /// Sets `d` to the reduced costs `c - c_Bᵀ (B⁻¹ A)` of the current
+    /// tableau under a phase's costs.
+    fn reduced_costs(&mut self, phase_one: bool) {
+        for j in 0..self.n_cols {
+            self.d[j] = self.phase_cost(phase_one, j);
+        }
+        for i in 0..self.m {
+            let cb = self.phase_cost(phase_one, self.basis[i]);
             // eagleeye-lint: allow(float-eq): exact-zero sparsity skip; basis costs are copied, never computed, so 0.0 is exact
             if cb != 0.0 {
-                for (dj, &aij) in d.iter_mut().zip(self.row(i)) {
+                let row = &self.a[i * self.n_cols..(i + 1) * self.n_cols];
+                for (dj, &aij) in self.d.iter_mut().zip(row) {
                     *dj -= cb * aij;
                 }
             }
         }
-        d
     }
 
     /// Applies the pivot on `(r, j)` to the reduced costs: `d -= d_j ·
     /// row r` with the (already pivoted) row `r`.
-    fn update_reduced_costs(&self, d: &mut [f64], r: usize, j: usize) {
-        let dj = d[j];
+    fn update_reduced_costs(&mut self, r: usize, j: usize) {
+        let dj = self.d[j];
         if dj.abs() > 1e-13 {
-            for (x, &rr) in d.iter_mut().zip(self.row(r)) {
+            let row = &self.a[r * self.n_cols..(r + 1) * self.n_cols];
+            for (x, &rr) in self.d.iter_mut().zip(row) {
                 *x -= dj * rr;
             }
-            d[j] = 0.0;
+            self.d[j] = 0.0;
         }
     }
 
@@ -388,18 +651,19 @@ impl Tableau {
         }
     }
 
-    /// [`Tableau::update_reduced_costs`] fused with Dantzig pricing:
+    /// [`View::update_reduced_costs`] fused with Dantzig pricing:
     /// applies `d -= d_j · row r` and, in the same pass, picks the first
     /// column with the largest `w·d` above `COST_TOL` from the updated
     /// costs. When `d_j` is too small to apply, `d` is unchanged and one
     /// plain [`price`] scan picks instead.
-    fn update_and_price(&self, d: &mut [f64], w: &[f64], r: usize, j: usize) -> Option<usize> {
-        let dj = d[j];
+    fn update_and_price(&mut self, r: usize, j: usize) -> Option<usize> {
+        let dj = self.d[j];
         if !(dj.abs() > 1e-13) {
-            return price(w, d, false);
+            return price(self.w, self.d, false);
         }
         let (mut best, mut enter) = (COST_TOL, None);
-        for (k, ((x, &rr), &wk)) in d.iter_mut().zip(self.row(r)).zip(w).enumerate() {
+        let row = &self.a[r * self.n_cols..(r + 1) * self.n_cols];
+        for (k, ((x, &rr), &wk)) in self.d.iter_mut().zip(row).zip(self.w.iter()).enumerate() {
             *x -= dj * rr;
             let score = wk * *x;
             if score > best {
@@ -408,119 +672,8 @@ impl Tableau {
         }
         // Column `j` has just entered the basis, so its weight is 0 and
         // zeroing its cost cannot change the choice.
-        d[j] = 0.0;
+        self.d[j] = 0.0;
         enter
-    }
-
-    fn solve(mut self, deadline: Option<Instant>) -> Result<Option<LpSolution>, IlpError> {
-        // Phase 1: minimize the sum of artificials.
-        if self.art_start < self.n_cols {
-            let phase1_cost: Vec<f64> = (0..self.n_cols)
-                .map(|j| if j >= self.art_start { 1.0 } else { 0.0 })
-                .collect();
-            let obj = self.run_phase(&phase1_cost, /*ban_artificials=*/ false, deadline)?;
-            if obj > FEAS_TOL {
-                return Ok(None);
-            }
-            // Pin artificials at zero for phase 2.
-            for j in self.art_start..self.n_cols {
-                self.upper[j] = 0.0;
-            }
-        }
-
-        // Phase 2: the real objective.
-        let obj = self.phase_two(deadline)?;
-        Ok(Some(self.extract(obj, false)))
-    }
-
-    /// Phase 2: optimizes the real objective from the current basis.
-    fn phase_two(&mut self, deadline: Option<Instant>) -> Result<f64, IlpError> {
-        let cost = std::mem::take(&mut self.cost);
-        let obj = self.run_phase(&cost, /*ban_artificials=*/ true, deadline);
-        self.cost = cost;
-        obj
-    }
-
-    /// Reads the optimal solution out of the final tableau, which the
-    /// solution keeps (with its effort counters reset) for children to
-    /// re-solve from.
-    fn extract(mut self, obj: f64, warmed: bool) -> LpSolution {
-        let mut values = vec![0.0; self.n_struct];
-        for j in 0..self.n_struct {
-            if !self.is_basic[j] && self.at_upper[j] {
-                values[j] = self.upper[j];
-            }
-        }
-        for (i, &j) in self.basis.iter().enumerate() {
-            if j < self.n_struct {
-                values[j] = self.b[i].max(0.0);
-            }
-        }
-        LpSolution {
-            objective: obj,
-            values,
-            iterations: std::mem::take(&mut self.iterations),
-            pivots: std::mem::take(&mut self.pivots),
-            warmed,
-            tableau: self,
-        }
-    }
-
-    /// Re-solves this final tableau of a parent problem for a child
-    /// that differs only in its structural bounds (`lower` in model
-    /// space, `upper` shifted by it, as [`solve_rows`] takes them):
-    /// moves the basic values to the new bounds in O(m) per changed
-    /// column, restores primal feasibility with the dual simplex, then
-    /// polishes with phase 2. Returns `None` to reject (the caller
-    /// falls back to a cold solve): on a dimension mismatch, or when
-    /// [`Tableau::dual_restore`] gives up. This path never declares
-    /// infeasibility itself — that verdict is always the cold path's
-    /// phase 1 — and never polls a deadline.
-    pub(crate) fn resolve(
-        mut self,
-        lower: &[f64],
-        upper: &[f64],
-    ) -> Option<Result<LpSolution, IlpError>> {
-        if lower.len() != self.n_struct || upper.len() != self.n_struct {
-            return None;
-        }
-        self.rebound(lower, upper);
-        if !self.dual_restore() {
-            return None;
-        }
-        Some(self.phase_two(None).map(|obj| self.extract(obj, true)))
-    }
-
-    /// Moves the tableau to new structural bounds, keeping its basis
-    /// and reduced costs. A basic column keeps its value, re-expressed
-    /// against its new lower bound; a nonbasic column moves to the same
-    /// side of its new range (the lower side when the new upper bound
-    /// is infinite) and every basic value absorbs the step. A basic
-    /// value left outside its new range is the dual simplex's to fix.
-    fn rebound(&mut self, lower: &[f64], upper: &[f64]) {
-        for j in 0..self.n_struct {
-            let (lo, up) = (lower[j], upper[j]);
-            if lo == self.lower[j] && up == self.upper[j] {
-                continue;
-            }
-            if self.is_basic[j] {
-                if let Some(r) = self.basis.iter().position(|&k| k == j) {
-                    self.b[r] -= lo - self.lower[j];
-                }
-            } else {
-                let old = self.lower[j] + if self.at_upper[j] { self.upper[j] } else { 0.0 };
-                self.at_upper[j] &= up.is_finite();
-                let new = lo + if self.at_upper[j] { up } else { 0.0 };
-                if new != old {
-                    let step = new - old;
-                    for i in 0..self.m {
-                        self.b[i] -= step * self.a[i * self.n_cols + j];
-                    }
-                }
-            }
-            self.lower[j] = lo;
-            self.upper[j] = up;
-        }
     }
 
     /// Restores primal feasibility with a bounded-variable dual
@@ -530,7 +683,7 @@ impl Tableau {
     /// eligible entering column (which the cold path must adjudicate;
     /// this path never declares infeasibility).
     fn dual_restore(&mut self) -> bool {
-        let mut d = self.reduced_costs(&self.cost);
+        self.reduced_costs(/*phase_one=*/ false);
         // Dual feasibility: nonbasic at lower needs d_j ≥ 0, at upper
         // needs d_j ≤ 0. Fixed columns (bound-collapsed or artificial)
         // cannot move, so their sign is irrelevant.
@@ -539,9 +692,9 @@ impl Tableau {
                 continue;
             }
             let violated = if self.at_upper[j] {
-                d[j] > FEAS_TOL
+                self.d[j] > FEAS_TOL
             } else {
-                d[j] < -FEAS_TOL
+                self.d[j] < -FEAS_TOL
             };
             if violated {
                 return false;
@@ -581,8 +734,8 @@ impl Tableau {
             if dual_iterations > max_dual_iterations {
                 return false;
             }
-            self.iterations += 1;
-            if self.iterations > self.max_iterations() {
+            *self.iterations += 1;
+            if *self.iterations > self.max_iterations() {
                 return false;
             }
 
@@ -613,7 +766,7 @@ impl Tableau {
                 if !eligible {
                     continue;
                 }
-                let ratio = d[j].abs() / alpha.abs();
+                let ratio = self.d[j].abs() / alpha.abs();
                 match enter {
                     Some((_, best)) if ratio >= best => {}
                     _ => enter = Some((j, ratio)),
@@ -625,7 +778,7 @@ impl Tableau {
 
             // Pivot: drive the leaving variable exactly to its violated
             // bound; the entering variable absorbs the step.
-            self.pivots += 1;
+            *self.pivots += 1;
             let target = if upper_side {
                 self.upper[self.basis[r]]
             } else {
@@ -652,29 +805,26 @@ impl Tableau {
             self.b[r] = entering_value;
 
             self.pivot_matrix(r, j);
-            self.update_reduced_costs(&mut d, r, j);
+            self.update_reduced_costs(r, j);
         }
     }
 
-    /// Runs simplex iterations for one phase with the given cost vector.
+    /// Runs simplex iterations for one phase (phase 1 minimizes the sum
+    /// of artificials; phase 2 the real cost, artificials banned).
     /// Returns the phase objective value at optimality.
-    fn run_phase(
-        &mut self,
-        cost: &[f64],
-        ban_artificials: bool,
-        deadline: Option<Instant>,
-    ) -> Result<f64, IlpError> {
+    fn run_phase(&mut self, phase_one: bool, deadline: Option<Instant>) -> Result<f64, IlpError> {
+        let ban_artificials = !phase_one;
         // Reduced costs: d_j = c_j - c_Bᵀ (B⁻¹ A)_j, computed from the
         // current (already pivoted) tableau.
-        let mut d = self.reduced_costs(cost);
+        self.reduced_costs(phase_one);
         let mut obj = {
             let mut o = 0.0;
             for (i, &bj) in self.basis.iter().enumerate() {
-                o += cost[bj] * self.b[i];
+                o += self.phase_cost(phase_one, bj) * self.b[i];
             }
             for j in 0..self.n_cols {
                 if !self.is_basic[j] && self.at_upper[j] && self.upper[j].is_finite() {
-                    o += cost[j] * self.upper[j];
+                    o += self.phase_cost(phase_one, j) * self.upper[j];
                 }
             }
             o
@@ -683,14 +833,14 @@ impl Tableau {
         // Pricing weights change only at pivots and bound flips. After
         // a pivot that applies `d_j`, the reduced-cost update also picks
         // the next entering column (`priced`); otherwise one scan does.
-        let mut w: Vec<f64> = (0..self.n_cols)
-            .map(|j| self.pricing_weight(j, ban_artificials))
-            .collect();
+        for j in 0..self.n_cols {
+            self.w[j] = self.pricing_weight(j, ban_artificials);
+        }
         let mut priced: Option<Option<usize>> = None;
         let mut stall = 0usize;
         loop {
-            self.iterations += 1;
-            if self.iterations > self.max_iterations() {
+            *self.iterations += 1;
+            if *self.iterations > self.max_iterations() {
                 return Err(IlpError::IterationLimit {
                     limit: self.max_iterations(),
                 });
@@ -704,9 +854,11 @@ impl Tableau {
                 }
             }
             let use_bland = stall >= STALL_LIMIT;
-            let enter = priced.take().unwrap_or_else(|| price(&w, &d, use_bland));
+            let enter = priced
+                .take()
+                .unwrap_or_else(|| price(self.w, self.d, use_bland));
             #[cfg(test)]
-            tests::check_pricing(self, &d, ban_artificials, use_bland, enter);
+            tests::check_pricing(self, ban_artificials, use_bland, enter);
             let Some(j) = enter else {
                 return Ok(obj);
             };
@@ -755,7 +907,7 @@ impl Tableau {
                 stall = 0;
             }
 
-            obj += d[j] * sigma * t;
+            obj += self.d[j] * sigma * t;
 
             match leave {
                 None => {
@@ -766,10 +918,10 @@ impl Tableau {
                         self.b[i] -= sigma * t * aij;
                     }
                     self.at_upper[j] = !self.at_upper[j];
-                    w[j] = -w[j];
+                    self.w[j] = -self.w[j];
                 }
                 Some((r, to_upper)) => {
-                    self.pivots += 1;
+                    *self.pivots += 1;
                     // Update basic values for the step.
                     for i in 0..self.m {
                         if i != r {
@@ -789,91 +941,17 @@ impl Tableau {
                     // Pivot: normalize row r, eliminate column j elsewhere.
                     let piv = self.a[r * self.n_cols + j];
                     debug_assert!(piv.abs() > PIVOT_TOL * 0.5, "tiny pivot {piv}");
-                    w[v] = self.pricing_weight(v, ban_artificials);
-                    w[j] = 0.0;
+                    self.w[v] = self.pricing_weight(v, ban_artificials);
+                    self.w[j] = 0.0;
                     self.pivot_matrix(r, j);
                     if stall >= STALL_LIMIT {
-                        self.update_reduced_costs(&mut d, r, j);
+                        self.update_reduced_costs(r, j);
                     } else {
-                        priced = Some(self.update_and_price(&mut d, &w, r, j));
+                        priced = Some(self.update_and_price(r, j));
                     }
                 }
             }
         }
-    }
-
-    /// Appends the tableau as raw bits: dimensions, basis, bound state,
-    /// costs, basic values, then the matrix row by row. The effort
-    /// counters are not written; a stored tableau is a final one, whose
-    /// counters [`Tableau::extract`] already reset.
-    pub(crate) fn write(&self, w: &mut ByteWriter) {
-        for dim in [self.n_struct, self.m, self.n_cols, self.art_start] {
-            w.usize(dim);
-        }
-        for &j in &self.basis {
-            w.usize(j);
-        }
-        for &flag in &self.at_upper {
-            w.bool(flag);
-        }
-        let floats = self.lower.iter().chain(&self.upper).chain(&self.cost);
-        for &x in floats.chain(&self.b).chain(&self.a) {
-            w.f64(x);
-        }
-    }
-
-    /// Reads a tableau written by [`Tableau::write`].
-    ///
-    /// The dimensions are checked against the bytes left in `r` before
-    /// anything is read for them, and nothing is preallocated from
-    /// them, so forged dimensions fail as a [`CodecError`]. So does a
-    /// basis that names a column twice or past the last one.
-    pub(crate) fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let (n_struct, m, n_cols, art_start) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
-        // 8 bytes per basis entry and float, 1 per at-upper flag.
-        let payload = || {
-            let words = m
-                .checked_mul(n_cols)?
-                .checked_add(n_struct)?
-                .checked_add(n_cols.checked_mul(2)?)?
-                .checked_add(m.checked_mul(2)?)?;
-            words.checked_mul(8)?.checked_add(n_cols)
-        };
-        if n_struct > art_start
-            || art_start > n_cols
-            || payload().is_none_or(|bytes| bytes > r.remaining())
-        {
-            return Err(CodecError {
-                context: "tableau dimensions",
-            });
-        }
-        let basis: Vec<usize> = (0..m).map(|_| r.usize()).collect::<Result<_, _>>()?;
-        let mut is_basic = vec![false; n_cols];
-        for &j in &basis {
-            if j >= n_cols || std::mem::replace(&mut is_basic[j], true) {
-                return Err(CodecError {
-                    context: "tableau basis",
-                });
-            }
-        }
-        let at_upper = (0..n_cols).map(|_| r.bool()).collect::<Result<_, _>>()?;
-        let mut floats = |n: usize| (0..n).map(|_| r.f64()).collect::<Result<Vec<_>, _>>();
-        Ok(Tableau {
-            n_struct,
-            n_cols,
-            m,
-            lower: floats(n_struct)?,
-            upper: floats(n_cols)?,
-            cost: floats(n_cols)?,
-            b: floats(m)?,
-            a: floats(m * n_cols)?,
-            basis,
-            at_upper,
-            is_basic,
-            art_start,
-            iterations: 0,
-            pivots: 0,
-        })
     }
 }
 
@@ -899,12 +977,7 @@ mod tests {
 
     /// The branchy entering-column scan `run_phase` made before it kept
     /// pricing weights: the oracle the weighted selection must match.
-    fn enter_reference(
-        t: &Tableau,
-        d: &[f64],
-        ban_artificials: bool,
-        use_bland: bool,
-    ) -> Option<usize> {
+    fn enter_reference(t: &View<'_>, ban_artificials: bool, use_bland: bool) -> Option<usize> {
         let mut enter: Option<(usize, f64)> = None; // (col, |d|)
         for j in 0..t.n_cols {
             if t.is_basic[j] || (ban_artificials && j >= t.art_start) {
@@ -914,7 +987,7 @@ mod tests {
             if t.upper[j] <= PIVOT_TOL && t.at_upper[j] {
                 continue;
             }
-            let dj = d[j];
+            let dj = t.d[j];
             let eligible = if t.at_upper[j] {
                 dj > COST_TOL
             } else {
@@ -943,15 +1016,14 @@ mod tests {
     /// Called by `run_phase` on every primal iteration of a test build:
     /// the entering column it chose must be the reference scan's.
     pub(super) fn check_pricing(
-        t: &Tableau,
-        d: &[f64],
+        t: &View<'_>,
         ban_artificials: bool,
         use_bland: bool,
         enter: Option<usize>,
     ) {
         assert_eq!(
             enter,
-            enter_reference(t, d, ban_artificials, use_bland),
+            enter_reference(t, ban_artificials, use_bland),
             "weighted pricing disagrees with the reference scan (bland {use_bland})"
         );
         let fixed = (0..t.n_struct).any(|j| !t.is_basic[j] && t.upper[j] <= PIVOT_TOL);
@@ -971,7 +1043,7 @@ mod tests {
         /// `(variable index, coefficient)` pairs; indices must be unique.
         coeffs: Vec<(usize, f64)>,
         /// Relational sense.
-        sense: RowSense,
+        sense: Sense,
         /// Right-hand side.
         rhs: f64,
     }
@@ -988,26 +1060,40 @@ mod tests {
         rows: Vec<LpRow>,
     }
 
-    fn row_refs(p: &LpProblem) -> Vec<RowRef<'_>> {
-        p.rows
+    /// The problem as a minimizing [`Model`] of continuous variables.
+    fn model(p: &LpProblem) -> Result<Model, IlpError> {
+        let mut m = Model::minimize();
+        let vars = p
+            .cost
             .iter()
-            .map(|r| (r.coeffs.as_slice(), r.sense, r.rhs))
-            .collect()
+            .zip(&p.upper)
+            .map(|(&c, &u)| m.add_continuous_var(0.0, u, c))
+            .collect::<Result<Vec<_>, _>>()?;
+        for r in &p.rows {
+            let terms = r.coeffs.iter().map(|&(j, c)| {
+                let var = vars.get(j).copied().unwrap_or(crate::VarId(j));
+                (var, c)
+            });
+            m.add_constraint(terms, r.sense, r.rhs)?;
+        }
+        Ok(m)
     }
 
     fn solve(p: &LpProblem) -> Result<Option<LpSolution>, IlpError> {
-        let lower = vec![0.0; p.cost.len()];
-        solve_rows(&p.cost, &lower, &p.upper, &row_refs(p), None)
+        model(p)?.solve_relaxation(&[], None, None)
     }
 
     /// Re-solves `parent`'s final tableau for `child`, which shares its
     /// rows and differs only in upper bounds.
     fn resolve(parent: &LpSolution, child: &LpProblem) -> Option<Result<LpSolution, IlpError>> {
-        let lower = vec![0.0; child.cost.len()];
-        parent.tableau.clone().resolve(&lower, &child.upper)
+        let mut t = parent.tableau.clone();
+        for (j, &u) in child.upper.iter().enumerate() {
+            t.rebound(j, 0.0, u);
+        }
+        t.resolve()
     }
 
-    fn row(coeffs: &[(usize, f64)], sense: RowSense, rhs: f64) -> LpRow {
+    fn row(coeffs: &[(usize, f64)], sense: Sense, rhs: f64) -> LpRow {
         LpRow {
             coeffs: coeffs.to_vec(),
             sense,
@@ -1026,16 +1112,16 @@ mod tests {
             cost: vec![-3.0, -5.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0)], RowSense::Le, 4.0),
-                row(&[(1, 2.0)], RowSense::Le, 12.0),
-                row(&[(0, 3.0), (1, 2.0)], RowSense::Le, 18.0),
+                row(&[(0, 1.0)], Sense::Le, 4.0),
+                row(&[(1, 2.0)], Sense::Le, 12.0),
+                row(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0),
             ],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, -36.0);
-                assert_close(s.values[0], 2.0);
-                assert_close(s.values[1], 6.0);
+                assert_close(s.values()[0], 2.0);
+                assert_close(s.values()[1], 6.0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1048,15 +1134,15 @@ mod tests {
             cost: vec![1.0, 1.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Eq, 10.0),
-                row(&[(0, 1.0), (1, -1.0)], RowSense::Eq, 2.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Eq, 10.0),
+                row(&[(0, 1.0), (1, -1.0)], Sense::Eq, 2.0),
             ],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, 10.0);
-                assert_close(s.values[0], 6.0);
-                assert_close(s.values[1], 4.0);
+                assert_close(s.values()[0], 6.0);
+                assert_close(s.values()[1], 4.0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1069,8 +1155,8 @@ mod tests {
             cost: vec![0.0],
             upper: vec![f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0)], RowSense::Ge, 5.0),
-                row(&[(0, 1.0)], RowSense::Le, 3.0),
+                row(&[(0, 1.0)], Sense::Ge, 5.0),
+                row(&[(0, 1.0)], Sense::Le, 3.0),
             ],
         };
         assert_eq!(solve(&p).unwrap(), None);
@@ -1082,7 +1168,7 @@ mod tests {
         let p = LpProblem {
             cost: vec![-1.0],
             upper: vec![f64::INFINITY],
-            rows: vec![row(&[(0, 1.0)], RowSense::Ge, 0.0)],
+            rows: vec![row(&[(0, 1.0)], Sense::Ge, 0.0)],
         };
         assert_eq!(solve(&p), Err(IlpError::Unbounded));
     }
@@ -1093,13 +1179,13 @@ mod tests {
         let p = LpProblem {
             cost: vec![-1.0, -1.0],
             upper: vec![1.0, 1.0],
-            rows: vec![row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.5)],
+            rows: vec![row(&[(0, 1.0), (1, 1.0)], Sense::Le, 1.5)],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, -1.5);
-                assert!(s.values[0] <= 1.0 + 1e-9);
-                assert!(s.values[1] <= 1.0 + 1e-9);
+                assert!(s.values()[0] <= 1.0 + 1e-9);
+                assert!(s.values()[1] <= 1.0 + 1e-9);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1116,8 +1202,8 @@ mod tests {
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, -3.0);
-                assert_close(s.values[0], 1.0);
-                assert_close(s.values[1], 1.0);
+                assert_close(s.values()[0], 1.0);
+                assert_close(s.values()[1], 1.0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1129,12 +1215,12 @@ mod tests {
         let p = LpProblem {
             cost: vec![0.0, 1.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
-            rows: vec![row(&[(0, 1.0), (1, -1.0)], RowSense::Le, -2.0)],
+            rows: vec![row(&[(0, 1.0), (1, -1.0)], Sense::Le, -2.0)],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, 2.0);
-                assert_close(s.values[1], 2.0);
+                assert_close(s.values()[1], 2.0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1147,10 +1233,10 @@ mod tests {
             cost: vec![-1.0, -1.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.0),
-                row(&[(0, 1.0)], RowSense::Le, 1.0),
-                row(&[(1, 1.0)], RowSense::Le, 1.0),
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Le, 1.0),
+                row(&[(0, 1.0)], Sense::Le, 1.0),
+                row(&[(1, 1.0)], Sense::Le, 1.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Le, 1.0),
             ],
         };
         match solve(&p).unwrap() {
@@ -1167,16 +1253,16 @@ mod tests {
             cost: vec![1.0, 2.0, 3.0, 1.0], // x00 x01 x10 x11
             upper: vec![f64::INFINITY; 4],
             rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Eq, 3.0),
-                row(&[(2, 1.0), (3, 1.0)], RowSense::Eq, 2.0),
-                row(&[(0, 1.0), (2, 1.0)], RowSense::Eq, 2.0),
-                row(&[(1, 1.0), (3, 1.0)], RowSense::Eq, 3.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Eq, 3.0),
+                row(&[(2, 1.0), (3, 1.0)], Sense::Eq, 2.0),
+                row(&[(0, 1.0), (2, 1.0)], Sense::Eq, 2.0),
+                row(&[(1, 1.0), (3, 1.0)], Sense::Eq, 3.0),
             ],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, 6.0);
-                for v in &s.values {
+                for v in s.values() {
                     assert!((v - v.round()).abs() < 1e-7, "fractional {v}");
                 }
             }
@@ -1192,8 +1278,8 @@ mod tests {
             cost: vec![2.0, 3.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Ge, 4.0),
-                row(&[(0, 1.0)], RowSense::Ge, 1.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 4.0),
+                row(&[(0, 1.0)], Sense::Ge, 1.0),
             ],
         };
         match solve(&p).unwrap() {
@@ -1217,7 +1303,7 @@ mod tests {
         let p = LpProblem {
             cost: vec![1.0],
             upper: vec![1.0],
-            rows: vec![row(&[(5, 1.0)], RowSense::Le, 1.0)],
+            rows: vec![row(&[(5, 1.0)], Sense::Le, 1.0)],
         };
         assert!(matches!(solve(&p), Err(IlpError::UnknownVariable { .. })));
     }
@@ -1228,12 +1314,12 @@ mod tests {
         let p = LpProblem {
             cost: vec![-1.0, -10.0],
             upper: vec![f64::INFINITY, 0.0],
-            rows: vec![row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 1.0)],
+            rows: vec![row(&[(0, 1.0), (1, 1.0)], Sense::Le, 1.0)],
         };
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_close(s.objective, -1.0);
-                assert_close(s.values[1], 0.0);
+                assert_close(s.values()[1], 0.0);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1259,9 +1345,9 @@ mod tests {
             cost: vec![-3.0, -5.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0)], RowSense::Le, 4.0),
-                row(&[(1, 2.0)], RowSense::Le, 12.0),
-                row(&[(0, 3.0), (1, 2.0)], RowSense::Le, 18.0),
+                row(&[(0, 1.0)], Sense::Le, 4.0),
+                row(&[(1, 2.0)], Sense::Le, 12.0),
+                row(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0),
             ],
         };
         match solve(&vertex).unwrap() {
@@ -1279,7 +1365,7 @@ mod tests {
         match solve(&p).unwrap() {
             Some(s) => {
                 assert_eq!(s.objective, 0.0);
-                assert!(s.values.is_empty());
+                assert!(s.values().is_empty());
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1297,9 +1383,9 @@ mod tests {
             cost: vec![-3.0, -5.0],
             upper: vec![f64::INFINITY, f64::INFINITY],
             rows: vec![
-                row(&[(0, 1.0)], RowSense::Le, 4.0),
-                row(&[(1, 2.0)], RowSense::Le, 12.0),
-                row(&[(0, 3.0), (1, 2.0)], RowSense::Le, 18.0),
+                row(&[(0, 1.0)], Sense::Le, 4.0),
+                row(&[(1, 2.0)], Sense::Le, 12.0),
+                row(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0),
             ],
         }
     }
@@ -1315,7 +1401,7 @@ mod tests {
             .unwrap();
         assert!(warm.warmed);
         assert_eq!(warm.objective.to_bits(), cold.objective.to_bits());
-        assert_eq!(warm.values, cold.values);
+        assert_eq!(warm.values(), cold.values());
         assert_eq!((warm.iterations, warm.pivots), (1, 0));
         // The solution hands its tableau on with the counters reset.
         assert_eq!(warm.tableau, cold.tableau);
@@ -1331,8 +1417,8 @@ mod tests {
             cost: vec![-2.0, -3.0, -1.0],
             upper: vec![4.0, 4.0, 4.0],
             rows: vec![
-                row(&[(0, 1.0), (1, 2.0), (2, 1.0)], RowSense::Le, 9.0),
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Le, 5.0),
+                row(&[(0, 1.0), (1, 2.0), (2, 1.0)], Sense::Le, 9.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Le, 5.0),
             ],
         };
         let base = optimal(solve(&parent));
@@ -1355,18 +1441,29 @@ mod tests {
     fn resolve_rejects_what_it_cannot_reuse() {
         let p = textbook();
         let cold = optimal(solve(&p));
-        // Bounds for another column count.
-        assert!(cold.tableau.clone().resolve(&[0.0], &[1.0]).is_none());
+        // A tableau of another column count is not inherited: the
+        // relaxation is solved cold.
+        let other = model(&LpProblem {
+            cost: vec![-1.0],
+            upper: vec![1.0],
+            rows: vec![row(&[(0, 1.0)], Sense::Le, 5.0)],
+        })
+        .unwrap();
+        let fallback = other
+            .solve_relaxation(&[(0, 0.0, 0.0)], None, Some(cold.tableau.clone()))
+            .unwrap()
+            .expect("feasible");
+        assert!(!fallback.warmed);
         // A column resting at a finite upper bound whose bound becomes
         // infinite falls to its lower side, where its reduced cost is
         // dual infeasible: max x with x ≤ 1 by bound and x ≤ 5 by row.
         let capped = LpProblem {
             cost: vec![-1.0],
             upper: vec![1.0],
-            rows: vec![row(&[(0, 1.0)], RowSense::Le, 5.0)],
+            rows: vec![row(&[(0, 1.0)], Sense::Le, 5.0)],
         };
         let base = optimal(solve(&capped));
-        assert!(base.tableau.at_upper[0]);
+        assert!(base.tableau.flags[0]);
         let mut loose = capped.clone();
         loose.upper[0] = f64::INFINITY;
         assert!(resolve(&base, &loose).is_none());
@@ -1381,8 +1478,8 @@ mod tests {
             cost: vec![1.0, 1.0],
             upper: vec![10.0, 10.0],
             rows: vec![
-                row(&[(0, 1.0), (1, 1.0)], RowSense::Ge, 8.0),
-                row(&[(0, 1.0)], RowSense::Le, 6.0),
+                row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 8.0),
+                row(&[(0, 1.0)], Sense::Le, 6.0),
             ],
         };
         let base = optimal(solve(&parent));
@@ -1471,7 +1568,7 @@ mod tests {
                 .unwrap()
                 .expect("feasible at the witness");
             for (j, var) in model.vars.iter().enumerate() {
-                let v = root.values[j];
+                let v = root.values()[j];
                 for frac in [0.25, 0.75] {
                     for up in [false, true] {
                         let bound = if up {
@@ -1479,16 +1576,15 @@ mod tests {
                         } else {
                             (j, var.lower, v - frac * (v - var.lower))
                         };
-                        let shifted_rhs_flips = model.rows.iter().any(|r| {
+                        let shifted_rhs_flips = model.rows().any(|(terms, _, rhs)| {
                             let shifted = |lo_j: f64| {
-                                let shift: f64 = r
-                                    .terms
+                                let shift: f64 = terms
                                     .iter()
                                     .map(|&(k, c)| {
                                         c * if k == j { lo_j } else { model.vars[k].lower }
                                     })
                                     .sum();
-                                r.rhs - shift
+                                rhs - shift
                             };
                             (shifted(var.lower) < 0.0) != (shifted(bound.1) < 0.0)
                         });
@@ -1510,7 +1606,8 @@ mod tests {
                                 panic!("seed {seed} var {j} bound {bound:?}: {warm:?} vs {cold:?}")
                             }
                         }
-                        compared[usize::from(root.tableau.is_basic[j])][usize::from(up)] += 1;
+                        compared[usize::from(root.tableau.flags[root.tableau.n_cols + j])]
+                            [usize::from(up)] += 1;
                         negative_rhs += usize::from(shifted_rhs_flips && warm.is_some());
                     }
                 }
@@ -1538,7 +1635,7 @@ mod tests {
         for _ in 0..copies {
             rows.push(LpRow {
                 coeffs: budget.clone(),
-                sense: RowSense::Le,
+                sense: Sense::Le,
                 rhs: 1.0,
             });
         }
@@ -1546,7 +1643,7 @@ mod tests {
         for j in 0..n {
             rows.push(LpRow {
                 coeffs: vec![(j, 1.0)],
-                sense: RowSense::Le,
+                sense: Sense::Le,
                 rhs: 1.0,
             });
         }
@@ -1600,9 +1697,7 @@ mod tests {
         LpProblem {
             cost: (0..n).map(|j| -1.0 - (j % 3) as f64).collect(),
             upper: vec![f64::INFINITY; n],
-            rows: (0..n)
-                .map(|j| row(&[(j, 1.0)], RowSense::Le, 0.0))
-                .collect(),
+            rows: (0..n).map(|j| row(&[(j, 1.0)], Sense::Le, 0.0)).collect(),
         }
     }
 
@@ -1637,7 +1732,7 @@ mod tests {
             // Fix each variable at its root value (a fixed column) and
             // re-solve both cold and from the inherited tableau.
             for j in 0..model.vars.len() {
-                let v = root.values[j].clamp(model.vars[j].lower, model.vars[j].upper);
+                let v = root.values()[j].clamp(model.vars[j].lower, model.vars[j].upper);
                 let fixed = [(j, v, v)];
                 let _ = model.solve_relaxation(&fixed, None, None).unwrap();
                 let _ = model
