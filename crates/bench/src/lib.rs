@@ -195,17 +195,28 @@ impl BenchCli {
     /// sweep (run name, horizon, scale, seed, grid size). Thread count
     /// and checkpoint cadence are deliberately excluded: a sweep may
     /// resume with different parallelism.
-    // eagleeye-lint: digest-of(BenchCli)
-    // eagleeye-lint: digest-allow(BenchCli::threads, BenchCli::checkpoint, BenchCli::deadline): execution shape — a sweep may legitimately resume with different parallelism, cadence, or budget
-    // eagleeye-lint: digest-allow(BenchCli::metrics): observability sink; recorded metrics are identical at any thread count and never alter rows
     pub fn scenario_hash(&self, run: &str, total_items: usize) -> u64 {
+        let BenchCli {
+            fast,
+            duration_s,
+            scale,
+            seed,
+            // Execution shape: a sweep may legitimately resume with
+            // different parallelism, cadence, or budget.
+            threads: _,
+            checkpoint: _,
+            deadline: _,
+            // Observability sink: recorded metrics are identical at any
+            // thread count and never alter rows.
+            metrics: _,
+        } = self;
         ScenarioHasher::new()
             .str("eagleeye-bench/sweep/v1")
             .str(run)
-            .u64(u64::from(self.fast))
-            .f64(self.duration_s)
-            .f64(self.scale)
-            .u64(self.seed)
+            .u64(u64::from(*fast))
+            .f64(*duration_s)
+            .f64(*scale)
+            .u64(*seed)
             .u64(total_items as u64)
             .finish()
     }

@@ -1,4 +1,5 @@
 use crate::CoreError;
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 
 /// Attitude determination and control model: a slew-rate-limited actuator
 /// with a fixed per-maneuver acceleration/deceleration overhead.
@@ -103,6 +104,16 @@ impl Adacs {
         // Sub-microradian slack absorbs floating-point noise from the
         // fixed-point solution of the arrival-time equation.
         angle_rad <= self.max_angle_rad(dt_s) + 1e-9 || angle_rad <= 1e-9
+    }
+}
+
+impl FieldHash for Adacs {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let Adacs {
+            rate_rad_s,
+            overhead_s,
+        } = self;
+        h.f64(*rate_rad_s).f64(*overhead_s);
     }
 }
 

@@ -1,4 +1,5 @@
 use crate::CoreError;
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 
 /// An imaging payload characterized by its swath width and ground sample
 /// distance — the fundamental trade-off at the heart of the paper
@@ -78,6 +79,13 @@ impl Camera {
     #[inline]
     pub fn pixels_across(&self) -> f64 {
         self.swath_m / self.gsd_m
+    }
+}
+
+impl FieldHash for Camera {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let Camera { swath_m, gsd_m } = self;
+        h.f64(*swath_m).f64(*gsd_m);
     }
 }
 

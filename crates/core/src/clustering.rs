@@ -43,6 +43,7 @@
 
 use crate::pointing::GroundPoint;
 use crate::CoreError;
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 use eagleeye_ilp::{Model, Sense, SolveOptions};
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -57,6 +58,16 @@ pub enum ClusteringMethod {
     /// No clustering: one capture per target (the Fig. 14c ablation
     /// baseline).
     None,
+}
+
+impl FieldHash for ClusteringMethod {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(match self {
+            ClusteringMethod::Ilp => 0,
+            ClusteringMethod::Greedy => 1,
+            ClusteringMethod::None => 2,
+        });
+    }
 }
 
 /// A set of targets covered by one high-resolution capture.

@@ -418,38 +418,55 @@ pub(super) struct FrameInputs<'a> {
 impl FrameInputs<'_> {
     /// The memo key: every field, hashed a 64-bit word at a time. The
     /// key never leaves the process, so it needs no stable byte format.
-    // eagleeye-lint: digest-of(FrameInputs, GroundPoint, FollowerState, TimeWindow)
     pub fn key(&self) -> u64 {
-        let clustering = match self.clustering {
+        let FrameInputs {
+            frame_idx,
+            t,
+            points,
+            footprint_m,
+            clustering,
+            task_cap,
+            slew_factor,
+            clip,
+            active,
+            follower_states,
+            repair_failures,
+        } = *self;
+        let clustering = match clustering {
             ClusteringMethod::Ilp => 0,
             ClusteringMethod::Greedy => 1,
             ClusteringMethod::None => 2,
         };
         let mut h = WordHasher::new(b"eagleeye-core/frame/v1");
-        h.word(self.frame_idx as u64)
-            .f64(self.t)
-            .f64(self.footprint_m)
+        h.word(frame_idx as u64)
+            .f64(t)
+            .f64(footprint_m)
             .word(clustering)
-            .word(self.task_cap as u64)
-            .f64(self.slew_factor);
-        match self.clip {
-            Some(w) => h.word(1).f64(w.start_s).f64(w.end_s),
+            .word(task_cap as u64)
+            .f64(slew_factor);
+        match clip {
+            Some(TimeWindow { start_s, end_s }) => h.word(1).f64(start_s).f64(end_s),
             None => h.word(0),
         };
-        h.word(self.points.len() as u64);
-        for (p, value) in self.points {
-            h.f64(p.cross_m).f64(p.along_m).f64(*value);
+        h.word(points.len() as u64);
+        for &(GroundPoint { cross_m, along_m }, value) in points {
+            h.f64(cross_m).f64(along_m).f64(value);
         }
-        h.word(self.active.len() as u64);
-        for (&k, fs) in self.active.iter().zip(self.follower_states) {
+        h.word(active.len() as u64);
+        for (&k, fs) in active.iter().zip(follower_states) {
+            let FollowerState {
+                along_at_0_m,
+                available_from_s,
+                pointing_offset: (offset_cross_m, offset_along_m),
+            } = *fs;
             h.word(k as u64)
-                .f64(fs.along_at_0_m)
-                .f64(fs.available_from_s)
-                .f64(fs.pointing_offset.0)
-                .f64(fs.pointing_offset.1);
+                .f64(along_at_0_m)
+                .f64(available_from_s)
+                .f64(offset_cross_m)
+                .f64(offset_along_m);
         }
-        h.word(self.repair_failures.len() as u64);
-        for &(slot, onset) in self.repair_failures {
+        h.word(repair_failures.len() as u64);
+        for &(slot, onset) in repair_failures {
             h.word(slot as u64).f64(onset);
         }
         h.finish()
@@ -546,7 +563,14 @@ pub struct CompileStats {
 /// sweep refinement, the perf harness) skip recompilation.
 #[derive(Debug, Default)]
 pub(super) struct CompileCache {
-    scenarios: Mutex<BTreeMap<String, Arc<CompiledScenario>>>,
+    /// Compiled scenarios by scenario hash
+    /// ([`CoverageEvaluator::scenario_hash`](super::CoverageEvaluator::scenario_hash)),
+    /// which binds the configuration and every option shaping
+    /// membership or solves. Sibling evaluators forked via
+    /// `fork_with` share one cache, so the options must be part of the
+    /// key. Over-binding is safe: tracks still flow between scenarios
+    /// through the pool, keyed by exactly what a track depends on.
+    scenarios: Mutex<BTreeMap<u64, Arc<CompiledScenario>>>,
     /// Cross-scenario track pool, keyed by a digest of everything a
     /// compiled track (and the safety of sharing its horizon memo)
     /// depends on: satellite elements, grid, membership geometry,
@@ -566,9 +590,9 @@ pub(super) struct CompileCache {
 impl CompileCache {
     /// The compiled scenario for `key`, created empty on first use with
     /// `n_tracks` satellite slots.
-    pub fn scenario(&self, key: &str, n_tracks: usize) -> Arc<CompiledScenario> {
+    pub fn scenario(&self, key: u64, n_tracks: usize) -> Arc<CompiledScenario> {
         let mut map = lock_unpoisoned(&self.scenarios);
-        map.entry(key.to_string())
+        map.entry(key)
             .or_insert_with(|| {
                 Arc::new(CompiledScenario {
                     tracks: (0..n_tracks).map(|_| Mutex::new(None)).collect(),

@@ -1,4 +1,5 @@
 use crate::clustering::ClusteringMethod;
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 
 /// Which scheduling algorithm the leaders run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,6 +28,17 @@ impl SchedulerKind {
     }
 }
 
+impl FieldHash for SchedulerKind {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(match self {
+            SchedulerKind::Ilp => 0,
+            SchedulerKind::Greedy => 1,
+            SchedulerKind::Abb => 2,
+            SchedulerKind::Resilient => 3,
+        });
+    }
+}
+
 /// How the constellation reacts to faults injected via
 /// [`CoverageOptions::fault_plan`](super::CoverageOptions::fault_plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -40,6 +52,15 @@ pub enum DegradedMode {
     /// mid-pass failures onto the survivors.
     #[default]
     Resilient,
+}
+
+impl FieldHash for DegradedMode {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(match self {
+            DegradedMode::Naive => 0,
+            DegradedMode::Resilient => 1,
+        });
+    }
 }
 
 /// A constellation organization to evaluate (paper Fig. 5).
@@ -75,6 +96,30 @@ pub enum ConstellationConfig {
         /// Onboard detection + scheduling latency per frame, seconds.
         compute_time_s: f64,
     },
+}
+
+impl FieldHash for ConstellationConfig {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        match self {
+            ConstellationConfig::LowResOnly { satellites } => h.u64(0).field(satellites),
+            ConstellationConfig::HighResOnly { satellites } => h.u64(1).field(satellites),
+            ConstellationConfig::EagleEye {
+                groups,
+                followers_per_group,
+                scheduler,
+                clustering,
+            } => h
+                .u64(2)
+                .field(groups)
+                .field(followers_per_group)
+                .field(scheduler)
+                .field(clustering),
+            ConstellationConfig::MixCamera {
+                satellites,
+                compute_time_s,
+            } => h.u64(3).field(satellites).f64(*compute_time_s),
+        };
+    }
 }
 
 impl ConstellationConfig {

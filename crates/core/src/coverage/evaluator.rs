@@ -311,13 +311,13 @@ impl<'a> CoverageEvaluator<'a> {
         run: Run,
     ) -> Result<CoverageReport, CoreError> {
         let _span = self.options.metrics.span("core/evaluate");
-        let key = self.compile_scenario_key(config);
+        let key = self.scenario_hash(config);
         let report = match run {
             Run::Swath {
                 satellites,
                 swath_m,
-            } => self.swath_membership(satellites, swath_m, &key),
-            Run::Leader(run) => self.leader_follower(run, &key),
+            } => self.swath_membership(satellites, swath_m, key),
+            Run::Leader(run) => self.leader_follower(run, key),
         }?;
         report.record_metrics(&self.options.metrics);
         self.record_compile_gauges();
@@ -350,18 +350,6 @@ impl<'a> CoverageEvaluator<'a> {
         m.gauge_max("core/compile/memo_misses", s.memo_misses as f64);
     }
 
-    /// The compiled-program cache key of one scenario: configuration
-    /// plus the scenario hash, which binds every option shaping
-    /// membership or solves. Sibling evaluators forked via
-    /// [`fork_with`](Self::fork_with) share one cache, so — unlike
-    /// before forking existed — the options are not fixed per cache
-    /// and must participate in the key. Over-binding is safe: tracks
-    /// still flow between scenario keys through the pool, keyed by
-    /// exactly what a track depends on.
-    fn compile_scenario_key(&self, config: &ConstellationConfig) -> String {
-        format!("{config:?}#{:016x}", self.scenario_hash(config))
-    }
-
     /// Pool digest of one satellite's compiled track: the orbital
     /// elements, grid, membership geometry, sensing spec, and workload
     /// that determine its states/intervals/coefficients, plus the
@@ -371,26 +359,49 @@ impl<'a> CoverageEvaluator<'a> {
     /// fault plan, task caps, recapture scaling, clustering method)
     /// are deliberately excluded — that is what lets a what-if fork
     /// share tracks across those edits.
-    // eagleeye-lint: digest-of(CoverageOptions, CompileGeometry)
-    // eagleeye-lint: digest-allow(CoverageOptions::recall, CoverageOptions::seed, CoverageOptions::max_tasks_per_frame, CoverageOptions::recapture_penalty): flow through the per-frame memo key (detected points and their values, task cap), never through the compiled track
-    // eagleeye-lint: digest-allow(CoverageOptions::fault_plan, CoverageOptions::degraded_mode): fault what-ifs share tracks by design; follower sets, outage onsets and derates are bound per frame by the frame memo key
-    // eagleeye-lint: digest-allow(CoverageOptions::orbital_planes, CoverageOptions::layout_slots): bound through the satellite's orbital elements already digested via the SatelliteSpec debug string
-    // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics): execution shape and observability only — compiled tracks are bit-identical across them (DESIGN.md section 8/10/13)
     fn track_digest(&self, sat: &SatelliteSpec, geom: &CompileGeometry, sched_label: &str) -> u64 {
-        let o = &self.options;
-        let mut h = ScenarioHasher::new();
-        h.str("eagleeye-core/track/v1")
-            .str(&format!("{sat:?}"))
-            .str(&format!("{:?}", o.spec))
-            .f64(o.duration_s)
-            .f64(o.inclination_rad)
-            .f64(geom.bound_m)
-            .f64(geom.half_cross_m)
-            .f64(geom.half_along_m)
+        let CoverageOptions {
+            spec,
+            duration_s,
+            inclination_rad,
+            // Flow through the per-frame memo key (detected points and
+            // their values, task cap), never through the compiled track.
+            recall: _,
+            seed: _,
+            max_tasks_per_frame: _,
+            recapture_penalty: _,
+            // Fault what-ifs share tracks by design: follower sets,
+            // outage onsets and derates are bound per frame by the
+            // frame memo key.
+            fault_plan: _,
+            degraded_mode: _,
+            // Bound through the satellite's orbital elements, which
+            // `sat` carries.
+            orbital_planes: _,
+            layout_slots: _,
+            // Execution shape and observability: compiled tracks are
+            // bit-identical across them (DESIGN.md §8/§10/§13).
+            threads: _,
+            metrics: _,
+        } = &self.options;
+        let CompileGeometry {
+            bound_m,
+            half_cross_m,
+            half_along_m,
+        } = *geom;
+        ScenarioHasher::new()
+            .str("eagleeye-core/track/v2")
+            .field(sat)
+            .field(spec)
+            .f64(*duration_s)
+            .f64(*inclination_rad)
+            .f64(bound_m)
+            .f64(half_cross_m)
+            .f64(half_along_m)
             .str(sched_label)
             .u64(self.targets.len() as u64)
-            .f64(self.targets.total_value());
-        h.finish()
+            .f64(self.targets.total_value())
+            .finish()
     }
 
     /// Builds the constellation layout for this evaluator's options:
@@ -429,34 +440,44 @@ impl<'a> CoverageEvaluator<'a> {
     /// against a different scenario is rejected instead of silently
     /// merging incompatible partials.
     ///
-    /// Execution-shape options (`threads`, `metrics`) are deliberately
-    /// excluded: the result is identical at any thread count, so a run
-    /// may legitimately resume with a different pool size.
-    // eagleeye-lint: digest-of(CoverageOptions)
-    // eagleeye-lint: digest-allow(CoverageOptions::threads, CoverageOptions::metrics): execution shape and observability — the report is identical at any thread count, so resuming under a different pool size or sink must stay legal
+    /// Every field is hashed field-wise (never through a `Debug`
+    /// string), so the hash moves only when the scenario does.
     pub fn scenario_hash(&self, config: &ConstellationConfig) -> u64 {
-        let o = &self.options;
-        let mut h = ScenarioHasher::new();
-        h.str("eagleeye-core/coverage/v2")
-            .str(&format!("{config:?}"))
-            .str(&format!("{:?}", o.spec))
-            .f64(o.duration_s)
-            .f64(o.inclination_rad)
-            .f64(o.recall)
-            .u64(o.seed)
-            .u64(o.max_tasks_per_frame as u64)
-            // The removed `FailurePlan` option, always `None`: keeps v2 hashes valid.
-            .str("None")
-            .str(&format!("{:?}", o.recapture_penalty))
-            .u64(o.orbital_planes as u64)
-            .str(&format!("{:?}", o.layout_slots))
-            .str(&format!("{:?}", o.fault_plan))
-            .str(&format!("{:?}", o.degraded_mode))
-            // The removed solver-tier option, always dense: keeps v2 hashes valid.
-            .str("Dense")
+        let CoverageOptions {
+            spec,
+            duration_s,
+            inclination_rad,
+            recall,
+            seed,
+            max_tasks_per_frame,
+            recapture_penalty,
+            orbital_planes,
+            layout_slots,
+            fault_plan,
+            degraded_mode,
+            // Execution shape and observability: the report is
+            // identical at any thread count, so resuming under a
+            // different pool size or sink must stay legal.
+            threads: _,
+            metrics: _,
+        } = &self.options;
+        ScenarioHasher::new()
+            .str("eagleeye-core/coverage/v3")
+            .field(config)
+            .field(spec)
+            .f64(*duration_s)
+            .f64(*inclination_rad)
+            .f64(*recall)
+            .u64(*seed)
+            .field(max_tasks_per_frame)
+            .field(recapture_penalty)
+            .field(orbital_planes)
+            .field(layout_slots)
+            .field(fault_plan)
+            .field(degraded_mode)
             .u64(self.targets.len() as u64)
-            .f64(self.targets.total_value());
-        h.finish()
+            .f64(self.targets.total_value())
+            .finish()
     }
 
     /// Evaluates one constellation configuration under the crash-safe
@@ -502,7 +523,7 @@ impl<'a> CoverageEvaluator<'a> {
         };
 
         let _span = self.options.metrics.span("core/evaluate");
-        let Some(sc) = self.leader_scenario(run, &self.compile_scenario_key(config))? else {
+        let Some(sc) = self.leader_scenario(run, self.scenario_hash(config))? else {
             let report = self.base_report();
             report.record_metrics(&self.options.metrics);
             return Ok(complete(report));
@@ -634,7 +655,7 @@ impl<'a> CoverageEvaluator<'a> {
         &self,
         satellites: usize,
         swath_m: f64,
-        cache_key: &str,
+        cache_key: u64,
     ) -> Result<CoverageReport, CoreError> {
         let mut report = self.base_report();
         if satellites == 0 || self.targets.is_empty() {
@@ -780,7 +801,7 @@ impl<'a> CoverageEvaluator<'a> {
     fn leader_scenario(
         &self,
         run: LeaderRun,
-        cache_key: &str,
+        cache_key: u64,
     ) -> Result<Option<LeaderScenario>, CoreError> {
         if run.groups == 0 || self.targets.is_empty() {
             return Ok(None);
@@ -821,11 +842,7 @@ impl<'a> CoverageEvaluator<'a> {
     /// function of `(seed, target, frame)` — so the per-leader passes
     /// run as one pool map (inline at one thread) and
     /// [`merge_passes`](Self::merge_passes) merges them in leader order.
-    fn leader_follower(
-        &self,
-        run: LeaderRun,
-        cache_key: &str,
-    ) -> Result<CoverageReport, CoreError> {
+    fn leader_follower(&self, run: LeaderRun, cache_key: u64) -> Result<CoverageReport, CoreError> {
         let Some(sc) = self.leader_scenario(run, cache_key)? else {
             return Ok(self.base_report());
         };
@@ -1281,8 +1298,10 @@ fn detection_roll(seed: u64, target: u64, frame: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Camera;
     use eagleeye_datasets::{Target, TargetSet};
     use eagleeye_geo::GeodeticPoint;
+    use eagleeye_sim::FaultKind;
 
     /// A compact workload of targets strung along the prime meridian —
     /// directly under the first orbit of a polar satellite with RAAN 0.
@@ -1400,7 +1419,10 @@ mod tests {
         let Run::Leader(run) = eval.run_for(&config).unwrap() else {
             panic!("{config:?} is not a leader-follower configuration");
         };
-        let sc = eval.leader_scenario(run, "passes").unwrap().unwrap();
+        let sc = eval
+            .leader_scenario(run, eval.scenario_hash(&config))
+            .unwrap()
+            .unwrap();
         let passes = (0..sc.leaders.len())
             .map(|i| eval.leader_pass(&sc, i, &opts.metrics).unwrap())
             .collect();
@@ -1891,18 +1913,120 @@ mod tests {
         threaded.threads = 8;
         threaded.metrics = Metrics::enabled();
         assert_eq!(base, h(threaded));
-        // ...but the physics and workload do.
-        let mut other_seed = quick_options();
-        other_seed.seed = 8;
-        assert_ne!(base, h(other_seed));
-        let mut other_duration = quick_options();
-        other_duration.duration_s += 1.0;
-        assert_ne!(base, h(other_duration));
-        let other_config = ConstellationConfig::eagleeye(3, 1);
-        assert_ne!(
-            base,
-            CoverageEvaluator::new(&targets, quick_options()).scenario_hash(&other_config)
-        );
+
+        // ...but every other option does, each one changed alone.
+        let with = |edit: &dyn Fn(&mut CoverageOptions)| {
+            let mut o = quick_options();
+            edit(&mut o);
+            o
+        };
+        let plan = |end_s: f64| {
+            Some(Arc::new(FaultPlan::new(1).with_fault(
+                FaultKind::FollowerOutage { follower: 0 },
+                60.0,
+                end_s,
+            )))
+        };
+        let camera = |swath_m, gsd_m| Camera::new(swath_m, gsd_m).unwrap();
+        let variants: Vec<(&str, CoverageOptions)> = vec![
+            (
+                "low_res",
+                with(&|o| o.spec.low_res = camera(90_000.0, 30.0)),
+            ),
+            (
+                "high_res",
+                with(&|o| o.spec.high_res = camera(10_000.0, 2.0)),
+            ),
+            ("theta_max", with(&|o| o.spec.theta_max_rad *= 0.5)),
+            ("adacs", with(&|o| o.spec.adacs = Adacs::high_end())),
+            ("altitude", with(&|o| o.spec.altitude_m += 1.0)),
+            ("ground_speed", with(&|o| o.spec.ground_speed_m_s += 1.0)),
+            ("cadence", with(&|o| o.spec.frame_cadence_s += 1.0)),
+            ("duration", with(&|o| o.duration_s += 1.0)),
+            ("inclination", with(&|o| o.inclination_rad += 1e-6)),
+            ("recall", with(&|o| o.recall = 0.5)),
+            ("seed", with(&|o| o.seed = 8)),
+            ("task_cap", with(&|o| o.max_tasks_per_frame = 61)),
+            ("penalty 0.5", with(&|o| o.recapture_penalty = Some(0.5))),
+            ("penalty 0.25", with(&|o| o.recapture_penalty = Some(0.25))),
+            ("planes", with(&|o| o.orbital_planes = 2)),
+            ("slots 4", with(&|o| o.layout_slots = Some(4))),
+            ("slots 5", with(&|o| o.layout_slots = Some(5))),
+            (
+                "empty plan",
+                with(&|o| o.fault_plan = Some(Arc::new(FaultPlan::new(1)))),
+            ),
+            ("fault end 600", with(&|o| o.fault_plan = plan(600.0))),
+            ("fault end 900", with(&|o| o.fault_plan = plan(900.0))),
+            ("naive", with(&|o| o.degraded_mode = DegradedMode::Naive)),
+        ];
+        let mut seen = vec![("base", base)];
+        for (name, opts) in variants {
+            let got = h(opts);
+            if let Some((other, _)) = seen.iter().find(|(_, v)| *v == got) {
+                panic!("`{name}` hashes like `{other}`");
+            }
+            seen.push((name, got));
+        }
+
+        // Every configuration variant and field binds it too.
+        let configs = [
+            ConstellationConfig::LowResOnly { satellites: 8 },
+            ConstellationConfig::LowResOnly { satellites: 9 },
+            ConstellationConfig::HighResOnly { satellites: 8 },
+            ConstellationConfig::eagleeye(2, 1),
+            ConstellationConfig::eagleeye(3, 1),
+            ConstellationConfig::eagleeye(2, 2),
+            ConstellationConfig::EagleEye {
+                groups: 2,
+                followers_per_group: 1,
+                scheduler: SchedulerKind::Greedy,
+                clustering: ClusteringMethod::Ilp,
+            },
+            ConstellationConfig::EagleEye {
+                groups: 2,
+                followers_per_group: 1,
+                scheduler: SchedulerKind::Abb,
+                clustering: ClusteringMethod::Ilp,
+            },
+            ConstellationConfig::EagleEye {
+                groups: 2,
+                followers_per_group: 1,
+                scheduler: SchedulerKind::Resilient,
+                clustering: ClusteringMethod::Ilp,
+            },
+            ConstellationConfig::EagleEye {
+                groups: 2,
+                followers_per_group: 1,
+                scheduler: SchedulerKind::Ilp,
+                clustering: ClusteringMethod::Greedy,
+            },
+            ConstellationConfig::EagleEye {
+                groups: 2,
+                followers_per_group: 1,
+                scheduler: SchedulerKind::Ilp,
+                clustering: ClusteringMethod::None,
+            },
+            ConstellationConfig::MixCamera {
+                satellites: 8,
+                compute_time_s: 1.0,
+            },
+            ConstellationConfig::MixCamera {
+                satellites: 9,
+                compute_time_s: 1.0,
+            },
+            ConstellationConfig::MixCamera {
+                satellites: 8,
+                compute_time_s: 2.0,
+            },
+        ];
+        let eval = CoverageEvaluator::new(&targets, quick_options());
+        let hashes: Vec<u64> = configs.iter().map(|c| eval.scenario_hash(c)).collect();
+        for (i, a) in hashes.iter().enumerate() {
+            for (j, b) in hashes.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{:?} hashes like {:?}", configs[i], configs[j]);
+            }
+        }
     }
 
     #[test]

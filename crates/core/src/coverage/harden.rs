@@ -53,12 +53,6 @@ impl HardenOptions {
         self.deadline = deadline;
         self
     }
-
-    /// Sets the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// Result of a hardened evaluation: the (possibly partial) report plus

@@ -75,19 +75,6 @@ pub fn max_lookahead_m(
     Ok(gamma * swath_m * sat_speed_m_s / target_speed_m_s)
 }
 
-/// True when a leader-follower separation of `lookahead_m` can track
-/// targets up to `target_speed_m_s` (the feasibility check the paper's
-/// 100 km separation passes for ships and planes alike).
-pub fn separation_supports_speed(
-    lookahead_m: f64,
-    target_speed_m_s: f64,
-    swath_m: f64,
-    sat_speed_m_s: f64,
-    gamma: f64,
-) -> Result<bool, CoreError> {
-    Ok(lookahead_m <= max_lookahead_m(target_speed_m_s, swath_m, sat_speed_m_s, gamma)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,6 +101,18 @@ mod tests {
         let d1 = max_lookahead_m(50.0, 10_000.0, 7_500.0, 0.1).unwrap();
         let d2 = max_lookahead_m(100.0, 10_000.0, 7_500.0, 0.1).unwrap();
         assert!((d1 / d2 - 2.0).abs() < 1e-9);
+    }
+
+    /// True when a leader-follower separation of `lookahead_m` can
+    /// track targets up to `target_speed_m_s`.
+    fn separation_supports_speed(
+        lookahead_m: f64,
+        target_speed_m_s: f64,
+        swath_m: f64,
+        sat_speed_m_s: f64,
+        gamma: f64,
+    ) -> Result<bool, CoreError> {
+        Ok(lookahead_m <= max_lookahead_m(target_speed_m_s, swath_m, sat_speed_m_s, gamma)?)
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use crate::{Adacs, Camera, CoreError};
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 
 /// The full sensing configuration of one leader-follower group: cameras,
 /// actuation, orbit geometry, and timing — everything the scheduler and
@@ -112,6 +113,27 @@ impl SensingSpec {
 impl Default for SensingSpec {
     fn default() -> Self {
         Self::paper_default()
+    }
+}
+
+impl FieldHash for SensingSpec {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let SensingSpec {
+            low_res,
+            high_res,
+            theta_max_rad,
+            adacs,
+            altitude_m,
+            ground_speed_m_s,
+            frame_cadence_s,
+        } = self;
+        h.field(low_res)
+            .field(high_res)
+            .f64(*theta_max_rad)
+            .field(adacs)
+            .f64(*altitude_m)
+            .f64(*ground_speed_m_s)
+            .f64(*frame_cadence_s);
     }
 }
 

@@ -6,6 +6,9 @@
 //! total. A snapshot written by an older build resumes only if these
 //! bits are unchanged, so any change to how a `TargetSet` computes or
 //! caches its invariants must leave every pin below where it is.
+//! The hashes are of the `eagleeye-core/coverage/v3` domain, which
+//! hashes every option field-wise; snapshots taken under v2 are
+//! rejected as a different scenario.
 //!
 //! The workloads are one static set (ships) and one moving set
 //! (airplanes), both seeded; the configurations are one swath, one
@@ -89,7 +92,7 @@ fn static_workload_digests_are_pinned() {
         "ships",
         &ships,
         &Pin {
-            hashes: [0xd0639b87c92b7de7, 0x68228a280ec5ecc8, 0xfad0f9c5fff0bdeb],
+            hashes: [0x32c3afab65259444, 0x7e84fc6a394cbeab, 0xe4945b908b829bc4],
             total_value_bits: 0x40a1a1310fb9fa57,
             report_captured: 50,
         },
@@ -106,7 +109,7 @@ fn moving_workload_digests_are_pinned() {
         "airplanes",
         &planes,
         &Pin {
-            hashes: [0x9e607ce0457ddfda, 0xf5163ee49aa335c5, 0xbcb3537b010f52e6],
+            hashes: [0xe0812b780da34f09, 0xc2f6ca411b6891a6, 0x35ea3731b868ce89],
             total_value_bits: 0x40a1a207a4931729,
             report_captured: 16,
         },

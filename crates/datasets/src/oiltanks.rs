@@ -1,4 +1,3 @@
-use crate::target::{Target, TargetSet};
 use crate::world;
 use eagleeye_geo::{greatcircle, GeodeticPoint};
 
@@ -29,9 +28,7 @@ pub struct TankFarm {
 ///
 /// The paper uses this dataset for the two-stage ML study only (tank
 /// detection accuracy and shadow-based volume estimation error vs. GSD,
-/// Fig. 3); there is no geographic scheduling evaluation. We additionally
-/// expose the farms as a [`TargetSet`] so the clustering module can be
-/// exercised on realistic dense point patterns.
+/// Fig. 3); there is no geographic scheduling evaluation.
 ///
 /// # Example
 ///
@@ -114,15 +111,6 @@ impl OilTankGenerator {
         }
         farms
     }
-
-    /// Generates the farms and flattens them to a [`TargetSet`] (one
-    /// target per farm, value = tank count, for scheduling experiments).
-    pub fn generate_as_targets(&self, seed: u64) -> TargetSet {
-        self.generate(seed)
-            .into_iter()
-            .map(|f| Target::fixed(f.center, f.tanks.len() as f64))
-            .collect()
-    }
 }
 
 const TANK_SEED_TAG: u64 = 0x27d4_eb2f_1656_67b1;
@@ -130,6 +118,16 @@ const TANK_SEED_TAG: u64 = 0x27d4_eb2f_1656_67b1;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::target::{Target, TargetSet};
+
+    /// Flattens the farms to a [`TargetSet`]: one target per farm,
+    /// value = tank count.
+    fn farms_as_targets(g: &OilTankGenerator, seed: u64) -> TargetSet {
+        g.generate(seed)
+            .into_iter()
+            .map(|f| Target::fixed(f.center, f.tanks.len() as f64))
+            .collect()
+    }
 
     #[test]
     fn farm_and_tank_counts() {
@@ -169,7 +167,7 @@ mod tests {
     fn targets_value_equals_tank_count() {
         let g = OilTankGenerator::new().with_farm_count(15);
         let farms = g.generate(5);
-        let targets = g.generate_as_targets(5);
+        let targets = farms_as_targets(&g, 5);
         assert_eq!(targets.len(), 15);
         for (i, f) in farms.iter().enumerate() {
             assert_eq!(targets.target(i).value, f.tanks.len() as f64);

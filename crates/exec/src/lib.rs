@@ -419,25 +419,6 @@ impl ExecPool {
             None => Ok(ok),
         }
     }
-
-    /// Applies `f(chunk_index, chunk)` to consecutive chunks of at most
-    /// `chunk_size` items, returning per-chunk results in chunk order.
-    /// Use instead of [`ExecPool::par_map`] when items are so cheap that
-    /// per-item cursor traffic would dominate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_size == 0`; a panic in `f` is propagated.
-    pub fn par_chunks<T, R, F>(&self, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &[T]) -> R + Sync,
-    {
-        assert!(chunk_size > 0, "chunk_size must be positive");
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        self.par_map(&chunks, |i, c| f(i, c))
-    }
 }
 
 #[cfg(test)]
@@ -496,18 +477,6 @@ mod tests {
         }
         let ok: Result<Vec<usize>, ()> = ExecPool::new(4).try_par_map(&items, |_, &x| Ok(x * 2));
         assert_eq!(ok.unwrap()[50], 100);
-    }
-
-    #[test]
-    fn par_chunks_sees_every_chunk_in_order() {
-        let items: Vec<usize> = (0..103).collect();
-        let sums =
-            ExecPool::new(4).par_chunks(&items, 10, |ci, c| (ci, c.iter().sum::<usize>(), c.len()));
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums[0], (0, 45, 10));
-        assert_eq!(sums[10].2, 3); // tail chunk
-        let total: usize = sums.iter().map(|&(_, s, _)| s).sum();
-        assert_eq!(total, 103 * 102 / 2);
     }
 
     #[test]

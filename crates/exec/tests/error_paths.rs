@@ -139,9 +139,3 @@ fn panic_in_try_par_map_closure_propagates() {
     }));
     assert!(result.is_err());
 }
-
-#[test]
-#[should_panic(expected = "chunk_size must be positive")]
-fn par_chunks_rejects_zero_chunk_size() {
-    ExecPool::new(2).par_chunks(&[1, 2, 3], 0, |_, c: &[i32]| c.len());
-}

@@ -48,5 +48,5 @@ pub use runner::{
     panic_message, run_items, CheckpointSpec, DegradeReason, Quarantine, RetryPolicy, RunConfig,
     RunOutcome,
 };
-pub use snapshot::{ScenarioHasher, Snapshot, SnapshotError};
+pub use snapshot::{FieldHash, ScenarioHasher, Snapshot, SnapshotError};
 pub use watchdog::{Deadline, DeadlinePoll, ShutdownFlag};

@@ -148,15 +148,18 @@ impl Snapshot {
 
     /// Encodes the snapshot (magic + body + CRC trailer).
     /// Deterministic: equal snapshots encode byte-identically.
-    // eagleeye-lint: codec-write(Snapshot)
     pub fn to_bytes(&self) -> Vec<u8> {
+        let Snapshot {
+            scenario_hash,
+            sections,
+        } = self;
         let mut w = ByteWriter::new();
         for &b in MAGIC {
             w.u8(b);
         }
-        w.u64(self.scenario_hash);
-        w.usize(self.sections.len());
-        for (name, payload) in &self.sections {
+        w.u64(*scenario_hash);
+        w.usize(sections.len());
+        for (name, payload) in sections {
             w.str(name);
             w.bytes(payload);
         }
@@ -171,7 +174,6 @@ impl Snapshot {
     ///
     /// [`SnapshotError::BadMagic`], [`SnapshotError::ChecksumMismatch`],
     /// or [`SnapshotError::Malformed`].
-    // eagleeye-lint: codec-read(Snapshot)
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         if bytes.len() < MAGIC.len() + 4 || &bytes[..MAGIC.len()] != MAGIC {
             return Err(SnapshotError::BadMagic);
@@ -183,10 +185,8 @@ impl Snapshot {
             return Err(SnapshotError::ChecksumMismatch { stored, computed });
         }
         let mut r = ByteReader::new(&body[MAGIC.len()..]);
-        let mut snap = Snapshot {
-            scenario_hash: r.u64().map_err(|e| SnapshotError::Malformed(e.context))?,
-            sections: BTreeMap::new(),
-        };
+        let scenario_hash = r.u64().map_err(|e| SnapshotError::Malformed(e.context))?;
+        let mut sections = BTreeMap::new();
         let count = r.usize().map_err(|e| SnapshotError::Malformed(e.context))?;
         for _ in 0..count {
             let name = r
@@ -197,12 +197,15 @@ impl Snapshot {
                 .bytes()
                 .map_err(|e| SnapshotError::Malformed(e.context))?
                 .to_vec();
-            snap.sections.insert(name, payload);
+            sections.insert(name, payload);
         }
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed("trailing bytes after sections"));
         }
-        Ok(snap)
+        Ok(Snapshot {
+            scenario_hash,
+            sections,
+        })
     }
 
     /// Writes the snapshot atomically: `<path>.tmp` + fsync + rename +
@@ -316,9 +319,63 @@ impl ScenarioHasher {
         self.u64(s.len() as u64).bytes(s.as_bytes())
     }
 
+    /// Folds a [`FieldHash`] value into the hash.
+    pub fn field<T: FieldHash + ?Sized>(&mut self, v: &T) -> &mut Self {
+        v.hash_fields(self);
+        self
+    }
+
     /// The final hash value.
     pub fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// Field-wise folding into a [`ScenarioHasher`], for the nested types
+/// of a scenario digest. An impl destructures its struct with no `..`
+/// (or matches its enum exhaustively, one tag per variant), so a field
+/// added to the type fails to compile until the impl hashes it or
+/// binds it to `_` with its reason.
+pub trait FieldHash {
+    /// Folds every result-shaping field of `self` into `h`.
+    fn hash_fields(&self, h: &mut ScenarioHasher);
+}
+
+impl FieldHash for usize {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(*self as u64);
+    }
+}
+
+impl FieldHash for f64 {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.f64(*self);
+    }
+}
+
+/// `None` and `Some` fold distinct tags ahead of the payload.
+impl<T: FieldHash> FieldHash for Option<T> {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        match self {
+            None => h.u64(0),
+            Some(v) => h.u64(1).field(v),
+        };
+    }
+}
+
+/// Length-delimited, so adjacent sequences cannot trade elements.
+impl<T: FieldHash> FieldHash for [T] {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(self.len() as u64);
+        for v in self {
+            h.field(v);
+        }
+    }
+}
+
+impl<T: FieldHash + ?Sized> FieldHash for std::sync::Arc<T> {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.field(&**self);
     }
 }
 
@@ -332,6 +389,8 @@ mod tests {
         dir.join(name)
     }
 
+    /// Every name and payload differs from every other, so a codec
+    /// that swapped two reads would not round-trip.
     fn sample() -> Snapshot {
         let mut s = Snapshot::new(0xABCD_EF01_2345_6789);
         s.put("item/0", vec![1, 2, 3]);
@@ -450,5 +509,39 @@ mod tests {
         );
         // Known FNV-1a vector: empty input is the offset basis.
         assert_eq!(ScenarioHasher::new().finish(), 0xcbf2_9ce4_8422_2325);
+    }
+
+    #[test]
+    fn field_hash_tags_options_and_delimits_slices() {
+        let h = |f: &dyn Fn(&mut ScenarioHasher)| {
+            let mut s = ScenarioHasher::new();
+            f(&mut s);
+            s.finish()
+        };
+        let none = h(&|s| {
+            s.field(&None::<usize>);
+        });
+        assert_ne!(
+            none,
+            h(&|s| {
+                s.field(&Some(0usize));
+            })
+        );
+        assert_ne!(
+            h(&|s| {
+                s.field(&[1usize][..]).field(&[][..] as &[usize]);
+            }),
+            h(&|s| {
+                s.field(&[][..] as &[usize]).field(&[1usize][..]);
+            })
+        );
+        assert_eq!(
+            h(&|s| {
+                s.field(&std::sync::Arc::new(2.5f64));
+            }),
+            h(&|s| {
+                s.f64(2.5);
+            })
+        );
     }
 }

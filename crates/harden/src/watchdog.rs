@@ -116,9 +116,9 @@ impl DeadlinePoll {
         self.expired
     }
 
-    /// Checks the deadline immediately, ignoring the stride (for loop
-    /// boundaries where overshoot matters).
-    pub fn expired_now(&mut self) -> bool {
+    /// Checks the deadline immediately, ignoring the stride.
+    #[cfg(test)]
+    fn expired_now(&mut self) -> bool {
         if !self.expired && self.deadline.expired() {
             self.expired = true;
         }

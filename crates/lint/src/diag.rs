@@ -3,19 +3,6 @@
 
 use std::fmt;
 
-/// Structured payload attached to the coverage-rule diagnostics
-/// (R8–R10) so `--format json` consumers get the annotation span and
-/// the offending field names without parsing the message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CoverageDetail {
-    /// Line of the coverage annotation the finding belongs to.
-    pub annotation_line: u32,
-    /// The annotated struct.
-    pub struct_name: String,
-    /// Missing / asymmetric field names.
-    pub fields: Vec<String>,
-}
-
 /// One lint finding at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -27,9 +14,6 @@ pub struct Diagnostic {
     /// with suppression comments themselves).
     pub rule: &'static str,
     pub message: String,
-    /// Structured data for coverage-rule findings; `None` for the
-    /// token-level rules.
-    pub detail: Option<CoverageDetail>,
 }
 
 impl Diagnostic {
@@ -44,7 +28,6 @@ impl Diagnostic {
             line,
             rule,
             message: message.into(),
-            detail: None,
         }
     }
 }
@@ -68,9 +51,6 @@ pub const R4_FLOAT_EQ: &str = "float-eq";
 pub const R5_UNSAFE_HYGIENE: &str = "unsafe-hygiene";
 pub const R6_METRIC_NAMESPACE: &str = "metric-namespace";
 pub const R7_NO_EXIT: &str = "no-exit";
-pub const R8_DIGEST_COVERAGE: &str = "digest-coverage";
-pub const R9_CODEC_SYMMETRY: &str = "codec-symmetry";
-pub const R10_FOLD_COVERAGE: &str = "fold-coverage";
 /// Meta-rule for malformed, unjustified, or unused suppressions; not
 /// itself suppressible.
 pub const SUPPRESSION: &str = "suppression";
@@ -104,18 +84,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         R7_NO_EXIT,
         "ban process::exit/process::abort outside src/bin and the bench harness",
-    ),
-    (
-        R8_DIGEST_COVERAGE,
-        "fns annotated digest-of(Type) must reference every field, or justify the gap",
-    ),
-    (
-        R9_CODEC_SYMMETRY,
-        "codec-write/codec-read pairs must cover identical field sets in identical order",
-    ),
-    (
-        R10_FOLD_COVERAGE,
-        "fold/compare fns annotated fold-of(Type) must handle every field",
     ),
 ];
 
@@ -159,46 +127,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "process::exit/abort skips destructors and flushing; only bins and the bench\n\
              harness may terminate the process."
         }
-        "digest-coverage" => {
-            "R8. The memo and checkpoint caches key on hand-enumerated digests\n\
-             (the frame memo key, track_digest, ScenarioHasher keys). A field that changes\n\
-             results but is missing from its digest is a silent stale-cache bug — the exact\n\
-             failure the horizon memo once had when mid-frame repair onsets were invisible\n\
-             to its key.\n\n\
-             Annotate the digest fn with\n\
-                 // eagleeye-lint: digest-of(TypeA, TypeB)\n\
-             and the rule requires every field of each named struct to be referenced in the\n\
-             fn body. A deliberately cache-invisible field carries a justified exemption:\n\
-                 // eagleeye-lint: digest-allow(Type::field): <why it cannot affect results>\n\
-             Exemptions are pinned in lint-allowlist.txt and audited (stale or unused\n\
-             exemptions are diagnostics)."
-        }
-        "codec-symmetry" => {
-            "R9. Byte codecs here are hand-rolled (CoverageReport::to_bytes/from_bytes,\n\
-             snapshot sections) and drift when a field is added to one side only — PR 9\n\
-             hand-threaded four counters through the v3 report codec at five call sites.\n\n\
-             Annotate the pair, in the same file:\n\
-                 // eagleeye-lint: codec-write(Type)   on the encoder\n\
-                 // eagleeye-lint: codec-read(Type)    on the decoder\n\
-             The rule requires both fns to reference exactly the same field set, in the\n\
-             same first-reference order. Fields intentionally outside the wire format take\n\
-             codec-allow(Type::field): <why>."
-        }
-        "fold-coverage" => {
-            "R10. Fold/compare fns (absorb, same_outcome, record_metrics, add_ilp_stats)\n\
-             must decide something for every field — summing, comparing, or deliberately\n\
-             skipping it. An unreferenced field is an unmerged counter or a comparison\n\
-             blind spot.\n\n\
-             Annotate with\n\
-                 // eagleeye-lint: fold-of(Type)\n\
-             and justify deliberate skips with fold-allow(Type::field): <why>. Pairing this\n\
-             with an exhaustive `let Type { .. } = x;` destructure in the fn makes the\n\
-             compiler enforce what the lint reports."
-        }
         "suppression" => {
-            "Meta-rule about the suppression/annotation comments themselves: malformed\n\
-             markers, unknown rules, missing justifications, unused allows, and stale or\n\
-             unused coverage exemptions. Not itself suppressible."
+            "Meta-rule about the suppression comments themselves: malformed markers,\n\
+             unknown rules, missing justifications, and unused allows. Not itself\n\
+             suppressible."
         }
         _ => return None,
     })
@@ -223,8 +155,6 @@ pub fn json_escape(s: &str) -> String {
 
 /// Renders diagnostics as a JSON document:
 /// `{"count": N, "diagnostics": [{"file", "line", "rule", "message"}]}`.
-/// Coverage findings additionally carry `"annotation_line"`,
-/// `"struct"`, and `"fields"`.
 pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("{\n  \"count\": ");
     out.push_str(&diags.len().to_string());
@@ -234,26 +164,12 @@ pub fn diagnostics_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"",
+            "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\"}}",
             json_escape(&d.file),
             d.line,
             d.rule,
             json_escape(&d.message)
         ));
-        if let Some(detail) = &d.detail {
-            out.push_str(&format!(
-                ", \"annotation_line\": {}, \"struct\": \"{}\", \"fields\": [{}]",
-                detail.annotation_line,
-                json_escape(&detail.struct_name),
-                detail
-                    .fields
-                    .iter()
-                    .map(|f| format!("\"{}\"", json_escape(f)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ));
-        }
-        out.push('}');
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -282,30 +198,14 @@ mod tests {
         let doc = diagnostics_json(&[Diagnostic::new("f.rs", 1, R3_CLOCK, "m")]);
         assert!(doc.contains("\"count\": 1"));
         assert!(doc.contains("\"rule\": \"clock\""));
-        assert!(!doc.contains("annotation_line"));
-    }
-
-    #[test]
-    fn json_includes_coverage_detail() {
-        let mut d = Diagnostic::new("f.rs", 9, R8_DIGEST_COVERAGE, "missing");
-        d.detail = Some(CoverageDetail {
-            annotation_line: 9,
-            struct_name: "Opts".into(),
-            fields: vec!["seed".into(), "recall".into()],
-        });
-        let doc = diagnostics_json(&[d]);
-        assert!(doc.contains("\"annotation_line\": 9"));
-        assert!(doc.contains("\"struct\": \"Opts\""));
-        assert!(doc.contains("\"fields\": [\"seed\", \"recall\"]"));
     }
 
     #[test]
     fn rule_ids_are_known() {
         assert!(is_rule("no-unwrap"));
         assert!(is_rule("metric-namespace"));
-        assert!(is_rule("digest-coverage"));
-        assert!(is_rule("codec-symmetry"));
-        assert!(is_rule("fold-coverage"));
+        assert!(is_rule("no-exit"));
+        assert!(!is_rule("digest-coverage"));
         assert!(!is_rule("suppression"));
         assert!(!is_rule("bogus"));
     }

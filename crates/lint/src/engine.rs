@@ -3,7 +3,6 @@
 //! `#![forbid(unsafe_code)]` pass).
 
 use crate::diag::{self, Diagnostic};
-use crate::item::{self, ParsedFile, StructIndex};
 use crate::lexer::{self, TokKind, Token};
 use crate::rules;
 use crate::suppress::{self, Suppression};
@@ -57,12 +56,6 @@ pub struct FileCtx<'a> {
     pub sig: &'a [usize],
     /// Lines inside test-gated regions.
     pub test_lines: &'a LineSet,
-    /// Item-level structural parse of this file (structs, fns,
-    /// coverage annotations).
-    pub parsed: &'a ParsedFile,
-    /// Workspace-wide struct lookup for coverage annotations. For
-    /// single-file lints this only contains the file's own structs.
-    pub index: &'a StructIndex,
 }
 
 impl FileCtx<'_> {
@@ -114,7 +107,7 @@ pub fn classify(path: &str) -> (String, FileRole) {
 /// Renders the attribute token texts between `[` and its matching `]`
 /// as one concatenated string (`cfg(test)`, `cfg(not(test))`, …) and
 /// returns it with the significant-index just past the `]`.
-pub(crate) fn attr_text(tokens: &[Token], sig: &[usize], open: usize) -> (String, usize) {
+fn attr_text(tokens: &[Token], sig: &[usize], open: usize) -> (String, usize) {
     let mut depth = 0usize;
     let mut text = String::new();
     let mut i = open;
@@ -135,7 +128,7 @@ pub(crate) fn attr_text(tokens: &[Token], sig: &[usize], open: usize) -> (String
     (text, i)
 }
 
-pub(crate) fn attr_is_test(attr: &str) -> bool {
+fn attr_is_test(attr: &str) -> bool {
     attr == "test"
         || attr == "bench"
         || (attr.starts_with("cfg") && attr.contains("test") && !attr.contains("not(test"))
@@ -211,76 +204,40 @@ pub struct FileLint {
     pub has_forbid_unsafe: bool,
 }
 
-/// Pass-1 product for one file: lexed, classified, and structurally
-/// parsed, ready to lint once the workspace-wide struct index exists.
-pub(crate) struct PreFile {
-    rel: String,
-    crate_name: String,
-    role: FileRole,
-    tokens: Vec<Token>,
-    sig: Vec<usize>,
-    test_lines: LineSet,
-    parsed: ParsedFile,
-}
-
-impl PreFile {
-    pub(crate) fn new(path: &str, src: &str) -> PreFile {
-        let tokens = lexer::lex(src);
-        let sig: Vec<usize> = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
-            .map(|(i, _)| i)
-            .collect();
-        let test_lines = test_regions(&tokens, &sig);
-        let parsed = item::parse(&tokens, &sig);
-        let (crate_name, role) = classify(path);
-        PreFile {
-            rel: path.to_string(),
-            crate_name,
-            role,
-            tokens,
-            sig,
-            test_lines,
-            parsed,
-        }
-    }
-}
-
-/// Pass 2: runs every rule on a prepared file against the given
-/// struct index.
-fn lint_pre(pre: &PreFile, index: &StructIndex) -> FileLint {
+/// Lints one file from source. `path` drives crate/role
+/// classification; suppressions are already applied, and suppression
+/// audit diagnostics (missing justification / unused) are included.
+pub fn lint_source(path: &str, src: &str) -> FileLint {
+    let tokens = lexer::lex(src);
+    let sig: Vec<usize> = tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .map(|(i, _)| i)
+        .collect();
+    let test_lines = test_regions(&tokens, &sig);
+    let (crate_name, role) = classify(path);
     let ctx = FileCtx {
-        path: &pre.rel,
-        crate_name: &pre.crate_name,
-        role: pre.role,
-        tokens: &pre.tokens,
-        sig: &pre.sig,
-        test_lines: &pre.test_lines,
-        parsed: &pre.parsed,
-        index,
+        path,
+        crate_name: &crate_name,
+        role,
+        tokens: &tokens,
+        sig: &sig,
+        test_lines: &test_lines,
     };
 
     let mut raw = Vec::new();
     rules::check_all(&ctx, &mut raw);
-    // Coverage rules audit their own per-field exemptions, so their
-    // suppression records join the inventory *after* the generic
-    // suppression audit below (which would otherwise double-flag
-    // them as unused).
-    let mut cov_supps = Vec::new();
-    rules::coverage::check(&ctx, &mut raw, &mut cov_supps);
 
-    let (mut supps, mut diags) = suppress::scan(&pre.rel, &pre.tokens);
+    let (mut supps, mut diags) = suppress::scan(path, &tokens);
     diags.extend(suppress::apply(raw, &mut supps));
-    diags.extend(suppress::audit(&pre.rel, &supps));
-    supps.extend(cov_supps);
+    diags.extend(suppress::audit(path, &supps));
     diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
 
-    let has_unsafe = pre
-        .sig
+    let has_unsafe = sig
         .iter()
-        .any(|&i| pre.tokens[i].kind == TokKind::Ident && pre.tokens[i].text == "unsafe");
-    let has_forbid_unsafe = has_inner_forbid_unsafe(&pre.tokens, &pre.sig);
+        .any(|&i| tokens[i].kind == TokKind::Ident && tokens[i].text == "unsafe");
+    let has_forbid_unsafe = has_inner_forbid_unsafe(&tokens, &sig);
 
     FileLint {
         diagnostics: diags,
@@ -288,17 +245,6 @@ fn lint_pre(pre: &PreFile, index: &StructIndex) -> FileLint {
         has_unsafe,
         has_forbid_unsafe,
     }
-}
-
-/// Lints one file from source. `path` drives crate/role
-/// classification; suppressions are already applied, and suppression
-/// audit diagnostics (missing justification / unused) are included.
-/// Coverage annotations resolve against this file's own structs only.
-pub fn lint_source(path: &str, src: &str) -> FileLint {
-    let pre = PreFile::new(path, src);
-    let mut index = StructIndex::default();
-    index.add_file(&pre.rel, &pre.crate_name, &pre.parsed);
-    lint_pre(&pre, &index)
 }
 
 /// Detects an inner `#![forbid(unsafe_code)]` attribute.
@@ -343,12 +289,9 @@ fn walk_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
 }
 
 /// Lints every `.rs` file under `root`'s `crates/`, `src/`, `tests/`,
-/// and `examples/` directories in two passes — pass 1 lexes and
-/// structurally parses everything into a workspace [`StructIndex`]
-/// (so coverage annotations can name structs from other files), pass
-/// 2 runs the rules — then runs the crate-level `unsafe-hygiene` pass
-/// (`#![forbid(unsafe_code)]` required in the `lib.rs` of every crate
-/// that contains no `unsafe` at all).
+/// and `examples/` directories, then runs the crate-level
+/// `unsafe-hygiene` pass (`#![forbid(unsafe_code)]` required in the
+/// `lib.rs` of every crate that contains no `unsafe` at all).
 pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
     let mut files = Vec::new();
     for top in ["crates", "src", "tests", "examples"] {
@@ -358,8 +301,11 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
         }
     }
 
-    let mut pres = Vec::with_capacity(files.len());
-    let mut index = StructIndex::default();
+    let mut diagnostics = Vec::new();
+    let mut suppressions = Vec::new();
+    // crate name -> (has_unsafe anywhere, lib.rs path, lib.rs forbid)
+    let mut crates: BTreeMap<String, (bool, Option<String>, bool)> = BTreeMap::new();
+
     for path in &files {
         let rel = path
             .strip_prefix(root)
@@ -367,27 +313,16 @@ pub fn lint_workspace(root: &Path) -> io::Result<LintReport> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(path)?;
-        let pre = PreFile::new(&rel, &src);
-        index.add_file(&pre.rel, &pre.crate_name, &pre.parsed);
-        pres.push(pre);
-    }
-
-    let mut diagnostics = Vec::new();
-    let mut suppressions = Vec::new();
-    // crate name -> (has_unsafe anywhere, lib.rs path, lib.rs forbid)
-    let mut crates: BTreeMap<String, (bool, Option<String>, bool)> = BTreeMap::new();
-
-    for pre in &pres {
-        let lint = lint_pre(pre, &index);
+        let lint = lint_source(&rel, &src);
         diagnostics.extend(lint.diagnostics);
-        suppressions.extend(lint.suppressions.into_iter().map(|s| (pre.rel.clone(), s)));
+        suppressions.extend(lint.suppressions.into_iter().map(|s| (rel.clone(), s)));
 
         let entry = crates
-            .entry(pre.crate_name.clone())
+            .entry(classify(&rel).0)
             .or_insert((false, None, false));
         entry.0 |= lint.has_unsafe;
-        if pre.rel.ends_with("src/lib.rs") {
-            entry.1 = Some(pre.rel.clone());
+        if rel.ends_with("src/lib.rs") {
+            entry.1 = Some(rel.clone());
             entry.2 = lint.has_forbid_unsafe;
         }
     }

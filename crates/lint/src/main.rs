@@ -8,8 +8,7 @@
 //!
 //! * default: print diagnostics, exit 0 (advisory mode);
 //! * `--deny`: exit 1 when any diagnostic survives (CI mode);
-//! * `--format json`: machine-readable diagnostics (coverage findings
-//!   carry `annotation_line`, `struct`, and `fields`);
+//! * `--format json`: machine-readable diagnostics;
 //! * `--list-suppressions`: audit every inline suppression instead of
 //!   printing diagnostics;
 //! * `--baseline FILE`: with `--list-suppressions`, compare the

@@ -13,7 +13,6 @@ use crate::diag::Diagnostic;
 use crate::engine::FileCtx;
 
 mod clock;
-pub mod coverage;
 mod determinism;
 mod float_eq;
 mod metric_namespace;
@@ -21,9 +20,7 @@ mod no_exit;
 mod no_unwrap;
 mod unsafe_hygiene;
 
-/// Runs the token-level rules (R1–R7). The annotation-driven coverage
-/// rules (R8–R10, [`coverage::check`]) take an extra suppression sink
-/// and are invoked separately by the engine.
+/// Runs every rule (R1–R7).
 pub fn check_all(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
     no_unwrap::check(ctx, out);
     no_exit::check(ctx, out);

@@ -56,11 +56,6 @@ pub fn scan(file: &str, tokens: &[Token]) -> (Vec<Suppression>, Vec<Diagnostic>)
             continue;
         };
         let rest = body[at + MARKER.len()..].trim_start();
-        // Coverage directives (digest-of, codec-write, …) share the
-        // marker but are parsed and audited by `item`/`rules::coverage`.
-        if crate::item::DIRECTIVE_KEYWORDS.contains(&crate::item::leading_keyword(rest)) {
-            continue;
-        }
         let bad = |msg: &str| Diagnostic::new(file.to_string(), tok.line, diag::SUPPRESSION, msg);
         let Some(rest) = rest.strip_prefix("allow") else {
             diags.push(bad("malformed suppression: expected `allow(<rule>, ...)`"));
@@ -186,16 +181,6 @@ mod tests {
         let toks = lex("let x = 1; // eagleeye-lint: allow(clock): why\n");
         let (supps, _) = scan("f.rs", &toks);
         assert!(!supps[0].standalone);
-    }
-
-    #[test]
-    fn coverage_directives_are_left_to_the_item_layer() {
-        let toks = lex("// eagleeye-lint: digest-of(Opts)\n\
-             // eagleeye-lint: digest-allow(Opts::a): why\n\
-             // eagleeye-lint: codec-write(R)\n");
-        let (supps, diags) = scan("f.rs", &toks);
-        assert!(supps.is_empty());
-        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

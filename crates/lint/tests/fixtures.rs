@@ -20,13 +20,9 @@ use eagleeye_lint::{lint_source, lint_workspace};
 const FIXTURES: &[&str] = &[
     "clock_exempt",
     "clock_sim",
-    "codec_symmetry",
     "determinism_core",
     "determinism_exempt",
-    "digest_coverage",
     "float_eq",
-    "fold_coverage",
-    "item_parser_edge",
     "lexer_tricky",
     "metric_namespace",
     "no_exit",
@@ -134,26 +130,6 @@ fn no_exit() {
 #[test]
 fn lexer_tricky() {
     check("lexer_tricky");
-}
-
-#[test]
-fn digest_coverage() {
-    check("digest_coverage");
-}
-
-#[test]
-fn codec_symmetry() {
-    check("codec_symmetry");
-}
-
-#[test]
-fn fold_coverage() {
-    check("fold_coverage");
-}
-
-#[test]
-fn item_parser_edge() {
-    check("item_parser_edge");
 }
 
 #[test]

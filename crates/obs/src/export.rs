@@ -115,7 +115,7 @@ pub fn render_json(run: &str, registry: &MetricsRegistry) -> String {
 
 /// Renders the human-readable summary printed to stderr by
 /// [`write_run`].
-pub fn render_summary(run: &str, registry: &MetricsRegistry) -> String {
+fn render_summary(run: &str, registry: &MetricsRegistry) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "[eagleeye-obs] metrics summary for run '{run}'");
     if registry.is_empty() {
@@ -171,7 +171,7 @@ pub fn write_run(run: &str, metrics: &Metrics) -> std::io::Result<Option<PathBuf
 }
 
 /// [`write_run`] with an explicit output directory (for tests).
-pub fn write_run_in(dir: &Path, run: &str, metrics: &Metrics) -> std::io::Result<Option<PathBuf>> {
+fn write_run_in(dir: &Path, run: &str, metrics: &Metrics) -> std::io::Result<Option<PathBuf>> {
     if !metrics.is_enabled() {
         return Ok(None);
     }

@@ -271,41 +271,52 @@ impl MetricsRegistry {
     /// integers and gauges as raw IEEE-754 bits, so a registry restored
     /// from a checkpoint merges bit-identically to one that never left
     /// memory. Deterministic (`BTreeMap` key order).
-    // eagleeye-lint: codec-write(MetricsRegistry)
     pub fn to_bytes(&self) -> Vec<u8> {
+        let MetricsRegistry {
+            counters,
+            gauges,
+            timers,
+            histograms,
+        } = self;
         let mut w = ByteWriter::new();
         w.u8(1); // format version
-        w.usize(self.counters.len());
-        for (k, &v) in &self.counters {
+        w.usize(counters.len());
+        for (k, &v) in counters {
             w.str(k);
             w.u64(v);
         }
-        w.usize(self.gauges.len());
-        for (k, &v) in &self.gauges {
+        w.usize(gauges.len());
+        for (k, &v) in gauges {
             w.str(k);
             w.f64(v);
         }
-        w.usize(self.timers.len());
-        for (k, v) in &self.timers {
+        w.usize(timers.len());
+        for (k, &TimerStat { count, total }) in timers {
             w.str(k);
-            w.u64(v.count);
+            w.u64(count);
             // Duration is (secs, subsec nanos) internally; storing the
             // pair round-trips exactly with no u128 narrowing.
-            w.u64(v.total.as_secs());
-            w.u32(v.total.subsec_nanos());
+            w.u64(total.as_secs());
+            w.u32(total.subsec_nanos());
         }
-        w.usize(self.histograms.len());
-        for (k, h) in &self.histograms {
+        w.usize(histograms.len());
+        for (k, h) in histograms {
+            let Histogram {
+                bounds,
+                counts,
+                sum,
+                count,
+            } = h;
             w.str(k);
-            w.usize(h.bounds.len());
-            for &b in &h.bounds {
+            w.usize(bounds.len());
+            for &b in bounds {
                 w.u64(b);
             }
-            for &c in &h.counts {
+            for &c in counts {
                 w.u64(c);
             }
-            w.u128(h.sum);
-            w.u64(h.count);
+            w.u128(*sum);
+            w.u64(*count);
         }
         w.into_bytes()
     }
@@ -316,7 +327,6 @@ impl MetricsRegistry {
     ///
     /// [`CodecError`] on truncation, an unknown format version, or
     /// internally inconsistent histogram data.
-    // eagleeye-lint: codec-read(MetricsRegistry)
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.u8()? != 1 {
@@ -324,23 +334,26 @@ impl MetricsRegistry {
                 context: "registry format version",
             });
         }
-        let mut reg = MetricsRegistry::new();
+        let mut counters = BTreeMap::new();
         for _ in 0..r.usize()? {
             let k = r.str()?.to_string();
             let v = r.u64()?;
-            reg.counters.insert(k, v);
+            counters.insert(k, v);
         }
+        let mut gauges = BTreeMap::new();
         for _ in 0..r.usize()? {
             let k = r.str()?.to_string();
             let v = r.f64()?;
-            reg.gauges.insert(k, v);
+            gauges.insert(k, v);
         }
+        let mut timers = BTreeMap::new();
         for _ in 0..r.usize()? {
             let k = r.str()?.to_string();
             let count = r.u64()?;
             let total = Duration::new(r.u64()?, r.u32()?);
-            reg.timers.insert(k, TimerStat { count, total });
+            timers.insert(k, TimerStat { count, total });
         }
+        let mut histograms = BTreeMap::new();
         for _ in 0..r.usize()? {
             let k = r.str()?.to_string();
             // Lengths come from the payload: collect without
@@ -361,7 +374,7 @@ impl MetricsRegistry {
                     context: "histogram bucket totals",
                 });
             }
-            reg.histograms.insert(
+            histograms.insert(
                 k,
                 Histogram {
                     bounds,
@@ -376,7 +389,12 @@ impl MetricsRegistry {
                 context: "trailing registry bytes",
             });
         }
-        Ok(reg)
+        Ok(MetricsRegistry {
+            counters,
+            gauges,
+            timers,
+            histograms,
+        })
     }
 }
 
@@ -477,14 +495,21 @@ mod tests {
 
     #[test]
     fn byte_round_trip_is_exact() {
+        // Every value differs from every other of its type (counter
+        // values, timer counts and seconds, bucket bounds and counts,
+        // keys), so a codec that swapped two same-typed reads would not
+        // round-trip.
         let mut r = MetricsRegistry::new();
         r.add("core/frames", 360);
         r.add("ilp/nodes", 17);
         r.gauge_max("exec/threads", 4.0);
         r.gauge_max("neg", -0.0);
         r.record_duration("core/eval", Duration::new(3, 999_999_999));
-        r.observe("h/latency", 3, &[4, 8, 16]);
-        r.observe("h/latency", 100, &[4, 8, 16]);
+        r.record_duration("core/eval", Duration::new(9, 0));
+        // Bucket counts 1, 2, 3, 4.
+        for v in [3, 5, 6, 9, 10, 11, 100, 200, 300, 400] {
+            r.observe("h/latency", v, &[4, 8, 16]);
+        }
         let bytes = r.to_bytes();
         let back = MetricsRegistry::from_bytes(&bytes).unwrap();
         assert_eq!(back, r);

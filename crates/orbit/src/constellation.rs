@@ -1,5 +1,6 @@
 use crate::{GroundTrack, J2Propagator, OrbitError};
 use eagleeye_geo::earth::MEAN_RADIUS_M;
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 
 /// Role of a satellite within a leader-follower group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,6 +26,32 @@ pub struct SatelliteSpec {
     /// Right ascension of the ascending node of this satellite's plane,
     /// radians (0 in the paper's single-plane evaluation).
     pub raan_rad: f64,
+}
+
+impl FieldHash for SatelliteRole {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        h.u64(match self {
+            SatelliteRole::Leader => 0,
+            SatelliteRole::Follower => 1,
+        });
+    }
+}
+
+impl FieldHash for SatelliteSpec {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let SatelliteSpec {
+            group,
+            role,
+            follower_index,
+            phase_rad,
+            raan_rad,
+        } = self;
+        h.field(group)
+            .field(role)
+            .field(follower_index)
+            .f64(*phase_rad)
+            .f64(*raan_rad);
+    }
 }
 
 /// Specification of one leader-follower group.

@@ -40,7 +40,7 @@ const MINUTES_PER_DAY: f64 = 1_440.0;
 /// use eagleeye_orbit::{Sgp4Propagator, Tle};
 ///
 /// let prop = Sgp4Propagator::new(&Tle::paper_orbit())?;
-/// let state = prop.state_at_minutes(30.0)?;
+/// let state = prop.state_at(1_800.0)?;
 /// let alt_km = state.radius_m() / 1000.0 - 6378.135;
 /// assert!(alt_km > 400.0 && alt_km < 550.0);
 /// # Ok::<(), eagleeye_orbit::OrbitError>(())
@@ -280,16 +280,9 @@ impl Sgp4Propagator {
         std::f64::consts::TAU / self.n0dp * 60.0
     }
 
-    /// Propagates to `t_min` minutes past the TLE epoch (TEME frame,
-    /// treated as ECI by the rest of the workspace — the frames differ
-    /// by well under the tolerances that matter here).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrbitError::KeplerDivergence`] if the long-period Kepler
-    /// iteration fails, and [`OrbitError::InvalidElement`] when drag has
-    /// decayed the orbit below the surface.
-    pub fn state_at_minutes(&self, t_min: f64) -> Result<EciState, OrbitError> {
+    /// Propagates to `t_min` minutes past the TLE epoch; see
+    /// [`state_at`](Self::state_at).
+    fn state_at_minutes(&self, t_min: f64) -> Result<EciState, OrbitError> {
         let t = t_min;
 
         // Secular gravity and drag.
@@ -416,11 +409,15 @@ impl Sgp4Propagator {
         Ok(EciState { position, velocity })
     }
 
-    /// Propagates to `t_s` seconds past epoch.
+    /// Propagates to `t_s` seconds past the TLE epoch (TEME frame,
+    /// treated as ECI by the rest of the workspace — the frames differ
+    /// by well under the tolerances that matter here).
     ///
     /// # Errors
     ///
-    /// See [`Sgp4Propagator::state_at_minutes`].
+    /// Returns [`OrbitError::KeplerDivergence`] if the long-period Kepler
+    /// iteration fails, and [`OrbitError::InvalidElement`] when drag has
+    /// decayed the orbit below the surface.
     pub fn state_at(&self, t_s: f64) -> Result<EciState, OrbitError> {
         self.state_at_minutes(t_s / 60.0)
     }

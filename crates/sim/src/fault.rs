@@ -38,6 +38,7 @@
 //! assert_eq!(a.faults().len(), b.faults().len()); // same seed, same plan
 //! ```
 
+use eagleeye_harden::{FieldHash, ScenarioHasher};
 use eagleeye_obs::Metrics;
 use eagleeye_rng::{mix64, SplitMix64};
 
@@ -104,6 +105,32 @@ impl Fault {
     }
 }
 
+impl FieldHash for FaultKind {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        match *self {
+            FaultKind::FollowerOutage { follower } => h.u64(0).field(&follower),
+            FaultKind::LeaderOutage => h.u64(1),
+            FaultKind::DetectorDropout {
+                false_negative_rate,
+            } => h.u64(2).f64(false_negative_rate),
+            FaultKind::RadioDerate { capacity_factor } => h.u64(3).f64(capacity_factor),
+            FaultKind::SlewDerate { rate_factor } => h.u64(4).f64(rate_factor),
+            FaultKind::BatteryBrownout => h.u64(5),
+        };
+    }
+}
+
+impl FieldHash for Fault {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let Fault {
+            kind,
+            start_s,
+            end_s,
+        } = self;
+        h.field(kind).f64(*start_s).f64(*end_s);
+    }
+}
+
 /// Monte-Carlo fault scenario: per-class rates from which
 /// [`FaultPlan::monte_carlo`] draws a concrete, seeded plan. All rates
 /// are probabilities in `[0, 1]` unless noted.
@@ -165,6 +192,13 @@ impl FaultScenario {
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,
+}
+
+impl FieldHash for FaultPlan {
+    fn hash_fields(&self, h: &mut ScenarioHasher) {
+        let FaultPlan { seed, faults } = self;
+        h.u64(*seed).field(faults.as_slice());
+    }
 }
 
 /// Distinct substream salts so each fault class draws from an

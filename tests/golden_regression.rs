@@ -7,6 +7,12 @@
 //! gauges are wall-clock/pool-shape and exempt by design (DESIGN.md
 //! §10).
 //!
+//! A second scenario is paper-shaped: an 8 × 2 ILP design over the
+//! full-scale seeded ship set, where horizons branch. It pins the
+//! outcome and the solver effort against fixed numbers, so a scheduler
+//! that builds the same wrong model on every path (and so agrees with
+//! itself) still fails here.
+//!
 //! If an intentional pipeline change shifts these numbers, re-pin the
 //! `GOLDEN_*` constants from the values in the assertion message —
 //! that is the point of the test: drift must be noticed, not silent.
@@ -15,7 +21,7 @@ use eagleeye::core::clustering::ClusteringMethod;
 use eagleeye::core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, SchedulerKind,
 };
-use eagleeye::datasets::{Target, TargetSet};
+use eagleeye::datasets::{Target, TargetSet, Workload};
 use eagleeye::geo::GeodeticPoint;
 use eagleeye::obs::{Metrics, MetricsRegistry};
 
@@ -150,4 +156,41 @@ fn counters_are_bit_identical_at_one_and_four_threads() {
             .collect()
     };
     assert_eq!(histograms(&s1), histograms(&s4));
+}
+
+/// The full-scale golden: (captured, `captured_value` bits,
+/// `ilp/nodes_explored`, `ilp/lp_pivots`).
+const GOLDEN_FULL_SCALE: (usize, u64, u64, u64) = (236, 0x40663f2d7470b72a, 283, 1676);
+
+#[test]
+fn full_scale_ilp_design_matches_the_golden_outcome_and_effort() {
+    let targets = Workload::ShipDetection.generate_scaled(1.0, 3_600.0, 7);
+    let metrics = Metrics::enabled();
+    let options = CoverageOptions {
+        duration_s: 3_600.0,
+        metrics: metrics.clone(),
+        ..CoverageOptions::default()
+    };
+    let report = CoverageEvaluator::new(&targets, options)
+        .evaluate(&ConstellationConfig::eagleeye(8, 2))
+        .expect("evaluation succeeds");
+    let snap = metrics.snapshot();
+    // Horizons must branch, or the pin would not cover branch-and-bound.
+    assert!(
+        snap.counter("ilp/nodes_explored") > snap.counter("ilp/subproblems"),
+        "no horizon branched"
+    );
+    assert_eq!(snap.counter("ilp/deadline_hits"), 0);
+    assert_eq!(snap.counter("ilp/iteration_limit_hits"), 0);
+    let got = (
+        report.captured,
+        report.captured_value.to_bits(),
+        snap.counter("ilp/nodes_explored"),
+        snap.counter("ilp/lp_pivots"),
+    );
+    assert_eq!(
+        got, GOLDEN_FULL_SCALE,
+        "full-scale outcome or solver effort drifted; got ({}, {:#018x}, {}, {})",
+        got.0, got.1, got.2, got.3
+    );
 }
