@@ -105,12 +105,13 @@ fn main() {
         eprintln!(
             "done: rate={rate} seed={seed} outages={outages} captured \
              {}/{}/{} (nofault/naive/resilient), naive lost {} commanded captures \
-             ({} fallbacks, {} repairs)",
+             ({} fallbacks, {} on the horizon budget, {} repairs)",
             nofault.captured,
             naive.captured,
             resilient.captured,
             naive.captures_lost_to_faults,
             resilient.greedy_fallbacks,
+            resilient.deadline_fallbacks,
             resilient.repairs_attempted,
         );
         (outages, naive, resilient)

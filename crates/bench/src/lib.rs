@@ -25,9 +25,9 @@
 #![forbid(unsafe_code)]
 
 use eagleeye_datasets::{TargetSet, Workload};
-use eagleeye_exec::ExecPool;
+use eagleeye_exec::{run_items, ExecPool, RunConfig};
 use eagleeye_harden::{
-    run_items, ByteReader, ByteWriter, CheckpointSpec, Deadline, RunConfig, ScenarioHasher,
+    ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ScenarioHasher, ShutdownFlag,
 };
 use eagleeye_obs::{Metrics, MetricsRegistry};
 use std::time::Duration;
@@ -54,9 +54,9 @@ pub struct BenchCli {
     /// [`BenchCli::finish`] writes `results/METRICS_<run>.json` plus a
     /// stderr summary. Disabled (free) by default.
     pub metrics: Metrics,
-    /// Checkpoint file for the crash-safe sweep path
+    /// Checkpoint file for [`BenchCli::par_sweep_checkpointed`]
     /// (`--checkpoint PATH`, with `--resume` and `--ckpt-cadence N`);
-    /// `None` keeps the plain in-memory sweep.
+    /// `None` keeps the sweep in memory.
     pub checkpoint: Option<CheckpointSpec>,
     /// Wall-clock budget (`--deadline SECONDS`); blowing it degrades
     /// the sweep to the configurations that finished instead of
@@ -173,16 +173,11 @@ impl BenchCli {
     /// This parallelizes the figure binaries' *outer* loop — workload ×
     /// satellite-count × seed grids whose evaluations are mutually
     /// independent — which scales better than intra-evaluation
-    /// parallelism and lets each inner evaluation stay sequential.
-    pub fn par_sweep<T: Sync, R: Send>(&self, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-        ExecPool::new(self.threads).par_map(items, |_, item| f(item))
-    }
-
-    /// [`BenchCli::par_sweep`] with observability: each configuration
-    /// runs against a fork of [`BenchCli::metrics`] (pass it into the
-    /// evaluation's `CoverageOptions`), and the forks merge back in
-    /// input order, so recorded counters and histograms are identical
-    /// at any thread count.
+    /// parallelism and lets each inner evaluation stay sequential. Each
+    /// configuration runs against a fork of [`BenchCli::metrics`] (pass
+    /// it into the evaluation's `CoverageOptions`), and the forks merge
+    /// back in input order, so recorded counters and histograms are
+    /// identical at any thread count.
     pub fn par_sweep_observed<T: Sync, R: Send>(
         &self,
         items: &[T],
@@ -221,18 +216,18 @@ impl BenchCli {
             .finish()
     }
 
-    /// [`BenchCli::par_sweep_observed`] under the crash-safe run layer
-    /// (`eagleeye-harden`): each configuration's CSV row and metrics
-    /// fork are checkpointed as they complete, `--resume` restores them
-    /// instead of recomputing, and a blown `--deadline` yields the rows
-    /// that finished (`None` for the rest) with
-    /// [`SweepOutcome::degraded`] set.
+    /// [`BenchCli::par_sweep_observed`] under the supervised runner
+    /// (`eagleeye_exec::run_items`): with `--checkpoint`, each
+    /// configuration's CSV row and metrics fork are checkpointed as they
+    /// complete and `--resume` restores them instead of recomputing; a
+    /// blown `--deadline` yields the rows that finished (`None` for the
+    /// rest) with [`SweepOutcome::degraded`] set. A configuration that
+    /// keeps panicking is reported on stderr and its row left `None`,
+    /// which marks the sweep degraded too.
     ///
-    /// Without `--checkpoint`/`--deadline` this delegates to the plain
-    /// observed sweep, so figure binaries can call it unconditionally.
-    /// Fault-free checkpointed sweeps produce rows and merged metrics
-    /// bit-identical to the plain path at any thread count (modulo the
-    /// `exec/*` pool counters, which only the plain path records).
+    /// Without those flags nothing is encoded or written, so figure
+    /// binaries call it unconditionally: rows and merged counters and
+    /// histograms equal the observed sweep's at any thread count.
     ///
     /// # Panics
     ///
@@ -245,80 +240,78 @@ impl BenchCli {
         items: &[T],
         f: impl Fn(&T, &Metrics) -> String + Sync,
     ) -> SweepOutcome {
-        if self.checkpoint.is_none() && !self.deadline.is_set() {
-            let rows = self.par_sweep_observed(items, f);
-            let total = rows.len();
-            return SweepOutcome {
-                rows: rows.into_iter().map(Some).collect(),
-                degraded: false,
-                completed: total,
-                total,
-                resumed: 0,
-            };
-        }
         let config = RunConfig {
             scenario_hash: self.scenario_hash(run, items.len()),
             threads: self.threads,
             checkpoint: self.checkpoint.clone(),
             deadline: self.deadline,
-            shutdown: eagleeye_harden::ShutdownFlag::new(),
-            retry: eagleeye_harden::RetryPolicy::default(),
+            shutdown: ShutdownFlag::new(),
+            retry: eagleeye_exec::RetryPolicy::default(),
         };
-        let outcome = run_items(&config, items.len(), |i| {
-            let fork = self.metrics.fork();
-            let row = f(&items[i], &fork);
+        let encode = |(row, fork): &(String, Metrics)| {
             let mut w = ByteWriter::new();
             w.u8(1); // payload version
-            w.str(&row);
+            w.str(row);
             w.bytes(&fork.snapshot().to_bytes());
             w.into_bytes()
-        })
-        .unwrap_or_else(|e| panic!("checkpointed sweep for {run} failed: {e}"));
-        // Decode in input order so metrics absorption is deterministic
-        // at any thread count (same discipline as the plain path).
-        let mut rows = Vec::with_capacity(outcome.payloads.len());
-        for (i, payload) in outcome.payloads.iter().enumerate() {
-            match payload {
-                None => rows.push(None),
-                Some(bytes) => {
-                    let mut r = ByteReader::new(bytes);
-                    let mut decode =
-                        || -> Result<(String, MetricsRegistry), eagleeye_harden::CodecError> {
-                            let version = r.u8()?;
-                            if version != 1 {
-                                return Err(eagleeye_harden::CodecError {
-                                    context: "sweep payload version",
-                                });
-                            }
-                            let row = r.str()?.to_string();
-                            let registry = MetricsRegistry::from_bytes(r.bytes()?)?;
-                            Ok((row, registry))
-                        };
-                    let (row, registry) = decode().unwrap_or_else(|e| {
-                        panic!("checkpointed sweep for {run}: row {i} payload malformed: {e}")
-                    });
-                    self.metrics.absorb_registry(&registry);
-                    rows.push(Some(row));
-                }
+        };
+        let decode = |_: usize, bytes: &[u8]| {
+            let mut r = ByteReader::new(bytes);
+            if r.u8()? != 1 {
+                return Err(CodecError {
+                    context: "sweep payload version",
+                });
             }
-        }
+            let row = r.str()?.to_string();
+            let fork = self.metrics.fork();
+            fork.absorb_registry(&MetricsRegistry::from_bytes(r.bytes()?)?);
+            Ok((row, fork))
+        };
+        self.metrics
+            .gauge_max("exec/threads", ExecPool::new(self.threads).threads() as f64);
+        let outcome = run_items(
+            &config,
+            items.len(),
+            |i| {
+                let fork = self.metrics.fork();
+                (f(&items[i], &fork), fork)
+            },
+            encode,
+            decode,
+        )
+        .unwrap_or_else(|e| panic!("checkpointed sweep for {run} failed: {e}"));
         if outcome.resumed_items > 0 {
             eprintln!(
                 "resumed {} of {} sweep configurations from checkpoint",
-                outcome.resumed_items, outcome.total
+                outcome.resumed_items,
+                items.len()
             );
         }
-        for q in &outcome.quarantined {
-            eprintln!(
-                "warning: configuration {} quarantined after {} attempts: {}",
-                q.item, q.attempts, q.message
-            );
+        // Absorb in input order so merged metrics are deterministic at
+        // any thread count.
+        let completed = outcome.completed();
+        let mut rows = Vec::with_capacity(items.len());
+        for slot in outcome.items {
+            rows.push(match slot {
+                Some(Ok((row, fork))) => {
+                    self.metrics.absorb(&fork);
+                    Some(row)
+                }
+                Some(Err(q)) => {
+                    eprintln!(
+                        "warning: configuration {} quarantined after {} attempts: {}",
+                        q.item, q.attempts, q.message
+                    );
+                    None
+                }
+                None => None,
+            });
         }
         SweepOutcome {
             rows,
-            degraded: outcome.degraded,
-            completed: outcome.completed,
-            total: outcome.total,
+            degraded: completed < items.len(),
+            completed,
+            total: items.len(),
             resumed: outcome.resumed_items,
         }
     }
@@ -341,7 +334,8 @@ impl BenchCli {
 pub struct SweepOutcome {
     /// CSV rows in input order; `None` for missing configurations.
     pub rows: Vec<Option<String>>,
-    /// True when the run stopped early (deadline) with rows missing.
+    /// True when rows are missing: the deadline stopped the sweep
+    /// early, or a configuration kept panicking.
     pub degraded: bool,
     /// Rows present (computed or resumed).
     pub completed: usize,
@@ -367,7 +361,7 @@ pub fn print_csv_outcome(header: &str, outcome: &SweepOutcome) {
     print_csv(header, outcome.rows.iter().flatten().cloned());
     if outcome.degraded {
         println!(
-            "# degraded: {} of {} configurations completed before the deadline; \
+            "# degraded: {} of {} configurations completed; \
              rerun with --checkpoint <path> --resume to finish the sweep",
             outcome.completed, outcome.total
         );
@@ -403,7 +397,7 @@ mod tests {
                 ..BenchCli::default()
             };
             let items: Vec<usize> = (0..23).collect();
-            let out = cli.par_sweep(&items, |&i| i * i);
+            let out = cli.par_sweep_observed(&items, |&i, _| i * i);
             assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
         }
     }
@@ -476,6 +470,23 @@ mod tests {
             out.rows.iter().filter(|r| r.is_some()).count(),
             out.completed
         );
+    }
+
+    #[test]
+    fn panicking_configuration_is_left_out_and_marks_the_sweep_degraded() {
+        let cli = BenchCli {
+            threads: 2,
+            ..BenchCli::default()
+        };
+        let items: Vec<usize> = (0..6).collect();
+        let out = cli.par_sweep_checkpointed("panic_sweep", &items, |&i, _| {
+            assert!(i != 4, "configuration 4 always fails");
+            format!("row{i}")
+        });
+        assert!(out.degraded, "a missing row must not pass as complete");
+        assert_eq!(out.completed, 5);
+        assert_eq!(out.rows[4], None);
+        assert_eq!(out.rows[5].as_deref(), Some("row5"));
     }
 
     #[test]

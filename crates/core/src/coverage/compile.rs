@@ -49,7 +49,6 @@ use eagleeye_datasets::{BucketView, TargetSet};
 use eagleeye_geo::LocalFrame;
 use eagleeye_orbit::TrackState;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -200,52 +199,74 @@ pub(super) struct CompiledTrack {
 }
 
 impl CompiledTrack {
-    /// Assembles a track from per-frame-range membership parts, in
-    /// range order. Interval entry/exit indices are absolute, so
-    /// concatenation only rebases the CSR offsets. A target in frame
-    /// across a range boundary yields two adjacent intervals instead of
-    /// one merged window; the sweep reproduces identical per-frame
-    /// membership either way, so the split is unobservable.
-    pub fn assemble(
+    /// Compiles one satellite's track over every frame of its
+    /// batch-propagated `states`: per frame, the targets inside the
+    /// low-res box with their projected `(x, y)`, recorded as access
+    /// intervals plus frame-major coefficients.
+    ///
+    /// Bit-identical to the legacy per-frame walk by construction: the
+    /// candidate set comes from the same [`BucketView`] the legacy
+    /// `TargetSet::query_radius` consults (fetched once per five-minute
+    /// segment, or once per track for a static set, instead of once per
+    /// frame), refined by the same exact predicate (`within_radius_at`)
+    /// in the same ascending order, then projected through the same
+    /// [`LocalFrame`] and box test. The walk itself survives as this
+    /// module's test oracle.
+    pub fn compile(
         states: Vec<TrackState>,
-        parts: Vec<(AccessIntervals, FrameCoeffs)>,
-    ) -> CompiledTrack {
-        let n_frames: usize = parts.iter().map(|(_, c)| c.offsets.len() - 1).sum();
-        let n_intervals: usize = parts.iter().map(|(iv, _)| iv.len()).sum();
-        let n_entries: usize = parts.iter().map(|(_, c)| c.x.len()).sum();
-        debug_assert_eq!(n_frames, states.len());
-        let mut intervals = AccessIntervals {
-            target: Vec::with_capacity(n_intervals),
-            entry: Vec::with_capacity(n_intervals),
-            exit: Vec::with_capacity(n_intervals),
-        };
-        let mut coeffs = FrameCoeffs::with_frames(n_frames);
-        coeffs.x.reserve(n_entries);
-        coeffs.y.reserve(n_entries);
-        for (iv, co) in parts {
-            intervals.target.extend_from_slice(&iv.target);
-            intervals.entry.extend_from_slice(&iv.entry);
-            intervals.exit.extend_from_slice(&iv.exit);
-            let base = *coeffs.offsets.last().unwrap_or(&0);
-            coeffs
-                .offsets
-                .extend(co.offsets.iter().skip(1).map(|&o| base + o));
-            coeffs.x.extend_from_slice(&co.x);
-            coeffs.y.extend_from_slice(&co.y);
+        epochs: &[f64],
+        targets: &TargetSet,
+        geom: &CompileGeometry,
+    ) -> Result<CompiledTrack, CoreError> {
+        let mut intervals = AccessIntervals::default();
+        let mut coeffs = FrameCoeffs::with_frames(states.len());
+        // Open-run tracking: open[tgt] is the interval id whose exit
+        // frame was the previous frame, or OPEN_NONE. Stale ids (exit
+        // older than the previous frame) fail the extension check, so no
+        // clearing.
+        const OPEN_NONE: u32 = u32::MAX;
+        let mut open = vec![OPEN_NONE; targets.len()];
+        let mut view: Option<BucketView> = None;
+        let mut peak_frame_entries = 0;
+        for (f, (state, &t)) in states.iter().zip(epochs).enumerate() {
+            let subsat = state.subsatellite.with_altitude(0.0)?;
+            let frame = LocalFrame::new(subsat, state.heading_rad);
+            if !view.as_ref().is_some_and(|v| v.covers(t)) {
+                view = None;
+            }
+            let v = view.get_or_insert_with(|| targets.bucket_view(t));
+            let fi = f as u32;
+            for idx in targets.candidates_in(v, &subsat, geom.bound_m) {
+                if !targets.within_radius_at(idx, &subsat, geom.bound_m, t) {
+                    continue;
+                }
+                let p = targets.target(idx).position_at(t);
+                let (x, y) = frame.project(&p);
+                if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
+                    let j = open[idx] as usize;
+                    if open[idx] != OPEN_NONE && intervals.exit[j] + 1 == fi {
+                        intervals.exit[j] = fi;
+                    } else {
+                        open[idx] = intervals.len() as u32;
+                        intervals.target.push(idx as u32);
+                        intervals.entry.push(fi);
+                        intervals.exit.push(fi);
+                    }
+                    coeffs.x.push(x);
+                    coeffs.y.push(y);
+                }
+            }
+            let start = coeffs.offsets.last().copied().unwrap_or(0) as usize;
+            peak_frame_entries = peak_frame_entries.max(coeffs.x.len() - start);
+            coeffs.offsets.push(coeffs.x.len() as u32);
         }
-        let peak_frame_entries = coeffs
-            .offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
-        CompiledTrack {
+        Ok(CompiledTrack {
             states,
             intervals,
             coeffs,
             peak_frame_entries,
             solved: Mutex::new(BTreeMap::new()),
-        }
+        })
     }
 
     /// Looks up a memoized frame by its key.
@@ -257,67 +278,6 @@ impl CompiledTrack {
     pub fn solved_put(&self, key: u64, solved: Arc<SolvedHorizon>) {
         lock_unpoisoned(&self.solved).insert(key, solved);
     }
-}
-
-/// Computes one satellite's membership over a frame range: per frame,
-/// the targets inside the low-res box with their projected `(x, y)`.
-///
-/// Bit-identical to the legacy per-frame walk by construction: the
-/// candidate set comes from the same [`BucketView`] the legacy
-/// `TargetSet::query_radius` consults (fetched once per five-minute
-/// segment, or once per chunk for a static set, instead of once per
-/// frame), refined by the same
-/// exact predicate (`within_radius_at`) in the same ascending order,
-/// then projected through the same [`LocalFrame`] and box test. The
-/// walk itself survives as this module's test oracle.
-pub(super) fn membership_chunk(
-    states: &[TrackState],
-    epochs: &[f64],
-    frames: Range<usize>,
-    targets: &TargetSet,
-    geom: &CompileGeometry,
-) -> Result<(AccessIntervals, FrameCoeffs), CoreError> {
-    let mut intervals = AccessIntervals::default();
-    let mut coeffs = FrameCoeffs::with_frames(frames.len());
-    // Open-run tracking: open[tgt] is the interval id whose exit frame
-    // was the previous frame, or OPEN_NONE. Stale ids (exit older than
-    // the previous frame) fail the extension check, so no clearing.
-    const OPEN_NONE: u32 = u32::MAX;
-    let mut open = vec![OPEN_NONE; targets.len()];
-    let mut view: Option<BucketView> = None;
-    for f in frames {
-        let t = epochs[f];
-        let state = &states[f];
-        let subsat = state.subsatellite.with_altitude(0.0)?;
-        let frame = LocalFrame::new(subsat, state.heading_rad);
-        if !view.as_ref().is_some_and(|v| v.covers(t)) {
-            view = None;
-        }
-        let v = view.get_or_insert_with(|| targets.bucket_view(t));
-        let fi = f as u32;
-        for idx in targets.candidates_in(v, &subsat, geom.bound_m) {
-            if !targets.within_radius_at(idx, &subsat, geom.bound_m, t) {
-                continue;
-            }
-            let p = targets.target(idx).position_at(t);
-            let (x, y) = frame.project(&p);
-            if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
-                let j = open[idx] as usize;
-                if open[idx] != OPEN_NONE && intervals.exit[j] + 1 == fi {
-                    intervals.exit[j] = fi;
-                } else {
-                    open[idx] = intervals.len() as u32;
-                    intervals.target.push(idx as u32);
-                    intervals.entry.push(fi);
-                    intervals.exit.push(fi);
-                }
-                coeffs.x.push(x);
-                coeffs.y.push(y);
-            }
-        }
-        coeffs.offsets.push(coeffs.x.len() as u32);
-    }
-    Ok((intervals, coeffs))
 }
 
 /// Per-frame sweep over a track's sorted interval events.
@@ -758,8 +718,8 @@ mod tests {
         out.into_iter().collect()
     }
 
-    /// The compiled membership (single- or multi-chunk compile, then
-    /// the interval sweep) equals the legacy per-frame walk frame by
+    /// The compiled membership (compile, then the interval sweep)
+    /// equals the legacy per-frame walk frame by
     /// frame — same targets, same order, bit-equal `x`/`y` — and the
     /// interval targets (what swath coverage unions) are exactly the
     /// walk's members, across static, moving, sparse, dateline/polar
@@ -778,10 +738,10 @@ mod tests {
                 u64_range(0, u64::MAX),
                 (usize_range(0, 5), usize_range(0, 4)),
                 (usize_range(1, 4), usize_range(0, 3), usize_range(1, 3)),
-                (usize_range(0, 4), usize_range(1, 7)),
+                usize_range(0, 4),
                 f64_range(-2.0, 2.0),
             ),
-            |&(seed, (kind, shape), (groups, followers, planes), (spare, chunks), dlat)| {
+            |&(seed, (kind, shape), (groups, followers, planes), spare, dlat)| {
                 let layout = ConstellationLayout::with_planes_slotted(
                     groups,
                     followers,
@@ -803,7 +763,7 @@ mod tests {
 
                 // Leader frames and low-res swath frames share one box.
                 // A box three frames long keeps targets in view across
-                // frames and chunk boundaries; the edge box shrinks the
+                // frames; the edge box shrinks the
                 // low-res one so a member sits exactly on its corner,
                 // pinning the closed box test.
                 let low = CompileGeometry::frame_box(&spec, spec.low_res.swath_m());
@@ -831,12 +791,8 @@ mod tests {
                     }
                 };
 
-                let parts = eagleeye_exec::chunk_ranges(grid.len(), chunks)
-                    .into_iter()
-                    .map(|range| membership_chunk(&states, grid.epochs(), range, &targets, &geom))
-                    .collect::<Result<Vec<_>, _>>()
+                let track = CompiledTrack::compile(states, grid.epochs(), &targets, &geom)
                     .expect("membership");
-                let track = CompiledTrack::assemble(states, parts);
                 let walk = frame_walk(&track.states, grid.epochs(), &targets, &geom);
 
                 let mut sweep = IntervalSweep::new(&track);

@@ -1,9 +1,9 @@
 use super::compile::{
-    membership_chunk, CompileCache, CompileGeometry, CompileStats, CompiledScenario, CompiledTrack,
-    FrameInputs, IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
+    CompileCache, CompileGeometry, CompileStats, CompiledScenario, CompiledTrack, FrameInputs,
+    IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
 };
 use super::delta::check_fault_window;
-use super::harden::{decode_leader_payload, encode_leader_payload};
+use super::harden::{decode_pass, encode_pass, Pass};
 use super::{
     ConstellationConfig, CoverageReport, DegradedMode, HardenOptions, HardenedOutcome,
     SchedulerKind,
@@ -16,11 +16,11 @@ use crate::schedule::{
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
-use eagleeye_exec::ExecPool;
+use eagleeye_exec::{run_items, RunConfig};
 use eagleeye_geo::LocalFrame;
-use eagleeye_harden::{run_items, RunConfig, ScenarioHasher};
+use eagleeye_harden::ScenarioHasher;
 use eagleeye_obs::{Metrics, Stopwatch};
-use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteSpec};
+use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteRole, SatelliteSpec};
 use eagleeye_sim::FaultPlan;
 use std::sync::Arc;
 
@@ -80,22 +80,23 @@ pub struct CoverageOptions {
     /// How the constellation reacts to injected faults; irrelevant when
     /// `fault_plan` is `None`.
     pub degraded_mode: DegradedMode,
-    /// Worker threads for the per-group frame loops and the swath
-    /// compile inside one evaluation: `1` (default) runs the same pool
-    /// work inline, `0` uses [`eagleeye_exec::available_parallelism`].
-    /// Leader groups share no mutable state and every random draw is a
-    /// pure function of `(seed, target, frame)`, so the resulting
-    /// [`CoverageReport`] is identical at any thread count (see
-    /// DESIGN.md §8). Keep the default when an outer sweep already
-    /// parallelizes whole evaluations. A failing leader pass or swath
-    /// compile does not stop the others, at one thread too: every item
-    /// runs and the lowest-indexed error is returned.
+    /// Worker threads for the per-satellite passes inside one
+    /// evaluation (leader groups' frame loops, swath satellites'
+    /// compiles): `1` (default) runs the passes inline, `0` uses
+    /// [`eagleeye_exec::available_parallelism`]. Passes share no
+    /// mutable state and every random draw is a pure function of
+    /// `(seed, target, frame)`, so the resulting [`CoverageReport`] is
+    /// identical at any thread count (see DESIGN.md §8). Keep the
+    /// default when an outer sweep already parallelizes whole
+    /// evaluations. A failing pass does not stop the others, at one
+    /// thread too: every pass runs and the lowest-indexed error is
+    /// returned.
     pub threads: usize,
     /// Observability sink (see `eagleeye-obs`). The default disabled
     /// handle costs one branch per instrumentation site; an enabled
     /// handle records `core/*`, `ilp/*`, `orbit/*`, and `sim/*`
-    /// counters, per-phase timers, and histograms. Parallel leader
-    /// passes record into per-worker forks absorbed in leader order,
+    /// counters, per-phase timers, and histograms. Parallel passes
+    /// record into per-pass forks absorbed in pass order,
     /// so counters and histograms are identical at any thread count
     /// (timers and gauges are wall-clock/pool-shape and are exempt;
     /// see DESIGN.md §10).
@@ -151,13 +152,47 @@ pub struct CoverageEvaluator<'a> {
     compile: Arc<CompileCache>,
 }
 
-/// What one configuration evaluates. [`CoverageEvaluator::run_for`] is
-/// the one place a [`ConstellationConfig`] is taken apart.
-enum Run {
-    /// A homogeneous constellation: `satellites` imaging `swath_m` wide.
-    Swath { satellites: usize, swath_m: f64 },
-    /// Independent per-leader passes.
+/// What one configuration evaluates: one pass per satellite in
+/// `sats`, sharing the layout, the epoch grid and the compiled-track
+/// slots. [`CoverageEvaluator::scenario`] is the one place a
+/// [`ConstellationConfig`] is taken apart.
+struct Scenario {
+    /// How a pass reads its compiled track.
+    kind: PassKind,
+    /// [`CoverageEvaluator::scenario_hash`]: the compile-cache key and
+    /// the checkpoint binding.
+    hash: u64,
+    layout: ConstellationLayout,
+    /// Frame epochs plus per-epoch sidereal trig, computed once and
+    /// shared by every pass's batch propagation.
+    grid: EpochGrid,
+    /// One satellite per pass: every satellite of a swath
+    /// constellation, the leaders of a leader-follower one.
+    sats: Vec<SatelliteSpec>,
+    /// The frame box every track's membership is compiled against.
+    geom: CompileGeometry,
+    /// Compiled-track slots, one per pass.
+    compiled: Arc<CompiledScenario>,
+}
+
+/// What a pass does with its satellite's compiled track.
+#[derive(Debug, Clone, Copy)]
+enum PassKind {
+    /// A homogeneous constellation: the satellite covers every target
+    /// its frames hold.
+    Swath,
+    /// A leader's detection, clustering, scheduling and capture loop.
     Leader(LeaderRun),
+}
+
+impl PassKind {
+    /// The solver identity a pooled track's horizon memo belongs to.
+    fn label(self) -> &'static str {
+        match self {
+            PassKind::Swath => "swath",
+            PassKind::Leader(run) => run.scheduler.label(),
+        }
+    }
 }
 
 /// The leader-follower shape of an EagleEye or Mix-Camera
@@ -166,24 +201,11 @@ enum Run {
 /// window to onboard compute.
 #[derive(Debug, Clone, Copy)]
 struct LeaderRun {
-    groups: usize,
-    followers_per_group: usize,
+    /// Followers each leader tasks.
+    followers: usize,
     scheduler: SchedulerKind,
     clustering: ClusteringMethod,
     mix_compute_s: Option<f64>,
-}
-
-/// Precomputed state shared by every per-leader pass of one
-/// leader-follower evaluation (see
-/// [`CoverageEvaluator::leader_scenario`]).
-struct LeaderScenario {
-    run: LeaderRun,
-    layout: ConstellationLayout,
-    grid: EpochGrid,
-    leaders: Vec<SatelliteSpec>,
-    n_followers: usize,
-    /// Compiled-track slots, one per leader.
-    compiled: Arc<CompiledScenario>,
 }
 
 impl<'a> CoverageEvaluator<'a> {
@@ -227,7 +249,10 @@ impl<'a> CoverageEvaluator<'a> {
         self.compile.stats()
     }
 
-    /// Evaluates one constellation configuration.
+    /// Evaluates one constellation configuration: the supervised run
+    /// of [`evaluate_hardened`](Self::evaluate_hardened) with inert
+    /// [`HardenOptions`] — no checkpoint, no deadline — which runs its
+    /// passes inline at one thread and encodes nothing.
     ///
     /// # Errors
     ///
@@ -236,18 +261,22 @@ impl<'a> CoverageEvaluator<'a> {
     /// `recapture_penalty` outside `[0, 1]`, or a fault window with a
     /// negative or NaN start or an end not after its start (the rules
     /// [`ScenarioDelta::apply`](super::ScenarioDelta::apply) enforces).
-    /// Propagates orbit, geometry, and solver failures; zero-satellite
-    /// configurations return an empty report rather than erroring.
+    /// Propagates orbit, geometry, and solver failures of the
+    /// lowest-indexed failing pass, and [`CoreError::Harden`] for a
+    /// pass that kept panicking; zero-satellite configurations return
+    /// an empty report rather than erroring.
     pub fn evaluate(&self, config: &ConstellationConfig) -> Result<CoverageReport, CoreError> {
-        let run = self.run_for(config)?;
-        self.evaluate_run(config, run)
+        Ok(self
+            .evaluate_hardened(config, &HardenOptions::default())?
+            .report)
     }
 
     /// Validates the options (see [`evaluate`](Self::evaluate)'s
-    /// errors) and decomposes `config`: the shared entry of
-    /// [`evaluate`](Self::evaluate) and
-    /// [`evaluate_hardened`](Self::evaluate_hardened).
-    fn run_for(&self, config: &ConstellationConfig) -> Result<Run, CoreError> {
+    /// errors) and decomposes `config` into its passes. Returns `None`
+    /// for configurations with nothing to run (no satellites, no
+    /// targets, or EagleEye groups without followers to capture with),
+    /// which evaluate to the empty base report.
+    fn scenario(&self, config: &ConstellationConfig) -> Result<Option<Scenario>, CoreError> {
         let o = &self.options;
         o.spec.validate()?;
         let penalty = o.recapture_penalty.unwrap_or(1.0);
@@ -267,61 +296,73 @@ impl<'a> CoverageEvaluator<'a> {
         for f in o.fault_plan.iter().flat_map(|p| p.faults()) {
             check_fault_window(f.start_s, f.end_s)?;
         }
-        let leader = |groups, followers_per_group, scheduler, clustering, mix_compute_s| {
-            Run::Leader(LeaderRun {
-                groups,
-                followers_per_group,
+        let spec = &o.spec;
+        let low_res = spec.low_res.swath_m();
+        let leader = |followers, scheduler, clustering, mix_compute_s| {
+            PassKind::Leader(LeaderRun {
+                followers,
                 scheduler,
                 clustering,
                 mix_compute_s,
             })
         };
-        Ok(match *config {
-            ConstellationConfig::LowResOnly { satellites } => Run::Swath {
-                satellites,
-                swath_m: o.spec.low_res.swath_m(),
-            },
-            ConstellationConfig::HighResOnly { satellites } => Run::Swath {
-                satellites,
-                swath_m: o.spec.high_res.swath_m(),
-            },
+        // (groups, followers per group in the layout, frame swath, kind)
+        let (groups, layout_followers, swath_m, kind) = match *config {
+            ConstellationConfig::LowResOnly { satellites } => {
+                (satellites, 0, low_res, PassKind::Swath)
+            }
+            ConstellationConfig::HighResOnly { satellites } => {
+                (satellites, 0, spec.high_res.swath_m(), PassKind::Swath)
+            }
             ConstellationConfig::EagleEye {
                 groups,
                 followers_per_group,
                 scheduler,
                 clustering,
-            } => leader(groups, followers_per_group, scheduler, clustering, None),
+            } => (
+                groups,
+                followers_per_group,
+                low_res,
+                leader(followers_per_group, scheduler, clustering, None),
+            ),
             ConstellationConfig::MixCamera {
                 satellites,
                 compute_time_s,
-            } => leader(
+            } => (
                 satellites,
                 0,
-                SchedulerKind::Ilp,
-                ClusteringMethod::Ilp,
-                Some(compute_time_s),
+                low_res,
+                leader(
+                    1,
+                    SchedulerKind::Ilp,
+                    ClusteringMethod::Ilp,
+                    Some(compute_time_s),
+                ),
             ),
-        })
-    }
-
-    /// The plain evaluation of a validated, decomposed `config`.
-    fn evaluate_run(
-        &self,
-        config: &ConstellationConfig,
-        run: Run,
-    ) -> Result<CoverageReport, CoreError> {
-        let _span = self.options.metrics.span("core/evaluate");
-        let key = self.scenario_hash(config);
-        let report = match run {
-            Run::Swath {
-                satellites,
-                swath_m,
-            } => self.swath_membership(satellites, swath_m, key),
-            Run::Leader(run) => self.leader_follower(run, key),
-        }?;
-        report.record_metrics(&self.options.metrics);
-        self.record_compile_gauges();
-        Ok(report)
+        };
+        let idle = matches!(kind, PassKind::Leader(LeaderRun { followers: 0, .. }));
+        if groups == 0 || self.targets.is_empty() || idle {
+            return Ok(None);
+        }
+        let layout = self.layout_for(groups, layout_followers)?;
+        let grid = EpochGrid::for_horizon(0.0, o.duration_s, spec.frame_cadence_s);
+        let sats: Vec<_> = layout
+            .satellites()
+            .iter()
+            .filter(|s| matches!(kind, PassKind::Swath) || s.role == SatelliteRole::Leader)
+            .copied()
+            .collect();
+        let hash = self.scenario_hash(config);
+        let compiled = self.compile.scenario(hash, sats.len());
+        Ok(Some(Scenario {
+            kind,
+            hash,
+            layout,
+            grid,
+            sats,
+            geom: CompileGeometry::frame_box(spec, swath_m),
+            compiled,
+        }))
     }
 
     /// An empty report over this evaluator's workload.
@@ -481,105 +522,87 @@ impl<'a> CoverageEvaluator<'a> {
     }
 
     /// Evaluates one constellation configuration under the crash-safe
-    /// run layer (`eagleeye-harden`): per-leader passes are supervised
-    /// (panics retried, then quarantined), partial results are
-    /// checkpointed on a cadence and restored on resume, and a
-    /// wall-clock deadline or shutdown request degrades the run into a
-    /// valid partial report
+    /// run layer: its per-satellite passes (one per leader group, or
+    /// one per swath satellite) run through
+    /// [`eagleeye_exec::run_items`], so panicking passes are retried
+    /// and then fail the evaluation, partial results are checkpointed
+    /// on a cadence and restored on resume, and a wall-clock deadline
+    /// or shutdown request degrades the run into a valid partial report
     /// ([`CoverageReport::degraded`] = `true`) instead of aborting.
     ///
-    /// With inert [`HardenOptions`] and no faults, the report is
-    /// bit-identical (modulo the wall-clock timers exempted by
-    /// [`CoverageReport::same_outcome`]) to
-    /// [`evaluate`](Self::evaluate), at any thread count; recorded
-    /// counters and histograms match too, except the `exec/*` family
-    /// (the hardened runner dispatches work itself rather than through
-    /// [`ExecPool`]) — `harden/*` state is recorded as gauges only.
-    ///
-    /// Swath-membership configurations do not decompose into leader
-    /// passes; they fall back to the plain evaluator (complete or
-    /// erroring, never partial).
+    /// [`evaluate`](Self::evaluate) is this call with inert
+    /// [`HardenOptions`]. Without faults, checkpointed, resumed and
+    /// uninterrupted runs report bit-identically (modulo the wall-clock
+    /// timers exempted by [`CoverageReport::same_outcome`]) at any
+    /// thread count, and record identical counters and histograms;
+    /// run-layer state (`harden/*`) is recorded as gauges only.
     ///
     /// # Errors
     ///
     /// Everything [`evaluate`](Self::evaluate) returns, plus
     /// [`CoreError::Harden`] for checkpoint I/O or validation failures
-    /// and for leader passes that failed with an error (errors are
-    /// checkpointed and replayed deterministically on resume).
+    /// and for resumed passes that had failed (errors are checkpointed
+    /// and replayed deterministically on resume).
     pub fn evaluate_hardened(
         &self,
         config: &ConstellationConfig,
         harden: &HardenOptions,
     ) -> Result<HardenedOutcome, CoreError> {
-        let complete = |report| HardenedOutcome {
-            report,
-            quarantined: Vec::new(),
+        let scenario = self.scenario(config)?;
+        let m = &self.options.metrics;
+        let _span = m.span("core/evaluate");
+        let mut out = HardenedOutcome {
+            report: self.base_report(),
             resumed_passes: 0,
             degrade_reason: None,
         };
-        let run = match self.run_for(config)? {
-            Run::Leader(run) => run,
-            run => return Ok(complete(self.evaluate_run(config, run)?)),
-        };
-
-        let _span = self.options.metrics.span("core/evaluate");
-        let Some(sc) = self.leader_scenario(run, self.scenario_hash(config))? else {
-            let report = self.base_report();
-            report.record_metrics(&self.options.metrics);
-            return Ok(complete(report));
-        };
-
-        let run_config = RunConfig {
-            scenario_hash: self.scenario_hash(config),
-            threads: ExecPool::new(self.options.threads).threads(),
-            checkpoint: harden.checkpoint.clone(),
-            deadline: harden.deadline,
-            shutdown: harden.shutdown.clone(),
-            retry: harden.retry,
-        };
-        let outcome = run_items(&run_config, sc.leaders.len(), |i| {
-            // Same fork/absorb-in-leader-order discipline as the plain
-            // path, but the fork snapshot travels inside the checkpoint
-            // payload so resumed runs replay it exactly.
-            let metrics = self.options.metrics.fork();
-            let result = self
-                .leader_pass(&sc, i, &metrics)
-                .map(|(part, captured)| (part, captured, metrics.snapshot()))
-                .map_err(|e| e.to_string());
-            encode_leader_payload(result, self.targets.len())
-        })
-        .map_err(|e| CoreError::Harden {
-            message: e.to_string(),
-        })?;
-
-        let mut passes = Vec::with_capacity(sc.leaders.len());
-        for (i, payload) in outcome.payloads.iter().enumerate() {
-            let Some(bytes) = payload else { continue };
-            let decoded = decode_leader_payload(bytes, self.targets.len()).map_err(|e| {
-                CoreError::Harden {
-                    message: format!("leader pass {i}: {e}"),
-                }
+        if let Some(sc) = scenario {
+            let run = RunConfig {
+                scenario_hash: sc.hash,
+                threads: self.options.threads,
+                checkpoint: harden.checkpoint.clone(),
+                deadline: harden.deadline,
+                shutdown: harden.shutdown.clone(),
+                retry: harden.retry,
+            };
+            let targets = self.targets.len();
+            // Each pass records into its own metrics fork; the forks
+            // travel inside checkpoint payloads, so resumed runs replay
+            // them exactly.
+            let outcome = run_items(
+                &run,
+                sc.sats.len(),
+                |i| {
+                    let fork = m.fork();
+                    let (part, captured) = self.pass(&sc, i, &fork)?;
+                    Ok((part, captured, fork))
+                },
+                |pass| encode_pass(pass, targets),
+                |i, bytes| decode_pass(i, bytes, targets, m),
+            )
+            .map_err(|e| CoreError::Harden {
+                message: e.to_string(),
             })?;
-            match decoded {
-                Ok((part, captured, registry)) => {
-                    self.options.metrics.absorb_registry(&registry);
-                    passes.push((part, captured));
-                }
-                Err(message) => {
-                    return Err(CoreError::Harden {
-                        message: format!("leader pass {i} failed: {message}"),
-                    });
-                }
-            }
+            out.resumed_passes = outcome.resumed_items;
+            out.degrade_reason = outcome.degrade_reason;
+            let passes = outcome.into_completed(|q| CoreError::Harden {
+                message: format!(
+                    "pass {} quarantined after {} attempts: {}",
+                    q.item, q.attempts, q.message
+                ),
+            })?;
+            out.report = self.merge_passes(passes, sc.sats.len());
         }
-        let report = self.merge_passes(passes, sc.leaders.len());
 
         // Run-layer state goes to gauges only: counters and histograms
         // must stay bit-identical between a resumed and an
         // uninterrupted run, and "how the work got done" legitimately
         // differs between the two (see DESIGN.md §10 and §12).
-        let m = &self.options.metrics;
-        m.gauge_max("harden/leader_passes_total", sc.leaders.len() as f64);
+        let report = &out.report;
+        m.gauge_max(
+            "harden/leader_passes_total",
+            report.leader_passes_total as f64,
+        );
         m.gauge_max(
             "harden/leader_passes_completed",
             report.leader_passes_completed as f64,
@@ -588,26 +611,30 @@ impl<'a> CoverageEvaluator<'a> {
             "harden/completion/leader_pass",
             report.completion_fraction(),
         );
-        m.gauge_max("harden/resumed_passes", outcome.resumed_items as f64);
-        m.gauge_max(
-            "harden/quarantined_passes",
-            outcome.quarantined.len() as f64,
-        );
+        m.gauge_max("harden/resumed_passes", out.resumed_passes as f64);
         m.gauge_max("harden/degraded", f64::from(u8::from(report.degraded)));
         report.record_metrics(m);
         self.record_compile_gauges();
-
-        Ok(HardenedOutcome {
-            report,
-            quarantined: outcome.quarantined,
-            resumed_passes: outcome.resumed_items,
-            degrade_reason: outcome.degrade_reason,
-        })
+        Ok(out)
     }
 
-    /// Sets the captured totals from the evaluation-wide captured
-    /// bitmap.
-    fn finalize_captured(&self, report: &mut CoverageReport, captured: &[bool]) {
+    /// Merges passes in pass order: absorbs each partial report and
+    /// metrics fork, marks the targets the pass captured, and finalizes
+    /// the captured totals and pass counts. A run of `total` passes that
+    /// merges fewer is degraded.
+    fn merge_passes(&self, passes: Vec<Pass>, total: usize) -> CoverageReport {
+        let mut report = self.base_report();
+        let mut captured = vec![false; self.targets.len()];
+        report.leader_passes_completed = passes.len();
+        report.leader_passes_total = total;
+        report.degraded = passes.len() < total;
+        for (part, pass_captures, metrics) in passes {
+            self.options.metrics.absorb(&metrics);
+            report.absorb(part);
+            for idx in pass_captures {
+                captured[idx] = true;
+            }
+        }
         report.captured = captured.iter().filter(|c| **c).count();
         report.captured_value = captured
             .iter()
@@ -615,243 +642,68 @@ impl<'a> CoverageEvaluator<'a> {
             .filter(|(_, c)| **c)
             .map(|(i, _)| self.targets.target(i).value)
             .sum();
-    }
-
-    /// Merges leader passes in leader order: absorbs each partial
-    /// report, marks the targets its group captured, and finalizes the
-    /// captured totals and pass counts. A run of `total` passes that
-    /// merges fewer is degraded.
-    fn merge_passes(
-        &self,
-        passes: Vec<(CoverageReport, Vec<usize>)>,
-        total: usize,
-    ) -> CoverageReport {
-        let mut report = self.base_report();
-        let mut captured = vec![false; self.targets.len()];
-        report.leader_passes_completed = passes.len();
-        report.leader_passes_total = total;
-        report.degraded = passes.len() < total;
-        for (part, group_captures) in passes {
-            report.absorb(part);
-            for idx in group_captures {
-                captured[idx] = true;
-            }
-        }
-        self.finalize_captured(&mut report, &captured);
         report
     }
 
-    /// Homogeneous constellation: coverage = swath membership over time.
-    ///
-    /// Compile phase: each satellite's track is compiled once per
-    /// configuration — batch propagation plus the access-interval
-    /// membership sweep — with the membership work fanned out over
-    /// `(satellite × frame-range)` items through [`ExecPool`] and
-    /// merged in item order (deterministic at any thread count; see
-    /// DESIGN.md §13). Evaluate phase: coverage is the union of each
-    /// track's interval targets (capture marking is idempotent), so
-    /// warm evaluations touch no geometry at all.
-    fn swath_membership(
+    /// Pass `i` of `sc`: compiles or reuses its satellite's track, then
+    /// reads swath coverage off it or runs the leader's frame loop.
+    /// Returns the pass's partial report and the targets it captured.
+    fn pass(
         &self,
-        satellites: usize,
-        swath_m: f64,
-        cache_key: u64,
-    ) -> Result<CoverageReport, CoreError> {
-        let mut report = self.base_report();
-        if satellites == 0 || self.targets.is_empty() {
-            return Ok(report);
-        }
-        let spec = &self.options.spec;
-        let layout = self.layout_for(satellites, 0)?;
-        let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
-        let geom = CompileGeometry::frame_box(spec, swath_m);
-
-        let sats = layout.satellites();
-        let scenario = self.compile.scenario(cache_key, sats.len());
-        // Tracks this scenario already holds or a sibling scenario
-        // (typically a what-if fork) compiled, and the missing slots
-        // with their pool digests, hashed once each.
-        let mut tracks = Vec::with_capacity(sats.len());
-        let mut missing = Vec::new();
-        for (i, sat) in sats.iter().enumerate() {
-            if let Some(track) = scenario.track(i) {
-                self.compile.note_reuse();
-                tracks.push(track);
-                continue;
+        sc: &Scenario,
+        i: usize,
+        metrics: &Metrics,
+    ) -> Result<(CoverageReport, Vec<usize>), CoreError> {
+        let run = match sc.kind {
+            PassKind::Leader(run) => run,
+            PassKind::Swath => {
+                let mut report = CoverageReport::default();
+                let track = self.track(sc, i, metrics, &mut report)?;
+                report.frames_processed = track.states.len();
+                // Every interval's target was in frame. A target with
+                // several access windows is listed once per window; the
+                // merge's capture marking is idempotent.
+                let captured = track.intervals.target.iter().map(|&t| t as usize);
+                return Ok((report, captured.collect()));
             }
-            let digest = self.track_digest(sat, &geom, "swath");
-            if let Some(track) = self.compile.pool_get(digest) {
-                self.compile.note_share();
-                tracks.push(scenario.store(i, track));
-            } else {
-                missing.push((i, digest));
-            }
-        }
-        if !missing.is_empty() {
-            let pool = ExecPool::new(self.options.threads);
-            // Propagate the missing satellites; orbit counters land in
-            // per-item forks absorbed in item order.
-            let rows = pool.try_par_map_observed(
-                &self.options.metrics,
-                &missing,
-                |_, &(i, _), metrics| {
-                    let sw = Stopwatch::start();
-                    let states =
-                        grid.propagate_observed(&layout.ground_track(&sats[i])?, metrics)?;
-                    Ok::<_, CoreError>((states, sw.elapsed()))
-                },
-            )?;
-            for (_, prop) in &rows {
-                report.propagate_time += *prop;
-            }
-            // Membership sweep over (satellite × frame-range) work
-            // items; merging in item order makes the compiled program
-            // independent of worker scheduling. Each satellite splits
-            // into 2×threads − 1 frame ranges, so one thread compiles
-            // it as one range: every range sets up a run table over
-            // the whole workload.
-            let ranges = eagleeye_exec::chunk_ranges(grid.len(), 2 * pool.threads() - 1);
-            let items: Vec<(usize, std::ops::Range<usize>)> = (0..missing.len())
-                .flat_map(|mi| ranges.iter().cloned().map(move |r| (mi, r)))
-                .collect();
-            let parts = pool.try_par_map(&items, |_, (mi, range)| {
-                membership_chunk(
-                    &rows[*mi].0,
-                    grid.epochs(),
-                    range.clone(),
-                    self.targets,
-                    &geom,
-                )
-            })?;
-            let mut parts = parts.into_iter();
-            for (&(i, digest), (states, _)) in missing.iter().zip(rows) {
-                let sat_parts: Vec<_> = parts.by_ref().take(ranges.len()).collect();
-                let track = Arc::new(CompiledTrack::assemble(states, sat_parts));
-                self.compile.note_build();
-                tracks.push(scenario.store(i, self.compile.pool_put(digest, track)));
-            }
-        }
-
-        // Coverage is the union of the tracks' interval targets: capture
-        // marking is idempotent and frame counts add, so the order in
-        // which the tracks were gathered is unobservable.
-        let mut captured = vec![false; self.targets.len()];
-        for track in &tracks {
-            report.frames_processed += track.states.len();
-            for &tgt in &track.intervals.target {
-                captured[tgt as usize] = true;
-            }
-        }
-        self.finalize_captured(&mut report, &captured);
-        Ok(report)
+        };
+        self.leader_pass(sc, &run, i, metrics)
     }
 
-    /// Leader `leader_idx`'s compiled track, compiling it (batch
-    /// propagation plus the single-chunk membership sweep of its
-    /// low-resolution frame) on first use. Propagation counters are
-    /// recorded into `metrics` and propagation wall time into `report`;
-    /// a reused or shared track records neither (the work did not
-    /// happen).
-    fn leader_track(
+    /// Pass `i`'s compiled track, compiling it on first use: batch
+    /// propagation plus the membership sweep of the scenario's frame box
+    /// over every frame, as one range (DESIGN.md §13.3). Propagation
+    /// counters are recorded into `metrics` and propagation wall time
+    /// into `report`; a reused or shared track records neither (the
+    /// work did not happen).
+    fn track(
         &self,
-        sc: &LeaderScenario,
-        leader_idx: usize,
+        sc: &Scenario,
+        i: usize,
         metrics: &Metrics,
         report: &mut CoverageReport,
     ) -> Result<Arc<CompiledTrack>, CoreError> {
-        if let Some(track) = sc.compiled.track(leader_idx) {
+        if let Some(track) = sc.compiled.track(i) {
             self.compile.note_reuse();
             return Ok(track);
         }
-        let spec = &self.options.spec;
-        let geom = CompileGeometry::frame_box(spec, spec.low_res.swath_m());
-        let sat = &sc.leaders[leader_idx];
-        let digest = self.track_digest(sat, &geom, sc.run.scheduler.label());
+        let sat = &sc.sats[i];
+        let digest = self.track_digest(sat, &sc.geom, sc.kind.label());
         if let Some(track) = self.compile.pool_get(digest) {
             // Adopted from a sibling scenario's compile (what-if fork):
             // no propagation happened here, so no counters are recorded.
             self.compile.note_share();
-            return Ok(sc.compiled.store(leader_idx, track));
+            return Ok(sc.compiled.store(i, track));
         }
-        let grid = &sc.grid;
         let sw = Stopwatch::start();
-        let states = grid.propagate_observed(&sc.layout.ground_track(sat)?, metrics)?;
+        let states = sc
+            .grid
+            .propagate_observed(&sc.layout.ground_track(sat)?, metrics)?;
         report.propagate_time += sw.elapsed();
-        let part = membership_chunk(&states, grid.epochs(), 0..grid.len(), self.targets, &geom)?;
-        let track = Arc::new(CompiledTrack::assemble(states, vec![part]));
+        let track = CompiledTrack::compile(states, sc.grid.epochs(), self.targets, &sc.geom)?;
         self.compile.note_build();
-        let track = self.compile.pool_put(digest, track);
-        Ok(sc.compiled.store(leader_idx, track))
-    }
-
-    /// Shared setup for the per-leader passes of an EagleEye or
-    /// Mix-Camera evaluation: constellation layout, the epoch grid
-    /// (frame epochs plus per-epoch sidereal trig, computed once and
-    /// shared by every leader's batch propagation), the leader roster,
-    /// and the compiled scenario under `cache_key`. Returns `None` for
-    /// configurations with nothing to run (no groups, no targets, or no
-    /// followers to capture with), which evaluate to the empty base
-    /// report.
-    ///
-    /// Computing this up front keeps the plain
-    /// ([`leader_follower`](Self::leader_follower)) and crash-safe
-    /// ([`evaluate_hardened`](Self::evaluate_hardened)) paths
-    /// structurally identical, which is what makes their reports
-    /// bit-comparable.
-    fn leader_scenario(
-        &self,
-        run: LeaderRun,
-        cache_key: u64,
-    ) -> Result<Option<LeaderScenario>, CoreError> {
-        if run.groups == 0 || self.targets.is_empty() {
-            return Ok(None);
-        }
-        let is_mix = run.mix_compute_s.is_some();
-        let followers_per_group = if is_mix { 0 } else { run.followers_per_group };
-        let n_followers = if is_mix { 1 } else { followers_per_group };
-        if n_followers == 0 {
-            // An EagleEye group without followers captures nothing in
-            // high resolution.
-            return Ok(None);
-        }
-        let spec = &self.options.spec;
-        let layout = self.layout_for(run.groups, followers_per_group)?;
-        let grid = EpochGrid::for_horizon(0.0, self.options.duration_s, spec.frame_cadence_s);
-        let leaders: Vec<_> = layout
-            .satellites()
-            .iter()
-            .filter(|s| s.role == eagleeye_orbit::SatelliteRole::Leader)
-            .copied()
-            .collect();
-        let compiled = self.compile.scenario(cache_key, leaders.len());
-        Ok(Some(LeaderScenario {
-            run,
-            layout,
-            grid,
-            leaders,
-            n_followers,
-            compiled,
-        }))
-    }
-
-    /// Leader-follower (EagleEye) and mix-camera evaluation.
-    ///
-    /// Each group's frame loop is independent — followers only ever
-    /// serve their own leader, recapture deprioritization reads only
-    /// the group's own captures, and every stochastic draw is a pure
-    /// function of `(seed, target, frame)` — so the per-leader passes
-    /// run as one pool map (inline at one thread) and
-    /// [`merge_passes`](Self::merge_passes) merges them in leader order.
-    fn leader_follower(&self, run: LeaderRun, cache_key: u64) -> Result<CoverageReport, CoreError> {
-        let Some(sc) = self.leader_scenario(run, cache_key)? else {
-            return Ok(self.base_report());
-        };
-        let pool = ExecPool::new(self.options.threads);
-        let passes =
-            pool.try_par_map_observed(&self.options.metrics, &sc.leaders, |i, _, metrics| {
-                self.leader_pass(&sc, i, metrics)
-            })?;
-        Ok(self.merge_passes(passes, sc.leaders.len()))
+        let track = self.compile.pool_put(digest, Arc::new(track));
+        Ok(sc.compiled.store(i, track))
     }
 
     /// Leader `leader_idx`'s full pass over the horizon: detection,
@@ -861,17 +713,13 @@ impl<'a> CoverageEvaluator<'a> {
     /// captures: the pass starts from an empty captured set.
     fn leader_pass(
         &self,
-        sc: &LeaderScenario,
+        sc: &Scenario,
+        run: &LeaderRun,
         leader_idx: usize,
         metrics: &Metrics,
     ) -> Result<(CoverageReport, Vec<usize>), CoreError> {
-        let LeaderScenario {
-            run,
-            grid,
-            n_followers,
-            ..
-        } = sc;
-        let n_followers = *n_followers;
+        let grid = &sc.grid;
+        let n_followers = run.followers;
         let mut report = CoverageReport::with_frame_capacity(grid.len());
         let spec = self.options.spec;
         let is_mix = run.mix_compute_s.is_some();
@@ -893,7 +741,7 @@ impl<'a> CoverageEvaluator<'a> {
         // Compile or reuse this leader's track: batch propagation plus
         // the access-interval membership sweep, cached per
         // configuration (DESIGN.md §13).
-        let track = self.leader_track(sc, leader_idx, metrics, &mut report)?;
+        let track = self.track(sc, leader_idx, metrics, &mut report)?;
         let mut sweep = IntervalSweep::new(&track);
         // Per-frame detection timing costs two clock reads per frame,
         // so it only runs under enabled metrics (the report field stays
@@ -1416,17 +1264,15 @@ mod tests {
         };
 
         let eval = CoverageEvaluator::new(&targets, opts.clone());
-        let Run::Leader(run) = eval.run_for(&config).unwrap() else {
-            panic!("{config:?} is not a leader-follower configuration");
-        };
-        let sc = eval
-            .leader_scenario(run, eval.scenario_hash(&config))
-            .unwrap()
-            .unwrap();
-        let passes = (0..sc.leaders.len())
-            .map(|i| eval.leader_pass(&sc, i, &opts.metrics).unwrap())
+        let sc = eval.scenario(&config).unwrap().unwrap();
+        assert!(matches!(sc.kind, PassKind::Leader(_)));
+        let passes = (0..sc.sats.len())
+            .map(|i| {
+                let (part, captured) = eval.pass(&sc, i, &opts.metrics).unwrap();
+                (part, captured, Metrics::disabled())
+            })
             .collect();
-        let merged = eval.merge_passes(passes, sc.leaders.len());
+        let merged = eval.merge_passes(passes, sc.sats.len());
         assert!(merged.captured > 0, "workload must exercise captures");
 
         for threads in [1, 4] {
@@ -1449,9 +1295,8 @@ mod tests {
     #[test]
     fn metrics_counters_are_deterministic_across_threads() {
         // Counters and histograms recorded under enabled metrics must
-        // be bit-identical at every thread count, except the `exec/*`
-        // keys, which describe the execution mechanism itself. Gauges
-        // and timers are exempt by contract (DESIGN.md §10).
+        // be bit-identical at every thread count. Gauges and timers are
+        // exempt by contract (DESIGN.md §10).
         let targets = meridian_targets(80);
         let config = ConstellationConfig::EagleEye {
             groups: 3,
@@ -1477,12 +1322,6 @@ mod tests {
                 .unwrap();
             metrics.snapshot()
         };
-        let stable_counters = |snap: &eagleeye_obs::MetricsRegistry| {
-            snap.counters()
-                .filter(|(k, _)| !k.starts_with("exec/"))
-                .map(|(k, v)| (k.to_string(), v))
-                .collect::<Vec<_>>()
-        };
         let seq = snapshot_at(1);
         assert!(seq.counter("core/frames_processed") > 0);
         assert!(seq.counter("core/evaluations") == 1);
@@ -1494,8 +1333,8 @@ mod tests {
         for threads in [2, 4] {
             let par = snapshot_at(threads);
             assert_eq!(
-                stable_counters(&seq),
-                stable_counters(&par),
+                all_counters(&seq),
+                all_counters(&par),
                 "threads={threads} diverged"
             );
             assert_eq!(
@@ -1507,7 +1346,6 @@ mod tests {
                     .collect::<Vec<_>>(),
                 "threads={threads} histograms diverged"
             );
-            assert!(par.counter("exec/par_maps") > 0);
         }
     }
 
@@ -1543,11 +1381,8 @@ mod tests {
         dir.join(name)
     }
 
-    fn stable_counters(snap: &eagleeye_obs::MetricsRegistry) -> Vec<(String, u64)> {
-        snap.counters()
-            .filter(|(k, _)| !k.starts_with("exec/"))
-            .map(|(k, v)| (k.to_string(), v))
-            .collect()
+    fn all_counters(snap: &eagleeye_obs::MetricsRegistry) -> Vec<(String, u64)> {
+        snap.counters().map(|(k, v)| (k.to_string(), v)).collect()
     }
 
     fn all_histograms(
@@ -1562,12 +1397,12 @@ mod tests {
     fn hardened_evaluation_matches_plain_at_any_thread_count() {
         // With inert HardenOptions the crash-safe path must be
         // indistinguishable from the plain evaluator: identical report
-        // (modulo wall-clock timers) and identical non-exec counters
-        // and histograms, at 1 and 4 threads. One input per branch of
-        // the config decomposition: a resilient EagleEye run under the
-        // full gauntlet (imperfect recall, an active fault plan), a
+        // (modulo wall-clock timers) and identical counters and
+        // histograms, at 1 and 4 threads. One input per branch of the
+        // config decomposition: a resilient EagleEye run under the full
+        // gauntlet (imperfect recall, an active fault plan), a
         // Mix-Camera run and a recapture-penalty run decompose into
-        // leader passes; a swath config falls back to the plain path.
+        // leader passes, a swath config into per-satellite passes.
         let meridian = meridian_targets(80);
         let plan = Arc::new(FaultPlan::new(11).with_fault(
             eagleeye_sim::FaultKind::FollowerOutage { follower: 1 },
@@ -1588,7 +1423,6 @@ mod tests {
                     scheduler: SchedulerKind::Resilient,
                     clustering: ClusteringMethod::Ilp,
                 },
-                true,
             ),
             (
                 &meridian,
@@ -1597,22 +1431,19 @@ mod tests {
                     satellites: 3,
                     compute_time_s: 1.4,
                 },
-                true,
             ),
             (
                 &meridian,
                 quick_options(),
                 ConstellationConfig::LowResOnly { satellites: 3 },
-                false,
             ),
             (
                 &polar_targets(400),
                 recapture_options(),
                 ConstellationConfig::eagleeye(3, 1),
-                true,
             ),
         ];
-        for (targets, opts, config, decomposed) in cases {
+        for (targets, opts, config) in cases {
             let run = |threads: usize, hardened: bool| {
                 let opts = CoverageOptions {
                     threads,
@@ -1641,8 +1472,8 @@ mod tests {
                     "{config:?} threads={threads} hardened diverged:\n  plain: {plain:?}\n  hard: {hard:?}"
                 );
                 assert_eq!(
-                    stable_counters(&plain_snap),
-                    stable_counters(&hard_snap),
+                    all_counters(&plain_snap),
+                    all_counters(&hard_snap),
                     "{config:?} threads={threads} counters diverged"
                 );
                 assert_eq!(
@@ -1650,15 +1481,10 @@ mod tests {
                     all_histograms(&hard_snap),
                     "{config:?} threads={threads} histograms diverged"
                 );
-                // Run-layer state is gauges only — completion 1.0, not
-                // degraded — and only a decomposed run records it.
-                let (completion, degraded) = if decomposed {
-                    (Some(1.0), Some(0.0))
-                } else {
-                    (None, None)
-                };
-                assert_eq!(hard_snap.gauge("harden/completion/leader_pass"), completion);
-                assert_eq!(hard_snap.gauge("harden/degraded"), degraded);
+                // Run-layer state is gauges only: completion 1.0, not
+                // degraded.
+                assert_eq!(hard_snap.gauge("harden/completion/leader_pass"), Some(1.0));
+                assert_eq!(hard_snap.gauge("harden/degraded"), Some(0.0));
             }
         }
     }
@@ -1755,7 +1581,7 @@ mod tests {
         assert!(out.report.degraded);
         assert_eq!(
             out.degrade_reason,
-            Some(eagleeye_harden::DegradeReason::Deadline)
+            Some(eagleeye_exec::DegradeReason::Deadline)
         );
         assert_eq!(out.report.leader_passes_total, 3);
         assert!(out.report.leader_passes_completed < 3);
@@ -1849,8 +1675,8 @@ mod tests {
             cold.report
         );
         assert_eq!(
-            stable_counters(&metrics_cold.snapshot()),
-            stable_counters(&metrics2.snapshot())
+            all_counters(&metrics_cold.snapshot()),
+            all_counters(&metrics2.snapshot())
         );
         assert_eq!(
             all_histograms(&metrics_cold.snapshot()),
@@ -1885,7 +1711,7 @@ mod tests {
     }
 
     #[test]
-    fn hardened_swath_config_falls_back_to_plain() {
+    fn hardened_swath_config_counts_its_satellite_passes() {
         let targets = meridian_targets(50);
         let opts = quick_options();
         let eval = CoverageEvaluator::new(&targets, opts);
@@ -1895,9 +1721,61 @@ mod tests {
             .evaluate_hardened(&config, &HardenOptions::new())
             .unwrap();
         assert!(plain.same_outcome(&hard.report));
-        assert_eq!(hard.report.leader_passes_total, 0);
+        assert_eq!(hard.report.leader_passes_total, 5);
+        assert_eq!(hard.report.leader_passes_completed, 5);
         assert_eq!(hard.report.completion_fraction(), 1.0);
-        assert!(hard.quarantined.is_empty());
+        assert_eq!(hard.degrade_reason, None);
+    }
+
+    #[test]
+    fn swath_config_degrades_checkpoints_and_resumes() {
+        // A swath evaluation under an expired deadline stops dispatching
+        // satellite passes and reports a valid partial result; the
+        // final checkpoint it writes resumes to the uninterrupted
+        // report at 1 and 4 threads.
+        let targets = meridian_targets(50);
+        let config = ConstellationConfig::LowResOnly { satellites: 5 };
+        for threads in [1, 4] {
+            let opts = CoverageOptions {
+                threads,
+                ..quick_options()
+            };
+            let path = temp_ckpt(&format!("swath_degrade_t{threads}.ckpt"));
+            let _ = std::fs::remove_file(&path);
+            let spec = eagleeye_harden::CheckpointSpec::new(&path, 1);
+            let expired = HardenOptions::new()
+                .with_checkpoint(spec.clone())
+                .with_deadline(eagleeye_harden::Deadline::after(std::time::Duration::ZERO));
+            let degraded = CoverageEvaluator::new(&targets, opts.clone())
+                .evaluate_hardened(&config, &expired)
+                .unwrap();
+            assert!(degraded.report.degraded, "threads={threads}");
+            assert_eq!(
+                degraded.degrade_reason,
+                Some(eagleeye_exec::DegradeReason::Deadline)
+            );
+            assert_eq!(degraded.report.leader_passes_total, 5);
+            assert!(degraded.report.leader_passes_completed < 5);
+            assert!(path.exists(), "a degraded run writes its checkpoint");
+
+            let resumed = CoverageEvaluator::new(&targets, opts.clone())
+                .evaluate_hardened(&config, &HardenOptions::new().with_checkpoint(spec))
+                .unwrap();
+            assert_eq!(
+                resumed.resumed_passes,
+                degraded.report.leader_passes_completed
+            );
+            let plain = CoverageEvaluator::new(&targets, opts)
+                .evaluate(&config)
+                .unwrap();
+            assert!(plain.captured > 0, "workload must exercise coverage");
+            assert!(
+                plain.same_outcome(&resumed.report),
+                "threads={threads}:\n  resumed: {:?}\n  plain: {plain:?}",
+                resumed.report
+            );
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

@@ -1,28 +1,30 @@
 //! Crash-safe evaluation types (see DESIGN.md §12).
 //!
+//! Every evaluation runs its per-satellite passes under the
+//! `eagleeye-exec` supervised runner:
 //! [`CoverageEvaluator::evaluate_hardened`](super::CoverageEvaluator::evaluate_hardened)
-//! runs the per-leader passes of an EagleEye or Mix-Camera evaluation
-//! under the `eagleeye-harden` supervised runner: partial results are
-//! checkpointed on a cadence and restored with `--resume`, a wall-clock
-//! deadline degrades the run into a valid partial ("anytime") report
-//! instead of aborting, and panicking passes are retried and then
-//! quarantined. This module holds the option/outcome types and the
-//! per-leader checkpoint payload codec; the evaluation logic lives next
-//! to the plain path in `evaluator.rs`.
+//! exposes its knobs — partial results checkpointed on a cadence and
+//! restored with `--resume`, a wall-clock deadline that degrades the
+//! run into a valid partial ("anytime") report instead of aborting, and
+//! retries for panicking passes — and
+//! [`evaluate`](super::CoverageEvaluator::evaluate) is the same run with
+//! all of them inert. This module holds the option/outcome types and
+//! the per-pass checkpoint payload codec; the evaluation logic lives in
+//! `evaluator.rs`.
 
 use super::CoverageReport;
-use eagleeye_harden::{
-    ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, DegradeReason, Quarantine,
-    RetryPolicy, ShutdownFlag,
-};
-use eagleeye_obs::MetricsRegistry;
+use crate::CoreError;
+use eagleeye_exec::{DegradeReason, RetryPolicy};
+use eagleeye_harden::{ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ShutdownFlag};
+use eagleeye_obs::{Metrics, MetricsRegistry};
 
-/// Crash-safety knobs for one hardened evaluation.
+/// Crash-safety knobs for one evaluation.
 ///
-/// The default is inert: no checkpointing, no deadline, no shutdown
-/// flag, and the default retry policy — a hardened run with default
-/// options produces a report bit-identical (modulo wall-clock timers)
-/// to [`evaluate`](super::CoverageEvaluator::evaluate).
+/// The default is inert: no checkpointing, no deadline, an
+/// un-requested shutdown flag, and the default retry policy.
+/// [`evaluate`](super::CoverageEvaluator::evaluate) runs with it, so a
+/// hardened run with default options *is* the plain evaluation: passes
+/// run inline at one thread, and nothing is encoded or written.
 #[derive(Debug, Clone, Default)]
 pub struct HardenOptions {
     /// Checkpoint file and cadence; `None` disables checkpointing.
@@ -31,7 +33,9 @@ pub struct HardenOptions {
     pub deadline: Deadline,
     /// Cooperative shutdown request (clone it into a signal handler).
     pub shutdown: ShutdownFlag,
-    /// Retry discipline for panicking leader passes.
+    /// Retry discipline for panicking passes; a pass that still panics
+    /// after its retries fails the evaluation with
+    /// [`CoreError::Harden`].
     pub retry: RetryPolicy,
 }
 
@@ -42,7 +46,7 @@ impl HardenOptions {
     }
 
     /// Enables checkpointing to `spec.path` every `spec.cadence`
-    /// completed leader passes (and once at the end).
+    /// completed passes (and once at the end).
     pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
         self.checkpoint = Some(spec);
         self
@@ -65,104 +69,110 @@ pub struct HardenedOutcome {
     /// of [`leader_passes_total`](CoverageReport::leader_passes_total)
     /// passes but every field is internally consistent.
     pub report: CoverageReport,
-    /// Leader passes that kept panicking after all retries.
-    pub quarantined: Vec<Quarantine>,
-    /// Leader passes restored from the resumed checkpoint.
+    /// Passes restored from the resumed checkpoint.
     pub resumed_passes: usize,
     /// Why the run stopped early, when it did.
     pub degrade_reason: Option<DegradeReason>,
 }
 
-/// Version byte leading every leader-pass checkpoint payload.
+/// One completed pass: its partial report, the targets it captured (in
+/// capture order; a swath pass may list a target more than once), and
+/// the metrics fork it recorded into.
+pub(super) type Pass = (CoverageReport, Vec<usize>, Metrics);
+
+/// Version byte leading every pass checkpoint payload.
 const PAYLOAD_VERSION: u8 = 1;
 /// Payload tag: the pass completed.
 const TAG_OK: u8 = 0;
 /// Payload tag: the pass returned an error (replayed on resume).
 const TAG_ERR: u8 = 1;
 
-/// Encodes one leader pass's outcome as a checkpoint payload: either
-/// the partial report + the group's captured targets (stored as a
-/// bitmap over the workload's `targets`) + forked metrics registry, or
-/// the error message the pass failed with (stored so a resumed run
-/// deterministically replays the failure instead of silently retrying).
-pub(super) fn encode_leader_payload(
-    result: Result<(CoverageReport, Vec<usize>, MetricsRegistry), String>,
-    targets: usize,
-) -> Vec<u8> {
+/// Encodes one pass's outcome as a checkpoint payload: either the
+/// partial report + the captured targets (stored as a bitmap over the
+/// workload's `targets`) + the metrics fork's registry, or the message
+/// of the error the pass failed with (stored so a resumed run
+/// deterministically replays the failure instead of silently
+/// retrying).
+pub(super) fn encode_pass(pass: &Result<Pass, CoreError>, targets: usize) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u8(PAYLOAD_VERSION);
-    match result {
-        Ok((report, captured, registry)) => {
+    match pass {
+        Ok((report, captured, metrics)) => {
             w.u8(TAG_OK);
             w.bytes(&report.to_bytes());
             let mut bitmap = vec![false; targets];
-            for idx in captured {
+            for &idx in captured {
                 bitmap[idx] = true;
             }
             w.bitmap(&bitmap);
-            w.bytes(&registry.to_bytes());
+            w.bytes(&metrics.snapshot().to_bytes());
         }
-        Err(message) => {
+        Err(e) => {
             w.u8(TAG_ERR);
-            w.str(&message);
+            w.str(&e.to_string());
         }
     }
     w.into_bytes()
 }
 
-/// Decodes a payload written by [`encode_leader_payload`] over the
-/// same `targets`. The outer `Result` is a malformed payload (a captured
-/// bitmap of another length included); the inner one is the replayed
-/// outcome of the pass itself.
-#[allow(clippy::type_complexity)]
-pub(super) fn decode_leader_payload(
+/// Decodes pass `i`'s payload, written by [`encode_pass`] over the same
+/// `targets`, restoring its registry into a fork of `metrics`. The
+/// outer `Result` is a malformed payload (a captured bitmap of another
+/// length included); the inner one is the replayed outcome of the pass
+/// itself.
+pub(super) fn decode_pass(
+    i: usize,
     bytes: &[u8],
     targets: usize,
-) -> Result<Result<(CoverageReport, Vec<usize>, MetricsRegistry), String>, CodecError> {
+    metrics: &Metrics,
+) -> Result<Result<Pass, CoreError>, CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.u8()? != PAYLOAD_VERSION {
         return Err(CodecError {
-            context: "leader payload version",
+            context: "pass payload version",
         });
     }
-    match r.u8()? {
+    let pass = match r.u8()? {
         TAG_OK => {
             let report = CoverageReport::from_bytes(r.bytes()?)?;
             let bitmap = r.bitmap()?;
             if bitmap.len() != targets {
                 return Err(CodecError {
-                    context: "leader payload bitmap length",
+                    context: "pass payload bitmap length",
                 });
             }
             let captured = (0..targets).filter(|&i| bitmap[i]).collect();
-            let registry = MetricsRegistry::from_bytes(r.bytes()?)?;
-            if !r.is_exhausted() {
-                return Err(CodecError {
-                    context: "leader payload trailing bytes",
-                });
-            }
-            Ok(Ok((report, captured, registry)))
+            let fork = metrics.fork();
+            fork.absorb_registry(&MetricsRegistry::from_bytes(r.bytes()?)?);
+            Ok((report, captured, fork))
         }
-        TAG_ERR => {
-            let message = r.str()?.to_string();
-            if !r.is_exhausted() {
-                return Err(CodecError {
-                    context: "leader payload trailing bytes",
-                });
-            }
-            Ok(Err(message))
-        }
-        _ => Err(CodecError {
-            context: "leader payload tag",
+        TAG_ERR => Err(CoreError::Harden {
+            message: format!("pass {i} failed: {}", r.str()?),
         }),
+        _ => {
+            return Err(CodecError {
+                context: "pass payload tag",
+            })
+        }
+    };
+    if !r.is_exhausted() {
+        return Err(CodecError {
+            context: "pass payload trailing bytes",
+        });
     }
+    Ok(pass)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagleeye_obs::Metrics;
     use std::time::Duration;
+
+    fn harden_error(message: &str) -> Result<Pass, CoreError> {
+        Err(CoreError::Harden {
+            message: message.to_string(),
+        })
+    }
 
     #[test]
     fn ok_payload_round_trips_exactly() {
@@ -173,45 +183,52 @@ mod tests {
             per_frame_target_counts: vec![3, 9],
             ..CoverageReport::default()
         };
-        let captured = vec![0, 2, 3];
         let metrics = Metrics::enabled();
         metrics.add("core/frames_processed", 4);
         metrics.observe("core/frame_targets", 3, &[1, 2, 5]);
         let registry = metrics.snapshot();
 
-        let bytes =
-            encode_leader_payload(Ok((report.clone(), captured.clone(), registry.clone())), 5);
-        let (r2, c2, g2) = decode_leader_payload(&bytes, 5).unwrap().unwrap();
+        // A swath pass may list a target once per access window; the
+        // bitmap keeps each once, in index order.
+        let pass = Ok((report.clone(), vec![3, 0, 2, 3], metrics));
+        let bytes = encode_pass(&pass, 5);
+        let parent = Metrics::enabled();
+        let (r2, c2, m2) = decode_pass(0, &bytes, 5, &parent).unwrap().unwrap();
         assert_eq!(r2, report);
-        assert_eq!(c2, captured);
-        assert_eq!(g2, registry);
+        assert_eq!(c2, vec![0, 2, 3]);
+        assert_eq!(m2.snapshot(), registry);
+        // The restored fork is private until the merge absorbs it.
+        assert!(parent.snapshot().is_empty());
         // A bitmap over a different workload is rejected.
-        assert!(decode_leader_payload(&bytes, 6).is_err());
+        assert!(decode_pass(0, &bytes, 6, &parent).is_err());
     }
 
     #[test]
     fn err_payload_replays_the_message() {
-        let bytes = encode_leader_payload(Err("orbit model failed: bad altitude".into()), 5);
-        assert_eq!(
-            decode_leader_payload(&bytes, 5).unwrap(),
-            Err("orbit model failed: bad altitude".to_string())
+        let bytes = encode_pass(&harden_error("bad altitude"), 5);
+        let replayed = decode_pass(3, &bytes, 5, &Metrics::disabled()).unwrap();
+        assert!(
+            matches!(&replayed, Err(CoreError::Harden { message })
+                if message == "pass 3 failed: crash-safe run layer failed: bad altitude"),
+            "{replayed:?}"
         );
     }
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        let good = encode_leader_payload(Err("x".into()), 5);
+        let good = encode_pass(&harden_error("x"), 5);
+        let decode = |bytes: &[u8]| decode_pass(0, bytes, 5, &Metrics::disabled());
         for n in 0..good.len() {
-            assert!(decode_leader_payload(&good[..n], 5).is_err(), "n={n}");
+            assert!(decode(&good[..n]).is_err(), "n={n}");
         }
         let mut bad_version = good.clone();
         bad_version[0] = 9;
-        assert!(decode_leader_payload(&bad_version, 5).is_err());
+        assert!(decode(&bad_version).is_err());
         let mut bad_tag = good.clone();
         bad_tag[1] = 7;
-        assert!(decode_leader_payload(&bad_tag, 5).is_err());
+        assert!(decode(&bad_tag).is_err());
         let mut trailing = good.clone();
         trailing.push(0);
-        assert!(decode_leader_payload(&trailing, 5).is_err());
+        assert!(decode(&trailing).is_err());
     }
 }

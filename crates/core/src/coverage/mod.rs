@@ -28,12 +28,13 @@
 //! naively keeps tasking dead satellites — the baseline for the
 //! fault-tolerance study.
 //!
-//! [`CoverageEvaluator::evaluate`] and the crash-safe
-//! [`CoverageEvaluator::evaluate_hardened`] validate the options and take
-//! the configuration apart in one shared step. Membership always comes
-//! from the compiled access-interval engine (DESIGN.md §13); the
-//! per-frame spatial-query walk it replaced survives only as a test
-//! oracle beside the engine.
+//! [`CoverageEvaluator::evaluate`] is the crash-safe
+//! [`CoverageEvaluator::evaluate_hardened`] with inert options: both
+//! take the configuration apart into per-satellite passes (one per
+//! leader group, or one per swath satellite) and run them through one
+//! supervised runner. Membership always comes from the compiled
+//! access-interval engine (DESIGN.md §13); the per-frame spatial-query
+//! walk it replaced survives only as a test oracle beside the engine.
 
 mod compile;
 mod config;

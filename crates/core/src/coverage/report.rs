@@ -92,15 +92,16 @@ pub struct CoverageReport {
     pub ilp_warm_rejects: usize,
     /// True when the crash-safe run layer stopped this evaluation early
     /// (deadline exceeded or shutdown requested) and the report covers
-    /// only the leader passes that finished. Anytime results: every
+    /// only the passes that finished. Anytime results: every
     /// field is still internally consistent, just partial.
     pub degraded: bool,
-    /// Leader passes whose partial results are merged into this report.
+    /// Passes whose partial results are merged into this report.
     /// Equals [`leader_passes_total`](Self::leader_passes_total) for a
     /// complete run.
     pub leader_passes_completed: usize,
-    /// Leader passes the evaluated scenario decomposes into (zero for
-    /// swath-membership configurations, which have no leader passes).
+    /// Passes the evaluated scenario decomposes into: one per leader
+    /// group, or one per satellite of a swath-membership configuration
+    /// (zero when there is nothing to run).
     pub leader_passes_total: usize,
 }
 

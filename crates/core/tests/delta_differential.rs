@@ -11,8 +11,7 @@
 //! (`CoverageReport::same_outcome` — solver diagnostics and warm-start
 //! counters included) and on every `core/*`, `ilp/*`, and `sim/*`
 //! observability counter bit-for-bit. `orbit/*` counters are exempt by
-//! design — eliding re-propagation is the point of sharing — as are
-//! `exec/*` pool-shape counters, matching the threading contract.
+//! design: eliding re-propagation is the point of sharing.
 //! Targets sit in clumps under the parent's leader tracks
 //! (`common::under_leaders`), so most frames detect, cluster and
 //! schedule.
@@ -77,12 +76,12 @@ fn delta_for(kind: usize, p: f64, at_s: f64) -> ScenarioDelta {
 
 /// Counters that must be bit-identical between a delta and a cold
 /// child evaluation: everything except `orbit/*` (sharing legitimately
-/// elides re-propagation) and `exec/*` (pool shape).
+/// elides re-propagation).
 fn comparable_counters(metrics: &Metrics) -> Vec<(String, u64)> {
     metrics
         .snapshot()
         .counters()
-        .filter(|(k, _)| !k.starts_with("orbit/") && !k.starts_with("exec/"))
+        .filter(|(k, _)| !k.starts_with("orbit/"))
         .map(|(k, v)| (k.to_string(), v))
         .collect()
 }

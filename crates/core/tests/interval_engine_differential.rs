@@ -4,8 +4,7 @@
 //! Every test evaluates a seeded random scenario three ways: a cold
 //! compile, a warm memo replay on the same evaluator, and a cold
 //! reference evaluation on a fresh evaluator at 4 threads (parallel
-//! leader passes; for swath configurations, tracks assembled from
-//! multi-chunk `(satellite × frame-range)` compiles). All three reports
+//! per-satellite passes). All three reports
 //! must agree on every field except wall-clock timers
 //! (`CoverageReport::same_outcome`). Targets sit in clumps under the
 //! configuration's own leader tracks (`common::under_leaders`), so most

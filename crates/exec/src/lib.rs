@@ -3,9 +3,17 @@
 //! The paper's evaluation is embarrassingly parallel at two levels: every
 //! sweep point of a figure is an independent
 //! `CoverageEvaluator::evaluate` call, and within one evaluation every
-//! leader group schedules its followers independently. This crate is the
-//! scaling substrate for both, built purely on [`std::thread::scope`] and
+//! satellite pass (a leader group's frame loop, or one swath
+//! satellite's coverage) runs independently. This crate is the scaling
+//! substrate for both, built purely on [`std::thread::scope`] and
 //! atomics — the workspace is deliberately offline, so no `rayon`.
+//!
+//! One claim loop serves two entry points: [`ExecPool::par_map`] (and
+//! its metrics-forking [`ExecPool::par_map_observed`]) for plain maps,
+//! and [`run_items`] for supervised runs — panics retried and then
+//! quarantined, results checkpointed and resumed through
+//! `eagleeye-harden` snapshots, and a deadline or shutdown request
+//! degrading the run instead of aborting it (DESIGN.md §8 and §12).
 //!
 //! # Determinism
 //!
@@ -30,7 +38,10 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-use eagleeye_harden::{crash_point, panic_message, Quarantine, RetryPolicy};
+mod runner;
+
+pub use runner::{run_items, DegradeReason, Quarantine, RetryPolicy, RunConfig, RunOutcome};
+
 use eagleeye_obs::Metrics;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -46,29 +57,16 @@ pub fn available_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits `0..len` into at most `chunks` contiguous, near-equal,
-/// non-empty ranges covering `0..len` exactly, in order.
-///
-/// The partition is a pure function of `(len, chunks)` — callers that
-/// fan work items out over the ranges and merge results back in range
-/// order get output independent of how many workers actually ran (the
-/// deterministic frame-range decomposition of DESIGN.md §13). Returns
-/// an empty vector when `len == 0`; `chunks` is clamped to at least 1.
-pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    if len == 0 {
-        return Vec::new();
+/// Renders a panic payload (the `&str` or `String` message, when there
+/// is one) for quarantine reports and enriched panic rethrows.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
-    let chunks = chunks.clamp(1, len);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut out = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
 }
 
 /// Runs one work item, rethrowing any panic with the worker and item
@@ -84,62 +82,14 @@ fn run_enriched<R>(worker: usize, item: usize, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Runs one work item under supervision: panics are caught, retried
-/// per `retry` with capped backoff, and converted into a [`Quarantine`]
-/// when they persist.
-fn run_supervised<R>(retry: &RetryPolicy, item: usize, f: impl Fn() -> R) -> Result<R, Quarantine> {
-    let mut attempt = 0usize;
-    loop {
-        attempt += 1;
-        // Crash-injection site shared with the harden runner: the
-        // supervised unit of work (see `eagleeye_harden::crash`).
-        crash_point("worker_item");
-        match catch_unwind(AssertUnwindSafe(&f)) {
-            Ok(r) => return Ok(r),
-            Err(payload) => {
-                if attempt > retry.max_retries {
-                    return Err(Quarantine {
-                        item,
-                        attempts: attempt,
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-                let backoff = retry.backoff(attempt);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
-        }
-    }
-}
-
-/// Result of [`ExecPool::par_map_supervised`]: per-item results in
-/// input order, with quarantined items reported instead of computed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Supervised<R> {
-    /// `Some(result)` per item in input order; `None` for quarantined
-    /// items.
-    pub results: Vec<Option<R>>,
-    /// Items whose closure kept panicking after all retries, sorted by
-    /// item index.
-    pub quarantined: Vec<Quarantine>,
-}
-
-impl<R> Supervised<R> {
-    /// True when every item produced a result.
-    pub fn all_ok(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-}
-
 /// A scoped worker pool with deterministic result ordering.
 ///
-/// The pool holds no threads between calls: each `par_*` invocation
-/// spawns scoped workers that self-schedule items off a shared atomic
-/// cursor and exit when the input is drained. For the coarse work items
-/// this workspace parallelizes (whole coverage evaluations, per-group
-/// frame loops), spawn cost is noise; what matters is that results come
-/// back ordered by input index regardless of completion order.
+/// The pool holds no threads between calls: each call spawns scoped
+/// workers that self-schedule items off a shared atomic cursor and exit
+/// when the input is drained. For the coarse work items this workspace
+/// parallelizes (whole coverage evaluations, per-satellite passes),
+/// spawn cost is noise; what matters is that results come back ordered
+/// by input index regardless of completion order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecPool {
     threads: usize,
@@ -171,42 +121,47 @@ impl ExecPool {
         self.threads
     }
 
-    /// Applies `f(index, item)` to every item, returning results in
-    /// input order. Runs inline when one worker suffices.
-    ///
-    /// # Panics
+    /// The claim loop behind every pool call, [`run_items`] included:
+    /// workers claim the indices `0..len` off one atomic cursor, each
+    /// checking `stop` before every claim, and `f(worker, index)` lands
+    /// in slot `index` of the result. Indices never claimed because
+    /// `stop` fired keep a `None` slot. Runs inline on the calling
+    /// thread, with no spawn, when one worker suffices.
     ///
     /// A panic in `f` is propagated to the caller after all workers
     /// stop.
-    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        let workers = self.threads.min(items.len());
+    fn claim<R: Send>(
+        &self,
+        len: usize,
+        stop: impl Fn() -> bool + Sync,
+        f: impl Fn(usize, usize) -> R + Sync,
+    ) -> Vec<Option<R>> {
+        let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
+        let workers = self.threads.min(len);
         if workers <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| run_enriched(0, i, || f(i, x)))
-                .collect();
+            for i in 0..len {
+                if stop() {
+                    break;
+                }
+                slots.push(Some(f(0, i)));
+            }
+            slots.resize_with(len, || None);
+            return slots;
         }
 
         let cursor = AtomicUsize::new(0);
         let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let cursor = &cursor;
-                    let f = &f;
+                    let (cursor, stop, f) = (&cursor, &stop, &f);
                     scope.spawn(move || {
                         let mut out = Vec::new();
-                        loop {
+                        while !stop() {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
+                            if i >= len {
                                 break;
                             }
-                            out.push((i, run_enriched(w, i, || f(i, &items[i]))));
+                            out.push((i, f(w, i)));
                         }
                         out
                     })
@@ -214,131 +169,44 @@ impl ExecPool {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
                 .collect()
         });
 
         // Reassemble in input order: position-indexed, not
         // completion-ordered.
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
+        slots.resize_with(len, || None);
         for (i, r) in buckets.into_iter().flatten() {
             slots[i] = Some(r);
         }
         slots
-            .into_iter()
-            .map(|s| match s {
-                Some(r) => r,
-                // The strided scheduler assigns every index to exactly
-                // one worker, so every slot is filled.
-                None => unreachable!("every index scheduled exactly once"),
-            })
-            .collect()
     }
 
-    /// Supervised [`ExecPool::par_map`]: a panic in `f` no longer
-    /// aborts the whole batch. Each item's panics are caught
-    /// (`catch_unwind`), retried per `retry` with capped exponential
-    /// backoff, and — when they persist — the item is quarantined
-    /// (reported in the result, not fatal) while every other item
-    /// completes normally.
+    /// Applies `f(index, item)` to every item, returning results in
+    /// input order. Runs inline when one worker suffices.
     ///
-    /// When nothing fails the results are **bit-identical** to
-    /// [`ExecPool::par_map`] (same position-indexed ordering, same
-    /// values) at any thread count; supervision only adds a
-    /// never-taken branch per item.
-    pub fn par_map_supervised<T, R, F>(
-        &self,
-        items: &[T],
-        retry: &RetryPolicy,
-        f: F,
-    ) -> Supervised<R>
+    /// # Panics
+    ///
+    /// A panic in `f` is propagated to the caller after all workers
+    /// stop, with the worker and item index prepended to its message.
+    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        let workers = self.threads.min(items.len());
-        let attempts: Vec<(usize, Result<R, Quarantine>)> = if workers <= 1 {
-            items
-                .iter()
-                .enumerate()
-                .map(|(i, x)| (i, run_supervised(retry, i, || f(i, x))))
-                .collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let cursor = &cursor;
-                        let f = &f;
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= items.len() {
-                                    break;
-                                }
-                                out.push((i, run_supervised(retry, i, || f(i, &items[i]))));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            })
-        };
-
-        let mut slots: Vec<Option<Result<R, Quarantine>>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        for (i, r) in attempts {
-            slots[i] = Some(r);
-        }
-        let mut results = Vec::with_capacity(items.len());
-        let mut quarantined = Vec::new();
-        // Slot order doubles as the sort by item index.
-        for slot in slots {
-            // eagleeye-lint: allow(no-unwrap): the claim loop above assigns every index in 0..len exactly once, so no slot can be None
-            match slot.expect("every index scheduled exactly once") {
-                Ok(r) => results.push(Some(r)),
-                Err(q) => {
-                    results.push(None);
-                    quarantined.push(q);
-                }
-            }
-        }
-        Supervised {
-            results,
-            quarantined,
-        }
-    }
-
-    /// Fallible [`ExecPool::par_map`]: applies `f` to every item and
-    /// returns all results, or the error of the **lowest-indexed**
-    /// failing item.
-    ///
-    /// All items are evaluated even after a failure so the returned
-    /// error does not depend on scheduling order (determinism over
-    /// early-exit; errors are exceptional in this workspace).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error by input index.
-    pub fn try_par_map<T, R, E, F>(&self, items: &[T], f: F) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T) -> Result<R, E> + Sync,
-    {
-        let mut ok = Vec::with_capacity(items.len());
-        for r in self.par_map(items, f) {
-            ok.push(r?);
-        }
-        Ok(ok)
+        // Nothing stops the loop, so every slot is filled.
+        let out: Vec<R> = self
+            .claim(
+                items.len(),
+                || false,
+                |w, i| run_enriched(w, i, || f(i, &items[i])),
+            )
+            .into_iter()
+            .flatten()
+            .collect();
+        debug_assert_eq!(out.len(), items.len(), "every index claimed once");
+        out
     }
 
     /// [`ExecPool::par_map`] with deterministic metrics collection:
@@ -350,8 +218,9 @@ impl ExecPool {
     /// thread count. When `metrics` is disabled the forks are free and
     /// this is [`ExecPool::par_map`] plus a few never-taken branches.
     ///
-    /// Also records the pool shape under `exec/*`: `exec/par_maps`,
-    /// `exec/items`, and the `exec/threads` max-gauge.
+    /// Also raises the `exec/threads` gauge to the pool's worker count;
+    /// it records no counter, so counters and histograms stay equal at
+    /// any thread count.
     ///
     /// # Panics
     ///
@@ -363,11 +232,7 @@ impl ExecPool {
         R: Send,
         F: Fn(usize, &T, &Metrics) -> R + Sync,
     {
-        if metrics.is_enabled() {
-            metrics.incr("exec/par_maps");
-            metrics.add("exec/items", items.len() as u64);
-            metrics.gauge_max("exec/threads", self.threads as f64);
-        }
+        metrics.gauge_max("exec/threads", self.threads as f64);
         let pairs = self.par_map(items, |i, x| {
             let fork = metrics.fork();
             let r = f(i, x, &fork);
@@ -379,45 +244,6 @@ impl ExecPool {
             out.push(r);
         }
         out
-    }
-
-    /// Fallible [`ExecPool::par_map_observed`]: like
-    /// [`ExecPool::try_par_map`], all items are evaluated and the
-    /// lowest-indexed error is returned; every fork is absorbed in
-    /// input order (even on failure, so the metrics of an errored run
-    /// are deterministic too).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error by input index.
-    pub fn try_par_map_observed<T, R, E, F>(
-        &self,
-        metrics: &Metrics,
-        items: &[T],
-        f: F,
-    ) -> Result<Vec<R>, E>
-    where
-        T: Sync,
-        R: Send,
-        E: Send,
-        F: Fn(usize, &T, &Metrics) -> Result<R, E> + Sync,
-    {
-        let mut err: Option<E> = None;
-        let mut ok = Vec::with_capacity(items.len());
-        for r in self.par_map_observed(metrics, items, f) {
-            match r {
-                Ok(v) => ok.push(v),
-                Err(e) => {
-                    if err.is_none() {
-                        err = Some(e);
-                    }
-                }
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(ok),
-        }
     }
 }
 
@@ -468,18 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn try_par_map_returns_lowest_index_error() {
-        let items: Vec<usize> = (0..100).collect();
-        for threads in [1, 4] {
-            let r: Result<Vec<usize>, usize> = ExecPool::new(threads)
-                .try_par_map(&items, |_, &x| if x % 7 == 3 { Err(x) } else { Ok(x) });
-            assert_eq!(r.unwrap_err(), 3, "threads={threads}");
-        }
-        let ok: Result<Vec<usize>, ()> = ExecPool::new(4).try_par_map(&items, |_, &x| Ok(x * 2));
-        assert_eq!(ok.unwrap()[50], 100);
-    }
-
-    #[test]
     fn observed_map_merges_deterministically_across_thread_counts() {
         let items: Vec<u64> = (0..97).collect();
         let run = |threads: usize| {
@@ -522,8 +336,9 @@ mod tests {
         let metrics = Metrics::enabled();
         ExecPool::new(3).par_map_observed(&metrics, &[1, 2, 3, 4], |_, &x: &i32, _| x);
         let snap = metrics.snapshot();
-        assert_eq!(snap.counter("exec/par_maps"), 1);
-        assert_eq!(snap.counter("exec/items"), 4);
+        // Pool shape is a gauge only: no counter may differ between
+        // thread counts.
+        assert_eq!(snap.counters().count(), 0);
         assert_eq!(snap.gauge("exec/threads"), Some(3.0));
     }
 
@@ -536,24 +351,6 @@ mod tests {
         });
         assert_eq!(got, vec![2, 3, 4]);
         assert!(metrics.snapshot().is_empty());
-    }
-
-    #[test]
-    fn try_observed_map_keeps_metrics_on_error() {
-        let metrics = Metrics::enabled();
-        let items: Vec<usize> = (0..50).collect();
-        let r: Result<Vec<usize>, usize> =
-            ExecPool::new(4).try_par_map_observed(&metrics, &items, |_, &x, m| {
-                m.incr("attempts");
-                if x % 9 == 5 {
-                    Err(x)
-                } else {
-                    Ok(x)
-                }
-            });
-        assert_eq!(r.unwrap_err(), 5);
-        // All items were evaluated and all forks absorbed.
-        assert_eq!(metrics.snapshot().counter("attempts"), 50);
     }
 
     #[test]
@@ -590,91 +387,5 @@ mod tests {
             }
             x
         });
-    }
-
-    #[test]
-    fn supervised_map_with_zero_faults_matches_par_map() {
-        let items: Vec<usize> = (0..113).collect();
-        let f = |i: usize, x: &usize| i * 31 + x * 7;
-        let plain = ExecPool::new(1).par_map(&items, f);
-        for threads in [1, 2, 4, 8] {
-            let sup = ExecPool::new(threads).par_map_supervised(&items, &RetryPolicy::default(), f);
-            assert!(sup.all_ok(), "threads={threads}");
-            let unwrapped: Vec<usize> = sup.results.into_iter().map(Option::unwrap).collect();
-            assert_eq!(unwrapped, plain, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn supervised_map_retries_transient_failures() {
-        let failures = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..32).collect();
-        let retry = RetryPolicy {
-            max_retries: 3,
-            backoff_base: std::time::Duration::ZERO,
-            backoff_cap: std::time::Duration::ZERO,
-        };
-        let sup = ExecPool::new(4).par_map_supervised(&items, &retry, |_, &x| {
-            if x == 20 && failures.fetch_add(1, Ordering::SeqCst) < 2 {
-                panic!("transient");
-            }
-            x * 2
-        });
-        assert!(sup.all_ok());
-        assert_eq!(sup.results[20], Some(40));
-    }
-
-    #[test]
-    fn supervised_map_quarantines_deterministic_failures() {
-        let items: Vec<usize> = (0..32).collect();
-        let retry = RetryPolicy {
-            max_retries: 1,
-            backoff_base: std::time::Duration::ZERO,
-            backoff_cap: std::time::Duration::ZERO,
-        };
-        for threads in [1, 4] {
-            let sup = ExecPool::new(threads).par_map_supervised(&items, &retry, |_, &x| {
-                if x % 13 == 7 {
-                    panic!("bad item {x}");
-                }
-                x
-            });
-            assert!(!sup.all_ok(), "threads={threads}");
-            let bad: Vec<usize> = sup.quarantined.iter().map(|q| q.item).collect();
-            assert_eq!(bad, vec![7, 20], "threads={threads}");
-            for q in &sup.quarantined {
-                assert_eq!(q.attempts, 2);
-                assert!(q.message.contains("bad item"));
-                assert!(sup.results[q.item].is_none());
-            }
-            // Every non-quarantined item still completed.
-            assert_eq!(sup.results.iter().filter(|r| r.is_some()).count(), 30);
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_partition_exactly() {
-        assert!(chunk_ranges(0, 4).is_empty());
-        assert_eq!(chunk_ranges(5, 1), vec![0..5]);
-        // More chunks than items clamps to one item per chunk.
-        assert_eq!(chunk_ranges(3, 10), vec![0..1, 1..2, 2..3]);
-        // Remainder spreads over the leading chunks, largest first.
-        assert_eq!(chunk_ranges(10, 3), vec![0..4, 4..7, 7..10]);
-        // chunks == 0 behaves as one chunk.
-        assert_eq!(chunk_ranges(7, 0), vec![0..7]);
-        for (len, chunks) in [(1, 1), (17, 4), (64, 16), (100, 7), (5760, 16)] {
-            let ranges = chunk_ranges(len, chunks);
-            // Contiguous cover of 0..len with no gaps or overlaps, and
-            // chunk sizes never differ by more than one — the property
-            // the deterministic frame-range merge relies on.
-            assert_eq!(ranges.first().map(|r| r.start), Some(0));
-            assert_eq!(ranges.last().map(|r| r.end), Some(len));
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "len={len} chunks={chunks}");
-            }
-            let min = ranges.iter().map(|r| r.len()).min().unwrap_or(0);
-            let max = ranges.iter().map(|r| r.len()).max().unwrap_or(0);
-            assert!(max - min <= 1, "len={len} chunks={chunks}");
-        }
     }
 }

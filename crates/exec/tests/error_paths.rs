@@ -1,43 +1,69 @@
-//! Error-path coverage for the parallel execution layer: deterministic
-//! `try_par_map` short-circuit ordering under contention, panic
-//! propagation without deadlock, and pool reuse after both.
+//! Error-path coverage for the parallel execution layer: the
+//! supervised run's lowest-index error under contention (the item's own
+//! error or its quarantine, whichever comes first by index), panic
+//! propagation from `par_map` without deadlock, and pool reuse after
+//! both.
 
-use eagleeye_exec::ExecPool;
+use eagleeye_exec::{run_items, ExecPool, Quarantine, RetryPolicy, RunConfig};
+use eagleeye_harden::{CodecError, Deadline, ShutdownFlag};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 32];
 
+/// A supervised run of `f` over `0..total` with no checkpoint and no
+/// retries, reduced to its completed values or lowest-indexed error (a
+/// quarantined item reports `usize::MAX - item`).
+fn supervised(
+    threads: usize,
+    total: usize,
+    f: impl Fn(usize) -> Result<usize, usize> + Sync,
+) -> Result<Vec<usize>, usize> {
+    let config = RunConfig {
+        scenario_hash: 0,
+        threads,
+        checkpoint: None,
+        deadline: Deadline::none(),
+        shutdown: ShutdownFlag::new(),
+        retry: RetryPolicy {
+            max_retries: 0,
+            backoff_base: Duration::ZERO,
+            backoff_cap: Duration::ZERO,
+        },
+    };
+    let never = |_: &Result<usize, usize>| -> Vec<u8> { unreachable!("no checkpoint") };
+    let none = |_: usize, _: &[u8]| -> Result<Result<usize, usize>, CodecError> {
+        unreachable!("nothing to resume")
+    };
+    run_items(&config, total, f, never, none)
+        .expect("no checkpoint I/O")
+        .into_completed(|q: Quarantine| usize::MAX - q.item)
+}
+
 #[test]
-fn try_par_map_error_at_index_zero_wins() {
-    let items: Vec<usize> = (0..200).collect();
+fn supervised_error_at_index_zero_wins() {
     for threads in THREAD_COUNTS {
-        let r: Result<Vec<usize>, usize> =
-            ExecPool::new(threads)
-                .try_par_map(&items, |_, &x| if x % 50 == 0 { Err(x) } else { Ok(x) });
+        let r = supervised(threads, 200, |x| if x % 50 == 0 { Err(x) } else { Ok(x) });
         assert_eq!(r.unwrap_err(), 0, "threads={threads}");
     }
 }
 
 #[test]
-fn try_par_map_error_at_last_index_is_still_found() {
-    let items: Vec<usize> = (0..200).collect();
+fn supervised_error_at_last_index_is_still_found() {
     for threads in THREAD_COUNTS {
-        let r: Result<Vec<usize>, usize> =
-            ExecPool::new(threads)
-                .try_par_map(&items, |_, &x| if x == 199 { Err(x) } else { Ok(x) });
+        let r = supervised(threads, 200, |x| if x == 199 { Err(x) } else { Ok(x) });
         assert_eq!(r.unwrap_err(), 199, "threads={threads}");
     }
 }
 
 #[test]
-fn try_par_map_reports_lowest_of_many_errors_regardless_of_completion_order() {
+fn supervised_run_reports_lowest_of_many_errors_regardless_of_completion_order() {
     // Later indices finish *first* (earlier items spin longer), so a
     // completion-ordered implementation would report a high index. The
     // contract is lowest input index, at every thread count.
-    let items: Vec<usize> = (0..64).collect();
     for threads in THREAD_COUNTS {
-        let r: Result<Vec<usize>, usize> = ExecPool::new(threads).try_par_map(&items, |_, &x| {
+        let r = supervised(threads, 64, |x| {
             for _ in 0..(64 - x) * 500 {
                 std::hint::black_box(x);
             }
@@ -52,23 +78,20 @@ fn try_par_map_reports_lowest_of_many_errors_regardless_of_completion_order() {
 }
 
 #[test]
-fn try_par_map_all_errors_returns_index_zero_error() {
-    let items: Vec<u8> = vec![0; 33];
+fn supervised_all_errors_returns_index_zero_error() {
     for threads in THREAD_COUNTS {
-        let r: Result<Vec<()>, usize> =
-            ExecPool::new(threads).try_par_map(&items, |i, _| Err::<(), _>(i));
+        let r = supervised(threads, 33, Err);
         assert_eq!(r.unwrap_err(), 0, "threads={threads}");
     }
 }
 
 #[test]
-fn try_par_map_still_evaluates_every_item_after_a_failure() {
-    // The documented no-early-exit contract: errors do not suppress
-    // the evaluation of other items.
-    let items: Vec<usize> = (0..150).collect();
+fn supervised_run_still_evaluates_every_item_after_a_failure() {
+    // The no-early-exit contract: errors do not suppress the
+    // evaluation of other items.
     for threads in [2, 8] {
         let executed = AtomicUsize::new(0);
-        let r: Result<Vec<usize>, usize> = ExecPool::new(threads).try_par_map(&items, |_, &x| {
+        let r = supervised(threads, 150, |x| {
             executed.fetch_add(1, Ordering::Relaxed);
             if x == 3 {
                 Err(x)
@@ -77,11 +100,7 @@ fn try_par_map_still_evaluates_every_item_after_a_failure() {
             }
         });
         assert_eq!(r.unwrap_err(), 3);
-        assert_eq!(
-            executed.load(Ordering::Relaxed),
-            items.len(),
-            "threads={threads}"
-        );
+        assert_eq!(executed.load(Ordering::Relaxed), 150, "threads={threads}");
     }
 }
 
@@ -127,15 +146,32 @@ fn pool_is_reusable_after_a_worker_panic() {
 }
 
 #[test]
-fn panic_in_try_par_map_closure_propagates() {
-    let items: Vec<usize> = (0..16).collect();
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        ExecPool::new(4).try_par_map(&items, |_, &x| {
+fn panic_in_a_supervised_item_is_its_quarantine_not_a_crash() {
+    // A panicking item neither unwinds into the caller nor hides a
+    // lower-indexed error: the lowest index wins, whether it failed
+    // with an error or kept panicking.
+    for threads in THREAD_COUNTS {
+        let r = supervised(threads, 16, |x| {
             if x == 5 {
                 panic!("fallible closure panicked");
             }
-            Ok::<_, ()>(x)
-        })
-    }));
-    assert!(result.is_err());
+            if x == 9 {
+                Err(x)
+            } else {
+                Ok(x)
+            }
+        });
+        assert_eq!(r.unwrap_err(), usize::MAX - 5, "threads={threads}");
+        let r = supervised(threads, 16, |x| {
+            if x == 9 {
+                panic!("fallible closure panicked");
+            }
+            if x == 5 {
+                Err(x)
+            } else {
+                Ok(x)
+            }
+        });
+        assert_eq!(r.unwrap_err(), 5, "threads={threads}");
+    }
 }

@@ -17,25 +17,23 @@
 //!   [`DeadlinePoll`];
 //! * [`crash`] — the `EAGLEEYE_CRASH=<spec>` test-only fault-injection
 //!   hook that panics or exits at named sites, so the kill-and-resume
-//!   path is exercised by real process deaths in CI;
-//! * [`runner`] — a streaming checkpointed executor: work items flow
-//!   back to a supervising driver as they finish, checkpoints are
-//!   written on a completion cadence, per-item panics are retried with
-//!   capped backoff and quarantined when deterministic, and a blown
-//!   deadline degrades the run (completed partials are kept and the
-//!   result is marked degraded) instead of aborting it.
+//!   path is exercised by real process deaths in CI.
 //!
-//! Everything here is `std`-only and dependency-free, like `exec` and
-//! `obs`, so any crate in the workspace can depend on it without
-//! cycles. See DESIGN.md §12 for the snapshot format, watchdog states,
-//! and retry policy.
+//! The supervised runner that streams work items through these pieces
+//! — checkpoints on a completion cadence, retries and quarantine of
+//! panicking items, degradation on a blown deadline — lives in
+//! `eagleeye-exec` beside the worker pool it runs on (`exec` depends on
+//! this crate, so the runner cannot live here without a cycle).
+//!
+//! Everything here is `std`-only and dependency-free, so any crate in
+//! the workspace can depend on it without cycles. See DESIGN.md §12 for
+//! the snapshot format, watchdog states, and retry policy.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod crash;
-pub mod runner;
 pub mod snapshot;
 pub mod watchdog;
 
@@ -44,9 +42,5 @@ mod crc;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crash::{crash_point, CrashMode, CrashPlan};
 pub use crc::crc32;
-pub use runner::{
-    panic_message, run_items, CheckpointSpec, DegradeReason, Quarantine, RetryPolicy, RunConfig,
-    RunOutcome,
-};
-pub use snapshot::{FieldHash, ScenarioHasher, Snapshot, SnapshotError};
+pub use snapshot::{CheckpointSpec, FieldHash, ScenarioHasher, Snapshot, SnapshotError};
 pub use watchdog::{Deadline, DeadlinePoll, ShutdownFlag};

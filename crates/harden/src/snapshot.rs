@@ -12,8 +12,8 @@
 //! ```
 //!
 //! All integers are little-endian (see [`crate::codec`]); payload
-//! semantics belong to the caller (the runner stores one section per
-//! completed work item, `item/<index>`).
+//! semantics belong to the caller (`eagleeye_exec::run_items` stores
+//! one section per completed work item, `item/<index>`).
 //!
 //! # Atomicity
 //!
@@ -36,7 +36,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic prefix: file type tag plus format version byte.
 const MAGIC: &[u8; 8] = b"EEHCKPT\x01";
@@ -267,10 +267,36 @@ impl Snapshot {
 }
 
 /// `<path>.tmp` sibling used for the atomic write.
-fn tmp_path(path: &Path) -> std::path::PathBuf {
+fn tmp_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
     os.push(".tmp");
-    std::path::PathBuf::from(os)
+    PathBuf::from(os)
+}
+
+/// Where, whether, and how often a supervised run checkpoints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointSpec {
+    /// Snapshot file path (written atomically; `<path>.tmp` sibling).
+    pub path: PathBuf,
+    /// Load `path` before running and skip items it already holds.
+    /// A missing file is a cold start, not an error; a corrupt or
+    /// scenario-mismatched file is an error.
+    pub resume: bool,
+    /// Write a checkpoint after every `cadence` newly completed items
+    /// (0 = only the final checkpoint). A final checkpoint is always
+    /// written, including on degraded runs.
+    pub cadence: usize,
+}
+
+impl CheckpointSpec {
+    /// A spec with resume enabled and the given cadence.
+    pub fn new(path: impl Into<PathBuf>, cadence: usize) -> Self {
+        CheckpointSpec {
+            path: path.into(),
+            resume: true,
+            cadence,
+        }
+    }
 }
 
 /// FNV-1a over a byte stream — the workspace's scenario-hash

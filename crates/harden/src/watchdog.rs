@@ -9,9 +9,9 @@
 //! mid-write.
 //!
 //! A [`Deadline`] is *anytime* by contract: blowing it never aborts a
-//! run. The runner stops dispatching new work, merges the partials that
-//! finished, and marks the result degraded (see [`crate::runner`] and
-//! DESIGN.md §12). A run with no deadline performs no clock reads at
+//! run. The supervised runner (`eagleeye_exec::run_items`) stops
+//! dispatching new work, keeps the partials that finished, and marks
+//! the result degraded (DESIGN.md §12). A run with no deadline performs no clock reads at
 //! all and is bit-deterministic.
 
 use std::sync::atomic::{AtomicBool, Ordering};

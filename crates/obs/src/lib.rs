@@ -41,8 +41,9 @@
 //!
 //! Slash-separated paths, first segment = subsystem: `ilp/*` (solver
 //! statistics), `orbit/*` (propagation-cache behaviour), `sim/*`
-//! (fault activity), `core/*` (pipeline phases), `exec/*` (pool
-//! shape). DESIGN.md §10 lists the emitted keys.
+//! (fault activity), `core/*` (pipeline phases), `harden/*` (run-layer
+//! state, gauges only) and `exec/threads` (the pool's worker count, a
+//! gauge). DESIGN.md §10 lists the emitted keys.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

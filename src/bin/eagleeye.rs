@@ -180,37 +180,27 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
     };
     let eval = CoverageEvaluator::new(&targets, options);
 
-    // --checkpoint / --deadline route through the crash-safe run layer
-    // (eagleeye-harden); without them the plain evaluator runs.
-    let report = if o.contains_key("checkpoint") || deadline.is_some() {
-        let mut harden = HardenOptions::new();
-        if let Some(path) = o.get("checkpoint") {
-            let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
-            spec.resume = o.contains_key("resume");
-            harden.checkpoint = Some(spec);
-        }
-        if let Some(budget) = deadline {
-            harden.deadline = Deadline::after(budget);
-        }
-        let out = eval
-            .evaluate_hardened(&config, &harden)
-            .map_err(|e| e.to_string())?;
-        for q in &out.quarantined {
-            eprintln!(
-                "warning: leader pass {} quarantined after {} attempts: {}",
-                q.item, q.attempts, q.message
-            );
-        }
-        if out.resumed_passes > 0 {
-            eprintln!(
-                "resumed {} of {} leader passes from checkpoint",
-                out.resumed_passes, out.report.leader_passes_total
-            );
-        }
-        out.report
-    } else {
-        eval.evaluate(&config).map_err(|e| e.to_string())?
-    };
+    // --checkpoint / --deadline configure the crash-safe run layer
+    // (DESIGN.md §12); without them its options are inert.
+    let mut harden = HardenOptions::new();
+    if let Some(path) = o.get("checkpoint") {
+        let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
+        spec.resume = o.contains_key("resume");
+        harden.checkpoint = Some(spec);
+    }
+    if let Some(budget) = deadline {
+        harden.deadline = Deadline::after(budget);
+    }
+    let out = eval
+        .evaluate_hardened(&config, &harden)
+        .map_err(|e| e.to_string())?;
+    if out.resumed_passes > 0 {
+        eprintln!(
+            "resumed {} of {} leader passes from checkpoint",
+            out.resumed_passes, out.report.leader_passes_total
+        );
+    }
+    let report = out.report;
     if let Err(e) = eagleeye::obs::export::write_run("eagleeye", &metrics) {
         eprintln!("warning: failed to write metrics: {e}");
     }

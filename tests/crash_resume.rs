@@ -6,8 +6,9 @@
 //! digest plus the obs counter/histogram artifact are asserted
 //! bit-identical to an uninterrupted run — at 1 and 4 worker threads.
 //!
-//! The property sweep at the bottom fuzzes (site, mode, nth, threads)
-//! over many kill points; set `EAGLEEYE_CRASH_SWEEP_CASES` to widen it
+//! The property sweep at the bottom fuzzes (config, site, mode, nth,
+//! threads) over many kill points, drawing the EagleEye configuration
+//! or a low-res swath one (eight per-satellite passes); set `EAGLEEYE_CRASH_SWEEP_CASES` to widen it
 //! (CI runs 256 cases) and `EAGLEEYE_CRASH_SWEEP_SEED` to replay a
 //! single failing case.
 
@@ -265,8 +266,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 #[test]
 fn crash_property_sweep() {
-    // Fuzz kill points: every (site, mode, nth, threads) combination
-    // must leave the system recoverable with a bit-identical digest.
+    // Fuzz kill points: every (config, site, mode, nth, threads)
+    // combination must leave the system recoverable with a bit-identical
+    // digest.
     //
     // Default is a quick smoke (8 cases); CI widens it with
     // EAGLEEYE_CRASH_SWEEP_CASES=256. A failure prints its case seed —
@@ -279,10 +281,22 @@ fn crash_property_sweep() {
         .ok()
         .and_then(|v| v.parse().ok());
 
+    let configs = ["eagleeye", "low-res"];
     let ref_dir = fresh_dir("sweep_ref");
-    let reference = run_eagleeye(&ref_dir, 1, &["--checkpoint", "ck"], None);
-    assert!(reference.status.success(), "{}", stderr_of(&reference));
-    let ref_digest = digest(&reference);
+    let ref_digests: Vec<String> = configs
+        .iter()
+        .map(|config| {
+            let reference = run_eagleeye(
+                &ref_dir,
+                1,
+                &["--config", config, "--checkpoint", "ck"],
+                None,
+            );
+            assert!(reference.status.success(), "{}", stderr_of(&reference));
+            let _ = fs::remove_file(ref_dir.join("ck"));
+            digest(&reference)
+        })
+        .collect();
 
     let seeds: Vec<u64> = match replay {
         Some(seed) => vec![seed],
@@ -290,6 +304,8 @@ fn crash_property_sweep() {
     };
     for seed in seeds {
         let mut s = seed;
+        let pick = (splitmix64(&mut s) % 2) as usize;
+        let (config, ref_digest) = (configs[pick], &ref_digests[pick]);
         let site = ["worker_item", "checkpoint_write"][(splitmix64(&mut s) % 2) as usize];
         let mode = ["exit", "panic"][(splitmix64(&mut s) % 2) as usize];
         let nth = 1 + splitmix64(&mut s) % 6;
@@ -297,14 +313,21 @@ fn crash_property_sweep() {
         let spec = format!("{site}:{mode}:{nth}");
         let ctx = |step: &str, out: &Output| {
             format!(
-                "sweep case failed at {step}: spec={spec} threads={threads}\n\
+                "sweep case failed at {step}: config={config} spec={spec} threads={threads}\n\
                  replay with EAGLEEYE_CRASH_SWEEP_SEED={seed}\n--- stderr ---\n{}",
                 stderr_of(out)
             )
         };
 
         let dir = fresh_dir(&format!("sweep_{seed:x}"));
-        let flags = ["--checkpoint", "ck", "--ckpt-cadence", "1"];
+        let flags = [
+            "--config",
+            config,
+            "--checkpoint",
+            "ck",
+            "--ckpt-cadence",
+            "1",
+        ];
         let crashed = run_eagleeye(&dir, threads, &flags, Some(&spec));
         // `exit` kills the process (42); `panic` is either absorbed by
         // the supervisor (worker_item) or fatal in the driver
@@ -312,7 +335,7 @@ fn crash_property_sweep() {
         // contract under test is recoverability, below.
         if crashed.status.success() {
             assert_eq!(
-                digest(&crashed),
+                &digest(&crashed),
                 ref_digest,
                 "{}",
                 ctx("survived run", &crashed)
@@ -322,12 +345,20 @@ fn crash_property_sweep() {
         let resumed = run_eagleeye(
             &dir,
             threads,
-            &["--checkpoint", "ck", "--ckpt-cadence", "1", "--resume"],
+            &[
+                "--config",
+                config,
+                "--checkpoint",
+                "ck",
+                "--ckpt-cadence",
+                "1",
+                "--resume",
+            ],
             None,
         );
         assert!(resumed.status.success(), "{}", ctx("resume", &resumed));
         assert_eq!(
-            digest(&resumed),
+            &digest(&resumed),
             ref_digest,
             "{}",
             ctx("resume digest", &resumed)

@@ -2,10 +2,8 @@
 //! through the full `CoverageEvaluator` with metrics enabled. The
 //! report and every recorded pipeline counter are snapshot-asserted,
 //! and recording is bit-identical sequentially and through the
-//! 4-thread pool. `exec/*` keys are excluded from the cross-thread
-//! comparison — sequential runs never dispatch the pool — and timers/
-//! gauges are wall-clock/pool-shape and exempt by design (DESIGN.md
-//! §10).
+//! 4-thread pool. Timers and gauges are wall-clock/pool-shape and
+//! exempt by design (DESIGN.md §10).
 //!
 //! A second scenario is paper-shaped: an 8 × 2 ILP design over the
 //! full-scale seeded ship set, where horizons branch. It pins the
@@ -29,8 +27,7 @@ use eagleeye::obs::{Metrics, MetricsRegistry};
 /// frames_processed, scheduler_calls, ilp_subproblems).
 const GOLDEN_REPORT: (usize, usize, usize, usize, usize, usize) = (80, 4, 4, 360, 4, 4);
 
-/// Every non-`exec/*` counter the pipeline records for this scenario,
-/// in key order.
+/// Every counter the pipeline records for this scenario, in key order.
 const GOLDEN_COUNTERS: &[(&str, u64)] = &[
     ("core/captured_targets", 4),
     ("core/captures_commanded", 4),
@@ -103,10 +100,7 @@ fn run(threads: usize) -> (CoverageReport, MetricsRegistry) {
 }
 
 fn pipeline_counters(snap: &MetricsRegistry) -> Vec<(String, u64)> {
-    snap.counters()
-        .filter(|(k, _)| !k.starts_with("exec/"))
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
+    snap.counters().map(|(k, v)| (k.to_string(), v)).collect()
 }
 
 #[test]
@@ -151,7 +145,6 @@ fn counters_are_bit_identical_at_one_and_four_threads() {
     assert_eq!(pipeline_counters(&s1), pipeline_counters(&s4));
     let histograms = |s: &MetricsRegistry| -> Vec<(String, Vec<u64>, u128, u64)> {
         s.histograms()
-            .filter(|(k, _)| !k.starts_with("exec/"))
             .map(|(k, h)| (k.to_string(), h.counts().to_vec(), h.sum(), h.count()))
             .collect()
     };
