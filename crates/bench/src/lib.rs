@@ -14,6 +14,12 @@
 //! * `--threads <n>` — worker threads for the sweep's independent
 //!   configurations (0 or omitted = all available cores). Results are
 //!   identical at any thread count; see DESIGN.md §8.
+//! * `--checkpoint <path>` (with `--resume` and `--ckpt-cadence <n>`)
+//!   and `--deadline <s>` — the crash-safe sweep of
+//!   [`BenchCli::par_sweep_checkpointed`]; a deadline of 0 or less
+//!   means no budget.
+//!
+//! A malformed flag is an error message and exit status 2, not a panic.
 //!
 //! Run e.g.:
 //!
@@ -27,10 +33,10 @@
 use eagleeye_datasets::{TargetSet, Workload};
 use eagleeye_exec::{run_items, ExecPool, RunConfig};
 use eagleeye_harden::{
-    ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ScenarioHasher, ShutdownFlag,
+    budget_from_secs, ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ScenarioHasher,
+    ShutdownFlag,
 };
 use eagleeye_obs::{Metrics, MetricsRegistry};
-use std::time::Duration;
 
 /// Parsed command-line options shared by the figure binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,9 +64,9 @@ pub struct BenchCli {
     /// (`--checkpoint PATH`, with `--resume` and `--ckpt-cadence N`);
     /// `None` keeps the sweep in memory.
     pub checkpoint: Option<CheckpointSpec>,
-    /// Wall-clock budget (`--deadline SECONDS`); blowing it degrades
-    /// the sweep to the configurations that finished instead of
-    /// aborting (see `eagleeye-harden`).
+    /// Wall-clock budget (`--deadline SECONDS`, none when 0 or less);
+    /// blowing it degrades the sweep to the configurations that
+    /// finished instead of aborting (see `eagleeye-harden`).
     pub deadline: Deadline,
 }
 
@@ -82,11 +88,24 @@ impl Default for BenchCli {
 impl BenchCli {
     /// Parses `std::env::args()`.
     ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed flags — these are
-    /// developer-facing binaries.
+    /// A malformed flag prints an error message and the usage to
+    /// stderr and exits with status 2 — these are developer-facing
+    /// binaries.
     pub fn parse() -> Self {
+        BenchCli::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!(
+                "error: {e}\nsupported: --fast --hours <h> --scale <f> --seed <n> --threads <n> \
+                 --checkpoint <path> --resume --ckpt-cadence <n> \
+                 --deadline <s> (0 or less: no budget)"
+            );
+            std::process::exit(2)
+        })
+    }
+
+    /// Parses command-line arguments (without the program name), or
+    /// says what is wrong with them. `--deadline` follows the rule of
+    /// [`budget_from_secs`]: zero or less means no budget.
+    pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut cli = BenchCli {
             metrics: Metrics::from_env(),
             ..BenchCli::default()
@@ -94,8 +113,15 @@ impl BenchCli {
         let mut ckpt_path: Option<String> = None;
         let mut resume = false;
         let mut cadence = 1usize;
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
+            let mut value = |what: &str| -> Result<String, String> {
+                args.next().ok_or_else(|| format!("{a} needs {what}"))
+            };
+            let number = |v: String, what: &str| -> Result<f64, String> {
+                v.parse::<f64>()
+                    .map_err(|_| format!("{a}: `{v}` is not {what}"))
+            };
             match a.as_str() {
                 "--fast" => {
                     cli.fast = true;
@@ -103,44 +129,45 @@ impl BenchCli {
                     cli.scale = cli.scale.min(0.3);
                 }
                 "--hours" => {
-                    let v = args.next().expect("--hours needs a value");
-                    cli.duration_s = v.parse::<f64>().expect("numeric hours") * 3600.0;
+                    let hours = number(value("a value")?, "a number of hours")?;
+                    cli.duration_s = hours * 3600.0;
                 }
                 "--scale" => {
-                    let v = args.next().expect("--scale needs a value");
-                    cli.scale = v.parse::<f64>().expect("numeric scale").clamp(1e-4, 1.0);
+                    cli.scale = number(value("a value")?, "a numeric scale")?.clamp(1e-4, 1.0);
                 }
                 "--seed" => {
-                    let v = args.next().expect("--seed needs a value");
-                    cli.seed = v.parse().expect("integer seed");
+                    let v = value("a value")?;
+                    cli.seed = v
+                        .parse()
+                        .map_err(|_| format!("{a}: `{v}` is not an integer seed"))?;
                 }
                 "--threads" => {
-                    let v = args.next().expect("--threads needs a value");
-                    let n: usize = v.parse().expect("integer thread count");
+                    let v = value("a value")?;
+                    let n: usize = v
+                        .parse()
+                        .map_err(|_| format!("{a}: `{v}` is not an integer thread count"))?;
                     cli.threads = if n == 0 {
                         eagleeye_exec::available_parallelism()
                     } else {
                         n
                     };
                 }
-                "--checkpoint" => {
-                    ckpt_path = Some(args.next().expect("--checkpoint needs a path"));
-                }
+                "--checkpoint" => ckpt_path = Some(value("a path")?),
                 "--resume" => resume = true,
                 "--ckpt-cadence" => {
-                    let v = args.next().expect("--ckpt-cadence needs a value");
-                    cadence = v.parse().expect("integer checkpoint cadence");
+                    let v = value("a value")?;
+                    cadence = v
+                        .parse()
+                        .map_err(|_| format!("{a}: `{v}` is not an integer checkpoint cadence"))?;
                 }
                 "--deadline" => {
-                    let v = args.next().expect("--deadline needs a value");
-                    let secs: f64 = v.parse().expect("numeric deadline seconds");
-                    cli.deadline = Deadline::after(Duration::from_secs_f64(secs));
+                    let secs = number(value("a value")?, "a number of seconds")?;
+                    cli.deadline = match budget_from_secs(secs).map_err(|e| format!("{a}: {e}"))? {
+                        Some(budget) => Deadline::after(budget),
+                        None => Deadline::none(),
+                    };
                 }
-                other => panic!(
-                    "unknown flag {other}; supported: --fast --hours <h> --scale <f> \
-                     --seed <n> --threads <n> --checkpoint <path> --resume --ckpt-cadence <n> \
-                     --deadline <s>"
-                ),
+                other => return Err(format!("unknown flag {other}")),
             }
         }
         if let Some(path) = ckpt_path {
@@ -148,7 +175,7 @@ impl BenchCli {
             spec.resume = resume;
             cli.checkpoint = Some(spec);
         }
-        cli
+        Ok(cli)
     }
 
     /// Generates one of the paper's four workloads at the configured
@@ -371,6 +398,50 @@ pub fn print_csv_outcome(header: &str, outcome: &SweepOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    fn parse(args: &[&str]) -> Result<BenchCli, String> {
+        BenchCli::parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    /// `--deadline` follows the CLI rule: 0 or less is no budget, a
+    /// positive value a budget, and an unusable value an error message
+    /// (never a panic).
+    #[test]
+    fn deadline_flag_follows_the_cli_rule() {
+        for none in ["0", "-0", "-1.5", "-inf"] {
+            let cli = parse(&["--deadline", none]).unwrap();
+            assert!(!cli.deadline.is_set(), "{none}");
+        }
+        let cli = parse(&["--deadline", "2.5"]).unwrap();
+        assert!(cli.deadline.is_set() && !cli.deadline.expired());
+        for bad in ["NaN", "inf", "1e300", "soon"] {
+            let err = parse(&["--deadline", bad]).unwrap_err();
+            assert!(err.starts_with("--deadline: "), "{bad}: {err}");
+        }
+        assert!(parse(&["--deadline"]).is_err());
+    }
+
+    #[test]
+    fn malformed_flags_are_error_messages() {
+        let cli = parse(&["--fast", "--seed", "3", "--threads", "2"]).unwrap();
+        assert!(cli.fast && cli.seed == 3 && cli.threads == 2);
+        assert_eq!(cli.duration_s, 3600.0);
+        let cli = parse(&["--checkpoint", "x.ckpt", "--resume", "--ckpt-cadence", "4"]).unwrap();
+        let spec = cli.checkpoint.expect("checkpoint spec");
+        assert!(spec.resume && spec.cadence == 4);
+        for args in [
+            &["--bogus"][..],
+            &["--seed", "x"],
+            &["--hours"],
+            &["--scale", "big"],
+            &["--threads", "-1"],
+            &["--ckpt-cadence", "1.5"],
+            &["--checkpoint"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?}");
+        }
+    }
 
     #[test]
     fn default_cli_is_full_sweep() {

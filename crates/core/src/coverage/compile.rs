@@ -13,8 +13,10 @@
 //! * **access intervals** — sorted per-target access windows
 //!   (entry/exit frame indices) with projected `(x, y)` coefficients
 //!   stored struct-of-arrays, computed once by a segment sweep that
-//!   takes one [`BucketView`] per five-minute bucket and reproduces the
-//!   legacy per-frame `query_radius` + projection results bit-for-bit;
+//!   takes one [`BucketView`] per five-minute bucket, runs the
+//!   membership kernel ([`TargetSet::members_in`]) per frame, and
+//!   reproduces the legacy per-frame `query_radius` + projection
+//!   results bit-for-bit;
 //! * **solved frames** — a memo of deterministic per-frame results
 //!   (cluster count, captures with their footprint centres and pointing
 //!   offsets, solver diagnostics, fault repairs), keyed on the inputs
@@ -205,13 +207,18 @@ impl CompiledTrack {
     /// intervals plus frame-major coefficients.
     ///
     /// Bit-identical to the legacy per-frame walk by construction: the
-    /// candidate set comes from the same [`BucketView`] the legacy
+    /// members come from the same [`BucketView`] the legacy
     /// `TargetSet::query_radius` consults (fetched once per five-minute
     /// segment, or once per track for a static set, instead of once per
-    /// frame), refined by the same exact predicate (`within_radius_at`)
-    /// in the same ascending order, then projected through the same
-    /// [`LocalFrame`] and box test. The walk itself survives as this
-    /// module's test oracle.
+    /// frame) through the same membership kernel
+    /// ([`TargetSet::members_in`]) in the same ascending order, then
+    /// are projected through the same [`LocalFrame`] — reusing each
+    /// member's position and distance — and box-tested. The walk
+    /// itself survives as this module's test oracle.
+    ///
+    /// Runs are tracked against the previous frame's in-box hits, so
+    /// the work is per frame and per member, with no per-target
+    /// scratch.
     pub fn compile(
         states: Vec<TrackState>,
         epochs: &[f64],
@@ -220,13 +227,14 @@ impl CompiledTrack {
     ) -> Result<CompiledTrack, CoreError> {
         let mut intervals = AccessIntervals::default();
         let mut coeffs = FrameCoeffs::with_frames(states.len());
-        // Open-run tracking: open[tgt] is the interval id whose exit
-        // frame was the previous frame, or OPEN_NONE. Stale ids (exit
-        // older than the previous frame) fail the extension check, so no
-        // clearing.
-        const OPEN_NONE: u32 = u32::MAX;
-        let mut open = vec![OPEN_NONE; targets.len()];
         let mut view: Option<BucketView> = None;
+        let mut members = Vec::new();
+        // `(target, interval)` of the previous and the current frame's
+        // in-box members, ascending by target: a member that was in the
+        // previous frame extends that frame's interval, any other one
+        // opens a new interval.
+        let mut prev_hits: Vec<(u32, u32)> = Vec::new();
+        let mut hits: Vec<(u32, u32)> = Vec::new();
         let mut peak_frame_entries = 0;
         for (f, (state, &t)) in states.iter().zip(epochs).enumerate() {
             let subsat = state.subsatellite.with_altitude(0.0)?;
@@ -235,27 +243,33 @@ impl CompiledTrack {
                 view = None;
             }
             let v = view.get_or_insert_with(|| targets.bucket_view(t));
+            targets.members_in(v, &subsat, geom.bound_m, t, &mut members);
             let fi = f as u32;
-            for idx in targets.candidates_in(v, &subsat, geom.bound_m) {
-                if !targets.within_radius_at(idx, &subsat, geom.bound_m, t) {
-                    continue;
-                }
-                let p = targets.target(idx).position_at(t);
-                let (x, y) = frame.project(&p);
+            let mut prev = prev_hits.iter().copied().peekable();
+            hits.clear();
+            for m in &members {
+                let (x, y) = frame.project_at(&m.position, m.distance_m);
                 if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
-                    let j = open[idx] as usize;
-                    if open[idx] != OPEN_NONE && intervals.exit[j] + 1 == fi {
-                        intervals.exit[j] = fi;
-                    } else {
-                        open[idx] = intervals.len() as u32;
-                        intervals.target.push(idx as u32);
-                        intervals.entry.push(fi);
-                        intervals.exit.push(fi);
-                    }
+                    let tgt = m.index as u32;
+                    while prev.next_if(|&(p, _)| p < tgt).is_some() {}
+                    let j = match prev.next_if(|&(p, _)| p == tgt) {
+                        Some((_, j)) => {
+                            intervals.exit[j as usize] = fi;
+                            j
+                        }
+                        None => {
+                            intervals.target.push(tgt);
+                            intervals.entry.push(fi);
+                            intervals.exit.push(fi);
+                            intervals.len() as u32 - 1
+                        }
+                    };
+                    hits.push((tgt, j));
                     coeffs.x.push(x);
                     coeffs.y.push(y);
                 }
             }
+            std::mem::swap(&mut prev_hits, &mut hits);
             let start = coeffs.offsets.last().copied().unwrap_or(0) as usize;
             peak_frame_entries = peak_frame_entries.max(coeffs.x.len() - start);
             coeffs.offsets.push(coeffs.x.len() as u32);

@@ -3,7 +3,7 @@ use super::compile::{
     IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
 };
 use super::delta::check_fault_window;
-use super::harden::{decode_pass, encode_pass, Pass};
+use super::harden::{decode_pass, encode_pass, Pass, TargetBits};
 use super::{
     ConstellationConfig, CoverageReport, DegradedMode, HardenOptions, HardenedOutcome,
     SchedulerKind,
@@ -624,7 +624,7 @@ impl<'a> CoverageEvaluator<'a> {
     /// merges fewer is degraded.
     fn merge_passes(&self, passes: Vec<Pass>, total: usize) -> CoverageReport {
         let mut report = self.base_report();
-        let mut captured = vec![false; self.targets.len()];
+        let mut captured = TargetBits::new(self.targets.len());
         report.leader_passes_completed = passes.len();
         report.leader_passes_total = total;
         report.degraded = passes.len() < total;
@@ -632,16 +632,12 @@ impl<'a> CoverageEvaluator<'a> {
             self.options.metrics.absorb(&metrics);
             report.absorb(part);
             for idx in pass_captures {
-                captured[idx] = true;
+                captured.insert(idx);
             }
         }
-        report.captured = captured.iter().filter(|c| **c).count();
-        report.captured_value = captured
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c)
-            .map(|(i, _)| self.targets.target(i).value)
-            .sum();
+        report.captured = captured.count();
+        // Summed in ascending target order; an empty sum is -0.0.
+        report.captured_value = captured.iter().map(|i| self.targets.target(i).value).sum();
         report
     }
 
@@ -772,9 +768,9 @@ impl<'a> CoverageEvaluator<'a> {
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
         let mut follower_states: Vec<FollowerState> = Vec::with_capacity(n_followers);
         let mut repair_failures: Vec<(usize, f64)> = Vec::with_capacity(n_followers);
-        // The group's captures, as a bitmap for the recapture lookups
+        // The group's captures, as a bitset for the recapture lookups
         // and as a list the merge reads without scanning the workload.
-        let mut captured = vec![false; self.targets.len()];
+        let mut captured = TargetBits::new(self.targets.len());
         let mut group_captures = Vec::new();
 
         for (frame_idx, state) in track.states.iter().enumerate() {
@@ -802,8 +798,7 @@ impl<'a> CoverageEvaluator<'a> {
             if leader_out {
                 // §4.7 fallback: followers capture nadir high-res.
                 for &(idx, x, _) in &in_frame {
-                    if x.abs() <= high_swath / 2.0 && !captured[idx] {
-                        captured[idx] = true;
+                    if x.abs() <= high_swath / 2.0 && captured.insert(idx) {
                         group_captures.push(idx);
                     }
                 }
@@ -849,7 +844,7 @@ impl<'a> CoverageEvaluator<'a> {
             points.extend(detected.iter().map(|&(idx, x, y)| {
                 let mut value = self.targets.target(idx).value;
                 if let Some(p) = self.options.recapture_penalty {
-                    if captured[idx] {
+                    if captured.contains(idx) {
                         value *= p;
                     }
                 }
@@ -953,7 +948,7 @@ impl<'a> CoverageEvaluator<'a> {
                 }
                 let (cx, cy_abs) = cap.centre;
                 for &(idx, _, _) in &in_frame {
-                    if captured[idx] {
+                    if captured.contains(idx) {
                         continue;
                     }
                     // Re-evaluate the target position at capture time
@@ -964,7 +959,7 @@ impl<'a> CoverageEvaluator<'a> {
                     if (x2 - cx).abs() <= high_swath / 2.0
                         && (y2_abs - cy_abs).abs() <= high_swath / 2.0
                     {
-                        captured[idx] = true;
+                        captured.insert(idx);
                         group_captures.push(idx);
                     }
                 }

@@ -80,6 +80,60 @@ pub struct HardenedOutcome {
 /// the metrics fork it recorded into.
 pub(super) type Pass = (CoverageReport, Vec<usize>, Metrics);
 
+/// A set of target indices, one bit per target of the workload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct TargetBits {
+    /// Targets in the workload (the set's capacity).
+    len: usize,
+    /// Target `i` is bit `i % 64` of `words[i / 64]`.
+    words: Vec<u64>,
+}
+
+impl TargetBits {
+    /// The empty set over `len` targets.
+    pub fn new(len: usize) -> Self {
+        TargetBits {
+            len,
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// True when target `i` is in the set.
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    /// Adds target `i`; true when it was not in the set yet.
+    #[inline]
+    pub fn insert(&mut self, i: usize) -> bool {
+        debug_assert!(i < self.len, "target {i} out of {}", self.len);
+        let (word, bit) = (&mut self.words[i / 64], 1 << (i % 64));
+        let added = *word & bit == 0;
+        *word |= bit;
+        added
+    }
+
+    /// Number of targets in the set.
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The targets in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(k, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    64 * k + bit
+                })
+            })
+        })
+    }
+}
+
 /// Version byte leading every pass checkpoint payload.
 const PAYLOAD_VERSION: u8 = 1;
 /// Payload tag: the pass completed.
@@ -88,7 +142,7 @@ const TAG_OK: u8 = 0;
 const TAG_ERR: u8 = 1;
 
 /// Encodes one pass's outcome as a checkpoint payload: either the
-/// partial report + the captured targets (stored as a bitmap over the
+/// partial report + the captured targets (stored as a bitset over the
 /// workload's `targets`) + the metrics fork's registry, or the message
 /// of the error the pass failed with (stored so a resumed run
 /// deterministically replays the failure instead of silently
@@ -100,11 +154,11 @@ pub(super) fn encode_pass(pass: &Result<Pass, CoreError>, targets: usize) -> Vec
         Ok((report, captured, metrics)) => {
             w.u8(TAG_OK);
             w.bytes(&report.to_bytes());
-            let mut bitmap = vec![false; targets];
+            let mut bits = TargetBits::new(targets);
             for &idx in captured {
-                bitmap[idx] = true;
+                bits.insert(idx);
             }
-            w.bitmap(&bitmap);
+            w.bitset(bits.len, &bits.words);
             w.bytes(&metrics.snapshot().to_bytes());
         }
         Err(e) => {
@@ -117,7 +171,7 @@ pub(super) fn encode_pass(pass: &Result<Pass, CoreError>, targets: usize) -> Vec
 
 /// Decodes pass `i`'s payload, written by [`encode_pass`] over the same
 /// `targets`, restoring its registry into a fork of `metrics`. The
-/// outer `Result` is a malformed payload (a captured bitmap of another
+/// outer `Result` is a malformed payload (a captured bitset of another
 /// length included); the inner one is the replayed outcome of the pass
 /// itself.
 pub(super) fn decode_pass(
@@ -135,13 +189,13 @@ pub(super) fn decode_pass(
     let pass = match r.u8()? {
         TAG_OK => {
             let report = CoverageReport::from_bytes(r.bytes()?)?;
-            let bitmap = r.bitmap()?;
-            if bitmap.len() != targets {
+            let (len, words) = r.bitset()?;
+            if len != targets {
                 return Err(CodecError {
                     context: "pass payload bitmap length",
                 });
             }
-            let captured = (0..targets).filter(|&i| bitmap[i]).collect();
+            let captured = TargetBits { len, words }.iter().collect();
             let fork = metrics.fork();
             fork.absorb_registry(&MetricsRegistry::from_bytes(r.bytes()?)?);
             Ok((report, captured, fork))
@@ -189,7 +243,7 @@ mod tests {
         let registry = metrics.snapshot();
 
         // A swath pass may list a target once per access window; the
-        // bitmap keeps each once, in index order.
+        // bitset keeps each once, in index order.
         let pass = Ok((report.clone(), vec![3, 0, 2, 3], metrics));
         let bytes = encode_pass(&pass, 5);
         let parent = Metrics::enabled();
@@ -201,6 +255,27 @@ mod tests {
         assert!(parent.snapshot().is_empty());
         // A bitmap over a different workload is rejected.
         assert!(decode_pass(0, &bytes, 6, &parent).is_err());
+    }
+
+    /// The bitset answers what a bool-per-target table answers:
+    /// membership, first-insert, count, and ascending iteration.
+    #[test]
+    fn target_bits_match_a_bool_table() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let mut bits = TargetBits::new(len);
+            let mut table = vec![false; len];
+            for i in (0..len)
+                .filter(|i| i % 3 == 0 || i % 7 == 5)
+                .chain((0..len).step_by(6))
+            {
+                assert_eq!(bits.insert(i), !table[i], "len={len} i={i}");
+                table[i] = true;
+            }
+            assert!((0..len).all(|i| bits.contains(i) == table[i]), "len={len}");
+            let want: Vec<usize> = (0..len).filter(|&i| table[i]).collect();
+            assert_eq!(bits.count(), want.len());
+            assert_eq!(bits.iter().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -152,6 +152,18 @@ impl BucketView {
     }
 }
 
+/// One target a [`TargetSet::members_in`] query found in range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Member {
+    /// Index of the target in its set.
+    pub index: usize,
+    /// The target's position at the query time.
+    pub position: GeodeticPoint,
+    /// Great-circle distance from the query center to `position`,
+    /// meters.
+    pub distance_m: f64,
+}
+
 /// The time bucket containing `t_s`.
 #[inline]
 fn bucket_of(t_s: f64) -> i64 {
@@ -227,11 +239,9 @@ impl TargetSet {
     /// Returns indices of targets that exist at `t_s` and lie within
     /// `radius_m` of `center` at that time, ascending.
     pub fn query_radius(&self, center: &GeodeticPoint, radius_m: f64, t_s: f64) -> Vec<usize> {
-        let view = self.bucket_view(t_s);
-        self.candidates_in(&view, center, radius_m)
-            .into_iter()
-            .filter(|&i| self.within_radius_at(i, center, radius_m, t_s))
-            .collect()
+        let mut members = Vec::new();
+        self.members_in(&self.bucket_view(t_s), center, radius_m, t_s, &mut members);
+        members.into_iter().map(|m| m.index).collect()
     }
 
     /// The spatial-index view for the time bucket containing `t_s`,
@@ -283,41 +293,59 @@ impl TargetSet {
         .expect("positive cell size")
     }
 
-    /// Candidate target indices within `radius_m` of `center` for any
-    /// query time inside the view's bucket, ascending: a superset of
-    /// every exact [`query_radius`](Self::query_radius) result with the
-    /// same center/radius at those times (the view pads the query by the
-    /// worst-case intra-bucket drift). Callers refine with
-    /// [`within_radius_at`](Self::within_radius_at).
-    pub fn candidates_in(
+    /// The membership kernel: writes into `out` (cleared first) every
+    /// target that exists at `t_s` and lies within `radius_m` of
+    /// `center` at that time, ascending by index, each with its
+    /// position at `t_s` and its distance from `center`
+    /// (`greatcircle::distance_m(center, &position)`, so a
+    /// [`LocalFrame`](eagleeye_geo::LocalFrame) anchored at `center`
+    /// projects it with `project_at` without recomputing it). `view`
+    /// must cover `t_s`.
+    ///
+    /// Each bbox cell of the (drift-padded) cap is visited once and
+    /// each candidate's distance computed once: a static target's
+    /// position never changes, and a moving target is tested at the
+    /// bucket midpoint against the padded radius before its position
+    /// at `t_s` is tested against `radius_m`. The result is exactly
+    /// the reference composition it replaced — a padded candidate
+    /// query on the view, refined by the exact test at `t_s` — which
+    /// the tests below keep as the kernel's oracle.
+    pub fn members_in(
         &self,
         view: &BucketView,
         center: &GeodeticPoint,
         radius_m: f64,
-    ) -> Vec<usize> {
-        view.index.query_radius(
-            // eagleeye-lint: allow(no-unwrap): altitude 0.0 is always in range
-            &center.with_altitude(0.0).expect("valid altitude"),
-            radius_m + view.pad_m,
-            |i| self.targets[i].position_at(view.midpoint_t_s),
-        )
-    }
-
-    /// Exact membership test: target `i` exists at `t_s` and its
-    /// position at `t_s` is within `radius_m` of `center`. This is the
-    /// refinement predicate of [`query_radius`](Self::query_radius),
-    /// exposed so segment-sweep callers reproduce its results
-    /// bit-for-bit from [`candidates_in`](Self::candidates_in) supersets.
-    #[inline]
-    pub fn within_radius_at(
-        &self,
-        i: usize,
-        center: &GeodeticPoint,
-        radius_m: f64,
         t_s: f64,
-    ) -> bool {
-        let t = &self.targets[i];
-        t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
+        out: &mut Vec<Member>,
+    ) {
+        debug_assert!(view.covers(t_s), "the view must cover the query time");
+        out.clear();
+        let padded_m = radius_m + view.pad_m;
+        view.index.for_each_in_cap(center, padded_m, |index| {
+            let target = &self.targets[index];
+            if !target.exists_at(t_s) {
+                return;
+            }
+            // A static target passes the padded candidate test whenever
+            // it passes the exact one (the pad is never negative), so
+            // only a moving target needs its midpoint sample tested.
+            if target.motion.is_some() {
+                let sampled = target.position_at(view.midpoint_t_s);
+                if !(greatcircle::distance_m(center, &sampled) <= padded_m) {
+                    return;
+                }
+            }
+            let position = target.position_at(t_s);
+            let distance_m = greatcircle::distance_m(center, &position);
+            if distance_m <= radius_m {
+                out.push(Member {
+                    index,
+                    position,
+                    distance_m,
+                });
+            }
+        });
+        out.sort_unstable_by_key(|m| m.index);
     }
 
     /// Sum of values over all targets, computed once at construction.
@@ -337,8 +365,9 @@ impl FromIterator<Target> for TargetSet {
 mod tests {
     use super::*;
     use eagleeye_check::{
-        check_cases, f64_range, prop_assert, prop_assert_eq, vec_of, Failure, Gen,
+        check_cases, f64_range, prop_assert, prop_assert_eq, usize_range, vec_of, Failure, Gen,
     };
+    use eagleeye_geo::LocalFrame;
 
     fn pt(lat: f64, lon: f64) -> GeodeticPoint {
         GeodeticPoint::from_degrees(lat, lon, 0.0).unwrap()
@@ -465,6 +494,51 @@ mod tests {
         }
     }
 
+    /// The candidate query the kernel replaced: every target whose
+    /// position at the view's midpoint lies within the drift-padded
+    /// radius, ascending — a superset of the exact members at any time
+    /// the view covers.
+    fn reference_candidates(
+        set: &TargetSet,
+        view: &BucketView,
+        center: &GeodeticPoint,
+        radius_m: f64,
+    ) -> Vec<usize> {
+        view.index.query_radius(
+            &center.with_altitude(0.0).unwrap(),
+            radius_m + view.pad_m,
+            |i| set.targets[i].position_at(view.midpoint_t_s),
+        )
+    }
+
+    /// The exact refinement the kernel replaced: target `i` exists at
+    /// `t_s` and its position then is within `radius_m` of `center`.
+    fn reference_within(
+        set: &TargetSet,
+        i: usize,
+        center: &GeodeticPoint,
+        radius_m: f64,
+        t_s: f64,
+    ) -> bool {
+        let t = &set.targets[i];
+        t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
+    }
+
+    /// The reference composition (candidates, then the exact test) on
+    /// `view`.
+    fn reference_members(
+        set: &TargetSet,
+        view: &BucketView,
+        center: &GeodeticPoint,
+        radius_m: f64,
+        t_s: f64,
+    ) -> Vec<usize> {
+        reference_candidates(set, view, center, radius_m)
+            .into_iter()
+            .filter(|&i| reference_within(set, i, center, radius_m, t_s))
+            .collect()
+    }
+
     /// [`TargetSet::query_radius`] answered through the per-bucket
     /// reference view.
     fn reference_query_radius(
@@ -473,11 +547,7 @@ mod tests {
         radius_m: f64,
         t_s: f64,
     ) -> Vec<usize> {
-        let view = reference_bucket_view(set, t_s);
-        set.candidates_in(&view, center, radius_m)
-            .into_iter()
-            .filter(|&i| set.within_radius_at(i, center, radius_m, t_s))
-            .collect()
+        reference_members(set, &reference_bucket_view(set, t_s), center, radius_m, t_s)
     }
 
     /// Points where the grid math is most fragile: both sides of the
@@ -576,20 +646,104 @@ mod tests {
                     prop_assert!(view.covers(t) && shared.covers(t));
                     prop_assert!(Arc::ptr_eq(&view.index, &shared.index));
                     let reference = reference_bucket_view(&set, t);
-                    let want = set.candidates_in(&reference, &center, radius_m);
-                    prop_assert_eq!(set.candidates_in(&view, &center, radius_m), want.clone());
-                    prop_assert_eq!(set.candidates_in(&shared, &center, radius_m), want);
+                    let want = reference_candidates(&set, &reference, &center, radius_m);
+                    prop_assert_eq!(reference_candidates(&set, &view, &center, radius_m), want);
                     let exact = reference_query_radius(&set, &center, radius_m, t);
                     prop_assert_eq!(set.query_radius(&center, radius_m, t), exact.clone());
-                    let refined: Vec<usize> = set
-                        .candidates_in(&shared, &center, radius_m)
-                        .into_iter()
-                        .filter(|&i| set.within_radius_at(i, &center, radius_m, t))
-                        .collect();
-                    prop_assert_eq!(refined, exact);
+                    let mut members = Vec::new();
+                    set.members_in(&shared, &center, radius_m, t, &mut members);
+                    let swept: Vec<usize> = members.iter().map(|m| m.index).collect();
+                    prop_assert_eq!(swept, exact);
                 }
                 Ok::<(), Failure>(())
             },
+        );
+    }
+
+    /// Moving targets at up to jet speed on top of the static ones.
+    fn moving_target_gen() -> impl Gen<Value = Target> {
+        (
+            static_target_gen(),
+            f64_range(0.0, 300.0),
+            f64_range(0.0, std::f64::consts::TAU),
+        )
+            .map(|(mut t, speed, bearing)| {
+                t.motion = Some((speed, bearing));
+                t
+            })
+    }
+
+    /// The kernel answers exactly what the reference composition
+    /// answers — the same members, ascending, and bit-equal projected
+    /// `(x, y)` from its reused position and distance — on static and
+    /// moving sets, for caps that wrap the antimeridian or hold a pole,
+    /// and for targets sitting exactly on the query radius.
+    #[test]
+    fn kernel_matches_the_reference_composition() {
+        let (queries_run, with_members) = (std::cell::Cell::new(0u32), std::cell::Cell::new(0u32));
+        check_cases(
+            160,
+            "kernel_matches_the_reference_composition",
+            (
+                vec_of(static_target_gen(), 1, 40),
+                vec_of(moving_target_gen(), 0, 12),
+                vec_of(
+                    (query_gen(), f64_range(0.0, 3.0), usize_range(0, 64)),
+                    4,
+                    10,
+                ),
+            ),
+            |(statics, movers, queries)| {
+                let targets: Vec<Target> = statics.iter().chain(movers).copied().collect();
+                let set = TargetSet::new(targets.clone());
+                for (j, &((center, radius_m, kind, frac), edge, pick)) in queries.iter().enumerate()
+                {
+                    let t = query_time(j % 5, kind, frac);
+                    // Every other query puts one target exactly on the
+                    // radius (at or beyond it for the cap's bbox).
+                    let radius_m = match edge as u32 {
+                        0 => greatcircle::distance_m(
+                            &center,
+                            &targets[pick % targets.len()].position_at(t),
+                        ),
+                        1 => radius_m.max(2_000_000.0),
+                        _ => radius_m,
+                    };
+                    let frame = LocalFrame::new(center, frac * std::f64::consts::TAU);
+                    let view = set.bucket_view(t);
+                    let want: Vec<(usize, u64, u64)> =
+                        reference_members(&set, &view, &center, radius_m, t)
+                            .into_iter()
+                            .map(|i| {
+                                let (x, y) = frame.project(&targets[i].position_at(t));
+                                (i, x.to_bits(), y.to_bits())
+                            })
+                            .collect();
+                    let mut members = Vec::new();
+                    set.members_in(&view, &center, radius_m, t, &mut members);
+                    let got: Vec<(usize, u64, u64)> = members
+                        .iter()
+                        .map(|m| {
+                            let (x, y) = frame.project_at(&m.position, m.distance_m);
+                            (m.index, x.to_bits(), y.to_bits())
+                        })
+                        .collect();
+                    queries_run.set(queries_run.get() + 1);
+                    with_members.set(with_members.get() + u32::from(!want.is_empty()));
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(
+                        set.query_radius(&center, radius_m, t),
+                        reference_query_radius(&set, &center, radius_m, t)
+                    );
+                }
+                Ok::<(), Failure>(())
+            },
+        );
+        assert!(
+            2 * with_members.get() > queries_run.get(),
+            "only {} of {} queries found members",
+            with_members.get(),
+            queries_run.get()
         );
     }
 

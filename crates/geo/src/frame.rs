@@ -1,4 +1,3 @@
-use crate::earth::MEAN_RADIUS_M;
 use crate::{greatcircle, GeoError, GeodeticPoint};
 
 /// A local tangent frame anchored at a ground point with a heading.
@@ -56,7 +55,14 @@ impl LocalFrame {
     /// Projects a geodetic point into the frame, returning
     /// `(cross_track_m, along_track_m)`.
     pub fn project(&self, p: &GeodeticPoint) -> (f64, f64) {
-        let d = greatcircle::central_angle_rad(&self.origin, p) * MEAN_RADIUS_M;
+        self.project_at(p, greatcircle::distance_m(&self.origin, p))
+    }
+
+    /// [`project`](Self::project) for a point whose great-circle
+    /// distance from the origin, `greatcircle::distance_m(&origin, p)`,
+    /// the caller already computed (a membership query does): the same
+    /// result, bit for bit, without recomputing it.
+    pub fn project_at(&self, p: &GeodeticPoint, d: f64) -> (f64, f64) {
         if d < 1e-9 {
             return (0.0, 0.0);
         }

@@ -101,10 +101,10 @@ impl GridIndex {
     }
 
     /// Returns handles of all points whose cell intersects the given
-    /// bounding box (degrees). The result may contain points slightly
-    /// outside the box (cell granularity); callers refine with an exact
-    /// test. Handles the antimeridian: `lon_min_deg > lon_max_deg` means
-    /// the box wraps.
+    /// bounding box (degrees), ascending. The result may contain points
+    /// slightly outside the box (cell granularity); callers refine with
+    /// an exact test. Handles the antimeridian: `lon_min_deg >
+    /// lon_max_deg` means the box wraps.
     pub fn query_bbox(
         &self,
         lat_min_deg: f64,
@@ -113,45 +113,75 @@ impl GridIndex {
         lon_max_deg: f64,
     ) -> Vec<usize> {
         let mut out = Vec::new();
-        let lat_lo = (lat_min_deg.max(-90.0) / self.cell_deg).floor() as i32;
-        let lat_hi = (lat_max_deg.min(90.0) / self.cell_deg).floor() as i32;
-        let (lon_min_cell, lon_max_cell) = Self::lon_cell_bounds(self.cell_deg);
-        let lon_cells_total = lon_max_cell - lon_min_cell + 1;
+        self.for_each_cell_in_bbox(
+            lat_min_deg,
+            lat_max_deg,
+            lon_min_deg,
+            lon_max_deg,
+            |items| out.extend_from_slice(items),
+        );
+        // Every handle lives in one cell and every cell is visited
+        // once, so sorting alone makes the result canonical.
+        out.sort_unstable();
+        out
+    }
 
-        let lon_ranges: Vec<(i32, i32)> = if lon_min_deg <= lon_max_deg {
-            vec![(
-                (lon_min_deg / self.cell_deg).floor() as i32,
-                (lon_max_deg / self.cell_deg).floor() as i32,
-            )]
+    /// Calls `visit` with the handles of every non-empty cell the
+    /// bounding box touches, each cell exactly once. A wrapping box
+    /// (`lon_min_deg > lon_max_deg`) covers `[lon_min, 180)` and
+    /// `[-180, lon_max]`; a longitude span wider than the globe is
+    /// clamped to one lap, so the two halves of a wrapping box and a
+    /// full-globe (pole-including) box never revisit a cell.
+    fn for_each_cell_in_bbox(
+        &self,
+        lat_min_deg: f64,
+        lat_max_deg: f64,
+        lon_min_deg: f64,
+        lon_max_deg: f64,
+        mut visit: impl FnMut(&[usize]),
+    ) {
+        let cd = self.cell_deg;
+        let lat_lo = (lat_min_deg.max(-90.0) / cd).floor() as i32;
+        let lat_hi = (lat_max_deg.min(90.0) / cd).floor() as i32;
+        let (min_cell, max_cell) = Self::lon_cell_bounds(cd);
+        let total = max_cell - min_cell + 1;
+        let wrap = |cell: i64| min_cell + (cell - min_cell).rem_euclid(total);
+        let cell = |deg: f64| i64::from((deg / cd).floor() as i32);
+        // `(first wrapped cell, cells after it)` per longitude range; a
+        // negative count is an empty range.
+        let range = |lo_deg: f64, hi_deg: f64| {
+            let (lo, hi) = (cell(lo_deg), cell(hi_deg));
+            (wrap(lo), (hi - lo).min(total - 1))
+        };
+        let ranges = if lon_min_deg <= lon_max_deg {
+            [range(lon_min_deg, lon_max_deg), (0, -1)]
         } else {
-            // Wrapping box: [lon_min, 180) and [-180, lon_max].
-            vec![
-                (
-                    (lon_min_deg / self.cell_deg).floor() as i32,
-                    (180.0 / self.cell_deg).ceil() as i32,
-                ),
-                (
-                    (-180.0 / self.cell_deg).floor() as i32,
-                    (lon_max_deg / self.cell_deg).floor() as i32,
-                ),
+            // `[lon_min, 180)` runs through the cell at +180 (which wraps
+            // to the first cell), then `[-180, lon_max]`.
+            let first = cell(lon_min_deg);
+            let last = i64::from((180.0 / cd).ceil() as i32);
+            [
+                (wrap(first), (last - first).min(total - 1)),
+                range(-180.0, lon_max_deg),
             ]
         };
-
+        let in_first = |c: i64| {
+            let (start, span) = ranges[0];
+            span >= 0 && (c - start).rem_euclid(total) <= span
+        };
         for lat_c in lat_lo..=lat_hi {
-            for &(lo, hi) in &lon_ranges {
-                // Guard against pathological spans wider than the globe.
-                let span = (hi as i64 - lo as i64).min(lon_cells_total);
+            for (r, &(start, span)) in ranges.iter().enumerate() {
                 for d in 0..=span {
-                    let lon_c = Self::wrap_lon_cell(self.cell_deg, lo as i64 + d);
-                    if let Some(items) = self.cells.get(&(lat_c, lon_c)) {
-                        out.extend_from_slice(items);
+                    let lon_c = wrap(start + d);
+                    if r == 1 && in_first(lon_c) {
+                        continue;
+                    }
+                    if let Some(items) = self.cells.get(&(lat_c, lon_c as i32)) {
+                        visit(items);
                     }
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// The canonical longitude-cell range `[min, max]` that
@@ -168,19 +198,6 @@ impl GridIndex {
         (min_cell, max_cell.max(min_cell))
     }
 
-    fn wrap_lon_cell(cell_deg: f64, cell: i64) -> i32 {
-        let (min_cell, max_cell) = Self::lon_cell_bounds(cell_deg);
-        let total = max_cell - min_cell + 1;
-        let mut c = cell;
-        while c < min_cell {
-            c += total;
-        }
-        while c > max_cell {
-            c -= total;
-        }
-        c as i32
-    }
-
     /// Returns handles of all points within `radius_m` of `center`,
     /// exactly (great-circle distance), sorted ascending by handle.
     ///
@@ -192,6 +209,27 @@ impl GridIndex {
         radius_m: f64,
         resolve: impl Fn(usize) -> GeodeticPoint,
     ) -> Vec<usize> {
+        let mut out = Vec::new();
+        self.for_each_in_cap(center, radius_m, |i| {
+            if greatcircle::distance_m(center, &resolve(i)) <= radius_m {
+                out.push(i);
+            }
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// Calls `visit` once for every handle in the cells that the
+    /// bounding box of the spherical cap of `radius_m` around `center`
+    /// touches: a superset of the points inside the cap, in no
+    /// particular order. Callers refine with an exact distance test
+    /// ([`query_radius`](Self::query_radius) is this plus that test).
+    pub fn for_each_in_cap(
+        &self,
+        center: &GeodeticPoint,
+        radius_m: f64,
+        mut visit: impl FnMut(usize),
+    ) {
         let delta_rad = radius_m / MEAN_RADIUS_M;
         let dlat = delta_rad.to_degrees();
         let lat_min = center.lat_deg() - dlat;
@@ -219,13 +257,9 @@ impl GridIndex {
                 (lo, hi)
             }
         };
-        let mut out: Vec<usize> = self
-            .query_bbox(lat_min, lat_max, lon_min, lon_max)
-            .into_iter()
-            .filter(|&i| greatcircle::distance_m(center, &resolve(i)) <= radius_m)
-            .collect();
-        out.sort_unstable();
-        out
+        self.for_each_cell_in_bbox(lat_min, lat_max, lon_min, lon_max, |items| {
+            items.iter().copied().for_each(&mut visit)
+        });
     }
 }
 
@@ -290,6 +324,43 @@ mod tests {
         let center = pt(90.0, 0.0);
         let got = idx.query_radius(&center, 100_000.0, |i| pts[i]);
         assert_eq!(got, vec![0, 1, 2]);
+    }
+
+    /// Caps whose bounding box wraps the antimeridian or holds a pole
+    /// (so once visited the cell at ±180° twice) visit every cell once:
+    /// each handle comes out once, at cell sizes that do and do not
+    /// divide 360°.
+    #[test]
+    fn cap_visits_each_cell_once() {
+        let mut pts = Vec::new();
+        for lon in (-180..180).step_by(3) {
+            for lat in [-89.5, -60.0, 0.0, 60.0, 89.5] {
+                pts.push(pt(lat, lon as f64 + 0.5));
+            }
+        }
+        for cell_deg in [1.0, 2.0, 7.0] {
+            let idx =
+                GridIndex::build(cell_deg, pts.iter().map(|p| (p.lat_deg(), p.lon_deg()))).unwrap();
+            for (center, radius) in [
+                (pt(89.0, 10.0), 300_000.0),
+                (pt(-89.0, -170.0), 300_000.0),
+                (pt(0.0, 179.9), 500_000.0),
+                (pt(60.0, -179.9), 800_000.0),
+                (pt(0.0, 0.0), 30_000_000.0),
+            ] {
+                let mut seen = Vec::new();
+                idx.for_each_in_cap(&center, radius, |i| seen.push(i));
+                let n = seen.len();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(seen.len(), n, "cell {cell_deg}: a cell was visited twice");
+                let want: Vec<usize> = (0..pts.len())
+                    .filter(|&i| greatcircle::distance_m(&center, &pts[i]) <= radius)
+                    .collect();
+                assert!(want.iter().all(|i| seen.binary_search(i).is_ok()));
+                assert_eq!(idx.query_radius(&center, radius, |i| pts[i]), want);
+            }
+        }
     }
 
     #[test]

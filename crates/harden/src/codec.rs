@@ -101,22 +101,22 @@ impl ByteWriter {
         self.bytes(v.as_bytes());
     }
 
-    /// Writes a length-prefixed bit-packed bool slice (8 flags per
-    /// byte — capture bitmaps are large).
-    pub fn bitmap(&mut self, v: &[bool]) {
-        self.usize(v.len());
-        let mut byte = 0u8;
-        for (i, &b) in v.iter().enumerate() {
-            if b {
-                byte |= 1 << (i % 8);
-            }
-            if i % 8 == 7 {
-                self.buf.push(byte);
-                byte = 0;
-            }
+    /// Writes a length-prefixed bit-packed set of `len` flags (8 flags
+    /// per byte — capture sets are large). Flag `i` is bit `i % 64` of
+    /// `words[i / 64]`; `words` holds at least `len` bits, and bits at
+    /// or past `len` are not written.
+    pub fn bitset(&mut self, len: usize, words: &[u64]) {
+        self.usize(len);
+        let bytes = len.div_ceil(8);
+        for (k, w) in words.iter().enumerate().take(bytes.div_ceil(8)) {
+            let le = w.to_le_bytes();
+            let n = (bytes - 8 * k).min(8);
+            self.buf.extend_from_slice(&le[..n]);
         }
-        if !v.len().is_multiple_of(8) {
-            self.buf.push(byte);
+        if !len.is_multiple_of(8) {
+            // Clear the unused high bits of the last byte.
+            let last = self.buf.len() - 1;
+            self.buf[last] &= (1u8 << (len % 8)) - 1;
         }
     }
 }
@@ -209,14 +209,25 @@ impl<'a> ByteReader<'a> {
         })
     }
 
-    /// Reads a length-prefixed bit-packed bool slice written by
-    /// [`ByteWriter::bitmap`].
-    pub fn bitmap(&mut self) -> Result<Vec<bool>, CodecError> {
+    /// Reads a set written by [`ByteWriter::bitset`]: its flag count
+    /// and its words, with every bit at or past the count clear.
+    pub fn bitset(&mut self) -> Result<(usize, Vec<u64>), CodecError> {
         let n = self.usize()?;
-        let packed = self.take(n.div_ceil(8), "bitmap body")?;
-        Ok((0..n)
-            .map(|i| packed[i / 8] & (1 << (i % 8)) != 0)
-            .collect())
+        let packed = self.take(n.div_ceil(8), "bitset body")?;
+        let mut words: Vec<u64> = packed
+            .chunks(8)
+            .map(|chunk| {
+                let mut le = [0u8; 8];
+                le[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(le)
+            })
+            .collect();
+        if let Some(last) = words.last_mut() {
+            if !n.is_multiple_of(64) {
+                *last &= (1u64 << (n % 64)) - 1;
+            }
+        }
+        Ok((n, words))
     }
 }
 
@@ -253,17 +264,38 @@ mod tests {
         assert!(r.is_exhausted());
     }
 
+    /// The bitset encoding is the one the bool-slice encoding it
+    /// replaced wrote (so existing checkpoints still decode): a length,
+    /// then flags packed eight to a byte, low bit first.
     #[test]
     fn bitmap_round_trips_at_odd_lengths() {
         for n in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
             let flags: Vec<bool> = (0..n).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+            let mut words = vec![0u64; n.div_ceil(64)];
+            for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+                words[i / 64] |= 1 << (i % 64);
+            }
             let mut w = ByteWriter::new();
-            w.bitmap(&flags);
+            w.bitset(n, &words);
             let bytes = w.into_bytes();
+            let mut packed = vec![0u8; n.div_ceil(8)];
+            for (i, _) in flags.iter().enumerate().filter(|(_, &f)| f) {
+                packed[i / 8] |= 1 << (i % 8);
+            }
+            assert_eq!(bytes[..8], (n as u64).to_le_bytes(), "n={n}");
+            assert_eq!(bytes[8..], packed[..], "n={n}");
             let mut r = ByteReader::new(&bytes);
-            assert_eq!(r.bitmap().unwrap(), flags, "n={n}");
+            assert_eq!(r.bitset().unwrap(), (n, words), "n={n}");
             assert!(r.is_exhausted());
         }
+        // Bits past the length are neither written nor read back.
+        let mut w = ByteWriter::new();
+        w.bitset(3, &[u64::MAX]);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[8..], [0b111]);
+        let mut dirty = bytes.clone();
+        dirty[8] = 0xff;
+        assert_eq!(ByteReader::new(&dirty).bitset().unwrap(), (3, vec![0b111]));
     }
 
     #[test]

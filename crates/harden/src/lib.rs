@@ -43,4 +43,4 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crash::{crash_point, CrashMode, CrashPlan};
 pub use crc::crc32;
 pub use snapshot::{CheckpointSpec, FieldHash, ScenarioHasher, Snapshot, SnapshotError};
-pub use watchdog::{Deadline, DeadlinePoll, ShutdownFlag};
+pub use watchdog::{budget_from_secs, Deadline, DeadlinePoll, ShutdownFlag};

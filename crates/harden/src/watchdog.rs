@@ -18,6 +18,30 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The budget a `--deadline SECONDS` command-line flag asks for, by
+/// the one rule every CLI in the workspace follows: zero or a negative
+/// number means no budget (`None`), and a value that is not a usable
+/// duration (NaN, infinite, or past [`Duration::MAX`]) is an error
+/// message rather than a panic.
+///
+/// ```
+/// use eagleeye_harden::budget_from_secs;
+/// use std::time::Duration;
+///
+/// assert_eq!(budget_from_secs(0.0), Ok(None));
+/// assert_eq!(budget_from_secs(-3.0), Ok(None));
+/// assert_eq!(budget_from_secs(2.5), Ok(Some(Duration::from_millis(2_500))));
+/// assert!(budget_from_secs(f64::NAN).is_err());
+/// ```
+pub fn budget_from_secs(secs: f64) -> Result<Option<Duration>, String> {
+    if secs <= 0.0 {
+        return Ok(None);
+    }
+    Duration::try_from_secs_f64(secs)
+        .map(Some)
+        .map_err(|e| format!("`{secs}` seconds is not a usable budget ({e})"))
+}
+
 /// A monotonic wall-clock budget for a run.
 ///
 /// `Deadline::none()` is the deterministic default: it never expires

@@ -19,7 +19,7 @@ use eagleeye::core::schedule::{
 };
 use eagleeye::core::SensingSpec;
 use eagleeye::datasets::Workload;
-use eagleeye::harden::{CheckpointSpec, Deadline};
+use eagleeye::harden::{budget_from_secs, CheckpointSpec, Deadline};
 use eagleeye::obs::Metrics;
 use eagleeye::orbit::{GroundTrack, J2Propagator, Sgp4Propagator, Tle};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
@@ -34,7 +34,7 @@ USAGE:
   eagleeye coverage [--workload W] [--config C] [--sats N] [--followers K]
                     [--hours H] [--scale F] [--seed S] [--recall R] [--planes P]
                     [--threads T] [--checkpoint PATH [--resume] [--ckpt-cadence N]]
-                    [--deadline SECONDS]
+                    [--deadline SECONDS (0 or less: no budget)]
   eagleeye schedule [--targets N] [--followers K] [--seed S] [--solver ilp|greedy]
   eagleeye energy   [--role leader|follower|baseline|mix] [--tile-factor F]
   eagleeye orbit    [--hours H] [--step SECONDS] [--sgp4]
@@ -120,15 +120,10 @@ fn get_usize(o: &Flags, key: &str, default: usize) -> Result<usize, String> {
 }
 
 /// `--deadline SECONDS` as a wall-clock budget: `None` when absent or
-/// not positive, an error when it is not a representable duration.
+/// not positive, an error when it is not a representable duration
+/// ([`budget_from_secs`], the rule the figure binaries share).
 fn get_deadline(o: &Flags) -> Result<Option<Duration>, String> {
-    let secs = get_f64(o, "deadline", 0.0)?;
-    if secs <= 0.0 {
-        return Ok(None);
-    }
-    Duration::try_from_secs_f64(secs)
-        .map(Some)
-        .map_err(|e| format!("--deadline: `{secs}` seconds is not a usable budget ({e})"))
+    budget_from_secs(get_f64(o, "deadline", 0.0)?).map_err(|e| format!("--deadline: {e}"))
 }
 
 fn get_workload(o: &Flags) -> Result<Workload, String> {

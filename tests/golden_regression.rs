@@ -11,6 +11,11 @@
 //! that builds the same wrong model on every path (and so agrees with
 //! itself) still fails here.
 //!
+//! A third pins swath coverage of low-res and high-res designs over a
+//! scaled static set and a moving one: the union of every frame's
+//! membership, so it catches a membership kernel that is wrong the
+//! same way on every path.
+//!
 //! If an intentional pipeline change shifts these numbers, re-pin the
 //! `GOLDEN_*` constants from the values in the assertion message —
 //! that is the point of the test: drift must be noticed, not silent.
@@ -186,4 +191,80 @@ fn full_scale_ilp_design_matches_the_golden_outcome_and_effort() {
         "full-scale outcome or solver effort drifted; got ({}, {:#018x}, {}, {})",
         got.0, got.1, got.2, got.3
     );
+}
+
+/// Swath goldens: `(workload, config label, captured, captured_value
+/// bits, frames_processed)` for the low-res and high-res swath designs
+/// over a scaled static set (Lake 1.4M) and a moving one (Airplane
+/// Tracking). Swath coverage is the union of every frame's membership,
+/// so these pin the membership kernel itself: a kernel that drops,
+/// duplicates or misplaces a member moves `captured` or the value bits.
+const GOLDEN_SWATH: &[(&str, &str, usize, u64, usize)] = &[
+    (
+        "Lake Monitoring (1.4M)",
+        "low-res-only(8)",
+        1314,
+        0x4094fae2157a4fff,
+        1920,
+    ),
+    (
+        "Lake Monitoring (1.4M)",
+        "high-res-only(8)",
+        136,
+        0x406155965ac6594e,
+        1920,
+    ),
+    (
+        "Airplane Tracking",
+        "low-res-only(8)",
+        250,
+        0x40672ceb23170f72,
+        1920,
+    ),
+    (
+        "Airplane Tracking",
+        "high-res-only(8)",
+        36,
+        0x403ab7ef539c997a,
+        1920,
+    ),
+];
+
+#[test]
+fn swath_designs_match_the_golden_membership() {
+    let workloads = [
+        (Workload::LakeMonitoring1M4, 0.25),
+        (Workload::AirplaneTracking, 1.0),
+    ];
+    let mut got = Vec::new();
+    for (workload, scale) in workloads {
+        let targets = workload.generate_scaled(scale, 3_600.0, 7);
+        let options = CoverageOptions {
+            duration_s: 3_600.0,
+            ..CoverageOptions::default()
+        };
+        let eval = CoverageEvaluator::new(&targets, options);
+        for config in [
+            ConstellationConfig::LowResOnly { satellites: 8 },
+            ConstellationConfig::HighResOnly { satellites: 8 },
+        ] {
+            let report = eval.evaluate(&config).expect("evaluation succeeds");
+            got.push((
+                workload.label(),
+                config.label(),
+                report.captured,
+                report.captured_value.to_bits(),
+                report.frames_processed,
+            ));
+        }
+    }
+    let listing: String = got
+        .iter()
+        .map(|(w, c, n, v, f)| format!("    ({w:?}, {c:?}, {n}, {v:#018x}, {f}),\n"))
+        .collect();
+    let want: Vec<_> = GOLDEN_SWATH
+        .iter()
+        .map(|&(w, c, n, v, f)| (w, c.to_string(), n, v, f))
+        .collect();
+    assert_eq!(got, want, "swath membership drifted; got:\n{listing}");
 }
