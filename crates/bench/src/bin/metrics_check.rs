@@ -1,12 +1,14 @@
 //! CI smoke validator for metrics artifacts: parses one or more
 //! `results/METRICS_<run>.json` files and checks the DESIGN.md §10
 //! schema — the five top-level keys (`run` plus four object-valued
-//! sections), integer counters, and internally-consistent histograms.
+//! sections), every key inside the `subsystem/name` namespace, integer
+//! counters, and internally-consistent histograms.
 //!
 //! Exit code 0 when every artifact validates; 1 with a message on
 //! stderr otherwise. Usage: `metrics_check <artifact.json>...`.
 
 use eagleeye_obs::json::{parse, Value};
+use eagleeye_obs::valid_key;
 use std::process::ExitCode;
 
 fn validate(text: &str) -> Result<(), String> {
@@ -15,9 +17,15 @@ fn validate(text: &str) -> Result<(), String> {
         .and_then(Value::as_str)
         .ok_or("missing or non-string top-level key 'run'")?;
     for section in ["counters", "gauges", "timers", "histograms"] {
-        doc.get(section)
+        let entries = doc
+            .get(section)
             .and_then(Value::as_object)
             .ok_or(format!("missing or non-object top-level key '{section}'"))?;
+        if let Some(key) = entries.keys().find(|k| !valid_key(k)) {
+            return Err(format!(
+                "{section} key '{key}' is outside the `subsystem/name` namespace"
+            ));
+        }
     }
     for (key, v) in doc.get("counters").unwrap().as_object().unwrap() {
         v.as_u64()
@@ -112,17 +120,26 @@ mod tests {
         )
         .is_err());
         assert!(validate(
-            r#"{"run": "r", "counters": {"a": -1}, "gauges": {}, "timers": {}, "histograms": {}}"#
+            r#"{"run": "r", "counters": {"core/a": -1}, "gauges": {}, "timers": {}, "histograms": {}}"#
+        )
+        .is_err());
+        assert!(validate(
+            r#"{"run": "r", "counters": {"Core/x": 1}, "gauges": {}, "timers": {}, "histograms": {}}"#
+        )
+        .is_err());
+        assert!(validate(
+            r#"{"run": "r", "counters": {}, "gauges": {"exec/threads": 1.0, "threads": 2.0},
+                "timers": {}, "histograms": {}}"#
         )
         .is_err());
         assert!(validate(
             r#"{"run": "r", "counters": {}, "gauges": {}, "timers": {},
-                "histograms": {"h": {"bounds": [1], "counts": [1], "sum": 1, "count": 1}}}"#
+                "histograms": {"core/h": {"bounds": [1], "counts": [1], "sum": 1, "count": 1}}}"#
         )
         .is_err());
         assert!(validate(
             r#"{"run": "r", "counters": {}, "gauges": {}, "timers": {},
-                "histograms": {"h": {"bounds": [1], "counts": [1, 2], "sum": 1, "count": 4}}}"#
+                "histograms": {"core/h": {"bounds": [1], "counts": [1, 2], "sum": 1, "count": 4}}}"#
         )
         .is_err());
     }

@@ -91,6 +91,10 @@ impl BenchCli {
     /// A malformed flag prints an error message and the usage to
     /// stderr and exits with status 2 — these are developer-facing
     /// binaries.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a figure binary given a bad flag has nothing to flush; status 2 is its contract"
+    )]
     pub fn parse() -> Self {
         BenchCli::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!(

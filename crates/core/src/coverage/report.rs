@@ -11,7 +11,6 @@ use std::time::Duration;
 const REPORT_CODEC_VERSION: u8 = 4;
 
 /// Result of a coverage evaluation run.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CoverageReport {
     /// Distinct targets captured in high-resolution imagery (for
@@ -365,6 +364,10 @@ impl CoverageReport {
     /// author decides whether it is outcome or timing. Float fields
     /// compare with `==`, matching the derived `PartialEq` the
     /// strip-and-compare predecessor relied on.
+    #[expect(
+        clippy::float_cmp,
+        reason = "outcome floats compare with `==`, as the derived `PartialEq` did"
+    )]
     pub fn same_outcome(&self, other: &CoverageReport) -> bool {
         let CoverageReport {
             captured,

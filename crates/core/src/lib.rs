@@ -20,7 +20,8 @@
 //!   ILP formulation (an opportunity-graph flow problem solved by
 //!   `eagleeye-ilp`), the greedy nearest-target baseline, the AB&B
 //!   prior-work baseline whose runtime explodes past ~19 targets
-//!   (paper Fig. 12a), and an exact DP oracle used to certify the ILP.
+//!   (paper Fig. 12a); its unit tests certify the ILP against an exact
+//!   DP oracle.
 //! * [`coverage`] — the end-to-end 24 h coverage evaluator across
 //!   constellation configurations: Low-Res Only, High-Res Only, EagleEye
 //!   leader-follower groups, and the Mix-Camera ablation (paper Fig. 5,
@@ -52,6 +53,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 mod actuation;
 mod cameras;

@@ -68,7 +68,8 @@ pub fn max_lookahead_m(
             value: target_speed_m_s,
         });
     }
-    // eagleeye-lint: allow(float-eq): exact-zero guard before division; epsilon would silently reclassify slow movers as static
+    // Exact-zero guard before division: an epsilon would silently
+    // reclassify slow movers as static.
     if target_speed_m_s == 0.0 {
         return Ok(f64::INFINITY);
     }

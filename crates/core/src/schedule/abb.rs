@@ -82,7 +82,10 @@ impl SearchCtx<'_> {
         self.nodes_since_check += 1;
         if self.nodes_since_check >= DEADLINE_CHECK_STRIDE {
             self.nodes_since_check = 0;
-            // eagleeye-lint: allow(clock): deadline enforcement is wall-clock by design; deadline runs are excluded from the determinism goldens
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadline enforcement is wall-clock by design; deadline runs are excluded from the determinism goldens"
+            )]
             if Instant::now() >= self.deadline {
                 self.timed_out = true;
                 return;
@@ -145,9 +148,12 @@ impl Scheduler for AbbScheduler {
             return Ok(schedule);
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "anchoring the wall-clock deadline is the scheduler's time-budget contract"
+        )]
         let mut ctx = SearchCtx {
             problem,
-            // eagleeye-lint: allow(clock): anchoring the wall-clock deadline is the scheduler's time-budget contract
             deadline: Instant::now() + self.deadline,
             best_value: 0.0,
             best: vec![Vec::new(); n_followers],

@@ -10,22 +10,6 @@ use crate::CoreError;
 /// instances (≤ [`DpScheduler::MAX_TASKS`] tasks). It evaluates pairwise
 /// slew feasibility directly, with no arc-horizon approximation, so its
 /// optimum is the exact optimum of the slot-discretized problem.
-///
-/// # Example
-///
-/// ```
-/// use eagleeye_core::schedule::{DpScheduler, FollowerState, Scheduler, SchedulingProblem, TaskSpec};
-/// use eagleeye_core::SensingSpec;
-///
-/// let p = SchedulingProblem::new(
-///     SensingSpec::paper_default(),
-///     vec![TaskSpec::new(0.0, 40_000.0, 1.0), TaskSpec::new(5_000.0, 80_000.0, 2.0)],
-///     vec![FollowerState::at_start(-100_000.0)],
-/// )?;
-/// let s = DpScheduler::default().schedule(&p)?;
-/// assert_eq!(s.captured_count(), 2);
-/// # Ok::<(), eagleeye_core::CoreError>(())
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DpScheduler {
     /// Slots per window (0 = same auto rule as the ILP scheduler).
@@ -163,8 +147,10 @@ impl Scheduler for DpScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{FollowerState, IlpScheduler, TaskSpec};
+    use crate::schedule::{validate_schedule, FollowerState, IlpScheduler, TaskSpec};
     use crate::SensingSpec;
+    use eagleeye_check::{check_cases, f64_range, prop_assert, vec_of, Gen};
+    use eagleeye_rng::SplitMix64;
 
     fn problem(tasks: Vec<TaskSpec>) -> SchedulingProblem {
         SchedulingProblem::new(
@@ -208,6 +194,66 @@ mod tests {
         let p = problem(tasks);
         let s = DpScheduler::default().schedule(&p).unwrap();
         s.validate(&p).unwrap();
+    }
+
+    /// Random single-follower instances with 1–6 reachable tasks ahead
+    /// of the follower: every DP schedule passes the standalone checker.
+    #[test]
+    fn dp_oracle_validates_on_single_follower_instances() {
+        for seed in 0..12u64 {
+            let n_tasks = SplitMix64::new(seed ^ 0x5A5A).range_usize_inclusive(1, 6);
+            let mut rng = SplitMix64::new(seed);
+            let tasks = (0..n_tasks)
+                .map(|_| {
+                    TaskSpec::new(
+                        rng.range_f64(-60_000.0, 60_000.0),
+                        rng.range_f64(20_000.0, 150_000.0),
+                        rng.range_f64(0.5, 3.0),
+                    )
+                })
+                .collect();
+            let p = problem(tasks);
+            let s = DpScheduler::default().schedule(&p).unwrap();
+            validate_schedule(&p, &s)
+                .unwrap_or_else(|e| panic!("invalid DP schedule on seed {seed}: {e}"));
+        }
+    }
+
+    /// The single-follower DP optimum is a lower bound for the ILP.
+    #[test]
+    fn dp_is_a_lower_bound_for_ilp() {
+        let tasks = vec_of(
+            (
+                f64_range(-90_000.0, 90_000.0),
+                f64_range(-20_000.0, 140_000.0),
+                f64_range(0.1, 5.0),
+            ),
+            1,
+            7,
+        )
+        .map(|v| {
+            v.into_iter()
+                .map(|(x, y, val)| TaskSpec::new(x, y, val))
+                .collect::<Vec<_>>()
+        });
+        check_cases(48, "dp_is_a_lower_bound_for_ilp", tasks, |tasks| {
+            let p = problem(tasks.clone());
+            let dp = DpScheduler { slots_per_task: 3 }.schedule(&p).unwrap();
+            let ilp = IlpScheduler {
+                slots_per_task: 3,
+                ..IlpScheduler::default()
+            }
+            .schedule(&p)
+            .unwrap();
+            dp.validate(&p).unwrap();
+            prop_assert!(
+                ilp.total_value >= dp.total_value - 1e-6,
+                "ilp {} below dp bound {}",
+                ilp.total_value,
+                dp.total_value
+            );
+            Ok(())
+        });
     }
 
     #[test]

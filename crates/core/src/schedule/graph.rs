@@ -1,5 +1,5 @@
-//! The discretized opportunity graph underlying the ILP and DP
-//! schedulers.
+//! The discretized opportunity graph underlying the ILP scheduler and
+//! its test oracle, the DP scheduler.
 //!
 //! Each (follower, task) visibility window is discretized into a small
 //! number of capture *slots*. A directed arc between two slots of the
@@ -277,6 +277,7 @@ impl OpportunityGraph {
 
     /// Direct pairwise feasibility between two capture nodes of the same
     /// follower (used by the DP oracle, which needs no rest chain).
+    #[cfg(test)]
     pub(crate) fn pair_feasible(problem: &SchedulingProblem, u: &OppNode, v: &OppNode) -> bool {
         debug_assert_eq!(u.follower, v.follower);
         let dt = v.time_s - u.time_s;

@@ -13,7 +13,7 @@
 //! * **C3** — the target lies inside the captured footprint (guaranteed
 //!   by construction: captures point at cluster centers).
 //!
-//! Four solvers are provided:
+//! Three solvers are provided:
 //!
 //! * [`IlpScheduler`] — the paper's approach: an ILP over a discretized
 //!   *opportunity graph* (capture slots per target, slew-feasibility
@@ -25,9 +25,11 @@
 //! * [`AbbScheduler`] — a reimplementation of the prior-work anytime
 //!   branch-and-bound over capture *sequences* [Chu et al. 2017], whose
 //!   runtime explodes combinatorially past ~19 targets (Fig. 12a).
-//! * [`DpScheduler`] — an exact bitmask dynamic program over the same
-//!   opportunity graph, single-follower only; the test oracle that
-//!   certifies the ILP's optimality.
+//!
+//! Unit tests add a fourth, `dp::DpScheduler`: an exact bitmask dynamic
+//! program over the same opportunity graph, single-follower only, the
+//! oracle that certifies the ILP's optimality. It is compiled only
+//! under `cfg(test)`.
 //!
 //! For degraded operation there is additionally
 //! [`ResilientScheduler`] — a budgeted wrapper around the ILP with
@@ -36,6 +38,7 @@
 //! solver produced each horizon and why.
 
 mod abb;
+#[cfg(test)]
 mod dp;
 mod graph;
 mod greedy;
@@ -45,7 +48,6 @@ mod resilient;
 mod types;
 
 pub use abb::AbbScheduler;
-pub use dp::DpScheduler;
 pub use greedy::GreedyScheduler;
 pub use ilp::{IlpRunStats, IlpScheduler};
 pub use problem::{FollowerState, SchedulingProblem, TaskSpec};

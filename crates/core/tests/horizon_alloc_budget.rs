@@ -12,6 +12,11 @@
 //! test sits in a binary of its own and no other test's heap traffic is
 //! counted.
 
+#![expect(
+    unsafe_code,
+    reason = "counting allocations takes a global allocator, and `GlobalAlloc` is an unsafe trait"
+)]
+
 use eagleeye_core::schedule::{FollowerState, IlpScheduler, SchedulingProblem, TaskSpec};
 use eagleeye_core::SensingSpec;
 use eagleeye_rng::SplitMix64;

@@ -11,7 +11,7 @@ use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, u64_ra
 use eagleeye_core::clustering::{cluster, covers_all, ClusteringMethod};
 use eagleeye_core::pointing::GroundPoint;
 use eagleeye_core::schedule::{
-    validate_schedule, AbbScheduler, DpScheduler, FollowerState, GreedyScheduler, IlpScheduler,
+    validate_schedule, AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler,
     ResilientScheduler, Scheduler, SchedulingProblem, SolverChoice, TaskSpec,
 };
 use eagleeye_core::SensingSpec;
@@ -93,39 +93,6 @@ fn abb_schedules_validate() {
                 .schedule(&p)
                 .expect("abb");
             s.validate(&p).expect("abb schedule feasible");
-            Ok(())
-        },
-    );
-}
-
-/// The single-follower DP optimum is a lower bound for the ILP.
-#[test]
-fn dp_is_a_lower_bound_for_ilp() {
-    check_cases(
-        CASES,
-        "dp_is_a_lower_bound_for_ilp",
-        tasks_gen(7),
-        |tasks| {
-            let p = SchedulingProblem::new(
-                SensingSpec::paper_default(),
-                tasks.clone(),
-                vec![FollowerState::at_start(-100_000.0)],
-            )
-            .expect("valid problem");
-            let dp = DpScheduler { slots_per_task: 3 }.schedule(&p).expect("dp");
-            let ilp = IlpScheduler {
-                slots_per_task: 3,
-                ..IlpScheduler::default()
-            }
-            .schedule(&p)
-            .expect("ilp");
-            dp.validate(&p).expect("dp feasible");
-            prop_assert!(
-                ilp.total_value >= dp.total_value - 1e-6,
-                "ilp {} below dp bound {}",
-                ilp.total_value,
-                dp.total_value
-            );
             Ok(())
         },
     );

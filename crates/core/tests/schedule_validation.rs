@@ -4,8 +4,8 @@
 //! [`CoreError::ScheduleViolation`].
 
 use eagleeye_core::schedule::{
-    validate_schedule, AbbScheduler, Capture, DpScheduler, FollowerState, GreedyScheduler,
-    IlpScheduler, ResilientScheduler, Schedule, Scheduler, SchedulingProblem, TaskSpec,
+    validate_schedule, AbbScheduler, Capture, FollowerState, GreedyScheduler, IlpScheduler,
+    ResilientScheduler, Schedule, Scheduler, SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use eagleeye_rng::SplitMix64;
@@ -56,17 +56,6 @@ fn all_schedulers_validate_on_random_instances() {
     }
 }
 
-#[test]
-fn dp_oracle_validates_on_single_follower_instances() {
-    for seed in 0..12u64 {
-        let mut rng = SplitMix64::new(seed ^ 0x5A5A);
-        let n_tasks = rng.range_usize_inclusive(1, 6);
-        let p = random_problem(seed, n_tasks, 1);
-        assert_valid(&p, &DpScheduler::default(), seed);
-    }
-}
-
-/// A nonempty, valid ILP schedule for corruption tests.
 fn valid_schedule() -> (SchedulingProblem, Schedule) {
     let p = random_problem(42, 6, 2);
     let s = IlpScheduler::default()

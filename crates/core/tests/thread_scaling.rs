@@ -15,7 +15,7 @@
 //! ship workload over half an hour puts nearly all of its work in one
 //! group and cannot show scaling at all.
 
-#[allow(dead_code)] // only `under_leaders` is used here
+#[expect(dead_code, reason = "only `under_leaders` is used here")]
 mod common;
 
 use common::under_leaders;

@@ -38,6 +38,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 mod airplanes;
 mod lakes;
@@ -142,7 +146,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let labels: std::collections::HashSet<_> =
+        let labels: std::collections::BTreeSet<_> =
             Workload::ALL.iter().map(|w| w.label()).collect();
         assert_eq!(labels.len(), 4);
     }

@@ -52,12 +52,6 @@ impl ShipGenerator {
         self
     }
 
-    /// Sets the fraction of ships on lanes (the rest cluster near ports).
-    pub fn with_lane_fraction(mut self, fraction: f64) -> Self {
-        self.lane_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
-
     /// Generates the target set, deterministic in `seed`.
     pub fn generate(&self, seed: u64) -> TargetSet {
         let mut rng = world::rng(seed ^ SHIP_SEED_TAG);

@@ -1,5 +1,8 @@
 use eagleeye_geo::{greatcircle, GeodeticPoint, GridIndex};
-// eagleeye-lint: allow(determinism): bucket indices are read by key only; iteration order never escapes
+#[expect(
+    clippy::disallowed_types,
+    reason = "bucket indices are read by key only; iteration order never escapes"
+)]
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -12,7 +15,6 @@ pub struct TargetId(pub usize);
 /// Static targets (ships-snapshot, lakes, tanks) have `motion: None` and
 /// exist for the whole simulation. Moving targets (airplanes) carry a
 /// great-circle motion and an existence window.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Target {
     /// Position at `t = appears_at_s` (for static targets, the fixed
@@ -114,7 +116,10 @@ enum SpatialIndex {
     /// Every target has `motion: None`.
     Static(OnceLock<Arc<GridIndex>>),
     /// Per-bucket indices keyed by bucket number.
-    // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
+    #[expect(
+        clippy::disallowed_types,
+        reason = "accessed only by bucket key, never iterated"
+    )]
     Moving(Mutex<HashMap<i64, Arc<GridIndex>>>),
 }
 
@@ -175,10 +180,13 @@ impl TargetSet {
     pub fn new(targets: Vec<Target>) -> Self {
         let max_speed_m_s = targets.iter().map(Target::speed_m_s).fold(0.0, f64::max);
         let total_value = targets.iter().map(|t| t.value).sum();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "accessed only by bucket key, never iterated"
+        )]
         let index = if targets.iter().all(|t| t.motion.is_none()) {
             SpatialIndex::Static(OnceLock::new())
         } else {
-            // eagleeye-lint: allow(determinism): accessed only by bucket key, never iterated
             SpatialIndex::Moving(Mutex::new(HashMap::new()))
         };
         TargetSet {
@@ -281,6 +289,7 @@ impl TargetSet {
     }
 
     /// A [`GridIndex`] over every target's position at `t_s`.
+    #[expect(clippy::expect_used, reason = "cell size is the constant 2.0 below")]
     fn grid_at(&self, t_s: f64) -> GridIndex {
         GridIndex::build(
             2.0,
@@ -289,7 +298,6 @@ impl TargetSet {
                 (p.lat_deg(), p.lon_deg())
             }),
         )
-        // eagleeye-lint: allow(no-unwrap): cell size is the constant 2.0 above
         .expect("positive cell size")
     }
 

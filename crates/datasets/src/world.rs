@@ -107,6 +107,10 @@ pub(crate) fn rng(seed: u64) -> SplitMix64 {
 
 /// Samples a point uniformly within a weighted set of boxes, with
 /// cos(latitude) area correction inside each box.
+#[expect(
+    clippy::expect_used,
+    reason = "lat comes from asin (so |lat| <= 90) and lon from the table's validated boxes"
+)]
 pub(crate) fn sample_in_boxes(
     rng: &mut SplitMix64,
     boxes: &[(f64, f64, f64, f64, f64)],
@@ -127,14 +131,16 @@ pub(crate) fn sample_in_boxes(
     let s_max = lat_max.to_radians().sin();
     let lat = rng.range_f64(s_min, s_max).asin().to_degrees();
     let lon = rng.range_f64(lon_min, lon_max);
-    // eagleeye-lint: allow(no-unwrap): lat comes from asin (so |lat| <= 90) and lon from the table's validated boxes
     GeodeticPoint::from_degrees(lat, lon, 0.0).expect("boxes are within valid ranges")
 }
 
 /// Converts `(lat, lon)` degrees to a `GeodeticPoint` (panics only on
 /// malformed compile-time tables).
+#[expect(
+    clippy::expect_used,
+    reason = "panicking on a malformed compile-time table is this helper's documented contract"
+)]
 pub(crate) fn fixed_point(lat: f64, lon: f64) -> GeodeticPoint {
-    // eagleeye-lint: allow(no-unwrap): panicking on a malformed compile-time table is this helper's documented contract
     GeodeticPoint::from_degrees(lat, lon, 0.0).expect("table coordinates are valid")
 }
 

@@ -1,7 +1,6 @@
 use eagleeye_rng::SplitMix64;
 
 /// One detection emitted by the onboard model for a frame.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Index of the target within the frame's candidate list (false
@@ -92,12 +91,6 @@ impl DetectorModel {
     /// Forces a fixed recall regardless of GSD (for sensitivity sweeps).
     pub fn with_fixed_recall(mut self, recall: f64) -> Self {
         self.fixed_recall = Some(recall.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Sets the sensor GSD used by [`DetectorModel::detect`].
-    pub fn with_gsd(mut self, gsd_m: f64) -> Self {
-        self.gsd_m = gsd_m.max(1e-6);
         self
     }
 

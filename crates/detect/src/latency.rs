@@ -5,7 +5,6 @@
 /// processed sequentially. `tile_factor` multiplies the tile count to
 /// model denser (overlapping / finer) tilings — the knob swept in the
 /// paper's energy analysis (Fig. 16: 1×, 2×, 4× tiling).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TilingConfig {
     /// Frame side length in pixels.
@@ -48,7 +47,6 @@ impl TilingConfig {
 /// AGX Orin in its 15 W mode, calibrated so the default 100-tile frame
 /// reproduces the paper's mix-camera compute times (Fig. 13):
 /// 1.4 s (n), 2.6 s (s), 5.5 s (m), 8.6 s (l), 11.8 s (x).
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum YoloVariant {
     /// YOLOv8-nano.

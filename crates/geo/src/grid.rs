@@ -1,6 +1,9 @@
 use crate::earth::MEAN_RADIUS_M;
 use crate::{greatcircle, GeoError, GeodeticPoint};
-// eagleeye-lint: allow(determinism): cells are read by key in bbox order; query_radius sorts its output
+#[expect(
+    clippy::disallowed_types,
+    reason = "cells are read by key in bbox order; query_radius sorts its output"
+)]
 use std::collections::HashMap;
 
 /// A uniform latitude/longitude bucket index over point payloads.
@@ -31,7 +34,10 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct GridIndex {
     cell_deg: f64,
-    // eagleeye-lint: allow(determinism): read via `get` in deterministic cell-range order only
+    #[expect(
+        clippy::disallowed_types,
+        reason = "read via `get` in deterministic cell-range order only"
+    )]
     cells: HashMap<(i32, i32), Vec<usize>>,
     len: usize,
 }
@@ -51,7 +57,10 @@ impl GridIndex {
         if !(cell_deg > 0.0) || !cell_deg.is_finite() {
             return Err(GeoError::InvalidCellSize { cell_deg });
         }
-        // eagleeye-lint: allow(determinism): build inserts by key; the map is never iterated
+        #[expect(
+            clippy::disallowed_types,
+            reason = "build inserts by key; the map is never iterated"
+        )]
         let mut cells: HashMap<(i32, i32), Vec<usize>> = HashMap::new();
         let mut len = 0;
         for (i, (lat, lon)) in points.into_iter().enumerate() {

@@ -15,8 +15,6 @@
 //! * [`LocalFrame`] — an east-north-up tangent frame used to project
 //!   satellite frames onto a local plane, matching the flat-Earth
 //!   approximations in the paper's Eq. (1) and Eq. (2).
-//! * [`GroundRect`] — an axis-aligned rectangle in a local tangent frame,
-//!   the footprint model for image captures.
 //! * [`GridIndex`] — a uniform latitude/longitude bucket index able to
 //!   answer swath-membership queries over millions of targets (the paper's
 //!   1.4 M-lake workload) in time proportional to the answer.
@@ -35,6 +33,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 pub mod earth;
 mod error;
@@ -42,14 +44,12 @@ mod frame;
 pub mod greatcircle;
 mod grid;
 mod point;
-mod rect;
 mod vec3;
 
 pub use error::GeoError;
 pub use frame::LocalFrame;
 pub use grid::GridIndex;
 pub use point::{Ecef, GeodeticPoint};
-pub use rect::GroundRect;
 pub use vec3::Vec3;
 
 /// Converts degrees to radians.

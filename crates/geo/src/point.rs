@@ -18,7 +18,6 @@ use std::fmt;
 /// assert!((p.lat_deg() - 45.0).abs() < 1e-12);
 /// # Ok::<(), eagleeye_geo::GeoError>(())
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeodeticPoint {
     lat_rad: f64,

@@ -17,7 +17,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(x.cross(y), Vec3::new(0.0, 0.0, 1.0));
 /// assert!((x.angle_to(y) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
 /// ```
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
@@ -91,12 +90,6 @@ impl Vec3 {
     #[inline]
     pub fn angle_to(self, other: Vec3) -> f64 {
         self.cross(other).norm().atan2(self.dot(other))
-    }
-
-    /// Distance between two points.
-    #[inline]
-    pub fn distance_to(self, other: Vec3) -> f64 {
-        (self - other).norm()
     }
 
     /// Componentwise linear interpolation: `self + t * (other - self)`.

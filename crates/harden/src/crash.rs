@@ -154,7 +154,10 @@ pub fn crash_point(site: &str) {
         }
         Some(CrashMode::Exit) => {
             eprintln!("eagleeye-harden: injected exit at site {site:?} (EAGLEEYE_CRASH)");
-            // eagleeye-lint: allow(no-exit): the exit *is* the fault being injected — a portable stand-in for SIGKILL, deliberately skipping destructors and checkpoint flushes
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the exit *is* the fault being injected — a portable stand-in for SIGKILL, deliberately skipping destructors and checkpoint flushes"
+            )]
             std::process::exit(42);
         }
     }

@@ -12,9 +12,7 @@
 //!   (`tmp` + `fsync` + `rename`) snapshot of pipeline progress, keyed
 //!   by a scenario hash so resuming a *different* scenario is rejected;
 //! * [`watchdog`] — a monotonic deadline budget plus a cooperative
-//!   SIGTERM-style [`ShutdownFlag`], with the strided polling
-//!   discipline already used by `abb`/`simplex` generalized into
-//!   [`DeadlinePoll`];
+//!   SIGTERM-style [`ShutdownFlag`];
 //! * [`crash`] — the `EAGLEEYE_CRASH=<spec>` test-only fault-injection
 //!   hook that panics or exits at named sites, so the kill-and-resume
 //!   path is exercised by real process deaths in CI.
@@ -31,6 +29,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 pub mod codec;
 pub mod crash;
@@ -43,4 +45,4 @@ pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crash::{crash_point, CrashMode, CrashPlan};
 pub use crc::crc32;
 pub use snapshot::{CheckpointSpec, FieldHash, ScenarioHasher, Snapshot, SnapshotError};
-pub use watchdog::{budget_from_secs, Deadline, DeadlinePoll, ShutdownFlag};
+pub use watchdog::{budget_from_secs, Deadline, ShutdownFlag};

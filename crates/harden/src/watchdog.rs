@@ -1,12 +1,11 @@
 //! Deadline budget and cooperative shutdown for long runs.
 //!
-//! Both `abb` and `simplex` already stride-poll a wall-clock deadline
-//! (check `Instant::now()` every N iterations so the syscall never
-//! dominates an inner loop); this module generalizes that discipline
-//! into a reusable [`Deadline`] + [`DeadlinePoll`] pair, and adds a
-//! [`ShutdownFlag`] — a cooperative SIGTERM-style request that asks the
+//! A [`Deadline`] is a wall-clock budget for a whole run, and a
+//! [`ShutdownFlag`] is a cooperative SIGTERM-style request that asks the
 //! run to checkpoint and stop at the next safe point instead of dying
-//! mid-write.
+//! mid-write. The solvers' inner loops do not use this module: `abb` and
+//! `simplex` stride-poll their own deadlines (checking `Instant::now()`
+//! every N iterations so the clock read never dominates the loop).
 //!
 //! A [`Deadline`] is *anytime* by contract: blowing it never aborts a
 //! run. The supervised runner (`eagleeye_exec::run_items`) stops
@@ -65,6 +64,10 @@ impl Deadline {
 
     /// A deadline `budget` from now. A budget too large to represent
     /// as an [`Instant`] can never expire, so it means no deadline.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline is a wall-clock budget by contract; it only ever degrades a run"
+    )]
     pub fn after(budget: Duration) -> Self {
         Deadline {
             at: Instant::now().checked_add(budget),
@@ -88,6 +91,10 @@ impl Deadline {
 
     /// True when the budget is exhausted. Reads the clock only when a
     /// budget was set.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline is a wall-clock budget by contract; it only ever degrades a run"
+    )]
     pub fn expired(&self) -> bool {
         match self.at {
             None => false,
@@ -97,61 +104,13 @@ impl Deadline {
 
     /// Time left in the budget (`None` when no budget was set, zero
     /// when already expired).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a deadline is a wall-clock budget by contract; it only ever degrades a run"
+    )]
     pub fn remaining(&self) -> Option<Duration> {
         self.at
             .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// Strided deadline polling for hot loops: queries the clock once per
-/// `stride` calls, bounding both syscall overhead and deadline
-/// overshoot — the same discipline `abb` (stride 256) and `simplex`
-/// (stride 128) use inline.
-#[derive(Debug, Clone)]
-pub struct DeadlinePoll {
-    deadline: Deadline,
-    stride: usize,
-    calls: usize,
-    expired: bool,
-}
-
-impl DeadlinePoll {
-    /// A poller over `deadline`, checking the clock every `stride`
-    /// calls (a zero stride is treated as 1).
-    pub fn new(deadline: Deadline, stride: usize) -> Self {
-        DeadlinePoll {
-            deadline,
-            stride: stride.max(1),
-            calls: 0,
-            expired: false,
-        }
-    }
-
-    /// True once the deadline has been observed expired. Latches: after
-    /// the first `true`, the clock is never read again.
-    pub fn expired(&mut self) -> bool {
-        if self.expired || !self.deadline.is_set() {
-            return self.expired;
-        }
-        self.calls += 1;
-        if self.calls.is_multiple_of(self.stride) && self.deadline.expired() {
-            self.expired = true;
-        }
-        self.expired
-    }
-
-    /// Checks the deadline immediately, ignoring the stride.
-    #[cfg(test)]
-    fn expired_now(&mut self) -> bool {
-        if !self.expired && self.deadline.expired() {
-            self.expired = true;
-        }
-        self.expired
-    }
-
-    /// The underlying deadline.
-    pub fn deadline(&self) -> Deadline {
-        self.deadline
     }
 }
 
@@ -193,11 +152,6 @@ mod tests {
         assert!(!d.is_set());
         assert!(!d.expired());
         assert_eq!(d.remaining(), None);
-        let mut p = DeadlinePoll::new(d, 8);
-        for _ in 0..10_000 {
-            assert!(!p.expired());
-        }
-        assert!(!p.expired_now());
     }
 
     #[test]
@@ -213,32 +167,6 @@ mod tests {
         let d = Deadline::after(Duration::from_secs(3600));
         assert!(!d.expired());
         assert!(d.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn poll_latches_after_expiry() {
-        let mut p = DeadlinePoll::new(Deadline::after(Duration::ZERO), 4);
-        // Strided: the first three calls skip the clock.
-        assert!(!p.expired());
-        assert!(!p.expired());
-        assert!(!p.expired());
-        assert!(p.expired());
-        // Latched from here on.
-        assert!(p.expired());
-        assert!(p.expired_now());
-    }
-
-    #[test]
-    fn expired_now_bypasses_stride() {
-        let mut p = DeadlinePoll::new(Deadline::after(Duration::ZERO), 1_000_000);
-        assert!(p.expired_now());
-        assert!(p.expired());
-    }
-
-    #[test]
-    fn zero_stride_is_clamped() {
-        let mut p = DeadlinePoll::new(Deadline::after(Duration::ZERO), 0);
-        assert!(p.expired());
     }
 
     #[test]
@@ -261,6 +189,10 @@ mod tests {
 
     #[test]
     fn absolute_deadline_constructor() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "an absolute deadline needs a real instant to be built from"
+        )]
         let d = Deadline::at(Instant::now() + Duration::from_secs(60));
         assert!(d.is_set());
         assert!(!d.expired());

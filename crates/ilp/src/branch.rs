@@ -240,7 +240,10 @@ pub(crate) fn solve_milp_resumable(
     options: &SolveOptions,
     resume: Option<Frontier>,
 ) -> Result<(Solution, Option<Frontier>), IlpError> {
-    // eagleeye-lint: allow(clock): anchors the optional B&B wall-clock deadline; deterministic whenever no deadline is set
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "anchors the optional B&B wall-clock deadline; deterministic whenever no deadline is set"
+    )]
     let start = Instant::now();
     let sign = model.sign();
 
@@ -627,7 +630,6 @@ mod tests {
     }
 
     /// Deterministic stats: everything except the wall-clock fields.
-    #[allow(clippy::type_complexity)]
     fn det_stats(s: &SolveStats) -> (usize, usize, usize, usize, usize, usize, usize) {
         (
             s.nodes_explored,

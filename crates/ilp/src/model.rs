@@ -195,9 +195,12 @@ impl Model {
     /// # Panics
     ///
     /// Panics if `obj` is not finite.
+    #[expect(
+        clippy::expect_used,
+        reason = "the 0..1 domain is constant-valid; non-finite obj is this method's documented panic contract"
+    )]
     pub fn add_binary_var(&mut self, obj: f64) -> VarId {
         self.add_var(VarKind::Integer, 0.0, 1.0, obj)
-            // eagleeye-lint: allow(no-unwrap): the 0..1 domain is constant-valid; non-finite obj is this method's documented panic contract
             .expect("binary variable domain is always valid")
     }
 

@@ -440,6 +440,10 @@ impl Tableau {
     /// to fix ([`Tableau::resolve`]).
     pub(crate) fn rebound(&mut self, j: usize, lo: f64, up: f64) {
         let v = self.view();
+        #[expect(
+            clippy::float_cmp,
+            reason = "an unchanged bound is a no-op; any change, however small, must reach the tableau"
+        )]
         if lo == v.lower[j] && up == v.upper[j] {
             return;
         }
@@ -451,6 +455,10 @@ impl Tableau {
             let old = v.lower[j] + if v.at_upper[j] { v.upper[j] } else { 0.0 };
             v.at_upper[j] &= up.is_finite();
             let new = lo + if v.at_upper[j] { up } else { 0.0 };
+            #[expect(
+                clippy::float_cmp,
+                reason = "a nonbasic value that did not move leaves every basic value's bits alone"
+            )]
             if new != old {
                 let step = new - old;
                 for i in 0..v.m {
@@ -582,7 +590,10 @@ impl View<'_> {
         let (head, rest) = self.a.split_at_mut(r * n);
         let (row_r, tail) = rest.split_at_mut(n);
         let inv = 1.0 / row_r[j];
-        // eagleeye-lint: allow(float-eq): scaling by exactly 1.0 is the identity, so skipping it leaves every bit unchanged
+        #[expect(
+            clippy::float_cmp,
+            reason = "scaling by exactly 1.0 is the identity, so skipping it leaves every bit unchanged"
+        )]
         if inv != 1.0 {
             for x in row_r.iter_mut() {
                 *x *= inv;
@@ -608,7 +619,8 @@ impl View<'_> {
         }
         for i in 0..self.m {
             let cb = self.phase_cost(phase_one, self.basis[i]);
-            // eagleeye-lint: allow(float-eq): exact-zero sparsity skip; basis costs are copied, never computed, so 0.0 is exact
+            // Exact-zero sparsity skip: basis costs are copied, never
+            // computed, so 0.0 is exact.
             if cb != 0.0 {
                 let row = &self.a[i * self.n_cols..(i + 1) * self.n_cols];
                 for (dj, &aij) in self.d.iter_mut().zip(row) {
@@ -847,7 +859,10 @@ impl View<'_> {
             }
             if self.iterations.is_multiple_of(DEADLINE_CHECK_STRIDE) {
                 if let Some(d) = deadline {
-                    // eagleeye-lint: allow(clock): strided deadline poll is wall-clock by design (DESIGN.md §8); deterministic whenever no deadline is set
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "strided deadline poll is wall-clock by design (DESIGN.md §8); deterministic whenever no deadline is set"
+                    )]
                     if Instant::now() >= d {
                         return Err(IlpError::Deadline);
                     }

@@ -64,7 +64,7 @@ impl Value {
     /// `u64` representation.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            // eagleeye-lint: allow(float-eq): fract() == 0.0 is the exact integrality test gating u64 emission
+            // fract() == 0.0 is the exact integrality test gating u64 emission.
             Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(63) => {
                 Some(*n as u64)
             }

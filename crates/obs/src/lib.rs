@@ -43,17 +43,24 @@
 //! statistics), `orbit/*` (propagation-cache behaviour), `sim/*`
 //! (fault activity), `core/*` (pipeline phases), `harden/*` (run-layer
 //! state, gauges only) and `exec/threads` (the pool's worker count, a
-//! gauge). DESIGN.md §10 lists the emitted keys.
+//! gauge). DESIGN.md §10 lists the emitted keys; [`valid_key`] is the
+//! namespace's one definition.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 pub mod export;
 pub mod json;
 mod metrics;
+mod namespace;
 mod registry;
 mod stopwatch;
 
 pub use metrics::{Metrics, SpanTimer, TRACE_ENV};
+pub use namespace::valid_key;
 pub use registry::{Histogram, MetricsRegistry, TimerStat};
 pub use stopwatch::Stopwatch;

@@ -111,6 +111,10 @@ impl Metrics {
     /// the clock is never read.
     pub fn time<R>(&self, key: &str, f: impl FnOnce() -> R) -> R {
         if self.is_enabled() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "timers measure wall time and are exempt from the cross-run contract (DESIGN.md §10.1)"
+            )]
             let start = Instant::now();
             let out = f();
             self.record_duration(key, start.elapsed());
@@ -132,6 +136,10 @@ impl Metrics {
     /// } // records core/evaluate/cluster, then core/evaluate
     /// assert_eq!(m.snapshot().timer("core/evaluate").unwrap().count, 1);
     /// ```
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "span timers measure wall time and are exempt from the cross-run contract (DESIGN.md §10.1)"
+    )]
     pub fn span(&self, key: &str) -> SpanTimer {
         SpanTimer {
             metrics: self.clone(),

@@ -1,8 +1,9 @@
 //! The sanctioned raw elapsed-time primitive.
 //!
-//! The workspace lint (`eagleeye-lint`, rule `clock`) bans
-//! `Instant::now()` outside the `obs`, `exec`, and `bench` crates so
-//! simulation results can never silently depend on wall time. Code
+//! The workspace's `clippy.toml` disallows `Instant::now()` everywhere
+//! (DESIGN.md §11, R3) so simulation results can never silently depend
+//! on wall time; each read that is right by design carries an
+//! `#[expect(clippy::disallowed_methods, reason = …)]`. Code
 //! that genuinely needs a measured [`Duration`] back — the coverage
 //! evaluator accumulates per-phase times into its report, which the
 //! registry later mirrors under `core/evaluate/*` — starts a
@@ -29,6 +30,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts measuring now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the observability layer's one sanctioned elapsed-time read"
+    )]
     pub fn start() -> Self {
         Stopwatch {
             start: Instant::now(),

@@ -385,8 +385,11 @@ impl ConstellationLayout {
     /// ground point, seconds.
     pub fn follower_delay_s(&self, follower_index: usize) -> f64 {
         let trail_m = self.lead_distance_m + follower_index as f64 * self.follower_spacing_m;
+        #[expect(
+            clippy::expect_used,
+            reason = "altitude/inclination were validated when this layout was constructed"
+        )]
         let prop = J2Propagator::circular(self.altitude_m, self.inclination_rad, 0.0, 0.0)
-            // eagleeye-lint: allow(no-unwrap): altitude/inclination were validated when this layout was constructed
             .expect("validated at construction");
         (trail_m / MEAN_RADIUS_M) / prop.mean_anomaly_rate_rad_s()
     }

@@ -71,13 +71,6 @@ impl GroundTrack {
         self
     }
 
-    /// Sets the inertial sun direction (normalized internally; a zero
-    /// vector is replaced by +X).
-    pub fn with_sun_direction(mut self, dir: Vec3) -> Self {
-        self.sun_direction_eci = dir.normalized().unwrap_or(Vec3::new(1.0, 0.0, 0.0));
-        self
-    }
-
     /// The underlying propagator.
     #[inline]
     pub fn propagator(&self) -> &J2Propagator {

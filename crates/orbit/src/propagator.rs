@@ -89,12 +89,6 @@ impl J2Propagator {
         Ok(J2Propagator::new(tle.elements()?))
     }
 
-    /// Element set at epoch.
-    #[inline]
-    pub fn epoch_elements(&self) -> &KeplerianElements {
-        &self.elements
-    }
-
     /// Orbital period in seconds (Keplerian).
     #[inline]
     pub fn period_s(&self) -> f64 {

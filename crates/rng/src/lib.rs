@@ -27,6 +27,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 /// One round of the splitmix64 output function: a bijective avalanche
 /// mix of `z`. Useful on its own for stateless hashing of identifiers

@@ -6,7 +6,6 @@ use eagleeye_detect::{TileElision, TilingConfig, YoloVariant};
 /// roles in the paper's Fig. 16: leaders image and process the whole
 /// ground track; followers slew and capture on command; baselines image,
 /// process, and downlink everything.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityProfile {
     /// Low- or high-resolution frames captured this orbit.

@@ -1,7 +1,6 @@
 use crate::{ActivityProfile, PowerProfile};
 
 /// Energy used by each subsystem over one orbit, joules.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SubsystemEnergy {
     /// Image capture energy.
@@ -24,7 +23,6 @@ impl SubsystemEnergy {
 }
 
 /// One orbit's energy budget: harvest vs. per-subsystem consumption.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OrbitEnergyReport {
     /// Energy harvested this orbit, joules.

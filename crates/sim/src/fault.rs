@@ -46,7 +46,6 @@ use eagleeye_rng::{mix64, SplitMix64};
 /// that distinguish instances of the class; the *when* lives in the
 /// owning [`Fault`]'s window.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// A follower satellite is entirely out of service (no captures,
     /// no task uplink). `follower` is the in-group follower index used
@@ -87,7 +86,6 @@ pub enum FaultKind {
 /// interval `[start_s, end_s)` of simulation time it is active. Use
 /// `end_s = f64::INFINITY` for permanent faults.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fault {
     /// The fault class and its parameters.
     pub kind: FaultKind,
@@ -135,7 +133,6 @@ impl FieldHash for Fault {
 /// [`FaultPlan::monte_carlo`] draws a concrete, seeded plan. All rates
 /// are probabilities in `[0, 1]` unless noted.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultScenario {
     /// Probability that each follower suffers an outage, onset uniform
     /// over the run.
@@ -188,7 +185,6 @@ impl FaultScenario {
 /// A concrete, seeded fault timeline. See the module-level docs for
 /// the construction and query model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<Fault>,

@@ -39,6 +39,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 mod activity;
 mod battery;

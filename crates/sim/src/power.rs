@@ -4,7 +4,6 @@
 /// computing literature the paper builds on (§5.3): one body-mounted
 /// solar panel, Jetson AGX Orin at 15 W, reaction-wheel ADACS, S-band
 /// downlink.
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Solar harvest power while in sunlight, watts.

@@ -23,7 +23,7 @@ use eagleeye::harden::{budget_from_secs, CheckpointSpec, Deadline};
 use eagleeye::obs::Metrics;
 use eagleeye::orbit::{GroundTrack, J2Propagator, Sgp4Propagator, Tle};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -78,10 +78,10 @@ fn main() -> ExitCode {
     }
 }
 
-type Flags = HashMap<String, String>;
+type Flags = BTreeMap<String, String>;
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut map = HashMap::new();
+    let mut map = BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {

@@ -35,6 +35,10 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
+)]
 
 pub use eagleeye_core as core;
 pub use eagleeye_datasets as datasets;

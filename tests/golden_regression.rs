@@ -3,7 +3,8 @@
 //! report and every recorded pipeline counter are snapshot-asserted,
 //! and recording is bit-identical sequentially and through the
 //! 4-thread pool. Timers and gauges are wall-clock/pool-shape and
-//! exempt by design (DESIGN.md §10).
+//! exempt by design (DESIGN.md §10), but every recorded key, theirs
+//! included, must sit inside the metric namespace.
 //!
 //! A second scenario is paper-shaped: an 8 × 2 ILP design over the
 //! full-scale seeded ship set, where horizons branch. It pins the
@@ -26,7 +27,7 @@ use eagleeye::core::coverage::{
 };
 use eagleeye::datasets::{Target, TargetSet, Workload};
 use eagleeye::geo::GeodeticPoint;
-use eagleeye::obs::{Metrics, MetricsRegistry};
+use eagleeye::obs::{valid_key, Metrics, MetricsRegistry};
 
 /// Report-level golden values: (total, captured, captures_commanded,
 /// frames_processed, scheduler_calls, ilp_subproblems).
@@ -136,6 +137,25 @@ fn report_and_counters_match_the_golden_snapshot() {
     assert_eq!(
         actual, expected,
         "\ncounters drifted from the golden snapshot; actual:\n{actual:#?}"
+    );
+}
+
+/// Every key a traced evaluation records, timers and gauges included,
+/// is inside the DESIGN.md §10.2 namespace, however it was built.
+#[test]
+fn recorded_keys_stay_in_the_namespace() {
+    let (_, snap) = run(4);
+    let outside: Vec<&str> = snap
+        .counters()
+        .map(|(k, _)| k)
+        .chain(snap.gauges().map(|(k, _)| k))
+        .chain(snap.timers().map(|(k, _)| k))
+        .chain(snap.histograms().map(|(k, _)| k))
+        .filter(|k| !valid_key(k))
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "keys outside the namespace: {outside:?}"
     );
 }
 
