@@ -15,7 +15,7 @@ use eagleeye_core::coverage::{
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse_checkpointed();
     // Generate the four workloads once, then fan the independent
     // (workload, satellites, config) evaluations out across --threads
     // workers; par_sweep returns rows in grid order, so the CSV is

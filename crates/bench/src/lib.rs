@@ -14,12 +14,16 @@
 //! * `--threads <n>` — worker threads for the sweep's independent
 //!   configurations (0 or omitted = all available cores). Results are
 //!   identical at any thread count; see DESIGN.md §8.
-//! * `--checkpoint <path>` (with `--resume` and `--ckpt-cadence <n>`)
-//!   and `--deadline <s>` — the crash-safe sweep of
-//!   [`BenchCli::par_sweep_checkpointed`]; a deadline of 0 or less
-//!   means no budget.
 //!
-//! A malformed flag is an error message and exit status 2, not a panic.
+//! A binary whose sweep runs under the crash-safe run layer
+//! ([`BenchCli::par_sweep_checkpointed`], parsed with
+//! [`BenchCli::parse_checkpointed`]) also accepts `--checkpoint <path>`
+//! (with `--resume` and `--ckpt-cadence <n>`) and `--deadline <s>`; a
+//! deadline of 0 or less means no budget. Every other binary rejects
+//! those flags rather than ignore them.
+//!
+//! A malformed or unhonoured flag is an error message and exit status
+//! 2, not a panic.
 //!
 //! Run e.g.:
 //!
@@ -86,37 +90,61 @@ impl Default for BenchCli {
 }
 
 impl BenchCli {
-    /// Parses `std::env::args()`.
+    /// Parses `std::env::args()` for a binary whose sweep does not run
+    /// under the crash-safe run layer: the run-layer flags
+    /// (`--checkpoint`, `--resume`, `--ckpt-cadence`, `--deadline`) are
+    /// errors.
     ///
     /// A malformed flag prints an error message and the usage to
     /// stderr and exits with status 2 — these are developer-facing
     /// binaries.
+    pub fn parse() -> Self {
+        BenchCli::parse_env(false)
+    }
+
+    /// [`BenchCli::parse`] for a binary that runs its sweep through
+    /// [`BenchCli::par_sweep_checkpointed`], which honours the run-layer
+    /// flags.
+    pub fn parse_checkpointed() -> Self {
+        BenchCli::parse_env(true)
+    }
+
     #[expect(
         clippy::disallowed_methods,
         reason = "a figure binary given a bad flag has nothing to flush; status 2 is its contract"
     )]
-    pub fn parse() -> Self {
-        BenchCli::parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
-            eprintln!(
-                "error: {e}\nsupported: --fast --hours <h> --scale <f> --seed <n> --threads <n> \
-                 --checkpoint <path> --resume --ckpt-cadence <n> \
+    fn parse_env(run_layer: bool) -> Self {
+        BenchCli::parse_args(std::env::args().skip(1), run_layer).unwrap_or_else(|e| {
+            let run_flags = if run_layer {
+                " --checkpoint <path> --resume --ckpt-cadence <n> \
                  --deadline <s> (0 or less: no budget)"
+            } else {
+                ""
+            };
+            eprintln!(
+                "error: {e}\nsupported: --fast --hours <h> --scale <f> --seed <n> --threads <n>\
+                 {run_flags}"
             );
             std::process::exit(2)
         })
     }
 
     /// Parses command-line arguments (without the program name), or
-    /// says what is wrong with them. `--deadline` follows the rule of
+    /// says what is wrong with them. The run-layer flags are accepted
+    /// only when `run_layer` is set, and `--resume` and `--ckpt-cadence`
+    /// only beside `--checkpoint`. `--deadline` follows the rule of
     /// [`budget_from_secs`]: zero or less means no budget.
-    pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+    pub fn parse_args(
+        args: impl IntoIterator<Item = String>,
+        run_layer: bool,
+    ) -> Result<Self, String> {
         let mut cli = BenchCli {
             metrics: Metrics::from_env(),
             ..BenchCli::default()
         };
         let mut ckpt_path: Option<String> = None;
         let mut resume = false;
-        let mut cadence = 1usize;
+        let mut cadence: Option<usize> = None;
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             let mut value = |what: &str| -> Result<String, String> {
@@ -127,6 +155,11 @@ impl BenchCli {
                     .map_err(|_| format!("{a}: `{v}` is not {what}"))
             };
             match a.as_str() {
+                "--checkpoint" | "--resume" | "--ckpt-cadence" | "--deadline" if !run_layer => {
+                    return Err(format!(
+                        "{a}: this binary's sweep does not run under the crash-safe run layer"
+                    ));
+                }
                 "--fast" => {
                     cli.fast = true;
                     cli.duration_s = 1.0 * 3600.0;
@@ -160,9 +193,10 @@ impl BenchCli {
                 "--resume" => resume = true,
                 "--ckpt-cadence" => {
                     let v = value("a value")?;
-                    cadence = v
-                        .parse()
-                        .map_err(|_| format!("{a}: `{v}` is not an integer checkpoint cadence"))?;
+                    cadence =
+                        Some(v.parse().map_err(|_| {
+                            format!("{a}: `{v}` is not an integer checkpoint cadence")
+                        })?);
                 }
                 "--deadline" => {
                     let secs = number(value("a value")?, "a number of seconds")?;
@@ -174,10 +208,17 @@ impl BenchCli {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
-        if let Some(path) = ckpt_path {
-            let mut spec = CheckpointSpec::new(path, cadence);
-            spec.resume = resume;
-            cli.checkpoint = Some(spec);
+        match ckpt_path {
+            Some(path) => {
+                let mut spec = CheckpointSpec::new(path, cadence.unwrap_or(1));
+                spec.resume = resume;
+                cli.checkpoint = Some(spec);
+            }
+            None if resume => return Err("--resume needs --checkpoint".to_string()),
+            None if cadence.is_some() => {
+                return Err("--ckpt-cadence needs --checkpoint".to_string())
+            }
+            None => {}
         }
         Ok(cli)
     }
@@ -405,7 +446,7 @@ mod tests {
     use std::time::Duration;
 
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::parse_args(args.iter().map(|a| a.to_string()))
+        BenchCli::parse_args(args.iter().map(|a| a.to_string()), true)
     }
 
     /// `--deadline` follows the CLI rule: 0 or less is no budget, a
@@ -415,10 +456,10 @@ mod tests {
     fn deadline_flag_follows_the_cli_rule() {
         for none in ["0", "-0", "-1.5", "-inf"] {
             let cli = parse(&["--deadline", none]).unwrap();
-            assert!(!cli.deadline.is_set(), "{none}");
+            assert!(cli.deadline.instant().is_none(), "{none}");
         }
         let cli = parse(&["--deadline", "2.5"]).unwrap();
-        assert!(cli.deadline.is_set() && !cli.deadline.expired());
+        assert!(cli.deadline.instant().is_some() && !cli.deadline.expired());
         for bad in ["NaN", "inf", "1e300", "soon"] {
             let err = parse(&["--deadline", bad]).unwrap_err();
             assert!(err.starts_with("--deadline: "), "{bad}: {err}");
@@ -444,6 +485,36 @@ mod tests {
             &["--checkpoint"],
         ] {
             assert!(parse(args).is_err(), "{args:?}");
+        }
+    }
+
+    /// Run-layer flags are errors naming the flag where the binary does
+    /// not honour them, and `--resume` / `--ckpt-cadence` need
+    /// `--checkpoint` where it does.
+    #[test]
+    fn unhonoured_run_layer_flags_are_errors() {
+        let plain = |args: &[&str]| BenchCli::parse_args(args.iter().map(|a| a.to_string()), false);
+        assert!(plain(&["--fast", "--seed", "3"]).is_ok());
+        for args in [
+            &["--checkpoint", "x.ckpt"][..],
+            &["--resume"],
+            &["--ckpt-cadence", "2"],
+            &["--deadline", "5"],
+            &["--deadline", "0"],
+        ] {
+            let err = plain(args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{}: ", args[0])),
+                "{args:?}: {err}"
+            );
+        }
+        for (args, flag) in [
+            (&["--resume"][..], "--resume"),
+            (&["--ckpt-cadence", "2"], "--ckpt-cadence"),
+            (&["--deadline", "5", "--resume"], "--resume"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
         }
     }
 

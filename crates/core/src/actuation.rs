@@ -58,14 +58,6 @@ impl Adacs {
         }
     }
 
-    /// The paper's high-end reaction wheel: 10 deg/s.
-    pub fn high_end() -> Self {
-        Adacs {
-            rate_rad_s: 10.0_f64.to_radians(),
-            overhead_s: 0.67,
-        }
-    }
-
     /// Slew rate in radians per second.
     #[inline]
     pub fn rate_rad_s(&self) -> f64 {
@@ -82,7 +74,7 @@ impl Adacs {
     /// `MaxAng(t)`), radians. Zero for intervals shorter than the
     /// overhead.
     #[inline]
-    pub fn max_angle_rad(&self, dt_s: f64) -> f64 {
+    fn max_angle_rad(&self, dt_s: f64) -> f64 {
         (self.rate_rad_s * (dt_s - self.overhead_s)).max(0.0)
     }
 
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn faster_wheel_slews_faster() {
         let slow = Adacs::paper_default();
-        let fast = Adacs::high_end();
+        let fast = Adacs::new(10.0, 0.67).unwrap();
         let angle = 10.0_f64.to_radians();
         assert!(fast.min_slew_time_s(angle) < slow.min_slew_time_s(angle));
     }

@@ -16,7 +16,7 @@ use eagleeye_harden::{FieldHash, ScenarioHasher};
 /// assert_eq!(low.swath_m(), 100_000.0);
 /// assert_eq!(high.gsd_m(), 3.0);
 /// // Both cameras have ~the same pixel count; the swath/GSD ratio shows it.
-/// assert!((low.pixels_across() - high.pixels_across()).abs() < 1.0);
+/// assert!((low.swath_m() / low.gsd_m() - high.swath_m() / high.gsd_m()).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Camera {
@@ -73,12 +73,6 @@ impl Camera {
     #[inline]
     pub fn gsd_m(&self) -> f64 {
         self.gsd_m
-    }
-
-    /// Sensor pixels across the swath.
-    #[inline]
-    pub fn pixels_across(&self) -> f64 {
-        self.swath_m / self.gsd_m
     }
 }
 

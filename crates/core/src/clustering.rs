@@ -336,31 +336,31 @@ fn assemble(
     clusters
 }
 
-/// True when every member of every cluster lies within the `w × h`
-/// footprint centered at the cluster center (the coverage invariant the
-/// property tests check).
-pub fn covers_all(points: &[(GroundPoint, f64)], clusters: &[Cluster], w: f64, h: f64) -> bool {
-    let mut covered = vec![false; points.len()];
-    for c in clusters {
-        for &m in &c.members {
-            let p = points[m].0;
-            if (p.cross_m - c.center.cross_m).abs() > w / 2.0 + 1e-6
-                || (p.along_m - c.center.along_m).abs() > h / 2.0 + 1e-6
-            {
-                return false;
-            }
-            covered[m] = true;
-        }
-    }
-    covered.into_iter().all(|c| c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eagleeye_check::{check_cases, prop_assert_eq, u64_range, usize_range};
     use eagleeye_rng::SplitMix64;
     use std::cell::Cell;
+
+    /// True when every member of every cluster lies within the `w × h`
+    /// footprint centered at the cluster center (the coverage invariant the
+    /// tests check).
+    fn covers_all(points: &[(GroundPoint, f64)], clusters: &[Cluster], w: f64, h: f64) -> bool {
+        let mut covered = vec![false; points.len()];
+        for c in clusters {
+            for &m in &c.members {
+                let p = points[m].0;
+                if (p.cross_m - c.center.cross_m).abs() > w / 2.0 + 1e-6
+                    || (p.along_m - c.center.along_m).abs() > h / 2.0 + 1e-6
+                {
+                    return false;
+                }
+                covered[m] = true;
+            }
+        }
+        covered.into_iter().all(|c| c)
+    }
 
     fn pts(coords: &[(f64, f64)]) -> Vec<(GroundPoint, f64)> {
         coords

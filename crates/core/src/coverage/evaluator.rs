@@ -12,7 +12,7 @@ use crate::clustering::{cluster, Cluster, ClusteringMethod};
 use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
     AbbScheduler, FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler,
-    Scheduler, SchedulingProblem, SolverChoice, TaskSpec,
+    Scheduler, SchedulingProblem, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
@@ -650,20 +650,29 @@ impl<'a> CoverageEvaluator<'a> {
         i: usize,
         metrics: &Metrics,
     ) -> Result<(CoverageReport, Vec<usize>), CoreError> {
-        let run = match sc.kind {
-            PassKind::Leader(run) => run,
+        let mut report = match sc.kind {
+            PassKind::Leader(_) => CoverageReport::with_frame_capacity(sc.grid.len()),
+            PassKind::Swath => CoverageReport::default(),
+        };
+        let (track, digest) = self.track(sc, i, metrics, &mut report)?;
+        let outcome = match sc.kind {
+            PassKind::Leader(run) => self.leader_pass(sc, &run, &track, report, metrics)?,
             PassKind::Swath => {
-                let mut report = CoverageReport::default();
-                let track = self.track(sc, i, metrics, &mut report)?;
                 report.frames_processed = track.states.len();
                 // Every interval's target was in frame. A target with
                 // several access windows is listed once per window; the
                 // merge's capture marking is idempotent.
                 let captured = track.intervals.target.iter().map(|&t| t as usize);
-                return Ok((report, captured.collect()));
+                (report, captured.collect())
             }
         };
-        self.leader_pass(sc, &run, i, metrics)
+        // Publish the track only once its pass returned: an attempt that
+        // fails (a panic the supervisor retries) leaves nothing behind,
+        // so its retry compiles again and records what a clean run does.
+        if let Some(digest) = digest {
+            sc.compiled.store(i, self.compile.pool_put(digest, track));
+        }
+        Ok(outcome)
     }
 
     /// Pass `i`'s compiled track, compiling it on first use: batch
@@ -671,17 +680,19 @@ impl<'a> CoverageEvaluator<'a> {
     /// over every frame, as one range (DESIGN.md §13.3). Propagation
     /// counters are recorded into `metrics` and propagation wall time
     /// into `report`; a reused or shared track records neither (the
-    /// work did not happen).
+    /// work did not happen). Returns the track and, unless it came from
+    /// the scenario's own slot, the digest to publish it under once the
+    /// pass succeeds.
     fn track(
         &self,
         sc: &Scenario,
         i: usize,
         metrics: &Metrics,
         report: &mut CoverageReport,
-    ) -> Result<Arc<CompiledTrack>, CoreError> {
+    ) -> Result<(Arc<CompiledTrack>, Option<u64>), CoreError> {
         if let Some(track) = sc.compiled.track(i) {
             self.compile.note_reuse();
-            return Ok(track);
+            return Ok((track, None));
         }
         let sat = &sc.sats[i];
         let digest = self.track_digest(sat, &sc.geom, sc.kind.label());
@@ -689,7 +700,7 @@ impl<'a> CoverageEvaluator<'a> {
             // Adopted from a sibling scenario's compile (what-if fork):
             // no propagation happened here, so no counters are recorded.
             self.compile.note_share();
-            return Ok(sc.compiled.store(i, track));
+            return Ok((track, Some(digest)));
         }
         let sw = Stopwatch::start();
         let states = sc
@@ -698,25 +709,26 @@ impl<'a> CoverageEvaluator<'a> {
         report.propagate_time += sw.elapsed();
         let track = CompiledTrack::compile(states, sc.grid.epochs(), self.targets, &sc.geom)?;
         self.compile.note_build();
-        let track = self.compile.pool_put(digest, Arc::new(track));
-        Ok(sc.compiled.store(i, track))
+        Ok((Arc::new(track), Some(digest)))
     }
 
-    /// Leader `leader_idx`'s full pass over the horizon: detection,
-    /// clustering, follower scheduling, and capture execution. Returns
-    /// the pass's partial report and the targets its group captured,
-    /// in capture order. Recapture deprioritization reads only these
-    /// captures: the pass starts from an empty captured set.
+    /// A leader's full pass over the horizon, on its compiled `track`
+    /// and starting from `report` (which holds the track's propagation
+    /// time): detection, clustering, follower scheduling, and capture
+    /// execution. Returns the pass's partial report and the targets its
+    /// group captured, in capture order. Recapture deprioritization
+    /// reads only these captures: the pass starts from an empty
+    /// captured set.
     fn leader_pass(
         &self,
         sc: &Scenario,
         run: &LeaderRun,
-        leader_idx: usize,
+        track: &CompiledTrack,
+        mut report: CoverageReport,
         metrics: &Metrics,
     ) -> Result<(CoverageReport, Vec<usize>), CoreError> {
         let grid = &sc.grid;
         let n_followers = run.followers;
-        let mut report = CoverageReport::with_frame_capacity(grid.len());
         let spec = self.options.spec;
         let is_mix = run.mix_compute_s.is_some();
         let scheduler = match run.scheduler {
@@ -734,11 +746,7 @@ impl<'a> CoverageEvaluator<'a> {
         let v = spec.ground_speed_m_s;
         let return_slew_s = spec.adacs.min_slew_time_s(spec.theta_max_rad);
 
-        // Compile or reuse this leader's track: batch propagation plus
-        // the access-interval membership sweep, cached per
-        // configuration (DESIGN.md §13).
-        let track = self.track(sc, leader_idx, metrics, &mut report)?;
-        let mut sweep = IntervalSweep::new(&track);
+        let mut sweep = IntervalSweep::new(track);
         // Per-frame detection timing costs two clock reads per frame,
         // so it only runs under enabled metrics (the report field stays
         // zero otherwise; timers are exempt from `same_outcome`).
@@ -1037,10 +1045,10 @@ impl<'a> CoverageEvaluator<'a> {
             ActiveScheduler::Resilient(rs) => {
                 let outcome = rs.schedule_with_outcome(&problem)?;
                 solved.ilp_stats = outcome.ilp_stats;
-                solved.outcome = match outcome.solver {
-                    SolverChoice::Ilp => SolvedOutcome::IlpHorizon,
-                    SolverChoice::Greedy => SolvedOutcome::GreedyFallback {
-                        deadline: matches!(outcome.fallback, Some(FallbackReason::Deadline)),
+                solved.outcome = match outcome.fallback {
+                    None => SolvedOutcome::IlpHorizon,
+                    Some(reason) => SolvedOutcome::GreedyFallback {
+                        deadline: reason == FallbackReason::Deadline,
                     },
                 };
                 outcome.schedule
@@ -1570,8 +1578,10 @@ mod tests {
         opts.metrics = Metrics::enabled();
         let metrics = opts.metrics.clone();
         let eval = CoverageEvaluator::new(&targets, opts);
-        let harden = HardenOptions::new()
-            .with_deadline(eagleeye_harden::Deadline::after(std::time::Duration::ZERO));
+        let harden = HardenOptions {
+            deadline: eagleeye_harden::Deadline::after(std::time::Duration::ZERO),
+            ..HardenOptions::new()
+        };
         let out = eval.evaluate_hardened(&config, &harden).unwrap();
         assert!(out.report.degraded);
         assert_eq!(
@@ -1647,8 +1657,10 @@ mod tests {
         let opts = make_opts();
         let metrics2 = opts.metrics.clone();
         let eval2 = CoverageEvaluator::new(targets, opts);
-        let harden2 =
-            HardenOptions::new().with_checkpoint(eagleeye_harden::CheckpointSpec::new(&path, 1));
+        let harden2 = HardenOptions {
+            checkpoint: Some(eagleeye_harden::CheckpointSpec::new(&path, 1)),
+            ..HardenOptions::new()
+        };
         let out2 = eval2.evaluate_hardened(&config, &harden2).unwrap();
         assert!(!out2.report.degraded);
         assert_eq!(out2.report.leader_passes_completed, 4);
@@ -1689,14 +1701,26 @@ mod tests {
         let spec = eagleeye_harden::CheckpointSpec::new(&path, 1);
         let opts = quick_options();
         CoverageEvaluator::new(&targets, opts)
-            .evaluate_hardened(&config, &HardenOptions::new().with_checkpoint(spec.clone()))
+            .evaluate_hardened(
+                &config,
+                &HardenOptions {
+                    checkpoint: Some(spec.clone()),
+                    ..HardenOptions::new()
+                },
+            )
             .unwrap();
         // Same checkpoint, different seed: the scenario hash differs
         // and the resume must be refused.
         let mut opts = quick_options();
         opts.seed = 8;
         let err = CoverageEvaluator::new(&targets, opts)
-            .evaluate_hardened(&config, &HardenOptions::new().with_checkpoint(spec))
+            .evaluate_hardened(
+                &config,
+                &HardenOptions {
+                    checkpoint: Some(spec),
+                    ..HardenOptions::new()
+                },
+            )
             .unwrap_err();
         assert!(
             matches!(&err, CoreError::Harden { message } if message.contains("scenario")),
@@ -1738,9 +1762,11 @@ mod tests {
             let path = temp_ckpt(&format!("swath_degrade_t{threads}.ckpt"));
             let _ = std::fs::remove_file(&path);
             let spec = eagleeye_harden::CheckpointSpec::new(&path, 1);
-            let expired = HardenOptions::new()
-                .with_checkpoint(spec.clone())
-                .with_deadline(eagleeye_harden::Deadline::after(std::time::Duration::ZERO));
+            let expired = HardenOptions {
+                checkpoint: Some(spec.clone()),
+                deadline: eagleeye_harden::Deadline::after(std::time::Duration::ZERO),
+                ..HardenOptions::new()
+            };
             let degraded = CoverageEvaluator::new(&targets, opts.clone())
                 .evaluate_hardened(&config, &expired)
                 .unwrap();
@@ -1754,7 +1780,13 @@ mod tests {
             assert!(path.exists(), "a degraded run writes its checkpoint");
 
             let resumed = CoverageEvaluator::new(&targets, opts.clone())
-                .evaluate_hardened(&config, &HardenOptions::new().with_checkpoint(spec))
+                .evaluate_hardened(
+                    &config,
+                    &HardenOptions {
+                        checkpoint: Some(spec),
+                        ..HardenOptions::new()
+                    },
+                )
                 .unwrap();
             assert_eq!(
                 resumed.resumed_passes,
@@ -1811,7 +1843,10 @@ mod tests {
                 with(&|o| o.spec.high_res = camera(10_000.0, 2.0)),
             ),
             ("theta_max", with(&|o| o.spec.theta_max_rad *= 0.5)),
-            ("adacs", with(&|o| o.spec.adacs = Adacs::high_end())),
+            (
+                "adacs",
+                with(&|o| o.spec.adacs = Adacs::new(10.0, 0.67).unwrap()),
+            ),
             ("altitude", with(&|o| o.spec.altitude_m += 1.0)),
             ("ground_speed", with(&|o| o.spec.ground_speed_m_s += 1.0)),
             ("cadence", with(&|o| o.spec.frame_cadence_s += 1.0)),

@@ -44,19 +44,6 @@ impl HardenOptions {
     pub fn new() -> Self {
         HardenOptions::default()
     }
-
-    /// Enables checkpointing to `spec.path` every `spec.cadence`
-    /// completed passes (and once at the end).
-    pub fn with_checkpoint(mut self, spec: CheckpointSpec) -> Self {
-        self.checkpoint = Some(spec);
-        self
-    }
-
-    /// Sets the wall-clock budget.
-    pub fn with_deadline(mut self, deadline: Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
 }
 
 /// Result of a hardened evaluation: the (possibly partial) report plus

@@ -53,6 +53,5 @@ pub use ilp::{IlpRunStats, IlpScheduler};
 pub use problem::{FollowerState, SchedulingProblem, TaskSpec};
 pub use resilient::{
     validate_schedule, FallbackReason, RepairOutcome, ResilientScheduler, ScheduleOutcome,
-    SolverChoice,
 };
 pub use types::{Capture, Schedule, Scheduler};

@@ -18,9 +18,10 @@
 //!    outage onset and re-plans the dropped targets onto the surviving
 //!    followers, appending only captures that are still feasible.
 //!
-//! The [`ScheduleOutcome`] records which solver actually produced each
-//! horizon and why any fallback happened, so experiment harnesses can
-//! report fallback rates rather than silently absorbing them.
+//! The [`ScheduleOutcome`] records why any horizon fell back to the
+//! greedy baseline (no reason means the ILP's schedule), so experiment
+//! harnesses can report fallback rates rather than silently absorbing
+//! them.
 
 use super::ilp::IlpRunStats;
 use super::{Capture, GreedyScheduler, IlpScheduler, Schedule, Scheduler, SchedulingProblem};
@@ -136,16 +137,6 @@ pub fn validate_schedule(
     Ok(())
 }
 
-/// Which solver produced a horizon's schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolverChoice {
-    /// The exact ILP solved cleanly within budget.
-    Ilp,
-    /// The greedy baseline — either as an explicit fallback or because
-    /// it dominated a degraded ILP solution.
-    Greedy,
-}
-
 /// Why a horizon fell back from the ILP to greedy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FallbackReason {
@@ -172,9 +163,8 @@ pub enum FallbackReason {
 pub struct ScheduleOutcome {
     /// The validated schedule.
     pub schedule: Schedule,
-    /// Which solver produced it.
-    pub solver: SolverChoice,
-    /// Why the ILP was abandoned, when it was.
+    /// Why the ILP was abandoned, when it was: `Some` exactly when the
+    /// greedy baseline produced the schedule.
     pub fallback: Option<FallbackReason>,
     /// Raw ILP diagnostics, when the ILP ran at all.
     pub ilp_stats: Option<IlpRunStats>,
@@ -198,7 +188,7 @@ pub struct RepairOutcome {
 ///
 /// ```
 /// use eagleeye_core::schedule::{
-///     FollowerState, ResilientScheduler, SchedulingProblem, SolverChoice, TaskSpec,
+///     FollowerState, ResilientScheduler, SchedulingProblem, TaskSpec,
 /// };
 /// use eagleeye_core::SensingSpec;
 ///
@@ -208,7 +198,7 @@ pub struct RepairOutcome {
 ///     vec![FollowerState::at_start(-100_000.0)],
 /// )?;
 /// let outcome = ResilientScheduler::default().schedule_with_outcome(&p)?;
-/// assert_eq!(outcome.solver, SolverChoice::Ilp);
+/// assert_eq!(outcome.fallback, None);
 /// assert_eq!(outcome.schedule.captured_count(), 1);
 /// # Ok::<(), eagleeye_core::CoreError>(())
 /// ```
@@ -231,14 +221,6 @@ impl Default for ResilientScheduler {
 }
 
 impl ResilientScheduler {
-    /// A resilient scheduler with the given per-horizon budget.
-    pub fn with_budget(horizon_budget: Duration) -> Self {
-        ResilientScheduler {
-            horizon_budget,
-            ..ResilientScheduler::default()
-        }
-    }
-
     /// Schedules `problem` within the horizon budget and reports the
     /// outcome. The returned schedule is always validated against
     /// C1–C3; the outcome records which solver produced it and why
@@ -272,11 +254,6 @@ impl ResilientScheduler {
                 match validate_schedule(problem, &schedule) {
                     Ok(()) => Ok(ScheduleOutcome {
                         schedule,
-                        solver: if fallback.is_some() {
-                            SolverChoice::Greedy
-                        } else {
-                            SolverChoice::Ilp
-                        },
                         fallback,
                         ilp_stats: Some(stats),
                     }),
@@ -303,7 +280,6 @@ impl ResilientScheduler {
         validate_schedule(problem, &schedule)?;
         Ok(ScheduleOutcome {
             schedule,
-            solver: SolverChoice::Greedy,
             fallback: Some(reason),
             ilp_stats: stats,
         })
@@ -434,7 +410,6 @@ mod tests {
         let o = ResilientScheduler::default()
             .schedule_with_outcome(&p)
             .unwrap();
-        assert_eq!(o.solver, SolverChoice::Ilp);
         assert!(o.fallback.is_none());
         assert!(o.ilp_stats.unwrap().clean());
         validate_schedule(&p, &o.schedule).unwrap();
@@ -449,9 +424,11 @@ mod tests {
                 FollowerState::at_start(-120_000.0),
             ],
         );
-        let rs = ResilientScheduler::with_budget(Duration::ZERO);
+        let rs = ResilientScheduler {
+            horizon_budget: Duration::ZERO,
+            ..ResilientScheduler::default()
+        };
         let o = rs.schedule_with_outcome(&p).unwrap();
-        assert_eq!(o.solver, SolverChoice::Greedy);
         assert!(
             matches!(o.fallback, Some(FallbackReason::Deadline)),
             "expected deadline fallback, got {:?}",

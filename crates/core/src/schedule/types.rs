@@ -39,33 +39,6 @@ impl Schedule {
         self.captured_tasks().len()
     }
 
-    /// Time of the last capture across all followers (the schedule
-    /// makespan), or `None` for an empty schedule.
-    pub fn makespan_s(&self) -> Option<f64> {
-        self.sequences
-            .iter()
-            .flatten()
-            .map(|c| c.time_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.max(t))))
-    }
-
-    /// Captures per follower — the load-balance view used by trade
-    /// studies (an idle follower suggests spending that satellite on
-    /// another group instead).
-    pub fn captures_per_follower(&self) -> Vec<usize> {
-        self.sequences.iter().map(Vec::len).collect()
-    }
-
-    /// Mean time between consecutive captures of the busiest follower,
-    /// seconds; `None` when no follower has two captures. A small gap
-    /// means the ADACS slew rate, not target availability, is binding.
-    pub fn min_intercapture_gap_s(&self) -> Option<f64> {
-        self.sequences
-            .iter()
-            .flat_map(|seq| seq.windows(2).map(|w| w[1].time_s - w[0].time_s))
-            .fold(None, |acc, g| Some(acc.map_or(g, |a: f64| a.min(g))))
-    }
-
     /// Checks the schedule against the paper's constraints:
     ///
     /// * capture times lie in each task's visibility window (C2: the
@@ -180,54 +153,6 @@ mod tests {
             total_value: 99.0,
         };
         assert!(s.validate(&p).is_err());
-    }
-
-    #[test]
-    fn schedule_statistics() {
-        let p = one_task_problem();
-        let t = p.earliest_capture(0, 0, 0.0, (0.0, 0.0)).unwrap();
-        let s = Schedule {
-            sequences: vec![vec![Capture { task: 0, time_s: t }]],
-            total_value: 2.0,
-        };
-        assert_eq!(s.makespan_s(), Some(t));
-        assert_eq!(s.captures_per_follower(), vec![1]);
-        assert_eq!(s.min_intercapture_gap_s(), None);
-
-        let empty = Schedule::empty(2);
-        assert_eq!(empty.makespan_s(), None);
-        assert_eq!(empty.captures_per_follower(), vec![0, 0]);
-    }
-
-    #[test]
-    fn intercapture_gap_spans_sequences() {
-        let s = Schedule {
-            sequences: vec![
-                vec![
-                    Capture {
-                        task: 0,
-                        time_s: 1.0,
-                    },
-                    Capture {
-                        task: 1,
-                        time_s: 4.0,
-                    },
-                ],
-                vec![
-                    Capture {
-                        task: 2,
-                        time_s: 10.0,
-                    },
-                    Capture {
-                        task: 3,
-                        time_s: 11.5,
-                    },
-                ],
-            ],
-            total_value: 4.0,
-        };
-        assert_eq!(s.min_intercapture_gap_s(), Some(1.5));
-        assert_eq!(s.makespan_s(), Some(11.5));
     }
 
     #[test]

@@ -13,7 +13,8 @@ use eagleeye_harden::{FieldHash, ScenarioHasher};
 /// let spec = SensingSpec::paper_default();
 /// assert_eq!(spec.altitude_m, 475_000.0);
 /// // Off-nadir reach: 475 km * tan(11 deg) ≈ 92 km of cross-track range.
-/// assert!((spec.max_cross_track_m() / 1000.0 - 92.3).abs() < 1.0);
+/// let reach_m = spec.altitude_m * spec.theta_max_rad.tan();
+/// assert!((reach_m / 1000.0 - 92.3).abs() < 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensingSpec {
@@ -87,13 +88,6 @@ impl SensingSpec {
         Ok(())
     }
 
-    /// Maximum ground distance from nadir that remains within the
-    /// off-nadir cone: `altitude · tan(θmax)` (paper Eq. 2 geometry).
-    #[inline]
-    pub fn max_cross_track_m(&self) -> f64 {
-        self.altitude_m * self.theta_max_rad.tan()
-    }
-
     /// Along-track length of one leader frame (contiguous ground-track
     /// tiling at the capture cadence).
     #[inline]
@@ -150,7 +144,7 @@ mod tests {
     fn off_nadir_reach_matches_geometry() {
         // 475 km * tan(11°) ≈ 92.3 km.
         let s = SensingSpec::paper_default();
-        assert!((s.max_cross_track_m() - 92_330.0).abs() < 500.0);
+        assert!((s.altitude_m * s.theta_max_rad.tan() - 92_330.0).abs() < 500.0);
     }
 
     #[test]

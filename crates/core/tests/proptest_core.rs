@@ -7,12 +7,12 @@
 //! between the exact and heuristic schedulers and runs at a higher
 //! case budget.
 
-use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, u64_range, vec_of, Gen};
-use eagleeye_core::clustering::{cluster, covers_all, ClusteringMethod};
+use eagleeye_check::{check_cases, f64_range, prop_assert, u64_range, vec_of, Gen};
+use eagleeye_core::clustering::{cluster, Cluster, ClusteringMethod};
 use eagleeye_core::pointing::GroundPoint;
 use eagleeye_core::schedule::{
     validate_schedule, AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler,
-    ResilientScheduler, Scheduler, SchedulingProblem, SolverChoice, TaskSpec,
+    ResilientScheduler, Scheduler, SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::SensingSpec;
 use std::time::Duration;
@@ -98,6 +98,25 @@ fn abb_schedules_validate() {
     );
 }
 
+/// True when every member of every cluster lies within the `w × h`
+/// footprint centered at the cluster center (the coverage invariant the
+/// tests check).
+fn covers_all(points: &[(GroundPoint, f64)], clusters: &[Cluster], w: f64, h: f64) -> bool {
+    let mut covered = vec![false; points.len()];
+    for c in clusters {
+        for &m in &c.members {
+            let p = points[m].0;
+            if (p.cross_m - c.center.cross_m).abs() > w / 2.0 + 1e-6
+                || (p.along_m - c.center.along_m).abs() > h / 2.0 + 1e-6
+            {
+                return false;
+            }
+            covered[m] = true;
+        }
+    }
+    covered.into_iter().all(|c| c)
+}
+
 /// Clustering covers every point, assigns each exactly once, and the
 /// ILP cover is never larger than the greedy one.
 #[test]
@@ -163,14 +182,16 @@ fn resilient_schedules_validate_under_any_budget() {
                 followers.clone(),
             )
             .expect("valid problem");
-            let rs = ResilientScheduler::with_budget(Duration::from_millis(*budget_ms));
+            let rs = ResilientScheduler {
+                horizon_budget: Duration::from_millis(*budget_ms),
+                ..ResilientScheduler::default()
+            };
             let o = rs.schedule_with_outcome(&p).expect("resilient");
             validate_schedule(&p, &o.schedule).expect("outcome schedule feasible");
-            // Provenance is consistent: a fallback reason implies greedy.
-            if o.fallback.is_some() {
-                prop_assert_eq!(o.solver, SolverChoice::Greedy);
-            } else {
-                prop_assert_eq!(o.solver, SolverChoice::Ilp);
+            // Provenance is consistent: no fallback reason means a clean
+            // ILP run.
+            if o.fallback.is_none() {
+                prop_assert!(o.ilp_stats.is_some_and(|s| s.clean()));
             }
             Ok(())
         },

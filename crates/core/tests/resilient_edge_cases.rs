@@ -4,7 +4,7 @@
 
 use eagleeye_core::schedule::{
     validate_schedule, Capture, FollowerState, ResilientScheduler, Scheduler, SchedulingProblem,
-    SolverChoice, TaskSpec,
+    TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use std::time::Duration;
@@ -57,7 +57,10 @@ fn no_followers_with_tasks_schedules_nothing() {
 #[test]
 fn empty_problem_survives_zero_budget_fallback_path() {
     let p = problem(vec![], vec![]);
-    let rs = ResilientScheduler::with_budget(Duration::ZERO);
+    let rs = ResilientScheduler {
+        horizon_budget: Duration::ZERO,
+        ..ResilientScheduler::default()
+    };
     let o = rs.schedule_with_outcome(&p).expect("schedules");
     assert_eq!(o.schedule.captured_count(), 0);
     validate_schedule(&p, &o.schedule).expect("validates");
@@ -187,10 +190,12 @@ fn zero_budget_fallback_still_validates_under_load() {
             FollowerState::at_start(-120_000.0),
         ],
     );
-    let o = ResilientScheduler::with_budget(Duration::ZERO)
-        .schedule_with_outcome(&p)
-        .expect("schedules");
-    assert_eq!(o.solver, SolverChoice::Greedy);
+    let o = ResilientScheduler {
+        horizon_budget: Duration::ZERO,
+        ..ResilientScheduler::default()
+    }
+    .schedule_with_outcome(&p)
+    .expect("schedules");
     assert!(o.fallback.is_some());
     validate_schedule(&p, &o.schedule).expect("fallback schedule validates");
 }

@@ -21,7 +21,7 @@ impl LakeSizeBand {
     }
 
     /// Size range in km².
-    pub fn area_range_km2(self) -> (f64, f64) {
+    fn area_range_km2(self) -> (f64, f64) {
         match self {
             LakeSizeBand::OneToTenKm2 => (1.0, 10.0),
             LakeSizeBand::TenthToTenKm2 => (0.1, 10.0),

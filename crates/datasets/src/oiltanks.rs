@@ -70,13 +70,6 @@ impl OilTankGenerator {
         self
     }
 
-    /// Sets the per-farm tank count range (inclusive).
-    pub fn with_tanks_per_farm(mut self, min: usize, max: usize) -> Self {
-        self.min_tanks = min.max(1);
-        self.max_tanks = max.max(self.min_tanks);
-        self
-    }
-
     /// Generates the farms, deterministic in `seed`.
     pub fn generate(&self, seed: u64) -> Vec<TankFarm> {
         let mut rng = world::rng(seed ^ TANK_SEED_TAG);
@@ -131,13 +124,11 @@ mod tests {
 
     #[test]
     fn farm_and_tank_counts() {
-        let farms = OilTankGenerator::new()
-            .with_farm_count(30)
-            .with_tanks_per_farm(5, 10)
-            .generate(2);
+        let g = OilTankGenerator::new().with_farm_count(30);
+        let farms = g.generate(2);
         assert_eq!(farms.len(), 30);
         for f in &farms {
-            assert!((5..=10).contains(&f.tanks.len()));
+            assert!((g.min_tanks..=g.max_tanks).contains(&f.tanks.len()));
         }
     }
 

@@ -236,14 +236,6 @@ impl TargetSet {
         self.max_speed_m_s
     }
 
-    /// Number of targets that exist at any point during `[0, horizon_s]`.
-    pub fn count_existing_within(&self, horizon_s: f64) -> usize {
-        self.targets
-            .iter()
-            .filter(|t| t.appears_at_s <= horizon_s && t.disappears_at_s >= 0.0)
-            .count()
-    }
-
     /// Returns indices of targets that exist at `t_s` and lie within
     /// `radius_m` of `center` at that time, ascending.
     pub fn query_radius(&self, center: &GeodeticPoint, radius_m: f64, t_s: f64) -> Vec<usize> {
@@ -466,18 +458,6 @@ mod tests {
             .collect();
         assert_eq!(set.len(), 5);
         assert_eq!(set.total_value(), 5.0);
-    }
-
-    #[test]
-    fn count_existing_within_honours_windows() {
-        let mut late = Target::fixed(pt(0.0, 0.0), 1.0);
-        late.appears_at_s = 500.0;
-        let mut gone = Target::fixed(pt(1.0, 0.0), 1.0);
-        gone.appears_at_s = -100.0;
-        gone.disappears_at_s = -1.0;
-        let set = TargetSet::new(vec![Target::fixed(pt(2.0, 0.0), 1.0), late, gone]);
-        assert_eq!(set.count_existing_within(100.0), 1);
-        assert_eq!(set.count_existing_within(500.0), 2);
     }
 
     /// The per-bucket view every set used before static sets shared

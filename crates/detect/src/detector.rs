@@ -22,19 +22,18 @@ pub struct Detection {
 /// ```
 ///
 /// so detection quality falls off smoothly as resolution degrades, with a
-/// knee at `p_half` pixels. A fixed recall can be forced with
-/// [`DetectorModel::with_fixed_recall`], which is how the Fig. 15 recall
-/// sweep drives the coverage evaluator.
+/// knee at `p_half` pixels.
 ///
 /// # Example
 ///
 /// ```
 /// use eagleeye_detect::DetectorModel;
 ///
-/// let d = DetectorModel::ship_detector().with_fixed_recall(0.5);
-/// let hits = d.detect(&[(0.9, 100.0); 1000], 42);
-/// let frac = hits.len() as f64 / 1000.0;
-/// assert!((frac - 0.5).abs() < 0.1);
+/// let d = DetectorModel::ship_detector();
+/// let hits = d.detect(&[(0.9, 150.0); 1000], 42);
+/// let found = hits.iter().filter(|h| !h.is_false_positive).count();
+/// let recall = d.recall_at_gsd(d.gsd_m(), 150.0);
+/// assert!((found as f64 / 1000.0 - recall).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorModel {
@@ -42,7 +41,6 @@ pub struct DetectorModel {
     p_half_px: f64,
     steepness: f64,
     precision: f64,
-    fixed_recall: Option<f64>,
     gsd_m: f64,
 }
 
@@ -56,7 +54,6 @@ impl DetectorModel {
             p_half_px: 2.2,
             steepness: 2.2,
             precision: 0.9,
-            fixed_recall: None,
             gsd_m: 30.0,
         }
     }
@@ -70,7 +67,6 @@ impl DetectorModel {
             p_half_px: 1.8,
             steepness: 3.0,
             precision: 0.95,
-            fixed_recall: None,
             gsd_m: 0.72,
         }
     }
@@ -83,21 +79,8 @@ impl DetectorModel {
             p_half_px: 1.5,
             steepness: 2.0,
             precision: 0.9,
-            fixed_recall: None,
             gsd_m,
         }
-    }
-
-    /// Forces a fixed recall regardless of GSD (for sensitivity sweeps).
-    pub fn with_fixed_recall(mut self, recall: f64) -> Self {
-        self.fixed_recall = Some(recall.clamp(0.0, 1.0));
-        self
-    }
-
-    /// Sets the precision (fraction of emitted detections that are real).
-    pub fn with_precision(mut self, precision: f64) -> Self {
-        self.precision = precision.clamp(0.01, 1.0);
-        self
     }
 
     /// Model precision.
@@ -114,9 +97,6 @@ impl DetectorModel {
 
     /// Recall for a target of `target_size_m` imaged at `gsd_m_px`.
     pub fn recall_at_gsd(&self, gsd_m_px: f64, target_size_m: f64) -> f64 {
-        if let Some(r) = self.fixed_recall {
-            return r;
-        }
         let px = target_size_m / gsd_m_px.max(1e-9);
         self.max_recall / (1.0 + (-self.steepness * (px - self.p_half_px)).exp())
     }
@@ -193,13 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_recall_overrides_gsd() {
-        let d = DetectorModel::ship_detector().with_fixed_recall(0.2);
-        assert_eq!(d.recall_at_gsd(1.0, 1000.0), 0.2);
-        assert_eq!(d.recall_at_gsd(1e6, 1.0), 0.2);
-    }
-
-    #[test]
     fn detect_is_deterministic_in_seed() {
         let d = DetectorModel::ship_detector();
         let targets = vec![(0.8, 120.0); 50];
@@ -207,36 +180,20 @@ mod tests {
     }
 
     #[test]
-    fn zero_recall_detects_nothing() {
-        let d = DetectorModel::ship_detector().with_fixed_recall(0.0);
-        assert!(d.detect(&[(1.0, 100.0); 100], 1).is_empty());
-    }
-
-    #[test]
-    fn full_recall_detects_everything() {
-        let d = DetectorModel::ship_detector()
-            .with_fixed_recall(1.0)
-            .with_precision(1.0);
-        let hits = d.detect(&[(1.0, 100.0); 100], 1);
-        assert_eq!(hits.len(), 100);
-        assert!(hits.iter().all(|h| !h.is_false_positive));
-    }
-
-    #[test]
     fn false_positive_rate_tracks_precision() {
-        let d = DetectorModel::ship_detector()
-            .with_fixed_recall(1.0)
-            .with_precision(0.8);
-        let hits = d.detect(&[(1.0, 100.0); 1000], 2);
-        let fp = hits.iter().filter(|h| h.is_false_positive).count();
-        // Expected fp = 1000 * 0.25 = 250.
-        assert!((fp as f64 - 250.0).abs() < 30.0, "fp {fp}");
+        let d = DetectorModel::ship_detector();
+        let hits = d.detect(&[(1.0, 300.0); 3000], 2);
+        let fp = hits.iter().filter(|h| h.is_false_positive).count() as f64;
+        let tp = hits.len() as f64 - fp;
+        // Expected fp = tp * (1 - precision) / precision.
+        let want = tp * (1.0 - d.precision()) / d.precision();
+        assert!((fp - want).abs() < 1.0, "fp {fp} vs {want}");
     }
 
     #[test]
     fn confidence_stays_in_unit_interval() {
-        let d = DetectorModel::ship_detector().with_fixed_recall(1.0);
-        for h in d.detect(&[(0.9, 100.0); 64], 3) {
+        let d = DetectorModel::ship_detector();
+        for h in d.detect(&[(0.9, 300.0); 64], 3) {
             assert!((0.0..=1.0).contains(&h.confidence));
         }
     }

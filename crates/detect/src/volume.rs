@@ -63,7 +63,7 @@ impl VolumeEstimator {
 
     /// Simulates an estimate of `true_fill` (in `[0,1]`) for one tank,
     /// deterministic in `seed`. The result is clamped to `[0, 1]`.
-    pub fn estimate(&self, true_fill: f64, gsd_m_px: f64, diameter_m: f64, seed: u64) -> f64 {
+    fn estimate(&self, true_fill: f64, gsd_m_px: f64, diameter_m: f64, seed: u64) -> f64 {
         let sigma = self.expected_relative_error(gsd_m_px, diameter_m);
         let mut rng = SplitMix64::new(seed);
         let gauss = rng.gaussian();
@@ -97,6 +97,7 @@ impl VolumeEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, u64_range};
 
     #[test]
     fn error_grows_with_gsd() {
@@ -156,5 +157,33 @@ mod tests {
     fn bigger_tanks_are_easier_to_measure() {
         let e = VolumeEstimator::default();
         assert!(e.expected_relative_error(3.0, 80.0) < e.expected_relative_error(3.0, 20.0));
+    }
+
+    /// Volume estimation error grows with GSD and estimates stay in the
+    /// physical range.
+    #[test]
+    fn volume_error_properties() {
+        check_cases(
+            64,
+            "volume_error_properties",
+            (
+                f64_range(0.5, 30.0),
+                f64_range(1.0, 20.0),
+                f64_range(15.0, 90.0),
+                f64_range(0.0, 1.0),
+                u64_range(0, 500),
+            ),
+            |&(gsd, factor, diameter, fill, seed)| {
+                let e = VolumeEstimator::default();
+                prop_assert!(
+                    e.expected_relative_error(gsd * factor, diameter)
+                        >= e.expected_relative_error(gsd, diameter)
+                );
+                let est = e.estimate(fill, gsd, diameter, seed);
+                prop_assert!((0.0..=1.0).contains(&est));
+                prop_assert_eq!(est, e.estimate(fill, gsd, diameter, seed));
+                Ok(())
+            },
+        );
     }
 }

@@ -56,7 +56,7 @@ impl Default for RetryPolicy {
 
 impl RetryPolicy {
     /// The backoff before the `attempt`-th retry (1-based).
-    pub fn backoff(&self, attempt: usize) -> Duration {
+    fn backoff(&self, attempt: usize) -> Duration {
         let shift = attempt.saturating_sub(1).min(16) as u32;
         self.backoff_base
             .saturating_mul(1u32 << shift)

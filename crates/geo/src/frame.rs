@@ -1,4 +1,4 @@
-use crate::{greatcircle, GeoError, GeodeticPoint};
+use crate::{greatcircle, GeodeticPoint};
 
 /// A local tangent frame anchored at a ground point with a heading.
 ///
@@ -40,12 +40,6 @@ impl LocalFrame {
         }
     }
 
-    /// The anchor point of the frame.
-    #[inline]
-    pub fn origin(&self) -> GeodeticPoint {
-        self.origin
-    }
-
     /// The frame heading, clockwise from north, in `[0, 2π)`.
     #[inline]
     pub fn heading_rad(&self) -> f64 {
@@ -69,22 +63,6 @@ impl LocalFrame {
         let bearing = greatcircle::initial_bearing_rad(&self.origin, p);
         let rel = bearing - self.heading_rad;
         (d * rel.sin(), d * rel.cos())
-    }
-
-    /// Inverse of [`LocalFrame::project`]: maps frame coordinates
-    /// `(cross_track_m, along_track_m)` back to a geodetic point at the
-    /// origin's altitude.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`GeoError`] for non-finite inputs.
-    pub fn unproject(&self, x_m: f64, y_m: f64) -> Result<GeodeticPoint, GeoError> {
-        let d = (x_m * x_m + y_m * y_m).sqrt();
-        if d < 1e-9 {
-            return Ok(self.origin);
-        }
-        let rel = x_m.atan2(y_m);
-        greatcircle::destination(&self.origin, self.heading_rad + rel, d)
     }
 }
 
@@ -126,11 +104,23 @@ mod tests {
         assert!(y > 100_000.0);
     }
 
+    /// Inverse of [`LocalFrame::project`]: maps frame coordinates
+    /// `(cross_track_m, along_track_m)` back to a geodetic point at the
+    /// origin's altitude.
+    fn unproject(f: &LocalFrame, x_m: f64, y_m: f64) -> GeodeticPoint {
+        let d = (x_m * x_m + y_m * y_m).sqrt();
+        if d < 1e-9 {
+            return f.origin;
+        }
+        let rel = x_m.atan2(y_m);
+        greatcircle::destination(&f.origin, f.heading_rad() + rel, d).unwrap()
+    }
+
     #[test]
     fn project_unproject_round_trip() {
         let f = LocalFrame::new(pt(45.0, -93.0), 0.7);
         for &(x, y) in &[(0.0, 0.0), (50_000.0, 10_000.0), (-30_000.0, 200_000.0)] {
-            let p = f.unproject(x, y).unwrap();
+            let p = unproject(&f, x, y);
             let (x2, y2) = f.project(&p);
             assert!((x - x2).abs() < 1.0, "x: {x} vs {x2}");
             assert!((y - y2).abs() < 1.0, "y: {y} vs {y2}");
@@ -143,7 +133,7 @@ mod tests {
         let f = LocalFrame::new(pt(30.0, 50.0), 2.0);
         let p = pt(31.0, 51.0);
         let (x, y) = f.project(&p);
-        let d = greatcircle::distance_m(&f.origin(), &p);
+        let d = greatcircle::distance_m(&f.origin, &p);
         assert!(((x * x + y * y).sqrt() - d).abs() < 1e-6);
     }
 }

@@ -10,16 +10,7 @@ use crate::{GeoError, GeodeticPoint};
 
 /// Central angle between two points in radians, via the haversine formula
 /// (stable for small separations).
-///
-/// ```
-/// use eagleeye_geo::{GeodeticPoint, greatcircle};
-/// let a = GeodeticPoint::from_degrees(0.0, 0.0, 0.0)?;
-/// let b = GeodeticPoint::from_degrees(0.0, 90.0, 0.0)?;
-/// let ang = greatcircle::central_angle_rad(&a, &b);
-/// assert!((ang - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
-/// # Ok::<(), eagleeye_geo::GeoError>(())
-/// ```
-pub fn central_angle_rad(a: &GeodeticPoint, b: &GeodeticPoint) -> f64 {
+fn central_angle_rad(a: &GeodeticPoint, b: &GeodeticPoint) -> f64 {
     let dlat = b.lat_rad() - a.lat_rad();
     let dlon = b.lon_rad() - a.lon_rad();
     let s1 = (dlat / 2.0).sin();
@@ -29,6 +20,15 @@ pub fn central_angle_rad(a: &GeodeticPoint, b: &GeodeticPoint) -> f64 {
 }
 
 /// Surface distance between two points in meters on the mean-radius sphere.
+///
+/// ```
+/// use eagleeye_geo::{earth, greatcircle, GeodeticPoint};
+/// let a = GeodeticPoint::from_degrees(0.0, 0.0, 0.0)?;
+/// let b = GeodeticPoint::from_degrees(0.0, 90.0, 0.0)?;
+/// let quarter = std::f64::consts::FRAC_PI_2 * earth::MEAN_RADIUS_M;
+/// assert!((greatcircle::distance_m(&a, &b) - quarter).abs() < 1e-6);
+/// # Ok::<(), eagleeye_geo::GeoError>(())
+/// ```
 pub fn distance_m(a: &GeodeticPoint, b: &GeodeticPoint) -> f64 {
     central_angle_rad(a, b) * MEAN_RADIUS_M
 }
@@ -67,37 +67,6 @@ pub fn destination(
         .asin();
     let lon2 = start.lon_rad() + (bearing_rad.sin() * sdel * clat).atan2(cdel - slat * lat2.sin());
     GeodeticPoint::new(lat2, lon2, start.alt_m())
-}
-
-/// Cross-track distance in meters from point `p` to the great circle
-/// through `a` with bearing `bearing_rad`. Positive values are to the
-/// right of the track.
-pub fn cross_track_distance_m(a: &GeodeticPoint, bearing_rad: f64, p: &GeodeticPoint) -> f64 {
-    let d13 = central_angle_rad(a, p);
-    let b13 = initial_bearing_rad(a, p);
-    (d13.sin() * (b13 - bearing_rad).sin()).asin() * MEAN_RADIUS_M
-}
-
-/// Along-track distance in meters from `a` toward bearing `bearing_rad`
-/// of the closest approach to point `p`.
-pub fn along_track_distance_m(a: &GeodeticPoint, bearing_rad: f64, p: &GeodeticPoint) -> f64 {
-    let d13 = central_angle_rad(a, p);
-    let xt = cross_track_distance_m(a, bearing_rad, p) / MEAN_RADIUS_M;
-    let cos_d13 = d13.cos();
-    let cos_xt = xt.cos();
-    if cos_xt.abs() < 1e-15 {
-        return 0.0;
-    }
-    let ratio = (cos_d13 / cos_xt).clamp(-1.0, 1.0);
-    let at = ratio.acos();
-    // Sign: positive if p is ahead along the bearing.
-    let b13 = initial_bearing_rad(a, p);
-    let rel = crate::wrap_pi(b13 - bearing_rad);
-    if rel.abs() <= std::f64::consts::FRAC_PI_2 {
-        at * MEAN_RADIUS_M
-    } else {
-        -at * MEAN_RADIUS_M
-    }
 }
 
 #[cfg(test)]
@@ -164,38 +133,5 @@ mod tests {
         let a = GeodeticPoint::from_degrees(10.0, 10.0, 475_000.0).unwrap();
         let b = destination(&a, 0.5, 100_000.0).unwrap();
         assert_eq!(b.alt_m(), 475_000.0);
-    }
-
-    #[test]
-    fn cross_track_sign_convention() {
-        // Track heading due north along lon=0; a point to the east is to the
-        // right (positive).
-        let a = pt(0.0, 0.0);
-        let east = pt(1.0, 1.0);
-        let west = pt(1.0, -1.0);
-        assert!(cross_track_distance_m(&a, 0.0, &east) > 0.0);
-        assert!(cross_track_distance_m(&a, 0.0, &west) < 0.0);
-    }
-
-    #[test]
-    fn along_track_sign_convention() {
-        let a = pt(0.0, 0.0);
-        let ahead = pt(2.0, 0.1);
-        let behind = pt(-2.0, 0.1);
-        assert!(along_track_distance_m(&a, 0.0, &ahead) > 0.0);
-        assert!(along_track_distance_m(&a, 0.0, &behind) < 0.0);
-    }
-
-    #[test]
-    fn along_plus_cross_decomposition() {
-        // For a point near the track, along² + cross² ≈ distance² (flat
-        // approximation valid for short distances).
-        let a = pt(0.0, 0.0);
-        let p = pt(0.5, 0.1);
-        let d = distance_m(&a, &p);
-        let at = along_track_distance_m(&a, 0.0, &p);
-        let xt = cross_track_distance_m(&a, 0.0, &p);
-        let recon = (at * at + xt * xt).sqrt();
-        assert!((recon - d).abs() / d < 1e-4);
     }
 }

@@ -109,32 +109,6 @@ impl GridIndex {
         )
     }
 
-    /// Returns handles of all points whose cell intersects the given
-    /// bounding box (degrees), ascending. The result may contain points
-    /// slightly outside the box (cell granularity); callers refine with
-    /// an exact test. Handles the antimeridian: `lon_min_deg >
-    /// lon_max_deg` means the box wraps.
-    pub fn query_bbox(
-        &self,
-        lat_min_deg: f64,
-        lat_max_deg: f64,
-        lon_min_deg: f64,
-        lon_max_deg: f64,
-    ) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.for_each_cell_in_bbox(
-            lat_min_deg,
-            lat_max_deg,
-            lon_min_deg,
-            lon_max_deg,
-            |items| out.extend_from_slice(items),
-        );
-        // Every handle lives in one cell and every cell is visited
-        // once, so sorting alone makes the result canonical.
-        out.sort_unstable();
-        out
-    }
-
     /// Calls `visit` with the handles of every non-empty cell the
     /// bounding box touches, each cell exactly once. A wrapping box
     /// (`lon_min_deg > lon_max_deg`) covers `[lon_min, 180)` and
@@ -294,7 +268,6 @@ mod tests {
     fn empty_index() {
         let idx = GridIndex::build(1.0, std::iter::empty()).unwrap();
         assert!(idx.is_empty());
-        assert!(idx.query_bbox(-10.0, 10.0, -10.0, 10.0).is_empty());
     }
 
     #[test]
@@ -370,15 +343,5 @@ mod tests {
                 assert_eq!(idx.query_radius(&center, radius, |i| pts[i]), want);
             }
         }
-    }
-
-    #[test]
-    fn bbox_query_is_superset_of_exact() {
-        let pts = vec![pt(5.5, 5.5), pt(6.5, 6.5), pt(50.0, 50.0)];
-        let idx = build(&pts);
-        let got = idx.query_bbox(5.0, 7.0, 5.0, 7.0);
-        assert!(got.contains(&0));
-        assert!(got.contains(&1));
-        assert!(!got.contains(&2));
     }
 }

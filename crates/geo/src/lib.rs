@@ -52,26 +52,6 @@ pub use grid::GridIndex;
 pub use point::{Ecef, GeodeticPoint};
 pub use vec3::Vec3;
 
-/// Converts degrees to radians.
-///
-/// ```
-/// assert!((eagleeye_geo::deg_to_rad(180.0) - std::f64::consts::PI).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn deg_to_rad(deg: f64) -> f64 {
-    deg.to_radians()
-}
-
-/// Converts radians to degrees.
-///
-/// ```
-/// assert!((eagleeye_geo::rad_to_deg(std::f64::consts::PI) - 180.0).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
-
 /// Normalizes an angle in radians into the half-open interval `[0, 2π)`.
 ///
 /// ```

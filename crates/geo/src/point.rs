@@ -104,18 +104,6 @@ impl GeodeticPoint {
         let (slon, clon) = self.lon_rad.sin_cos();
         Ecef(Vec3::new(r * clat * clon, r * clat * slon, r * slat))
     }
-
-    /// Converts to ECEF Cartesian coordinates on the WGS-84 ellipsoid.
-    pub fn to_ecef_wgs84(&self) -> Ecef {
-        let (slat, clat) = self.lat_rad.sin_cos();
-        let (slon, clon) = self.lon_rad.sin_cos();
-        let n = earth::WGS84_A_M / (1.0 - earth::WGS84_E2 * slat * slat).sqrt();
-        Ecef(Vec3::new(
-            (n + self.alt_m) * clat * clon,
-            (n + self.alt_m) * clat * slon,
-            (n * (1.0 - earth::WGS84_E2) + self.alt_m) * slat,
-        ))
-    }
 }
 
 impl fmt::Display for GeodeticPoint {
@@ -173,49 +161,6 @@ impl Ecef {
         let lon = self.0.y.atan2(self.0.x);
         GeodeticPoint::new(lat, lon, r - earth::MEAN_RADIUS_M)
     }
-
-    /// Converts to geodetic coordinates on the WGS-84 ellipsoid using
-    /// Bowring's iterative method (converges in a handful of iterations to
-    /// sub-millimeter accuracy for near-Earth points).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for the degenerate position at the Earth's center.
-    pub fn to_geodetic_wgs84(&self) -> Result<GeodeticPoint, GeoError> {
-        let p = (self.0.x * self.0.x + self.0.y * self.0.y).sqrt();
-        let r = self.0.norm();
-        if r < 1e-9 {
-            return Err(GeoError::AltitudeInvalid {
-                alt_m: -earth::WGS84_A_M,
-            });
-        }
-        let lon = self.0.y.atan2(self.0.x);
-        if p < 1e-9 {
-            // On the polar axis.
-            let lat = if self.0.z >= 0.0 {
-                std::f64::consts::FRAC_PI_2
-            } else {
-                -std::f64::consts::FRAC_PI_2
-            };
-            return GeodeticPoint::new(lat, lon, self.0.z.abs() - earth::WGS84_B_M);
-        }
-        let mut lat = (self.0.z / (p * (1.0 - earth::WGS84_E2))).atan();
-        let mut alt = 0.0;
-        for _ in 0..16 {
-            let slat = lat.sin();
-            let n = earth::WGS84_A_M / (1.0 - earth::WGS84_E2 * slat * slat).sqrt();
-            alt = p / lat.cos() - n;
-            // Fixed-point update: tan(lat) = z / (p * (1 - e2 * N/(N+h))).
-            let denom = p * (1.0 - earth::WGS84_E2 * n / (n + alt));
-            let new_lat = (self.0.z / denom).atan();
-            let converged = (new_lat - lat).abs() < 1e-13;
-            lat = new_lat;
-            if converged {
-                break;
-            }
-        }
-        GeodeticPoint::new(lat, lon, alt)
-    }
 }
 
 impl From<Vec3> for Ecef {
@@ -263,52 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn wgs84_round_trip() {
-        for &(lat, lon, alt) in &[
-            (0.0, 0.0, 0.0),
-            (45.0, 45.0, 1000.0),
-            (-33.9, 151.2, 500_000.0),
-            (89.9, 10.0, 0.0),
-            (-89.9, -170.0, 100.0),
-        ] {
-            let p = GeodeticPoint::from_degrees(lat, lon, alt).unwrap();
-            let q = p.to_ecef_wgs84().to_geodetic_wgs84().unwrap();
-            assert!(
-                (p.lat_deg() - q.lat_deg()).abs() < 1e-7,
-                "lat mismatch at {lat},{lon},{alt}: {} vs {}",
-                p.lat_deg(),
-                q.lat_deg()
-            );
-            assert!((p.alt_m() - q.alt_m()).abs() < 1e-2);
-        }
-    }
-
-    #[test]
-    fn wgs84_equator_radius() {
-        let p = GeodeticPoint::from_degrees(0.0, 0.0, 0.0).unwrap();
-        let e = p.to_ecef_wgs84();
-        assert!((e.radius_m() - earth::WGS84_A_M).abs() < 1e-6);
-    }
-
-    #[test]
-    fn wgs84_pole_radius() {
-        let p = GeodeticPoint::from_degrees(90.0, 0.0, 0.0).unwrap();
-        let e = p.to_ecef_wgs84();
-        assert!((e.radius_m() - earth::WGS84_B_M).abs() < 1e-6);
-    }
-
-    #[test]
-    fn wgs84_polar_axis_round_trip() {
-        let e = Ecef::new(0.0, 0.0, earth::WGS84_B_M + 1000.0);
-        let p = e.to_geodetic_wgs84().unwrap();
-        assert!((p.lat_deg() - 90.0).abs() < 1e-9);
-        assert!((p.alt_m() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn center_of_earth_is_an_error() {
         assert!(Ecef::new(0.0, 0.0, 0.0).to_geodetic_spherical().is_err());
-        assert!(Ecef::new(0.0, 0.0, 0.0).to_geodetic_wgs84().is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// let x = Vec3::new(1.0, 0.0, 0.0);
 /// let y = Vec3::new(0.0, 1.0, 0.0);
 /// assert_eq!(x.cross(y), Vec3::new(0.0, 0.0, 1.0));
-/// assert!((x.angle_to(y) - std::f64::consts::FRAC_PI_2).abs() < 1e-12);
+/// assert_eq!(x.dot(y), 0.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
@@ -63,13 +63,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared Euclidean norm; cheaper than [`Vec3::norm`] when only
-    /// comparisons are needed.
-    #[inline]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
     /// Returns a unit vector in the same direction, or `None` for a vector
     /// too close to zero to normalize reliably.
     #[inline]
@@ -80,22 +73,6 @@ impl Vec3 {
         } else {
             Some(self / n)
         }
-    }
-
-    /// Angle between `self` and `other` in radians, in `[0, π]`.
-    ///
-    /// Computed with `atan2(‖a×b‖, a·b)`, which is numerically stable for
-    /// nearly parallel and nearly antiparallel vectors (unlike the naive
-    /// `acos` formulation).
-    #[inline]
-    pub fn angle_to(self, other: Vec3) -> f64 {
-        self.cross(other).norm().atan2(self.dot(other))
-    }
-
-    /// Componentwise linear interpolation: `self + t * (other - self)`.
-    #[inline]
-    pub fn lerp(self, other: Vec3, t: f64) -> Vec3 {
-        self + (other - self) * t
     }
 
     /// True when every component is finite.
@@ -211,29 +188,6 @@ mod tests {
     #[test]
     fn normalized_zero_is_none() {
         assert!(Vec3::ZERO.normalized().is_none());
-    }
-
-    #[test]
-    fn angle_to_is_stable_for_nearly_parallel() {
-        let a = Vec3::new(1.0, 0.0, 0.0);
-        let b = Vec3::new(1.0, 1e-9, 0.0);
-        let ang = a.angle_to(b);
-        assert!(ang > 0.0 && ang < 2e-9);
-    }
-
-    #[test]
-    fn angle_to_antiparallel_is_pi() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        assert!((a.angle_to(-a) - std::f64::consts::PI).abs() < EPS);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 8.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 4.0));
     }
 
     #[test]

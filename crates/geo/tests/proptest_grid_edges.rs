@@ -4,12 +4,10 @@
 //! shrinking on failure).
 //!
 //! `query_radius` is exact, so it must equal the brute-force result
-//! bit-for-bit. `query_bbox` is a cell-granularity superset, so the
-//! brute-force in-box set must be contained in it — precisely the
-//! contract the coverage compiler's candidate pruning relies on
-//! (DESIGN.md §13).
+//! bit-for-bit; its cell walk is the one the coverage compiler's
+//! candidate pruning relies on (DESIGN.md §13).
 
-use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, vec_of, Gen};
+use eagleeye_check::{check_cases, f64_range, prop_assert_eq, vec_of, Gen};
 use eagleeye_geo::{greatcircle, GeodeticPoint, GridIndex};
 
 const CASES: u32 = 96;
@@ -90,65 +88,6 @@ fn query_radius_pole_cap_ignores_longitude() {
     );
 }
 
-/// In-box membership under the index's wraparound convention:
-/// `lon_min > lon_max` means the box spans the antimeridian.
-fn in_box(p: &GeodeticPoint, lat_min: f64, lat_max: f64, lon_min: f64, lon_max: f64) -> bool {
-    let lat_ok = p.lat_deg() >= lat_min && p.lat_deg() <= lat_max;
-    let lon = p.lon_deg();
-    let lon_ok = if lon_min <= lon_max {
-        lon >= lon_min && lon <= lon_max
-    } else {
-        lon >= lon_min || lon <= lon_max
-    };
-    lat_ok && lon_ok
-}
-
-/// `query_bbox` is a superset of the exact in-box set, including for
-/// boxes that wrap the antimeridian.
-#[test]
-fn query_bbox_wrapping_is_superset_of_brute_force() {
-    check_cases(
-        CASES,
-        "query_bbox_wrapping_is_superset_of_brute_force",
-        (
-            vec_of(edge_point_gen(), 1, 64),
-            f64_range(-89.0, 80.0),
-            f64_range(0.5, 20.0),
-            f64_range(-180.0, 180.0),
-            f64_range(0.5, 40.0),
-            f64_range(0.25, 8.0),
-        ),
-        |(pts, lat_min, dlat, lon_min, dlon, cell_deg)| {
-            let lat_max = (lat_min + dlat).min(90.0);
-            // Wrap on purpose when lon_min + dlon crosses 180.
-            let lon_max = {
-                let m = lon_min + dlon;
-                if m > 180.0 {
-                    m - 360.0
-                } else {
-                    m
-                }
-            };
-            let index = GridIndex::build(*cell_deg, pts.iter().map(|p| (p.lat_deg(), p.lon_deg())))
-                .expect("valid cell size");
-            let got = index.query_bbox(*lat_min, lat_max, *lon_min, lon_max);
-            for i in 0..pts.len() {
-                if in_box(&pts[i], *lat_min, lat_max, *lon_min, lon_max) {
-                    prop_assert!(
-                        got.binary_search(&i).is_ok(),
-                        "point {i} ({}, {}) inside box \
-                         [{lat_min}, {lat_max}] x [{lon_min}, {lon_max}] but missing \
-                         (cell_deg {cell_deg})",
-                        pts[i].lat_deg(),
-                        pts[i].lon_deg(),
-                    );
-                }
-            }
-            Ok(())
-        },
-    );
-}
-
 /// Pinned regressions: a handful of deterministic edge cases that stay
 /// fixed regardless of the harness seed.
 #[test]
@@ -162,10 +101,6 @@ fn pinned_edge_cases() {
     let index = GridIndex::build(1.0, pts.iter().map(|p| (p.lat_deg(), p.lon_deg()))).unwrap();
     let hits = index.query_radius(&pts[0], 50_000.0, |i| pts[i]);
     assert_eq!(hits, vec![0, 1], "dateline neighbors must see each other");
-
-    // A box wrapping the antimeridian catches both, not the control.
-    let boxed = index.query_bbox(9.0, 11.0, 179.0, -179.0);
-    assert!(boxed.contains(&0) && boxed.contains(&1) && !boxed.contains(&2));
 
     // A 500 km cap centered 1° off the north pole sees every longitude.
     let polar: Vec<GeodeticPoint> = (0..12)

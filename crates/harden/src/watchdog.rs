@@ -79,11 +79,6 @@ impl Deadline {
         Deadline { at: Some(at) }
     }
 
-    /// True when a budget was set (expired or not).
-    pub fn is_set(&self) -> bool {
-        self.at.is_some()
-    }
-
     /// The absolute expiry instant, if a budget was set.
     pub fn instant(&self) -> Option<Instant> {
         self.at
@@ -149,7 +144,7 @@ mod tests {
     #[test]
     fn no_deadline_never_expires() {
         let d = Deadline::none();
-        assert!(!d.is_set());
+        assert!(d.instant().is_none());
         assert!(!d.expired());
         assert_eq!(d.remaining(), None);
     }
@@ -157,7 +152,7 @@ mod tests {
     #[test]
     fn elapsed_deadline_expires() {
         let d = Deadline::after(Duration::ZERO);
-        assert!(d.is_set());
+        assert!(d.instant().is_some());
         assert!(d.expired());
         assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
@@ -182,7 +177,7 @@ mod tests {
     fn unrepresentable_budget_means_no_deadline() {
         for budget in [Duration::MAX, Duration::from_secs_f64(1e19)] {
             let d = Deadline::after(budget);
-            assert!(!d.is_set());
+            assert!(d.instant().is_none());
             assert!(!d.expired());
         }
     }
@@ -194,7 +189,7 @@ mod tests {
             reason = "an absolute deadline needs a real instant to be built from"
         )]
         let d = Deadline::at(Instant::now() + Duration::from_secs(60));
-        assert!(d.is_set());
+        assert!(d.instant().is_some());
         assert!(!d.expired());
         assert!(d.instant().is_some());
     }

@@ -16,9 +16,9 @@
 //!   column is one product per column; after a pivot that choice is made
 //!   in the same pass that updates the reduced costs.
 //! * A depth-first **branch-and-bound** with most-fractional branching,
-//!   incumbent pruning, and time/node limits for integrality. An
-//!   interrupted search hands back its [`Frontier`] (open nodes with
-//!   their inherited tableaux, as raw bits), which resumes it exactly.
+//!   incumbent pruning, and time/node limits for integrality: one
+//!   search loop, [`Model::solve`], which a limit ends with the best
+//!   incumbent found so far.
 //!
 //! The instances EagleEye produces are small (hundreds of variables per
 //! scheduling frame) and near-network-structured, so an exact dense solver
@@ -52,6 +52,6 @@ mod error;
 mod model;
 mod simplex;
 
-pub use branch::{Frontier, SolveOptions, SolveStats};
+pub use branch::{SolveOptions, SolveStats};
 pub use error::IlpError;
-pub use model::{Model, ObjectiveDirection, Sense, Solution, SolveStatus, VarId, VarKind};
+pub use model::{Model, ObjectiveDirection, Sense, Solution, SolveStatus, VarId};

@@ -1,4 +1,4 @@
-use crate::branch::{self, SolveOptions, SolveStats};
+use crate::branch::SolveStats;
 use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
 use std::fmt;
@@ -27,7 +27,7 @@ impl fmt::Display for VarId {
 
 /// Whether a variable is continuous or must take integer values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VarKind {
+pub(crate) enum VarKind {
     /// Real-valued within its bounds.
     Continuous,
     /// Integer-valued within its bounds (branch-and-bound enforces this).
@@ -152,17 +152,8 @@ impl Model {
     }
 
     /// Adds a variable with explicit kind, bounds, and objective
-    /// coefficient.
-    ///
-    /// # Errors
-    ///
-    /// * [`IlpError::UnboundedBelow`] if `lower` is not finite — this
-    ///   solver requires finite lower bounds (shift or split free
-    ///   variables in the formulation).
-    /// * [`IlpError::EmptyDomain`] if `lower > upper`.
-    /// * [`IlpError::NonFiniteValue`] if `obj` is not finite or `upper`
-    ///   is NaN.
-    pub fn add_var(
+    /// coefficient; see [`Model::add_continuous_var`] for its errors.
+    fn add_var(
         &mut self,
         kind: VarKind,
         lower: f64,
@@ -208,7 +199,12 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same as [`Model::add_var`].
+    /// * [`IlpError::UnboundedBelow`] if `lower` is not finite — this
+    ///   solver requires finite lower bounds (shift or split free
+    ///   variables in the formulation).
+    /// * [`IlpError::EmptyDomain`] if `lower > upper`.
+    /// * [`IlpError::NonFiniteValue`] if `obj` is not finite or `upper`
+    ///   is NaN.
     pub fn add_continuous_var(
         &mut self,
         lower: f64,
@@ -222,7 +218,7 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same as [`Model::add_var`].
+    /// Same as [`Model::add_continuous_var`].
     pub fn add_integer_var(&mut self, lower: f64, upper: f64, obj: f64) -> Result<VarId, IlpError> {
         self.add_var(VarKind::Integer, lower, upper, obj)
     }
@@ -291,42 +287,6 @@ impl Model {
             ObjectiveDirection::Minimize => 1.0,
             ObjectiveDirection::Maximize => -1.0,
         }
-    }
-
-    /// Solves the model to integer optimality (continuous models solve in
-    /// a single LP call).
-    ///
-    /// # Errors
-    ///
-    /// * [`IlpError::Unbounded`] when the relaxation is unbounded.
-    /// * [`IlpError::IterationLimit`] on numerical failure inside simplex.
-    ///
-    /// Infeasibility and resource limits are **not** errors; they are
-    /// reported through [`Solution::status`].
-    pub fn solve(&self, options: &SolveOptions) -> Result<Solution, IlpError> {
-        self.solve_resumable(options, None)
-            .map(|(solution, _)| solution)
-    }
-
-    /// [`Model::solve`] with checkpoint/resume support: pass the
-    /// [`Frontier`](crate::Frontier) of an interrupted solve to
-    /// continue it, and receive `Some(frontier)` back whenever a node
-    /// or time limit stopped the search with open nodes remaining.
-    ///
-    /// The frontier must come from a solve of the **same model**;
-    /// resuming is then exact — the search explores the same nodes in
-    /// the same order as an uninterrupted solve, so the final solution
-    /// and deterministic stats are identical.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Model::solve`].
-    pub fn solve_resumable(
-        &self,
-        options: &SolveOptions,
-        resume: Option<crate::Frontier>,
-    ) -> Result<(Solution, Option<crate::Frontier>), IlpError> {
-        branch::solve_milp_resumable(self, options, resume)
     }
 
     /// Variable `j`'s bounds at a search node: its own, tightened by

@@ -28,7 +28,6 @@
 
 use crate::model::{shifted_upper, Model, Sense};
 use crate::IlpError;
-use eagleeye_harden::{ByteReader, ByteWriter, CodecError};
 use std::time::Instant;
 
 /// An optimal LP solution. A solve returns `None` in its place when no
@@ -153,8 +152,7 @@ pub(crate) struct Tableau {
 }
 
 /// Tableaux are equal when their state is: the scratch tail of
-/// `floats` (values, reduced costs, weights) is not compared, so a
-/// tableau read back from bytes equals the one written.
+/// `floats` (values, reduced costs, weights) is not compared.
 impl PartialEq for Tableau {
     fn eq(&self, other: &Self) -> bool {
         let state = self.scratch_start();
@@ -484,81 +482,6 @@ impl Tableau {
         }
         let obj = v.run_phase(/*phase_one=*/ false, None);
         Some(obj.map(|obj| self.extract(obj, true)))
-    }
-
-    /// Appends the tableau as raw bits: dimensions, basis, bound state,
-    /// costs, basic values, then the matrix row by row. The effort
-    /// counters and the scratch are not written; a stored tableau is a
-    /// final one, whose counters [`Tableau::extract`] already reset.
-    pub(crate) fn write(&self, w: &mut ByteWriter) {
-        for dim in [self.n_struct, self.m, self.n_cols, self.art_start] {
-            w.usize(dim);
-        }
-        for &j in &self.basis {
-            w.usize(j);
-        }
-        for &flag in &self.flags[..self.n_cols] {
-            w.bool(flag);
-        }
-        let (matrix, rest) = self.floats.split_at(self.m * self.n_cols);
-        let (b, rest) = rest.split_at(self.m);
-        let bounds_and_costs = &rest[..self.n_struct + 2 * self.n_cols];
-        for &x in bounds_and_costs.iter().chain(b).chain(matrix) {
-            w.f64(x);
-        }
-    }
-
-    /// Reads a tableau written by [`Tableau::write`].
-    ///
-    /// The dimensions are checked against the bytes left in `r` before
-    /// anything is allocated for them, so forged dimensions fail as a
-    /// [`CodecError`]. So does a basis that names a column twice or
-    /// past the last one.
-    pub(crate) fn read(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let (n_struct, m, n_cols, art_start) = (r.usize()?, r.usize()?, r.usize()?, r.usize()?);
-        // 8 bytes per basis entry and float, 1 per at-upper flag.
-        let payload = || {
-            let words = m
-                .checked_mul(n_cols)?
-                .checked_add(n_struct)?
-                .checked_add(n_cols.checked_mul(2)?)?
-                .checked_add(m.checked_mul(2)?)?;
-            words.checked_mul(8)?.checked_add(n_cols)
-        };
-        if n_struct > art_start
-            || art_start > n_cols
-            || payload().is_none_or(|bytes| bytes > r.remaining())
-        {
-            return Err(CodecError {
-                context: "tableau dimensions",
-            });
-        }
-        let mut t = Tableau::zeroed(n_struct, m, n_cols, art_start);
-        let v = t.view();
-        for i in 0..m {
-            let j = r.usize()?;
-            if j >= n_cols || std::mem::replace(&mut v.is_basic[j], true) {
-                return Err(CodecError {
-                    context: "tableau basis",
-                });
-            }
-            v.basis[i] = j;
-        }
-        for flag in v.at_upper.iter_mut() {
-            *flag = r.bool()?;
-        }
-        for x in v
-            .lower
-            .iter_mut()
-            .chain(v.upper.iter_mut())
-            .chain(v.cost.iter_mut())
-        {
-            *x = r.f64()?;
-        }
-        for x in v.b.iter_mut().chain(v.a.iter_mut()) {
-            *x = r.f64()?;
-        }
-        Ok(t)
     }
 }
 

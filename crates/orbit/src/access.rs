@@ -43,13 +43,13 @@ impl GroundStation {
 
     /// Minimum usable elevation, radians.
     #[inline]
-    pub fn min_elevation_rad(&self) -> f64 {
+    fn min_elevation_rad(&self) -> f64 {
         self.min_elevation_rad
     }
 
     /// Elevation of a satellite (ECEF position) as seen from the
     /// station, radians; negative below the horizon.
-    pub fn elevation_rad(&self, sat_ecef: Vec3) -> f64 {
+    fn elevation_rad(&self, sat_ecef: Vec3) -> f64 {
         let stn = self.location.to_ecef_spherical().as_vec3();
         let up = match stn.normalized() {
             Some(u) => u,

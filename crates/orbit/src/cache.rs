@@ -6,8 +6,8 @@
 //! sine/cosine for the ECI→ECEF rotation — values that depend only on
 //! the epoch, not the satellite. [`EpochGrid`] hoists that trig out of
 //! the loop (one pair per epoch, shared by the whole constellation) and
-//! [`PropagationCache`] batch-propagates each satellite over the grid
-//! once, so the frame loop reads precomputed [`TrackState`]s instead of
+//! [`EpochGrid::propagate`] batch-propagates one satellite over the grid,
+//! so the frame loop reads precomputed [`TrackState`]s instead of
 //! re-deriving orbit state.
 //!
 //! Cached and direct propagation are **bit-identical**: the grid
@@ -17,11 +17,11 @@
 //!
 //! # Invalidation
 //!
-//! A cache is immutable and valid only for the exact `(tracks, grid)`
-//! it was built from. Anything that changes the propagation inputs —
-//! constellation layout, altitude, inclination, RAAN/phase, GMST epoch,
-//! frame cadence, or horizon — requires building a new cache; there is
-//! deliberately no partial-update API.
+//! A grid and the rows propagated over it are immutable and valid only
+//! for the exact `(track, grid)` they came from. Anything that changes
+//! the propagation inputs — constellation layout, altitude, inclination,
+//! RAAN/phase, GMST epoch, frame cadence, or horizon — requires
+//! propagating again; there is deliberately no partial-update API.
 
 use crate::{GroundTrack, OrbitError, TrackState};
 use eagleeye_obs::Metrics;
@@ -152,90 +152,6 @@ impl EpochGrid {
     }
 }
 
-/// Batch-propagated [`TrackState`]s for a set of satellites over one
-/// epoch grid, indexed `[satellite][frame]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PropagationCache {
-    grid: EpochGrid,
-    states: Vec<Vec<TrackState>>,
-}
-
-impl PropagationCache {
-    /// Propagates every track over the grid.
-    ///
-    /// # Errors
-    ///
-    /// Propagates propagation and geodetic conversion failures.
-    pub fn build(tracks: &[GroundTrack], grid: EpochGrid) -> Result<Self, OrbitError> {
-        Self::build_observed(tracks, grid, &Metrics::disabled())
-    }
-
-    /// [`PropagationCache::build`] with observability: counts one cache
-    /// build (`orbit/cache_builds`) plus the per-track propagation
-    /// counters of [`EpochGrid::propagate_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PropagationCache::build`].
-    pub fn build_observed(
-        tracks: &[GroundTrack],
-        grid: EpochGrid,
-        metrics: &Metrics,
-    ) -> Result<Self, OrbitError> {
-        metrics.incr("orbit/cache_builds");
-        let states = tracks
-            .iter()
-            .map(|tr| grid.propagate_observed(tr, metrics))
-            .collect::<Result<_, _>>()?;
-        Ok(PropagationCache { grid, states })
-    }
-
-    /// Assembles a cache from rows propagated elsewhere (e.g. in
-    /// parallel, one worker per satellite via `EpochGrid::propagate`).
-    /// Row `i` must be `grid.propagate(&tracks[i])` for the cache to be
-    /// meaningful; each row's length must equal the grid's.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a row length disagrees with the grid.
-    pub fn from_rows(grid: EpochGrid, states: Vec<Vec<TrackState>>) -> Self {
-        for (i, row) in states.iter().enumerate() {
-            assert_eq!(
-                row.len(),
-                grid.len(),
-                "row {i} has {} states for {} epochs",
-                row.len(),
-                grid.len()
-            );
-        }
-        PropagationCache { grid, states }
-    }
-
-    /// The epoch grid the cache was built over.
-    #[inline]
-    pub fn grid(&self) -> &EpochGrid {
-        &self.grid
-    }
-
-    /// Number of cached satellites.
-    #[inline]
-    pub fn satellite_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// All cached states of one satellite, in epoch order.
-    #[inline]
-    pub fn row(&self, satellite: usize) -> &[TrackState] {
-        &self.states[satellite]
-    }
-
-    /// Cached state of `satellite` at epoch index `frame`.
-    #[inline]
-    pub fn state(&self, satellite: usize, frame: usize) -> &TrackState {
-        &self.states[satellite][frame]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,14 +181,13 @@ mod tests {
 
     #[test]
     fn cached_states_are_bit_identical_to_direct_propagation() {
-        let tracks = vec![paper_track(0.0), paper_track(1.3)];
+        let tracks = [paper_track(0.0), paper_track(1.3)];
         let grid = EpochGrid::for_horizon(0.0, 3_600.0, 14.7);
-        let cache = PropagationCache::build(&tracks, grid.clone()).unwrap();
-        assert_eq!(cache.satellite_count(), 2);
         for (i, track) in tracks.iter().enumerate() {
+            let row = grid.propagate(track).unwrap();
             for (k, &t) in grid.epochs().iter().enumerate() {
                 let direct = track.state_at(t).unwrap();
-                assert_eq!(cache.state(i, k), &direct, "sat {i} frame {k}");
+                assert_eq!(row[k], direct, "sat {i} frame {k}");
             }
         }
     }
@@ -316,17 +231,5 @@ mod tests {
             snap.counter("orbit/propagation_calls"),
             2 * grid.len() as u64
         );
-
-        let cache =
-            PropagationCache::build_observed(&[paper_track(0.0)], grid.clone(), &metrics).unwrap();
-        assert_eq!(cache.satellite_count(), 1);
-        assert_eq!(metrics.snapshot().counter("orbit/cache_builds"), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "row 0")]
-    fn from_rows_rejects_length_mismatch() {
-        let grid = EpochGrid::for_horizon(0.0, 100.0, 15.0);
-        PropagationCache::from_rows(grid, vec![vec![]]);
     }
 }

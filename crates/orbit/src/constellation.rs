@@ -223,7 +223,7 @@ impl ConstellationLayout {
     /// Returns [`OrbitError::InvalidElement`] when `groups` is empty,
     /// `planes == 0`, a spacing is negative, or the orbit parameters are
     /// out of range.
-    pub fn new_full(
+    fn new_full(
         groups: Vec<GroupSpec>,
         altitude_m: f64,
         inclination_rad: f64,
@@ -359,12 +359,6 @@ impl ConstellationLayout {
         self.altitude_m
     }
 
-    /// Leader-to-first-follower ground distance in meters.
-    #[inline]
-    pub fn lead_distance_m(&self) -> f64 {
-        self.lead_distance_m
-    }
-
     /// Builds the ground track for one satellite.
     ///
     /// # Errors
@@ -379,19 +373,6 @@ impl ConstellationLayout {
             sat.phase_rad,
         )?;
         Ok(GroundTrack::new(prop))
-    }
-
-    /// Time by which a follower trails its group leader over the same
-    /// ground point, seconds.
-    pub fn follower_delay_s(&self, follower_index: usize) -> f64 {
-        let trail_m = self.lead_distance_m + follower_index as f64 * self.follower_spacing_m;
-        #[expect(
-            clippy::expect_used,
-            reason = "altitude/inclination were validated when this layout was constructed"
-        )]
-        let prop = J2Propagator::circular(self.altitude_m, self.inclination_rad, 0.0, 0.0)
-            .expect("validated at construction");
-        (trail_m / MEAN_RADIUS_M) / prop.mean_anomaly_rate_rad_s()
     }
 }
 
@@ -518,12 +499,20 @@ mod tests {
         }
     }
 
+    /// Time by which a follower trails its group leader over the same
+    /// ground point, seconds.
+    fn follower_delay_s(l: &ConstellationLayout, follower_index: usize) -> f64 {
+        let trail_m = l.lead_distance_m + follower_index as f64 * l.follower_spacing_m;
+        let prop = J2Propagator::circular(l.altitude_m, l.inclination_rad, 0.0, 0.0).unwrap();
+        (trail_m / MEAN_RADIUS_M) / (std::f64::consts::TAU / prop.period_s())
+    }
+
     #[test]
     fn follower_ground_separation_matches_spec() {
         let l = layout(1, 1);
         let leader = l.ground_track(&l.satellites()[0]).unwrap();
         let follower = l.ground_track(&l.satellites()[1]).unwrap();
-        let delay = l.follower_delay_s(0);
+        let delay = follower_delay_s(&l, 0);
         // After `delay`, the follower reaches (almost) the leader's old
         // subsatellite point.
         let a = leader.state_at(500.0).unwrap();
@@ -540,7 +529,7 @@ mod tests {
     fn follower_delay_is_about_thirteen_seconds() {
         // 100 km at ~7.5 km/s ground speed => ~13 s.
         let l = layout(1, 1);
-        let d = l.follower_delay_s(0);
+        let d = follower_delay_s(&l, 0);
         assert!(d > 11.0 && d < 16.0, "delay {d}");
     }
 }

@@ -95,14 +95,14 @@ impl GroundTrack {
 
     /// Greenwich sidereal angle at `t_s` seconds past epoch.
     #[inline]
-    pub fn gmst_rad(&self, t_s: f64) -> f64 {
+    fn gmst_rad(&self, t_s: f64) -> f64 {
         Self::gmst_at(self.gmst_epoch_rad, t_s)
     }
 
     /// Rotates an ECI position into ECEF given the precomputed
     /// `(sin θ, cos θ)` of the Greenwich sidereal angle.
     #[inline]
-    pub fn eci_to_ecef_with_trig(position: Vec3, (s, c): (f64, f64)) -> Ecef {
+    fn eci_to_ecef_with_trig(position: Vec3, (s, c): (f64, f64)) -> Ecef {
         Ecef(Vec3::new(
             c * position.x + s * position.y,
             -s * position.x + c * position.y,
@@ -131,13 +131,12 @@ impl GroundTrack {
     /// Like [`GroundTrack::state_at`], with the sidereal-angle
     /// sine/cosine at `t_s` and `t_s + FD_DT_S` supplied by the caller.
     ///
-    /// This is the memoization seam used by
-    /// [`crate::PropagationCache`]: the sidereal angle depends only on
-    /// the epoch time, not the satellite, so one `(sin, cos)` pair per
-    /// epoch serves an entire constellation instead of being recomputed
-    /// per satellite per frame. Passing trig values computed from
-    /// [`GroundTrack::gmst_rad`] at the same times makes this identical
-    /// to `state_at`.
+    /// This is the memoization seam used by [`crate::EpochGrid`]: the
+    /// sidereal angle depends only on the epoch time, not the satellite,
+    /// so one `(sin, cos)` pair per epoch serves an entire constellation
+    /// instead of being recomputed per satellite per frame. Passing trig
+    /// values computed from [`GroundTrack::gmst_at`] at the same times
+    /// makes this identical to `state_at`.
     ///
     /// # Errors
     ///

@@ -23,20 +23,6 @@ impl EciState {
     pub fn speed_m_s(&self) -> f64 {
         self.velocity.norm()
     }
-
-    /// Specific orbital energy, J/kg: `v²/2 − μ/r`. Conserved under pure
-    /// two-body motion; a useful invariant for propagation tests.
-    #[inline]
-    pub fn specific_energy(&self) -> f64 {
-        self.velocity.norm_squared() / 2.0 - MU_M3_S2 / self.radius_m()
-    }
-
-    /// Specific angular momentum vector, m²/s. Also conserved under pure
-    /// two-body motion.
-    #[inline]
-    pub fn specific_angular_momentum(&self) -> Vec3 {
-        self.position.cross(self.velocity)
-    }
 }
 
 /// Classical (Keplerian) orbital elements.
@@ -122,12 +108,6 @@ impl KeplerianElements {
         })
     }
 
-    /// Semi-major axis in meters.
-    #[inline]
-    pub fn semi_major_axis_m(&self) -> f64 {
-        self.semi_major_axis_m
-    }
-
     /// Eccentricity, in `[0, 1)`.
     #[inline]
     pub fn eccentricity(&self) -> f64 {
@@ -200,7 +180,7 @@ impl KeplerianElements {
     /// Returns [`OrbitError::KeplerDivergence`] if Newton fails to reach
     /// `1e-12` residual in 64 iterations (cannot happen for e < 1 in
     /// practice; guarded for robustness).
-    pub fn eccentric_anomaly_rad(&self, mean_anomaly_rad: f64) -> Result<f64, OrbitError> {
+    fn eccentric_anomaly_rad(&self, mean_anomaly_rad: f64) -> Result<f64, OrbitError> {
         let m = eagleeye_geo::wrap_two_pi(mean_anomaly_rad);
         let e = self.eccentricity;
         let mut big_e = if e < 0.8 { m } else { std::f64::consts::PI };
@@ -269,6 +249,8 @@ impl KeplerianElements {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagleeye_check::{check_cases, f64_range, prop_assert};
+    use eagleeye_geo::wrap_two_pi;
 
     fn paper_orbit() -> KeplerianElements {
         KeplerianElements::new(
@@ -320,7 +302,7 @@ mod tests {
         let k = paper_orbit();
         for i in 0..20 {
             let s = k.eci_state_at_mean_anomaly(i as f64 * 0.3).unwrap();
-            let expected = k.semi_major_axis_m();
+            let expected = k.semi_major_axis_m;
             assert!((s.radius_m() - expected).abs() / expected < 0.002);
         }
     }
@@ -330,21 +312,32 @@ mod tests {
         let k = KeplerianElements::new(7e6, 0.1, 0.5, 0.2, 0.3, 0.0).unwrap();
         for i in 0..16 {
             let s = k.eci_state_at_mean_anomaly(i as f64 * 0.4).unwrap();
-            let vis_viva = (MU_M3_S2 * (2.0 / s.radius_m() - 1.0 / k.semi_major_axis_m())).sqrt();
+            let vis_viva = (MU_M3_S2 * (2.0 / s.radius_m() - 1.0 / k.semi_major_axis_m)).sqrt();
             assert!((s.speed_m_s() - vis_viva).abs() / vis_viva < 1e-9);
         }
+    }
+
+    /// Specific orbital energy, J/kg: `v²/2 − μ/r`, conserved under pure
+    /// two-body motion.
+    fn specific_energy(s: &EciState) -> f64 {
+        s.velocity.dot(s.velocity) / 2.0 - MU_M3_S2 / s.radius_m()
+    }
+
+    /// Specific angular momentum vector, m²/s, also conserved.
+    fn specific_angular_momentum(s: &EciState) -> Vec3 {
+        s.position.cross(s.velocity)
     }
 
     #[test]
     fn energy_and_momentum_are_conserved_along_orbit() {
         let k = KeplerianElements::new(6.9e6, 0.2, 1.2, 0.5, 1.0, 0.0).unwrap();
         let s0 = k.eci_state_at_mean_anomaly(0.0).unwrap();
-        let e0 = s0.specific_energy();
-        let h0 = s0.specific_angular_momentum();
+        let e0 = specific_energy(&s0);
+        let h0 = specific_angular_momentum(&s0);
         for i in 1..24 {
             let s = k.eci_state_at_mean_anomaly(i as f64 * 0.26).unwrap();
-            assert!((s.specific_energy() - e0).abs() / e0.abs() < 1e-9);
-            let h = s.specific_angular_momentum();
+            assert!((specific_energy(&s) - e0).abs() / e0.abs() < 1e-9);
+            let h = specific_angular_momentum(&s);
             assert!((h - h0).norm() / h0.norm() < 1e-9);
         }
     }
@@ -367,5 +360,26 @@ mod tests {
             let s = k.eci_state_at_mean_anomaly(i as f64 * 0.4).unwrap();
             assert!(s.position.z.abs() < 1e-6);
         }
+    }
+
+    /// Kepler's equation solutions satisfy the defining identity.
+    #[test]
+    fn kepler_identity() {
+        check_cases(
+            64,
+            "kepler_identity",
+            (f64_range(0.0, 0.95), f64_range(0.0, std::f64::consts::TAU)),
+            |&(ecc, m)| {
+                let k = KeplerianElements::new(7e6, ecc, 1.0, 0.0, 0.0, 0.0).unwrap();
+                let e_anom = k.eccentric_anomaly_rad(m).unwrap();
+                let recon = wrap_two_pi(e_anom - ecc * e_anom.sin());
+                let want = wrap_two_pi(m);
+                let diff = (recon - want)
+                    .abs()
+                    .min(std::f64::consts::TAU - (recon - want).abs());
+                prop_assert!(diff < 1e-9, "identity residual {diff}");
+                Ok(())
+            },
+        );
     }
 }

@@ -22,9 +22,9 @@
 //! * [`ConstellationLayout`] — leader-follower groups evenly phased in a
 //!   single orbital plane, with followers trailing the leader by a fixed
 //!   ground distance (100 km in the paper, §5.3).
-//! * [`PropagationCache`] / [`EpochGrid`] — batch propagation over an
-//!   evaluation horizon's frame epochs, memoizing the per-epoch sidereal
-//!   trig that is shared by every satellite (bit-identical to direct
+//! * [`EpochGrid`] — batch propagation over an evaluation horizon's
+//!   frame epochs, memoizing the per-epoch sidereal trig that is shared
+//!   by every satellite (bit-identical to direct
 //!   [`GroundTrack::state_at`] calls).
 //!
 //! # Example
@@ -59,7 +59,7 @@ mod propagator;
 mod sgp4;
 mod tle;
 
-pub use cache::{frame_epochs, EpochGrid, PropagationCache};
+pub use cache::{frame_epochs, EpochGrid};
 pub use constellation::{ConstellationLayout, GroupSpec, SatelliteRole, SatelliteSpec};
 pub use error::OrbitError;
 pub use groundtrack::{GroundTrack, TrackState};

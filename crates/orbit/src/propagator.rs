@@ -101,20 +101,8 @@ impl J2Propagator {
         self.raan_rate_rad_s
     }
 
-    /// Secular apsidal precession rate, rad/s.
-    #[inline]
-    pub fn argp_rate_rad_s(&self) -> f64 {
-        self.argp_rate_rad_s
-    }
-
-    /// Perturbed mean motion, rad/s.
-    #[inline]
-    pub fn mean_anomaly_rate_rad_s(&self) -> f64 {
-        self.mean_anomaly_rate_rad_s
-    }
-
     /// Element set propagated to `t_s` seconds past epoch.
-    pub fn elements_at(&self, t_s: f64) -> KeplerianElements {
+    fn elements_at(&self, t_s: f64) -> KeplerianElements {
         self.elements.with_angles(
             self.elements.raan_rad() + self.raan_rate_rad_s * t_s,
             self.elements.arg_perigee_rad() + self.argp_rate_rad_s * t_s,
@@ -132,18 +120,6 @@ impl J2Propagator {
         let e = self.elements_at(t_s);
         e.eci_state_at_mean_anomaly(e.mean_anomaly_rad())
     }
-
-    /// Returns a copy phase-shifted by `delta_rad` along the orbit
-    /// (positive = ahead). Used to lay out constellation groups and
-    /// trailing followers.
-    pub fn phase_shifted(&self, delta_rad: f64) -> J2Propagator {
-        let e = self.elements.with_angles(
-            self.elements.raan_rad(),
-            self.elements.arg_perigee_rad(),
-            self.elements.mean_anomaly_rad() + delta_rad,
-        );
-        J2Propagator::new(e)
-    }
 }
 
 #[cfg(test)]
@@ -152,6 +128,25 @@ mod tests {
 
     fn paper_prop() -> J2Propagator {
         J2Propagator::circular(475_000.0, 97.2_f64.to_radians(), 0.0, 0.0).unwrap()
+    }
+
+    #[test]
+    fn phase_shift_moves_satellite_along_track() {
+        let p = paper_prop();
+        let q = J2Propagator::circular(475_000.0, 97.2_f64.to_radians(), 0.0, 0.01).unwrap();
+        let sp = p.state_at(0.0).unwrap();
+        let sq = q.state_at(0.0).unwrap();
+        let expected = 0.01 * sp.radius_m();
+        let sep = (sp.position - sq.position).norm();
+        assert!(
+            (sep - expected).abs() / expected < 0.05,
+            "sep {sep} vs {expected}"
+        );
+        // The shifted satellite leads: it is roughly where p will be
+        // shortly.
+        let dt = 0.01 / p.mean_anomaly_rate_rad_s;
+        let sp_later = p.state_at(dt).unwrap();
+        assert!((sp_later.position - sq.position).norm() < 0.001 * sp.radius_m());
     }
 
     #[test]
@@ -180,25 +175,6 @@ mod tests {
         let s1 = p.state_at(p.period_s()).unwrap();
         let sep = (s0.position - s1.position).norm();
         assert!(sep < 0.02 * s0.radius_m(), "separation {sep}");
-    }
-
-    #[test]
-    fn phase_shift_moves_satellite_along_track() {
-        let p = paper_prop();
-        let q = p.phase_shifted(0.01);
-        let sp = p.state_at(0.0).unwrap();
-        let sq = q.state_at(0.0).unwrap();
-        let expected = 0.01 * sp.radius_m();
-        let sep = (sp.position - sq.position).norm();
-        assert!(
-            (sep - expected).abs() / expected < 0.05,
-            "sep {sep} vs {expected}"
-        );
-        // The shifted satellite leads: it is roughly where p will be
-        // shortly.
-        let dt = 0.01 / p.mean_anomaly_rate_rad_s();
-        let sp_later = p.state_at(dt).unwrap();
-        assert!((sp_later.position - sq.position).norm() < 0.001 * sp.radius_m());
     }
 
     #[test]

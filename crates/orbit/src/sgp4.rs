@@ -442,13 +442,13 @@ mod tests {
     fn slow_tle() -> Tle {
         // Rebuild the paper TLE with a 6 rev/day mean motion via its
         // formatted lines.
-        let t = paper_tle();
-        let (l1, l2) = t.to_lines();
+        let lines = paper_tle().to_string();
+        let (l1, l2) = lines.split_once('\n').unwrap();
         let l2 = format!("{} {:11.8}    1", &l2[..52], 6.0);
         let mut l2 = l2[..68].to_string();
         let c = Tle::checksum(&l2);
         l2.push(char::from_digit(c, 10).unwrap());
-        Tle::parse(&l1, &l2).expect("valid slow TLE")
+        Tle::parse(l1, &l2).expect("valid slow TLE")
     }
 
     #[test]
@@ -498,7 +498,8 @@ mod tests {
         // Craft a TLE with a large B* and compare mean altitude over a
         // day against the drag-free twin.
         let t = paper_tle();
-        let (l1, l2) = t.to_lines();
+        let lines = t.to_string();
+        let (l1, l2) = lines.split_once('\n').unwrap();
         let mut l1_drag = format!("{} 10270-1 0  999", &l1[..53 - 1]);
         l1_drag.truncate(68);
         while l1_drag.len() < 68 {
@@ -506,7 +507,7 @@ mod tests {
         }
         let c = Tle::checksum(&l1_drag);
         l1_drag.push(char::from_digit(c, 10).unwrap());
-        let dragged = Tle::parse(&l1_drag, &l2).expect("valid dragged TLE");
+        let dragged = Tle::parse(&l1_drag, l2).expect("valid dragged TLE");
         assert!(dragged.bstar() > 1e-3, "bstar {}", dragged.bstar());
 
         let p_free = Sgp4Propagator::new(&t).unwrap();

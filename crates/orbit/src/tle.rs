@@ -207,18 +207,6 @@ impl Tle {
         self.catalog_number
     }
 
-    /// Two-digit epoch year as printed in the TLE.
-    #[inline]
-    pub fn epoch_year(&self) -> u32 {
-        self.epoch_year
-    }
-
-    /// Fractional day-of-year of the epoch.
-    #[inline]
-    pub fn epoch_day(&self) -> f64 {
-        self.epoch_day
-    }
-
     /// B* drag term (per Earth radii).
     #[inline]
     pub fn bstar(&self) -> f64 {
@@ -288,7 +276,7 @@ impl Tle {
     }
 
     /// Formats this TLE back to its two lines, recomputing checksums.
-    pub fn to_lines(&self) -> (String, String) {
+    fn to_lines(&self) -> (String, String) {
         let mut l1 = format!(
             "1 {:05}U 00000A   {:02}{:012.8}  .00000000  00000-0  00000-0 0  999",
             self.catalog_number, self.epoch_year, self.epoch_day,
@@ -357,8 +345,8 @@ mod tests {
     fn parses_iss_style_tle() {
         let tle = Tle::parse(ISS_L1, ISS_L2).unwrap();
         assert_eq!(tle.catalog_number(), 25544);
-        assert_eq!(tle.epoch_year(), 24);
-        assert!((tle.epoch_day() - 1.5).abs() < 1e-9);
+        assert_eq!(tle.epoch_year, 24);
+        assert!((tle.epoch_day - 1.5).abs() < 1e-9);
         assert!((tle.inclination_deg() - 51.64).abs() < 1e-9);
         assert!((tle.raan_deg() - 208.9163).abs() < 1e-9);
         assert!((tle.eccentricity() - 0.0006317).abs() < 1e-12);
@@ -369,8 +357,14 @@ mod tests {
     #[test]
     fn iss_semi_major_axis_is_leo() {
         let tle = Tle::parse(ISS_L1, ISS_L2).unwrap();
-        let a = tle.elements().unwrap().semi_major_axis_m();
-        // ISS: ~6,795 km.
+        // Near-circular, so the radius at epoch is the semi-major axis to
+        // within a few km. ISS: ~6,795 km.
+        let a = tle
+            .elements()
+            .unwrap()
+            .eci_state_at_mean_anomaly(0.0)
+            .unwrap()
+            .radius_m();
         assert!((a - 6.795e6).abs() < 3e4, "a = {a}");
     }
 
@@ -417,7 +411,8 @@ mod tests {
 
     #[test]
     fn paper_orbit_altitude() {
-        let a = Tle::paper_orbit().elements().unwrap().semi_major_axis_m();
+        let elements = Tle::paper_orbit().elements().unwrap();
+        let a = elements.eci_state_at_mean_anomaly(0.0).unwrap().radius_m();
         let alt_km = (a - eagleeye_geo::earth::MEAN_RADIUS_M) / 1000.0;
         // 94-minute period corresponds to ~475 km (within tens of km).
         assert!((alt_km - 475.0).abs() < 40.0, "alt {alt_km}");

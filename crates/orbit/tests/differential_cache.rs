@@ -1,5 +1,5 @@
-//! Differential oracle: `PropagationCache` / `EpochGrid` batched
-//! propagation must be **bit-identical** to direct per-epoch
+//! Differential oracle: `EpochGrid` batched propagation must be
+//! **bit-identical** to direct per-epoch
 //! `GroundTrack::state_at` calls, across random constellations, frame
 //! cadences, horizons, and GMST epochs — including the grid's
 //! trig-memoization fast path and its mismatched-epoch fallback.
@@ -7,9 +7,17 @@
 //! scale with `EAGLEEYE_CHECK_CASES`).
 
 use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, vec_of, Gen};
-use eagleeye_orbit::{EpochGrid, GroundTrack, J2Propagator, PropagationCache};
+use eagleeye_orbit::{EpochGrid, GroundTrack, J2Propagator, TrackState};
 
 const CASES: u32 = 64;
+
+/// Every track propagated over `grid`, indexed `[satellite][frame]`.
+fn propagate_all(tracks: &[GroundTrack], grid: &EpochGrid) -> Vec<Vec<TrackState>> {
+    tracks
+        .iter()
+        .map(|track| grid.propagate(track).expect("grid propagates"))
+        .collect()
+}
 
 fn tracks_gen() -> impl Gen<Value = Vec<GroundTrack>> {
     (
@@ -30,8 +38,8 @@ fn tracks_gen() -> impl Gen<Value = Vec<GroundTrack>> {
         })
 }
 
-/// Cached states equal direct `state_at` results exactly (`==`, not
-/// within-epsilon) on the shared-trig fast path.
+/// Grid-propagated states equal direct `state_at` results exactly
+/// (`==`, not within-epsilon) on the shared-trig fast path.
 #[test]
 fn cache_matches_direct_propagation_bitwise() {
     check_cases(
@@ -41,15 +49,13 @@ fn cache_matches_direct_propagation_bitwise() {
         |(tracks, cadence_s, duration_s)| {
             let grid = EpochGrid::for_horizon(0.0, *duration_s, *cadence_s);
             prop_assert!(!grid.is_empty(), "horizon {duration_s} produced no epochs");
-            let cache = PropagationCache::build(tracks, grid.clone()).expect("cache builds");
-            prop_assert_eq!(cache.satellite_count(), tracks.len());
             for (i, track) in tracks.iter().enumerate() {
-                let row = cache.row(i);
+                let row = grid.propagate(track).expect("grid propagates");
                 prop_assert_eq!(row.len(), grid.len());
                 for (k, &t) in grid.epochs().iter().enumerate() {
                     let direct = track.state_at(t).expect("direct propagation");
                     prop_assert!(
-                        cache.state(i, k) == &direct,
+                        row[k] == direct,
                         "sat {} frame {} (t={}) diverges from direct propagation",
                         i,
                         k,
@@ -100,12 +106,12 @@ fn gmst_mismatch_fallback_matches_direct_propagation() {
     );
 }
 
-/// Checkpoint/resume re-warm: a run killed after frame `k` rebuilds a
-/// *fresh* `PropagationCache` in a new process for the remaining
-/// frames (trig memoization and all warm state are gone). Splitting
-/// the epoch grid at any boundary and rebuilding each half from cold
-/// must concatenate to the single-process cache bit-for-bit —
-/// otherwise a resumed run could diverge from an uninterrupted one.
+/// Checkpoint/resume re-warm: a run killed after frame `k` builds a
+/// *fresh* `EpochGrid` in a new process for the remaining frames (trig
+/// memoization and all warm state are gone). Splitting the epoch grid
+/// at any boundary and propagating each half from cold must
+/// concatenate to the single-process rows bit-for-bit — otherwise a
+/// resumed run could diverge from an uninterrupted one.
 #[test]
 fn cache_rewarm_across_resume_boundary_is_bitwise_identical() {
     check_cases(
@@ -119,22 +125,18 @@ fn cache_rewarm_across_resume_boundary_is_bitwise_identical() {
         ),
         |(tracks, cadence_s, duration_s, split_frac)| {
             let grid = EpochGrid::for_horizon(0.0, *duration_s, *cadence_s);
-            let full = PropagationCache::build(tracks, grid.clone()).expect("full cache");
+            let full = propagate_all(tracks, &grid);
             // The resumed process re-derives the same epoch list from
             // the scenario, then processes only the remaining frames.
             let k = ((grid.len() as f64) * split_frac) as usize;
             let before = EpochGrid::new(0.0, grid.epochs()[..k].to_vec());
             let after = EpochGrid::new(0.0, grid.epochs()[k..].to_vec());
-            let cache_before = PropagationCache::build(tracks, before).expect("pre-crash cache");
-            let cache_after = PropagationCache::build(tracks, after).expect("resumed cache");
+            let rows_before = propagate_all(tracks, &before);
+            let rows_after = propagate_all(tracks, &after);
             for i in 0..tracks.len() {
-                let rejoined: Vec<_> = cache_before
-                    .row(i)
-                    .iter()
-                    .chain(cache_after.row(i).iter())
-                    .collect();
+                let rejoined: Vec<_> = rows_before[i].iter().chain(&rows_after[i]).collect();
                 prop_assert_eq!(rejoined.len(), grid.len());
-                for (frame, (&got, want)) in rejoined.iter().zip(full.row(i).iter()).enumerate() {
+                for (frame, (&got, want)) in rejoined.iter().zip(&full[i]).enumerate() {
                     prop_assert!(
                         got == want,
                         "sat {} frame {} (split at {}) diverges after a cold re-warm",

@@ -30,12 +30,6 @@ impl Battery {
         }
     }
 
-    /// Capacity, joules.
-    #[inline]
-    pub fn capacity_j(&self) -> f64 {
-        self.capacity_j
-    }
-
     /// Current charge, joules.
     #[inline]
     pub fn charge_j(&self) -> f64 {

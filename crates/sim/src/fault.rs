@@ -98,7 +98,7 @@ pub struct Fault {
 impl Fault {
     /// True when the fault is active at simulation time `t_s`.
     #[inline]
-    pub fn active_at(&self, t_s: f64) -> bool {
+    fn active_at(&self, t_s: f64) -> bool {
         t_s >= self.start_s && t_s < self.end_s
     }
 }
@@ -361,7 +361,7 @@ impl FaultPlan {
     /// Probability that a detection made at time `t_s` survives all
     /// active dropout faults (product of `1 - false_negative_rate`
     /// over active windows). `1.0` when no dropout is active.
-    pub fn detector_pass_rate(&self, t_s: f64) -> f64 {
+    fn detector_pass_rate(&self, t_s: f64) -> f64 {
         self.faults
             .iter()
             .filter(|f| f.active_at(t_s))

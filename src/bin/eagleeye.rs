@@ -126,6 +126,23 @@ fn get_deadline(o: &Flags) -> Result<Option<Duration>, String> {
     budget_from_secs(get_f64(o, "deadline", 0.0)?).map_err(|e| format!("--deadline: {e}"))
 }
 
+/// `--checkpoint PATH` with its `--resume` and `--ckpt-cadence N`;
+/// either of those without `--checkpoint` is an error, not a no-op.
+fn get_checkpoint(o: &Flags) -> Result<Option<CheckpointSpec>, String> {
+    let Some(path) = o.get("checkpoint") else {
+        return match ["resume", "ckpt-cadence"]
+            .into_iter()
+            .find(|f| o.contains_key(*f))
+        {
+            Some(flag) => Err(format!("--{flag} needs --checkpoint")),
+            None => Ok(None),
+        };
+    };
+    let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
+    spec.resume = o.contains_key("resume");
+    Ok(Some(spec))
+}
+
 fn get_workload(o: &Flags) -> Result<Workload, String> {
     match o.get("workload").map(String::as_str).unwrap_or("ships") {
         "ships" => Ok(Workload::ShipDetection),
@@ -147,6 +164,7 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
     let planes = get_usize(o, "planes", 1)?;
     let threads = get_usize(o, "threads", 1)?;
     let deadline = get_deadline(o)?;
+    let checkpoint = get_checkpoint(o)?;
 
     let config = match o.get("config").map(String::as_str).unwrap_or("eagleeye") {
         "eagleeye" => {
@@ -177,12 +195,10 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
 
     // --checkpoint / --deadline configure the crash-safe run layer
     // (DESIGN.md §12); without them its options are inert.
-    let mut harden = HardenOptions::new();
-    if let Some(path) = o.get("checkpoint") {
-        let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
-        spec.resume = o.contains_key("resume");
-        harden.checkpoint = Some(spec);
-    }
+    let mut harden = HardenOptions {
+        checkpoint,
+        ..HardenOptions::new()
+    };
     if let Some(budget) = deadline {
         harden.deadline = Deadline::after(budget);
     }
@@ -436,7 +452,31 @@ mod tests {
         }
         // Representable as a duration but not as an instant: no deadline.
         let budget = get_deadline(&flags(&["--deadline", "1e19"])).unwrap();
-        assert!(!Deadline::after(budget.expect("positive budget")).is_set());
+        assert!(Deadline::after(budget.expect("positive budget"))
+            .instant()
+            .is_none());
+    }
+
+    #[test]
+    fn checkpoint_companions_need_a_checkpoint() {
+        assert!(get_checkpoint(&flags(&[])).unwrap().is_none());
+        let spec = get_checkpoint(&flags(&[
+            "--checkpoint",
+            "ck",
+            "--resume",
+            "--ckpt-cadence",
+            "3",
+        ]))
+        .unwrap()
+        .expect("checkpoint spec");
+        assert!(spec.resume && spec.cadence == 3);
+        for (args, flag) in [
+            (&["--resume"][..], "--resume"),
+            (&["--ckpt-cadence", "3"], "--ckpt-cadence"),
+        ] {
+            let err = get_checkpoint(&flags(args)).unwrap_err();
+            assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
     }
 
     #[test]

@@ -186,27 +186,27 @@ fn kill_and_resume_matches_uninterrupted_run() {
 #[test]
 fn panic_injection_is_supervised_and_transparent() {
     // A single injected panic is retried by the supervisor; the run
-    // completes in one process with a bit-identical result.
+    // completes in one process with a bit-identical result and the same
+    // counters. `worker_item` panics before a pass does any work;
+    // `bnb_node` panics mid-solve, after the pass compiled its track, so
+    // the retry must not inherit what the failed attempt built.
     let ref_dir = fresh_dir("panic_ref");
     let reference = run_eagleeye(&ref_dir, 4, &["--checkpoint", "ck"], None);
     assert!(reference.status.success(), "{}", stderr_of(&reference));
 
-    let dir = fresh_dir("panic_run");
-    let run = run_eagleeye(
-        &dir,
-        4,
-        &["--checkpoint", "ck"],
-        Some("worker_item:panic:2"),
-    );
-    assert!(
-        run.status.success(),
-        "supervised retry should absorb a single panic: {}",
-        stderr_of(&run)
-    );
-    assert_eq!(digest(&run), digest(&reference));
-    assert_eq!(golden_sections(&dir), golden_sections(&ref_dir));
+    for spec in ["worker_item:panic:2", "bnb_node:panic:5"] {
+        let dir = fresh_dir("panic_run");
+        let run = run_eagleeye(&dir, 4, &["--checkpoint", "ck"], Some(spec));
+        assert!(
+            run.status.success(),
+            "supervised retry should absorb a single panic ({spec}): {}",
+            stderr_of(&run)
+        );
+        assert_eq!(digest(&run), digest(&reference), "{spec}");
+        assert_eq!(golden_sections(&dir), golden_sections(&ref_dir), "{spec}");
+        let _ = fs::remove_dir_all(&dir);
+    }
     let _ = fs::remove_dir_all(&ref_dir);
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -306,7 +306,8 @@ fn crash_property_sweep() {
         let mut s = seed;
         let pick = (splitmix64(&mut s) % 2) as usize;
         let (config, ref_digest) = (configs[pick], &ref_digests[pick]);
-        let site = ["worker_item", "checkpoint_write"][(splitmix64(&mut s) % 2) as usize];
+        let site =
+            ["worker_item", "checkpoint_write", "bnb_node"][(splitmix64(&mut s) % 3) as usize];
         let mode = ["exit", "panic"][(splitmix64(&mut s) % 2) as usize];
         let nth = 1 + splitmix64(&mut s) % 6;
         let threads = [1usize, 2, 4][(splitmix64(&mut s) % 3) as usize];

@@ -10,8 +10,9 @@ use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
 #[test]
 fn tle_round_trip_through_propagation() {
     let tle = Tle::paper_orbit();
-    let (l1, l2) = tle.to_lines();
-    let reparsed = Tle::parse(&l1, &l2).unwrap();
+    let lines = tle.to_string();
+    let (l1, l2) = lines.split_once('\n').unwrap();
+    let reparsed = Tle::parse(l1, l2).unwrap();
     let p1 = J2Propagator::from_tle(&tle).unwrap();
     let p2 = J2Propagator::from_tle(&reparsed).unwrap();
     for t in [0.0, 1_000.0, 5_640.0] {
