@@ -5,12 +5,12 @@
 //! tiles brings the otherwise-infeasible 4× tiling back under the
 //! harvestable-energy line (Fig. 16's dashed ceiling).
 
-use eagleeye_bench::print_csv;
-use eagleeye_obs::Metrics;
+use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_sim::{simulate_orbit, ActivityProfile, PowerProfile};
 
 fn main() {
-    let metrics = Metrics::from_env();
+    let cli = BenchCli::parse(&[]);
+    let metrics = &cli.metrics;
     let power = PowerProfile::cubesat_3u();
     let mut rows = Vec::new();
     for tile_factor in [1.0, 2.0, 4.0] {
@@ -37,7 +37,5 @@ fn main() {
         "tile_factor,keep_fraction,compute_j,normalized,status",
         rows,
     );
-    if let Err(e) = eagleeye_obs::export::write_run("ext_elision", &metrics) {
-        eprintln!("warning: failed to write metrics: {e}");
-    }
+    cli.finish("ext_elision");
 }

@@ -16,7 +16,7 @@
 //! `(resilient − naive) / (nofault − naive)`. The acceptance target is
 //! ≥ 0.5 at a 20 % outage rate.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::clustering::ClusteringMethod;
 use eagleeye_core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, DegradedMode, SchedulerKind,
@@ -29,7 +29,7 @@ use std::sync::Arc;
 const FOLLOWERS: usize = 4;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let rates: Vec<f64> = if cli.fast {
         vec![0.0, 0.2, 0.5]
     } else {
@@ -51,12 +51,9 @@ fn main() {
     };
     let options =
         |plan: Option<Arc<FaultPlan>>, mode: DegradedMode, metrics: &Metrics| CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
             fault_plan: plan,
             degraded_mode: mode,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
+            ..cli.options(metrics)
         };
 
     // Healthy ceiling, computed once (fault-free, exact ILP).

@@ -6,12 +6,12 @@
 //! samples more distinct longitudes, improving coverage for the same
 //! satellite count as the constellation grows.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let workloads: Vec<(Workload, _)> = [Workload::ShipDetection, Workload::LakeMonitoring166K]
         .into_iter()
         .map(|w| (w, cli.workload(w)))
@@ -27,11 +27,8 @@ fn main() {
     let rows = cli.par_sweep_observed(&grid, |&(wi, groups, planes), metrics| {
         let (workload, ref targets) = workloads[wi];
         let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
             orbital_planes: planes,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
+            ..cli.options(metrics)
         };
         let report = CoverageEvaluator::new(targets, opts)
             .evaluate(&ConstellationConfig::eagleeye(groups, 1))

@@ -8,12 +8,12 @@
 //! `captured` column shows where that fails (see EXPERIMENTS.md,
 //! EXT-RECAP).
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     const POLICIES: [(&str, Option<f64>); 3] = [
         ("paper (no re-id)", None),
         ("deprioritize 0.1", Some(0.1)),
@@ -30,11 +30,8 @@ fn main() {
         let (workload, ref targets) = workloads[wi];
         let (label, penalty) = POLICIES[pi];
         let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
             recapture_penalty: penalty,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
+            ..cli.options(metrics)
         };
         let report = CoverageEvaluator::new(targets, opts)
             .evaluate(&ConstellationConfig::eagleeye(2, 1))

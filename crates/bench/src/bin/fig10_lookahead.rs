@@ -2,12 +2,12 @@
 //! speed (500 km altitude, V_sat = 7.5 km/s, 10 km follower swath,
 //! γ = 0.1), with the paper's ship (14 m/s) and plane (250 m/s) anchors.
 
-use eagleeye_bench::print_csv;
+use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_core::lookahead::max_lookahead_m;
-use eagleeye_obs::Metrics;
 
 fn main() {
-    let metrics = Metrics::from_env();
+    let cli = BenchCli::parse(&[]);
+    let metrics = &cli.metrics;
     let swath_m = 10_000.0;
     let sat_speed = 7_500.0;
     let gamma = 0.1;
@@ -29,7 +29,5 @@ fn main() {
             format!("plane,250,{:.1}", plane / 1000.0),
         ],
     );
-    if let Err(e) = eagleeye_obs::export::write_run("fig10_lookahead", &metrics) {
-        eprintln!("warning: failed to write metrics: {e}");
-    }
+    cli.finish("fig10_lookahead");
 }

@@ -7,15 +7,14 @@
 //! ceiling (and saturates near 80 % for airplanes because late-departing
 //! flights are unreachable).
 
-use eagleeye_bench::{print_csv_outcome, BenchCli};
+use eagleeye_bench::{print_csv_outcome, BenchCli, SWEEP};
 use eagleeye_core::clustering::ClusteringMethod;
-use eagleeye_core::coverage::{
-    ConstellationConfig, CoverageEvaluator, CoverageOptions, SchedulerKind,
-};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, SchedulerKind};
 use eagleeye_datasets::Workload;
+use eagleeye_harden::RUN_LAYER;
 
 fn main() {
-    let cli = BenchCli::parse_checkpointed();
+    let cli = BenchCli::parse(&[SWEEP, RUN_LAYER].concat());
     // Generate the four workloads once, then fan the independent
     // (workload, satellites, config) evaluations out across --threads
     // workers; par_sweep returns rows in grid order, so the CSV is
@@ -59,12 +58,7 @@ fn main() {
     let outcome =
         cli.par_sweep_checkpointed("fig11a_coverage", &grid, |&(wi, sats, config), metrics| {
             let (workload, ref targets) = workloads[wi];
-            let opts = CoverageOptions {
-                duration_s: cli.duration_s,
-                seed: cli.seed,
-                metrics: metrics.clone(),
-                ..CoverageOptions::default()
-            };
+            let opts = cli.options(metrics);
             let report = CoverageEvaluator::new(targets, opts)
                 .evaluate(&config)
                 .expect("coverage evaluation");

@@ -6,13 +6,13 @@
 //! on the dense Lake Monitoring (1.4M) workload EagleEye can fall below
 //! High-Res Only because off-nadir pointing costs more than it gains.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
 use eagleeye_core::{Adacs, SensingSpec};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let workloads: Vec<(Workload, _)> = Workload::ALL
         .into_iter()
         .map(|w| (w, cli.workload(w)))
@@ -40,11 +40,8 @@ fn main() {
             None => SensingSpec::paper_default(),
         };
         let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
             spec,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
+            ..cli.options(metrics)
         };
         let config = match rate {
             Some(_) => ConstellationConfig::eagleeye((sats / 2).max(1), 1),

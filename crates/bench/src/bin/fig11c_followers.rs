@@ -6,12 +6,12 @@
 //! spent on more groups; the dense Lake Monitoring (1.4M) workload needs
 //! more followers per group.
 
-use eagleeye_bench::{print_csv, BenchCli};
-use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let follower_counts: Vec<usize> = if cli.fast {
         vec![1, 3, 6]
     } else {
@@ -36,12 +36,7 @@ fn main() {
         let (workload, ref targets) = workloads[wi];
         let group_size = followers + 1;
         let groups = sats / group_size;
-        let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
-        };
+        let opts = cli.options(metrics);
         let report = CoverageEvaluator::new(targets, opts)
             .evaluate(&ConstellationConfig::eagleeye(groups, followers))
             .expect("coverage evaluation");

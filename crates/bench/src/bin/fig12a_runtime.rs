@@ -8,7 +8,7 @@
 //! the host does not stand in for the solver's cost; AB&B runs once, as
 //! its blown instances sit at the deadline.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, FAST, SEED};
 use eagleeye_core::schedule::{
     AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler, Scheduler, SchedulingProblem,
     TaskSpec,
@@ -54,7 +54,7 @@ fn time_scheduler(s: &dyn Scheduler, p: &SchedulingProblem, runs: usize) -> (f64
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[FAST, SEED]);
     let counts: Vec<usize> = if cli.fast {
         vec![5, 10, 19, 40]
     } else {

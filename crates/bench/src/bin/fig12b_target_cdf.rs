@@ -2,22 +2,17 @@
 //! four workloads, and the fraction of images exceeding the 19-target
 //! point where AB&B becomes infeasible (up to 32 % in the paper).
 
-use eagleeye_bench::{print_csv, BenchCli};
-use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     // One evaluation per workload, all four fanned out on --threads.
     let workloads: Vec<Workload> = Workload::ALL.into_iter().collect();
     let reports = cli.par_sweep_observed(&workloads, |&workload, metrics| {
         let targets = cli.workload(workload);
-        let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
-        };
+        let opts = cli.options(metrics);
         CoverageEvaluator::new(&targets, opts)
             .evaluate(&ConstellationConfig::eagleeye(1, 1))
             .expect("coverage evaluation")

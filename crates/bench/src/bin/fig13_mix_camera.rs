@@ -7,13 +7,13 @@
 //! 15 s frame for pointing and capture); leader-follower is unaffected
 //! by compute time because followers trail the leader.
 
-use eagleeye_bench::{print_csv, BenchCli};
-use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator};
 use eagleeye_datasets::Workload;
 use eagleeye_detect::YoloVariant;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let sats = 4; // Fig. 5's running example size
     let workloads: Vec<(Workload, _)> = Workload::ALL
         .into_iter()
@@ -31,12 +31,7 @@ fn main() {
     }
     let rows = cli.par_sweep_observed(&grid, |&(wi, variant), metrics| {
         let (workload, ref targets) = workloads[wi];
-        let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
-        };
+        let opts = cli.options(metrics);
         let eval = CoverageEvaluator::new(targets, opts);
         match variant {
             None => {

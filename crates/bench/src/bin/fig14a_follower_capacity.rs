@@ -3,7 +3,7 @@
 //! targets per low-resolution image (paper), which is why sparse
 //! workloads prefer more groups and dense workloads need more followers.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, FAST, SEED, THREADS};
 use eagleeye_core::schedule::{FollowerState, IlpScheduler, SchedulingProblem, TaskSpec};
 use eagleeye_core::SensingSpec;
 
@@ -28,7 +28,7 @@ fn frame_with(n: usize, seed: u64) -> SchedulingProblem {
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[FAST, SEED, THREADS]);
     let counts: Vec<usize> = if cli.fast {
         vec![2, 5, 10, 25, 50, 100]
     } else {

@@ -4,12 +4,12 @@
 //! Expected shape (paper): processing time falls as tiles grow; a wide
 //! range of tile sizes meets the deadline.
 
-use eagleeye_bench::print_csv;
+use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_detect::{TilingConfig, YoloVariant};
-use eagleeye_obs::Metrics;
 
 fn main() {
-    let metrics = Metrics::from_env();
+    let cli = BenchCli::parse(&[]);
+    let metrics = &cli.metrics;
     let frame_px = 3_333; // 100 km at 30 m/px
     let deadline_s = 15.0;
     let mut rows = Vec::new();
@@ -33,7 +33,5 @@ fn main() {
         "tile_px,time_unscaled_s,time_4x_scaled_s,deadline_15s",
         rows,
     );
-    if let Err(e) = eagleeye_obs::export::write_run("fig14b_tiling", &metrics) {
-        eprintln!("warning: failed to write metrics: {e}");
-    }
+    cli.finish("fig14b_tiling");
 }

@@ -4,15 +4,13 @@
 //! Expected shape (paper): clustering adds 1.5–31.7 % coverage, with the
 //! largest gains at high target density (Lake Monitoring).
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::clustering::ClusteringMethod;
-use eagleeye_core::coverage::{
-    ConstellationConfig, CoverageEvaluator, CoverageOptions, SchedulerKind,
-};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, SchedulerKind};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let sats_groups = if cli.fast { 2 } else { 6 };
     const METHODS: [ClusteringMethod; 3] = [
         ClusteringMethod::None,
@@ -28,12 +26,7 @@ fn main() {
         .collect();
     let coverages = cli.par_sweep_observed(&grid, |&(wi, clustering), metrics| {
         let (workload, ref targets) = workloads[wi];
-        let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
-        };
+        let opts = cli.options(metrics);
         let report = CoverageEvaluator::new(targets, opts)
             .evaluate(&ConstellationConfig::EagleEye {
                 groups: sats_groups,

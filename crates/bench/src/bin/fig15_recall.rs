@@ -5,12 +5,12 @@
 //! full coverage, because a high-resolution frame pointed at one
 //! detected target often serendipitously contains undetected neighbors.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
 use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let recalls: Vec<f64> = if cli.fast {
         vec![0.2, 0.5, 1.0]
     } else {
@@ -30,11 +30,8 @@ fn main() {
     let coverages = cli.par_sweep_observed(&grid, |&(wi, recall), metrics| {
         let (workload, ref targets) = workloads[wi];
         let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
             recall,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
+            ..cli.options(metrics)
         };
         let report = CoverageEvaluator::new(targets, opts)
             .evaluate(&ConstellationConfig::eagleeye(groups, 1))

@@ -8,12 +8,12 @@
 //! slightly less than the baselines because it crosslinks schedules
 //! instead of downlinking imagery.
 
-use eagleeye_bench::print_csv;
-use eagleeye_obs::Metrics;
+use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_sim::{simulate_orbit, ActivityProfile, PowerProfile};
 
 fn main() {
-    let metrics = Metrics::from_env();
+    let cli = BenchCli::parse(&[]);
+    let metrics = &cli.metrics;
     let power = PowerProfile::cubesat_3u();
     let period_s = 5_640.0;
     let sunlit = 0.62;
@@ -64,7 +64,5 @@ fn main() {
         "tile_factor,role,camera_j,adacs_j,compute_j,tx_j,idle_j,harvested_j,normalized,status",
         rows,
     );
-    if let Err(e) = eagleeye_obs::export::write_run("fig16_energy", &metrics) {
-        eprintln!("warning: failed to write metrics: {e}");
-    }
+    cli.finish("fig16_energy");
 }

@@ -8,10 +8,9 @@
 //! a few times fewer satellites than High-Res Only (up to 4.3×), and a
 //! High-Res Only constellation often cannot reach the bar at all.
 
-use eagleeye_bench::{print_csv, BenchCli};
-use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator};
 use eagleeye_datasets::Workload;
-use eagleeye_obs::Metrics;
 
 fn satellites_to_reach(
     eval: &CoverageEvaluator<'_>,
@@ -38,24 +37,18 @@ fn satellites_to_reach(
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
     let max_sats = if cli.fast { 48 } else { 160 };
     let workloads: Vec<(Workload, _)> = Workload::ALL
         .into_iter()
         .map(|w| (w, cli.workload(w)))
         .collect();
-    let options = |metrics: &Metrics| CoverageOptions {
-        duration_s: cli.duration_s,
-        seed: cli.seed,
-        metrics: metrics.clone(),
-        ..CoverageOptions::default()
-    };
 
     // Stage 1: each workload's physical ceiling within the horizon
     // (Low-Res at max size), mirroring the paper's 90% absolute bar at
     // 24 h — four independent evaluations.
     let ceilings = cli.par_sweep_observed(&workloads, |(workload, targets), metrics| {
-        let ceiling = CoverageEvaluator::new(targets, options(metrics))
+        let ceiling = CoverageEvaluator::new(targets, cli.options(metrics))
             .evaluate(&ConstellationConfig::LowResOnly {
                 satellites: max_sats,
             })
@@ -73,7 +66,7 @@ fn main() {
         .collect();
     let found = cli.par_sweep_observed(&grid, |&(wi, family), metrics| {
         let (_, ref targets) = workloads[wi];
-        let eval = CoverageEvaluator::new(targets, options(metrics));
+        let eval = CoverageEvaluator::new(targets, cli.options(metrics));
         let threshold = 0.9 * ceilings[wi];
         let make: &dyn Fn(usize) -> ConstellationConfig = match family {
             0 => &|s| ConstellationConfig::LowResOnly { satellites: s },

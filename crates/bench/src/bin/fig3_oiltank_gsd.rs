@@ -6,12 +6,12 @@
 //! thresholds: the low-res leader can *find* tanks, but only a high-res
 //! follower can *measure* them.
 
-use eagleeye_bench::{print_csv, BenchCli};
+use eagleeye_bench::{print_csv, BenchCli, FAST, SEED};
 use eagleeye_datasets::OilTankGenerator;
 use eagleeye_detect::{DetectorModel, VolumeEstimator};
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[FAST, SEED]);
     let farms = OilTankGenerator::new()
         .with_farm_count(if cli.fast { 100 } else { 500 })
         .generate(cli.seed);

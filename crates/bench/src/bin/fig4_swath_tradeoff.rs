@@ -4,13 +4,13 @@
 //! widths — wide swath covers everything at unusable resolution, narrow
 //! swath leaves most targets unseen.
 
-use eagleeye_bench::{print_csv, BenchCli};
-use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator, CoverageOptions};
+use eagleeye_bench::{print_csv, BenchCli, SWEEP};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageEvaluator};
 use eagleeye_core::REAL_CUBESAT_CAMERAS;
 use eagleeye_datasets::Workload;
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(SWEEP);
 
     // Left panel: the camera table.
     print_csv(
@@ -26,12 +26,7 @@ fn main() {
     let targets = cli.workload(Workload::ShipDetection);
     let sat_counts = cli.sat_counts();
     let rows = cli.par_sweep_observed(&sat_counts, |&sats, metrics| {
-        let opts = CoverageOptions {
-            duration_s: cli.duration_s,
-            seed: cli.seed,
-            metrics: metrics.clone(),
-            ..CoverageOptions::default()
-        };
+        let opts = cli.options(metrics);
         let eval = CoverageEvaluator::new(&targets, opts);
         let low = eval
             .evaluate(&ConstellationConfig::LowResOnly { satellites: sats })

@@ -5,8 +5,10 @@
 //! counters, and internally-consistent histograms.
 //!
 //! Exit code 0 when every artifact validates; 1 with a message on
-//! stderr otherwise. Usage: `metrics_check <artifact.json>...`.
+//! stderr otherwise; 2 when no artifact is named. Usage:
+//! `metrics_check <artifact.json>...`.
 
+use eagleeye_harden::USAGE_STATUS;
 use eagleeye_obs::json::{parse, Value};
 use eagleeye_obs::valid_key;
 use std::process::ExitCode;
@@ -73,7 +75,7 @@ fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
         eprintln!("usage: metrics_check <METRICS_*.json>...");
-        return ExitCode::FAILURE;
+        return ExitCode::from(USAGE_STATUS);
     }
     let mut ok = true;
     for path in &paths {

@@ -43,7 +43,7 @@ fn time_cover(pts: &[(GroundPoint, f64)], method: ClusteringMethod) -> (f64, usi
 }
 
 fn main() {
-    let cli = BenchCli::parse();
+    let cli = BenchCli::parse(&[]);
     let mut rows = Vec::new();
     for n in [25usize, 100, 500] {
         let pts = frame_points(n);

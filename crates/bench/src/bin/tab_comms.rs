@@ -1,14 +1,14 @@
 //! §5.3 communications table: crosslink and downlink budgets, plus
 //! geometric ground-station contact time for the paper's orbit.
 
-use eagleeye_bench::print_csv;
+use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_geo::GeodeticPoint;
-use eagleeye_obs::Metrics;
 use eagleeye_orbit::{access, GroundTrack, J2Propagator};
 use eagleeye_sim::{CrosslinkBudget, DownlinkBudget, RadioModel};
 
 fn main() {
-    let metrics = Metrics::from_env();
+    let cli = BenchCli::parse(&[]);
+    let metrics = &cli.metrics;
     // Crosslink: leader -> follower schedules.
     let xl = CrosslinkBudget::paper_default();
     print_csv(
@@ -62,7 +62,5 @@ fn main() {
             total_s / 60.0 / windows.len().max(1) as f64
         )],
     );
-    if let Err(e) = eagleeye_obs::export::write_run("tab_comms", &metrics) {
-        eprintln!("warning: failed to write metrics: {e}");
-    }
+    cli.finish("tab_comms");
 }

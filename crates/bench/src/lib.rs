@@ -1,29 +1,10 @@
 //! Shared harness utilities for the per-figure reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation, printing CSV-style series to stdout. All binaries
-//! accept:
-//!
-//! * `--fast` — shortened sweeps and simulation horizon for quick runs
-//!   (the default horizon is already reduced relative to the paper's
-//!   24 h; see EXPERIMENTS.md for the scaling argument).
-//! * `--hours <h>` — explicit simulation horizon.
-//! * `--scale <f>` — dataset scale factor in `(0, 1]` (1 = the paper's
-//!   full target counts).
-//! * `--seed <n>` — RNG seed.
-//! * `--threads <n>` — worker threads for the sweep's independent
-//!   configurations (0 or omitted = all available cores). Results are
-//!   identical at any thread count; see DESIGN.md §8.
-//!
-//! A binary whose sweep runs under the crash-safe run layer
-//! ([`BenchCli::par_sweep_checkpointed`], parsed with
-//! [`BenchCli::parse_checkpointed`]) also accepts `--checkpoint <path>`
-//! (with `--resume` and `--ckpt-cadence <n>`) and `--deadline <s>`; a
-//! deadline of 0 or less means no budget. Every other binary rejects
-//! those flags rather than ignore them.
-//!
-//! A malformed or unhonoured flag is an error message and exit status
-//! 2, not a panic.
+//! paper's evaluation, printing CSV-style series to stdout. Each one
+//! hands [`BenchCli::parse`] the table of flags it reads, drawn from
+//! [`SWEEP`] and `eagleeye_harden::RUN_LAYER` (README lists them per
+//! binary); results are identical at any `--threads` (DESIGN.md §8).
 //!
 //! Run e.g.:
 //!
@@ -34,11 +15,12 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use eagleeye_core::coverage::CoverageOptions;
 use eagleeye_datasets::{TargetSet, Workload};
 use eagleeye_exec::{run_items, ExecPool, RunConfig};
 use eagleeye_harden::{
-    budget_from_secs, ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ScenarioHasher,
-    ShutdownFlag,
+    cli, Args, ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, Flag, ScenarioHasher,
+    ShutdownFlag, UsageError, USAGE_STATUS,
 };
 use eagleeye_obs::{Metrics, MetricsRegistry};
 
@@ -89,138 +71,82 @@ impl Default for BenchCli {
     }
 }
 
+/// `--fast`: the shortened sweep.
+pub const FAST: Flag = Flag("fast", "", "shortened sweep (1 h horizon, scale 0.3)");
+/// `--hours H`: the simulation horizon.
+pub const HOURS: Flag = Flag("hours", "H", "simulation horizon in hours");
+/// `--scale F`: the dataset scale.
+pub const SCALE: Flag = Flag("scale", "F", "dataset scale, clamped to [1e-4, 1]");
+/// `--seed N`: the RNG seed.
+pub const SEED: Flag = Flag("seed", "N", "RNG seed");
+/// `--threads N`: the sweep's worker threads.
+pub const THREADS: Flag = Flag("threads", "N", "sweep worker threads (0: all cores)");
+/// The flags of a binary that sweeps generated workloads in parallel.
+pub const SWEEP: &[Flag] = &[FAST, HOURS, SCALE, SEED, THREADS];
+
 impl BenchCli {
-    /// Parses `std::env::args()` for a binary whose sweep does not run
-    /// under the crash-safe run layer: the run-layer flags
-    /// (`--checkpoint`, `--resume`, `--ckpt-cadence`, `--deadline`) are
-    /// errors.
-    ///
-    /// A malformed flag prints an error message and the usage to
-    /// stderr and exits with status 2 — these are developer-facing
-    /// binaries.
-    pub fn parse() -> Self {
-        BenchCli::parse_env(false)
-    }
-
-    /// [`BenchCli::parse`] for a binary that runs its sweep through
-    /// [`BenchCli::par_sweep_checkpointed`], which honours the run-layer
-    /// flags.
-    pub fn parse_checkpointed() -> Self {
-        BenchCli::parse_env(true)
-    }
-
+    /// Parses `std::env::args()` against `table`, the flags this binary
+    /// reads. A usage error prints the message and the usage rendered
+    /// from `table` to stderr and exits with status 2 — these are
+    /// developer-facing binaries.
     #[expect(
         clippy::disallowed_methods,
         reason = "a figure binary given a bad flag has nothing to flush; status 2 is its contract"
     )]
-    fn parse_env(run_layer: bool) -> Self {
-        BenchCli::parse_args(std::env::args().skip(1), run_layer).unwrap_or_else(|e| {
-            let run_flags = if run_layer {
-                " --checkpoint <path> --resume --ckpt-cadence <n> \
-                 --deadline <s> (0 or less: no budget)"
-            } else {
-                ""
-            };
-            eprintln!(
-                "error: {e}\nsupported: --fast --hours <h> --scale <f> --seed <n> --threads <n>\
-                 {run_flags}"
-            );
-            std::process::exit(2)
+    pub fn parse(table: &[Flag]) -> Self {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        BenchCli::parse_args(args, table).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {program}\n{}", cli::usage(table));
+            std::process::exit(i32::from(USAGE_STATUS))
         })
     }
 
-    /// Parses command-line arguments (without the program name), or
-    /// says what is wrong with them. The run-layer flags are accepted
-    /// only when `run_layer` is set, and `--resume` and `--ckpt-cadence`
-    /// only beside `--checkpoint`. `--deadline` follows the rule of
-    /// [`budget_from_secs`]: zero or less means no budget.
+    /// Parses command-line arguments (without the program name)
+    /// against `table`, or says what is wrong with them. A flag outside
+    /// the table is an error, so a binary honours the run-layer flags
+    /// exactly when its table lists them. `--hours` and `--scale` win
+    /// over the defaults `--fast` sets, in any order.
     pub fn parse_args(
         args: impl IntoIterator<Item = String>,
-        run_layer: bool,
-    ) -> Result<Self, String> {
-        let mut cli = BenchCli {
+        table: &[Flag],
+    ) -> Result<Self, UsageError> {
+        let args = Args::parse(args, table)?;
+        let fast = args.has("fast");
+        let (checkpoint, deadline) = args.run_layer()?;
+        let default = BenchCli::default();
+        Ok(BenchCli {
+            fast,
+            duration_s: match args.non_negative("hours")? {
+                Some(hours) => hours * 3600.0,
+                None if fast => 3600.0,
+                None => default.duration_s,
+            },
+            scale: match args.finite("scale")? {
+                Some(scale) => scale.clamp(1e-4, 1.0),
+                None if fast => 0.3,
+                None => default.scale,
+            },
+            seed: args.integer("seed")?.unwrap_or(default.seed),
+            threads: match args.integer("threads")? {
+                None | Some(0) => default.threads,
+                Some(n) => n,
+            },
             metrics: Metrics::from_env(),
-            ..BenchCli::default()
-        };
-        let mut ckpt_path: Option<String> = None;
-        let mut resume = false;
-        let mut cadence: Option<usize> = None;
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            let mut value = |what: &str| -> Result<String, String> {
-                args.next().ok_or_else(|| format!("{a} needs {what}"))
-            };
-            let number = |v: String, what: &str| -> Result<f64, String> {
-                v.parse::<f64>()
-                    .map_err(|_| format!("{a}: `{v}` is not {what}"))
-            };
-            match a.as_str() {
-                "--checkpoint" | "--resume" | "--ckpt-cadence" | "--deadline" if !run_layer => {
-                    return Err(format!(
-                        "{a}: this binary's sweep does not run under the crash-safe run layer"
-                    ));
-                }
-                "--fast" => {
-                    cli.fast = true;
-                    cli.duration_s = 1.0 * 3600.0;
-                    cli.scale = cli.scale.min(0.3);
-                }
-                "--hours" => {
-                    let hours = number(value("a value")?, "a number of hours")?;
-                    cli.duration_s = hours * 3600.0;
-                }
-                "--scale" => {
-                    cli.scale = number(value("a value")?, "a numeric scale")?.clamp(1e-4, 1.0);
-                }
-                "--seed" => {
-                    let v = value("a value")?;
-                    cli.seed = v
-                        .parse()
-                        .map_err(|_| format!("{a}: `{v}` is not an integer seed"))?;
-                }
-                "--threads" => {
-                    let v = value("a value")?;
-                    let n: usize = v
-                        .parse()
-                        .map_err(|_| format!("{a}: `{v}` is not an integer thread count"))?;
-                    cli.threads = if n == 0 {
-                        eagleeye_exec::available_parallelism()
-                    } else {
-                        n
-                    };
-                }
-                "--checkpoint" => ckpt_path = Some(value("a path")?),
-                "--resume" => resume = true,
-                "--ckpt-cadence" => {
-                    let v = value("a value")?;
-                    cadence =
-                        Some(v.parse().map_err(|_| {
-                            format!("{a}: `{v}` is not an integer checkpoint cadence")
-                        })?);
-                }
-                "--deadline" => {
-                    let secs = number(value("a value")?, "a number of seconds")?;
-                    cli.deadline = match budget_from_secs(secs).map_err(|e| format!("{a}: {e}"))? {
-                        Some(budget) => Deadline::after(budget),
-                        None => Deadline::none(),
-                    };
-                }
-                other => return Err(format!("unknown flag {other}")),
-            }
+            checkpoint,
+            deadline,
+        })
+    }
+
+    /// The evaluator options of one sweep configuration: the parsed
+    /// horizon and seed, recording into `metrics` (its fork).
+    pub fn options(&self, metrics: &Metrics) -> CoverageOptions {
+        CoverageOptions {
+            duration_s: self.duration_s,
+            seed: self.seed,
+            metrics: metrics.clone(),
+            ..CoverageOptions::default()
         }
-        match ckpt_path {
-            Some(path) => {
-                let mut spec = CheckpointSpec::new(path, cadence.unwrap_or(1));
-                spec.resume = resume;
-                cli.checkpoint = Some(spec);
-            }
-            None if resume => return Err("--resume needs --checkpoint".to_string()),
-            None if cadence.is_some() => {
-                return Err("--ckpt-cadence needs --checkpoint".to_string())
-            }
-            None => {}
-        }
-        Ok(cli)
     }
 
     /// Generates one of the paper's four workloads at the configured
@@ -445,8 +371,12 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    fn parse_with(args: &[&str], table: &[Flag]) -> Result<BenchCli, String> {
+        BenchCli::parse_args(args.iter().map(|a| a.to_string()), table).map_err(|e| e.0)
+    }
+
     fn parse(args: &[&str]) -> Result<BenchCli, String> {
-        BenchCli::parse_args(args.iter().map(|a| a.to_string()), true)
+        parse_with(args, &[SWEEP, eagleeye_harden::RUN_LAYER].concat())
     }
 
     /// `--deadline` follows the CLI rule: 0 or less is no budget, a
@@ -471,7 +401,12 @@ mod tests {
     fn malformed_flags_are_error_messages() {
         let cli = parse(&["--fast", "--seed", "3", "--threads", "2"]).unwrap();
         assert!(cli.fast && cli.seed == 3 && cli.threads == 2);
-        assert_eq!(cli.duration_s, 3600.0);
+        assert_eq!((cli.duration_s, cli.scale), (3600.0, 0.3));
+        // Explicit values win over `--fast`'s defaults in any order.
+        let cli = parse(&["--hours", "2", "--scale", "0.5", "--fast"]).unwrap();
+        assert_eq!((cli.duration_s, cli.scale), (7200.0, 0.5));
+        assert_eq!(parse(&["--scale", "7"]).unwrap().scale, 1.0);
+        assert_eq!(parse(&["--scale", "-7"]).unwrap().scale, 1e-4);
         let cli = parse(&["--checkpoint", "x.ckpt", "--resume", "--ckpt-cadence", "4"]).unwrap();
         let spec = cli.checkpoint.expect("checkpoint spec");
         assert!(spec.resume && spec.cadence == 4);
@@ -483,18 +418,35 @@ mod tests {
             &["--threads", "-1"],
             &["--ckpt-cadence", "1.5"],
             &["--checkpoint"],
+            &["--fast", "--fast"],
+            &["fast"],
         ] {
             assert!(parse(args).is_err(), "{args:?}");
         }
+        // A horizon or scale that is not a finite number (or a negative
+        // horizon) is a usage error naming the flag, not a worker panic
+        // or an all-zero CSV.
+        for args in [
+            &["--hours", "nan"][..],
+            &["--hours", "-1"],
+            &["--hours", "inf"],
+            &["--scale", "nan"],
+            &["--scale", "inf"],
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{}: ", args[0])),
+                "{args:?}: {err}"
+            );
+        }
     }
 
-    /// Run-layer flags are errors naming the flag where the binary does
-    /// not honour them, and `--resume` / `--ckpt-cadence` need
+    /// Run-layer flags are errors naming the flag where the binary's
+    /// table does not list them, and `--resume` / `--ckpt-cadence` need
     /// `--checkpoint` where it does.
     #[test]
     fn unhonoured_run_layer_flags_are_errors() {
-        let plain = |args: &[&str]| BenchCli::parse_args(args.iter().map(|a| a.to_string()), false);
-        assert!(plain(&["--fast", "--seed", "3"]).is_ok());
+        assert!(parse_with(&["--fast", "--seed", "3"], SWEEP).is_ok());
         for args in [
             &["--checkpoint", "x.ckpt"][..],
             &["--resume"],
@@ -502,7 +454,7 @@ mod tests {
             &["--deadline", "5"],
             &["--deadline", "0"],
         ] {
-            let err = plain(args).unwrap_err();
+            let err = parse_with(args, SWEEP).unwrap_err();
             assert!(
                 err.starts_with(&format!("{}: ", args[0])),
                 "{args:?}: {err}"
@@ -515,6 +467,11 @@ mod tests {
         ] {
             let err = parse(args).unwrap_err();
             assert!(err.starts_with(flag), "{args:?}: {err}");
+        }
+        // A binary with an empty table takes no argument at all.
+        assert!(parse_with(&[], &[]).is_ok());
+        for args in [&["--fast"][..], &["--bogus"], &["x"]] {
+            assert!(parse_with(args, &[]).is_err(), "{args:?}");
         }
     }
 

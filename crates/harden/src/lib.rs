@@ -13,6 +13,8 @@
 //!   by a scenario hash so resuming a *different* scenario is rejected;
 //! * [`watchdog`] — a monotonic deadline budget plus a cooperative
 //!   SIGTERM-style [`ShutdownFlag`];
+//! * [`cli`] — the one command-line parser, with the run-layer flags
+//!   ([`RUN_LAYER`]) and the exit-status contract every binary shares;
 //! * [`crash`] — the `EAGLEEYE_CRASH=<spec>` test-only fault-injection
 //!   hook that panics or exits at named sites, so the kill-and-resume
 //!   path is exercised by real process deaths in CI.
@@ -34,6 +36,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::float_cmp)
 )]
 
+pub mod cli;
 pub mod codec;
 pub mod crash;
 pub mod snapshot;
@@ -41,6 +44,7 @@ pub mod watchdog;
 
 mod crc;
 
+pub use cli::{Args, Flag, UsageError, RUN_LAYER, USAGE_STATUS};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use crash::{crash_point, CrashMode, CrashPlan};
 pub use crc::crc32;

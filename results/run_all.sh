@@ -2,7 +2,7 @@
 # Regenerates every figure's data. Moderate settings chosen to finish on a
 # single core in ~1.5 h; see EXPERIMENTS.md for full-scale instructions.
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 B=./target/release
 $B/fig3_oiltank_gsd            > results/fig3.csv  2> results/fig3.log
 $B/fig10_lookahead             > results/fig10.csv 2> results/fig10.log

@@ -9,7 +9,9 @@
 //! * `orbit`    — print a ground track from the paper's orbit (or a TLE).
 //! * `dataset`  — generate a workload and print summary statistics.
 //!
-//! Run `eagleeye help` for usage.
+//! Each subcommand reads the flags its table lists and no others
+//! (`eagleeye_harden::cli`). Exit status: 0 on success, 1 when the run
+//! fails, 2 on a usage error. Run `eagleeye help` for usage.
 
 use eagleeye::core::coverage::{
     ConstellationConfig, CoverageEvaluator, CoverageOptions, HardenOptions,
@@ -19,154 +21,129 @@ use eagleeye::core::schedule::{
 };
 use eagleeye::core::SensingSpec;
 use eagleeye::datasets::Workload;
-use eagleeye::harden::{budget_from_secs, CheckpointSpec, Deadline};
+
+use eagleeye::harden::{cli, Args, Flag, UsageError, RUN_LAYER, USAGE_STATUS};
 use eagleeye::obs::Metrics;
 use eagleeye::orbit::{GroundTrack, J2Propagator, Sgp4Propagator, Tle};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
-use std::collections::BTreeMap;
+use std::error::Error;
 use std::process::ExitCode;
-use std::time::Duration;
 
-const USAGE: &str = "\
-eagleeye — mixed-resolution leader-follower constellation toolkit
+/// What a subcommand returns: a [`UsageError`] exits 2, any other
+/// error 1.
+type Outcome = Result<(), Box<dyn Error>>;
+type Run = fn(&Args) -> Outcome;
 
-USAGE:
-  eagleeye coverage [--workload W] [--config C] [--sats N] [--followers K]
-                    [--hours H] [--scale F] [--seed S] [--recall R] [--planes P]
-                    [--threads T] [--checkpoint PATH [--resume] [--ckpt-cadence N]]
-                    [--deadline SECONDS (0 or less: no budget)]
-  eagleeye schedule [--targets N] [--followers K] [--seed S] [--solver ilp|greedy]
-  eagleeye energy   [--role leader|follower|baseline|mix] [--tile-factor F]
-  eagleeye orbit    [--hours H] [--step SECONDS] [--sgp4]
-  eagleeye dataset  [--workload W] [--scale F] [--seed S]
-  eagleeye help
+const COVERAGE: &[Flag] = &[
+    Flag("workload", "W", "workload to generate (default ships)"),
+    Flag("config", "C", "constellation (default eagleeye)"),
+    Flag("sats", "N", "satellites (default 4)"),
+    Flag("followers", "K", "followers per group (default 1)"),
+    Flag("compute", "SECS", "mix-camera compute time (default 1.4)"),
+    Flag("hours", "H", "simulation horizon (default 2)"),
+    Flag("scale", "F", "dataset scale in [1e-4, 1] (default 0.3)"),
+    Flag("seed", "S", "RNG seed (default 7)"),
+    Flag("recall", "R", "detector recall (default 1)"),
+    Flag("planes", "P", "orbital planes (default 1)"),
+    Flag("threads", "T", "worker threads (default 1)"),
+];
+const SCHEDULE: &[Flag] = &[
+    Flag("targets", "N", "targets in the frame (default 8)"),
+    Flag("followers", "K", "followers (default 1)"),
+    Flag("seed", "S", "frame seed (default 7)"),
+    Flag("solver", "ilp|greedy", "scheduler (default ilp)"),
+];
+const ENERGY: &[Flag] = &[
+    Flag("role", "R", "leader|follower|baseline|mix (default leader)"),
+    Flag("tile-factor", "F", "detector tiling factor (default 1)"),
+];
+const ORBIT: &[Flag] = &[
+    Flag("hours", "H", "track length (default 0.5)"),
+    Flag("step", "SECONDS", "sample step, at least 1 (default 120)"),
+    Flag("sgp4", "", "propagate with SGP4 instead of J2"),
+];
+const DATASET: &[Flag] = &[
+    Flag("workload", "W", "workload to generate (default ships)"),
+    Flag("scale", "F", "dataset scale in [1e-4, 1] (default 0.1)"),
+    Flag("seed", "S", "RNG seed (default 7)"),
+];
 
+/// Each subcommand with the tables of flags it reads.
+const COMMANDS: &[(&str, &[&[Flag]], Run)] = &[
+    ("coverage", &[COVERAGE, RUN_LAYER], cmd_coverage),
+    ("schedule", &[SCHEDULE], cmd_schedule),
+    ("energy", &[ENERGY], cmd_energy),
+    ("orbit", &[ORBIT], cmd_orbit),
+    ("dataset", &[DATASET], cmd_dataset),
+];
+
+/// The usage text, rendered from the subcommands' flag tables.
+fn usage() -> String {
+    let mut text =
+        String::from("eagleeye — mixed-resolution leader-follower constellation toolkit\n");
+    for (name, tables, _) in COMMANDS {
+        text += &format!("\n  eagleeye {name}\n{}", cli::usage(&tables.concat()));
+    }
+    text + "\n  eagleeye help\n
 WORKLOADS: ships | planes | lakes166k | lakes1m4
-CONFIGS:   eagleeye | low-res | high-res | mix-camera";
+CONFIGS:   eagleeye | low-res | high-res | mix-camera
+EXIT:      0 success, 1 the run failed, 2 usage error"
+}
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let opts = match parse_flags(rest) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match cmd.as_str() {
-        "coverage" => cmd_coverage(&opts),
-        "schedule" => cmd_schedule(&opts),
-        "energy" => cmd_energy(&opts),
-        "orbit" => cmd_orbit(&opts),
-        "dataset" => cmd_dataset(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
-    };
-    match result {
+    match run(std::env::args().skip(1)) {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.is::<UsageError>() => {
+            eprintln!("error: {e}\n\n{}", usage());
+            ExitCode::from(USAGE_STATUS)
+        }
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-type Flags = BTreeMap<String, String>;
-
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    let mut map = BTreeMap::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            return Err(format!("expected a --flag, got `{a}`"));
-        };
-        match key {
-            // Boolean flags.
-            "sgp4" | "resume" => {
-                map.insert(key.to_string(), "true".to_string());
-            }
-            _ => {
-                let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                map.insert(key.to_string(), v.clone());
-            }
-        }
+/// Runs the subcommand `args` names with the flags that follow it.
+fn run(mut args: impl Iterator<Item = String>) -> Outcome {
+    let name = args.next().ok_or(UsageError("missing subcommand".into()))?;
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        Args::parse(args, &[])?;
+        println!("{}", usage());
+        return Ok(());
     }
-    Ok(map)
-}
-
-fn get_f64(o: &Flags, key: &str, default: f64) -> Result<f64, String> {
-    match o.get(key) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: `{v}` is not a number")),
-        None => Ok(default),
-    }
-}
-
-fn get_usize(o: &Flags, key: &str, default: usize) -> Result<usize, String> {
-    match o.get(key) {
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{key}: `{v}` is not an integer")),
-        None => Ok(default),
-    }
-}
-
-/// `--deadline SECONDS` as a wall-clock budget: `None` when absent or
-/// not positive, an error when it is not a representable duration
-/// ([`budget_from_secs`], the rule the figure binaries share).
-fn get_deadline(o: &Flags) -> Result<Option<Duration>, String> {
-    budget_from_secs(get_f64(o, "deadline", 0.0)?).map_err(|e| format!("--deadline: {e}"))
-}
-
-/// `--checkpoint PATH` with its `--resume` and `--ckpt-cadence N`;
-/// either of those without `--checkpoint` is an error, not a no-op.
-fn get_checkpoint(o: &Flags) -> Result<Option<CheckpointSpec>, String> {
-    let Some(path) = o.get("checkpoint") else {
-        return match ["resume", "ckpt-cadence"]
-            .into_iter()
-            .find(|f| o.contains_key(*f))
-        {
-            Some(flag) => Err(format!("--{flag} needs --checkpoint")),
-            None => Ok(None),
-        };
+    let Some((_, tables, command)) = COMMANDS.iter().find(|c| c.0 == name) else {
+        return Err(UsageError(format!("unknown subcommand `{name}`")).into());
     };
-    let mut spec = CheckpointSpec::new(path, get_usize(o, "ckpt-cadence", 1)?);
-    spec.resume = o.contains_key("resume");
-    Ok(Some(spec))
+    command(&Args::parse(args, &tables.concat())?)
 }
 
-fn get_workload(o: &Flags) -> Result<Workload, String> {
-    match o.get("workload").map(String::as_str).unwrap_or("ships") {
+fn get_workload(a: &Args) -> Result<Workload, UsageError> {
+    match a.str("workload").unwrap_or("ships") {
         "ships" => Ok(Workload::ShipDetection),
         "planes" => Ok(Workload::AirplaneTracking),
         "lakes166k" => Ok(Workload::LakeMonitoring166K),
         "lakes1m4" => Ok(Workload::LakeMonitoring1M4),
-        other => Err(format!("unknown workload `{other}`")),
+        other => Err(UsageError(format!(
+            "--workload: unknown workload `{other}`"
+        ))),
     }
 }
 
-fn cmd_coverage(o: &Flags) -> Result<(), String> {
-    let workload = get_workload(o)?;
-    let sats = get_usize(o, "sats", 4)?;
-    let followers = get_usize(o, "followers", 1)?;
-    let hours = get_f64(o, "hours", 2.0)?;
-    let scale = get_f64(o, "scale", 0.3)?.clamp(1e-4, 1.0);
-    let seed = get_usize(o, "seed", 7)? as u64;
-    let recall = get_f64(o, "recall", 1.0)?;
-    let planes = get_usize(o, "planes", 1)?;
-    let threads = get_usize(o, "threads", 1)?;
-    let deadline = get_deadline(o)?;
-    let checkpoint = get_checkpoint(o)?;
+fn cmd_coverage(a: &Args) -> Outcome {
+    let workload = get_workload(a)?;
+    let sats = a.integer("sats")?.unwrap_or(4);
+    let followers = a.integer("followers")?.unwrap_or(1);
+    let compute_time_s = a.finite("compute")?.unwrap_or(1.4);
+    let hours = a.non_negative("hours")?.unwrap_or(2.0);
+    let scale = a.finite("scale")?.map_or(0.3, |s| s.clamp(1e-4, 1.0));
+    let seed = a.integer("seed")?.unwrap_or(7);
+    let recall = a.finite("recall")?.unwrap_or(1.0);
+    let planes = a.integer("planes")?.unwrap_or(1);
+    let threads = a.integer("threads")?.unwrap_or(1);
+    let (checkpoint, deadline) = a.run_layer()?;
 
-    let config = match o.get("config").map(String::as_str).unwrap_or("eagleeye") {
+    let config = match a.str("config").unwrap_or("eagleeye") {
         "eagleeye" => {
             let groups = (sats / (followers + 1)).max(1);
             ConstellationConfig::eagleeye(groups, followers)
@@ -175,9 +152,9 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
         "high-res" => ConstellationConfig::HighResOnly { satellites: sats },
         "mix-camera" => ConstellationConfig::MixCamera {
             satellites: sats,
-            compute_time_s: get_f64(o, "compute", 1.4)?,
+            compute_time_s,
         },
-        other => return Err(format!("unknown config `{other}`")),
+        other => return Err(UsageError(format!("--config: unknown config `{other}`")).into()),
     };
 
     let targets = workload.generate_scaled(scale, hours * 3600.0, seed);
@@ -195,16 +172,12 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
 
     // --checkpoint / --deadline configure the crash-safe run layer
     // (DESIGN.md §12); without them its options are inert.
-    let mut harden = HardenOptions {
+    let harden = HardenOptions {
         checkpoint,
+        deadline,
         ..HardenOptions::new()
     };
-    if let Some(budget) = deadline {
-        harden.deadline = Deadline::after(budget);
-    }
-    let out = eval
-        .evaluate_hardened(&config, &harden)
-        .map_err(|e| e.to_string())?;
+    let out = eval.evaluate_hardened(&config, &harden)?;
     if out.resumed_passes > 0 {
         eprintln!(
             "resumed {} of {} leader passes from checkpoint",
@@ -266,10 +239,10 @@ fn cmd_coverage(o: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_schedule(o: &Flags) -> Result<(), String> {
-    let n = get_usize(o, "targets", 8)?;
-    let followers = get_usize(o, "followers", 1)?;
-    let seed = get_usize(o, "seed", 7)? as u64;
+fn cmd_schedule(a: &Args) -> Outcome {
+    let n = a.integer("targets")?.unwrap_or(8);
+    let followers: usize = a.integer("followers")?.unwrap_or(1);
+    let seed: u64 = a.integer("seed")?.unwrap_or(7);
 
     let tasks: Vec<TaskSpec> = (0..n)
         .map(|i| {
@@ -284,16 +257,14 @@ fn cmd_schedule(o: &Flags) -> Result<(), String> {
     let fs: Vec<FollowerState> = (0..followers.max(1))
         .map(|k| FollowerState::at_start(-100_000.0 - 20_000.0 * k as f64))
         .collect();
-    let problem = SchedulingProblem::new(SensingSpec::paper_default(), tasks, fs)
-        .map_err(|e| e.to_string())?;
+    let problem = SchedulingProblem::new(SensingSpec::paper_default(), tasks, fs)?;
 
-    let schedule = match o.get("solver").map(String::as_str).unwrap_or("ilp") {
+    let schedule = match a.str("solver").unwrap_or("ilp") {
         "ilp" => IlpScheduler::default().schedule(&problem),
         "greedy" => GreedyScheduler.schedule(&problem),
-        other => return Err(format!("unknown solver `{other}`")),
-    }
-    .map_err(|e| e.to_string())?;
-    schedule.validate(&problem).map_err(|e| e.to_string())?;
+        other => return Err(UsageError(format!("--solver: unknown solver `{other}`")).into()),
+    }?;
+    schedule.validate(&problem)?;
 
     println!(
         "{} of {} targets captured (value {:.2})",
@@ -313,14 +284,14 @@ fn cmd_schedule(o: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_energy(o: &Flags) -> Result<(), String> {
-    let tile_factor = get_f64(o, "tile-factor", 1.0)?;
-    let activity = match o.get("role").map(String::as_str).unwrap_or("leader") {
+fn cmd_energy(a: &Args) -> Outcome {
+    let tile_factor = a.finite("tile-factor")?.unwrap_or(1.0);
+    let activity = match a.str("role").unwrap_or("leader") {
         "leader" => ActivityProfile::leader_default(tile_factor),
         "follower" => ActivityProfile::follower_default(400.0, 3.0),
         "baseline" => ActivityProfile::baseline_default(tile_factor),
         "mix" => ActivityProfile::mix_camera_default(tile_factor, 200.0, 3.0),
-        other => return Err(format!("unknown role `{other}`")),
+        other => return Err(UsageError(format!("--role: unknown role `{other}`")).into()),
     };
     let r = simulate_orbit(&PowerProfile::cubesat_3u(), &activity, 0.62, 5_640.0);
     let s = r.subsystems;
@@ -343,13 +314,13 @@ fn cmd_energy(o: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_orbit(o: &Flags) -> Result<(), String> {
-    let hours = get_f64(o, "hours", 0.5)?;
-    let step = get_f64(o, "step", 120.0)?.max(1.0);
+fn cmd_orbit(a: &Args) -> Outcome {
+    let hours = a.non_negative("hours")?.unwrap_or(0.5);
+    let step = a.finite("step")?.unwrap_or(120.0).max(1.0);
     let tle = Tle::paper_orbit();
-    let use_sgp4 = o.contains_key("sgp4");
-    let track = GroundTrack::new(J2Propagator::from_tle(&tle).map_err(|e| e.to_string())?);
-    let sgp4 = Sgp4Propagator::new(&tle).map_err(|e| e.to_string())?;
+    let use_sgp4 = a.has("sgp4");
+    let track = GroundTrack::new(J2Propagator::from_tle(&tle)?);
+    let sgp4 = Sgp4Propagator::new(&tle)?;
 
     println!(
         "t_s,lat_deg,lon_deg,alt_km,sunlit ({})",
@@ -358,16 +329,13 @@ fn cmd_orbit(o: &Flags) -> Result<(), String> {
     let mut t = 0.0;
     while t <= hours * 3600.0 {
         let (pos, lit) = if use_sgp4 {
-            let s = sgp4.state_at(t).map_err(|e| e.to_string())?;
+            let s = sgp4.state_at(t)?;
             (s.position, track.is_sunlit(s.position))
         } else {
-            let s = track.state_at(t).map_err(|e| e.to_string())?;
+            let s = track.state_at(t)?;
             (s.eci.position, s.in_sunlight)
         };
-        let geo = track
-            .eci_to_ecef(pos, t)
-            .to_geodetic_spherical()
-            .map_err(|e| e.to_string())?;
+        let geo = track.eci_to_ecef(pos, t).to_geodetic_spherical()?;
         println!(
             "{t:.0},{:.3},{:.3},{:.1},{}",
             geo.lat_deg(),
@@ -380,10 +348,10 @@ fn cmd_orbit(o: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_dataset(o: &Flags) -> Result<(), String> {
-    let workload = get_workload(o)?;
-    let scale = get_f64(o, "scale", 0.1)?.clamp(1e-4, 1.0);
-    let seed = get_usize(o, "seed", 7)? as u64;
+fn cmd_dataset(a: &Args) -> Outcome {
+    let workload = get_workload(a)?;
+    let scale = a.finite("scale")?.map_or(0.1, |s| s.clamp(1e-4, 1.0));
+    let seed = a.integer("seed")?.unwrap_or(7);
     let set = workload.generate_scaled(scale, 86_400.0, seed);
     println!("workload: {}", workload.label());
     println!(
@@ -405,77 +373,129 @@ fn cmd_dataset(o: &Flags) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn flags(args: &[&str]) -> Flags {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).expect("valid flags")
+    fn parse(command: &str, args: &[&str]) -> Result<Args, UsageError> {
+        let (_, tables, _) = COMMANDS.iter().find(|c| c.0 == command).expect("command");
+        Args::parse(args.iter().map(|s| s.to_string()), &tables.concat())
+    }
+
+    fn flags(command: &str, args: &[&str]) -> Args {
+        parse(command, args).expect("valid flags")
+    }
+
+    /// Whether `eagleeye <args>` is a usage error (checked before any
+    /// work starts).
+    fn is_usage_error(args: &[&str]) -> bool {
+        run(args.iter().map(|s| s.to_string())).is_err_and(|e| e.is::<UsageError>())
     }
 
     #[test]
     fn parses_key_value_flags() {
-        let f = flags(&["--sats", "8", "--hours", "2.5"]);
-        assert_eq!(get_usize(&f, "sats", 0).unwrap(), 8);
-        assert!((get_f64(&f, "hours", 0.0).unwrap() - 2.5).abs() < 1e-12);
+        let f = flags("coverage", &["--sats", "8", "--hours", "2.5"]);
+        assert_eq!(f.integer::<usize>("sats").unwrap(), Some(8));
+        assert_eq!(f.non_negative("hours").unwrap(), Some(2.5));
     }
 
     #[test]
     fn defaults_apply_when_missing() {
-        let f = flags(&[]);
-        assert_eq!(get_usize(&f, "sats", 4).unwrap(), 4);
-        assert_eq!(get_f64(&f, "scale", 0.3).unwrap(), 0.3);
+        for (name, ..) in COMMANDS {
+            assert_eq!(flags(name, &[]), Args::default(), "{name}");
+        }
+        let (checkpoint, deadline) = flags("coverage", &[]).run_layer().unwrap();
+        assert!(checkpoint.is_none() && deadline.instant().is_none());
+        assert_eq!(
+            get_workload(&Args::default()).unwrap(),
+            Workload::ShipDetection
+        );
     }
 
     #[test]
     fn boolean_sgp4_flag() {
-        let f = flags(&["--sgp4"]);
-        assert!(f.contains_key("sgp4"));
+        let f = flags("orbit", &["--sgp4", "--hours", "1"]);
+        assert!(f.has("sgp4"));
+        assert_eq!(f.non_negative("hours").unwrap(), Some(1.0));
     }
 
+    /// Malformed command lines are usage errors naming the flag; each
+    /// subcommand takes only the flags its table lists.
     #[test]
     fn rejects_bad_values_and_positional_args() {
-        let f = flags(&["--sats", "many"]);
-        assert!(get_usize(&f, "sats", 0).is_err());
-        let args: Vec<String> = vec!["loose".into()];
-        assert!(parse_flags(&args).is_err());
-        let args: Vec<String> = vec!["--sats".into()];
-        assert!(parse_flags(&args).is_err());
+        let f = flags("coverage", &["--sats", "many"]);
+        assert!(f.integer::<usize>("sats").is_err());
+        for (command, args, named) in [
+            ("coverage", &["loose"][..], "`loose`"),
+            ("coverage", &["--sats"], "--sats"),
+            (
+                "coverage",
+                &["--checkpoint-cadence", "3"],
+                "--checkpoint-cadence",
+            ),
+            ("dataset", &["--bogus", "3"], "--bogus"),
+            ("dataset", &["--seed", "1", "--seed", "2"], "--seed"),
+            ("orbit", &["--sgp4", "--sgp4"], "--sgp4"),
+            ("schedule", &["--deadline", "5"], "--deadline"),
+        ] {
+            let err = parse(command, args).unwrap_err();
+            assert!(err.0.starts_with(named), "{command} {args:?}: {err}");
+        }
+        // Horizons and scales that are not finite numbers (and negative
+        // horizons) fail in the getter rather than print an empty track
+        // or an all-zero run.
+        for (command, args) in [
+            ("orbit", &["--hours", "nan"][..]),
+            ("orbit", &["--hours", "-1"]),
+            ("coverage", &["--hours", "inf"]),
+            ("coverage", &["--scale", "nan"]),
+            ("dataset", &["--scale", "inf"]),
+            ("energy", &["--tile-factor", "nan"]),
+        ] {
+            let mut argv = vec![command];
+            argv.extend_from_slice(args);
+            assert!(is_usage_error(&argv), "{argv:?}");
+        }
+        for argv in [
+            &[][..],
+            &["frobnicate"],
+            &["help", "--all"],
+            &["coverage", "--resume"],
+            &["coverage", "--workload", "asteroids"],
+            &["coverage", "--config", "mono"],
+            &["schedule", "--solver", "dp"],
+            &["energy", "--role", "pilot"],
+        ] {
+            assert!(is_usage_error(argv), "{argv:?}");
+        }
     }
 
     #[test]
     fn deadline_flag_never_panics() {
-        assert_eq!(get_deadline(&flags(&[])).unwrap(), None);
-        assert_eq!(get_deadline(&flags(&["--deadline", "0"])).unwrap(), None);
-        assert_eq!(
-            get_deadline(&flags(&["--deadline", "2.5"])).unwrap(),
-            Some(Duration::from_millis(2_500))
-        );
+        let deadline = |args: &[&str]| flags("coverage", args).run_layer().map(|(_, d)| d);
+        assert!(deadline(&["--deadline", "0"]).unwrap().instant().is_none());
+        let budget = deadline(&["--deadline", "2.5"]).unwrap();
+        assert!(budget.instant().is_some() && !budget.expired());
         for bad in ["inf", "NaN", "1e300"] {
-            assert!(get_deadline(&flags(&["--deadline", bad])).is_err(), "{bad}");
+            assert!(deadline(&["--deadline", bad]).is_err(), "{bad}");
         }
         // Representable as a duration but not as an instant: no deadline.
-        let budget = get_deadline(&flags(&["--deadline", "1e19"])).unwrap();
-        assert!(Deadline::after(budget.expect("positive budget"))
+        assert!(deadline(&["--deadline", "1e19"])
+            .unwrap()
             .instant()
             .is_none());
     }
 
     #[test]
     fn checkpoint_companions_need_a_checkpoint() {
-        assert!(get_checkpoint(&flags(&[])).unwrap().is_none());
-        let spec = get_checkpoint(&flags(&[
-            "--checkpoint",
-            "ck",
-            "--resume",
-            "--ckpt-cadence",
-            "3",
-        ]))
-        .unwrap()
-        .expect("checkpoint spec");
+        let checkpoint = |args: &[&str]| flags("coverage", args).run_layer().map(|(c, _)| c);
+        assert!(checkpoint(&[]).unwrap().is_none());
+        let spec = checkpoint(&["--checkpoint", "ck", "--resume", "--ckpt-cadence", "3"])
+            .unwrap()
+            .expect("checkpoint spec");
         assert!(spec.resume && spec.cadence == 3);
         for (args, flag) in [
             (&["--resume"][..], "--resume"),
             (&["--ckpt-cadence", "3"], "--ckpt-cadence"),
         ] {
-            let err = get_checkpoint(&flags(args)).unwrap_err();
-            assert!(err.starts_with(flag), "{args:?}: {err}");
+            let err = checkpoint(args).unwrap_err();
+            assert!(err.0.starts_with(flag), "{args:?}: {err}");
         }
     }
 
@@ -487,10 +507,27 @@ mod tests {
             ("lakes166k", Workload::LakeMonitoring166K),
             ("lakes1m4", Workload::LakeMonitoring1M4),
         ] {
-            let f = flags(&["--workload", name]);
+            let f = flags("dataset", &["--workload", name]);
             assert_eq!(get_workload(&f).unwrap(), want);
         }
-        let f = flags(&["--workload", "asteroids"]);
-        assert!(get_workload(&f).is_err());
+        let f = flags("dataset", &["--workload", "asteroids"]);
+        assert!(get_workload(&f).unwrap_err().0.starts_with("--workload: "));
+    }
+
+    /// The usage text is rendered from the tables, so every flag a
+    /// subcommand reads is in it (`--compute` once was not).
+    #[test]
+    fn usage_lists_every_declared_flag() {
+        let text = usage();
+        for (name, tables, _) in COMMANDS {
+            let section = text
+                .split(&format!("  eagleeye {name}\n"))
+                .nth(1)
+                .and_then(|rest| rest.split("  eagleeye ").next())
+                .expect("a section per subcommand");
+            for Flag(flag, ..) in tables.concat() {
+                assert!(section.contains(&format!("--{flag} ")), "{name}: --{flag}");
+            }
+        }
     }
 }
