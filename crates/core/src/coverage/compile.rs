@@ -654,7 +654,7 @@ mod tests {
             let frame = LocalFrame::new(subsat, state.heading_rad);
             let mut in_frame = Vec::new();
             for idx in targets.query_radius(&subsat, geom.bound_m, t) {
-                let (x, y) = frame.project(&targets.target(idx).position_at(t));
+                let (x, y) = frame.project(&targets.position_at(idx, t));
                 if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
                     in_frame.push((idx, x.to_bits(), y.to_bits()));
                 }

@@ -637,7 +637,7 @@ impl<'a> CoverageEvaluator<'a> {
         }
         report.captured = captured.count();
         // Summed in ascending target order; an empty sum is -0.0.
-        report.captured_value = captured.iter().map(|i| self.targets.target(i).value).sum();
+        report.captured_value = captured.iter().map(|i| self.targets.value(i)).sum();
         report
     }
 
@@ -850,7 +850,7 @@ impl<'a> CoverageEvaluator<'a> {
             // favor new ones.
             points.clear();
             points.extend(detected.iter().map(|&(idx, x, y)| {
-                let mut value = self.targets.target(idx).value;
+                let mut value = self.targets.value(idx);
                 if let Some(p) = self.options.recapture_penalty {
                     if captured.contains(idx) {
                         value *= p;
@@ -961,7 +961,7 @@ impl<'a> CoverageEvaluator<'a> {
                     }
                     // Re-evaluate the target position at capture time
                     // (moving targets may have drifted).
-                    let p = self.targets.target(idx).position_at(cap.time_s);
+                    let p = self.targets.position_at(idx, cap.time_s);
                     let (x2, y2) = frame.project(&p);
                     let y2_abs = along_origin + y2;
                     if (x2 - cx).abs() <= high_swath / 2.0

@@ -304,8 +304,7 @@ fn moved_target_workloads_match_reference() {
             let after: eagleeye_datasets::TargetSet = before
                 .iter()
                 .enumerate()
-                .map(|(i, t)| {
-                    let mut t = *t;
+                .map(|(i, mut t)| {
                     if i == moved_idx % before.len() {
                         t.position = GeodeticPoint::from_degrees(
                             (t.position.lat_deg() + dlat).clamp(-80.0, 80.0),

@@ -65,32 +65,31 @@ impl AirplaneGenerator {
     pub fn generate(&self, seed: u64) -> TargetSet {
         let mut rng = world::rng(seed ^ PLANE_SEED_TAG);
         let airports = world::AIRPORTS;
-        let mut targets = Vec::with_capacity(self.count);
+        (0..self.count)
+            .map(|_| {
+                let a = airports[rng.range_usize(0, airports.len())];
+                let mut b = airports[rng.range_usize(0, airports.len())];
+                while b == a {
+                    b = airports[rng.range_usize(0, airports.len())];
+                }
+                let pa = world::fixed_point(a.0, a.1);
+                let pb = world::fixed_point(b.0, b.1);
+                let route_m = greatcircle::distance_m(&pa, &pb);
+                let bearing = greatcircle::initial_bearing_rad(&pa, &pb);
+                let speed = rng.range_f64(self.min_speed_m_s, self.max_speed_m_s);
+                let duration = route_m / speed;
+                // Departures uniform over the horizon: flights departing near
+                // the end exist only briefly (matching the paper's
+                // "targets appear in the later period" effect).
+                let depart = rng.range_f64(0.0, self.horizon_s.max(1.0));
 
-        for _ in 0..self.count {
-            let a = airports[rng.range_usize(0, airports.len())];
-            let mut b = airports[rng.range_usize(0, airports.len())];
-            while b == a {
-                b = airports[rng.range_usize(0, airports.len())];
-            }
-            let pa = world::fixed_point(a.0, a.1);
-            let pb = world::fixed_point(b.0, b.1);
-            let route_m = greatcircle::distance_m(&pa, &pb);
-            let bearing = greatcircle::initial_bearing_rad(&pa, &pb);
-            let speed = rng.range_f64(self.min_speed_m_s, self.max_speed_m_s);
-            let duration = route_m / speed;
-            // Departures uniform over the horizon: flights departing near
-            // the end exist only briefly (matching the paper's
-            // "targets appear in the later period" effect).
-            let depart = rng.range_f64(0.0, self.horizon_s.max(1.0));
-
-            let mut t = Target::fixed(pa, rng.range_f64(0.5, 1.0));
-            t.motion = Some((speed, bearing));
-            t.appears_at_s = depart;
-            t.disappears_at_s = depart + duration;
-            targets.push(t);
-        }
-        TargetSet::new(targets)
+                let mut t = Target::fixed(pa, rng.range_f64(0.5, 1.0));
+                t.motion = Some((speed, bearing));
+                t.appears_at_s = depart;
+                t.disappears_at_s = depart + duration;
+                t
+            })
+            .collect()
     }
 }
 

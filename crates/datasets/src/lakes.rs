@@ -81,16 +81,16 @@ impl LakeGenerator {
     pub fn generate(&self, seed: u64) -> TargetSet {
         let mut rng = world::rng(seed ^ LAKE_SEED_TAG);
         let (a_min, a_max) = self.band.area_range_km2();
-        let mut targets = Vec::with_capacity(self.count);
-        for _ in 0..self.count {
-            let position = world::sample_in_boxes(&mut rng, world::LAND_BOXES);
-            // Pareto-ish area distribution: many small lakes, few large.
-            let u: f64 = rng.next_f64();
-            let area = a_min * (a_max / a_min).powf(u * u);
-            let value = 1.0 + 0.2 * (area - a_min) / (a_max - a_min);
-            targets.push(Target::fixed(position, value));
-        }
-        TargetSet::new(targets)
+        (0..self.count)
+            .map(|_| {
+                let position = world::sample_in_boxes(&mut rng, world::LAND_BOXES);
+                // Pareto-ish area distribution: many small lakes, few large.
+                let u: f64 = rng.next_f64();
+                let area = a_min * (a_max / a_min).powf(u * u);
+                let value = 1.0 + 0.2 * (area - a_min) / (a_max - a_min);
+                Target::fixed(position, value)
+            })
+            .collect()
     }
 }
 

@@ -56,38 +56,37 @@ impl ShipGenerator {
     pub fn generate(&self, seed: u64) -> TargetSet {
         let mut rng = world::rng(seed ^ SHIP_SEED_TAG);
         let ports = world::PORTS;
-        let mut targets = Vec::with_capacity(self.count);
-
-        for _ in 0..self.count {
-            let value = rng.range_f64(0.5, 1.0); // detection-confidence proxy
-            let on_lane = rng.chance(self.lane_fraction);
-            let position = if on_lane {
-                // Pick a lane between two distinct ports, a point along it,
-                // and a Gaussian-ish cross-track offset.
-                let a = ports[rng.range_usize(0, ports.len())];
-                let mut b = ports[rng.range_usize(0, ports.len())];
-                while b == a {
-                    b = ports[rng.range_usize(0, ports.len())];
-                }
-                let pa = world::fixed_point(a.0, a.1);
-                let pb = world::fixed_point(b.0, b.1);
-                let frac = rng.next_f64();
-                let total = greatcircle::distance_m(&pa, &pb);
-                let bearing = greatcircle::initial_bearing_rad(&pa, &pb);
-                let along = greatcircle::destination(&pa, bearing, total * frac).unwrap_or(pa);
-                let offset = rng.gaussian() * self.lane_sigma_m;
-                let side = bearing + std::f64::consts::FRAC_PI_2;
-                greatcircle::destination(&along, side, offset).unwrap_or(along)
-            } else {
-                let p = ports[rng.range_usize(0, ports.len())];
-                let center = world::fixed_point(p.0, p.1);
-                let r = rng.next_f64().sqrt() * self.port_sigma_m;
-                let theta = rng.range_f64(0.0, std::f64::consts::TAU);
-                greatcircle::destination(&center, theta, r).unwrap_or(center)
-            };
-            targets.push(Target::fixed(position, value));
-        }
-        TargetSet::new(targets)
+        (0..self.count)
+            .map(|_| {
+                let value = rng.range_f64(0.5, 1.0); // detection-confidence proxy
+                let on_lane = rng.chance(self.lane_fraction);
+                let position = if on_lane {
+                    // Pick a lane between two distinct ports, a point along it,
+                    // and a Gaussian-ish cross-track offset.
+                    let a = ports[rng.range_usize(0, ports.len())];
+                    let mut b = ports[rng.range_usize(0, ports.len())];
+                    while b == a {
+                        b = ports[rng.range_usize(0, ports.len())];
+                    }
+                    let pa = world::fixed_point(a.0, a.1);
+                    let pb = world::fixed_point(b.0, b.1);
+                    let frac = rng.next_f64();
+                    let total = greatcircle::distance_m(&pa, &pb);
+                    let bearing = greatcircle::initial_bearing_rad(&pa, &pb);
+                    let along = greatcircle::destination(&pa, bearing, total * frac).unwrap_or(pa);
+                    let offset = rng.gaussian() * self.lane_sigma_m;
+                    let side = bearing + std::f64::consts::FRAC_PI_2;
+                    greatcircle::destination(&along, side, offset).unwrap_or(along)
+                } else {
+                    let p = ports[rng.range_usize(0, ports.len())];
+                    let center = world::fixed_point(p.0, p.1);
+                    let r = rng.next_f64().sqrt() * self.port_sigma_m;
+                    let theta = rng.range_f64(0.0, std::f64::consts::TAU);
+                    greatcircle::destination(&center, theta, r).unwrap_or(center)
+                };
+                Target::fixed(position, value)
+            })
+            .collect()
     }
 }
 

@@ -35,38 +35,93 @@ pub struct Target {
 impl Target {
     /// Creates a permanent, static target.
     pub fn fixed(position: GeodeticPoint, value: f64) -> Self {
-        Target {
-            position,
-            value,
-            motion: None,
-            appears_at_s: 0.0,
-            disappears_at_s: f64::INFINITY,
-        }
+        FIXED.with(position, value)
     }
 
     /// True when the target exists at simulation time `t_s`.
     #[inline]
     pub fn exists_at(&self, t_s: f64) -> bool {
-        t_s >= self.appears_at_s && t_s <= self.disappears_at_s
+        self.kinematics().exists_at(t_s)
     }
 
     /// Position at simulation time `t_s`. Moving targets travel a great
     /// circle from their initial position; static targets never move.
     /// The position saturates at the end of the existence window.
     pub fn position_at(&self, t_s: f64) -> GeodeticPoint {
-        match self.motion {
-            None => self.position,
-            Some((speed, bearing)) => {
-                let t = t_s.clamp(self.appears_at_s, self.disappears_at_s);
-                let dist = speed * (t - self.appears_at_s);
-                greatcircle::destination(&self.position, bearing, dist).unwrap_or(self.position)
-            }
-        }
+        self.kinematics().position_at(self.position, t_s)
     }
 
     /// Maximum ground speed of the target (0 for static targets).
     #[inline]
     pub fn speed_m_s(&self) -> f64 {
+        self.kinematics().speed_m_s()
+    }
+
+    fn kinematics(&self) -> Kinematics {
+        Kinematics {
+            motion: self.motion,
+            appears_at_s: self.appears_at_s,
+            disappears_at_s: self.disappears_at_s,
+        }
+    }
+}
+
+/// The part of a [`Target`] beyond its position and value: its motion
+/// and existence window. A [`TargetSet`] stores it only when some target
+/// is not [`Target::fixed`]-shaped.
+#[derive(Debug, Clone, Copy)]
+struct Kinematics {
+    motion: Option<(f64, f64)>,
+    appears_at_s: f64,
+    disappears_at_s: f64,
+}
+
+/// The kinematics of every [`Target::fixed`] target.
+const FIXED: Kinematics = Kinematics {
+    motion: None,
+    appears_at_s: 0.0,
+    disappears_at_s: f64::INFINITY,
+};
+
+impl Kinematics {
+    /// The target at `position` with `value` and these kinematics.
+    fn with(self, position: GeodeticPoint, value: f64) -> Target {
+        Target {
+            position,
+            value,
+            motion: self.motion,
+            appears_at_s: self.appears_at_s,
+            disappears_at_s: self.disappears_at_s,
+        }
+    }
+
+    /// Bit-equal to [`FIXED`] (a `-0.0` appearance time is not), so a
+    /// set without the column returns every target bit-identical.
+    fn is_fixed(&self) -> bool {
+        self.motion.is_none()
+            && self.appears_at_s.to_bits() == FIXED.appears_at_s.to_bits()
+            && self.disappears_at_s.to_bits() == FIXED.disappears_at_s.to_bits()
+    }
+
+    #[inline]
+    fn exists_at(&self, t_s: f64) -> bool {
+        t_s >= self.appears_at_s && t_s <= self.disappears_at_s
+    }
+
+    /// Position at `t_s` of a target that appears at `origin`.
+    fn position_at(&self, origin: GeodeticPoint, t_s: f64) -> GeodeticPoint {
+        match self.motion {
+            None => origin,
+            Some((speed, bearing)) => {
+                let t = t_s.clamp(self.appears_at_s, self.disappears_at_s);
+                let dist = speed * (t - self.appears_at_s);
+                greatcircle::destination(&origin, bearing, dist).unwrap_or(origin)
+            }
+        }
+    }
+
+    #[inline]
+    fn speed_m_s(&self) -> f64 {
         self.motion.map(|(v, _)| v).unwrap_or(0.0)
     }
 }
@@ -75,6 +130,15 @@ impl Target {
 const BUCKET_S: f64 = 300.0;
 
 /// A set of targets with spatial indexing.
+///
+/// Targets are stored as columns: a position and a value per target,
+/// plus motion and existence window only when some target is not
+/// [`Target::fixed`]-shaped (a lake, ship or tank set holds 32 bytes a
+/// target). [`target`](Self::target) assembles a [`Target`] by value;
+/// hot paths read one column through [`value`](Self::value) and
+/// [`position_at`](Self::position_at). Build a set by collecting
+/// targets ([`FromIterator`]); the columns are sized from the
+/// iterator's length, with no slack.
 ///
 /// When every target is static (`motion: None`), one lazily built
 /// [`GridIndex`] answers frame-membership queries at every time. When
@@ -102,7 +166,11 @@ const BUCKET_S: f64 = 300.0;
 /// ```
 #[derive(Debug)]
 pub struct TargetSet {
-    targets: Vec<Target>,
+    positions: Vec<GeodeticPoint>,
+    values: Vec<f64>,
+    /// Each target's kinematics, or `None` when every target is
+    /// [`FIXED`].
+    kinematics: Option<Vec<Kinematics>>,
     max_speed_m_s: f64,
     total_value: f64,
     index: SpatialIndex,
@@ -176,58 +244,62 @@ fn bucket_of(t_s: f64) -> i64 {
 }
 
 impl TargetSet {
-    /// Builds a target set.
+    /// Builds a target set from records; [`FromIterator`] builds one
+    /// without them.
     pub fn new(targets: Vec<Target>) -> Self {
-        let max_speed_m_s = targets.iter().map(Target::speed_m_s).fold(0.0, f64::max);
-        let total_value = targets.iter().map(|t| t.value).sum();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "accessed only by bucket key, never iterated"
-        )]
-        let index = if targets.iter().all(|t| t.motion.is_none()) {
-            SpatialIndex::Static(OnceLock::new())
-        } else {
-            SpatialIndex::Moving(Mutex::new(HashMap::new()))
-        };
-        TargetSet {
-            targets,
-            max_speed_m_s,
-            total_value,
-            index,
-        }
+        targets.into_iter().collect()
     }
 
     /// Number of targets.
     #[inline]
     pub fn len(&self) -> usize {
-        self.targets.len()
+        self.positions.len()
     }
 
     /// True when there are no targets.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.targets.is_empty()
+        self.positions.is_empty()
     }
 
-    /// Access a target by index.
+    /// Target `i`, assembled from the columns.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of range.
     #[inline]
-    pub fn target(&self, i: usize) -> &Target {
-        &self.targets[i]
+    pub fn target(&self, i: usize) -> Target {
+        let kinematics = self.kinematics.as_ref().map_or(FIXED, |k| k[i]);
+        kinematics.with(self.positions[i], self.values[i])
     }
 
-    /// Iterates over all targets.
-    pub fn iter(&self) -> std::slice::Iter<'_, Target> {
-        self.targets.iter()
-    }
-
-    /// All targets as a slice.
+    /// The value of target `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
     #[inline]
-    pub fn as_slice(&self) -> &[Target] {
-        &self.targets
+    pub fn value(&self, i: usize) -> f64 {
+        self.values[i]
+    }
+
+    /// The position of target `i` at `t_s`, bit-equal to
+    /// `self.target(i).position_at(t_s)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of range.
+    #[inline]
+    pub fn position_at(&self, i: usize, t_s: f64) -> GeodeticPoint {
+        match &self.kinematics {
+            None => self.positions[i],
+            Some(kinematics) => kinematics[i].position_at(self.positions[i], t_s),
+        }
+    }
+
+    /// Iterates over all targets, by value.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Target> + '_ {
+        (0..self.len()).map(|i| self.target(i))
     }
 
     /// Fastest target in the set, m/s.
@@ -280,17 +352,27 @@ impl TargetSet {
         }
     }
 
-    /// A [`GridIndex`] over every target's position at `t_s`.
-    #[expect(clippy::expect_used, reason = "cell size is the constant 2.0 below")]
+    /// A [`GridIndex`] over every target's position at `t_s`. Static
+    /// positions are read straight from their column; moving ones are
+    /// sampled once into a buffer, which the build walks twice.
+    #[expect(
+        clippy::expect_used,
+        reason = "2° cells fit the table, and u32::MAX targets would take 128 GiB of columns"
+    )]
     fn grid_at(&self, t_s: f64) -> GridIndex {
-        GridIndex::build(
-            2.0,
-            self.targets.iter().map(|t| {
-                let p = t.position_at(t_s);
-                (p.lat_deg(), p.lon_deg())
-            }),
-        )
-        .expect("positive cell size")
+        let lat_lon = |p: GeodeticPoint| (p.lat_deg(), p.lon_deg());
+        let built = match &self.index {
+            SpatialIndex::Static(_) => {
+                GridIndex::build(2.0, self.positions.iter().copied().map(lat_lon))
+            }
+            SpatialIndex::Moving(_) => {
+                let sampled: Vec<(f64, f64)> = (0..self.len())
+                    .map(|i| lat_lon(self.position_at(i, t_s)))
+                    .collect();
+                GridIndex::build(2.0, sampled)
+            }
+        };
+        built.expect("a 2-degree grid over at most u32::MAX targets")
     }
 
     /// The membership kernel: writes into `out` (cleared first) every
@@ -306,10 +388,12 @@ impl TargetSet {
     /// each candidate's distance computed once: a static target's
     /// position never changes, and a moving target is tested at the
     /// bucket midpoint against the padded radius before its position
-    /// at `t_s` is tested against `radius_m`. The result is exactly
-    /// the reference composition it replaced — a padded candidate
-    /// query on the view, refined by the exact test at `t_s` — which
-    /// the tests below keep as the kernel's oracle.
+    /// at `t_s` is tested against `radius_m`. A set without a
+    /// kinematics column reads positions only: every target exists
+    /// from 0 s on, so one test of `t_s` stands for all. The result is
+    /// exactly the reference composition it replaced — a padded
+    /// candidate query on the view, refined by the exact test at `t_s`
+    /// — which the tests below keep as the kernel's oracle.
     pub fn members_in(
         &self,
         view: &BucketView,
@@ -321,21 +405,7 @@ impl TargetSet {
         debug_assert!(view.covers(t_s), "the view must cover the query time");
         out.clear();
         let padded_m = radius_m + view.pad_m;
-        view.index.for_each_in_cap(center, padded_m, |index| {
-            let target = &self.targets[index];
-            if !target.exists_at(t_s) {
-                return;
-            }
-            // A static target passes the padded candidate test whenever
-            // it passes the exact one (the pad is never negative), so
-            // only a moving target needs its midpoint sample tested.
-            if target.motion.is_some() {
-                let sampled = target.position_at(view.midpoint_t_s);
-                if !(greatcircle::distance_m(center, &sampled) <= padded_m) {
-                    return;
-                }
-            }
-            let position = target.position_at(t_s);
+        let mut push_within = |index: usize, position: GeodeticPoint| {
             let distance_m = greatcircle::distance_m(center, &position);
             if distance_m <= radius_m {
                 out.push(Member {
@@ -344,7 +414,30 @@ impl TargetSet {
                     distance_m,
                 });
             }
-        });
+        };
+        match &self.kinematics {
+            None if !FIXED.exists_at(t_s) => {}
+            None => view.index.for_each_in_cap(center, padded_m, |index| {
+                push_within(index, self.positions[index])
+            }),
+            Some(kinematics) => view.index.for_each_in_cap(center, padded_m, |index| {
+                let (k, origin) = (kinematics[index], self.positions[index]);
+                if !k.exists_at(t_s) {
+                    return;
+                }
+                // A static target passes the padded candidate test
+                // whenever it passes the exact one (the pad is never
+                // negative), so only a moving target needs its midpoint
+                // sample tested.
+                if k.motion.is_some() {
+                    let sampled = k.position_at(origin, view.midpoint_t_s);
+                    if !(greatcircle::distance_m(center, &sampled) <= padded_m) {
+                        return;
+                    }
+                }
+                push_within(index, k.position_at(origin, t_s));
+            }),
+        }
         out.sort_unstable_by_key(|m| m.index);
     }
 
@@ -356,8 +449,58 @@ impl TargetSet {
 }
 
 impl FromIterator<Target> for TargetSet {
+    /// Fills the columns straight from the iterator, reserving its
+    /// lower size bound up front. The kinematics column appears at the
+    /// first target that is not fixed-shaped, backfilled for the fixed
+    /// ones before it.
     fn from_iter<I: IntoIterator<Item = Target>>(iter: I) -> Self {
-        TargetSet::new(iter.into_iter().collect())
+        let iter = iter.into_iter();
+        let (n, _) = iter.size_hint();
+        let mut positions = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
+        let mut kinematics: Option<Vec<Kinematics>> = None;
+        for target in iter {
+            let k = target.kinematics();
+            match &mut kinematics {
+                Some(column) => column.push(k),
+                None if k.is_fixed() => {}
+                None => {
+                    let mut column = Vec::with_capacity(positions.capacity());
+                    column.resize(positions.len(), FIXED);
+                    column.push(k);
+                    kinematics = Some(column);
+                }
+            }
+            positions.push(target.position);
+            values.push(target.value);
+        }
+        positions.shrink_to_fit();
+        values.shrink_to_fit();
+        if let Some(column) = &mut kinematics {
+            column.shrink_to_fit();
+        }
+        let max_speed_m_s = kinematics.as_ref().map_or(0.0, |column| {
+            column.iter().map(Kinematics::speed_m_s).fold(0.0, f64::max)
+        });
+        let total_value = values.iter().sum();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "accessed only by bucket key, never iterated"
+        )]
+        let index = match &kinematics {
+            Some(column) if column.iter().any(|k| k.motion.is_some()) => {
+                SpatialIndex::Moving(Mutex::new(HashMap::new()))
+            }
+            _ => SpatialIndex::Static(OnceLock::new()),
+        };
+        TargetSet {
+            positions,
+            values,
+            kinematics,
+            max_speed_m_s,
+            total_value,
+            index,
+        }
     }
 }
 
@@ -460,82 +603,123 @@ mod tests {
         assert_eq!(set.total_value(), 5.0);
     }
 
-    /// The per-bucket view every set used before static sets shared
-    /// one index: a fresh [`GridIndex`] over positions at the bucket
-    /// midpoint, padded by the set's worst-case intra-bucket drift.
-    fn reference_bucket_view(set: &TargetSet, t_s: f64) -> BucketView {
-        let bucket = (t_s / BUCKET_S).floor() as i64;
-        let midpoint_t_s = (bucket as f64 + 0.5) * BUCKET_S;
-        let index = GridIndex::build(
-            2.0,
-            set.targets.iter().map(|t| {
-                let p = t.position_at(midpoint_t_s);
-                (p.lat_deg(), p.lon_deg())
-            }),
-        )
-        .unwrap();
-        BucketView {
-            index: Arc::new(index),
-            bucket: Some(bucket),
-            midpoint_t_s,
-            pad_m: set.max_speed_m_s * BUCKET_S,
+    /// The record-per-target storage the columns replaced, kept as
+    /// their oracle: one [`Target`] per target, read whole by every
+    /// query, with the per-target existence test the kernel ran before.
+    struct Records(Vec<Target>);
+
+    impl Records {
+        fn max_speed_m_s(&self) -> f64 {
+            self.0.iter().map(Target::speed_m_s).fold(0.0, f64::max)
         }
-    }
 
-    /// The candidate query the kernel replaced: every target whose
-    /// position at the view's midpoint lies within the drift-padded
-    /// radius, ascending — a superset of the exact members at any time
-    /// the view covers.
-    fn reference_candidates(
-        set: &TargetSet,
-        view: &BucketView,
-        center: &GeodeticPoint,
-        radius_m: f64,
-    ) -> Vec<usize> {
-        view.index.query_radius(
-            &center.with_altitude(0.0).unwrap(),
-            radius_m + view.pad_m,
-            |i| set.targets[i].position_at(view.midpoint_t_s),
-        )
-    }
+        fn total_value(&self) -> f64 {
+            self.0.iter().map(|t| t.value).sum()
+        }
 
-    /// The exact refinement the kernel replaced: target `i` exists at
-    /// `t_s` and its position then is within `radius_m` of `center`.
-    fn reference_within(
-        set: &TargetSet,
-        i: usize,
-        center: &GeodeticPoint,
-        radius_m: f64,
-        t_s: f64,
-    ) -> bool {
-        let t = &set.targets[i];
-        t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
-    }
+        /// The per-bucket view every set used before static sets shared
+        /// one index: a fresh [`GridIndex`] over positions at the bucket
+        /// midpoint, padded by the set's worst-case intra-bucket drift.
+        fn bucket_view(&self, t_s: f64) -> BucketView {
+            let bucket = (t_s / BUCKET_S).floor() as i64;
+            let midpoint_t_s = (bucket as f64 + 0.5) * BUCKET_S;
+            let sampled: Vec<(f64, f64)> = self
+                .0
+                .iter()
+                .map(|t| {
+                    let p = t.position_at(midpoint_t_s);
+                    (p.lat_deg(), p.lon_deg())
+                })
+                .collect();
+            BucketView {
+                index: Arc::new(GridIndex::build(2.0, sampled).unwrap()),
+                bucket: Some(bucket),
+                midpoint_t_s,
+                pad_m: self.max_speed_m_s() * BUCKET_S,
+            }
+        }
 
-    /// The reference composition (candidates, then the exact test) on
-    /// `view`.
-    fn reference_members(
-        set: &TargetSet,
-        view: &BucketView,
-        center: &GeodeticPoint,
-        radius_m: f64,
-        t_s: f64,
-    ) -> Vec<usize> {
-        reference_candidates(set, view, center, radius_m)
-            .into_iter()
-            .filter(|&i| reference_within(set, i, center, radius_m, t_s))
-            .collect()
-    }
+        /// The candidate query the kernel replaced: every target whose
+        /// position at the view's midpoint lies within the drift-padded
+        /// radius, ascending — a superset of the exact members at any
+        /// time the view covers.
+        fn candidates(
+            &self,
+            view: &BucketView,
+            center: &GeodeticPoint,
+            radius_m: f64,
+        ) -> Vec<usize> {
+            view.index.query_radius(
+                &center.with_altitude(0.0).unwrap(),
+                radius_m + view.pad_m,
+                |i| self.0[i].position_at(view.midpoint_t_s),
+            )
+        }
 
-    /// [`TargetSet::query_radius`] answered through the per-bucket
-    /// reference view.
-    fn reference_query_radius(
-        set: &TargetSet,
-        center: &GeodeticPoint,
-        radius_m: f64,
-        t_s: f64,
-    ) -> Vec<usize> {
-        reference_members(set, &reference_bucket_view(set, t_s), center, radius_m, t_s)
+        /// The exact refinement the kernel replaced: target `i` exists
+        /// at `t_s` and its position then is within `radius_m` of
+        /// `center`.
+        fn within(&self, i: usize, center: &GeodeticPoint, radius_m: f64, t_s: f64) -> bool {
+            let t = &self.0[i];
+            t.exists_at(t_s) && greatcircle::distance_m(center, &t.position_at(t_s)) <= radius_m
+        }
+
+        /// The reference composition (candidates, then the exact test)
+        /// on `view`.
+        fn members(
+            &self,
+            view: &BucketView,
+            center: &GeodeticPoint,
+            radius_m: f64,
+            t_s: f64,
+        ) -> Vec<usize> {
+            self.candidates(view, center, radius_m)
+                .into_iter()
+                .filter(|&i| self.within(i, center, radius_m, t_s))
+                .collect()
+        }
+
+        /// [`TargetSet::query_radius`] answered through the per-bucket
+        /// reference view.
+        fn query_radius(&self, center: &GeodeticPoint, radius_m: f64, t_s: f64) -> Vec<usize> {
+            self.members(&self.bucket_view(t_s), center, radius_m, t_s)
+        }
+
+        /// The membership kernel as it read whole records: existence,
+        /// then the midpoint test for movers, then the exact test.
+        fn members_in(
+            &self,
+            view: &BucketView,
+            center: &GeodeticPoint,
+            radius_m: f64,
+            t_s: f64,
+        ) -> Vec<Member> {
+            let padded_m = radius_m + view.pad_m;
+            let mut out = Vec::new();
+            view.index.for_each_in_cap(center, padded_m, |index| {
+                let target = &self.0[index];
+                if !target.exists_at(t_s) {
+                    return;
+                }
+                if target.motion.is_some() {
+                    let sampled = target.position_at(view.midpoint_t_s);
+                    if !(greatcircle::distance_m(center, &sampled) <= padded_m) {
+                        return;
+                    }
+                }
+                let position = target.position_at(t_s);
+                let distance_m = greatcircle::distance_m(center, &position);
+                if distance_m <= radius_m {
+                    out.push(Member {
+                        index,
+                        position,
+                        distance_m,
+                    });
+                }
+            });
+            out.sort_unstable_by_key(|m| m.index);
+            out
+        }
     }
 
     /// Points where the grid math is most fragile: both sides of the
@@ -622,6 +806,7 @@ mod tests {
             ),
             |(targets, queries)| {
                 let set = TargetSet::new(targets.clone());
+                let records = Records(targets.clone());
                 prop_assert!(matches!(set.index, SpatialIndex::Static(_)));
                 let times: Vec<f64> = queries
                     .iter()
@@ -633,10 +818,10 @@ mod tests {
                     let view = set.bucket_view(t);
                     prop_assert!(view.covers(t) && shared.covers(t));
                     prop_assert!(Arc::ptr_eq(&view.index, &shared.index));
-                    let reference = reference_bucket_view(&set, t);
-                    let want = reference_candidates(&set, &reference, &center, radius_m);
-                    prop_assert_eq!(reference_candidates(&set, &view, &center, radius_m), want);
-                    let exact = reference_query_radius(&set, &center, radius_m, t);
+                    let reference = records.bucket_view(t);
+                    let want = records.candidates(&reference, &center, radius_m);
+                    prop_assert_eq!(records.candidates(&view, &center, radius_m), want);
+                    let exact = records.query_radius(&center, radius_m, t);
                     prop_assert_eq!(set.query_radius(&center, radius_m, t), exact.clone());
                     let mut members = Vec::new();
                     set.members_in(&shared, &center, radius_m, t, &mut members);
@@ -684,6 +869,7 @@ mod tests {
             |(statics, movers, queries)| {
                 let targets: Vec<Target> = statics.iter().chain(movers).copied().collect();
                 let set = TargetSet::new(targets.clone());
+                let records = Records(targets.clone());
                 for (j, &((center, radius_m, kind, frac), edge, pick)) in queries.iter().enumerate()
                 {
                     let t = query_time(j % 5, kind, frac);
@@ -699,14 +885,14 @@ mod tests {
                     };
                     let frame = LocalFrame::new(center, frac * std::f64::consts::TAU);
                     let view = set.bucket_view(t);
-                    let want: Vec<(usize, u64, u64)> =
-                        reference_members(&set, &view, &center, radius_m, t)
-                            .into_iter()
-                            .map(|i| {
-                                let (x, y) = frame.project(&targets[i].position_at(t));
-                                (i, x.to_bits(), y.to_bits())
-                            })
-                            .collect();
+                    let want: Vec<(usize, u64, u64)> = records
+                        .members(&view, &center, radius_m, t)
+                        .into_iter()
+                        .map(|i| {
+                            let (x, y) = frame.project(&targets[i].position_at(t));
+                            (i, x.to_bits(), y.to_bits())
+                        })
+                        .collect();
                     let mut members = Vec::new();
                     set.members_in(&view, &center, radius_m, t, &mut members);
                     let got: Vec<(usize, u64, u64)> = members
@@ -721,7 +907,7 @@ mod tests {
                     prop_assert_eq!(got, want);
                     prop_assert_eq!(
                         set.query_radius(&center, radius_m, t),
-                        reference_query_radius(&set, &center, radius_m, t)
+                        records.query_radius(&center, radius_m, t)
                     );
                 }
                 Ok::<(), Failure>(())
@@ -741,7 +927,8 @@ mod tests {
     fn moving_set_keeps_an_index_per_bucket() {
         let mut plane = Target::fixed(pt(0.0, 179.5), 1.0);
         plane.motion = Some((250.0, std::f64::consts::FRAC_PI_2));
-        let set = TargetSet::new(vec![Target::fixed(pt(10.0, 10.0), 1.0), plane]);
+        let targets = vec![Target::fixed(pt(10.0, 10.0), 1.0), plane];
+        let (set, records) = (TargetSet::new(targets.clone()), Records(targets));
         assert!(matches!(set.index, SpatialIndex::Moving(_)));
         let early = set.bucket_view(0.0);
         assert!(Arc::ptr_eq(&early.index, &set.bucket_view(299.0).index));
@@ -752,7 +939,7 @@ mod tests {
         for t in [0.0, 150.0, BUCKET_S, 1000.0, 4.0 * BUCKET_S] {
             let center = plane.position_at(t);
             let got = set.query_radius(&center, 5_000.0, t);
-            assert_eq!(got, reference_query_radius(&set, &center, 5_000.0, t));
+            assert_eq!(got, records.query_radius(&center, 5_000.0, t));
             assert_eq!(got, vec![1], "t = {t}");
         }
     }
@@ -778,5 +965,143 @@ mod tests {
                 Ok::<(), Failure>(())
             },
         );
+    }
+
+    fn point_bits(p: &GeodeticPoint) -> [u64; 3] {
+        [p.lat_rad(), p.lon_rad(), p.alt_m()].map(f64::to_bits)
+    }
+
+    /// Every field of a target as bits, so equality is bit-equality.
+    fn target_bits(t: &Target) -> ([u64; 3], u64, Option<(u64, u64)>, u64, u64) {
+        (
+            point_bits(&t.position),
+            t.value.to_bits(),
+            t.motion.map(|(v, b)| (v.to_bits(), b.to_bits())),
+            t.appears_at_s.to_bits(),
+            t.disappears_at_s.to_bits(),
+        )
+    }
+
+    fn member_bits(members: &[Member]) -> Vec<(usize, [u64; 3], u64)> {
+        members
+            .iter()
+            .map(|m| (m.index, point_bits(&m.position), m.distance_m.to_bits()))
+            .collect()
+    }
+
+    /// A set in one of three shapes: every target fixed (no kinematics
+    /// column), static with existence windows, or static and moving.
+    fn mixed_set_gen() -> impl Gen<Value = Vec<Target>> {
+        (
+            usize_range(0, 3),
+            vec_of(static_target_gen(), 0, 40),
+            vec_of(moving_target_gen(), 0, 12),
+        )
+            .map(|(shape, statics, movers)| match shape {
+                0 => statics
+                    .iter()
+                    .map(|t| Target::fixed(t.position, t.value))
+                    .collect(),
+                1 => statics,
+                _ => statics.into_iter().chain(movers).collect(),
+            })
+    }
+
+    /// The columns answer bit for bit what the records they replaced
+    /// answer: every target and column read, every kernel member
+    /// (index, position and distance bits), every radius query, the
+    /// cached totals and the bucket pads, on fixed, windowed and moving
+    /// sets, at query times before 0 s too.
+    #[test]
+    fn columns_match_the_record_oracle() {
+        check_cases(
+            128,
+            "columns_match_the_record_oracle",
+            (mixed_set_gen(), vec_of(query_gen(), 4, 10)),
+            |(targets, queries)| {
+                let set: TargetSet = targets.iter().copied().collect();
+                let records = Records(targets.clone());
+                prop_assert_eq!(set.len(), targets.len());
+                let probe_times = [-1.0, 0.0, 450.0, 1e4];
+                for (i, t) in targets.iter().enumerate() {
+                    prop_assert_eq!(target_bits(&set.target(i)), target_bits(t));
+                    prop_assert_eq!(set.value(i).to_bits(), t.value.to_bits());
+                    for t_s in probe_times {
+                        let (got, want) = (set.position_at(i, t_s), t.position_at(t_s));
+                        prop_assert_eq!(point_bits(&got), point_bits(&want));
+                    }
+                }
+                let iterated: Vec<_> = set.iter().map(|t| target_bits(&t)).collect();
+                prop_assert_eq!(
+                    iterated,
+                    targets.iter().map(target_bits).collect::<Vec<_>>()
+                );
+                prop_assert_eq!(set.total_value().to_bits(), records.total_value().to_bits());
+                prop_assert_eq!(
+                    set.max_speed_m_s().to_bits(),
+                    records.max_speed_m_s().to_bits()
+                );
+                for (j, &(center, radius_m, kind, frac)) in queries.iter().enumerate() {
+                    let t = query_time(j % 6, kind, frac) - BUCKET_S;
+                    let (view, reference) = (set.bucket_view(t), records.bucket_view(t));
+                    prop_assert_eq!(view.pad_m.to_bits(), reference.pad_m.to_bits());
+                    if matches!(set.index, SpatialIndex::Moving(_)) {
+                        prop_assert_eq!(view.bucket, reference.bucket);
+                        prop_assert_eq!(
+                            view.midpoint_t_s.to_bits(),
+                            reference.midpoint_t_s.to_bits()
+                        );
+                    }
+                    let mut members = Vec::new();
+                    set.members_in(&view, &center, radius_m, t, &mut members);
+                    let want = records.members_in(&reference, &center, radius_m, t);
+                    prop_assert_eq!(member_bits(&members), member_bits(&want));
+                    prop_assert_eq!(
+                        set.query_radius(&center, radius_m, t),
+                        records.query_radius(&center, radius_m, t)
+                    );
+                }
+                Ok::<(), Failure>(())
+            },
+        );
+    }
+
+    /// A generated static set holds exactly one position and one value
+    /// per target (32 bytes) and no kinematics column, and its index
+    /// one `u32` handle per target beside the 2° cell table; planes keep
+    /// an exactly sized kinematics column. A return to per-target
+    /// records, or to per-cell vectors, fails here.
+    #[test]
+    fn columns_and_arena_are_exactly_sized() {
+        assert_eq!(
+            std::mem::size_of::<GeodeticPoint>() + std::mem::size_of::<f64>(),
+            32
+        );
+        let lakes = crate::LakeGenerator::new(crate::LakeSizeBand::TenthToTenKm2)
+            .with_count(5_000)
+            .generate(3);
+        let ships = crate::ShipGenerator::new().with_count(3_000).generate(3);
+        for set in [&lakes, &ships] {
+            let n = set.len();
+            assert!(set.kinematics.is_none());
+            assert_eq!((set.positions.len(), set.positions.capacity()), (n, n));
+            assert_eq!((set.values.len(), set.values.capacity()), (n, n));
+            let view = set.bucket_view(0.0);
+            assert_eq!(view.index.len(), n);
+            assert_eq!(view.index.heap_bytes(), 4 * n + 4 * (91 * 180 + 1));
+        }
+        let planes = crate::AirplaneGenerator::new()
+            .with_count(2_000)
+            .generate(3);
+        let column = planes.kinematics.as_ref().expect("planes move");
+        assert_eq!((column.len(), column.capacity()), (2_000, 2_000));
+        assert_eq!(planes.positions.capacity(), 2_000);
+        // A -0.0 appearance time is not fixed-shaped: the column keeps
+        // its bits.
+        let mut late = Target::fixed(pt(0.0, 0.0), 1.0);
+        late.appears_at_s = -0.0;
+        let set = TargetSet::new(vec![Target::fixed(pt(1.0, 1.0), 1.0), late]);
+        assert!(set.kinematics.is_some());
+        assert_eq!(set.target(1).appears_at_s.to_bits(), (-0.0f64).to_bits());
     }
 }

@@ -37,6 +37,17 @@ pub enum GeoError {
         /// Offending cell size in degrees.
         cell_deg: f64,
     },
+    /// A grid index cell size so small that its cell table would hold
+    /// more than [`crate::GridIndex::MAX_CELLS`] cells.
+    CellTableTooLarge {
+        /// Offending cell size in degrees.
+        cell_deg: f64,
+    },
+    /// A grid index over more points than its `u32` handles can name.
+    TooManyPoints {
+        /// Index of the first point past the last `u32` handle.
+        index: usize,
+    },
 }
 
 impl fmt::Display for GeoError {
@@ -57,6 +68,16 @@ impl fmt::Display for GeoError {
             GeoError::InvalidCellSize { cell_deg } => {
                 write!(f, "grid cell size {cell_deg} deg must be positive")
             }
+            GeoError::CellTableTooLarge { cell_deg } => write!(
+                f,
+                "grid cell size {cell_deg} deg needs more than {} cells",
+                crate::GridIndex::MAX_CELLS
+            ),
+            GeoError::TooManyPoints { index } => write!(
+                f,
+                "grid point {index} is past the last u32 handle ({})",
+                u32::MAX - 1
+            ),
         }
     }
 }
@@ -80,6 +101,10 @@ mod tests {
                 height_m: 1.0,
             },
             GeoError::InvalidCellSize { cell_deg: -1.0 },
+            GeoError::CellTableTooLarge { cell_deg: 1e-3 },
+            GeoError::TooManyPoints {
+                index: u32::MAX as usize,
+            },
         ];
         for v in variants {
             assert!(!v.to_string().is_empty());

@@ -7,8 +7,8 @@
 //! bit-for-bit; its cell walk is the one the coverage compiler's
 //! candidate pruning relies on (DESIGN.md §13).
 
-use eagleeye_check::{check_cases, f64_range, prop_assert_eq, vec_of, Gen};
-use eagleeye_geo::{greatcircle, GeodeticPoint, GridIndex};
+use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, u64_range, vec_of, Gen};
+use eagleeye_geo::{greatcircle, GeoError, GeodeticPoint, GridIndex};
 
 const CASES: u32 = 96;
 
@@ -112,4 +112,65 @@ fn pinned_edge_cases() {
     let want = brute_force_radius(&polar, &center, 500_000.0);
     assert_eq!(got, want);
     assert!(!got.is_empty(), "polar cap query must not come back empty");
+}
+
+/// A cell size whose dense table would pass `GridIndex::MAX_CELLS`
+/// cells is refused, down to sizes whose cell bounds saturate; every
+/// size whose table fits builds.
+#[test]
+fn cell_table_cap_is_enforced() {
+    check_cases(
+        CASES,
+        "cell_table_cap_is_enforced",
+        f64_range(-12.0, 2.5),
+        |exp| {
+            let cell_deg = 10f64.powf(*exp);
+            let rows = (90.0 / cell_deg).floor() - (-90.0 / cell_deg).floor() + 1.0;
+            let cols = ((180.0 / cell_deg).ceil() - (-180.0 / cell_deg).floor()).max(1.0);
+            let fits = rows * cols <= GridIndex::MAX_CELLS as f64;
+            match GridIndex::build(cell_deg, [(10.0, 20.0)]) {
+                Ok(index) => prop_assert!(fits && index.len() == 1),
+                Err(e) => {
+                    prop_assert!(!fits);
+                    prop_assert_eq!(e, GeoError::CellTableTooLarge { cell_deg });
+                }
+            }
+            Ok(())
+        },
+    );
+    // 1,441 rows x 2,880 cells fit; 1,501 x 3,000 do not.
+    assert!(GridIndex::build(0.125, std::iter::empty()).is_ok());
+    assert_eq!(
+        GridIndex::build(0.12, std::iter::empty()).unwrap_err(),
+        GeoError::CellTableTooLarge { cell_deg: 0.12 }
+    );
+}
+
+/// Handles are `u32`, so point `u32::MAX` and every later one is
+/// refused; `build` converts each point's index through this helper,
+/// which is tested here instead of by walking 2^32 points.
+#[test]
+fn handles_stop_before_u32_max() {
+    let last = u64::from(u32::MAX);
+    check_cases(
+        CASES,
+        "handles_stop_before_u32_max",
+        u64_range(last - 64, last + 64),
+        |i| {
+            let i = usize::try_from(*i).expect("64-bit usize");
+            match GridIndex::handle(i) {
+                Ok(h) => prop_assert!(h as usize == i && h < u32::MAX),
+                Err(e) => {
+                    prop_assert!(i >= u32::MAX as usize);
+                    prop_assert_eq!(e, GeoError::TooManyPoints { index: i });
+                }
+            }
+            Ok(())
+        },
+    );
+    assert_eq!(GridIndex::handle(0), Ok(0));
+    assert_eq!(
+        GridIndex::handle(usize::MAX),
+        Err(GeoError::TooManyPoints { index: usize::MAX })
+    );
 }

@@ -38,7 +38,11 @@ const COVERAGE: &[Flag] = &[
     Flag("workload", "W", "workload to generate (default ships)"),
     Flag("config", "C", "constellation (default eagleeye)"),
     Flag("sats", "N", "satellites (default 4)"),
-    Flag("followers", "K", "followers per group (default 1)"),
+    Flag(
+        "followers",
+        "K",
+        "followers per group, eagleeye only (default 1)",
+    ),
     Flag("compute", "SECS", "mix-camera compute time (default 1.4)"),
     Flag("hours", "H", "simulation horizon (default 2)"),
     Flag("scale", "F", "dataset scale in [1e-4, 1] (default 0.3)"),
@@ -55,7 +59,11 @@ const SCHEDULE: &[Flag] = &[
 ];
 const ENERGY: &[Flag] = &[
     Flag("role", "R", "leader|follower|baseline|mix (default leader)"),
-    Flag("tile-factor", "F", "detector tiling factor (default 1)"),
+    Flag(
+        "tile-factor",
+        "F",
+        "detector tiling factor, not for follower (default 1)",
+    ),
 ];
 const ORBIT: &[Flag] = &[
     Flag("hours", "H", "track length (default 0.5)"),
@@ -143,7 +151,8 @@ fn cmd_coverage(a: &Args) -> Outcome {
     let threads = a.integer("threads")?.unwrap_or(1);
     let (checkpoint, deadline) = a.run_layer()?;
 
-    let config = match a.str("config").unwrap_or("eagleeye") {
+    let name = a.str("config").unwrap_or("eagleeye");
+    let config = match name {
         "eagleeye" => {
             let groups = (sats / (followers + 1)).max(1);
             ConstellationConfig::eagleeye(groups, followers)
@@ -156,6 +165,16 @@ fn cmd_coverage(a: &Args) -> Outcome {
         },
         other => return Err(UsageError(format!("--config: unknown config `{other}`")).into()),
     };
+    // A flag that one constellation reads is a usage error beside any
+    // other, rather than a silent no-op.
+    for (flag, reader) in [("followers", "eagleeye"), ("compute", "mix-camera")] {
+        if a.has(flag) && name != reader {
+            return Err(UsageError(format!(
+                "--{flag}: only --config {reader} reads it, not --config {name}"
+            ))
+            .into());
+        }
+    }
 
     let targets = workload.generate_scaled(scale, hours * 3600.0, seed);
     let metrics = Metrics::from_env();
@@ -288,6 +307,9 @@ fn cmd_energy(a: &Args) -> Outcome {
     let tile_factor = a.finite("tile-factor")?.unwrap_or(1.0);
     let activity = match a.str("role").unwrap_or("leader") {
         "leader" => ActivityProfile::leader_default(tile_factor),
+        "follower" if a.has("tile-factor") => {
+            return Err(UsageError("--tile-factor: --role follower does not read it".into()).into())
+        }
         "follower" => ActivityProfile::follower_default(400.0, 3.0),
         "baseline" => ActivityProfile::baseline_default(tile_factor),
         "mix" => ActivityProfile::mix_camera_default(tile_factor, 200.0, 3.0),
@@ -463,6 +485,41 @@ mod tests {
             &["energy", "--role", "pilot"],
         ] {
             assert!(is_usage_error(argv), "{argv:?}");
+        }
+    }
+
+    /// A flag that only some modes read is a usage error naming it
+    /// when the chosen mode ignores it, and is accepted where it is read.
+    #[test]
+    fn flags_the_chosen_mode_ignores_are_rejected() {
+        for (argv, named) in [
+            (
+                &["coverage", "--config", "low-res", "--followers", "3"][..],
+                "--followers",
+            ),
+            (
+                &["coverage", "--config", "mix-camera", "--followers", "3"],
+                "--followers",
+            ),
+            (
+                &["coverage", "--config", "high-res", "--compute", "9"],
+                "--compute",
+            ),
+            (&["coverage", "--compute", "9"], "--compute"),
+            (
+                &["energy", "--role", "follower", "--tile-factor", "4"],
+                "--tile-factor",
+            ),
+        ] {
+            let err = run(argv.iter().map(|s| s.to_string())).unwrap_err();
+            let usage = err.downcast_ref::<UsageError>().expect("a usage error");
+            assert!(usage.0.starts_with(named), "{argv:?}: {usage}");
+        }
+        for argv in [
+            &["energy", "--role", "leader", "--tile-factor", "4"][..],
+            &["energy", "--role", "follower"],
+        ] {
+            assert!(run(argv.iter().map(|s| s.to_string())).is_ok(), "{argv:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! The `eagleeye` exit-status contract, checked on the built binary:
 //! 0 on success, 1 when the run fails, 2 on a usage error (a flag the
-//! subcommand does not read, a run-layer companion without
-//! `--checkpoint`, a missing or unknown subcommand).
+//! subcommand does not read or its chosen mode ignores, a run-layer
+//! companion without `--checkpoint`, a missing or unknown subcommand).
 
 use std::process::Command;
 
@@ -27,6 +27,9 @@ fn usage_errors_exit_2() {
         &["coverage", "--resume"],
         &["orbit", "--hours", "nan"],
         &["coverage", "--scale", "nan"],
+        &["coverage", "--config", "low-res", "--followers", "3"],
+        &["coverage", "--config", "eagleeye", "--compute", "9"],
+        &["energy", "--role", "follower", "--tile-factor", "4"],
         &["frobnicate"],
         &[],
     ] {
@@ -54,7 +57,12 @@ fn a_checkpoint_io_failure_exits_1() {
 
 #[test]
 fn valid_command_lines_exit_0() {
-    for args in [&["help"][..], &["dataset", "--scale", "0.001"], &["energy"]] {
+    for args in [
+        &["help"][..],
+        &["dataset", "--scale", "0.001"],
+        &["energy"],
+        &["energy", "--role", "mix", "--tile-factor", "2"],
+    ] {
         assert_eq!(status(args), 0, "eagleeye {args:?}");
     }
 }

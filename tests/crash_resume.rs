@@ -21,8 +21,10 @@ use std::process::{Command, Output};
 const INJECTED_EXIT: i32 = 42;
 
 /// A small scenario with real captures (non-trivial digest fields) and
-/// four leader passes, so a crash on an early pass leaves work to
-/// resume. Runs in ~40 ms in a debug build.
+/// four leader passes (eight satellites in groups of one leader and the
+/// default one follower), so a crash on an early pass leaves work to
+/// resume. Runs in ~40 ms in a debug build. It names no flag that only
+/// one constellation reads, so the sweep can run it as a low-res one.
 const SCENARIO: &[&str] = &[
     "coverage",
     "--workload",
@@ -31,8 +33,6 @@ const SCENARIO: &[&str] = &[
     "0.1",
     "--sats",
     "8",
-    "--followers",
-    "1",
     "--hours",
     "1",
     "--seed",
