@@ -1,4 +1,4 @@
-//! The compiled access-interval engine behind the coverage evaluator
+//! The compiled-track engine behind the coverage evaluator
 //! (DESIGN.md §13).
 //!
 //! Evaluating a scenario with the legacy frame walk repeats, per
@@ -10,22 +10,22 @@
 //!
 //! * **states** — the batch-propagated [`TrackState`]s (this is the
 //!   propagation cache the evaluator previously rebuilt every run);
-//! * **access intervals** — sorted per-target access windows
-//!   (entry/exit frame indices) with projected `(x, y)` coefficients
-//!   stored struct-of-arrays, computed once by a segment sweep that
-//!   takes one [`BucketView`] per five-minute bucket, runs the
-//!   membership kernel ([`TargetSet::members_in`]) per frame, and
-//!   reproduces the legacy per-frame `query_radius` + projection
-//!   results bit-for-bit;
+//! * **frame membership** — a frame-major table of every in-frame
+//!   target with its projected `(x, y)`, stored struct-of-arrays and
+//!   computed once by a segment sweep that takes one [`BucketView`]
+//!   per five-minute bucket, runs the membership kernel
+//!   ([`TargetSet::members_in`]) per frame, and reproduces the legacy
+//!   per-frame `query_radius` + projection results bit-for-bit;
 //! * **solved frames** — a memo of deterministic per-frame results
 //!   (cluster count, captures with their footprint centres and pointing
 //!   offsets, solver diagnostics, fault repairs), keyed on the inputs
 //!   to clustering and replayed instead of re-clustered and re-solved
 //!   when a later evaluation presents the exact same frame inputs.
 //!
-//! The evaluate phase then sweeps the sorted interval events per frame
-//! ([`IntervalSweep`]), so per-frame membership work is O(targets in
-//! view) with no spatial queries, no index locks, and no trigonometry.
+//! The evaluate phase then reads each frame's slice of the table
+//! ([`FrameCoeffs::frame`]), so per-frame membership work is O(targets
+//! in view) with no spatial queries, no index locks, and no
+//! trigonometry.
 //!
 //! # Determinism
 //!
@@ -50,13 +50,13 @@ use crate::{CoreError, SensingSpec};
 use eagleeye_datasets::{BucketView, TargetSet};
 use eagleeye_geo::LocalFrame;
 use eagleeye_orbit::TrackState;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Recover a poisoned guard: every mutation behind these locks is
-/// all-or-nothing (a slot is written once, fully built; a memo entry is
-/// inserted complete), so a panicked peer cannot leave torn state.
+/// all-or-nothing (a pooled track is inserted fully built; a memo entry
+/// is inserted complete), so a panicked peer cannot leave torn state.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -85,33 +85,15 @@ impl CompileGeometry {
     }
 }
 
-/// Sorted per-target access windows, struct-of-arrays: interval `j` is
-/// target `target[j]` continuously in frame over frames
-/// `entry[j]..=exit[j]`. Sorted by `(entry, target)` — the order the
-/// frame-major compile sweep discovers them in.
-#[derive(Debug, Default)]
-pub(super) struct AccessIntervals {
-    /// Target index of each interval.
-    pub target: Vec<u32>,
-    /// First in-frame frame index (inclusive).
-    pub entry: Vec<u32>,
-    /// Last in-frame frame index (inclusive).
-    pub exit: Vec<u32>,
-}
-
-impl AccessIntervals {
-    fn len(&self) -> usize {
-        self.target.len()
-    }
-}
-
-/// Frame-major projected local-frame coordinates: frame `f`'s entries
-/// occupy `offsets[f]..offsets[f+1]` of `x`/`y`, in ascending target
+/// Frame-major membership: frame `f`'s entries occupy
+/// `offsets[f]..offsets[f+1]` of `target`/`x`/`y`, in ascending target
 /// order — exactly the tuples the legacy walk pushed into `in_frame`.
 #[derive(Debug)]
 pub(super) struct FrameCoeffs {
     /// CSR offsets, `n_frames + 1` entries.
     pub offsets: Vec<u32>,
+    /// Target index of each entry.
+    pub target: Vec<u32>,
     /// Cross-track offset of each entry, meters.
     pub x: Vec<f64>,
     /// Along-track offset of each entry, meters.
@@ -124,9 +106,20 @@ impl FrameCoeffs {
         offsets.push(0);
         FrameCoeffs {
             offsets,
+            target: Vec::new(),
             x: Vec::new(),
             y: Vec::new(),
         }
+    }
+
+    /// Frame `f`'s members as `(target, x, y)`, ascending by target.
+    pub fn frame(&self, f: usize) -> impl ExactSizeIterator<Item = (usize, f64, f64)> + Clone + '_ {
+        let r = self.offsets[f] as usize..self.offsets[f + 1] as usize;
+        self.target[r.clone()]
+            .iter()
+            .zip(&self.x[r.clone()])
+            .zip(&self.y[r])
+            .map(|((&t, &x), &y)| (t as usize, x, y))
     }
 }
 
@@ -184,15 +177,13 @@ pub(super) enum SolvedOutcome {
     },
 }
 
-/// One satellite's compiled pass: propagated states, access intervals
-/// with projected coefficients, and the frame memo.
+/// One satellite's compiled pass: propagated states, frame-major
+/// membership with projected coefficients, and the frame memo.
 #[derive(Debug)]
 pub(super) struct CompiledTrack {
     /// Batch-propagated state per grid epoch.
     pub states: Vec<TrackState>,
-    /// Sorted access-window events.
-    pub intervals: AccessIntervals,
-    /// Frame-major projected coordinates.
+    /// Frame-major membership and projected coordinates.
     pub coeffs: FrameCoeffs,
     /// Largest per-frame membership count (scratch preallocation size).
     pub peak_frame_entries: usize,
@@ -203,8 +194,8 @@ pub(super) struct CompiledTrack {
 impl CompiledTrack {
     /// Compiles one satellite's track over every frame of its
     /// batch-propagated `states`: per frame, the targets inside the
-    /// low-res box with their projected `(x, y)`, recorded as access
-    /// intervals plus frame-major coefficients.
+    /// low-res box with their projected `(x, y)`, appended to the
+    /// frame-major table.
     ///
     /// Bit-identical to the legacy per-frame walk by construction: the
     /// members come from the same [`BucketView`] the legacy
@@ -215,28 +206,17 @@ impl CompiledTrack {
     /// are projected through the same [`LocalFrame`] — reusing each
     /// member's position and distance — and box-tested. The walk
     /// itself survives as this module's test oracle.
-    ///
-    /// Runs are tracked against the previous frame's in-box hits, so
-    /// the work is per frame and per member, with no per-target
-    /// scratch.
     pub fn compile(
         states: Vec<TrackState>,
         epochs: &[f64],
         targets: &TargetSet,
         geom: &CompileGeometry,
     ) -> Result<CompiledTrack, CoreError> {
-        let mut intervals = AccessIntervals::default();
         let mut coeffs = FrameCoeffs::with_frames(states.len());
         let mut view: Option<BucketView> = None;
         let mut members = Vec::new();
-        // `(target, interval)` of the previous and the current frame's
-        // in-box members, ascending by target: a member that was in the
-        // previous frame extends that frame's interval, any other one
-        // opens a new interval.
-        let mut prev_hits: Vec<(u32, u32)> = Vec::new();
-        let mut hits: Vec<(u32, u32)> = Vec::new();
         let mut peak_frame_entries = 0;
-        for (f, (state, &t)) in states.iter().zip(epochs).enumerate() {
+        for (state, &t) in states.iter().zip(epochs) {
             let subsat = state.subsatellite.with_altitude(0.0)?;
             let frame = LocalFrame::new(subsat, state.heading_rad);
             if !view.as_ref().is_some_and(|v| v.covers(t)) {
@@ -244,39 +224,20 @@ impl CompiledTrack {
             }
             let v = view.get_or_insert_with(|| targets.bucket_view(t));
             targets.members_in(v, &subsat, geom.bound_m, t, &mut members);
-            let fi = f as u32;
-            let mut prev = prev_hits.iter().copied().peekable();
-            hits.clear();
+            let start = coeffs.target.len();
             for m in &members {
                 let (x, y) = frame.project_at(&m.position, m.distance_m);
                 if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
-                    let tgt = m.index as u32;
-                    while prev.next_if(|&(p, _)| p < tgt).is_some() {}
-                    let j = match prev.next_if(|&(p, _)| p == tgt) {
-                        Some((_, j)) => {
-                            intervals.exit[j as usize] = fi;
-                            j
-                        }
-                        None => {
-                            intervals.target.push(tgt);
-                            intervals.entry.push(fi);
-                            intervals.exit.push(fi);
-                            intervals.len() as u32 - 1
-                        }
-                    };
-                    hits.push((tgt, j));
+                    coeffs.target.push(m.index as u32);
                     coeffs.x.push(x);
                     coeffs.y.push(y);
                 }
             }
-            std::mem::swap(&mut prev_hits, &mut hits);
-            let start = coeffs.offsets.last().copied().unwrap_or(0) as usize;
-            peak_frame_entries = peak_frame_entries.max(coeffs.x.len() - start);
-            coeffs.offsets.push(coeffs.x.len() as u32);
+            peak_frame_entries = peak_frame_entries.max(coeffs.target.len() - start);
+            coeffs.offsets.push(coeffs.target.len() as u32);
         }
         Ok(CompiledTrack {
             states,
-            intervals,
             coeffs,
             peak_frame_entries,
             solved: Mutex::new(BTreeMap::new()),
@@ -291,65 +252,6 @@ impl CompiledTrack {
     /// Records a solved frame for replay.
     pub fn solved_put(&self, key: u64, solved: Arc<SolvedHorizon>) {
         lock_unpoisoned(&self.solved).insert(key, solved);
-    }
-}
-
-/// Per-frame sweep over a track's sorted interval events.
-///
-/// `advance` must be called once per frame, in order from the first
-/// frame: it opens the intervals entering at `frame` (kept ordered by
-/// target index), drops the ones that exited, and emits the active
-/// `(target, x, y)` tuples — exactly what the legacy per-frame walk
-/// finds (the test oracle below checks this frame by frame).
-pub(super) struct IntervalSweep<'a> {
-    track: &'a CompiledTrack,
-    /// Next unopened interval (intervals are sorted by entry frame).
-    next: usize,
-    /// Open interval ids, ascending by target index — which is also
-    /// the frame-major coefficient order, so entry `pos` of the active
-    /// list reads coefficient `offsets[frame] + pos`.
-    active: Vec<u32>,
-}
-
-impl<'a> IntervalSweep<'a> {
-    /// Starts a sweep at the first frame.
-    pub fn new(track: &'a CompiledTrack) -> Self {
-        IntervalSweep {
-            track,
-            next: 0,
-            active: Vec::new(),
-        }
-    }
-
-    /// Emits frame `frame`'s membership into `out` (cleared first).
-    pub fn advance(&mut self, frame: u32, out: &mut Vec<(usize, f64, f64)>) {
-        let iv = &self.track.intervals;
-        self.active.retain(|&j| iv.exit[j as usize] >= frame);
-        while self.next < iv.len() && iv.entry[self.next] <= frame {
-            debug_assert_eq!(iv.entry[self.next], frame, "sweep must visit every frame");
-            let j = self.next as u32;
-            let tgt = iv.target[self.next];
-            let pos = self
-                .active
-                .partition_point(|&k| iv.target[k as usize] < tgt);
-            self.active.insert(pos, j);
-            self.next += 1;
-        }
-        let co = &self.track.coeffs;
-        let base = co.offsets[frame as usize] as usize;
-        debug_assert_eq!(
-            co.offsets[frame as usize + 1] as usize - base,
-            self.active.len(),
-            "active intervals must match frame-major entry count"
-        );
-        out.clear();
-        out.extend(self.active.iter().enumerate().map(|(pos, &j)| {
-            (
-                iv.target[j as usize] as usize,
-                co.x[base + pos],
-                co.y[base + pos],
-            )
-        }));
     }
 }
 
@@ -487,38 +389,15 @@ impl WordHasher {
     }
 }
 
-/// One scenario's compiled tracks: slot `i` belongs to satellite `i` of
-/// the scenario's roster (leaders for leader-follower configurations,
-/// every satellite for swath ones), compiled lazily on first use.
-#[derive(Debug)]
-pub(super) struct CompiledScenario {
-    /// Per-satellite compiled-track slots.
-    pub tracks: Vec<Mutex<Option<Arc<CompiledTrack>>>>,
-}
-
-impl CompiledScenario {
-    /// The compiled track in slot `i`, if already built.
-    pub fn track(&self, i: usize) -> Option<Arc<CompiledTrack>> {
-        lock_unpoisoned(&self.tracks[i]).clone()
-    }
-
-    /// Stores a freshly compiled track in slot `i`, keeping the
-    /// incumbent if a concurrent evaluation got there first (both are
-    /// pure functions of the same inputs). Returns the slot's track.
-    pub fn store(&self, i: usize, track: Arc<CompiledTrack>) -> Arc<CompiledTrack> {
-        let mut slot = lock_unpoisoned(&self.tracks[i]);
-        slot.get_or_insert(track).clone()
-    }
-}
-
 /// Counters of compiled-program reuse, exposed through
 /// [`crate::coverage::CoverageEvaluator::compile_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompileStats {
     /// Tracks compiled (propagation + membership sweep executed).
     pub track_builds: u64,
-    /// Track reuses — evaluations that skipped propagation and
-    /// membership entirely because the compiled track was cached.
+    /// Track reuses — passes that skipped propagation and membership
+    /// entirely because a pass of the same scenario had already run on
+    /// the pooled track.
     pub track_reuses: u64,
     /// Tracks adopted from the cross-scenario pool: a *different*
     /// scenario key (typically a what-if delta of the parent) had
@@ -531,29 +410,32 @@ pub struct CompileStats {
     pub memo_misses: u64,
 }
 
-/// The evaluator's compiled-program cache: one [`CompiledScenario`] per
-/// configuration key, plus reuse counters. Lives on the evaluator, so
-/// repeated evaluations of the same configuration (Monte-Carlo reps,
-/// sweep refinement, the perf harness) skip recompilation.
+/// A pooled track and the scenarios whose passes ran on it.
+#[derive(Debug)]
+struct PooledTrack {
+    track: Arc<CompiledTrack>,
+    /// Scenario hashes
+    /// ([`CoverageEvaluator::scenario_hash`](super::CoverageEvaluator::scenario_hash))
+    /// of every pass that returned on this track.
+    scenarios: BTreeSet<u64>,
+}
+
+/// The evaluator's compiled-program cache: the track pool plus reuse
+/// counters. Lives on the evaluator, so repeated evaluations of the
+/// same configuration (Monte-Carlo reps, sweep refinement, the perf
+/// harness) skip recompilation.
 #[derive(Debug, Default)]
 pub(super) struct CompileCache {
-    /// Compiled scenarios by scenario hash
-    /// ([`CoverageEvaluator::scenario_hash`](super::CoverageEvaluator::scenario_hash)),
-    /// which binds the configuration and every option shaping
-    /// membership or solves. Sibling evaluators forked via
-    /// `fork_with` share one cache, so the options must be part of the
-    /// key. Over-binding is safe: tracks still flow between scenarios
-    /// through the pool, keyed by exactly what a track depends on.
-    scenarios: Mutex<BTreeMap<u64, Arc<CompiledScenario>>>,
-    /// Cross-scenario track pool, keyed by a digest of everything a
-    /// compiled track (and the safety of sharing its horizon memo)
-    /// depends on: satellite elements, grid, membership geometry,
-    /// sensing spec, workload, and scheduler identity. Scenario keys
-    /// deliberately over-bind (they include recall, seed, fault plan);
-    /// the pool is what lets a what-if delta's child scenario inherit
-    /// the parent's tracks — memoized solves included — for every
-    /// satellite the delta left untouched.
-    tracks: Mutex<BTreeMap<u64, Arc<CompiledTrack>>>,
+    /// The track pool, keyed by a digest of everything a compiled
+    /// track (and the safety of sharing its horizon memo) depends on:
+    /// satellite elements, grid, membership geometry, sensing spec,
+    /// workload, and scheduler identity. Scenario hashes deliberately
+    /// over-bind (they include recall, seed, fault plan); the pool is
+    /// what lets a what-if delta's child scenario inherit the parent's
+    /// tracks — memoized solves included — for every satellite the
+    /// delta left untouched. Sibling evaluators forked via `fork_with`
+    /// share one cache.
+    tracks: Mutex<BTreeMap<u64, PooledTrack>>,
     track_builds: AtomicU64,
     track_reuses: AtomicU64,
     track_shares: AtomicU64,
@@ -562,46 +444,36 @@ pub(super) struct CompileCache {
 }
 
 impl CompileCache {
-    /// The compiled scenario for `key`, created empty on first use with
-    /// `n_tracks` satellite slots.
-    pub fn scenario(&self, key: u64, n_tracks: usize) -> Arc<CompiledScenario> {
-        let mut map = lock_unpoisoned(&self.scenarios);
-        map.entry(key)
-            .or_insert_with(|| {
-                Arc::new(CompiledScenario {
-                    tracks: (0..n_tracks).map(|_| Mutex::new(None)).collect(),
-                })
-            })
-            .clone()
+    /// Looks up the track pooled under `digest` for a pass of
+    /// `scenario`, counting a hit as a reuse when a pass of `scenario`
+    /// already returned on it and as a share otherwise.
+    pub fn get(&self, digest: u64, scenario: u64) -> Option<Arc<CompiledTrack>> {
+        let map = lock_unpoisoned(&self.tracks);
+        let pooled = map.get(&digest)?;
+        let counter = if pooled.scenarios.contains(&scenario) {
+            &self.track_reuses
+        } else {
+            &self.track_shares
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&pooled.track))
     }
 
-    /// Looks up a track in the cross-scenario pool by its digest.
-    pub fn pool_get(&self, digest: u64) -> Option<Arc<CompiledTrack>> {
-        lock_unpoisoned(&self.tracks).get(&digest).cloned()
-    }
-
-    /// Publishes a freshly built track to the cross-scenario pool,
-    /// keeping the incumbent if a concurrent build got there first
-    /// (both are pure functions of the digested inputs). Returns the
-    /// pooled track.
-    pub fn pool_put(&self, digest: u64, track: Arc<CompiledTrack>) -> Arc<CompiledTrack> {
+    /// Records that a pass of `scenario` returned on `track`, pooling
+    /// the track under `digest` unless a concurrent build got there
+    /// first (both are pure functions of the digested inputs).
+    pub fn put(&self, digest: u64, scenario: u64, track: Arc<CompiledTrack>) {
         let mut map = lock_unpoisoned(&self.tracks);
-        map.entry(digest).or_insert(track).clone()
+        let pooled = map.entry(digest).or_insert_with(|| PooledTrack {
+            track,
+            scenarios: BTreeSet::new(),
+        });
+        pooled.scenarios.insert(scenario);
     }
 
     /// Counts one compiled track build.
     pub fn note_build(&self) {
         self.track_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one compiled track reuse.
-    pub fn note_reuse(&self) {
-        self.track_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one track adopted from the cross-scenario pool.
-    pub fn note_share(&self) {
-        self.track_shares.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one memo replay.
@@ -636,7 +508,6 @@ mod tests {
     use eagleeye_geo::GeodeticPoint;
     use eagleeye_orbit::{ConstellationLayout, EpochGrid};
     use std::cell::Cell;
-    use std::collections::BTreeSet;
 
     /// The per-frame walk the compiled engine replaced, kept as its
     /// oracle: a spatial query per frame, each candidate projected into
@@ -732,13 +603,13 @@ mod tests {
         out.into_iter().collect()
     }
 
-    /// The compiled membership (compile, then the interval sweep)
-    /// equals the legacy per-frame walk frame by
-    /// frame — same targets, same order, bit-equal `x`/`y` — and the
-    /// interval targets (what swath coverage unions) are exactly the
-    /// walk's members, across static, moving, sparse, dateline/polar
-    /// and moved-target sets, leader and swath geometries, and every
-    /// satellite of a slot-pinned layout.
+    /// The compiled membership equals the legacy per-frame walk frame
+    /// by frame — each frame slice holds the same targets in the same
+    /// order with bit-equal `x`/`y` — and the target column (what swath
+    /// coverage unions) is the walk's members in frame order, across
+    /// static, moving, sparse, dateline/polar and moved-target sets,
+    /// leader and swath geometries, and every satellite of a
+    /// slot-pinned layout.
     #[test]
     fn swept_membership_matches_frame_walk() {
         const CASES: u32 = 24;
@@ -809,20 +680,18 @@ mod tests {
                     .expect("membership");
                 let walk = frame_walk(&track.states, grid.epochs(), &targets, &geom);
 
-                let mut sweep = IntervalSweep::new(&track);
-                let mut swept = Vec::new();
+                prop_assert_eq!(track.coeffs.offsets.len(), walk.len() + 1);
                 for (f, expected) in walk.iter().enumerate() {
-                    sweep.advance(f as u32, &mut swept);
-                    let got: Vec<_> = swept
-                        .iter()
-                        .map(|&(idx, x, y)| (idx, x.to_bits(), y.to_bits()))
+                    let got: Vec<_> = track
+                        .coeffs
+                        .frame(f)
+                        .map(|(idx, x, y)| (idx, x.to_bits(), y.to_bits()))
                         .collect();
                     prop_assert_eq!(&got, expected);
                 }
-                let walked: BTreeSet<usize> = walk.iter().flatten().map(|m| m.0).collect();
-                let intervals: BTreeSet<usize> =
-                    track.intervals.target.iter().map(|&t| t as usize).collect();
-                prop_assert_eq!(intervals, walked);
+                let walked: Vec<usize> = walk.iter().flatten().map(|m| m.0).collect();
+                let column: Vec<usize> = track.coeffs.target.iter().map(|&t| t as usize).collect();
+                prop_assert_eq!(&column, &walked);
                 prop_assert!(
                     track.peak_frame_entries == walk.iter().map(Vec::len).max().unwrap_or(0),
                     "peak_frame_entries must be the widest frame"

@@ -8,8 +8,6 @@ pub enum SchedulerKind {
     Ilp,
     /// Greedy nearest-target baseline.
     Greedy,
-    /// Prior-work anytime branch-and-bound (slow; for runtime studies).
-    Abb,
     /// Budgeted ILP with greedy fallback, post-validation, and mid-pass
     /// failure repair (see [`crate::schedule::ResilientScheduler`]).
     Resilient,
@@ -22,7 +20,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Ilp => "ilp",
             SchedulerKind::Greedy => "greedy",
-            SchedulerKind::Abb => "abb",
             SchedulerKind::Resilient => "resilient",
         }
     }
@@ -33,7 +30,6 @@ impl FieldHash for SchedulerKind {
         h.u64(match self {
             SchedulerKind::Ilp => 0,
             SchedulerKind::Greedy => 1,
-            SchedulerKind::Abb => 2,
             SchedulerKind::Resilient => 3,
         });
     }

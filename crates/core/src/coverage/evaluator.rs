@@ -1,6 +1,6 @@
 use super::compile::{
-    CompileCache, CompileGeometry, CompileStats, CompiledScenario, CompiledTrack, FrameInputs,
-    IntervalSweep, ReplayCapture, SolvedHorizon, SolvedOutcome,
+    CompileCache, CompileGeometry, CompileStats, CompiledTrack, FrameInputs, ReplayCapture,
+    SolvedHorizon, SolvedOutcome,
 };
 use super::delta::check_fault_window;
 use super::harden::{decode_pass, encode_pass, Pass, TargetBits};
@@ -11,8 +11,8 @@ use super::{
 use crate::clustering::{cluster, Cluster, ClusteringMethod};
 use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
-    AbbScheduler, FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler,
-    Scheduler, SchedulingProblem, TaskSpec,
+    FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
@@ -141,20 +141,19 @@ impl Default for CoverageOptions {
 pub struct CoverageEvaluator<'a> {
     targets: &'a TargetSet,
     options: CoverageOptions,
-    /// Compiled-program cache (DESIGN.md §13/§14): per scenario, the
-    /// batch-propagated states, access-interval membership, and
-    /// horizon-solve memos, plus the cross-scenario track pool that
-    /// lets a what-if fork ([`fork_with`](Self::fork_with)) inherit
-    /// unaffected tracks. Repeated evaluations of the same
-    /// configuration reuse the compiled program instead of
-    /// recompiling; the cache is behaviour-invisible (warm and cold
-    /// reports are bit-identical).
+    /// Compiled-program cache (DESIGN.md §13/§14): the track pool of
+    /// batch-propagated states, frame-major membership, and
+    /// horizon-solve memos, which lets a what-if fork
+    /// ([`fork_with`](Self::fork_with)) inherit unaffected tracks.
+    /// Repeated evaluations of the same configuration reuse the
+    /// compiled program instead of recompiling; the cache is
+    /// behaviour-invisible (warm and cold reports are bit-identical).
     compile: Arc<CompileCache>,
 }
 
 /// What one configuration evaluates: one pass per satellite in
-/// `sats`, sharing the layout, the epoch grid and the compiled-track
-/// slots. [`CoverageEvaluator::scenario`] is the one place a
+/// `sats`, sharing the layout and the epoch grid.
+/// [`CoverageEvaluator::scenario`] is the one place a
 /// [`ConstellationConfig`] is taken apart.
 struct Scenario {
     /// How a pass reads its compiled track.
@@ -171,8 +170,6 @@ struct Scenario {
     sats: Vec<SatelliteSpec>,
     /// The frame box every track's membership is compiled against.
     geom: CompileGeometry,
-    /// Compiled-track slots, one per pass.
-    compiled: Arc<CompiledScenario>,
 }
 
 /// What a pass does with its satellite's compiled track.
@@ -352,16 +349,13 @@ impl<'a> CoverageEvaluator<'a> {
             .filter(|s| matches!(kind, PassKind::Swath) || s.role == SatelliteRole::Leader)
             .copied()
             .collect();
-        let hash = self.scenario_hash(config);
-        let compiled = self.compile.scenario(hash, sats.len());
         Ok(Some(Scenario {
             kind,
-            hash,
+            hash: self.scenario_hash(config),
             layout,
             grid,
             sats,
             geom: CompileGeometry::frame_box(spec, swath_m),
-            compiled,
         }))
     }
 
@@ -393,7 +387,7 @@ impl<'a> CoverageEvaluator<'a> {
 
     /// Pool digest of one satellite's compiled track: the orbital
     /// elements, grid, membership geometry, sensing spec, and workload
-    /// that determine its states/intervals/coefficients, plus the
+    /// that determine its states and membership, plus the
     /// scheduler label that keeps memoized horizon solves from
     /// crossing solver identities. Options that flow entirely through
     /// the per-frame memo key ([`FrameInputs::key`]: recall, seed,
@@ -654,62 +648,52 @@ impl<'a> CoverageEvaluator<'a> {
             PassKind::Leader(_) => CoverageReport::with_frame_capacity(sc.grid.len()),
             PassKind::Swath => CoverageReport::default(),
         };
-        let (track, digest) = self.track(sc, i, metrics, &mut report)?;
+        let digest = self.track_digest(&sc.sats[i], &sc.geom, sc.kind.label());
+        let track = self.track(sc, i, digest, metrics, &mut report)?;
         let outcome = match sc.kind {
             PassKind::Leader(run) => self.leader_pass(sc, &run, &track, report, metrics)?,
             PassKind::Swath => {
                 report.frames_processed = track.states.len();
-                // Every interval's target was in frame. A target with
-                // several access windows is listed once per window; the
-                // merge's capture marking is idempotent.
-                let captured = track.intervals.target.iter().map(|&t| t as usize);
+                // Every entry's target was in frame. A target seen in
+                // several frames is listed once per frame; the merge's
+                // capture marking is idempotent.
+                let captured = track.coeffs.target.iter().map(|&t| t as usize);
                 (report, captured.collect())
             }
         };
-        // Publish the track only once its pass returned: an attempt that
-        // fails (a panic the supervisor retries) leaves nothing behind,
-        // so its retry compiles again and records what a clean run does.
-        if let Some(digest) = digest {
-            sc.compiled.store(i, self.compile.pool_put(digest, track));
-        }
+        // Record the scenario on the track only once its pass returned:
+        // an attempt that fails (a panic the supervisor retries) leaves
+        // nothing behind, so its retry compiles again and records what a
+        // clean run does.
+        self.compile.put(digest, sc.hash, track);
         Ok(outcome)
     }
 
-    /// Pass `i`'s compiled track, compiling it on first use: batch
-    /// propagation plus the membership sweep of the scenario's frame box
-    /// over every frame, as one range (DESIGN.md §13.3). Propagation
-    /// counters are recorded into `metrics` and propagation wall time
-    /// into `report`; a reused or shared track records neither (the
-    /// work did not happen). Returns the track and, unless it came from
-    /// the scenario's own slot, the digest to publish it under once the
-    /// pass succeeds.
+    /// Pass `i`'s compiled track, pooled under `digest`, compiling it
+    /// on first use: batch propagation plus the membership sweep of the
+    /// scenario's frame box over every frame, as one range (DESIGN.md
+    /// §13.3). Propagation counters are recorded into `metrics` and
+    /// propagation wall time into `report`; a pooled track records
+    /// neither (the work did not happen).
     fn track(
         &self,
         sc: &Scenario,
         i: usize,
+        digest: u64,
         metrics: &Metrics,
         report: &mut CoverageReport,
-    ) -> Result<(Arc<CompiledTrack>, Option<u64>), CoreError> {
-        if let Some(track) = sc.compiled.track(i) {
-            self.compile.note_reuse();
-            return Ok((track, None));
-        }
-        let sat = &sc.sats[i];
-        let digest = self.track_digest(sat, &sc.geom, sc.kind.label());
-        if let Some(track) = self.compile.pool_get(digest) {
-            // Adopted from a sibling scenario's compile (what-if fork):
-            // no propagation happened here, so no counters are recorded.
-            self.compile.note_share();
-            return Ok((track, Some(digest)));
+    ) -> Result<Arc<CompiledTrack>, CoreError> {
+        if let Some(track) = self.compile.get(digest, sc.hash) {
+            return Ok(track);
         }
         let sw = Stopwatch::start();
         let states = sc
             .grid
-            .propagate_observed(&sc.layout.ground_track(sat)?, metrics)?;
+            .propagate_observed(&sc.layout.ground_track(&sc.sats[i])?, metrics)?;
         report.propagate_time += sw.elapsed();
         let track = CompiledTrack::compile(states, sc.grid.epochs(), self.targets, &sc.geom)?;
         self.compile.note_build();
-        Ok((Arc::new(track), Some(digest)))
+        Ok(Arc::new(track))
     }
 
     /// A leader's full pass over the horizon, on its compiled `track`
@@ -734,9 +718,6 @@ impl<'a> CoverageEvaluator<'a> {
         let scheduler = match run.scheduler {
             SchedulerKind::Ilp => ActiveScheduler::Ilp(IlpScheduler::default()),
             SchedulerKind::Greedy => ActiveScheduler::Plain(Box::new(GreedyScheduler)),
-            SchedulerKind::Abb => {
-                ActiveScheduler::Plain(Box::new(AbbScheduler::with_frame_deadline()))
-            }
             SchedulerKind::Resilient => ActiveScheduler::Resilient(ResilientScheduler::default()),
         };
         let fault_plan = self.options.fault_plan.as_deref();
@@ -746,7 +727,6 @@ impl<'a> CoverageEvaluator<'a> {
         let v = spec.ground_speed_m_s;
         let return_slew_s = spec.adacs.min_slew_time_s(spec.theta_max_rad);
 
-        let mut sweep = IntervalSweep::new(track);
         // Per-frame detection timing costs two clock reads per frame,
         // so it only runs under enabled metrics (the report field stays
         // zero otherwise; timers are exempt from `same_outcome`).
@@ -770,7 +750,6 @@ impl<'a> CoverageEvaluator<'a> {
         // frame instead of reallocated — sized to the compiled track's
         // peak per-frame membership so no frame ever regrows them.
         let peak = track.peak_frame_entries;
-        let mut in_frame: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut detected: Vec<(usize, f64, f64)> = Vec::with_capacity(peak);
         let mut points: Vec<(GroundPoint, f64)> = Vec::with_capacity(peak);
         let mut active: Vec<usize> = Vec::with_capacity(n_followers);
@@ -794,18 +773,18 @@ impl<'a> CoverageEvaluator<'a> {
                 report.frames_leader_down += 1;
             }
 
-            // Targets inside the low-resolution frame, swept from the
-            // compiled interval events (O(targets in view), no spatial
-            // query).
-            sweep.advance(frame_idx as u32, &mut in_frame);
-            if in_frame.is_empty() {
+            // Targets inside the low-resolution frame: the frame's
+            // slice of the compiled table (O(targets in view), no
+            // spatial query).
+            let in_frame = track.coeffs.frame(frame_idx);
+            if in_frame.len() == 0 {
                 continue;
             }
             report.frames_with_targets += 1;
 
             if leader_out {
                 // §4.7 fallback: followers capture nadir high-res.
-                for &(idx, x, _) in &in_frame {
+                for (idx, x, _) in in_frame {
                     if x.abs() <= high_swath / 2.0 && captured.insert(idx) {
                         group_captures.push(idx);
                     }
@@ -830,7 +809,7 @@ impl<'a> CoverageEvaluator<'a> {
             // rolled false negatives).
             let det_sw = time_detection.then(Stopwatch::start);
             detected.clear();
-            detected.extend(in_frame.iter().copied().filter(|&(idx, _, _)| {
+            detected.extend(in_frame.clone().filter(|&(idx, _, _)| {
                 detection_roll(self.options.seed, idx as u64, frame_id) < self.options.recall
                     && !fault_plan
                         .map(|p| p.detector_drops(idx as u64, frame_id, t))
@@ -955,7 +934,7 @@ impl<'a> CoverageEvaluator<'a> {
                     continue;
                 }
                 let (cx, cy_abs) = cap.centre;
-                for &(idx, _, _) in &in_frame {
+                for (idx, _, _) in in_frame.clone() {
                     if captured.contains(idx) {
                         continue;
                     }
@@ -1889,12 +1868,6 @@ mod tests {
                 groups: 2,
                 followers_per_group: 1,
                 scheduler: SchedulerKind::Greedy,
-                clustering: ClusteringMethod::Ilp,
-            },
-            ConstellationConfig::EagleEye {
-                groups: 2,
-                followers_per_group: 1,
-                scheduler: SchedulerKind::Abb,
                 clustering: ClusteringMethod::Ilp,
             },
             ConstellationConfig::EagleEye {

@@ -32,8 +32,8 @@
 //! [`CoverageEvaluator::evaluate_hardened`] with inert options: both
 //! take the configuration apart into per-satellite passes (one per
 //! leader group, or one per swath satellite) and run them through one
-//! supervised runner. Membership always comes from the compiled
-//! access-interval engine (DESIGN.md §13); the per-frame spatial-query
+//! supervised runner. Membership always comes from the compiled-track
+//! engine (DESIGN.md §13); the per-frame spatial-query
 //! walk it replaced survives only as a test oracle beside the engine.
 
 mod compile;

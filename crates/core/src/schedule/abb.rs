@@ -39,18 +39,12 @@ impl AbbScheduler {
     pub fn new(deadline: Duration) -> Self {
         AbbScheduler { deadline }
     }
-
-    /// The paper's frame deadline: 15 s.
-    pub fn with_frame_deadline() -> Self {
-        AbbScheduler {
-            deadline: Duration::from_secs(15),
-        }
-    }
 }
 
 impl Default for AbbScheduler {
+    /// The paper's frame deadline: 15 s.
     fn default() -> Self {
-        Self::with_frame_deadline()
+        Self::new(Duration::from_secs(15))
     }
 }
 

@@ -204,18 +204,18 @@ pub struct RepairOutcome {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilientScheduler {
-    /// The wrapped exact scheduler (its `time_limit` is overridden by
-    /// `horizon_budget`).
+    /// The wrapped exact scheduler. Its `time_limit` is the hard
+    /// wall-clock budget per scheduling horizon (2 s by default).
     pub ilp: IlpScheduler,
-    /// Hard wall-clock budget per scheduling horizon.
-    pub horizon_budget: Duration,
 }
 
 impl Default for ResilientScheduler {
     fn default() -> Self {
         ResilientScheduler {
-            ilp: IlpScheduler::default(),
-            horizon_budget: Duration::from_secs(2),
+            ilp: IlpScheduler {
+                time_limit: Duration::from_secs(2),
+                ..IlpScheduler::default()
+            },
         }
     }
 }
@@ -236,11 +236,7 @@ impl ResilientScheduler {
         &self,
         problem: &SchedulingProblem,
     ) -> Result<ScheduleOutcome, CoreError> {
-        let ilp = IlpScheduler {
-            time_limit: self.horizon_budget,
-            ..self.ilp.clone()
-        };
-        match ilp.schedule_with_stats(problem) {
+        match self.ilp.schedule_with_stats(problem) {
             Ok((schedule, stats)) => {
                 let fallback = if stats.deadline_hits > 0 {
                     Some(FallbackReason::Deadline)
@@ -425,8 +421,10 @@ mod tests {
             ],
         );
         let rs = ResilientScheduler {
-            horizon_budget: Duration::ZERO,
-            ..ResilientScheduler::default()
+            ilp: IlpScheduler {
+                time_limit: Duration::ZERO,
+                ..IlpScheduler::default()
+            },
         };
         let o = rs.schedule_with_outcome(&p).unwrap();
         assert!(

@@ -1,5 +1,5 @@
-//! Differential suite gating the compiled access-interval engine
-//! (DESIGN.md §13) end to end.
+//! Differential suite gating the compiled-track engine (DESIGN.md §13)
+//! end to end.
 //!
 //! Every test evaluates a seeded random scenario three ways: a cold
 //! compile, a warm memo replay on the same evaluator, and a cold
@@ -16,8 +16,8 @@
 //! configurations.
 //!
 //! The legacy per-frame spatial-query walk the engine replaced lives on
-//! one layer down, as the membership oracle beside `IntervalSweep` in
-//! `coverage/compile.rs`: frame by frame, the swept membership must
+//! one layer down, as the membership oracle beside `CompiledTrack` in
+//! `coverage/compile.rs`: frame by frame, the compiled frame slice must
 //! equal the walk's.
 //!
 //! Runs on the `eagleeye-check` harness: replay a failure with

@@ -183,8 +183,10 @@ fn resilient_schedules_validate_under_any_budget() {
             )
             .expect("valid problem");
             let rs = ResilientScheduler {
-                horizon_budget: Duration::from_millis(*budget_ms),
-                ..ResilientScheduler::default()
+                ilp: IlpScheduler {
+                    time_limit: Duration::from_millis(*budget_ms),
+                    ..IlpScheduler::default()
+                },
             };
             let o = rs.schedule_with_outcome(&p).expect("resilient");
             validate_schedule(&p, &o.schedule).expect("outcome schedule feasible");

@@ -3,8 +3,8 @@
 //! loss, and repair of schedules invalidated mid-pass.
 
 use eagleeye_core::schedule::{
-    validate_schedule, Capture, FollowerState, ResilientScheduler, Scheduler, SchedulingProblem,
-    TaskSpec,
+    validate_schedule, Capture, FollowerState, IlpScheduler, ResilientScheduler, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use std::time::Duration;
@@ -58,8 +58,10 @@ fn no_followers_with_tasks_schedules_nothing() {
 fn empty_problem_survives_zero_budget_fallback_path() {
     let p = problem(vec![], vec![]);
     let rs = ResilientScheduler {
-        horizon_budget: Duration::ZERO,
-        ..ResilientScheduler::default()
+        ilp: IlpScheduler {
+            time_limit: Duration::ZERO,
+            ..IlpScheduler::default()
+        },
     };
     let o = rs.schedule_with_outcome(&p).expect("schedules");
     assert_eq!(o.schedule.captured_count(), 0);
@@ -191,8 +193,10 @@ fn zero_budget_fallback_still_validates_under_load() {
         ],
     );
     let o = ResilientScheduler {
-        horizon_budget: Duration::ZERO,
-        ..ResilientScheduler::default()
+        ilp: IlpScheduler {
+            time_limit: Duration::ZERO,
+            ..IlpScheduler::default()
+        },
     }
     .schedule_with_outcome(&p)
     .expect("schedules");

@@ -51,7 +51,7 @@ fn all_schedulers_validate_on_random_instances() {
         let p = random_problem(seed, n_tasks, n_followers);
         assert_valid(&p, &IlpScheduler::default(), seed);
         assert_valid(&p, &GreedyScheduler, seed);
-        assert_valid(&p, &AbbScheduler::with_frame_deadline(), seed);
+        assert_valid(&p, &AbbScheduler::default(), seed);
         assert_valid(&p, &ResilientScheduler::default(), seed);
     }
 }

@@ -54,18 +54,13 @@ impl FieldHash for SatelliteSpec {
     }
 }
 
-/// Specification of one leader-follower group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupSpec {
-    /// Number of follower satellites trailing the leader.
-    pub followers: usize,
-}
-
 /// Lays out leader-follower groups evenly spaced in a single orbital
 /// plane, matching the paper's §5.3 configuration: all satellites share
 /// one orbit; groups are evenly phased; each group's followers trail its
-/// leader by `lead_distance_m` of ground track (100 km — the low-res
-/// swath width) with `follower_spacing_m` between successive followers.
+/// leader by [`DEFAULT_LEAD_DISTANCE_M`](Self::DEFAULT_LEAD_DISTANCE_M)
+/// of ground track (100 km — the low-res swath width) with
+/// [`DEFAULT_FOLLOWER_SPACING_M`](Self::DEFAULT_FOLLOWER_SPACING_M)
+/// between successive followers.
 ///
 /// # Example
 ///
@@ -81,11 +76,8 @@ pub struct GroupSpec {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConstellationLayout {
-    groups: Vec<GroupSpec>,
     altitude_m: f64,
     inclination_rad: f64,
-    lead_distance_m: f64,
-    follower_spacing_m: f64,
     planes: usize,
     satellites: Vec<SatelliteSpec>,
 }
@@ -130,42 +122,13 @@ impl ConstellationLayout {
         inclination_rad: f64,
         planes: usize,
     ) -> Result<Self, OrbitError> {
-        Self::new_full(
-            vec![
-                GroupSpec {
-                    followers: followers_per_group
-                };
-                groups
-            ],
-            altitude_m,
-            inclination_rad,
-            Self::DEFAULT_LEAD_DISTANCE_M,
-            Self::DEFAULT_FOLLOWER_SPACING_M,
-            planes,
-        )
-    }
-
-    /// Creates a layout with per-group follower counts and explicit
-    /// spacing parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrbitError::InvalidElement`] when `groups` is empty, a
-    /// spacing is negative, or the orbit parameters are out of range.
-    pub fn new(
-        groups: Vec<GroupSpec>,
-        altitude_m: f64,
-        inclination_rad: f64,
-        lead_distance_m: f64,
-        follower_spacing_m: f64,
-    ) -> Result<Self, OrbitError> {
-        Self::new_full(
+        Self::assemble(
             groups,
+            followers_per_group,
             altitude_m,
             inclination_rad,
-            lead_distance_m,
-            follower_spacing_m,
-            1,
+            planes,
+            None,
         )
     }
 
@@ -201,44 +164,12 @@ impl ConstellationLayout {
             });
         }
         Self::assemble(
-            vec![
-                GroupSpec {
-                    followers: followers_per_group
-                };
-                groups
-            ],
+            groups,
+            followers_per_group,
             altitude_m,
             inclination_rad,
-            Self::DEFAULT_LEAD_DISTANCE_M,
-            Self::DEFAULT_FOLLOWER_SPACING_M,
             planes,
             Some(phase_slots),
-        )
-    }
-
-    /// Fully-general constructor with an orbital-plane count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrbitError::InvalidElement`] when `groups` is empty,
-    /// `planes == 0`, a spacing is negative, or the orbit parameters are
-    /// out of range.
-    fn new_full(
-        groups: Vec<GroupSpec>,
-        altitude_m: f64,
-        inclination_rad: f64,
-        lead_distance_m: f64,
-        follower_spacing_m: f64,
-        planes: usize,
-    ) -> Result<Self, OrbitError> {
-        Self::assemble(
-            groups,
-            altitude_m,
-            inclination_rad,
-            lead_distance_m,
-            follower_spacing_m,
-            planes,
-            None,
         )
     }
 
@@ -246,11 +177,10 @@ impl ConstellationLayout {
     /// against the actual group count (the legacy layout); `Some(s)`
     /// phases them against a fixed capacity of `s` slots.
     fn assemble(
-        groups: Vec<GroupSpec>,
+        groups: usize,
+        followers_per_group: usize,
         altitude_m: f64,
         inclination_rad: f64,
-        lead_distance_m: f64,
-        follower_spacing_m: f64,
         planes: usize,
         phase_slots: Option<usize>,
     ) -> Result<Self, OrbitError> {
@@ -260,37 +190,24 @@ impl ConstellationLayout {
                 value: 0.0,
             });
         }
-        if groups.is_empty() {
+        if groups == 0 {
             return Err(OrbitError::InvalidElement {
                 name: "groups",
                 value: 0.0,
             });
         }
-        if !(lead_distance_m >= 0.0) {
-            return Err(OrbitError::InvalidElement {
-                name: "lead_distance_m",
-                value: lead_distance_m,
-            });
-        }
-        if !(follower_spacing_m >= 0.0) {
-            return Err(OrbitError::InvalidElement {
-                name: "follower_spacing_m",
-                value: follower_spacing_m,
-            });
-        }
         // Validate the orbit itself early.
         let _ = J2Propagator::circular(altitude_m, inclination_rad, 0.0, 0.0)?;
 
-        let n_groups = groups.len();
         // Phasing capacity: the actual group count for the legacy
         // layout, the pinned slot count for a slotted one (already
-        // validated to be >= n_groups).
-        let slots = phase_slots.unwrap_or(n_groups);
+        // validated to be >= groups).
+        let slots = phase_slots.unwrap_or(groups);
         let planes = planes.min(slots);
         let mut satellites = Vec::new();
-        for (g, spec) in groups.iter().enumerate() {
+        for g in 0..groups {
             // Round-robin plane assignment; slots within a plane are
-            // evenly phased among themselves. With slots == n_groups
+            // evenly phased among themselves. With slots == groups
             // both formulas reduce to the legacy even-phasing.
             let plane = g % planes;
             let raan_rad = std::f64::consts::PI * plane as f64 / planes as f64;
@@ -304,9 +221,10 @@ impl ConstellationLayout {
                 phase_rad: group_phase,
                 raan_rad,
             });
-            for k in 0..spec.followers {
+            for k in 0..followers_per_group {
                 // Followers trail the leader: smaller phase angle.
-                let trail_m = lead_distance_m + k as f64 * follower_spacing_m;
+                let trail_m =
+                    Self::DEFAULT_LEAD_DISTANCE_M + k as f64 * Self::DEFAULT_FOLLOWER_SPACING_M;
                 let trail_rad = trail_m / MEAN_RADIUS_M;
                 satellites.push(SatelliteSpec {
                     group: g,
@@ -319,11 +237,8 @@ impl ConstellationLayout {
         }
 
         Ok(ConstellationLayout {
-            groups,
             altitude_m,
             inclination_rad,
-            lead_distance_m,
-            follower_spacing_m,
             planes,
             satellites,
         })
@@ -339,12 +254,6 @@ impl ConstellationLayout {
     #[inline]
     pub fn satellites(&self) -> &[SatelliteSpec] {
         &self.satellites
-    }
-
-    /// Group specifications.
-    #[inline]
-    pub fn groups(&self) -> &[GroupSpec] {
-        &self.groups
     }
 
     /// Total satellite count (leaders + followers).
@@ -502,7 +411,8 @@ mod tests {
     /// Time by which a follower trails its group leader over the same
     /// ground point, seconds.
     fn follower_delay_s(l: &ConstellationLayout, follower_index: usize) -> f64 {
-        let trail_m = l.lead_distance_m + follower_index as f64 * l.follower_spacing_m;
+        let trail_m = ConstellationLayout::DEFAULT_LEAD_DISTANCE_M
+            + follower_index as f64 * ConstellationLayout::DEFAULT_FOLLOWER_SPACING_M;
         let prop = J2Propagator::circular(l.altitude_m, l.inclination_rad, 0.0, 0.0).unwrap();
         (trail_m / MEAN_RADIUS_M) / (std::f64::consts::TAU / prop.period_s())
     }

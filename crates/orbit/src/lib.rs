@@ -60,7 +60,7 @@ mod sgp4;
 mod tle;
 
 pub use cache::{frame_epochs, EpochGrid};
-pub use constellation::{ConstellationLayout, GroupSpec, SatelliteRole, SatelliteSpec};
+pub use constellation::{ConstellationLayout, SatelliteRole, SatelliteSpec};
 pub use error::OrbitError;
 pub use groundtrack::{GroundTrack, TrackState};
 pub use kepler::{EciState, KeplerianElements};

@@ -47,7 +47,11 @@ const COVERAGE: &[Flag] = &[
     Flag("hours", "H", "simulation horizon (default 2)"),
     Flag("scale", "F", "dataset scale in [1e-4, 1] (default 0.3)"),
     Flag("seed", "S", "RNG seed (default 7)"),
-    Flag("recall", "R", "detector recall (default 1)"),
+    Flag(
+        "recall",
+        "R",
+        "detector recall, eagleeye and mix-camera only (default 1)",
+    ),
     Flag("planes", "P", "orbital planes (default 1)"),
     Flag("threads", "T", "worker threads (default 1)"),
 ];
@@ -165,12 +169,17 @@ fn cmd_coverage(a: &Args) -> Outcome {
         },
         other => return Err(UsageError(format!("--config: unknown config `{other}`")).into()),
     };
-    // A flag that one constellation reads is a usage error beside any
-    // other, rather than a silent no-op.
-    for (flag, reader) in [("followers", "eagleeye"), ("compute", "mix-camera")] {
-        if a.has(flag) && name != reader {
+    // A flag that only some constellations read is a usage error beside
+    // any other, rather than a silent no-op.
+    for (flag, readers) in [
+        ("followers", &["eagleeye"][..]),
+        ("compute", &["mix-camera"]),
+        ("recall", &["eagleeye", "mix-camera"]),
+    ] {
+        if a.has(flag) && !readers.contains(&name) {
             return Err(UsageError(format!(
-                "--{flag}: only --config {reader} reads it, not --config {name}"
+                "--{flag}: only --config {} reads it, not --config {name}",
+                readers.join(" or --config ")
             ))
             .into());
         }
@@ -506,6 +515,14 @@ mod tests {
                 "--compute",
             ),
             (&["coverage", "--compute", "9"], "--compute"),
+            (
+                &["coverage", "--config", "low-res", "--recall", "0.5"],
+                "--recall",
+            ),
+            (
+                &["coverage", "--config", "high-res", "--recall", "0.5"],
+                "--recall",
+            ),
             (
                 &["energy", "--role", "follower", "--tile-factor", "4"],
                 "--tile-factor",

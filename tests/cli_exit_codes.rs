@@ -29,6 +29,8 @@ fn usage_errors_exit_2() {
         &["coverage", "--scale", "nan"],
         &["coverage", "--config", "low-res", "--followers", "3"],
         &["coverage", "--config", "eagleeye", "--compute", "9"],
+        &["coverage", "--config", "low-res", "--recall", "0.5"],
+        &["coverage", "--config", "high-res", "--recall", "0.5"],
         &["energy", "--role", "follower", "--tile-factor", "4"],
         &["frobnicate"],
         &[],
