@@ -521,7 +521,7 @@ impl<'a> CoverageEvaluator<'a> {
     /// [`eagleeye_exec::run_items`], so panicking passes are retried
     /// and then fail the evaluation, partial results are checkpointed
     /// on a cadence and restored on resume, and a wall-clock deadline
-    /// or shutdown request degrades the run into a valid partial report
+    /// degrades the run into a valid partial report
     /// ([`CoverageReport::degraded`] = `true`) instead of aborting.
     ///
     /// [`evaluate`](Self::evaluate) is this call with inert
@@ -548,7 +548,6 @@ impl<'a> CoverageEvaluator<'a> {
         let mut out = HardenedOutcome {
             report: self.base_report(),
             resumed_passes: 0,
-            degrade_reason: None,
         };
         if let Some(sc) = scenario {
             let run = RunConfig {
@@ -556,8 +555,6 @@ impl<'a> CoverageEvaluator<'a> {
                 threads: self.options.threads,
                 checkpoint: harden.checkpoint.clone(),
                 deadline: harden.deadline,
-                shutdown: harden.shutdown.clone(),
-                retry: harden.retry,
             };
             let targets = self.targets.len();
             // Each pass records into its own metrics fork; the forks
@@ -578,12 +575,8 @@ impl<'a> CoverageEvaluator<'a> {
                 message: e.to_string(),
             })?;
             out.resumed_passes = outcome.resumed_items;
-            out.degrade_reason = outcome.degrade_reason;
             let passes = outcome.into_completed(|q| CoreError::Harden {
-                message: format!(
-                    "pass {} quarantined after {} attempts: {}",
-                    q.item, q.attempts, q.message
-                ),
+                message: format!("pass {q}"),
             })?;
             out.report = self.merge_passes(passes, sc.sats.len());
         }
@@ -1435,7 +1428,7 @@ mod tests {
                 let metrics = opts.metrics.clone();
                 let eval = CoverageEvaluator::new(targets, opts);
                 let report = if hardened {
-                    eval.evaluate_hardened(&config, &HardenOptions::new())
+                    eval.evaluate_hardened(&config, &HardenOptions::default())
                         .unwrap()
                         .report
                 } else {
@@ -1482,7 +1475,7 @@ mod tests {
         ] {
             let plain = eval.evaluate(&config).unwrap_err();
             let hardened = eval
-                .evaluate_hardened(&config, &HardenOptions::new())
+                .evaluate_hardened(&config, &HardenOptions::default())
                 .unwrap_err();
             for err in [plain, hardened] {
                 assert!(
@@ -1559,14 +1552,10 @@ mod tests {
         let eval = CoverageEvaluator::new(&targets, opts);
         let harden = HardenOptions {
             deadline: eagleeye_harden::Deadline::after(std::time::Duration::ZERO),
-            ..HardenOptions::new()
+            ..HardenOptions::default()
         };
         let out = eval.evaluate_hardened(&config, &harden).unwrap();
         assert!(out.report.degraded);
-        assert_eq!(
-            out.degrade_reason,
-            Some(eagleeye_exec::DegradeReason::Deadline)
-        );
         assert_eq!(out.report.leader_passes_total, 3);
         assert!(out.report.leader_passes_completed < 3);
         assert!(out.report.completion_fraction() < 1.0);
@@ -1582,16 +1571,16 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_reproduces_uninterrupted_run() {
-        // Interrupt a checkpointed evaluation via cooperative shutdown
-        // as soon as the first checkpoint lands, then resume it; the
-        // final report, counters, and histograms must be bit-identical
-        // to a never-interrupted run, with and without recapture
-        // deprioritization.
+        // Resume from checkpoints that hold only the first k passes of a
+        // complete run; the final report, counters, and histograms must
+        // be bit-identical to a never-interrupted run, with and without
+        // recapture deprioritization.
         resume_reproduces_uninterrupted_run(&meridian_targets(80), quick_options());
         resume_reproduces_uninterrupted_run(&polar_targets(400), recapture_options());
     }
 
     fn resume_reproduces_uninterrupted_run(targets: &TargetSet, base: CoverageOptions) {
+        use eagleeye_harden::{CheckpointSpec, Snapshot};
         let config = ConstellationConfig::eagleeye(4, 1);
         let make_opts = || {
             let mut opts = base.clone();
@@ -1601,73 +1590,69 @@ mod tests {
         };
         let path = temp_ckpt("core_resume.ckpt");
         let _ = std::fs::remove_file(&path);
-
-        // Segment 1: single worker, checkpoint after every pass, shut
-        // down once the first checkpoint file appears.
-        let opts = make_opts();
-        let eval = CoverageEvaluator::new(targets, opts);
-        let shutdown = eagleeye_harden::ShutdownFlag::new();
-        let watcher = {
-            let shutdown = shutdown.clone();
-            let path = path.clone();
-            std::thread::spawn(move || {
-                for _ in 0..2_000 {
-                    if path.exists() {
-                        shutdown.request();
-                        return;
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-            })
-        };
-        let harden1 = HardenOptions {
-            checkpoint: Some(eagleeye_harden::CheckpointSpec::new(&path, 1)),
-            shutdown,
+        let harden = HardenOptions {
+            checkpoint: Some(CheckpointSpec::new(&path, 1)),
             ..HardenOptions::default()
         };
-        let out1 = eval.evaluate_hardened(&config, &harden1).unwrap();
-        watcher.join().unwrap();
-        assert!(
-            out1.report.leader_passes_completed >= 1,
-            "cadence-1 checkpointing completes at least one pass"
-        );
-
-        // Segment 2: resume from the checkpoint and finish.
-        let opts = make_opts();
-        let metrics2 = opts.metrics.clone();
-        let eval2 = CoverageEvaluator::new(targets, opts);
-        let harden2 = HardenOptions {
-            checkpoint: Some(eagleeye_harden::CheckpointSpec::new(&path, 1)),
-            ..HardenOptions::new()
-        };
-        let out2 = eval2.evaluate_hardened(&config, &harden2).unwrap();
-        assert!(!out2.report.degraded);
-        assert_eq!(out2.report.leader_passes_completed, 4);
-        assert_eq!(
-            out2.resumed_passes, out1.report.leader_passes_completed,
-            "every pass from segment 1 must be restored, not recomputed"
-        );
 
         // Uninterrupted reference run (no checkpoint involved at all).
         let opts = make_opts();
         let metrics_cold = opts.metrics.clone();
         let cold = CoverageEvaluator::new(targets, opts)
-            .evaluate_hardened(&config, &HardenOptions::new())
+            .evaluate_hardened(&config, &HardenOptions::default())
             .unwrap();
-        assert!(
-            cold.report.same_outcome(&out2.report),
-            "resumed:\n  {:?}\ncold:\n  {:?}",
-            out2.report,
-            cold.report
-        );
-        assert_eq!(
-            all_counters(&metrics_cold.snapshot()),
-            all_counters(&metrics2.snapshot())
-        );
-        assert_eq!(
-            all_histograms(&metrics_cold.snapshot()),
-            all_histograms(&metrics2.snapshot())
-        );
+
+        // A complete checkpointed run: its final snapshot holds every
+        // pass.
+        CoverageEvaluator::new(targets, make_opts())
+            .evaluate_hardened(&config, &harden)
+            .unwrap();
+        let full = Snapshot::load(&path).unwrap();
+        assert_eq!(full.len(), 4);
+
+        for k in [1, 3] {
+            // The checkpoint a run stopped after its first k passes
+            // leaves behind.
+            let mut partial = Snapshot::new(full.scenario_hash);
+            for (name, payload) in full.sections() {
+                let pass: usize = name
+                    .strip_prefix("item/")
+                    .and_then(|i| i.parse().ok())
+                    .expect("pass section");
+                if pass < k {
+                    partial.put(name, payload.to_vec());
+                }
+            }
+            partial.write_atomic(&path).unwrap();
+
+            let opts = make_opts();
+            let metrics = opts.metrics.clone();
+            let out = CoverageEvaluator::new(targets, opts)
+                .evaluate_hardened(&config, &harden)
+                .unwrap();
+            assert_eq!(
+                out.resumed_passes, k,
+                "every checkpointed pass must be restored, not recomputed"
+            );
+            assert!(!out.report.degraded);
+            assert_eq!(out.report.leader_passes_completed, 4);
+            assert!(
+                cold.report.same_outcome(&out.report),
+                "k={k} resumed:\n  {:?}\ncold:\n  {:?}",
+                out.report,
+                cold.report
+            );
+            assert_eq!(
+                all_counters(&metrics_cold.snapshot()),
+                all_counters(&metrics.snapshot()),
+                "k={k}"
+            );
+            assert_eq!(
+                all_histograms(&metrics_cold.snapshot()),
+                all_histograms(&metrics.snapshot()),
+                "k={k}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1684,7 +1669,7 @@ mod tests {
                 &config,
                 &HardenOptions {
                     checkpoint: Some(spec.clone()),
-                    ..HardenOptions::new()
+                    ..HardenOptions::default()
                 },
             )
             .unwrap();
@@ -1697,7 +1682,7 @@ mod tests {
                 &config,
                 &HardenOptions {
                     checkpoint: Some(spec),
-                    ..HardenOptions::new()
+                    ..HardenOptions::default()
                 },
             )
             .unwrap_err();
@@ -1716,13 +1701,13 @@ mod tests {
         let config = ConstellationConfig::LowResOnly { satellites: 5 };
         let plain = eval.evaluate(&config).unwrap();
         let hard = eval
-            .evaluate_hardened(&config, &HardenOptions::new())
+            .evaluate_hardened(&config, &HardenOptions::default())
             .unwrap();
         assert!(plain.same_outcome(&hard.report));
         assert_eq!(hard.report.leader_passes_total, 5);
         assert_eq!(hard.report.leader_passes_completed, 5);
         assert_eq!(hard.report.completion_fraction(), 1.0);
-        assert_eq!(hard.degrade_reason, None);
+        assert!(!hard.report.degraded);
     }
 
     #[test]
@@ -1744,16 +1729,11 @@ mod tests {
             let expired = HardenOptions {
                 checkpoint: Some(spec.clone()),
                 deadline: eagleeye_harden::Deadline::after(std::time::Duration::ZERO),
-                ..HardenOptions::new()
             };
             let degraded = CoverageEvaluator::new(&targets, opts.clone())
                 .evaluate_hardened(&config, &expired)
                 .unwrap();
             assert!(degraded.report.degraded, "threads={threads}");
-            assert_eq!(
-                degraded.degrade_reason,
-                Some(eagleeye_exec::DegradeReason::Deadline)
-            );
             assert_eq!(degraded.report.leader_passes_total, 5);
             assert!(degraded.report.leader_passes_completed < 5);
             assert!(path.exists(), "a degraded run writes its checkpoint");
@@ -1763,7 +1743,7 @@ mod tests {
                     &config,
                     &HardenOptions {
                         checkpoint: Some(spec),
-                        ..HardenOptions::new()
+                        ..HardenOptions::default()
                     },
                 )
                 .unwrap();

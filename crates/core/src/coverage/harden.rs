@@ -6,7 +6,7 @@
 //! exposes its knobs — partial results checkpointed on a cadence and
 //! restored with `--resume`, a wall-clock deadline that degrades the
 //! run into a valid partial ("anytime") report instead of aborting, and
-//! retries for panicking passes — and
+//! a fixed retry budget for panicking passes — and
 //! [`evaluate`](super::CoverageEvaluator::evaluate) is the same run with
 //! all of them inert. This module holds the option/outcome types and
 //! the per-pass checkpoint payload codec; the evaluation logic lives in
@@ -14,14 +14,12 @@
 
 use super::CoverageReport;
 use crate::CoreError;
-use eagleeye_exec::{DegradeReason, RetryPolicy};
-use eagleeye_harden::{ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, ShutdownFlag};
+use eagleeye_harden::{ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline};
 use eagleeye_obs::{Metrics, MetricsRegistry};
 
 /// Crash-safety knobs for one evaluation.
 ///
-/// The default is inert: no checkpointing, no deadline, an
-/// un-requested shutdown flag, and the default retry policy.
+/// The default is inert: no checkpointing and no deadline.
 /// [`evaluate`](super::CoverageEvaluator::evaluate) runs with it, so a
 /// hardened run with default options *is* the plain evaluation: passes
 /// run inline at one thread, and nothing is encoded or written.
@@ -31,19 +29,6 @@ pub struct HardenOptions {
     pub checkpoint: Option<CheckpointSpec>,
     /// Wall-clock budget for the whole evaluation.
     pub deadline: Deadline,
-    /// Cooperative shutdown request (clone it into a signal handler).
-    pub shutdown: ShutdownFlag,
-    /// Retry discipline for panicking passes; a pass that still panics
-    /// after its retries fails the evaluation with
-    /// [`CoreError::Harden`].
-    pub retry: RetryPolicy,
-}
-
-impl HardenOptions {
-    /// Inert options (no checkpoint, no deadline).
-    pub fn new() -> Self {
-        HardenOptions::default()
-    }
 }
 
 /// Result of a hardened evaluation: the (possibly partial) report plus
@@ -58,8 +43,6 @@ pub struct HardenedOutcome {
     pub report: CoverageReport,
     /// Passes restored from the resumed checkpoint.
     pub resumed_passes: usize,
-    /// Why the run stopped early, when it did.
-    pub degrade_reason: Option<DegradeReason>,
 }
 
 /// One completed pass: its partial report, the targets it captured (in

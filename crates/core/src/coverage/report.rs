@@ -90,9 +90,9 @@ pub struct CoverageReport {
     /// cold solve.
     pub ilp_warm_rejects: usize,
     /// True when the crash-safe run layer stopped this evaluation early
-    /// (deadline exceeded or shutdown requested) and the report covers
-    /// only the passes that finished. Anytime results: every
-    /// field is still internally consistent, just partial.
+    /// (its deadline expired) and the report covers only the passes
+    /// that finished. Anytime results: every field is still internally
+    /// consistent, just partial.
     pub degraded: bool,
     /// Passes whose partial results are merged into this report.
     /// Equals [`leader_passes_total`](Self::leader_passes_total) for a

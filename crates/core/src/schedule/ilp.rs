@@ -92,14 +92,6 @@ pub struct IlpRunStats {
     pub greedy_dominated: bool,
 }
 
-impl IlpRunStats {
-    /// True when every subproblem solved cleanly and the ILP solution
-    /// was kept.
-    pub fn clean(&self) -> bool {
-        self.deadline_hits == 0 && self.iteration_limit_hits == 0 && !self.greedy_dominated
-    }
-}
-
 impl IlpScheduler {
     fn slots_for(&self, n_tasks: usize) -> usize {
         if self.slots_per_task > 0 {
@@ -760,7 +752,9 @@ mod tests {
         assert!(stats.incumbent_updates >= 1);
         // Warm-start activity is only possible on explored child nodes.
         assert!(stats.warm_starts + stats.warm_rejects <= stats.nodes_explored);
-        assert!(stats.clean());
+        // Every subproblem solved cleanly and the ILP solution was kept.
+        assert_eq!((stats.deadline_hits, stats.iteration_limit_hits), (0, 0));
+        assert!(!stats.greedy_dominated);
     }
 
     #[test]

@@ -407,7 +407,9 @@ mod tests {
             .schedule_with_outcome(&p)
             .unwrap();
         assert!(o.fallback.is_none());
-        assert!(o.ilp_stats.unwrap().clean());
+        let stats = o.ilp_stats.unwrap();
+        assert_eq!((stats.deadline_hits, stats.iteration_limit_hits), (0, 0));
+        assert!(!stats.greedy_dominated);
         validate_schedule(&p, &o.schedule).unwrap();
     }
 

@@ -193,7 +193,9 @@ fn resilient_schedules_validate_under_any_budget() {
             // Provenance is consistent: no fallback reason means a clean
             // ILP run.
             if o.fallback.is_none() {
-                prop_assert!(o.ilp_stats.is_some_and(|s| s.clean()));
+                prop_assert!(o.ilp_stats.is_some_and(|s| s.deadline_hits == 0
+                    && s.iteration_limit_hits == 0
+                    && !s.greedy_dominated));
             }
             Ok(())
         },

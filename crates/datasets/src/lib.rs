@@ -54,7 +54,7 @@ pub use airplanes::AirplaneGenerator;
 pub use lakes::{LakeGenerator, LakeSizeBand};
 pub use oiltanks::{OilTank, OilTankGenerator, TankFarm};
 pub use ships::ShipGenerator;
-pub use target::{BucketView, Member, Target, TargetId, TargetSet};
+pub use target::{BucketView, Member, Target, TargetSet};
 
 /// The four evaluation workloads of the paper, used to label experiment
 /// output.

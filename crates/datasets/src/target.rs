@@ -6,10 +6,6 @@ use eagleeye_geo::{greatcircle, GeodeticPoint, GridIndex};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Identifier of a target within its [`TargetSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TargetId(pub usize);
-
 /// One sensing target.
 ///
 /// Static targets (ships-snapshot, lakes, tanks) have `motion: None` and

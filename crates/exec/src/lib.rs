@@ -12,8 +12,8 @@
 //! its metrics-forking [`ExecPool::par_map_observed`]) for plain maps,
 //! and [`run_items`] for supervised runs — panics retried and then
 //! quarantined, results checkpointed and resumed through
-//! `eagleeye-harden` snapshots, and a deadline or shutdown request
-//! degrading the run instead of aborting it (DESIGN.md §8 and §12).
+//! `eagleeye-harden` snapshots, and a deadline degrading the run
+//! instead of aborting it (DESIGN.md §8 and §12).
 //!
 //! # Determinism
 //!
@@ -44,7 +44,7 @@
 
 mod runner;
 
-pub use runner::{run_items, DegradeReason, Quarantine, RetryPolicy, RunConfig, RunOutcome};
+pub use runner::{run_items, Quarantine, RunConfig, RunOutcome};
 
 use eagleeye_obs::Metrics;
 use std::num::NonZeroUsize;

@@ -5,18 +5,21 @@
 //! panic abort the batch. [`run_items`] runs the same claim loop under
 //! supervision:
 //!
-//! * a per-item panic is caught (`catch_unwind`), retried with capped
-//!   exponential backoff, and — if it keeps failing — quarantined and
-//!   reported instead of aborting the run;
+//! * a per-item panic is caught (`catch_unwind`) and the item rerun at
+//!   once, up to three tries in all; an item that panics on every try
+//!   is quarantined and reported instead of aborting the run. An item
+//!   is a pure function of its index, so a retry sees the same inputs
+//!   as the first try: only a one-shot fault (an `EAGLEEYE_CRASH`
+//!   panic injection) is recovered by retrying;
 //! * with a [`CheckpointSpec`], each completed item is encoded into a
 //!   [`Snapshot`] section and the snapshot is published every
 //!   [`CheckpointSpec::cadence`] completions (atomically, see
 //!   `eagleeye_harden::snapshot`), so a killed process resumes from the
 //!   last published snapshot instead of from zero;
-//! * a blown [`Deadline`] or a [`ShutdownFlag`] request stops
-//!   *dispatch* (in-flight items finish, nothing new starts), the
-//!   partials are kept, a final checkpoint is written, and the outcome
-//!   is marked degraded.
+//! * a blown [`Deadline`] or a failed checkpoint write stops *dispatch*
+//!   (in-flight items finish, nothing new starts); on a deadline the
+//!   partials are kept, a final checkpoint is written, and the items
+//!   never dispatched are left `None` in [`RunOutcome::items`].
 //!
 //! Results come back in item order as the caller's own typed values:
 //! only resumed items are decoded, and items are encoded only when a
@@ -25,63 +28,36 @@
 //! count and any checkpoint cadence.
 
 use crate::{panic_message, ExecPool};
-use eagleeye_harden::{
-    crash_point, CheckpointSpec, CodecError, Deadline, ShutdownFlag, Snapshot, SnapshotError,
-};
+use eagleeye_harden::{crash_point, CheckpointSpec, CodecError, Deadline, Snapshot, SnapshotError};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
-/// Retry discipline for items whose closure panicked.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first failure (0 = quarantine immediately).
-    pub max_retries: usize,
-    /// Backoff before retry `k` is `base * 2^(k-1)`, capped at `cap`.
-    pub backoff_base: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_cap: Duration,
-}
+/// Tries a panicking item gets before it is quarantined: the first
+/// run plus two retries.
+const ATTEMPTS: usize = 3;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(250),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The backoff before the `attempt`-th retry (1-based).
-    fn backoff(&self, attempt: usize) -> Duration {
-        let shift = attempt.saturating_sub(1).min(16) as u32;
-        self.backoff_base
-            .saturating_mul(1u32 << shift)
-            .min(self.backoff_cap)
-    }
-}
-
-/// An item that kept panicking after all retries: reported, not fatal.
+/// An item that panicked on each of its three tries: reported, not
+/// fatal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quarantine {
     /// Item index.
     pub item: usize,
-    /// Total attempts made (1 + retries).
-    pub attempts: usize,
     /// The final panic message.
     pub message: String,
 }
 
-/// Why a run was degraded.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeReason {
-    /// The wall-clock budget expired.
-    Deadline,
-    /// A cooperative shutdown was requested.
-    Shutdown,
+impl fmt::Display for Quarantine {
+    /// `<item> quarantined after <attempts> attempts: <message>`, for a
+    /// caller to prefix with what its items are.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} quarantined after {ATTEMPTS} attempts: {}",
+            self.item, self.message
+        )
+    }
 }
 
 /// Configuration for a supervised run.
@@ -95,10 +71,6 @@ pub struct RunConfig {
     pub checkpoint: Option<CheckpointSpec>,
     /// Wall-clock budget; [`Deadline::none`] for deterministic runs.
     pub deadline: Deadline,
-    /// Cooperative shutdown request.
-    pub shutdown: ShutdownFlag,
-    /// Retry discipline for panicking items.
-    pub retry: RetryPolicy,
 }
 
 /// The result of a supervised run.
@@ -106,11 +78,8 @@ pub struct RunConfig {
 pub struct RunOutcome<R> {
     /// One slot per item, in item order: the item's result (computed or
     /// resumed), its [`Quarantine`] when it kept panicking, or `None`
-    /// when the run stopped before dispatching it.
+    /// when the deadline stopped the run before dispatching it.
     pub items: Vec<Option<Result<R, Quarantine>>>,
-    /// Why the run stopped early, set only when some item was never
-    /// dispatched.
-    pub degrade_reason: Option<DegradeReason>,
     /// Items whose results came from the resumed checkpoint.
     pub resumed_items: usize,
 }
@@ -158,7 +127,7 @@ struct Checkpoint<'a> {
 
 /// Runs `f(0..total)` under supervision on `config.threads` workers:
 /// retry plus quarantine on panics, streaming checkpoints, resume, and
-/// anytime degradation on deadline or shutdown (see the module docs).
+/// anytime degradation on a deadline (see the module docs).
 ///
 /// `encode` turns a completed item into its checkpoint payload and is
 /// called only when a checkpoint is configured; `decode(index, bytes)`
@@ -227,17 +196,13 @@ where
     let pending: Vec<usize> = (0..total).filter(|&i| items[i].is_none()).collect();
     let write_failed = AtomicBool::new(false);
     // Checked before every claim, so no new item starts once the
-    // deadline passes, a shutdown is requested, or a checkpoint write
-    // failed; in-flight items finish. `write_failed` publishes nothing:
-    // the error itself is read under the mutex once the workers joined.
-    let stop = || {
-        write_failed.load(Ordering::Relaxed)
-            || config.shutdown.requested()
-            || config.deadline.expired()
-    };
+    // deadline passes or a checkpoint write failed; in-flight items
+    // finish. `write_failed` publishes nothing: the error itself is
+    // read under the mutex once the workers joined.
+    let stop = || write_failed.load(Ordering::Relaxed) || config.deadline.expired();
     let ran = ExecPool::new(config.threads).claim(pending.len(), stop, |_, k| {
         let i = pending[k];
-        let result = supervise(&config.retry, i, || f(i));
+        let result = supervise(i, || f(i));
         if let (Some(ckpt), Ok(r)) = (&checkpoint, &result) {
             let payload = encode(r);
             // Every update below leaves the snapshot whole, so a guard
@@ -270,28 +235,16 @@ where
         ck.snapshot.write_atomic(&ck.spec.path)?;
     }
 
-    // "Degraded" means work was left undispatched, not merely that the
-    // stop condition raced with the last item finishing.
-    let degrade_reason = if items.iter().any(Option::is_none) {
-        if config.shutdown.requested() {
-            Some(DegradeReason::Shutdown)
-        } else {
-            Some(DegradeReason::Deadline)
-        }
-    } else {
-        None
-    };
     Ok(RunOutcome {
         items,
-        degrade_reason,
         resumed_items,
     })
 }
 
-/// Runs item `item` until it returns, retrying panics per `retry` with
-/// capped backoff and quarantining the item when they persist.
-fn supervise<R>(retry: &RetryPolicy, item: usize, f: impl Fn() -> R) -> Result<R, Quarantine> {
-    let mut attempts = 0usize;
+/// Runs item `item` until it returns, rerunning a panic at once and
+/// quarantining the item when all [`ATTEMPTS`] tries panic.
+fn supervise<R>(item: usize, f: impl Fn() -> R) -> Result<R, Quarantine> {
+    let mut attempts = 0;
     loop {
         attempts += 1;
         // Crash-injection site inside the supervised closure: a `panic`
@@ -302,19 +255,13 @@ fn supervise<R>(retry: &RetryPolicy, item: usize, f: impl Fn() -> R) -> Result<R
             f()
         })) {
             Ok(r) => return Ok(r),
-            Err(panic) if attempts > retry.max_retries => {
+            Err(panic) if attempts == ATTEMPTS => {
                 return Err(Quarantine {
                     item,
-                    attempts,
                     message: panic_message(panic.as_ref()),
                 })
             }
-            Err(_) => {
-                let backoff = retry.backoff(attempts);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
+            Err(_) => {}
         }
     }
 }
@@ -324,16 +271,15 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
 
-    /// A config with no checkpointing, no deadline, default retries.
+    /// A config with no checkpointing and no deadline.
     fn config(scenario_hash: u64, threads: usize) -> RunConfig {
         RunConfig {
             scenario_hash,
             threads,
             checkpoint: None,
             deadline: Deadline::none(),
-            shutdown: ShutdownFlag::new(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -379,7 +325,6 @@ mod tests {
         for threads in [1, 2, 4, 8] {
             let out = run(&config(0xFEED, threads), 37, payload_for);
             assert_eq!(out.items, plain, "threads={threads}");
-            assert_eq!(out.degrade_reason, None);
             assert_eq!(out.completed(), 37);
             assert_eq!(out.resumed_items, 0);
         }
@@ -468,45 +413,47 @@ mod tests {
 
     #[test]
     fn panicking_item_is_retried_then_succeeds() {
-        let fails = AtomicU64::new(0);
-        let mut config = config(1, 2);
-        config.retry = RetryPolicy {
-            max_retries: 2,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-        };
-        let out = run(&config, 8, |i| {
-            if i == 5 && fails.fetch_add(1, Ordering::SeqCst) < 2 {
+        // Two panics then a success: the third and last attempt wins.
+        let tries = AtomicU64::new(0);
+        let out = run(&config(1, 2), 8, |i| {
+            if i == 5 && tries.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient failure on item 5");
             }
             payload_for(i)
         });
+        assert_eq!(tries.load(Ordering::SeqCst), 3);
         assert_eq!(out.completed(), 8);
         assert_eq!(out.items, all_ok(8));
     }
 
     #[test]
     fn deterministic_failure_is_quarantined_not_fatal() {
-        let mut config = config(1, 3);
-        config.retry = RetryPolicy {
-            max_retries: 1,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-        };
-        let out = run(&config, 10, |i| {
+        let tries = AtomicU64::new(0);
+        let out = run(&config(1, 3), 10, |i| {
             if i == 4 {
+                tries.fetch_add(1, Ordering::SeqCst);
                 panic!("deterministic failure on item 4");
             }
             payload_for(i)
         });
+        assert_eq!(
+            tries.load(Ordering::SeqCst),
+            3,
+            "quarantined after 3 attempts"
+        );
         assert_eq!(out.completed(), 9);
         let Some(Err(q)) = &out.items[4] else {
             panic!("item 4 must be quarantined: {:?}", out.items[4]);
         };
         assert_eq!(q.item, 4);
-        assert_eq!(q.attempts, 2);
-        assert!(q.message.contains("item 4"));
-        assert_eq!(out.degrade_reason, None, "quarantine is not degradation");
+        assert_eq!(
+            q.to_string(),
+            "4 quarantined after 3 attempts: deterministic failure on item 4"
+        );
+        assert!(
+            out.items.iter().all(Option::is_some),
+            "quarantine is not degradation"
+        );
     }
 
     #[test]
@@ -517,7 +464,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
             payload_for(i)
         });
-        assert_eq!(out.degrade_reason, Some(DegradeReason::Deadline));
+        assert!(out.items.iter().any(Option::is_none));
         assert!(out.completed() < 64);
         // Whatever did complete is correct.
         for (i, slot) in out.items.iter().enumerate() {
@@ -528,21 +475,22 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_request_stops_dispatch_and_checkpoints() {
-        let path = temp_ckpt("shutdown.ckpt");
+    fn deadline_mid_run_stops_dispatch_and_checkpoints() {
+        let path = temp_ckpt("deadline_mid_run.ckpt");
         let _ = std::fs::remove_file(&path);
-        let mut config = config(0xD00D, 2);
+        // One worker; item 3 outlasts the whole budget, so the deadline
+        // has passed by the time it returns and item 4 never starts.
+        let mut config = config(0xD00D, 1);
         config.checkpoint = Some(CheckpointSpec::new(&path, 1));
-        let shutdown = config.shutdown.clone();
+        config.deadline = Deadline::after(Duration::from_millis(100));
         let out = run(&config, 64, |i| {
             if i == 3 {
-                shutdown.request();
+                std::thread::sleep(Duration::from_millis(250));
             }
-            std::thread::sleep(Duration::from_millis(10));
             payload_for(i)
         });
-        assert_eq!(out.degrade_reason, Some(DegradeReason::Shutdown));
-        assert!(out.completed() < 64);
+        assert!(out.completed() <= 4, "dispatch stops after item 3");
+        assert!(out.items[4..].iter().all(Option::is_none));
         // The final checkpoint holds exactly the completed items, so a
         // resumed run finishes the rest and matches a cold run.
         let snap = Snapshot::load_expecting(&path, 0xD00D).unwrap();
@@ -550,7 +498,7 @@ mod tests {
         let resume_cfg = RunConfig {
             threads: 4,
             checkpoint: Some(CheckpointSpec::new(&path, 8)),
-            shutdown: ShutdownFlag::new(),
+            deadline: Deadline::none(),
             ..config
         };
         let resumed = run(&resume_cfg, 64, payload_for);
@@ -565,20 +513,5 @@ mod tests {
         let out = run(&config(1, 4), 0, payload_for);
         assert!(out.items.is_empty());
         assert_eq!(out.completed(), 0);
-        assert_eq!(out.degrade_reason, None);
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let retry = RetryPolicy {
-            max_retries: 10,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(100),
-        };
-        assert_eq!(retry.backoff(1), Duration::from_millis(10));
-        assert_eq!(retry.backoff(2), Duration::from_millis(20));
-        assert_eq!(retry.backoff(3), Duration::from_millis(40));
-        assert_eq!(retry.backoff(5), Duration::from_millis(100));
-        assert_eq!(retry.backoff(60), Duration::from_millis(100));
     }
 }

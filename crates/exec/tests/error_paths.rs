@@ -4,17 +4,16 @@
 //! propagation from `par_map` without deadlock, and pool reuse after
 //! both.
 
-use eagleeye_exec::{run_items, ExecPool, Quarantine, RetryPolicy, RunConfig};
-use eagleeye_harden::{CodecError, Deadline, ShutdownFlag};
+use eagleeye_exec::{run_items, ExecPool, Quarantine, RunConfig};
+use eagleeye_harden::{CodecError, Deadline};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 const THREAD_COUNTS: [usize; 5] = [1, 2, 3, 8, 32];
 
-/// A supervised run of `f` over `0..total` with no checkpoint and no
-/// retries, reduced to its completed values or lowest-indexed error (a
-/// quarantined item reports `usize::MAX - item`).
+/// A supervised run of `f` over `0..total` with no checkpoint, reduced
+/// to its completed values or lowest-indexed error (a quarantined item
+/// reports `usize::MAX - item`).
 fn supervised(
     threads: usize,
     total: usize,
@@ -25,12 +24,6 @@ fn supervised(
         threads,
         checkpoint: None,
         deadline: Deadline::none(),
-        shutdown: ShutdownFlag::new(),
-        retry: RetryPolicy {
-            max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-        },
     };
     let never = |_: &Result<usize, usize>| -> Vec<u8> { unreachable!("no checkpoint") };
     let none = |_: usize, _: &[u8]| -> Result<Result<usize, usize>, CodecError> {

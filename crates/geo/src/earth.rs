@@ -1,29 +1,16 @@
-//! Physical constants for the Earth models used throughout the workspace.
+//! Physical constants for the Earth model used throughout the workspace.
 //!
-//! Two Earth models are supported:
-//!
-//! * **Spherical** — a sphere of radius [`MEAN_RADIUS_M`]. The paper's
-//!   geometric derivations (off-nadir angle, swath width, actuation time)
-//!   all use a locally flat / spherical model, so the coverage simulator
-//!   uses this model.
-//! * **WGS-84 ellipsoid** — used for geodetic conversions where an
-//!   application needs real-world coordinates (e.g. geo-registration of
-//!   captured frames).
+//! The Earth is a sphere of radius [`MEAN_RADIUS_M`]: the paper's
+//! geometric derivations (off-nadir angle, swath width, actuation time)
+//! all use a locally flat / spherical model, and so does the coverage
+//! simulator. The gravity model adds the J2 zonal harmonic, whose
+//! reference radius is the WGS-84 equatorial radius [`WGS84_A_M`].
 
 /// Mean Earth radius in meters (IUGG mean radius R1).
 pub const MEAN_RADIUS_M: f64 = 6_371_008.8;
 
 /// WGS-84 semi-major axis (equatorial radius) in meters.
 pub const WGS84_A_M: f64 = 6_378_137.0;
-
-/// WGS-84 flattening.
-pub const WGS84_F: f64 = 1.0 / 298.257_223_563;
-
-/// WGS-84 semi-minor axis (polar radius) in meters.
-pub const WGS84_B_M: f64 = WGS84_A_M * (1.0 - WGS84_F);
-
-/// WGS-84 first eccentricity squared.
-pub const WGS84_E2: f64 = WGS84_F * (2.0 - WGS84_F);
 
 /// Standard gravitational parameter of the Earth, m³/s².
 pub const MU_M3_S2: f64 = 3.986_004_418e14;
@@ -33,31 +20,3 @@ pub const J2: f64 = 1.082_626_68e-3;
 
 /// Earth's rotation rate in radians per second (sidereal).
 pub const OMEGA_EARTH_RAD_S: f64 = 7.292_115_146_706_979e-5;
-
-/// Seconds in one solar day.
-pub const SECONDS_PER_DAY: f64 = 86_400.0;
-
-/// Total surface area of the Earth in square kilometers (~510 M km²,
-/// quoted in the paper §2.3).
-pub const SURFACE_AREA_KM2: f64 =
-    4.0 * std::f64::consts::PI * (MEAN_RADIUS_M / 1000.0) * (MEAN_RADIUS_M / 1000.0);
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wgs84_b_is_consistent() {
-        assert!((WGS84_B_M - 6_356_752.314_245).abs() < 1e-3);
-    }
-
-    #[test]
-    fn eccentricity_squared_matches_reference() {
-        assert!((WGS84_E2 - 6.694_379_990_14e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn surface_area_is_about_510_million_km2() {
-        assert!((SURFACE_AREA_KM2 - 5.10e8).abs() < 0.02e8);
-    }
-}

@@ -8,8 +8,7 @@
 //!   operations.
 //! * [`GeodeticPoint`] and [`Ecef`] — geodetic (latitude / longitude /
 //!   altitude) and Earth-centered Earth-fixed Cartesian coordinates, with
-//!   exact conversions on both a spherical Earth and the WGS-84 ellipsoid
-//!   (see [`earth`]).
+//!   exact conversions on a spherical Earth (see [`earth`]).
 //! * Great-circle utilities ([`greatcircle`]) — haversine distance,
 //!   bearings, and destination points.
 //! * [`LocalFrame`] — an east-north-up tangent frame used to project

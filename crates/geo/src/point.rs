@@ -5,9 +5,8 @@ use std::fmt;
 /// A point in geodetic coordinates: latitude, longitude, altitude.
 ///
 /// Latitude and longitude are stored in radians; altitude is meters above
-/// the reference surface (sphere or ellipsoid, depending on the conversion
-/// used). Construction validates ranges, so every `GeodeticPoint` in the
-/// program is a real location.
+/// the spherical Earth. Construction validates ranges, so every
+/// `GeodeticPoint` in the program is a real location.
 ///
 /// # Example
 ///

@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 
 /// What an armed crash site does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashMode {
+enum CrashMode {
     /// `panic!` — unwinds, so supervision (`catch_unwind`, retry,
     /// quarantine) sees it.
     Panic,
@@ -51,16 +51,11 @@ struct Armed {
 
 /// A parsed `EAGLEEYE_CRASH` specification.
 #[derive(Debug, Default)]
-pub struct CrashPlan {
+struct CrashPlan {
     armed: Vec<Armed>,
 }
 
 impl CrashPlan {
-    /// An empty plan (no armed sites).
-    pub fn empty() -> Self {
-        CrashPlan::default()
-    }
-
     /// Parses a spec string (see module docs for the grammar).
     ///
     /// # Errors
@@ -68,7 +63,7 @@ impl CrashPlan {
     /// A human-readable message naming the malformed entry; the callers
     /// treat a malformed spec as fatal (a crash test with a typo'd spec
     /// must not silently test nothing).
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    fn parse(spec: &str) -> Result<Self, String> {
         let mut armed = Vec::new();
         for entry in spec.split(',').map(str::trim).filter(|e| !e.is_empty()) {
             let parts: Vec<&str> = entry.split(':').collect();
@@ -103,7 +98,7 @@ impl CrashPlan {
     }
 
     /// True when no sites are armed.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.armed.is_empty()
     }
 
@@ -129,7 +124,7 @@ fn global_plan() -> &'static CrashPlan {
             Ok(plan) => plan,
             Err(msg) => panic!("{msg}"),
         },
-        _ => CrashPlan::empty(),
+        _ => CrashPlan::default(),
     })
 }
 

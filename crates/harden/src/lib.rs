@@ -11,8 +11,8 @@
 //! * [`snapshot`] — a versioned, CRC-guarded, atomically written
 //!   (`tmp` + `fsync` + `rename`) snapshot of pipeline progress, keyed
 //!   by a scenario hash so resuming a *different* scenario is rejected;
-//! * [`watchdog`] — a monotonic deadline budget plus a cooperative
-//!   SIGTERM-style [`ShutdownFlag`];
+//! * [`watchdog`] — a monotonic [`Deadline`] budget, the one condition
+//!   besides a failed checkpoint write that stops a run early;
 //! * [`cli`] — the one command-line parser, with the run-layer flags
 //!   ([`RUN_LAYER`]) and the exit-status contract every binary shares;
 //! * [`crash`] — the `EAGLEEYE_CRASH=<spec>` test-only fault-injection
@@ -20,14 +20,15 @@
 //!   path is exercised by real process deaths in CI.
 //!
 //! The supervised runner that streams work items through these pieces
-//! — checkpoints on a completion cadence, retries and quarantine of
-//! panicking items, degradation on a blown deadline — lives in
-//! `eagleeye-exec` beside the worker pool it runs on (`exec` depends on
-//! this crate, so the runner cannot live here without a cycle).
+//! — checkpoints on a completion cadence, a fixed retry budget and
+//! quarantine for panicking items, degradation on a blown deadline —
+//! lives in `eagleeye-exec` beside the worker pool it runs on (`exec`
+//! depends on this crate, so the runner cannot live here without a
+//! cycle).
 //!
 //! Everything here is `std`-only and dependency-free, so any crate in
 //! the workspace can depend on it without cycles. See DESIGN.md §12 for
-//! the snapshot format, watchdog states, and retry policy.
+//! the snapshot format, the stop conditions, and the retry budget.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,7 +47,7 @@ mod crc;
 
 pub use cli::{Args, Flag, UsageError, RUN_LAYER, USAGE_STATUS};
 pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use crash::{crash_point, CrashMode, CrashPlan};
+pub use crash::crash_point;
 pub use crc::crc32;
 pub use snapshot::{CheckpointSpec, FieldHash, ScenarioHasher, Snapshot, SnapshotError};
-pub use watchdog::{budget_from_secs, Deadline, ShutdownFlag};
+pub use watchdog::{budget_from_secs, Deadline};

@@ -1,20 +1,16 @@
-//! Deadline budget and cooperative shutdown for long runs.
+//! Deadline budget for long runs.
 //!
-//! A [`Deadline`] is a wall-clock budget for a whole run, and a
-//! [`ShutdownFlag`] is a cooperative SIGTERM-style request that asks the
-//! run to checkpoint and stop at the next safe point instead of dying
-//! mid-write. The solvers' inner loops do not use this module: `abb` and
-//! `simplex` stride-poll their own deadlines (checking `Instant::now()`
-//! every N iterations so the clock read never dominates the loop).
+//! A [`Deadline`] is a wall-clock budget for a whole run. The solvers'
+//! inner loops do not use this module: `abb` and `simplex` stride-poll
+//! their own deadlines (checking `Instant::now()` every N iterations so
+//! the clock read never dominates the loop).
 //!
 //! A [`Deadline`] is *anytime* by contract: blowing it never aborts a
 //! run. The supervised runner (`eagleeye_exec::run_items`) stops
 //! dispatching new work, keeps the partials that finished, and marks
-//! the result degraded (DESIGN.md §12). A run with no deadline performs no clock reads at
-//! all and is bit-deterministic.
+//! the result degraded (DESIGN.md §12). A run with no deadline performs
+//! no clock reads at all and is bit-deterministic.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The budget a `--deadline SECONDS` command-line flag asks for, by
@@ -74,16 +70,6 @@ impl Deadline {
         }
     }
 
-    /// A deadline at an absolute instant (compose with an outer budget).
-    pub fn at(at: Instant) -> Self {
-        Deadline { at: Some(at) }
-    }
-
-    /// The absolute expiry instant, if a budget was set.
-    pub fn instant(&self) -> Option<Instant> {
-        self.at
-    }
-
     /// True when the budget is exhausted. Reads the clock only when a
     /// budget was set.
     #[expect(
@@ -96,45 +82,6 @@ impl Deadline {
             Some(at) => Instant::now() >= at,
         }
     }
-
-    /// Time left in the budget (`None` when no budget was set, zero
-    /// when already expired).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a deadline is a wall-clock budget by contract; it only ever degrades a run"
-    )]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.at
-            .map(|at| at.saturating_duration_since(Instant::now()))
-    }
-}
-
-/// A cooperative SIGTERM-style shutdown request, shared between a
-/// signal handler (or test) and the run it supervises.
-///
-/// The flag only *requests*: the runner finishes in-flight items,
-/// writes a final checkpoint, and returns a degraded result, so a
-/// Ctrl-C'd 24 h sweep resumes instead of restarting.
-#[derive(Debug, Clone, Default)]
-pub struct ShutdownFlag {
-    flag: Arc<AtomicBool>,
-}
-
-impl ShutdownFlag {
-    /// A new, un-requested flag.
-    pub fn new() -> Self {
-        ShutdownFlag::default()
-    }
-
-    /// Requests shutdown. Safe to call from any thread, repeatedly.
-    pub fn request(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// True once shutdown has been requested.
-    pub fn requested(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
 }
 
 #[cfg(test)]
@@ -144,53 +91,30 @@ mod tests {
     #[test]
     fn no_deadline_never_expires() {
         let d = Deadline::none();
-        assert!(d.instant().is_none());
+        assert_eq!(d, Deadline::default());
         assert!(!d.expired());
-        assert_eq!(d.remaining(), None);
     }
 
     #[test]
     fn elapsed_deadline_expires() {
         let d = Deadline::after(Duration::ZERO);
-        assert!(d.instant().is_some());
+        assert_ne!(d, Deadline::none());
         assert!(d.expired());
-        assert_eq!(d.remaining(), Some(Duration::ZERO));
     }
 
     #[test]
     fn future_deadline_reports_remaining() {
         let d = Deadline::after(Duration::from_secs(3600));
+        assert_ne!(d, Deadline::none());
         assert!(!d.expired());
-        assert!(d.remaining().unwrap() > Duration::from_secs(3000));
-    }
-
-    #[test]
-    fn shutdown_flag_is_shared() {
-        let f = ShutdownFlag::new();
-        let clone = f.clone();
-        assert!(!f.requested());
-        std::thread::spawn(move || clone.request()).join().unwrap();
-        assert!(f.requested());
     }
 
     #[test]
     fn unrepresentable_budget_means_no_deadline() {
         for budget in [Duration::MAX, Duration::from_secs_f64(1e19)] {
             let d = Deadline::after(budget);
-            assert!(d.instant().is_none());
+            assert_eq!(d, Deadline::none());
             assert!(!d.expired());
         }
-    }
-
-    #[test]
-    fn absolute_deadline_constructor() {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "an absolute deadline needs a real instant to be built from"
-        )]
-        let d = Deadline::at(Instant::now() + Duration::from_secs(60));
-        assert!(d.instant().is_some());
-        assert!(!d.expired());
-        assert!(d.instant().is_some());
     }
 }

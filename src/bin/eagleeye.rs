@@ -203,7 +203,6 @@ fn cmd_coverage(a: &Args) -> Outcome {
     let harden = HardenOptions {
         checkpoint,
         deadline,
-        ..HardenOptions::new()
     };
     let out = eval.evaluate_hardened(&config, &harden)?;
     if out.resumed_passes > 0 {
@@ -403,6 +402,7 @@ fn cmd_dataset(a: &Args) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eagleeye::harden::Deadline;
 
     fn parse(command: &str, args: &[&str]) -> Result<Args, UsageError> {
         let (_, tables, _) = COMMANDS.iter().find(|c| c.0 == command).expect("command");
@@ -432,7 +432,8 @@ mod tests {
             assert_eq!(flags(name, &[]), Args::default(), "{name}");
         }
         let (checkpoint, deadline) = flags("coverage", &[]).run_layer().unwrap();
-        assert!(checkpoint.is_none() && deadline.instant().is_none());
+        assert!(checkpoint.is_none());
+        assert_eq!(deadline, Deadline::none());
         assert_eq!(
             get_workload(&Args::default()).unwrap(),
             Workload::ShipDetection
@@ -543,17 +544,14 @@ mod tests {
     #[test]
     fn deadline_flag_never_panics() {
         let deadline = |args: &[&str]| flags("coverage", args).run_layer().map(|(_, d)| d);
-        assert!(deadline(&["--deadline", "0"]).unwrap().instant().is_none());
+        assert_eq!(deadline(&["--deadline", "0"]).unwrap(), Deadline::none());
         let budget = deadline(&["--deadline", "2.5"]).unwrap();
-        assert!(budget.instant().is_some() && !budget.expired());
+        assert!(budget != Deadline::none() && !budget.expired());
         for bad in ["inf", "NaN", "1e300"] {
             assert!(deadline(&["--deadline", bad]).is_err(), "{bad}");
         }
         // Representable as a duration but not as an instant: no deadline.
-        assert!(deadline(&["--deadline", "1e19"])
-            .unwrap()
-            .instant()
-            .is_none());
+        assert_eq!(deadline(&["--deadline", "1e19"]).unwrap(), Deadline::none());
     }
 
     #[test]
