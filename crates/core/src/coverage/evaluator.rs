@@ -623,8 +623,11 @@ impl<'a> CoverageEvaluator<'a> {
             }
         }
         report.captured = captured.count();
-        // Summed in ascending target order; an empty sum is -0.0.
-        report.captured_value = captured.iter().map(|i| self.targets.value(i)).sum();
+        // Summed in ascending target order from +0.0, so a run that
+        // captures nothing reports +0.0 (`Iterator::sum` starts at -0.0).
+        report.captured_value = captured
+            .iter()
+            .fold(0.0, |sum, i| sum + self.targets.value(i));
         report
     }
 
@@ -1271,8 +1274,9 @@ mod tests {
     fn metrics_counters_are_deterministic_across_threads() {
         // Counters and histograms recorded under enabled metrics must
         // be bit-identical at every thread count. Gauges and timers are
-        // exempt by contract (DESIGN.md §10).
-        let targets = meridian_targets(80);
+        // exempt by contract (DESIGN.md §10). Dense enough that some
+        // horizons have several tasks and run the LP.
+        let targets = meridian_targets(240);
         let config = ConstellationConfig::EagleEye {
             groups: 3,
             followers_per_group: 2,
@@ -1326,7 +1330,9 @@ mod tests {
 
     #[test]
     fn ilp_scheduler_reports_solver_diagnostics() {
-        let targets = meridian_targets(60);
+        // Dense enough for frames of several tasks: a one-task horizon
+        // is solved in closed form and reports no solver effort.
+        let targets = meridian_targets(240);
         let eval = CoverageEvaluator::new(&targets, quick_options());
         let r = eval.evaluate(&ConstellationConfig::eagleeye(1, 1)).unwrap();
         assert!(r.ilp_subproblems > 0, "the default scheduler is the ILP");
@@ -1906,6 +1912,25 @@ mod tests {
             .evaluate(&ConstellationConfig::LowResOnly { satellites: 0 })
             .unwrap();
         assert_eq!(r.captured, 0);
+    }
+
+    /// A run that captures nothing reports a captured value of +0.0,
+    /// not the -0.0 of an empty `Iterator::sum`, which would print as
+    /// `-0.00%`.
+    #[test]
+    fn empty_runs_capture_positive_zero_value() {
+        let targets = meridian_targets(30);
+        let mut opts = quick_options();
+        opts.recall = 0.0;
+        let eval = CoverageEvaluator::new(&targets, opts);
+        for config in [
+            ConstellationConfig::LowResOnly { satellites: 0 },
+            ConstellationConfig::eagleeye(1, 1),
+        ] {
+            let r = eval.evaluate(&config).unwrap();
+            assert_eq!(r.captured, 0, "{config:?}");
+            assert_eq!(r.captured_value.to_bits(), 0, "{config:?}");
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //!   task twice is worthless).
 
 use super::SchedulingProblem;
+use crate::pointing::TimeWindow;
 
 /// One capture opportunity: follower `f` capturing task `j` at `t`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,25 +78,19 @@ impl OpportunityGraph {
     ) -> OpportunityGraph {
         debug_assert!(followers.windows(2).all(|w| w[0] < w[1]));
         let spec = problem.spec();
-        let slots = slots.max(1);
         let t_max = spec
             .adacs
             .min_slew_time_s(spec.max_pointing_separation_rad())
             + 1e-9;
         let n_tasks = problem.tasks().len();
         // The window of a task a follower may capture, and its slot
-        // count: one slot at the midpoint of a zero-length window.
+        // count.
         let window_slots = |f: usize, j: usize| {
             if *excluded_tasks.get(j).unwrap_or(&false) {
                 return None;
             }
             let w = problem.window(f, j)?;
-            let k = if slots == 1 || w.duration_s() < 1e-9 {
-                1
-            } else {
-                slots
-            };
-            Some((w, k))
+            Some((w, slot_count(&w, slots)))
         };
         let n_nodes: usize = followers
             .iter()
@@ -119,11 +114,7 @@ impl OpportunityGraph {
                         continue;
                     };
                     for s in 0..k {
-                        let t = if k == 1 {
-                            (w.start_s + w.end_s) / 2.0
-                        } else {
-                            w.start_s + w.duration_s() * s as f64 / (k - 1) as f64
-                        };
+                        let t = slot_time(&w, k, s);
                         nodes.push(OppNode {
                             follower: f,
                             task: j,
@@ -176,13 +167,7 @@ impl OpportunityGraph {
 
             // Source arcs.
             for &v in idx {
-                let n = &nodes[v];
-                let dt = n.time_s - state.available_from_s;
-                if dt < -1e-9 {
-                    continue;
-                }
-                let rot = problem.rotation_between(state.pointing_offset, n.offset);
-                if spec.adacs.can_rotate(rot, dt) {
+                if source_reaches(problem, &nodes[v]) {
                     arcs.push(Arc {
                         follower: f,
                         from: End::Source,
@@ -289,6 +274,40 @@ impl OpportunityGraph {
     }
 }
 
+/// Capture slots in window `w` when `slots` are asked for: one, at the
+/// midpoint, when at most one is asked for or the window has zero
+/// length.
+pub(crate) fn slot_count(w: &TimeWindow, slots: usize) -> usize {
+    if slots <= 1 || w.duration_s() < 1e-9 {
+        1
+    } else {
+        slots
+    }
+}
+
+/// Time of slot `s` of the `k` in window `w`: evenly spaced from its
+/// start to its end, nondecreasing in `s` (every step rounds
+/// monotonically), so slot order is time order.
+pub(crate) fn slot_time(w: &TimeWindow, k: usize, s: usize) -> f64 {
+    if k == 1 {
+        (w.start_s + w.end_s) / 2.0
+    } else {
+        w.start_s + w.duration_s() * s as f64 / (k - 1) as f64
+    }
+}
+
+/// Whether node `n`'s follower can turn from its initial state to
+/// capture it in time: the test behind every source-to-node arc.
+pub(crate) fn source_reaches(problem: &SchedulingProblem, n: &OppNode) -> bool {
+    let state = &problem.followers()[n.follower];
+    let dt = n.time_s - state.available_from_s;
+    !(dt < -1e-9)
+        && problem.spec().adacs.can_rotate(
+            problem.rotation_between(state.pointing_offset, n.offset),
+            dt,
+        )
+}
+
 /// Follower `f`'s time-sorted node indices: the block of `order` from
 /// `start` whose nodes belong to `f`.
 fn follower_block<'a>(
@@ -324,7 +343,6 @@ fn rest_index_at(rests: &[f64], t: f64) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pointing::TimeWindow;
     use crate::schedule::{FollowerState, TaskSpec};
     use crate::SensingSpec;
     use eagleeye_check::{check_cases, prop_assert, prop_assert_eq, u64_range, usize_range};

@@ -1,7 +1,7 @@
-use super::graph::{Arc, End, OpportunityGraph};
+use super::graph::{slot_count, slot_time, source_reaches, Arc, End, OppNode, OpportunityGraph};
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
-use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus, VarId};
+use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus, VarId, COST_TOL};
 use std::time::Duration;
 
 /// The paper's ILP-based actuation-aware scheduler (§4.3).
@@ -12,7 +12,9 @@ use std::time::Duration;
 /// constraints, and solves it exactly with `eagleeye-ilp`. The LP
 /// relaxation of this near-network structure is almost always integral,
 /// so branch-and-bound typically closes at the root node — the reason
-/// the paper's Fig. 12a runtime stays low and flat in target count.
+/// the paper's Fig. 12a runtime stays low and flat in target count. A
+/// one-task horizon takes the LP's own first step in closed form and
+/// builds no graph, model or tableau at all.
 ///
 /// For very large joint instances (many followers × many tasks) the
 /// scheduler falls back to sequential per-follower ILPs — an exact solve
@@ -62,8 +64,9 @@ impl Default for IlpScheduler {
 /// recorded (or substituted).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IlpRunStats {
-    /// Number of ILP subproblems attempted (1, or one per follower
-    /// under sequential decomposition).
+    /// Number of ILP subproblems attempted: 0 for a one-task horizon
+    /// solved in closed form, else 1, or one per follower under
+    /// sequential decomposition.
     pub subproblems: usize,
     /// Subproblems abandoned on the wall-clock deadline.
     pub deadline_hits: usize,
@@ -169,6 +172,44 @@ impl IlpScheduler {
             schedule.sequences[f].push(Capture { task: j, time_s: t });
             cursors[f] = (t, problem.capture_offset(f, j, t));
         }
+    }
+
+    /// The capture the joint LP makes on a one-task horizon, found
+    /// without building it (DESIGN.md §15.7), or `None` where the LP
+    /// must run: more than one task, a value of at most [`COST_TOL`]
+    /// (the LP then takes no step), no window, or a first follower with
+    /// a window that reaches none of its slots directly.
+    ///
+    /// Every arc into a slot carries the task's value and the columns
+    /// follow arc order, so Dantzig pricing enters the first such arc:
+    /// the first follower with a window emits its source-to-slot arcs
+    /// first, in slot order. That arc's capacity and capture-once rows
+    /// both allow exactly its upper bound of 1, which the ratio test
+    /// keeps, so the first iteration is a bound flip to 1. It reaches the
+    /// capture-once bound, every later step has zero length, and the
+    /// integral root chooses that one arc.
+    fn one_task_capture(&self, problem: &SchedulingProblem) -> Option<(usize, Capture)> {
+        let [task] = problem.tasks() else {
+            return None;
+        };
+        if !(task.value > COST_TOL) {
+            return None;
+        }
+        let (f, w) =
+            (0..problem.followers().len()).find_map(|f| Some((f, problem.window(f, 0)?)))?;
+        let k = slot_count(&w, self.slots_for(1));
+        (0..k)
+            .map(|s| slot_time(&w, k, s))
+            .find(|&t| {
+                let slot = OppNode {
+                    follower: f,
+                    task: 0,
+                    time_s: t,
+                    offset: problem.capture_offset(f, 0, t),
+                };
+                source_reaches(problem, &slot)
+            })
+            .map(|t| (f, Capture { task: 0, time_s: t }))
     }
 
     /// Solves one (sub)instance over the given followers and non-excluded
@@ -395,9 +436,13 @@ impl IlpScheduler {
         let mut excluded = vec![false; n_tasks];
 
         if n_followers == 1 || joint_nodes_estimate <= self.joint_node_limit {
-            let all: Vec<usize> = (0..n_followers).collect();
-            for (f, seq) in self.solve_subproblem(problem, &all, &excluded, &mut stats)? {
-                schedule.sequences[f] = seq;
+            if let Some((f, capture)) = self.one_task_capture(problem) {
+                schedule.sequences[f].push(capture);
+            } else {
+                let all: Vec<usize> = (0..n_followers).collect();
+                for (f, seq) in self.solve_subproblem(problem, &all, &excluded, &mut stats)? {
+                    schedule.sequences[f] = seq;
+                }
             }
         } else {
             // Sequential decomposition: exact per-follower solves on the
@@ -414,12 +459,15 @@ impl IlpScheduler {
         }
 
         self.compact_and_augment(problem, &mut schedule);
-        schedule.total_value = schedule
-            .captured_tasks()
-            .iter()
-            .map(|&j| problem.tasks()[j].value)
-            .sum();
+        let captured = schedule.captured_tasks();
+        schedule.total_value = captured.iter().map(|&j| problem.tasks()[j].value).sum();
 
+        // Greedy cannot beat a schedule that captures every task when no
+        // value is negative: its value sums a subset of the same values
+        // in the same ascending order, and rounding is monotone.
+        if captured.len() == n_tasks && problem.tasks().iter().all(|t| t.value >= 0.0) {
+            return Ok((schedule, stats));
+        }
         // The greedy pass is three orders of magnitude cheaper than the
         // ILP; never return a schedule it would beat (can occur when the
         // slot grid is very coarse on large instances).
@@ -445,9 +493,12 @@ impl Scheduler for IlpScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{FollowerState, TaskSpec};
+    use crate::pointing::TimeWindow;
+    use crate::schedule::{FollowerState, GreedyScheduler, TaskSpec};
     use crate::SensingSpec;
-    use eagleeye_check::{any_bool, check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_check::{
+        any_bool, check_cases, prop_assert, prop_assert_eq, u64_range, usize_range,
+    };
     use eagleeye_rng::SplitMix64;
     use std::collections::BTreeMap;
 
@@ -615,6 +666,220 @@ mod tests {
         let (got, want) = assembly_agrees(&p, 0, 3, false);
         assert_eq!(got.0.num_constraints(), 0);
         assert_eq!(got, want);
+    }
+
+    /// A seeded one-task horizon over `n_followers` trailing followers.
+    /// The task may sit beyond some followers' reach, and carried state
+    /// may start a follower after its window has passed, so windows go
+    /// missing; `clip_kind` 1 clips every window to a few seconds and 2
+    /// to one instant. `value_kind` 0 and 1 draw a value the LP does
+    /// not price in (0 and 5e-10).
+    fn one_task_problem(
+        seed: u64,
+        n_followers: usize,
+        carried: bool,
+        clip_kind: usize,
+        value_kind: usize,
+    ) -> SchedulingProblem {
+        let mut rng = SplitMix64::new(seed);
+        let value = match value_kind {
+            0 => 0.0,
+            1 => 5e-10,
+            _ => rng.range_f64(0.5, 4.0),
+        };
+        let task = TaskSpec::new(
+            rng.range_f64(-100_000.0, 100_000.0),
+            rng.range_f64(-60_000.0, 60_000.0),
+            value,
+        );
+        let followers = (0..n_followers)
+            .map(|k| {
+                let mut f = FollowerState::at_start(-100_000.0 - 20_000.0 * k as f64);
+                if carried {
+                    f.available_from_s = rng.range_f64(0.0, 40.0);
+                    f.pointing_offset = (
+                        rng.range_f64(-90_000.0, 90_000.0),
+                        rng.range_f64(-20_000.0, 20_000.0),
+                    );
+                }
+                f
+            })
+            .collect();
+        let a = rng.range_f64(0.0, 30.0);
+        let clip = match clip_kind {
+            0 => None,
+            1 => Some(TimeWindow::new(a, a + rng.range_f64(0.5, 10.0)).unwrap()),
+            _ => Some(TimeWindow::new(a, a).unwrap()),
+        };
+        SchedulingProblem::new_with_clip(SensingSpec::paper_default(), vec![task], followers, clip)
+            .unwrap()
+    }
+
+    /// [`IlpScheduler::schedule_with_stats`] on the joint LP path with
+    /// no shortcut: every horizon solves its LP and faces the greedy
+    /// check. Returns the schedule and whether greedy's replaced it.
+    fn lp_path(s: &IlpScheduler, p: &SchedulingProblem) -> (Schedule, bool) {
+        let all: Vec<usize> = (0..p.followers().len()).collect();
+        let excluded = vec![false; p.tasks().len()];
+        let mut schedule = Schedule::empty(all.len());
+        let mut stats = IlpRunStats::default();
+        for (f, seq) in s.solve_subproblem(p, &all, &excluded, &mut stats).unwrap() {
+            schedule.sequences[f] = seq;
+        }
+        s.compact_and_augment(p, &mut schedule);
+        schedule.total_value = schedule
+            .captured_tasks()
+            .iter()
+            .map(|&j| p.tasks()[j].value)
+            .sum();
+        let greedy = GreedyScheduler.schedule(p).unwrap();
+        if greedy.total_value > schedule.total_value + 1e-9 {
+            (greedy, true)
+        } else {
+            (schedule, false)
+        }
+    }
+
+    /// A schedule's captures as `(follower, task, time bits)` and its
+    /// total value's bits.
+    fn schedule_bits(s: &Schedule) -> (Vec<(usize, usize, u64)>, u64) {
+        let captures = s
+            .sequences
+            .iter()
+            .enumerate()
+            .flat_map(|(f, seq)| seq.iter().map(move |c| (f, c.task, c.time_s.to_bits())))
+            .collect();
+        (captures, s.total_value.to_bits())
+    }
+
+    /// The one-task closed form is the LP's answer, bit for bit: its
+    /// (follower, slot time) is what `solve_subproblem` extracts, and
+    /// `schedule_with_stats` returns what the LP path returns, with no
+    /// solver effort counted. Where it declines, the LP runs.
+    #[test]
+    fn one_task_closed_form_matches_the_lp() {
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(1, 5),
+            any_bool(),
+            usize_range(1, 7),
+            usize_range(0, 3),
+            usize_range(0, 10),
+        );
+        // Closed-form cases: on a follower after the first, at a slot
+        // after the first, with carried state, in a clipped or
+        // zero-length window, with a follower missing its window; and
+        // declined cases with a priced value and a window.
+        let seen = std::cell::Cell::new([0usize; 7]);
+        check_cases(
+            384,
+            "ilp_one_task_closed_form_matches_the_lp",
+            gen,
+            |&(seed, n_followers, carried, slots, clip_kind, value_kind)| {
+                let p = one_task_problem(seed, n_followers, carried, clip_kind, value_kind);
+                let scheduler = IlpScheduler {
+                    slots_per_task: slots,
+                    time_limit: Duration::from_secs(3600),
+                    ..IlpScheduler::default()
+                };
+                let all: Vec<usize> = (0..n_followers).collect();
+                let mut lp_stats = IlpRunStats::default();
+                let raw = scheduler
+                    .solve_subproblem(&p, &all, &[false], &mut lp_stats)
+                    .unwrap();
+                let raw: Vec<(usize, usize, u64)> = raw
+                    .iter()
+                    .flat_map(|(f, seq)| seq.iter().map(move |c| (*f, c.task, c.time_s.to_bits())))
+                    .collect();
+                let (got, stats) = scheduler.schedule_with_stats(&p).unwrap();
+                let (want, dominated) = lp_path(&scheduler, &p);
+                prop_assert_eq!(schedule_bits(&got), schedule_bits(&want));
+                prop_assert_eq!(stats.greedy_dominated, dominated);
+                let mut count = seen.get();
+                match scheduler.one_task_capture(&p) {
+                    Some((f, c)) => {
+                        prop_assert_eq!(raw, vec![(f, c.task, c.time_s.to_bits())]);
+                        prop_assert_eq!(stats, IlpRunStats::default());
+                        let w = p.window(f, 0).unwrap();
+                        count[0] += usize::from(f > 0);
+                        count[1] += usize::from(c.time_s > w.start_s);
+                        count[2] += usize::from(carried);
+                        count[3] += usize::from(clip_kind == 1);
+                        count[4] += usize::from(w.duration_s() < 1e-9);
+                        count[5] += usize::from((0..n_followers).any(|g| p.window(g, 0).is_none()));
+                    }
+                    None => {
+                        prop_assert_eq!(stats.subproblems, 1);
+                        prop_assert_eq!(stats.nodes_explored, lp_stats.nodes_explored);
+                        let window = (0..n_followers).any(|g| p.window(g, 0).is_some());
+                        count[6] += usize::from(value_kind > 1 && window);
+                    }
+                }
+                seen.set(count);
+                Ok(())
+            },
+        );
+        assert!(seen.get().iter().all(|&n| n >= 5), "{:?}", seen.get());
+    }
+
+    /// A follower pointed far to one side, with a task on the other
+    /// whose window ends before it can turn: no slot is reachable from
+    /// its initial state, so the closed form declines and the LP runs.
+    #[test]
+    fn one_task_without_a_direct_slot_runs_the_lp() {
+        let mut f = FollowerState::at_start(-20_000.0);
+        f.pointing_offset = (-88_000.0, 0.0);
+        let p = problem(vec![TaskSpec::new(88_000.0, -14_000.0, 1.0)], vec![f]);
+        let scheduler = IlpScheduler::default();
+        assert!(p.window(0, 0).is_some());
+        assert_eq!(scheduler.one_task_capture(&p), None);
+        let (s, stats) = scheduler.schedule_with_stats(&p).unwrap();
+        s.validate(&p).unwrap();
+        assert_eq!((stats.subproblems, stats.nodes_explored), (1, 1));
+        assert!(stats.lp_iterations >= 1);
+        assert_eq!(schedule_bits(&s), schedule_bits(&lp_path(&scheduler, &p).0));
+    }
+
+    /// When a schedule captures every task and no value is negative,
+    /// greedy can never beat it, so `schedule_with_stats` skips the
+    /// greedy check there and still returns what the check would; where
+    /// a task is missed, the check still runs.
+    #[test]
+    fn greedy_check_is_skipped_only_where_it_cannot_fire() {
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(1, 7),
+            usize_range(1, 4),
+            any_bool(),
+        );
+        let skipped = std::cell::Cell::new(0usize);
+        check_cases(
+            96,
+            "ilp_greedy_check_is_skipped_only_where_it_cannot_fire",
+            gen,
+            |&(seed, n_tasks, n_followers, carried)| {
+                let p = seeded_problem(seed, n_tasks, n_followers, carried);
+                let scheduler = IlpScheduler::default();
+                let (got, stats) = scheduler.schedule_with_stats(&p).unwrap();
+                let (want, dominated) = lp_path(&scheduler, &p);
+                prop_assert_eq!(schedule_bits(&got), schedule_bits(&want));
+                prop_assert_eq!(stats.greedy_dominated, dominated);
+                if got.captured_count() == n_tasks {
+                    let greedy = GreedyScheduler.schedule(&p).unwrap();
+                    prop_assert!(greedy.total_value <= got.total_value);
+                    skipped.set(skipped.get() + 1);
+                }
+                Ok(())
+            },
+        );
+        assert!(skipped.get() >= 20, "{}", skipped.get());
+        // Where the LP path misses a task, greedy can still win, so the
+        // check must run there.
+        let p = seeded_problem(2, 8, 1, false);
+        let (s, stats) = IlpScheduler::default().schedule_with_stats(&p).unwrap();
+        assert!(stats.greedy_dominated);
+        let greedy = GreedyScheduler.schedule(&p).unwrap();
+        assert_eq!(schedule_bits(&s), schedule_bits(&greedy));
     }
 
     #[test]

@@ -237,3 +237,42 @@ fn sequential_decomposition() {
         },
     );
 }
+
+// One-task horizons are three quarters of a design point's. They are
+// solved in closed form: the LP's first step is a bound flip onto the
+// first follower's first directly reachable slot, so no graph, model
+// or tableau is built and no solver effort is counted. The captures,
+// times and values below are what the LP path gave (one subproblem, one
+// root node, 9 iterations and 7 pivots each).
+
+#[test]
+fn one_task_fresh_state() {
+    let p = frame_problem(11, 1, 1.0, false);
+    assert_pinned(
+        "2x1",
+        &pinned(0),
+        &p,
+        &Pin {
+            captured: [&[0], &[]],
+            time_digest: 0x8d141ace897f4610,
+            total_value_bits: 0x4005dd7ccd4c18f6,
+            stats: IlpRunStats::default(),
+        },
+    );
+}
+
+#[test]
+fn one_task_carried_state() {
+    let p = frame_problem(12, 1, 1.0, true);
+    assert_pinned(
+        "2x1 carried",
+        &pinned(0),
+        &p,
+        &Pin {
+            captured: [&[0], &[]],
+            time_digest: 0xc372679fecf94af5,
+            total_value_bits: 0x3ff52537371263e0,
+            stats: IlpRunStats::default(),
+        },
+    );
+}

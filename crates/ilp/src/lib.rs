@@ -55,3 +55,4 @@ mod simplex;
 pub use branch::{SolveOptions, SolveStats};
 pub use error::IlpError;
 pub use model::{Model, ObjectiveDirection, Sense, Solution, SolveStatus, VarId};
+pub use simplex::COST_TOL;

@@ -61,7 +61,9 @@ impl LpSolution {
     }
 }
 
-const COST_TOL: f64 = 1e-9;
+/// Pricing tolerance: a column enters the basis only when its reduced
+/// cost improves the objective by more than this per unit.
+pub const COST_TOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 /// Consecutive non-improving iterations before switching to Bland's rule.
