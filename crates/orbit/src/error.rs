@@ -1,8 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced by orbital-element construction, TLE parsing, and
-/// propagation.
+/// Errors produced by orbital-element construction and propagation.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum OrbitError {
@@ -12,29 +11,6 @@ pub enum OrbitError {
         name: &'static str,
         /// The rejected value.
         value: f64,
-    },
-    /// A TLE line had the wrong length.
-    TleLineLength {
-        /// Which line (1 or 2).
-        line: u8,
-        /// Actual length found.
-        len: usize,
-    },
-    /// A TLE line failed its modulo-10 checksum.
-    TleChecksum {
-        /// Which line (1 or 2).
-        line: u8,
-        /// Checksum computed from the line body.
-        computed: u32,
-        /// Checksum digit present in the line.
-        found: u32,
-    },
-    /// A TLE field could not be parsed as a number.
-    TleField {
-        /// Which line (1 or 2).
-        line: u8,
-        /// Human-readable field name.
-        field: &'static str,
     },
     /// Kepler's equation failed to converge (pathological eccentricity).
     KeplerDivergence {
@@ -52,22 +28,6 @@ impl fmt::Display for OrbitError {
         match self {
             OrbitError::InvalidElement { name, value } => {
                 write!(f, "orbital element {name} = {value} is out of range")
-            }
-            OrbitError::TleLineLength { line, len } => {
-                write!(f, "TLE line {line} has length {len}, expected 69")
-            }
-            OrbitError::TleChecksum {
-                line,
-                computed,
-                found,
-            } => {
-                write!(
-                    f,
-                    "TLE line {line} checksum mismatch: computed {computed}, found {found}"
-                )
-            }
-            OrbitError::TleField { line, field } => {
-                write!(f, "TLE line {line}: could not parse field {field}")
             }
             OrbitError::KeplerDivergence {
                 mean_anomaly_rad,
@@ -108,16 +68,6 @@ mod tests {
             OrbitError::InvalidElement {
                 name: "ecc",
                 value: 2.0,
-            },
-            OrbitError::TleLineLength { line: 1, len: 10 },
-            OrbitError::TleChecksum {
-                line: 2,
-                computed: 3,
-                found: 4,
-            },
-            OrbitError::TleField {
-                line: 1,
-                field: "epoch",
             },
             OrbitError::KeplerDivergence {
                 mean_anomaly_rad: 1.0,

@@ -184,7 +184,7 @@ impl GroundTrack {
     /// Cylindrical-shadow sunlight test: the satellite is eclipsed when
     /// it is on the anti-sun side and within one Earth radius of the
     /// shadow axis.
-    pub fn is_sunlit(&self, eci_pos: Vec3) -> bool {
+    fn is_sunlit(&self, eci_pos: Vec3) -> bool {
         let along_sun = eci_pos.dot(self.sun_direction_eci);
         if along_sun >= 0.0 {
             return true;

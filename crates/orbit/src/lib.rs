@@ -1,14 +1,12 @@
-//! Orbital mechanics substrate: TLEs, Keplerian propagation with J2
-//! secular perturbations, ground tracks, and constellation layout.
+//! Orbital mechanics substrate: Keplerian propagation with J2 secular
+//! perturbations, ground tracks, and constellation layout.
 //!
 //! The EagleEye paper models its constellation with the `cote` orbital
 //! edge computing simulator, initialized from Celestrak two-line element
 //! sets, flying a sun-synchronous polar orbit (475 km altitude, 97.2°
-//! inclination, ~94 minute period). This crate provides the equivalent
-//! machinery from scratch:
+//! inclination, ~94 minute period). This crate builds that orbit from
+//! its Keplerian elements instead:
 //!
-//! * [`Tle`] — two-line element parsing (with checksum validation) and
-//!   formatting.
 //! * [`KeplerianElements`] — classical orbital elements and conversion to
 //!   Earth-centered inertial state vectors (solving Kepler's equation).
 //! * [`J2Propagator`] — secular J2 propagation (nodal regression, apsidal
@@ -56,8 +54,6 @@ mod error;
 mod groundtrack;
 mod kepler;
 mod propagator;
-mod sgp4;
-mod tle;
 
 pub use cache::{frame_epochs, EpochGrid};
 pub use constellation::{ConstellationLayout, SatelliteRole, SatelliteSpec};
@@ -65,5 +61,3 @@ pub use error::OrbitError;
 pub use groundtrack::{GroundTrack, TrackState};
 pub use kepler::{EciState, KeplerianElements};
 pub use propagator::J2Propagator;
-pub use sgp4::Sgp4Propagator;
-pub use tle::Tle;

@@ -2,30 +2,12 @@
 //! `eagleeye-check` harness (replay with `EAGLEEYE_CHECK_SEED`, scale
 //! with `EAGLEEYE_CHECK_CASES`).
 
-use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assume, PropResult};
+use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assume};
 use eagleeye_geo::earth::{MEAN_RADIUS_M, MU_M3_S2};
 use eagleeye_geo::Vec3;
-use eagleeye_orbit::{EciState, GroundTrack, J2Propagator, KeplerianElements, Sgp4Propagator, Tle};
+use eagleeye_orbit::{EciState, GroundTrack, J2Propagator, KeplerianElements};
 
 const CASES: u32 = 64;
-
-/// Builds a checksum-valid TLE for a near-circular LEO with the given
-/// inclination (deg) and mean motion (rev/day), drag-free.
-fn leo_tle(incl_deg: f64, mean_motion: f64, raan_deg: f64, mean_anom_deg: f64) -> Tle {
-    let base = Tle::paper_orbit().to_string();
-    let (l1, _) = base.split_once('\n').expect("two lines");
-    let mut l2 = format!(
-        "2 99001 {:8.4} {:8.4} 0001000 {:8.4} {:8.4} {:11.8}    1",
-        incl_deg, raan_deg, 0.0, mean_anom_deg, mean_motion,
-    );
-    l2.truncate(68);
-    while l2.len() < 68 {
-        l2.push(' ');
-    }
-    let c = Tle::checksum(&l2);
-    l2.push(char::from_digit(c, 10).expect("mod 10"));
-    Tle::parse(l1, &l2).expect("synthesized TLE is valid")
-}
 
 /// Specific orbital energy, J/kg: `v²/2 − μ/r`.
 fn specific_energy(s: &EciState) -> f64 {
@@ -130,47 +112,6 @@ fn circular_altitude_is_stable() {
     );
 }
 
-fn check_sgp4_agrees_with_j2(
-    incl_deg: f64,
-    mean_motion: f64,
-    raan_deg: f64,
-    mean_anom_deg: f64,
-    t: f64,
-) -> PropResult {
-    let tle = leo_tle(incl_deg, mean_motion, raan_deg, mean_anom_deg);
-    let sgp4 = Sgp4Propagator::new(&tle).expect("LEO is supported");
-    let j2 = J2Propagator::from_tle(&tle).expect("valid elements");
-    let a = sgp4.state_at(t).expect("propagates").position;
-    let b = j2.state_at(t).expect("propagates").position;
-    let sep_km = (a - b).norm() / 1000.0;
-    prop_assert!(sep_km < 80.0, "separation {sep_km} km at t={t}");
-    // Both stay at LEO altitude.
-    let alt_km = a.norm() / 1000.0 - 6378.135;
-    prop_assert!(alt_km > 250.0 && alt_km < 1_400.0, "altitude {alt_km}");
-    Ok(())
-}
-
-/// SGP4 and the J2 propagator agree to within tens of kilometers on
-/// drag-free near-circular LEOs over an hour — the cross-validation
-/// bound documented in `orbit::sgp4`.
-#[test]
-fn sgp4_agrees_with_j2_on_leo() {
-    check_cases(
-        CASES,
-        "sgp4_agrees_with_j2_on_leo",
-        (
-            f64_range(30.0, 110.0),
-            f64_range(13.0, 16.0), // rev/day: ~450-900 km LEO
-            f64_range(0.0, 359.0),
-            f64_range(0.0, 359.0),
-            f64_range(0.0, 3_600.0),
-        ),
-        |&(incl_deg, mean_motion, raan_deg, mean_anom_deg, t)| {
-            check_sgp4_agrees_with_j2(incl_deg, mean_motion, raan_deg, mean_anom_deg, t)
-        },
-    );
-}
-
 /// Phase-shifting satellites preserves their angular separation over
 /// time (rigid constellation rotation).
 #[test]
@@ -193,19 +134,4 @@ fn phase_separation_is_preserved() {
             Ok(())
         },
     );
-}
-
-/// Pinned regression cases from the retired `.proptest-regressions`
-/// file: SGP4-vs-J2 agreement at the low corner of the inclination and
-/// mean-motion ranges, where the epoch-state discrepancy peaked.
-#[test]
-fn regression_sgp4_vs_j2_low_inclination_epoch() {
-    check_sgp4_agrees_with_j2(30.0, 13.0, 0.0, 0.0, 0.0).expect("regression case must pass");
-}
-
-/// Second pinned seed: near the fast-orbit boundary (15.94 rev/day).
-#[test]
-fn regression_sgp4_vs_j2_fast_orbit_epoch() {
-    check_sgp4_agrees_with_j2(30.0, 15.939_504_969_680_362, 0.0, 0.0, 0.0)
-        .expect("regression case must pass");
 }

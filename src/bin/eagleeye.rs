@@ -6,7 +6,7 @@
 //! * `coverage` — run the coverage evaluator on a workload/configuration.
 //! * `schedule` — schedule a synthetic frame and print the capture plan.
 //! * `energy`   — per-orbit energy budget for a satellite role.
-//! * `orbit`    — print a ground track from the paper's orbit (or a TLE).
+//! * `orbit`    — print the J2 ground track of the paper's orbit.
 //! * `dataset`  — generate a workload and print summary statistics.
 //!
 //! Each subcommand reads the flags its table lists and no others
@@ -22,11 +22,13 @@ use eagleeye::core::schedule::{
 use eagleeye::core::SensingSpec;
 use eagleeye::datasets::Workload;
 
+use eagleeye::geo::earth::MU_M3_S2;
 use eagleeye::harden::{cli, Args, Flag, UsageError, RUN_LAYER, USAGE_STATUS};
 use eagleeye::obs::Metrics;
-use eagleeye::orbit::{GroundTrack, J2Propagator, Sgp4Propagator, Tle};
+use eagleeye::orbit::{GroundTrack, J2Propagator, KeplerianElements, OrbitError};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
 use std::error::Error;
+use std::io::{self, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 /// What a subcommand returns: a [`UsageError`] exits 2, any other
@@ -72,7 +74,6 @@ const ENERGY: &[Flag] = &[
 const ORBIT: &[Flag] = &[
     Flag("hours", "H", "track length (default 0.5)"),
     Flag("step", "SECONDS", "sample step, at least 1 (default 120)"),
-    Flag("sgp4", "", "propagate with SGP4 instead of J2"),
 ];
 const DATASET: &[Flag] = &[
     Flag("workload", "W", "workload to generate (default ships)"),
@@ -347,34 +348,51 @@ fn cmd_energy(a: &Args) -> Outcome {
 fn cmd_orbit(a: &Args) -> Outcome {
     let hours = a.non_negative("hours")?.unwrap_or(0.5);
     let step = a.finite("step")?.unwrap_or(120.0).max(1.0);
-    let tle = Tle::paper_orbit();
-    let use_sgp4 = a.has("sgp4");
-    let track = GroundTrack::new(J2Propagator::from_tle(&tle)?);
-    let sgp4 = Sgp4Propagator::new(&tle)?;
+    let track = GroundTrack::new(J2Propagator::new(paper_orbit()?));
+    match print_track(&track, hours, step) {
+        // The reader closed the pipe (`eagleeye orbit | head`): it has
+        // all the rows it wants.
+        Err(e) if e.downcast_ref().is_some_and(is_broken_pipe) => Ok(()),
+        result => result,
+    }
+}
 
-    println!(
-        "t_s,lat_deg,lon_deg,alt_km,sunlit ({})",
-        if use_sgp4 { "sgp4" } else { "j2" }
-    );
+fn is_broken_pipe(e: &io::Error) -> bool {
+    e.kind() == ErrorKind::BrokenPipe
+}
+
+/// The paper's orbit (§5): a 94-minute period at 97.2° inclination,
+/// near circular, with the semi-major axis recovered from the mean
+/// motion.
+fn paper_orbit() -> Result<KeplerianElements, OrbitError> {
+    let rev_per_day = 86_400.0 / (94.0 * 60.0);
+    let n_rad_s = rev_per_day * std::f64::consts::TAU / 86_400.0;
+    let a = (MU_M3_S2 / (n_rad_s * n_rad_s)).cbrt();
+    KeplerianElements::new(a, 0.0001, 97.2_f64.to_radians(), 0.0, 0.0, 0.0)
+}
+
+/// Writes one CSV row per `step` seconds of the first `hours` of
+/// `track` to stdout.
+fn print_track(track: &GroundTrack, hours: f64, step: f64) -> Outcome {
+    let mut out = BufWriter::new(io::stdout().lock());
+    writeln!(out, "t_s,lat_deg,lon_deg,alt_km,sunlit (j2)")?;
     let mut t = 0.0;
     while t <= hours * 3600.0 {
-        let (pos, lit) = if use_sgp4 {
-            let s = sgp4.state_at(t)?;
-            (s.position, track.is_sunlit(s.position))
-        } else {
-            let s = track.state_at(t)?;
-            (s.eci.position, s.in_sunlight)
-        };
-        let geo = track.eci_to_ecef(pos, t).to_geodetic_spherical()?;
-        println!(
+        let s = track.state_at(t)?;
+        let geo = track
+            .eci_to_ecef(s.eci.position, t)
+            .to_geodetic_spherical()?;
+        writeln!(
+            out,
             "{t:.0},{:.3},{:.3},{:.1},{}",
             geo.lat_deg(),
             geo.lon_deg(),
             geo.alt_m() / 1000.0,
-            lit
-        );
+            s.in_sunlight
+        )?;
         t += step;
     }
+    out.flush()?;
     Ok(())
 }
 
@@ -441,9 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn boolean_sgp4_flag() {
-        let f = flags("orbit", &["--sgp4", "--hours", "1"]);
-        assert!(f.has("sgp4"));
+    fn boolean_resume_flag() {
+        let f = flags("coverage", &["--resume", "--hours", "1"]);
+        assert!(f.has("resume"));
         assert_eq!(f.non_negative("hours").unwrap(), Some(1.0));
     }
 
@@ -463,7 +481,7 @@ mod tests {
             ),
             ("dataset", &["--bogus", "3"], "--bogus"),
             ("dataset", &["--seed", "1", "--seed", "2"], "--seed"),
-            ("orbit", &["--sgp4", "--sgp4"], "--sgp4"),
+            ("coverage", &["--resume", "--resume"], "--resume"),
             ("schedule", &["--deadline", "5"], "--deadline"),
         ] {
             let err = parse(command, args).unwrap_err();

@@ -7,7 +7,7 @@
 //! * [`core`] — clustering, actuation-aware scheduling, coverage
 //!   evaluation (the paper's contribution).
 //! * [`ilp`] — the MILP solver substrate (simplex + branch-and-bound).
-//! * [`orbit`] — TLEs, J2/SGP4 propagation, ground tracks, layouts.
+//! * [`orbit`] — Keplerian elements, J2 propagation, ground tracks, layouts.
 //! * [`geo`] — geodesy, great circles, tangent frames, spatial index.
 //! * [`sim`] — energy, battery, and radio-link models.
 //! * [`datasets`] — the four synthetic evaluation workloads.

@@ -4,23 +4,8 @@
 use eagleeye::datasets::{AirplaneGenerator, LakeGenerator, LakeSizeBand, ShipGenerator};
 use eagleeye::detect::{TilingConfig, YoloVariant};
 use eagleeye::geo::{greatcircle, GeodeticPoint};
-use eagleeye::orbit::{ConstellationLayout, GroundTrack, J2Propagator, SatelliteRole, Tle};
+use eagleeye::orbit::{ConstellationLayout, GroundTrack, J2Propagator, SatelliteRole};
 use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
-
-#[test]
-fn tle_round_trip_through_propagation() {
-    let tle = Tle::paper_orbit();
-    let lines = tle.to_string();
-    let (l1, l2) = lines.split_once('\n').unwrap();
-    let reparsed = Tle::parse(l1, l2).unwrap();
-    let p1 = J2Propagator::from_tle(&tle).unwrap();
-    let p2 = J2Propagator::from_tle(&reparsed).unwrap();
-    for t in [0.0, 1_000.0, 5_640.0] {
-        let a = p1.state_at(t).unwrap().position;
-        let b = p2.state_at(t).unwrap().position;
-        assert!((a - b).norm() < 10_000.0, "positions diverge at t={t}");
-    }
-}
 
 #[test]
 fn follower_lags_leader_by_the_design_distance() {
