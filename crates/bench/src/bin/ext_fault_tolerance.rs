@@ -7,9 +7,10 @@
 //! * **nofault** — no faults injected (the healthy ceiling);
 //! * **naive** — faults injected, leader unaware: it keeps assigning
 //!   tasks to dead followers and those captures are lost;
-//! * **resilient** — faults injected, leader runs the
-//!   `ResilientScheduler` (budgeted ILP, greedy fallback, mid-pass
-//!   repair) and excludes known-dead followers.
+//! * **resilient** — faults injected, leader runs
+//!   `DegradedMode::Repair`: it excludes known-dead followers,
+//!   validates each ILP horizon (falling back to greedy) and repairs
+//!   mid-pass failures.
 //!
 //! The headline metric is `recovery`: the fraction of naive-lost
 //! coverage that the resilient run wins back,
@@ -23,7 +24,7 @@ use eagleeye_core::coverage::{
 };
 use eagleeye_datasets::Workload;
 use eagleeye_obs::Metrics;
-use eagleeye_sim::{FaultPlan, FaultScenario};
+use eagleeye_sim::FaultPlan;
 use std::sync::Arc;
 
 const FOLLOWERS: usize = 4;
@@ -43,10 +44,10 @@ fn main() {
     let groups = if cli.fast { 2 } else { 4 };
     let targets = cli.workload(Workload::ShipDetection);
 
-    let config = |scheduler| ConstellationConfig::EagleEye {
+    let config = ConstellationConfig::EagleEye {
         groups,
         followers_per_group: FOLLOWERS,
-        scheduler,
+        scheduler: SchedulerKind::Ilp,
         clustering: ClusteringMethod::Ilp,
     };
     let options =
@@ -57,12 +58,10 @@ fn main() {
         };
 
     // Healthy ceiling, computed once (fault-free, exact ILP).
-    let nofault = CoverageEvaluator::new(
-        &targets,
-        options(None, DegradedMode::Resilient, &cli.metrics),
-    )
-    .evaluate(&config(SchedulerKind::Ilp))
-    .expect("nofault evaluation");
+    let nofault =
+        CoverageEvaluator::new(&targets, options(None, DegradedMode::Exclude, &cli.metrics))
+            .evaluate(&config)
+            .expect("nofault evaluation");
     let c0 = nofault.coverage_fraction();
     eprintln!("healthy ceiling: {:.2}% coverage", 100.0 * c0);
 
@@ -74,14 +73,10 @@ fn main() {
         .flat_map(|&rate| seeds.iter().map(move |&seed| (rate, seed)))
         .collect();
     let cells = cli.par_sweep_observed(&grid, |&(rate, seed), metrics| {
-        let scenario = FaultScenario {
-            follower_outage_rate: rate,
-            ..FaultScenario::none()
-        };
         // One Arc'd plan shared by both evaluations — no per-run copy.
         let plan = Arc::new(FaultPlan::monte_carlo(
             seed,
-            &scenario,
+            rate,
             FOLLOWERS,
             cli.duration_s,
         ));
@@ -91,18 +86,17 @@ fn main() {
             &targets,
             options(Some(plan.clone()), DegradedMode::Naive, metrics),
         )
-        .evaluate(&config(SchedulerKind::Ilp))
+        .evaluate(&config)
         .expect("naive evaluation");
-        let resilient = CoverageEvaluator::new(
-            &targets,
-            options(Some(plan), DegradedMode::Resilient, metrics),
-        )
-        .evaluate(&config(SchedulerKind::Resilient))
-        .expect("resilient evaluation");
+        let resilient =
+            CoverageEvaluator::new(&targets, options(Some(plan), DegradedMode::Repair, metrics))
+                .evaluate(&config)
+                .expect("resilient evaluation");
         eprintln!(
             "done: rate={rate} seed={seed} outages={outages} captured \
              {}/{}/{} (nofault/naive/resilient), naive lost {} commanded captures \
-             ({} fallbacks, {} on the horizon budget, {} repairs)",
+             ({} fallbacks, {} on the ILP deadline, {} repairs), \
+             ilp deadline hits {}/{} (naive/resilient)",
             nofault.captured,
             naive.captured,
             resilient.captured,
@@ -110,6 +104,8 @@ fn main() {
             resilient.greedy_fallbacks,
             resilient.deadline_fallbacks,
             resilient.repairs_attempted,
+            naive.ilp_deadline_hits,
+            resilient.ilp_deadline_hits,
         );
         (outages, naive, resilient)
     });

@@ -164,13 +164,14 @@ pub(super) struct ReplayCapture {
 /// Solver-provenance counter increments of one horizon solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum SolvedOutcome {
-    /// Plain scheduler (no provenance counters).
+    /// No provenance counters: any horizon outside
+    /// [`DegradedMode::Repair`](super::DegradedMode::Repair)'s ILP runs.
     Plain,
-    /// Resilient scheduler chose the ILP (`ilp_horizons += 1`).
+    /// Under `Repair`, the ILP's own schedule (`ilp_horizons += 1`).
     IlpHorizon,
-    /// Resilient scheduler fell back to greedy
+    /// Under `Repair`, the ILP degraded to greedy or was replaced by it
     /// (`greedy_fallbacks += 1`, plus `deadline_fallbacks` when the
-    /// fallback reason was the frame deadline).
+    /// ILP hit its wall-clock deadline).
     GreedyFallback {
         /// Whether the fallback was deadline-triggered.
         deadline: bool,

@@ -8,9 +8,6 @@ pub enum SchedulerKind {
     Ilp,
     /// Greedy nearest-target baseline.
     Greedy,
-    /// Budgeted ILP with greedy fallback, post-validation, and mid-pass
-    /// failure repair (see [`crate::schedule::ResilientScheduler`]).
-    Resilient,
 }
 
 impl SchedulerKind {
@@ -20,7 +17,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::Ilp => "ilp",
             SchedulerKind::Greedy => "greedy",
-            SchedulerKind::Resilient => "resilient",
         }
     }
 }
@@ -30,7 +26,6 @@ impl FieldHash for SchedulerKind {
         h.u64(match self {
             SchedulerKind::Ilp => 0,
             SchedulerKind::Greedy => 1,
-            SchedulerKind::Resilient => 3,
         });
     }
 }
@@ -43,18 +38,26 @@ pub enum DegradedMode {
     /// tasks to dead followers, whose captures are silently lost. The
     /// pessimistic baseline for fault-tolerance studies.
     Naive,
-    /// The leader excludes known-out followers from scheduling and —
-    /// with [`SchedulerKind::Resilient`] — re-plans tasks dropped by
-    /// mid-pass failures onto the survivors.
+    /// The leader excludes followers it knows to be out from
+    /// scheduling.
     #[default]
-    Resilient,
+    Exclude,
+    /// As [`Exclude`](Self::Exclude), and a follower failing
+    /// mid-horizon has its plan truncated at the onset and the dropped
+    /// tasks re-planned onto the survivors
+    /// ([`crate::schedule::repair`]). Under [`SchedulerKind::Ilp`] each
+    /// horizon's schedule is also validated (an ILP error or an
+    /// invalid schedule is replaced by greedy's) and counted in the
+    /// report as an ILP horizon or a greedy fallback.
+    Repair,
 }
 
 impl FieldHash for DegradedMode {
     fn hash_fields(&self, h: &mut ScenarioHasher) {
         h.u64(match self {
             DegradedMode::Naive => 0,
-            DegradedMode::Resilient => 1,
+            DegradedMode::Exclude => 1,
+            DegradedMode::Repair => 2,
         });
     }
 }

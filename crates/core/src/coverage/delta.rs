@@ -257,7 +257,7 @@ impl<'a> CoverageEvaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::SchedulerKind;
+    use crate::coverage::{DegradedMode, SchedulerKind};
     use eagleeye_datasets::ShipGenerator;
 
     fn base_options() -> CoverageOptions {
@@ -429,14 +429,10 @@ mod tests {
     #[test]
     fn what_if_fault_window_shares_tracks_and_resolves_dirty_frames() {
         let ships = ShipGenerator::new().with_count(4_000).generate(11);
-        let cfg = ConstellationConfig::EagleEye {
-            groups: 2,
-            followers_per_group: 1,
-            scheduler: SchedulerKind::Resilient,
-            clustering: crate::clustering::ClusteringMethod::Ilp,
-        };
+        let cfg = ConstellationConfig::eagleeye(2, 1);
         let opts = CoverageOptions {
             fault_plan: Some(Arc::new(FaultPlan::new(3))),
+            degraded_mode: DegradedMode::Repair,
             ..base_options()
         };
         let parent = CoverageEvaluator::new(&ships, opts);

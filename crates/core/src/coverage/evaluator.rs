@@ -11,8 +11,8 @@ use super::{
 use crate::clustering::{cluster, Cluster, ClusteringMethod};
 use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
-    FallbackReason, FollowerState, GreedyScheduler, IlpScheduler, ResilientScheduler, Scheduler,
-    SchedulingProblem, TaskSpec,
+    repair, validate_schedule, FollowerState, GreedyScheduler, IlpRunStats, IlpScheduler, Schedule,
+    Scheduler, SchedulingProblem, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
@@ -184,9 +184,18 @@ enum PassKind {
 
 impl PassKind {
     /// The solver identity a pooled track's horizon memo belongs to.
-    fn label(self) -> &'static str {
+    /// An ILP horizon solved under [`DegradedMode::Repair`] carries
+    /// provenance labels and validation fallbacks that the same
+    /// horizon solved under another mode does not, so its memos are
+    /// kept apart; every other horizon's memo depends on the mode only
+    /// through the frame key.
+    fn label(self, mode: DegradedMode) -> &'static str {
         match self {
             PassKind::Swath => "swath",
+            PassKind::Leader(LeaderRun {
+                scheduler: SchedulerKind::Ilp,
+                ..
+            }) if mode == DegradedMode::Repair => "ilp-repair",
             PassKind::Leader(run) => run.scheduler.label(),
         }
     }
@@ -644,7 +653,8 @@ impl<'a> CoverageEvaluator<'a> {
             PassKind::Leader(_) => CoverageReport::with_frame_capacity(sc.grid.len()),
             PassKind::Swath => CoverageReport::default(),
         };
-        let digest = self.track_digest(&sc.sats[i], &sc.geom, sc.kind.label());
+        let label = sc.kind.label(self.options.degraded_mode);
+        let digest = self.track_digest(&sc.sats[i], &sc.geom, label);
         let track = self.track(sc, i, digest, metrics, &mut report)?;
         let outcome = match sc.kind {
             PassKind::Leader(run) => self.leader_pass(sc, &run, &track, report, metrics)?,
@@ -711,13 +721,9 @@ impl<'a> CoverageEvaluator<'a> {
         let n_followers = run.followers;
         let spec = self.options.spec;
         let is_mix = run.mix_compute_s.is_some();
-        let scheduler = match run.scheduler {
-            SchedulerKind::Ilp => ActiveScheduler::Ilp(IlpScheduler::default()),
-            SchedulerKind::Greedy => ActiveScheduler::Plain(Box::new(GreedyScheduler)),
-            SchedulerKind::Resilient => ActiveScheduler::Resilient(ResilientScheduler::default()),
-        };
         let fault_plan = self.options.fault_plan.as_deref();
-        let fault_aware = self.options.degraded_mode == DegradedMode::Resilient;
+        let mode = self.options.degraded_mode;
+        let fault_aware = mode != DegradedMode::Naive;
 
         let high_swath = spec.high_res.swath_m();
         let v = spec.ground_speed_m_s;
@@ -871,9 +877,7 @@ impl<'a> CoverageEvaluator<'a> {
             // plans differ only mid-frame would otherwise share a key
             // and replay the wrong (un-repaired) frame.
             repair_failures.clear();
-            if let (true, Some(p), ActiveScheduler::Resilient(_)) =
-                (fault_aware, fault_plan, &scheduler)
-            {
+            if let (DegradedMode::Repair, Some(p)) = (mode, fault_plan) {
                 repair_failures.extend(active.iter().enumerate().filter_map(|(slot, &k)| {
                     p.follower_outage_onset(k, t, t + spec.frame_cadence_s)
                         .map(|onset| (slot, onset))
@@ -906,7 +910,7 @@ impl<'a> CoverageEvaluator<'a> {
                 }
                 None => {
                     self.compile.note_memo_miss();
-                    let solved = Arc::new(self.solve_frame(&scheduler, &inputs, &mut report)?);
+                    let solved = Arc::new(self.solve_frame(run.scheduler, &inputs, &mut report)?);
                     track.solved_put(key, Arc::clone(&solved));
                     solved
                 }
@@ -961,7 +965,7 @@ impl<'a> CoverageEvaluator<'a> {
     /// the counters are applied from the entry by [`record_solved`].
     fn solve_frame(
         &self,
-        scheduler: &ActiveScheduler,
+        scheduler: SchedulerKind,
         frame: &FrameInputs<'_>,
         report: &mut CoverageReport,
     ) -> Result<SolvedHorizon, CoreError> {
@@ -1009,40 +1013,34 @@ impl<'a> CoverageEvaluator<'a> {
             dropped_tasks: 0,
             reassigned_tasks: 0,
         };
+        let repairing = self.options.degraded_mode == DegradedMode::Repair;
         let sched_sw = Stopwatch::start();
         let mut schedule = match scheduler {
-            ActiveScheduler::Plain(s) => s.schedule(&problem)?,
-            ActiveScheduler::Ilp(s) => {
-                let (schedule, stats) = s.schedule_with_stats(&problem)?;
-                solved.ilp_stats = Some(stats);
+            SchedulerKind::Greedy => GreedyScheduler.schedule(&problem)?,
+            SchedulerKind::Ilp if repairing => {
+                let (schedule, stats, outcome) = labelled_ilp(&IlpScheduler::default(), &problem)?;
+                solved.ilp_stats = stats;
+                solved.outcome = outcome;
                 schedule
             }
-            ActiveScheduler::Resilient(rs) => {
-                let outcome = rs.schedule_with_outcome(&problem)?;
-                solved.ilp_stats = outcome.ilp_stats;
-                solved.outcome = match outcome.fallback {
-                    None => SolvedOutcome::IlpHorizon,
-                    Some(reason) => SolvedOutcome::GreedyFallback {
-                        deadline: reason == FallbackReason::Deadline,
-                    },
-                };
-                outcome.schedule
+            SchedulerKind::Ilp => {
+                let (schedule, stats) = IlpScheduler::default().schedule_with_stats(&problem)?;
+                solved.ilp_stats = Some(stats);
+                schedule
             }
         };
         report.scheduler_time += sched_sw.elapsed();
 
-        // Mid-horizon follower failures: a fault-aware leader running
-        // the resilient scheduler truncates the failed follower's plan
-        // at the outage onset and re-plans the dropped tasks onto the
-        // survivors.
-        if let ActiveScheduler::Resilient(rs) = scheduler {
-            if !frame.repair_failures.is_empty() {
-                let repaired = rs.repair(&problem, &schedule, frame.repair_failures)?;
-                solved.repairs_attempted = frame.repair_failures.len();
-                solved.dropped_tasks = repaired.dropped_tasks;
-                solved.reassigned_tasks = repaired.reassigned_tasks;
-                schedule = repaired.schedule;
-            }
+        // Mid-horizon follower failures: a repairing leader truncates
+        // the failed follower's plan at the outage onset and re-plans
+        // the dropped tasks onto the survivors. The onsets are only
+        // collected under `Repair`.
+        if !frame.repair_failures.is_empty() {
+            let repaired = repair(&problem, &schedule, frame.repair_failures)?;
+            solved.repairs_attempted = frame.repair_failures.len();
+            solved.dropped_tasks = repaired.dropped_tasks;
+            solved.reassigned_tasks = repaired.reassigned_tasks;
+            schedule = repaired.schedule;
         }
 
         solved.captures = Vec::with_capacity(schedule.sequences.iter().map(Vec::len).sum());
@@ -1061,13 +1059,45 @@ impl<'a> CoverageEvaluator<'a> {
     }
 }
 
-/// A leader's horizon scheduler. The ILP and resilient schedulers are
-/// held concretely (not behind the trait object) so per-horizon solver
-/// diagnostics, outcomes, and repairs can be recorded in the report.
-enum ActiveScheduler {
-    Plain(Box<dyn Scheduler>),
-    Ilp(IlpScheduler),
-    Resilient(ResilientScheduler),
+/// Schedules one horizon with `ilp` under [`DegradedMode::Repair`]
+/// and labels where the schedule came from: the ILP's own schedule is
+/// an ILP horizon unless the ILP hit its deadline (a deadline fallback)
+/// or its iteration cap or was dominated by its greedy augmentation (a
+/// greedy fallback). An ILP error, or an ILP schedule failing
+/// [`validate_schedule`], is replaced by greedy's validated schedule
+/// and labelled a greedy fallback.
+///
+/// # Errors
+///
+/// [`CoreError::ScheduleViolation`] if greedy's replacement fails
+/// validation too (a bug, not an operating condition), or greedy's own
+/// solver error.
+fn labelled_ilp(
+    ilp: &IlpScheduler,
+    problem: &SchedulingProblem,
+) -> Result<(Schedule, Option<IlpRunStats>, SolvedOutcome), CoreError> {
+    match ilp.schedule_with_stats(problem) {
+        Ok((schedule, stats)) if validate_schedule(problem, &schedule).is_ok() => {
+            let outcome = if stats.deadline_hits > 0 {
+                SolvedOutcome::GreedyFallback { deadline: true }
+            } else if stats.iteration_limit_hits > 0 || stats.greedy_dominated {
+                SolvedOutcome::GreedyFallback { deadline: false }
+            } else {
+                SolvedOutcome::IlpHorizon
+            };
+            Ok((schedule, Some(stats), outcome))
+        }
+        result => {
+            let schedule = GreedyScheduler.schedule(problem)?;
+            validate_schedule(problem, &schedule)?;
+            let stats = result.ok().map(|(_, stats)| stats);
+            Ok((
+                schedule,
+                stats,
+                SolvedOutcome::GreedyFallback { deadline: false },
+            ))
+        }
+    }
 }
 
 /// Clusters one frame's detected points into high-res footprints
@@ -1180,7 +1210,7 @@ mod tests {
     #[test]
     fn multithreaded_evaluation_is_deterministic() {
         // The full gauntlet: imperfect recall (stochastic detection),
-        // an active fault plan, resilient scheduling, and several
+        // an active fault plan, repair mode, and several
         // leader groups — everything that could plausibly diverge under
         // parallel execution — with and without recapture
         // deprioritization. The report must be identical (modulo
@@ -1188,7 +1218,7 @@ mod tests {
         let config = ConstellationConfig::EagleEye {
             groups: 3,
             followers_per_group: 2,
-            scheduler: SchedulerKind::Resilient,
+            scheduler: SchedulerKind::Ilp,
             clustering: ClusteringMethod::Ilp,
         };
         let plan = Arc::new(FaultPlan::new(11).with_fault(
@@ -1204,7 +1234,7 @@ mod tests {
                 let mut opts = base.clone();
                 opts.recall = 0.8;
                 opts.fault_plan = Some(plan.clone());
-                opts.degraded_mode = DegradedMode::Resilient;
+                opts.degraded_mode = DegradedMode::Repair;
                 opts.threads = threads;
                 CoverageEvaluator::new(&targets, opts)
                     .evaluate(&config)
@@ -1280,7 +1310,7 @@ mod tests {
         let config = ConstellationConfig::EagleEye {
             groups: 3,
             followers_per_group: 2,
-            scheduler: SchedulerKind::Resilient,
+            scheduler: SchedulerKind::Ilp,
             clustering: ClusteringMethod::Ilp,
         };
         let plan = Arc::new(FaultPlan::new(11).with_fault(
@@ -1292,7 +1322,7 @@ mod tests {
             let mut opts = quick_options();
             opts.recall = 0.8;
             opts.fault_plan = Some(plan.clone());
-            opts.degraded_mode = DegradedMode::Resilient;
+            opts.degraded_mode = DegradedMode::Repair;
             opts.threads = threads;
             opts.metrics = Metrics::enabled();
             let metrics = opts.metrics.clone();
@@ -1380,7 +1410,7 @@ mod tests {
         // indistinguishable from the plain evaluator: identical report
         // (modulo wall-clock timers) and identical counters and
         // histograms, at 1 and 4 threads. One input per branch of the
-        // config decomposition: a resilient EagleEye run under the full
+        // config decomposition: a repairing EagleEye run under the full
         // gauntlet (imperfect recall, an active fault plan), a
         // Mix-Camera run and a recapture-penalty run decompose into
         // leader passes, a swath config into per-satellite passes.
@@ -1393,7 +1423,7 @@ mod tests {
         let mut gauntlet = quick_options();
         gauntlet.recall = 0.8;
         gauntlet.fault_plan = Some(plan);
-        gauntlet.degraded_mode = DegradedMode::Resilient;
+        gauntlet.degraded_mode = DegradedMode::Repair;
         let cases = [
             (
                 &meridian,
@@ -1401,7 +1431,7 @@ mod tests {
                 ConstellationConfig::EagleEye {
                     groups: 3,
                     followers_per_group: 2,
-                    scheduler: SchedulerKind::Resilient,
+                    scheduler: SchedulerKind::Ilp,
                     clustering: ClusteringMethod::Ilp,
                 },
             ),
@@ -1832,6 +1862,7 @@ mod tests {
             ("fault end 600", with(&|o| o.fault_plan = plan(600.0))),
             ("fault end 900", with(&|o| o.fault_plan = plan(900.0))),
             ("naive", with(&|o| o.degraded_mode = DegradedMode::Naive)),
+            ("repair", with(&|o| o.degraded_mode = DegradedMode::Repair)),
         ];
         let mut seen = vec![("base", base)];
         for (name, opts) in variants {
@@ -1854,12 +1885,6 @@ mod tests {
                 groups: 2,
                 followers_per_group: 1,
                 scheduler: SchedulerKind::Greedy,
-                clustering: ClusteringMethod::Ilp,
-            },
-            ConstellationConfig::EagleEye {
-                groups: 2,
-                followers_per_group: 1,
-                scheduler: SchedulerKind::Resilient,
                 clustering: ClusteringMethod::Ilp,
             },
             ConstellationConfig::EagleEye {
@@ -2071,12 +2096,12 @@ mod tests {
 
         let mut res_opts = quick_options();
         res_opts.fault_plan = Some(plan);
-        res_opts.degraded_mode = DegradedMode::Resilient;
+        res_opts.degraded_mode = DegradedMode::Repair;
         let resilient = CoverageEvaluator::new(&targets, res_opts)
             .evaluate(&ConstellationConfig::EagleEye {
                 groups: 1,
                 followers_per_group: 2,
-                scheduler: SchedulerKind::Resilient,
+                scheduler: SchedulerKind::Ilp,
                 clustering: ClusteringMethod::Ilp,
             })
             .unwrap();
@@ -2094,14 +2119,12 @@ mod tests {
     #[test]
     fn resilient_scheduler_reports_horizon_provenance() {
         let targets = meridian_targets(40);
-        let eval = CoverageEvaluator::new(&targets, quick_options());
-        let r = eval
-            .evaluate(&ConstellationConfig::EagleEye {
-                groups: 1,
-                followers_per_group: 1,
-                scheduler: SchedulerKind::Resilient,
-                clustering: ClusteringMethod::Ilp,
-            })
+        let opts = CoverageOptions {
+            degraded_mode: DegradedMode::Repair,
+            ..quick_options()
+        };
+        let r = CoverageEvaluator::new(&targets, opts)
+            .evaluate(&ConstellationConfig::eagleeye(1, 1))
             .unwrap();
         assert!(r.scheduler_calls > 0);
         assert_eq!(
@@ -2109,6 +2132,51 @@ mod tests {
             r.scheduler_calls,
             "every horizon must record its solver"
         );
+    }
+
+    /// Twenty tasks spread over the swath ahead of one or two
+    /// followers.
+    fn labelled_problem(followers: usize) -> SchedulingProblem {
+        let tasks = (0..20)
+            .map(|i| {
+                TaskSpec::new(
+                    ((i * 37) % 160) as f64 * 1_000.0 - 80_000.0,
+                    20_000.0 + ((i * 13) % 90) as f64 * 1_500.0,
+                    1.0 + (i % 3) as f64,
+                )
+            })
+            .collect();
+        let followers = (0..followers)
+            .map(|k| FollowerState::at_start(-100_000.0 - 20_000.0 * k as f64))
+            .collect();
+        SchedulingProblem::new(SensingSpec::paper_default(), tasks, followers).unwrap()
+    }
+
+    #[test]
+    fn clean_ilp_solve_is_labelled_an_ilp_horizon() {
+        let p = labelled_problem(1);
+        let (schedule, stats, outcome) = labelled_ilp(&IlpScheduler::default(), &p).unwrap();
+        assert_eq!(outcome, SolvedOutcome::IlpHorizon);
+        let stats = stats.unwrap();
+        assert_eq!((stats.deadline_hits, stats.iteration_limit_hits), (0, 0));
+        assert!(!stats.greedy_dominated);
+        let (plain, _) = IlpScheduler::default().schedule_with_stats(&p).unwrap();
+        assert_eq!(schedule, plain, "a clean horizon keeps the ILP's schedule");
+    }
+
+    #[test]
+    fn ilp_deadline_is_labelled_a_deadline_fallback() {
+        let p = labelled_problem(2);
+        let zero = IlpScheduler {
+            time_limit: std::time::Duration::ZERO,
+            ..IlpScheduler::default()
+        };
+        let (schedule, stats, outcome) = labelled_ilp(&zero, &p).unwrap();
+        assert_eq!(outcome, SolvedOutcome::GreedyFallback { deadline: true });
+        assert!(stats.unwrap().deadline_hits > 0);
+        // The fallback schedule still captures work and still validates.
+        validate_schedule(&p, &schedule).unwrap();
+        assert!(schedule.captured_count() > 0);
     }
 
     #[test]
@@ -2120,15 +2188,9 @@ mod tests {
             300.0,
             f64::INFINITY,
         )));
+        opts.degraded_mode = DegradedMode::Repair;
         let eval = CoverageEvaluator::new(&targets, opts);
-        let r = eval
-            .evaluate(&ConstellationConfig::EagleEye {
-                groups: 1,
-                followers_per_group: 2,
-                scheduler: SchedulerKind::Resilient,
-                clustering: ClusteringMethod::Ilp,
-            })
-            .unwrap();
+        let r = eval.evaluate(&ConstellationConfig::eagleeye(1, 2)).unwrap();
         assert!(r.tasks_reassigned <= r.tasks_dropped_by_failures);
         assert!(r.captured > 0, "survivor must keep capturing");
     }

@@ -22,11 +22,10 @@
 //! outages are the paper's §4.7 reliability scenarios: while a leader is
 //! out, its group falls back to nadir high-resolution capture; beyond
 //! the paper, the plan also models detector dropout, radio/ADACS
-//! derating and battery brownouts. [`DegradedMode`] selects whether the
-//! leader reacts to follower outages (excluding dead followers,
-//! repairing mid-pass failures with [`SchedulerKind::Resilient`]) or
-//! naively keeps tasking dead satellites — the baseline for the
-//! fault-tolerance study.
+//! derating and battery brownouts. [`DegradedMode`] selects how the
+//! leader reacts to follower outages: it naively keeps tasking dead
+//! satellites (the baseline for the fault-tolerance study), excludes
+//! them, or excludes them and also repairs mid-pass failures.
 //!
 //! [`CoverageEvaluator::evaluate`] is the crash-safe
 //! [`CoverageEvaluator::evaluate_hardened`] with inert options: both

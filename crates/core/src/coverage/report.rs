@@ -40,10 +40,11 @@ pub struct CoverageReport {
     /// High-resolution captures commanded.
     pub captures_commanded: usize,
     /// Horizons scheduled by the exact ILP within budget (only counted
-    /// under [`SchedulerKind::Resilient`](super::SchedulerKind)).
+    /// for ILP runs under [`DegradedMode::Repair`](super::DegradedMode)).
     pub ilp_horizons: usize,
     /// Horizons that fell back to the greedy solver (deadline,
-    /// iteration cap, dominance, or solver error).
+    /// iteration cap, dominance, solver error, or a schedule failing
+    /// validation; counted like `ilp_horizons`).
     pub greedy_fallbacks: usize,
     /// Of those, fallbacks caused by the per-horizon wall-clock budget.
     pub deadline_fallbacks: usize,
@@ -66,8 +67,7 @@ pub struct CoverageReport {
     /// per-frame clock reads cost nothing in production sweeps).
     pub detect_time: Duration,
     /// ILP subproblems attempted, summed over every horizon that ran
-    /// the exact solver (under both `SchedulerKind::Ilp` and the
-    /// resilient wrapper).
+    /// the exact solver, under every degraded mode.
     pub ilp_subproblems: usize,
     /// Branch-and-bound nodes whose LP relaxation was solved.
     pub ilp_nodes_explored: usize,
@@ -244,7 +244,7 @@ impl CoverageReport {
             warm_starts,
             warm_rejects,
             // A per-horizon verdict, not a summable counter: the
-            // resilient wrapper folds it into `greedy_fallbacks`.
+            // evaluator folds it into `greedy_fallbacks` under `Repair`.
             greedy_dominated: _,
         } = *stats;
         self.ilp_subproblems += subproblems;

@@ -58,10 +58,11 @@ impl Default for IlpScheduler {
     }
 }
 
-/// Diagnostics from one [`IlpScheduler::schedule_with_stats`] run —
-/// the observability hook the resilient scheduler uses to decide when
-/// the ILP degraded internally and a greedy fallback should be
-/// recorded (or substituted).
+/// Diagnostics from one [`IlpScheduler::schedule_with_stats`] run:
+/// the solver effort the coverage report sums, and the deadline,
+/// iteration-cap and greedy-dominance verdicts from which the
+/// evaluator labels a horizon under
+/// [`DegradedMode::Repair`](crate::coverage::DegradedMode::Repair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IlpRunStats {
     /// Number of ILP subproblems attempted: 0 for a one-task horizon
@@ -410,8 +411,8 @@ fn assemble(
 impl IlpScheduler {
     /// Like [`Scheduler::schedule`] but also returns [`IlpRunStats`]
     /// describing how the answer was obtained (deadline hits, iteration
-    /// caps, greedy dominance) — the hook `ResilientScheduler` uses to
-    /// report which solver actually produced each horizon.
+    /// caps, greedy dominance), from which the coverage evaluator
+    /// reports which solver actually produced each horizon.
     ///
     /// # Errors
     ///

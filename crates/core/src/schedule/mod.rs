@@ -31,11 +31,11 @@
 //! oracle that certifies the ILP's optimality. It is compiled only
 //! under `cfg(test)`.
 //!
-//! For degraded operation there is additionally
-//! [`ResilientScheduler`] — a budgeted wrapper around the ILP with
-//! greedy fallback, post-validation ([`validate_schedule`]), and
-//! mid-pass failure repair — whose [`ScheduleOutcome`] records which
-//! solver produced each horizon and why.
+//! For degraded operation, [`validate_schedule`] checks any schedule
+//! against C1–C3 and [`repair`] re-plans the tasks a follower failing
+//! mid-pass drops onto the survivors. The coverage evaluator applies
+//! both under
+//! [`DegradedMode::Repair`](crate::coverage::DegradedMode::Repair).
 
 mod abb;
 #[cfg(test)]
@@ -51,7 +51,5 @@ pub use abb::AbbScheduler;
 pub use greedy::GreedyScheduler;
 pub use ilp::{IlpRunStats, IlpScheduler};
 pub use problem::{FollowerState, SchedulingProblem, TaskSpec};
-pub use resilient::{
-    validate_schedule, FallbackReason, RepairOutcome, ResilientScheduler, ScheduleOutcome,
-};
+pub use resilient::{repair, validate_schedule, RepairOutcome};
 pub use types::{Capture, Schedule, Scheduler};

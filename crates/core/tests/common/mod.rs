@@ -1,7 +1,7 @@
 //! Scenario generators shared by the coverage differential suites.
 
 use eagleeye_core::clustering::ClusteringMethod;
-use eagleeye_core::coverage::{ConstellationConfig, CoverageOptions, SchedulerKind};
+use eagleeye_core::coverage::{ConstellationConfig, CoverageOptions, DegradedMode, SchedulerKind};
 use eagleeye_datasets::{Target, TargetSet};
 use eagleeye_geo::GeodeticPoint;
 use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteRole};
@@ -100,10 +100,21 @@ pub fn scheduler_for(kind: usize) -> SchedulerKind {
     // `Abb` is deliberately absent: it is a wall-clock-budgeted
     // anytime solver, so its schedules are not run-to-run
     // deterministic and no evaluation can reproduce them exactly.
-    match kind % 3 {
+    match kind % 2 {
         0 => SchedulerKind::Ilp,
-        1 => SchedulerKind::Greedy,
-        _ => SchedulerKind::Resilient,
+        _ => SchedulerKind::Greedy,
+    }
+}
+
+/// Every fault response: with [`scheduler_for`], a suite drawing
+/// `kind` from `0..3` reaches every (scheduler, mode) pair, the ILP
+/// under `Repair` (validation, provenance labels, mid-pass repair)
+/// included.
+pub fn degraded_mode_for(kind: usize) -> DegradedMode {
+    match kind % 3 {
+        0 => DegradedMode::Naive,
+        1 => DegradedMode::Exclude,
+        _ => DegradedMode::Repair,
     }
 }
 

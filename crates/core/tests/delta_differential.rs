@@ -23,7 +23,7 @@
 
 mod common;
 
-use common::{clustering_for, scheduler_for, under_leaders};
+use common::{clustering_for, degraded_mode_for, scheduler_for, under_leaders};
 use eagleeye_check::{check_cases, f64_range, u64_range, usize_range};
 use eagleeye_core::clustering::ClusteringMethod;
 use eagleeye_core::coverage::{
@@ -143,13 +143,26 @@ fn delta_evaluation_is_bit_identical_to_cold() {
         (
             u64_range(0, u64::MAX),
             (usize_range(2, 4), usize_range(1, 3)),
-            (usize_range(0, 3), usize_range(0, 3), usize_range(0, 3)),
+            (
+                usize_range(0, 2),
+                usize_range(0, 3),
+                usize_range(0, 3),
+                usize_range(0, 3),
+            ),
             f64_range(0.6, 1.0),
             usize_range(0, 10),
             f64_range(0.0, 1.0),
             f64_range(0.0, 900.0),
         ),
-        |&(seed, (groups, followers), (skind, ckind, tkind), recall, dkind, dparam, at_s)| {
+        |&(
+            seed,
+            (groups, followers),
+            (skind, mkind, ckind, tkind),
+            recall,
+            dkind,
+            dparam,
+            at_s,
+        )| {
             let parent_cfg = ConstellationConfig::EagleEye {
                 groups,
                 followers_per_group: followers,
@@ -174,11 +187,7 @@ fn delta_evaluation_is_bit_identical_to_cold() {
                         600.0,
                     ))
                 }),
-                degraded_mode: if seed % 2 == 0 {
-                    DegradedMode::Resilient
-                } else {
-                    DegradedMode::Naive
-                },
+                degraded_mode: degraded_mode_for(mkind),
                 ..CoverageOptions::default()
             };
             let delta = delta_for(dkind, dparam, at_s);
@@ -256,6 +265,78 @@ fn pinned_remove_group_delta_reuses_parent_work() {
         report.same_outcome(&cold),
         "reused child diverged:\ndelta: {report:?}\ncold: {cold:?}"
     );
+}
+
+/// Degraded modes share compiled tracks through [`fork_with`] (the
+/// mode is no part of a track's geometry), but an ILP horizon solved
+/// under `Repair` is validated and labelled as an ILP horizon or a
+/// greedy fallback, and the same horizon under `Exclude` is not. On one
+/// evaluator, evaluating a faulted configuration under one mode and
+/// then the other must replay neither mode's memo into the other:
+/// both results equal cold runs, in either order and for both
+/// schedulers.
+///
+/// [`fork_with`]: eagleeye_core::coverage::CoverageEvaluator::fork_with
+#[test]
+fn no_memo_crosses_degraded_modes() {
+    let base = CoverageOptions {
+        duration_s: 1_200.0,
+        seed: 11,
+        fault_plan: Some(Arc::new(FaultPlan::new(11).with_fault(
+            FaultKind::FollowerOutage { follower: 1 },
+            450.0,
+            f64::INFINITY,
+        ))),
+        ..CoverageOptions::default()
+    };
+    let in_mode = |degraded_mode| CoverageOptions {
+        degraded_mode,
+        ..base.clone()
+    };
+    for scheduler in [SchedulerKind::Ilp, SchedulerKind::Greedy] {
+        let config = ConstellationConfig::EagleEye {
+            groups: 2,
+            followers_per_group: 2,
+            scheduler,
+            clustering: ClusteringMethod::Ilp,
+        };
+        let targets = under_leaders(&base, &config, 0, 11);
+        let cold = |mode| {
+            CoverageEvaluator::new(&targets, in_mode(mode))
+                .evaluate(&config)
+                .expect("cold evaluation")
+        };
+        let (exclude, repair) = (cold(DegradedMode::Exclude), cold(DegradedMode::Repair));
+        assert!(exclude.scheduler_calls > 0, "premise: frames are scheduled");
+        if scheduler == SchedulerKind::Ilp {
+            assert_eq!(exclude.ilp_horizons, 0);
+            assert!(
+                repair.ilp_horizons > 0,
+                "premise: a repair run labels its ILP horizons: {repair:?}"
+            );
+        }
+        for order in [
+            [DegradedMode::Exclude, DegradedMode::Repair],
+            [DegradedMode::Repair, DegradedMode::Exclude],
+        ] {
+            let eval = CoverageEvaluator::new(&targets, in_mode(order[0]));
+            for mode in order {
+                let warm = eval
+                    .fork_with(in_mode(mode))
+                    .evaluate(&config)
+                    .expect("evaluation on the shared cache");
+                let expected = match mode {
+                    DegradedMode::Repair => &repair,
+                    _ => &exclude,
+                };
+                assert!(
+                    warm.same_outcome(expected),
+                    "{mode:?} after {order:?} on {config:?} diverged from a cold run:\
+                     \nshared: {warm:?}\ncold: {expected:?}"
+                );
+            }
+        }
+    }
 }
 
 /// The perf half of the what-if contract: the first one-group

@@ -25,12 +25,12 @@
 
 mod common;
 
-use common::{clustering_for, scheduler_for, under_leaders};
+use common::{clustering_for, degraded_mode_for, scheduler_for, under_leaders};
 use eagleeye_check::{check_cases, f64_range, prop_assert, u64_range, usize_range};
 use eagleeye_core::clustering::ClusteringMethod;
 use eagleeye_core::coverage::{
-    ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, DegradedMode,
-    ScenarioDelta, SchedulerKind,
+    ConstellationConfig, CoverageEvaluator, CoverageOptions, CoverageReport, ScenarioDelta,
+    SchedulerKind,
 };
 use eagleeye_datasets::TargetSet;
 use eagleeye_geo::GeodeticPoint;
@@ -93,7 +93,7 @@ fn compiled_engine_matches_reference() {
             u64_range(0, u64::MAX),
             usize_range(0, 3),
             (usize_range(1, 4), usize_range(1, 3)),
-            (usize_range(0, 3), usize_range(0, 3)),
+            (usize_range(0, 2), usize_range(0, 3)),
             f64_range(0.55, 1.0),
             f64_range(-0.5, 1.0),
         ),
@@ -119,8 +119,8 @@ fn compiled_engine_matches_reference() {
 }
 
 /// Fault plans: outage and detector-dropout windows, plus permanent
-/// leader failures and dead followers from 600 s, under both degraded
-/// modes.
+/// leader failures and dead followers from 600 s, under every
+/// (scheduler, degraded mode) pair.
 #[test]
 fn compiled_engine_matches_reference_under_faults() {
     check_cases(
@@ -130,10 +130,10 @@ fn compiled_engine_matches_reference_under_faults() {
             u64_range(0, u64::MAX),
             usize_range(0, 3),
             (usize_range(0, 4), f64_range(0.0, 1_000.0)),
-            usize_range(0, 2),
+            (usize_range(0, 2), usize_range(0, 3)),
             f64_range(0.6, 1.0),
         ),
-        |&(seed, tkind, (fault_kind, fault_at), degraded, recall)| {
+        |&(seed, tkind, (fault_kind, fault_at), (skind, mkind), recall)| {
             let fault = match fault_kind {
                 0 => FaultKind::FollowerOutage { follower: 0 },
                 1 => FaultKind::LeaderOutage,
@@ -158,17 +158,13 @@ fn compiled_engine_matches_reference_under_faults() {
                 recall,
                 seed,
                 fault_plan: Some(Arc::new(plan)),
-                degraded_mode: if degraded == 0 {
-                    DegradedMode::Naive
-                } else {
-                    DegradedMode::Resilient
-                },
+                degraded_mode: degraded_mode_for(mkind),
                 ..CoverageOptions::default()
             };
             let config = ConstellationConfig::EagleEye {
                 groups: 2,
                 followers_per_group: 2,
-                scheduler: SchedulerKind::Resilient,
+                scheduler: scheduler_for(skind),
                 clustering: ClusteringMethod::Ilp,
             };
             let targets = under_leaders(&options, &config, tkind, seed);
@@ -218,10 +214,10 @@ fn scenario_edits_match_reference() {
             u64_range(0, u64::MAX),
             usize_range(0, 3),
             (usize_range(2, 4), usize_range(1, 3)),
-            usize_range(0, 3),
+            (usize_range(0, 2), usize_range(0, 3)),
             f64_range(0.6, 1.0),
         ),
-        |&(seed, tkind, (groups, followers), skind, recall)| {
+        |&(seed, tkind, (groups, followers), (skind, mkind), recall)| {
             let parent_cfg = ConstellationConfig::EagleEye {
                 groups,
                 followers_per_group: followers,
@@ -238,6 +234,7 @@ fn scenario_edits_match_reference() {
                     300.0,
                     500.0,
                 ))),
+                degraded_mode: degraded_mode_for(mkind),
                 ..CoverageOptions::default()
             };
             let targets = under_leaders(&parent_opts, &parent_cfg, tkind, seed);

@@ -1,16 +1,33 @@
-//! Edge-case coverage for the degraded-mode scheduling stack:
-//! degenerate problems (no tasks, no followers), total constellation
-//! loss, and repair of schedules invalidated mid-pass.
+//! Edge-case coverage for the degraded-mode scheduling stack (the ILP,
+//! [`validate_schedule`] and [`repair`]): degenerate problems (no
+//! tasks, no followers), zero budgets, total constellation loss, and
+//! repair of schedules invalidated mid-pass.
 
 use eagleeye_core::schedule::{
-    validate_schedule, Capture, FollowerState, IlpScheduler, ResilientScheduler, Scheduler,
-    SchedulingProblem, TaskSpec,
+    repair, validate_schedule, Capture, FollowerState, IlpRunStats, IlpScheduler, Schedule,
+    Scheduler, SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use std::time::Duration;
 
 fn problem(tasks: Vec<TaskSpec>, followers: Vec<FollowerState>) -> SchedulingProblem {
     SchedulingProblem::new(SensingSpec::paper_default(), tasks, followers).expect("valid problem")
+}
+
+/// The ILP at its production budget.
+fn ilp(p: &SchedulingProblem) -> Schedule {
+    IlpScheduler::default().schedule(p).expect("schedules")
+}
+
+/// The ILP at a zero wall-clock budget: every subproblem hits its
+/// deadline and degrades to the greedy augmentation.
+fn zero_budget(p: &SchedulingProblem) -> (Schedule, IlpRunStats) {
+    IlpScheduler {
+        time_limit: Duration::ZERO,
+        ..IlpScheduler::default()
+    }
+    .schedule_with_stats(p)
+    .expect("schedules")
 }
 
 fn spread_tasks(n: usize) -> Vec<TaskSpec> {
@@ -22,52 +39,38 @@ fn spread_tasks(n: usize) -> Vec<TaskSpec> {
 #[test]
 fn empty_problem_yields_empty_validated_schedule() {
     let p = problem(vec![], vec![]);
-    let o = ResilientScheduler::default()
-        .schedule_with_outcome(&p)
-        .expect("empty problem schedules");
-    assert_eq!(o.schedule.captured_count(), 0);
-    assert!(o.schedule.sequences.is_empty());
-    assert_eq!(o.schedule.total_value, 0.0);
-    validate_schedule(&p, &o.schedule).expect("empty schedule validates");
+    let s = ilp(&p);
+    assert_eq!(s.captured_count(), 0);
+    assert!(s.sequences.is_empty());
+    assert_eq!(s.total_value, 0.0);
+    validate_schedule(&p, &s).expect("empty schedule validates");
 }
 
 #[test]
 fn no_tasks_with_followers_schedules_nothing() {
     let p = problem(vec![], vec![FollowerState::at_start(-100_000.0)]);
-    let o = ResilientScheduler::default()
-        .schedule_with_outcome(&p)
-        .expect("taskless problem schedules");
-    assert_eq!(o.schedule.captured_count(), 0);
-    assert_eq!(o.schedule.sequences.len(), 1);
-    assert!(o.schedule.sequences[0].is_empty());
-    validate_schedule(&p, &o.schedule).expect("empty sequences validate");
+    let s = ilp(&p);
+    assert_eq!(s.captured_count(), 0);
+    assert_eq!(s.sequences.len(), 1);
+    assert!(s.sequences[0].is_empty());
+    validate_schedule(&p, &s).expect("empty sequences validate");
 }
 
 #[test]
 fn no_followers_with_tasks_schedules_nothing() {
     let p = problem(spread_tasks(4), vec![]);
-    let o = ResilientScheduler::default()
-        .schedule_with_outcome(&p)
-        .expect("followerless problem schedules");
-    assert_eq!(o.schedule.captured_count(), 0);
-    assert!(o.schedule.sequences.is_empty());
-    validate_schedule(&p, &o.schedule).expect("followerless schedule validates");
+    let s = ilp(&p);
+    assert_eq!(s.captured_count(), 0);
+    assert!(s.sequences.is_empty());
+    validate_schedule(&p, &s).expect("followerless schedule validates");
 }
 
 #[test]
 fn empty_problem_survives_zero_budget_fallback_path() {
     let p = problem(vec![], vec![]);
-    let rs = ResilientScheduler {
-        ilp: IlpScheduler {
-            time_limit: Duration::ZERO,
-            ..IlpScheduler::default()
-        },
-    };
-    let o = rs.schedule_with_outcome(&p).expect("schedules");
-    assert_eq!(o.schedule.captured_count(), 0);
-    validate_schedule(&p, &o.schedule).expect("validates");
-    // Trait path agrees.
-    assert_eq!(rs.schedule(&p).expect("trait path"), o.schedule);
+    let (s, _) = zero_budget(&p);
+    assert_eq!(s.captured_count(), 0);
+    validate_schedule(&p, &s).expect("validates");
 }
 
 #[test]
@@ -79,16 +82,13 @@ fn all_followers_faulted_drops_everything_and_reassigns_nothing() {
             FollowerState::at_start(-130_000.0),
         ],
     );
-    let rs = ResilientScheduler::default();
-    let o = rs.schedule_with_outcome(&p).expect("schedules");
-    let planned = o.schedule.captured_count();
+    let s = ilp(&p);
+    let planned = s.captured_count();
     assert!(planned > 0, "test premise: someone does work");
 
     // Both followers lost at pass start: every capture is dropped and
     // there is no survivor to take any of them.
-    let repaired = rs
-        .repair(&p, &o.schedule, &[(0, 0.0), (1, 0.0)])
-        .expect("repair of total loss");
+    let repaired = repair(&p, &s, &[(0, 0.0), (1, 0.0)]).expect("repair of total loss");
     assert_eq!(repaired.dropped_tasks, planned);
     assert_eq!(repaired.reassigned_tasks, 0);
     assert_eq!(repaired.schedule.captured_count(), 0);
@@ -108,16 +108,15 @@ fn repair_of_mid_pass_invalidated_schedule_restores_validity() {
             FollowerState::at_start(-130_000.0),
         ],
     );
-    let rs = ResilientScheduler::default();
-    let o = rs.schedule_with_outcome(&p).expect("schedules");
-    let seq0 = &o.schedule.sequences[0];
+    let s = ilp(&p);
+    let seq0 = &s.sequences[0];
     assert!(
         seq0.len() >= 2,
         "test premise: follower 0 has a tail to lose"
     );
 
     let onset = seq0[0].time_s + 0.1; // fails right after its first capture
-    let repaired = rs.repair(&p, &o.schedule, &[(0, onset)]).expect("repair");
+    let repaired = repair(&p, &s, &[(0, onset)]).expect("repair");
     // The pre-onset prefix survives untouched.
     assert_eq!(repaired.schedule.sequences[0], vec![seq0[0]]);
     assert_eq!(repaired.dropped_tasks, seq0.len() - 1);
@@ -139,13 +138,10 @@ fn repair_rejects_a_corrupted_schedule() {
     // repair (a capture moved outside every window) must surface
     // ScheduleViolation instead of being silently returned.
     let p = problem(spread_tasks(3), vec![FollowerState::at_start(-100_000.0)]);
-    let rs = ResilientScheduler::default();
-    let mut o = rs.schedule_with_outcome(&p).expect("schedules");
-    assert!(!o.schedule.sequences[0].is_empty());
-    o.schedule.sequences[0][0].time_s = -1e9; // long before visibility
-    let err = rs
-        .repair(&p, &o.schedule, &[])
-        .expect_err("corrupted schedule must not validate");
+    let mut s = ilp(&p);
+    assert!(!s.sequences[0].is_empty());
+    s.sequences[0][0].time_s = -1e9; // long before visibility
+    let err = repair(&p, &s, &[]).expect_err("corrupted schedule must not validate");
     assert!(matches!(err, CoreError::ScheduleViolation { .. }), "{err}");
 }
 
@@ -158,10 +154,7 @@ fn validate_rejects_duplicate_captures_across_followers() {
             FollowerState::at_start(-100_000.0),
         ],
     );
-    let o = ResilientScheduler::default()
-        .schedule_with_outcome(&p)
-        .expect("schedules");
-    let mut corrupted = o.schedule.clone();
+    let mut corrupted = ilp(&p);
     // Duplicate follower 0's first capture onto follower 1.
     let Some(&cap) = corrupted.sequences[0].first() else {
         panic!("test premise: follower 0 captures something");
@@ -192,14 +185,11 @@ fn zero_budget_fallback_still_validates_under_load() {
             FollowerState::at_start(-120_000.0),
         ],
     );
-    let o = ResilientScheduler {
-        ilp: IlpScheduler {
-            time_limit: Duration::ZERO,
-            ..IlpScheduler::default()
-        },
-    }
-    .schedule_with_outcome(&p)
-    .expect("schedules");
-    assert!(o.fallback.is_some());
-    validate_schedule(&p, &o.schedule).expect("fallback schedule validates");
+    let (s, stats) = zero_budget(&p);
+    assert!(stats.deadline_hits > 0, "{stats:?}");
+    assert!(
+        s.captured_count() > 0,
+        "the greedy augmentation still captures"
+    );
+    validate_schedule(&p, &s).expect("fallback schedule validates");
 }

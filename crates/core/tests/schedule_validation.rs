@@ -5,7 +5,7 @@
 
 use eagleeye_core::schedule::{
     validate_schedule, AbbScheduler, Capture, FollowerState, GreedyScheduler, IlpScheduler,
-    ResilientScheduler, Schedule, Scheduler, SchedulingProblem, TaskSpec,
+    Schedule, Scheduler, SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use eagleeye_rng::SplitMix64;
@@ -52,7 +52,6 @@ fn all_schedulers_validate_on_random_instances() {
         assert_valid(&p, &IlpScheduler::default(), seed);
         assert_valid(&p, &GreedyScheduler, seed);
         assert_valid(&p, &AbbScheduler::default(), seed);
-        assert_valid(&p, &ResilientScheduler::default(), seed);
     }
 }
 

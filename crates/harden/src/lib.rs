@@ -5,8 +5,10 @@
 //! aborts an evaluation with all partial work discarded, and an
 //! interrupted run leaves nothing behind but a log to reconstruct CSVs
 //! from (see EXPERIMENTS.md, FIG11A note). This crate is the run layer
-//! that makes the *computation* fault-tolerant, the way `sim::fault` +
-//! `core::schedule::resilient` made the *constellation* fault-tolerant:
+//! that makes the *computation* fault-tolerant, the way `sim::fault`
+//! and the coverage evaluator's `DegradedMode` (exclusion of dead
+//! followers, validation and mid-pass repair) make the *constellation*
+//! fault-tolerant:
 //!
 //! * [`snapshot`] — a versioned, CRC-guarded, atomically written
 //!   (`tmp` + `fsync` + `rename`) snapshot of pipeline progress, keyed

@@ -4,22 +4,21 @@
 //! detector dropout, radio-link derating, ADACS slew-rate derating, and
 //! battery-brownout windows — each active over a `[start_s, end_s)`
 //! window of simulation time. Plans are either built explicitly
-//! ([`FaultPlan::with_fault`]) or drawn from a Monte-Carlo
-//! [`FaultScenario`] with a fixed seed, in which case the same seed
-//! always yields the same plan (splitmix64 substreams, one per fault
-//! class, so adding one fault class never perturbs the draws of
-//! another).
+//! ([`FaultPlan::with_fault`]) or drawn by [`FaultPlan::monte_carlo`]:
+//! permanent follower outages at a given rate, where the same seed
+//! always yields the same plan (one splitmix64 substream per follower,
+//! so a follower's fate does not depend on the fleet size).
 //!
 //! The plan is *descriptive*, not *prescriptive*: it answers point
 //! queries ("is follower 3 out at t = 812 s?", "what is the effective
 //! slew-rate factor right now?") and leaves the semantics of degraded
-//! operation to the consumer (the coverage evaluator and the resilient
-//! scheduler in `eagleeye-core`).
+//! operation to the consumer (the coverage evaluator in
+//! `eagleeye-core`, whose `DegradedMode` picks the fleet's response).
 //!
 //! # Example
 //!
 //! ```
-//! use eagleeye_sim::{FaultKind, FaultPlan, FaultScenario};
+//! use eagleeye_sim::{FaultKind, FaultPlan};
 //!
 //! // Explicit plan: follower 1 dies for good at t = 600 s.
 //! let plan = FaultPlan::new(7).with_fault(
@@ -32,9 +31,8 @@
 //! assert!(!plan.follower_out(0, 600.0));
 //!
 //! // Monte-Carlo plan: 20% permanent follower-outage rate.
-//! let scenario = FaultScenario { follower_outage_rate: 0.2, ..FaultScenario::none() };
-//! let a = FaultPlan::monte_carlo(42, &scenario, 10, 3_600.0);
-//! let b = FaultPlan::monte_carlo(42, &scenario, 10, 3_600.0);
+//! let a = FaultPlan::monte_carlo(42, 0.2, 10, 3_600.0);
+//! let b = FaultPlan::monte_carlo(42, 0.2, 10, 3_600.0);
 //! assert_eq!(a.faults().len(), b.faults().len()); // same seed, same plan
 //! ```
 
@@ -129,59 +127,6 @@ impl FieldHash for Fault {
     }
 }
 
-/// Monte-Carlo fault scenario: per-class rates from which
-/// [`FaultPlan::monte_carlo`] draws a concrete, seeded plan. All rates
-/// are probabilities in `[0, 1]` unless noted.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultScenario {
-    /// Probability that each follower suffers an outage, onset uniform
-    /// over the run.
-    pub follower_outage_rate: f64,
-    /// Mean outage duration, seconds. `INFINITY` (the default) makes
-    /// outages permanent.
-    pub mean_outage_duration_s: f64,
-    /// Probability that the leader suffers an outage, onset uniform
-    /// over the run, duration as above.
-    pub leader_outage_rate: f64,
-    /// Probability of one detector-dropout window over the run.
-    pub detector_dropout_rate: f64,
-    /// False-negative probability inside a dropout window.
-    pub detector_false_negative_rate: f64,
-    /// Probability of one radio-derate window over the run.
-    pub radio_derate_rate: f64,
-    /// Capacity multiplier inside a radio-derate window.
-    pub radio_capacity_factor: f64,
-    /// Probability of one slew-derate window over the run.
-    pub slew_derate_rate: f64,
-    /// Slew-rate multiplier inside a slew-derate window.
-    pub slew_rate_factor: f64,
-    /// Probability of one battery-brownout window over the run.
-    pub brownout_rate: f64,
-    /// Mean duration of transient windows (dropout, derates,
-    /// brownout), seconds.
-    pub transient_duration_s: f64,
-}
-
-impl FaultScenario {
-    /// The all-zeros scenario: no faults ever drawn. Use struct-update
-    /// syntax to switch on individual classes.
-    pub fn none() -> Self {
-        FaultScenario {
-            follower_outage_rate: 0.0,
-            mean_outage_duration_s: f64::INFINITY,
-            leader_outage_rate: 0.0,
-            detector_dropout_rate: 0.0,
-            detector_false_negative_rate: 0.5,
-            radio_derate_rate: 0.0,
-            radio_capacity_factor: 0.5,
-            slew_derate_rate: 0.0,
-            slew_rate_factor: 0.5,
-            brownout_rate: 0.0,
-            transient_duration_s: 600.0,
-        }
-    }
-}
-
 /// A concrete, seeded fault timeline. See the module-level docs for
 /// the construction and query model.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,14 +142,9 @@ impl FieldHash for FaultPlan {
     }
 }
 
-/// Distinct substream salts so each fault class draws from an
-/// independent splitmix64 stream of the plan seed.
+/// Distinct substream salts so follower outages and dropout rolls draw
+/// from independent splitmix64 streams of the plan seed.
 const SALT_FOLLOWER: u64 = 0xF01;
-const SALT_LEADER: u64 = 0xF02;
-const SALT_DETECTOR: u64 = 0xF03;
-const SALT_RADIO: u64 = 0xF04;
-const SALT_SLEW: u64 = 0xF05;
-const SALT_BROWNOUT: u64 = 0xF06;
 const SALT_DROP_ROLL: u64 = 0xF07;
 
 impl FaultPlan {
@@ -227,88 +167,31 @@ impl FaultPlan {
         self
     }
 
-    /// Draws a concrete plan from `scenario` for a run of
-    /// `duration_s` seconds over `n_followers` followers. The same
-    /// `(seed, scenario, n_followers, duration_s)` always produces
-    /// the same plan.
+    /// Draws permanent follower outages for a run of `duration_s`
+    /// seconds over `n_followers` followers: each follower fails with
+    /// probability `follower_outage_rate`, at an onset uniform over the
+    /// run. The same `(seed, follower_outage_rate, n_followers,
+    /// duration_s)` always produces the same plan.
     pub fn monte_carlo(
         seed: u64,
-        scenario: &FaultScenario,
+        follower_outage_rate: f64,
         n_followers: usize,
         duration_s: f64,
     ) -> Self {
         let root = SplitMix64::new(seed);
         let mut plan = FaultPlan::new(seed);
-
-        // Follower outages: one independent substream per follower so
-        // the fate of follower k is invariant to fleet size changes.
+        // One independent substream per follower so the fate of
+        // follower k is invariant to fleet size changes.
         for follower in 0..n_followers {
             let mut rng = root.fork(SALT_FOLLOWER ^ mix64(follower as u64));
-            if rng.chance(scenario.follower_outage_rate) {
-                let start = rng.range_f64(0.0, duration_s);
-                let end = outage_end(&mut rng, start, scenario.mean_outage_duration_s);
+            if rng.chance(follower_outage_rate) {
                 plan.faults.push(Fault {
                     kind: FaultKind::FollowerOutage { follower },
-                    start_s: start,
-                    end_s: end,
+                    start_s: rng.range_f64(0.0, duration_s),
+                    end_s: f64::INFINITY,
                 });
             }
         }
-
-        let transient = |salt: u64, rate: f64, kind: FaultKind, plan: &mut FaultPlan| {
-            let mut rng = root.fork(salt);
-            if rng.chance(rate) {
-                let start = rng.range_f64(0.0, duration_s);
-                let end = outage_end(&mut rng, start, scenario.transient_duration_s);
-                plan.faults.push(Fault {
-                    kind,
-                    start_s: start,
-                    end_s: end,
-                });
-            }
-        };
-
-        let mut leader_rng = root.fork(SALT_LEADER);
-        if leader_rng.chance(scenario.leader_outage_rate) {
-            let start = leader_rng.range_f64(0.0, duration_s);
-            let end = outage_end(&mut leader_rng, start, scenario.mean_outage_duration_s);
-            plan.faults.push(Fault {
-                kind: FaultKind::LeaderOutage,
-                start_s: start,
-                end_s: end,
-            });
-        }
-        transient(
-            SALT_DETECTOR,
-            scenario.detector_dropout_rate,
-            FaultKind::DetectorDropout {
-                false_negative_rate: scenario.detector_false_negative_rate,
-            },
-            &mut plan,
-        );
-        transient(
-            SALT_RADIO,
-            scenario.radio_derate_rate,
-            FaultKind::RadioDerate {
-                capacity_factor: scenario.radio_capacity_factor,
-            },
-            &mut plan,
-        );
-        transient(
-            SALT_SLEW,
-            scenario.slew_derate_rate,
-            FaultKind::SlewDerate {
-                rate_factor: scenario.slew_rate_factor,
-            },
-            &mut plan,
-        );
-        transient(
-            SALT_BROWNOUT,
-            scenario.brownout_rate,
-            FaultKind::BatteryBrownout,
-            &mut plan,
-        );
-
         plan
     }
 
@@ -462,18 +345,6 @@ impl FaultPlan {
     }
 }
 
-/// Draws an end time: `start + Exp(mean)` via inverse CDF, or
-/// `INFINITY` for non-finite means (permanent fault).
-fn outage_end(rng: &mut SplitMix64, start_s: f64, mean_s: f64) -> f64 {
-    if !mean_s.is_finite() {
-        return f64::INFINITY;
-    }
-    // Inverse-CDF exponential; next_f64 is in [0, 1), so 1-u is in
-    // (0, 1] and the log is finite.
-    let u = rng.next_f64();
-    start_s + mean_s * -(1.0 - u).ln()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,34 +392,20 @@ mod tests {
 
     #[test]
     fn monte_carlo_is_deterministic() {
-        let s = FaultScenario {
-            follower_outage_rate: 0.5,
-            leader_outage_rate: 0.3,
-            detector_dropout_rate: 0.5,
-            radio_derate_rate: 0.5,
-            slew_derate_rate: 0.5,
-            brownout_rate: 0.5,
-            mean_outage_duration_s: 900.0,
-            ..FaultScenario::none()
-        };
-        let a = FaultPlan::monte_carlo(99, &s, 8, 7200.0);
-        let b = FaultPlan::monte_carlo(99, &s, 8, 7200.0);
+        let a = FaultPlan::monte_carlo(99, 0.5, 8, 7200.0);
+        let b = FaultPlan::monte_carlo(99, 0.5, 8, 7200.0);
         assert_eq!(a, b);
-        let c = FaultPlan::monte_carlo(100, &s, 8, 7200.0);
+        let c = FaultPlan::monte_carlo(100, 0.5, 8, 7200.0);
         assert_ne!(a, c, "different seeds should differ for these rates");
     }
 
     #[test]
     fn monte_carlo_outage_rate_matches_statistics() {
-        let s = FaultScenario {
-            follower_outage_rate: 0.2,
-            ..FaultScenario::none()
-        };
         let mut outages = 0usize;
         let trials = 400;
         let per_plan = 10;
         for seed in 0..trials {
-            let plan = FaultPlan::monte_carlo(seed, &s, per_plan, 3600.0);
+            let plan = FaultPlan::monte_carlo(seed, 0.2, per_plan, 3600.0);
             outages += plan.faults().len();
         }
         let rate = outages as f64 / (trials * per_plan as u64) as f64;
@@ -559,13 +416,30 @@ mod tests {
     }
 
     #[test]
+    fn monte_carlo_plan_is_pinned() {
+        // Each follower draws from its own substream of the seed, so
+        // these bits must not move when other draws are added or
+        // removed.
+        let plan = FaultPlan::monte_carlo(7, 0.5, 8, 14_400.0);
+        let pinned = [
+            (0, 0x40c3_51e5_fb69_7bd5),
+            (1, 0x40c4_5df9_eb2c_7c19),
+            (4, 0x40bb_f63a_3091_d62a),
+            (5, 0x40c1_f3d1_0d1d_107c),
+        ];
+        let faults = plan.faults();
+        assert_eq!(faults.len(), pinned.len(), "{faults:?}");
+        for (f, (follower, start_bits)) in faults.iter().zip(pinned) {
+            assert_eq!(f.kind, FaultKind::FollowerOutage { follower });
+            assert_eq!(f.start_s.to_bits(), start_bits, "{f:?}");
+            assert_eq!(f.end_s, f64::INFINITY);
+        }
+    }
+
+    #[test]
     fn follower_fate_invariant_to_fleet_size() {
-        let s = FaultScenario {
-            follower_outage_rate: 0.4,
-            ..FaultScenario::none()
-        };
-        let small = FaultPlan::monte_carlo(5, &s, 4, 3600.0);
-        let large = FaultPlan::monte_carlo(5, &s, 12, 3600.0);
+        let small = FaultPlan::monte_carlo(5, 0.4, 4, 3600.0);
+        let large = FaultPlan::monte_carlo(5, 0.4, 12, 3600.0);
         for k in 0..4 {
             let a: Vec<_> = small
                 .faults()
@@ -742,19 +616,5 @@ mod tests {
         assert_eq!(snap.counter("sim/active_faults"), 5);
         // Disabled handle records nothing and costs nothing.
         plan.record_frame_activity(75.0, &Metrics::disabled());
-    }
-
-    #[test]
-    fn transient_outages_end() {
-        let s = FaultScenario {
-            follower_outage_rate: 1.0,
-            mean_outage_duration_s: 300.0,
-            ..FaultScenario::none()
-        };
-        let plan = FaultPlan::monte_carlo(11, &s, 6, 3600.0);
-        assert_eq!(plan.faults().len(), 6);
-        for f in plan.faults() {
-            assert!(f.end_s.is_finite() && f.end_s > f.start_s);
-        }
     }
 }

@@ -54,6 +54,6 @@ mod radio;
 pub use activity::ActivityProfile;
 pub use battery::{simulate_battery, Battery, BatterySeries};
 pub use energy::{simulate_orbit, OrbitEnergyReport, SubsystemEnergy};
-pub use fault::{Fault, FaultKind, FaultPlan, FaultScenario};
+pub use fault::{Fault, FaultKind, FaultPlan};
 pub use power::PowerProfile;
 pub use radio::{CrosslinkBudget, DownlinkBudget, RadioModel};
