@@ -17,10 +17,10 @@
 
 use eagleeye_core::coverage::CoverageOptions;
 use eagleeye_datasets::{TargetSet, Workload};
-use eagleeye_exec::{run_items, ExecPool, RunConfig};
+use eagleeye_exec::{available_parallelism, run_items, RunConfig, RunOutcome};
 use eagleeye_harden::{
     cli, Args, ByteReader, ByteWriter, CheckpointSpec, CodecError, Deadline, Flag, ScenarioHasher,
-    UsageError, USAGE_STATUS,
+    SnapshotError, UsageError, USAGE_STATUS,
 };
 use eagleeye_obs::{Metrics, MetricsRegistry};
 
@@ -63,7 +63,7 @@ impl Default for BenchCli {
             duration_s: 3.0 * 3600.0,
             scale: 1.0,
             seed: 7,
-            threads: eagleeye_exec::available_parallelism(),
+            threads: available_parallelism(),
             metrics: Metrics::disabled(),
             checkpoint: None,
             deadline: Deadline::none(),
@@ -176,12 +176,88 @@ impl BenchCli {
     /// it into the evaluation's `CoverageOptions`), and the forks merge
     /// back in input order, so recorded counters and histograms are
     /// identical at any thread count.
+    ///
+    /// Configurations run under the supervised runner
+    /// (`eagleeye_exec::run_items`) with no checkpoint and no deadline:
+    /// a configuration that panics is retried, and one that panics on
+    /// every attempt is quarantined.
+    ///
+    /// # Panics
+    ///
+    /// After every configuration ran, with the lowest-indexed
+    /// quarantined configuration's report.
     pub fn par_sweep_observed<T: Sync, R: Send>(
         &self,
         items: &[T],
         f: impl Fn(&T, &Metrics) -> R + Sync,
     ) -> Vec<R> {
-        ExecPool::new(self.threads).par_map_observed(&self.metrics, items, |_, item, m| f(item, m))
+        let config = RunConfig {
+            scenario_hash: 0,
+            threads: self.threads,
+            checkpoint: None,
+            deadline: Deadline::none(),
+        };
+        // Without a checkpoint nothing is encoded, resumed or written,
+        // so the run cannot fail, and without a deadline every
+        // configuration runs.
+        self.supervised_sweep(
+            &config,
+            items,
+            f,
+            |_| unreachable!("no checkpoint"),
+            |_, _| unreachable!("nothing to resume"),
+        )
+        .unwrap_or_else(|e| unreachable!("a sweep without a checkpoint does no I/O: {e}"))
+        .items
+        .into_iter()
+        .flatten()
+        .map(|slot| slot.unwrap_or_else(|q| panic!("configuration {q}")))
+        .collect()
+    }
+
+    /// The one supervised sweep behind [`BenchCli::par_sweep_observed`]
+    /// and [`BenchCli::par_sweep_checkpointed`]: `run_items` under
+    /// `config`, each attempt of a configuration against a fresh fork
+    /// of [`BenchCli::metrics`] (so a retried attempt leaves no counts
+    /// behind), with the `exec/threads` gauge raised and the forks
+    /// absorbed in input order.
+    fn supervised_sweep<T: Sync, R: Send>(
+        &self,
+        config: &RunConfig,
+        items: &[T],
+        f: impl Fn(&T, &Metrics) -> R + Sync,
+        encode: impl Fn(&(R, Metrics)) -> Vec<u8> + Sync,
+        decode: impl Fn(usize, &[u8]) -> Result<(R, Metrics), CodecError>,
+    ) -> Result<RunOutcome<R>, SnapshotError> {
+        let threads = match config.threads {
+            0 => available_parallelism(),
+            n => n,
+        };
+        self.metrics.gauge_max("exec/threads", threads as f64);
+        let outcome = run_items(
+            config,
+            items.len(),
+            |i| {
+                let fork = self.metrics.fork();
+                (f(&items[i], &fork), fork)
+            },
+            encode,
+            decode,
+        )?;
+        // Absorb in input order so merged metrics are deterministic at
+        // any thread count.
+        let absorbed = |(r, fork): (R, Metrics)| {
+            self.metrics.absorb(&fork);
+            r
+        };
+        Ok(RunOutcome {
+            items: outcome
+                .items
+                .into_iter()
+                .map(|slot| slot.map(|r| r.map(absorbed)))
+                .collect(),
+            resumed_items: outcome.resumed_items,
+        })
     }
 
     /// Process-stable hash binding a checkpoint file to this exact
@@ -214,14 +290,14 @@ impl BenchCli {
             .finish()
     }
 
-    /// [`BenchCli::par_sweep_observed`] under the supervised runner
-    /// (`eagleeye_exec::run_items`): with `--checkpoint`, each
-    /// configuration's CSV row and metrics fork are checkpointed as they
-    /// complete and `--resume` restores them instead of recomputing; a
-    /// blown `--deadline` yields the rows that finished (`None` for the
-    /// rest) with [`SweepOutcome::degraded`] set. A configuration that
-    /// keeps panicking is reported on stderr and its row left `None`,
-    /// which marks the sweep degraded too.
+    /// [`BenchCli::par_sweep_observed`] for CSV rows, under the run
+    /// layer's flags: with `--checkpoint`, each configuration's row and
+    /// metrics fork are checkpointed as they complete and `--resume`
+    /// restores them instead of recomputing; a blown `--deadline` yields
+    /// the rows that finished (`None` for the rest) with
+    /// [`SweepOutcome::degraded`] set. A configuration that keeps
+    /// panicking is reported on stderr and its row left `None`, which
+    /// marks the sweep degraded too.
     ///
     /// Without those flags nothing is encoded or written, so figure
     /// binaries call it unconditionally: rows and merged counters and
@@ -263,19 +339,9 @@ impl BenchCli {
             fork.absorb_registry(&MetricsRegistry::from_bytes(r.bytes()?)?);
             Ok((row, fork))
         };
-        self.metrics
-            .gauge_max("exec/threads", ExecPool::new(self.threads).threads() as f64);
-        let outcome = run_items(
-            &config,
-            items.len(),
-            |i| {
-                let fork = self.metrics.fork();
-                (f(&items[i], &fork), fork)
-            },
-            encode,
-            decode,
-        )
-        .unwrap_or_else(|e| panic!("checkpointed sweep for {run} failed: {e}"));
+        let outcome = self
+            .supervised_sweep(&config, items, f, encode, decode)
+            .unwrap_or_else(|e| panic!("checkpointed sweep for {run} failed: {e}"));
         if outcome.resumed_items > 0 {
             eprintln!(
                 "resumed {} of {} sweep configurations from checkpoint",
@@ -283,23 +349,19 @@ impl BenchCli {
                 items.len()
             );
         }
-        // Absorb in input order so merged metrics are deterministic at
-        // any thread count.
         let completed = outcome.completed();
-        let mut rows = Vec::with_capacity(items.len());
-        for slot in outcome.items {
-            rows.push(match slot {
-                Some(Ok((row, fork))) => {
-                    self.metrics.absorb(&fork);
-                    Some(row)
-                }
+        let rows = outcome
+            .items
+            .into_iter()
+            .map(|slot| match slot {
+                Some(Ok(row)) => Some(row),
                 Some(Err(q)) => {
                     eprintln!("warning: configuration {q}");
                     None
                 }
                 None => None,
-            });
-        }
+            })
+            .collect();
         SweepOutcome {
             rows,
             degraded: completed < items.len(),
@@ -364,6 +426,7 @@ pub fn print_csv_outcome(header: &str, outcome: &SweepOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     fn parse_with(args: &[&str], table: &[Flag]) -> Result<BenchCli, String> {
@@ -498,6 +561,134 @@ mod tests {
             let out = cli.par_sweep_observed(&items, |&i, _| i * i);
             assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn observed_map_merges_deterministically_across_thread_counts() {
+        let items: Vec<u64> = (0..97).collect();
+        let run = |threads: usize| {
+            let cli = BenchCli {
+                threads,
+                metrics: Metrics::enabled(),
+                ..BenchCli::default()
+            };
+            let got = cli.par_sweep_observed(&items, |&x, m| {
+                m.add("work/value_sum", x);
+                m.incr("work/calls");
+                m.observe("work/values", x, &[16, 48, 96]);
+                x * 2
+            });
+            (got, cli.metrics.snapshot())
+        };
+        let (base_out, base_snap) = run(1);
+        assert_eq!(base_snap.counter("work/calls"), 97);
+        assert_eq!(base_snap.counter("work/value_sum"), 96 * 97 / 2);
+        for threads in [2, 4, 8] {
+            let (out, snap) = run(threads);
+            assert_eq!(out, base_out, "threads={threads}");
+            // Counters and histograms are bit-identical at any thread
+            // count; only the pool-shape gauge (`exec/threads`)
+            // legitimately differs between runs.
+            let counters: Vec<_> = snap.counters().collect();
+            assert_eq!(
+                counters,
+                base_snap.counters().collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+            let hists: Vec<_> = snap.histograms().collect();
+            assert_eq!(
+                hists,
+                base_snap.histograms().collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+            assert_eq!(snap.gauge("exec/threads"), Some(threads as f64));
+        }
+    }
+
+    #[test]
+    fn observed_map_records_pool_shape() {
+        let cli = BenchCli {
+            threads: 3,
+            metrics: Metrics::enabled(),
+            ..BenchCli::default()
+        };
+        cli.par_sweep_observed(&[1, 2, 3, 4], |&x: &i32, _| x);
+        let snap = cli.metrics.snapshot();
+        // Pool shape is a gauge only: no counter may differ between
+        // thread counts.
+        assert_eq!(snap.counters().count(), 0);
+        assert_eq!(snap.gauge("exec/threads"), Some(3.0));
+    }
+
+    #[test]
+    fn observed_map_with_disabled_metrics_records_nothing() {
+        let cli = BenchCli {
+            threads: 4,
+            ..BenchCli::default()
+        };
+        let got = cli.par_sweep_observed(&[1u64, 2, 3], |&x, m| {
+            m.incr("ignored");
+            x + 1
+        });
+        assert_eq!(got, vec![2, 3, 4]);
+        assert!(cli.metrics.snapshot().is_empty());
+    }
+
+    #[test]
+    fn par_sweep_observed_retries_a_one_shot_panic() {
+        for threads in [1, 2, 4] {
+            let cli = BenchCli {
+                threads,
+                metrics: Metrics::enabled(),
+                ..BenchCli::default()
+            };
+            let fired = AtomicBool::new(false);
+            let items: Vec<usize> = (0..16).collect();
+            let out = cli.par_sweep_observed(&items, |&x, m| {
+                m.incr("work/attempts_kept");
+                assert!(
+                    x != 5 || fired.swap(true, Ordering::SeqCst),
+                    "one-shot fault on configuration 5"
+                );
+                x * 10
+            });
+            assert_eq!(out, items.iter().map(|x| x * 10).collect::<Vec<_>>());
+            // The failed attempt's fork is dropped with it.
+            assert_eq!(cli.metrics.snapshot().counter("work/attempts_kept"), 16);
+        }
+    }
+
+    /// A sweep over `0..16` at `threads` whose configurations 11 and 13
+    /// panic with `message` on every attempt: the lower one is reported,
+    /// whichever finished first.
+    fn sweep_failing_at_11_and_13(threads: usize, message: &str) {
+        let cli = BenchCli {
+            threads,
+            ..BenchCli::default()
+        };
+        let items: Vec<usize> = (0..16).collect();
+        cli.par_sweep_observed(&items, |&x, _| {
+            assert!(x != 11 && x != 13, "{message}");
+            x
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn worker_panics_propagate() {
+        sweep_failing_at_11_and_13(4, "boom");
+    }
+
+    #[test]
+    #[should_panic(expected = "configuration 11 quarantined after 3 attempts: boom")]
+    fn propagated_panics_carry_item_context() {
+        sweep_failing_at_11_and_13(4, "boom");
+    }
+
+    #[test]
+    #[should_panic(expected = "configuration 11 quarantined after 3 attempts: inline boom")]
+    fn inline_panics_carry_item_context_too() {
+        sweep_failing_at_11_and_13(1, "inline boom");
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Property suite for metric recording through the worker pool: both
-//! the fork/absorb discipline of `par_map_observed` and concurrent
-//! recording through a shared handle lose no updates at any thread
-//! count.
+//! Property suite for metric recording on the exec layer's workers:
+//! both the fork/absorb discipline of `BenchCli::par_sweep_observed`
+//! and concurrent recording through a shared handle under
+//! `eagleeye_exec::run_items` lose no updates at any thread count.
 
+use eagleeye_bench::BenchCli;
 use eagleeye_check::{check_cases, prop_assert, prop_assert_eq};
 use eagleeye_check::{u64_range, usize_range, vec_of};
-use eagleeye_exec::ExecPool;
+use eagleeye_exec::{run_items, RunConfig};
+use eagleeye_harden::Deadline;
 use eagleeye_obs::Metrics;
 
 #[test]
@@ -15,9 +17,13 @@ fn forked_recording_through_the_pool_loses_no_updates() {
         "exec_forked_counts",
         (usize_range(1, 9), vec_of(u64_range(0, 200), 1, 33)),
         |(threads, increments)| {
-            let pool = ExecPool::new(*threads);
-            let metrics = Metrics::enabled();
-            let order = pool.par_map_observed(&metrics, increments, |i, &n, m| {
+            let cli = BenchCli {
+                threads: *threads,
+                metrics: Metrics::enabled(),
+                ..BenchCli::default()
+            };
+            let indexed: Vec<(usize, u64)> = increments.iter().copied().enumerate().collect();
+            let order = cli.par_sweep_observed(&indexed, |&(i, n), m| {
                 for _ in 0..n {
                     m.incr("prop/hits");
                 }
@@ -25,7 +31,7 @@ fn forked_recording_through_the_pool_loses_no_updates() {
                 i
             });
             prop_assert_eq!(order, (0..increments.len()).collect::<Vec<_>>());
-            let snap = metrics.snapshot();
+            let snap = cli.metrics.snapshot();
             prop_assert_eq!(snap.counter("prop/hits"), increments.iter().sum::<u64>());
             let h = snap.histogram("prop/n");
             prop_assert!(h.is_some(), "histogram must survive absorb");
@@ -44,13 +50,25 @@ fn shared_handle_concurrent_increments_lose_no_updates() {
         "exec_shared_counts",
         (usize_range(1, 9), vec_of(u64_range(0, 200), 1, 33)),
         |(threads, increments)| {
-            let pool = ExecPool::new(*threads);
+            let config = RunConfig {
+                scenario_hash: 0,
+                threads: *threads,
+                checkpoint: None,
+                deadline: Deadline::none(),
+            };
             let metrics = Metrics::enabled();
-            pool.par_map(increments, |_, &n| {
-                for _ in 0..n {
-                    metrics.incr("prop/shared");
-                }
-            });
+            let outcome = run_items(
+                &config,
+                increments.len(),
+                |i| {
+                    for _ in 0..increments[i] {
+                        metrics.incr("prop/shared");
+                    }
+                },
+                |_| unreachable!("no checkpoint"),
+                |_, _| unreachable!("nothing to resume"),
+            );
+            prop_assert_eq!(outcome.ok().map(|o| o.completed()), Some(increments.len()));
             prop_assert_eq!(
                 metrics.snapshot().counter("prop/shared"),
                 increments.iter().sum::<u64>()

@@ -411,6 +411,20 @@ pub struct CompileStats {
     pub memo_misses: u64,
 }
 
+impl CompileStats {
+    /// The counts recorded since `before`, an earlier snapshot of the
+    /// same cache.
+    pub fn since(&self, before: &CompileStats) -> CompileStats {
+        CompileStats {
+            track_builds: self.track_builds - before.track_builds,
+            track_reuses: self.track_reuses - before.track_reuses,
+            track_shares: self.track_shares - before.track_shares,
+            memo_hits: self.memo_hits - before.memo_hits,
+            memo_misses: self.memo_misses - before.memo_misses,
+        }
+    }
+}
+
 /// A pooled track and the scenarios whose passes ran on it.
 #[derive(Debug)]
 struct PooledTrack {

@@ -15,6 +15,7 @@
 //!
 //! [`fork_with`]: super::CoverageEvaluator::fork_with
 
+use super::compile::CompileStats;
 use super::config::ConstellationConfig;
 use super::evaluator::{CoverageEvaluator, CoverageOptions};
 use super::report::CoverageReport;
@@ -202,20 +203,7 @@ fn set_followers(config: &mut ConstellationConfig, n: usize) {
 /// difference of the shared compile cache's counters across the child
 /// evaluation. `track_shares`/`memo_hits` is the work the delta saved;
 /// `track_builds`/`memo_misses` is the dirty set it had to redo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeltaStats {
-    /// Tracks compiled from scratch for the child (dirty satellites).
-    pub track_builds: u64,
-    /// Tracks the child adopted unchanged from the cross-scenario pool.
-    pub track_shares: u64,
-    /// Tracks reused from the child's own scenario cache (repeat
-    /// evaluations of the same child).
-    pub track_reuses: u64,
-    /// Horizon solves replayed from an adopted track's memo.
-    pub memo_hits: u64,
-    /// Horizon solves performed live for the child.
-    pub memo_misses: u64,
-}
+pub type DeltaStats = CompileStats;
 
 impl<'a> CoverageEvaluator<'a> {
     /// Applies `delta` to `config` (against this evaluator's options)
@@ -240,17 +228,7 @@ impl<'a> CoverageEvaluator<'a> {
         let child = self.fork_with(child_opts);
         let before = child.compile_stats();
         let report = child.evaluate(&child_cfg)?;
-        let after = child.compile_stats();
-        Ok((
-            report,
-            DeltaStats {
-                track_builds: after.track_builds - before.track_builds,
-                track_shares: after.track_shares - before.track_shares,
-                track_reuses: after.track_reuses - before.track_reuses,
-                memo_hits: after.memo_hits - before.memo_hits,
-                memo_misses: after.memo_misses - before.memo_misses,
-            },
-        ))
+        Ok((report, child.compile_stats().since(&before)))
     }
 }
 

@@ -263,9 +263,10 @@ impl<'a> CoverageEvaluator<'a> {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for an invalid sensing spec, a
-    /// `duration_s` that is negative or not finite, or a `recall` or
-    /// `recapture_penalty` outside `[0, 1]`, or a fault window with a
-    /// negative or NaN start or an end not after its start (the rules
+    /// `duration_s` that is negative or not finite, a `recall` or
+    /// `recapture_penalty` outside `[0, 1]`, zero `orbital_planes`, or a
+    /// fault window with a negative or NaN start or an end not after
+    /// its start (the rules
     /// [`ScenarioDelta::apply`](super::ScenarioDelta::apply) enforces).
     /// Propagates orbit, geometry, and solver failures of the
     /// lowest-indexed failing pass, and [`CoreError::Harden`] for a
@@ -294,6 +295,11 @@ impl<'a> CoverageEvaluator<'a> {
             ),
             ("recall", o.recall, (0.0..=1.0).contains(&o.recall)),
             ("recapture_penalty", penalty, (0.0..=1.0).contains(&penalty)),
+            (
+                "orbital_planes",
+                o.orbital_planes as f64,
+                o.orbital_planes > 0,
+            ),
         ] {
             if !valid {
                 return Err(CoreError::InvalidParameter { name, value });
@@ -449,32 +455,22 @@ impl<'a> CoverageEvaluator<'a> {
     }
 
     /// Builds the constellation layout for this evaluator's options:
-    /// slot-pinned when [`CoverageOptions::layout_slots`] is set,
-    /// legacy even phasing otherwise.
+    /// phased against [`CoverageOptions::layout_slots`] when it is set,
+    /// against the group count otherwise.
     fn layout_for(
         &self,
         groups: usize,
         followers_per_group: usize,
     ) -> Result<ConstellationLayout, CoreError> {
-        let planes = self.options.orbital_planes.max(1);
-        let layout = match self.options.layout_slots {
-            Some(slots) => ConstellationLayout::with_planes_slotted(
-                groups,
-                followers_per_group,
-                self.options.spec.altitude_m,
-                self.options.inclination_rad,
-                planes,
-                slots,
-            ),
-            None => ConstellationLayout::with_planes(
-                groups,
-                followers_per_group,
-                self.options.spec.altitude_m,
-                self.options.inclination_rad,
-                planes,
-            ),
-        };
-        Ok(layout?)
+        let o = &self.options;
+        Ok(ConstellationLayout::with_planes_slotted(
+            groups,
+            followers_per_group,
+            o.spec.altitude_m,
+            o.inclination_rad,
+            o.orbital_planes,
+            o.layout_slots.unwrap_or(groups),
+        )?)
     }
 
     /// A stable, process-independent fingerprint of everything that
@@ -1546,6 +1542,17 @@ mod tests {
                 "recall",
             );
         }
+    }
+
+    #[test]
+    fn rejects_zero_orbital_planes() {
+        assert_rejected(
+            CoverageOptions {
+                orbital_planes: 0,
+                ..quick_options()
+            },
+            "orbital_planes",
+        );
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub fn under_leaders(
         followers,
         spec.altitude_m,
         options.inclination_rad,
-        options.orbital_planes.max(1),
+        options.orbital_planes,
         options.layout_slots.unwrap_or(groups),
     )
     .expect("valid layout");

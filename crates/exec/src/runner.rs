@@ -1,8 +1,7 @@
 //! Supervised runs: retry, quarantine, checkpoint/resume and anytime
-//! degradation on the pool's claim loop.
+//! degradation on one claim loop.
 //!
-//! [`ExecPool::par_map`] returns once *every* item finished and lets a
-//! panic abort the batch. [`run_items`] runs the same claim loop under
+//! [`run_items`] runs the item indices on the claim loop under
 //! supervision:
 //!
 //! * a per-item panic is caught (`catch_unwind`) and the item rerun at
@@ -27,11 +26,11 @@
 //! indexed map — inline at one thread — bit-identical at any thread
 //! count and any checkpoint cadence.
 
-use crate::{panic_message, ExecPool};
+use crate::available_parallelism;
 use eagleeye_harden::{crash_point, CheckpointSpec, CodecError, Deadline, Snapshot, SnapshotError};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Tries a panicking item gets before it is quarantined: the first
@@ -200,7 +199,7 @@ where
     // finish. `write_failed` publishes nothing: the error itself is
     // read under the mutex once the workers joined.
     let stop = || write_failed.load(Ordering::Relaxed) || config.deadline.expired();
-    let ran = ExecPool::new(config.threads).claim(pending.len(), stop, |_, k| {
+    let ran = claim(config.threads, pending.len(), stop, |k| {
         let i = pending[k];
         let result = supervise(i, || f(i));
         if let (Some(ckpt), Ok(r)) = (&checkpoint, &result) {
@@ -241,6 +240,71 @@ where
     })
 }
 
+/// The claim loop behind every run: `threads` workers (`0` means
+/// [`available_parallelism`]) claim the indices `0..len` off one atomic
+/// cursor, each checking `stop` before every claim, and `f(index)`
+/// lands in slot `index` of the result. Indices never claimed because
+/// `stop` fired keep a `None` slot. Runs inline on the calling thread,
+/// with no spawn, when one worker suffices.
+///
+/// A panic in `f` is propagated to the caller after all workers stop.
+fn claim<R: Send>(
+    threads: usize,
+    len: usize,
+    stop: impl Fn() -> bool + Sync,
+    f: impl Fn(usize) -> R + Sync,
+) -> Vec<Option<R>> {
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(len);
+    let threads = if threads == 0 {
+        available_parallelism()
+    } else {
+        threads
+    };
+    let workers = threads.min(len);
+    if workers <= 1 {
+        for i in 0..len {
+            if stop() {
+                break;
+            }
+            slots.push(Some(f(i)));
+        }
+        slots.resize_with(len, || None);
+        return slots;
+    }
+
+    let cursor = AtomicUsize::new(0);
+    let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let (cursor, stop, f) = (&cursor, &stop, &f);
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    while !stop() {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= len {
+                            break;
+                        }
+                        out.push((i, f(i)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
+            .collect()
+    });
+
+    // Reassemble in input order: position-indexed, not
+    // completion-ordered.
+    slots.resize_with(len, || None);
+    for (i, r) in buckets.into_iter().flatten() {
+        slots[i] = Some(r);
+    }
+    slots
+}
+
 /// Runs item `item` until it returns, rerunning a panic at once and
 /// quarantining the item when all [`ATTEMPTS`] tries panic.
 fn supervise<R>(item: usize, f: impl Fn() -> R) -> Result<R, Quarantine> {
@@ -263,6 +327,18 @@ fn supervise<R>(item: usize, f: impl Fn() -> R) -> Result<R, Quarantine> {
             }
             Err(_) => {}
         }
+    }
+}
+
+/// Renders a panic payload (the `&str` or `String` message, when there
+/// is one) for quarantine reports.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -315,16 +391,11 @@ mod tests {
 
     #[test]
     fn fault_free_run_is_bit_identical_across_thread_counts() {
-        // The supervised run of an infallible closure is the plain map.
-        let plain: Vec<_> = ExecPool::new(1)
-            .par_map(&[(); 37], |i, _| payload_for(i))
-            .into_iter()
-            .map(|v| Some(Ok(v)))
-            .collect();
-        assert_eq!(plain, all_ok(37));
+        // The supervised run of an infallible closure is the plain map
+        // `(0..37).map(payload_for)`.
         for threads in [1, 2, 4, 8] {
             let out = run(&config(0xFEED, threads), 37, payload_for);
-            assert_eq!(out.items, plain, "threads={threads}");
+            assert_eq!(out.items, all_ok(37), "threads={threads}");
             assert_eq!(out.completed(), 37);
             assert_eq!(out.resumed_items, 0);
         }

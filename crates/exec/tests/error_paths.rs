@@ -1,11 +1,11 @@
 //! Error-path coverage for the parallel execution layer: the
 //! supervised run's lowest-index error under contention (the item's own
-//! error or its quarantine, whichever comes first by index), panic
-//! propagation from `par_map` without deadlock, and pool reuse after
-//! both.
+//! error or its quarantine, whichever comes first by index), and
+//! propagation without deadlock of a panic outside an item's
+//! supervision.
 
-use eagleeye_exec::{run_items, ExecPool, Quarantine, RunConfig};
-use eagleeye_harden::{CodecError, Deadline};
+use eagleeye_exec::{run_items, Quarantine, RunConfig};
+use eagleeye_harden::{CheckpointSpec, CodecError, Deadline};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -99,43 +99,38 @@ fn supervised_run_still_evaluates_every_item_after_a_failure() {
 
 #[test]
 fn panic_in_worker_propagates_and_does_not_deadlock() {
-    let items: Vec<usize> = (0..64).collect();
+    // Encoding a checkpoint payload runs outside the item's supervision,
+    // so a panic there is no item fault: it unwinds into the caller once
+    // every worker stopped, at every thread count.
+    let path = std::env::temp_dir().join(format!("eagleeye_error_paths_{}", std::process::id()));
     for threads in THREAD_COUNTS {
-        let pool = ExecPool::new(threads);
+        let _ = std::fs::remove_file(&path);
+        let config = RunConfig {
+            scenario_hash: 0,
+            threads,
+            checkpoint: Some(CheckpointSpec::new(&path, 0)),
+            deadline: Deadline::none(),
+        };
+        let encode = |&x: &usize| {
+            if x == 40 {
+                panic!("worker exploded on {x}");
+            }
+            x.to_le_bytes().to_vec()
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.par_map(&items, |_, &x| {
-                if x == 40 {
-                    panic!("worker exploded on {x}");
-                }
-                x
-            })
+            run_items(
+                &config,
+                64,
+                |x| x,
+                encode,
+                |_, _| unreachable!("nothing to resume"),
+            )
         }));
         let payload = result.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        let msg = payload.downcast::<String>().unwrap_or_default();
         assert!(msg.contains("worker exploded"), "threads={threads}: {msg}");
     }
-}
-
-#[test]
-fn pool_is_reusable_after_a_worker_panic() {
-    let pool = ExecPool::new(4);
-    let items: Vec<usize> = (0..32).collect();
-    let _ = catch_unwind(AssertUnwindSafe(|| {
-        pool.par_map(&items, |_, &x| {
-            if x == 7 {
-                panic!("first use fails");
-            }
-            x
-        })
-    }))
-    .expect_err("panic propagates");
-    // The pool holds no poisoned state — the next call works normally.
-    let doubled = pool.par_map(&items, |_, &x| x * 2);
-    assert_eq!(doubled, items.iter().map(|&x| x * 2).collect::<Vec<_>>());
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

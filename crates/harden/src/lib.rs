@@ -24,9 +24,9 @@
 //! The supervised runner that streams work items through these pieces
 //! — checkpoints on a completion cadence, a fixed retry budget and
 //! quarantine for panicking items, degradation on a blown deadline —
-//! lives in `eagleeye-exec` beside the worker pool it runs on (`exec`
-//! depends on this crate, so the runner cannot live here without a
-//! cycle).
+//! is `eagleeye-exec`'s one entry point, `run_items`, on that crate's
+//! claim loop (`exec` depends on this crate, so the runner cannot live
+//! here without a cycle).
 //!
 //! Everything here is `std`-only and dependency-free, so any crate in
 //! the workspace can depend on it without cycles. See DESIGN.md §12 for

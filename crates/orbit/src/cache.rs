@@ -204,7 +204,8 @@ mod tests {
 
     #[test]
     fn layout_tracks_share_the_zero_gmst_grid() {
-        let layout = ConstellationLayout::uniform(2, 1, 475_000.0, 97.2_f64.to_radians()).unwrap();
+        let layout =
+            ConstellationLayout::with_planes(2, 1, 475_000.0, 97.2_f64.to_radians(), 1).unwrap();
         let grid = EpochGrid::for_horizon(0.0, 1_000.0, 15.0);
         for sat in layout.satellites() {
             let track = layout.ground_track(sat).unwrap();

@@ -68,7 +68,7 @@ impl FieldHash for SatelliteSpec {
 /// use eagleeye_orbit::{ConstellationLayout, SatelliteRole};
 ///
 /// // 2 groups of (1 leader + 1 follower): 4 satellites total.
-/// let layout = ConstellationLayout::uniform(2, 1, 475_000.0, 97.2_f64.to_radians())?;
+/// let layout = ConstellationLayout::with_planes(2, 1, 475_000.0, 97.2_f64.to_radians(), 1)?;
 /// let sats = layout.satellites();
 /// assert_eq!(sats.len(), 4);
 /// assert_eq!(sats.iter().filter(|s| s.role == SatelliteRole::Leader).count(), 2);
@@ -89,22 +89,7 @@ impl ConstellationLayout {
     /// Default spacing between successive followers of one group.
     pub const DEFAULT_FOLLOWER_SPACING_M: f64 = 20_000.0;
 
-    /// Creates a layout with identical groups.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`OrbitError::InvalidElement`] when `groups == 0` or the
-    /// orbit parameters are out of range.
-    pub fn uniform(
-        groups: usize,
-        followers_per_group: usize,
-        altitude_m: f64,
-        inclination_rad: f64,
-    ) -> Result<Self, OrbitError> {
-        Self::with_planes(groups, followers_per_group, altitude_m, inclination_rad, 1)
-    }
-
-    /// Like [`ConstellationLayout::uniform`] but distributing groups
+    /// Creates a layout with identical groups, distributed
     /// round-robin across `planes` orbital planes whose ascending nodes
     /// are spread evenly over half a revolution (ascending/descending
     /// tracks of opposite nodes overlap, so π of RAAN spread suffices).
@@ -122,13 +107,13 @@ impl ConstellationLayout {
         inclination_rad: f64,
         planes: usize,
     ) -> Result<Self, OrbitError> {
-        Self::assemble(
+        Self::with_planes_slotted(
             groups,
             followers_per_group,
             altitude_m,
             inclination_rad,
             planes,
-            None,
+            groups,
         )
     }
 
@@ -147,8 +132,8 @@ impl ConstellationLayout {
     /// # Errors
     ///
     /// Returns [`OrbitError::InvalidElement`] when `phase_slots <
-    /// groups` (a slot per group is required) or for any input
-    /// [`ConstellationLayout::with_planes`] rejects.
+    /// groups` (a slot per group is required), for zero groups/planes,
+    /// or for invalid orbit parameters.
     pub fn with_planes_slotted(
         groups: usize,
         followers_per_group: usize,
@@ -163,27 +148,6 @@ impl ConstellationLayout {
                 value: phase_slots as f64,
             });
         }
-        Self::assemble(
-            groups,
-            followers_per_group,
-            altitude_m,
-            inclination_rad,
-            planes,
-            Some(phase_slots),
-        )
-    }
-
-    /// Shared constructor body: `phase_slots` of `None` phases groups
-    /// against the actual group count (the legacy layout); `Some(s)`
-    /// phases them against a fixed capacity of `s` slots.
-    fn assemble(
-        groups: usize,
-        followers_per_group: usize,
-        altitude_m: f64,
-        inclination_rad: f64,
-        planes: usize,
-        phase_slots: Option<usize>,
-    ) -> Result<Self, OrbitError> {
         if planes == 0 {
             return Err(OrbitError::InvalidElement {
                 name: "planes",
@@ -199,20 +163,16 @@ impl ConstellationLayout {
         // Validate the orbit itself early.
         let _ = J2Propagator::circular(altitude_m, inclination_rad, 0.0, 0.0)?;
 
-        // Phasing capacity: the actual group count for the legacy
-        // layout, the pinned slot count for a slotted one (already
-        // validated to be >= groups).
-        let slots = phase_slots.unwrap_or(groups);
-        let planes = planes.min(slots);
+        let planes = planes.min(phase_slots);
         let mut satellites = Vec::new();
         for g in 0..groups {
             // Round-robin plane assignment; slots within a plane are
-            // evenly phased among themselves. With slots == groups
-            // both formulas reduce to the legacy even-phasing.
+            // evenly phased among themselves. With phase_slots ==
+            // groups both formulas reduce to the legacy even-phasing.
             let plane = g % planes;
             let raan_rad = std::f64::consts::PI * plane as f64 / planes as f64;
             let in_plane = g / planes;
-            let plane_groups = slots / planes + usize::from(plane < slots % planes);
+            let plane_groups = phase_slots / planes + usize::from(plane < phase_slots % planes);
             let group_phase = std::f64::consts::TAU * in_plane as f64 / plane_groups.max(1) as f64;
             satellites.push(SatelliteSpec {
                 group: g,
@@ -290,12 +250,13 @@ mod tests {
     use super::*;
 
     fn layout(groups: usize, followers: usize) -> ConstellationLayout {
-        ConstellationLayout::uniform(groups, followers, 475_000.0, 97.2_f64.to_radians()).unwrap()
+        ConstellationLayout::with_planes(groups, followers, 475_000.0, 97.2_f64.to_radians(), 1)
+            .unwrap()
     }
 
     #[test]
     fn rejects_empty_layouts() {
-        assert!(ConstellationLayout::uniform(0, 1, 475_000.0, 1.7).is_err());
+        assert!(ConstellationLayout::with_planes(0, 1, 475_000.0, 1.7, 1).is_err());
     }
 
     #[test]

@@ -68,6 +68,20 @@ fn a_checkpoint_io_failure_exits_1() {
     assert_eq!(status(&args), 1, "eagleeye {args:?}");
 }
 
+/// A value the evaluator rejects parses but fails the run: zero
+/// orbital planes exits like an out-of-range recall.
+#[test]
+fn an_invalid_evaluator_parameter_exits_1() {
+    for flag in [["--planes", "0"], ["--recall", "2"]] {
+        let args = [
+            &["coverage", "--scale", "0.01", "--hours", "0.2"][..],
+            &flag,
+        ]
+        .concat();
+        assert_eq!(status(&args), 1, "eagleeye {args:?}");
+    }
+}
+
 #[test]
 fn valid_command_lines_exit_0() {
     for args in [

@@ -9,7 +9,8 @@ use eagleeye::sim::{simulate_orbit, ActivityProfile, PowerProfile};
 
 #[test]
 fn follower_lags_leader_by_the_design_distance() {
-    let layout = ConstellationLayout::uniform(1, 1, 475_000.0, 97.2_f64.to_radians()).unwrap();
+    let layout =
+        ConstellationLayout::with_planes(1, 1, 475_000.0, 97.2_f64.to_radians(), 1).unwrap();
     let sats = layout.satellites();
     let leader = layout.ground_track(&sats[0]).unwrap();
     let follower = layout.ground_track(&sats[1]).unwrap();
@@ -27,7 +28,8 @@ fn follower_lags_leader_by_the_design_distance() {
 
 #[test]
 fn constellation_roles_partition_satellites() {
-    let layout = ConstellationLayout::uniform(3, 2, 475_000.0, 97.2_f64.to_radians()).unwrap();
+    let layout =
+        ConstellationLayout::with_planes(3, 2, 475_000.0, 97.2_f64.to_radians(), 1).unwrap();
     let leaders = layout
         .satellites()
         .iter()
