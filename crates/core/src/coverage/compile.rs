@@ -647,7 +647,7 @@ mod tests {
                     followers,
                     spec.altitude_m,
                     97.2_f64.to_radians(),
-                    planes,
+                    planes.min(groups + spare),
                     groups + spare,
                 )
                 .expect("valid layout");

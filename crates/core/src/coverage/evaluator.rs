@@ -264,7 +264,10 @@ impl<'a> CoverageEvaluator<'a> {
     ///
     /// [`CoreError::InvalidParameter`] for an invalid sensing spec, a
     /// `duration_s` that is negative or not finite, a `recall` or
-    /// `recapture_penalty` outside `[0, 1]`, zero `orbital_planes`, or a
+    /// `recapture_penalty` outside `[0, 1]`, zero `orbital_planes` (or,
+    /// for a configuration with satellites and targets, more than its
+    /// phase slots: [`CoverageOptions::layout_slots`], else the group
+    /// count), or a
     /// fault window with a negative or NaN start or an end not after
     /// its start (the rules
     /// [`ScenarioDelta::apply`](super::ScenarioDelta::apply) enforces).
@@ -355,6 +358,12 @@ impl<'a> CoverageEvaluator<'a> {
         let idle = matches!(kind, PassKind::Leader(LeaderRun { followers: 0, .. }));
         if groups == 0 || self.targets.is_empty() || idle {
             return Ok(None);
+        }
+        if o.orbital_planes > o.layout_slots.unwrap_or(groups) {
+            return Err(CoreError::InvalidParameter {
+                name: "orbital_planes",
+                value: o.orbital_planes as f64,
+            });
         }
         let layout = self.layout_for(groups, layout_followers)?;
         let grid = EpochGrid::for_horizon(0.0, o.duration_s, spec.frame_cadence_s);
@@ -1553,6 +1562,28 @@ mod tests {
             },
             "orbital_planes",
         );
+    }
+
+    #[test]
+    fn rejects_more_orbital_planes_than_slots() {
+        assert_rejected(
+            CoverageOptions {
+                orbital_planes: 2,
+                ..quick_options()
+            },
+            "orbital_planes",
+        );
+        // Spare layout slots make room for the second plane.
+        let targets = meridian_targets(10);
+        let eval = CoverageEvaluator::new(
+            &targets,
+            CoverageOptions {
+                orbital_planes: 2,
+                layout_slots: Some(2),
+                ..quick_options()
+            },
+        );
+        assert!(eval.evaluate(&ConstellationConfig::eagleeye(1, 1)).is_ok());
     }
 
     #[test]

@@ -9,11 +9,14 @@ use std::time::Duration;
 /// Builds the opportunity graph (capture slots + feasibility arcs +
 /// rest chains), formulates target capture as a maximum-value flow of
 /// one unit per follower with "each target at most once" coupling
-/// constraints, and solves it exactly with `eagleeye-ilp`. The LP
-/// relaxation of this near-network structure is almost always integral,
-/// so branch-and-bound typically closes at the root node — the reason
-/// the paper's Fig. 12a runtime stays low and flat in target count. A
-/// one-task horizon takes the LP's own first step in closed form and
+/// constraints, and solves it exactly with `eagleeye-ilp`. The
+/// capture-once rows make the LP relaxation of this near-network
+/// structure fractional on most horizons of two or more tasks, so
+/// branch-and-bound usually branches once or more. The searches stay
+/// small: a child re-solves its parent's final tableau in a few dual
+/// pivots, and a sibling whose parent's bound cannot beat the incumbent
+/// is pruned unsolved, so a design-point horizon solves about two LPs.
+/// A one-task horizon takes the LP's own first step in closed form and
 /// builds no graph, model or tableau at all.
 ///
 /// For very large joint instances (many followers × many tasks) the

@@ -119,7 +119,9 @@ fn frame_problem(seed: u64, n_tasks: usize, carried_state: bool) -> SchedulingPr
 
 #[test]
 fn horizon_solves_allocate_a_fixed_handful_of_buffers() {
-    const SEEDS: u64 = 64;
+    // Enough seeds that some horizon still branches deeply now that a
+    // sibling that cannot beat the incumbent is pruned unsolved.
+    const SEEDS: u64 = 256;
     // Beyond the three slabs each branching copies for its first child,
     // no horizon may allocate or reallocate more than this, however many
     // nodes its search explores: a vector per node or per pivot would
@@ -132,7 +134,8 @@ fn horizon_solves_allocate_a_fixed_handful_of_buffers() {
     const ONE_TASK: usize = 10;
     // Per task count, fresh then carried state: the mean allocations
     // plus reallocations per horizon that the per-window, per-row and
-    // per-node layout made over these seeds. The budget is half of it.
+    // per-node layout made over the first 64 of these seeds. The budget
+    // is half of it.
     let shapes: [(usize, [f64; 2]); 3] = [
         (1, [103.0, 103.0]),
         (2, [163.7, 162.4]),
@@ -160,7 +163,11 @@ fn horizon_solves_allocate_a_fixed_handful_of_buffers() {
                          reallocations, more than {ONE_TASK}"
                     );
                 }
-                let copies = 3 * (stats.nodes_explored - stats.subproblems) / 2;
+                // A branching's first child is always solved (nothing can
+                // move the incumbent between the branching and its pop),
+                // and so is each subproblem's root: branchings are at most
+                // `nodes_explored - subproblems`.
+                let copies = 3 * (stats.nodes_explored - stats.subproblems);
                 assert!(
                     (a + r).saturating_sub(copies) <= FIXED,
                     "{n_tasks} task(s), carried {carried}, seed {seed}: {a} allocations and {r} \

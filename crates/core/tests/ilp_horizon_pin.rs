@@ -174,6 +174,8 @@ fn two_followers_twenty_tasks() {
 
 #[test]
 fn two_followers_forty_tasks() {
+    // All three pruned nodes are dropped on their parent's bound,
+    // unsolved.
     let p = frame_problem(9, 40, 4.0, false);
     assert_pinned(
         "2x40",
@@ -186,7 +188,7 @@ fn two_followers_forty_tasks() {
             ],
             time_digest: 0x727334f0cd761b87,
             total_value_bits: 0x4050b9e763fc9f5b,
-            stats: stats(1, (7, 3), (619, 605), 1, (6, 0)),
+            stats: stats(1, (4, 3), (612, 601), 1, (3, 0)),
         },
     );
 }
@@ -207,7 +209,7 @@ fn two_followers_forty_tasks_carried_state() {
             ],
             time_digest: 0xae52dfe84d06b655,
             total_value_bits: 0x4050fb8750803d81,
-            stats: stats(1, (3, 1), (770, 758), 1, (2, 0)),
+            stats: stats(1, (2, 1), (767, 756), 1, (1, 0)),
         },
     );
 }

@@ -43,8 +43,8 @@ pub struct SolveStats {
     /// Total basis-changing simplex pivots across all nodes (bound
     /// flips are counted in `lp_iterations` only).
     pub lp_pivots: usize,
-    /// Nodes whose LP relaxation was solved but that were discarded by
-    /// the incumbent bound (never branched).
+    /// Nodes discarded by the incumbent bound, on the parent's LP bound
+    /// before any solve or on the node's own after it (never branched).
     pub nodes_pruned: usize,
     /// How many times a new best integral solution replaced the
     /// incumbent (1 = the first feasible solution was already optimal).
@@ -71,6 +71,9 @@ pub struct SolveStats {
 struct Open {
     start: usize,
     end: usize,
+    /// The parent's LP objective (−∞ at the root): a tightened bound
+    /// never lowers a minimum, so no solution under this node beats it.
+    parent_bound: f64,
     tableau: Option<Tableau>,
 }
 
@@ -84,6 +87,10 @@ impl Model {
     /// above its own belongs to a finished node and is dropped, and its
     /// children push copies of its overrides, each with its own bound
     /// change last.
+    ///
+    /// A popped node whose parent's LP bound can no longer beat the
+    /// incumbent is pruned before its relaxation is solved, and its
+    /// inherited tableau is dropped unread.
     ///
     /// # Errors
     ///
@@ -105,6 +112,7 @@ impl Model {
         let mut stack = vec![Open {
             start: 0,
             end: 0,
+            parent_bound: f64::NEG_INFINITY,
             tableau: None,
         }];
         let mut limit_hit = false;
@@ -123,6 +131,16 @@ impl Model {
             // resumed run reports what an uninterrupted one does.
             crash_point("bnb_node");
 
+            // Parent-bound pruning: the node's LP cannot beat its
+            // parent's, so a node whose parent no longer beats the
+            // incumbent is dropped with its tableau, unsolved.
+            if incumbent
+                .as_ref()
+                .is_some_and(|(best, _)| node.parent_bound >= *best - ABSOLUTE_GAP)
+            {
+                stats.nodes_pruned += 1;
+                continue;
+            }
             bounds.truncate(node.end);
             // Only a node without a tableau (the root) polls the deadline
             // inside its LP: a child's LP re-solves its inherited tableau
@@ -159,7 +177,7 @@ impl Model {
             stats.lp_iterations += iterations;
             stats.lp_pivots += pivots;
 
-            // Bound pruning.
+            // Bound pruning on the node's own LP.
             if let Some((best, _)) = &incumbent {
                 if obj >= *best - ABSOLUTE_GAP {
                     stats.nodes_pruned += 1;
@@ -167,25 +185,8 @@ impl Model {
                 }
             }
 
-            // Find the most fractional integer variable.
             let values = tableau.values();
-            let mut branch_var: Option<(usize, f64)> = None; // (var, fractional part dist)
-            for (j, var) in self.vars.iter().enumerate() {
-                if var.kind != VarKind::Integer {
-                    continue;
-                }
-                let v = values[j];
-                let frac = (v - v.round()).abs();
-                if frac > INTEGRALITY_TOL {
-                    let dist_to_half = (v - v.floor() - 0.5).abs();
-                    match branch_var {
-                        Some((_, best)) if dist_to_half >= best => {}
-                        _ => branch_var = Some((j, dist_to_half)),
-                    }
-                }
-            }
-
-            match branch_var {
+            match self.most_fractional(values) {
                 None => {
                     // Integral: candidate incumbent.
                     let better = match &incumbent {
@@ -206,7 +207,7 @@ impl Model {
                         }
                     }
                 }
-                Some((j, _)) => {
+                Some(j) => {
                     let v = values[j];
                     let floor = v.floor();
                     let ceil = v.ceil();
@@ -231,6 +232,7 @@ impl Model {
                         stack.push(Open {
                             start,
                             end: bounds.len(),
+                            parent_bound: obj,
                             tableau: Some(tableau),
                         });
                     }
@@ -239,8 +241,41 @@ impl Model {
         }
 
         stats.elapsed = start.elapsed();
+        Ok(self.finish(incumbent, limit_hit, stats))
+    }
+
+    /// The integer variable whose LP value is most fractional (nearest
+    /// to a half, the lowest index on ties); `None` when all are
+    /// integral.
+    fn most_fractional(&self, values: &[f64]) -> Option<usize> {
+        let mut branch_var: Option<(usize, f64)> = None; // (var, fractional part dist)
+        for (j, var) in self.vars.iter().enumerate() {
+            if var.kind != VarKind::Integer {
+                continue;
+            }
+            let v = values[j];
+            let frac = (v - v.round()).abs();
+            if frac > INTEGRALITY_TOL {
+                let dist_to_half = (v - v.floor() - 0.5).abs();
+                match branch_var {
+                    Some((_, best)) if dist_to_half >= best => {}
+                    _ => branch_var = Some((j, dist_to_half)),
+                }
+            }
+        }
+        branch_var.map(|(j, _)| j)
+    }
+
+    /// The search's answer from its incumbent (internal objective and
+    /// values), whether a limit ended it, and its statistics.
+    fn finish(
+        &self,
+        incumbent: Option<(f64, Vec<f64>)>,
+        limit_hit: bool,
+        stats: SolveStats,
+    ) -> Solution {
         let sign = self.sign();
-        Ok(match incumbent {
+        match incumbent {
             Some((internal_obj, values)) => Solution {
                 status: if limit_hit {
                     SolveStatus::Feasible
@@ -261,14 +296,73 @@ impl Model {
                 values: vec![f64::NAN; self.num_vars()],
                 stats,
             },
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Model, Sense};
+    use crate::{Model, Sense, VarId};
+    use eagleeye_check::{check_cases, prop_assert, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_rng::SplitMix64;
+
+    /// The search before parent-bound pruning, kept as its oracle: every
+    /// popped node's LP is solved, and a node is pruned on its own LP
+    /// bound only. Children inherit tableaus as in [`Model::solve`], so
+    /// the two searches see the same LPs; no limit applies.
+    fn solve_reference(m: &Model) -> Solution {
+        let mut stats = SolveStats::default();
+        let mut incumbent: Option<(f64, Vec<f64>)> = None;
+        let mut stack = vec![(Vec::new(), None)];
+        while let Some((overrides, inherited)) = stack.pop() {
+            let warm = inherited.is_some();
+            let relaxed = m.solve_relaxation(&overrides, None, inherited).unwrap();
+            stats.nodes_explored += 1;
+            let Some(lp) = relaxed else {
+                continue;
+            };
+            stats.warm_starts += usize::from(lp.warmed);
+            stats.warm_rejects += usize::from(warm && !lp.warmed);
+            stats.lp_iterations += lp.iterations;
+            stats.lp_pivots += lp.pivots;
+            if let Some((best, _)) = &incumbent {
+                if lp.objective >= *best - ABSOLUTE_GAP {
+                    stats.nodes_pruned += 1;
+                    continue;
+                }
+            }
+            let values = lp.tableau.values();
+            match m.most_fractional(values) {
+                None => {
+                    if incumbent
+                        .as_ref()
+                        .is_none_or(|(best, _)| lp.objective < *best - 1e-12)
+                    {
+                        stats.incumbent_updates += 1;
+                        incumbent = Some((lp.objective, values.to_vec()));
+                    }
+                }
+                Some(j) => {
+                    let v = values[j];
+                    let down = (j, m.vars[j].lower, v.floor());
+                    let up = (j, v.ceil(), m.vars[j].upper);
+                    let (first, second) = if v - v.floor() < 0.5 {
+                        (down, up)
+                    } else {
+                        (up, down)
+                    };
+                    let copy = lp.tableau.clone();
+                    for (bound, tableau) in [(second, lp.tableau), (first, copy)] {
+                        let mut child = overrides.clone();
+                        child.push(bound);
+                        stack.push((child, Some(tableau)));
+                    }
+                }
+            }
+        }
+        m.finish(incumbent, false, stats)
+    }
 
     fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> (Model, Vec<crate::VarId>) {
         let mut m = Model::maximize();
@@ -300,6 +394,140 @@ mod tests {
             }
         }
         best
+    }
+
+    /// A seeded maximisation model: a binary knapsack (`kind` 0),
+    /// general integers beside continuous variables under mixed-sign
+    /// rows (1), or the scheduler's arc-flow shape (2): per follower, a
+    /// source row, flow conservation at each capture slot, and one
+    /// capture-once row per task over every slot that captures it.
+    fn seeded_model(kind: usize, seed: u64) -> Model {
+        let mut rng = SplitMix64::new(seed);
+        let mut m = Model::maximize();
+        match kind {
+            0 => {
+                let n = rng.range_usize(2, 12);
+                let items: Vec<_> = (0..n)
+                    .map(|_| {
+                        let v = m.add_binary_var(rng.range_f64(1.0, 20.0).round());
+                        (v, rng.range_f64(1.0, 15.0).round())
+                    })
+                    .collect();
+                let total: f64 = items.iter().map(|&(_, w)| w).sum();
+                m.add_constraint(items, Sense::Le, (total * rng.range_f64(0.2, 0.8)).round())
+                    .unwrap();
+            }
+            1 => {
+                let n = rng.range_usize(2, 7);
+                let vars: Vec<_> = (0..n)
+                    .map(|_| {
+                        let upper = rng.range_usize(1, 6) as f64;
+                        let obj = rng.range_f64(-2.0, 8.0);
+                        if rng.chance(0.6) {
+                            m.add_integer_var(0.0, upper, obj).unwrap()
+                        } else {
+                            m.add_continuous_var(0.0, upper, obj).unwrap()
+                        }
+                    })
+                    .collect();
+                for _ in 0..rng.range_usize(1, 5) {
+                    let terms: Vec<_> = vars
+                        .iter()
+                        .map(|&v| (v, rng.range_f64(-2.0, 6.0)))
+                        .collect();
+                    m.add_constraint(terms, Sense::Le, rng.range_f64(1.0, 12.0))
+                        .unwrap();
+                }
+            }
+            _ => {
+                let n_tasks = rng.range_usize(2, 7);
+                let values: Vec<f64> = (0..n_tasks).map(|_| rng.range_f64(0.5, 4.0)).collect();
+                let mut task_in: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); n_tasks];
+                for _ in 0..rng.range_usize(1, 3) {
+                    let slots: Vec<usize> = (0..rng.range_usize(2, 9))
+                        .map(|_| rng.range_usize(0, n_tasks))
+                        .collect();
+                    let mut source = Vec::new();
+                    let mut into: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); slots.len()];
+                    let mut out_of: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); slots.len()];
+                    for (k, &task) in slots.iter().enumerate() {
+                        let mut arc_into = |from: Option<usize>, m: &mut Model| {
+                            let arc = m.add_binary_var(values[task]);
+                            into[k].push((arc, -1.0));
+                            task_in[task].push((arc, 1.0));
+                            match from {
+                                Some(i) => out_of[i].push((arc, 1.0)),
+                                None => source.push((arc, 1.0)),
+                            }
+                        };
+                        if rng.chance(0.7) {
+                            arc_into(None, &mut m);
+                        }
+                        for i in 0..k {
+                            if slots[i] != task && rng.chance(0.5) {
+                                arc_into(Some(i), &mut m);
+                            }
+                        }
+                    }
+                    m.add_constraint(source, Sense::Le, 1.0).unwrap();
+                    for (outs, ins) in out_of.into_iter().zip(into) {
+                        if !outs.is_empty() {
+                            m.add_constraint(outs.into_iter().chain(ins), Sense::Le, 0.0)
+                                .unwrap();
+                        }
+                    }
+                }
+                for terms in task_in {
+                    m.add_constraint(terms, Sense::Le, 1.0).unwrap();
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn parent_bound_pruning_matches_the_solve_everything_reference() {
+        check_cases(
+            256,
+            "parent_bound_pruning_matches_the_solve_everything_reference",
+            (usize_range(0, 3), u64_range(0, u64::MAX)),
+            |&(kind, seed)| {
+                let m = seeded_model(kind, seed);
+                let got = m.solve(&SolveOptions::default()).unwrap();
+                let want = solve_reference(&m);
+                prop_assert_eq!(got.status(), want.status());
+                prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert!(
+                    got.stats.nodes_explored <= want.stats.nodes_explored,
+                    "{} nodes solved against the reference's {}",
+                    got.stats.nodes_explored,
+                    want.stats.nodes_explored
+                );
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn a_sibling_of_a_child_at_its_parents_bound_is_pruned_unsolved() {
+        // max x + y − z s.t. x + y − z ≤ 2.25, x integer: the root LP
+        // raises x to 2.25; the first child (x ≤ 2) is integral at the
+        // root's bound, so the feasible sibling (x ≥ 3, z = 0.75) cannot
+        // beat it and is dropped with its tableau. Solving it before
+        // pruning it, as `solve_reference` does, gives (3, 1, 2).
+        let mut m = Model::maximize();
+        let x = m.add_integer_var(0.0, 10.0, 1.0).unwrap();
+        let y = m.add_continuous_var(0.0, 10.0, 1.0).unwrap();
+        let z = m.add_continuous_var(0.0, 10.0, -1.0).unwrap();
+        m.add_constraint([(x, 1.0), (y, 1.0), (z, -1.0)], Sense::Le, 2.25)
+            .unwrap();
+        let sol = m.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(sol.status(), SolveStatus::Optimal);
+        assert_eq!(sol.objective(), 2.25);
+        let s = sol.stats();
+        assert_eq!((s.nodes_explored, s.nodes_pruned, s.warm_starts), (2, 1, 1));
     }
 
     #[test]

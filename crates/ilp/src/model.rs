@@ -60,6 +60,10 @@ pub(crate) struct VarDef {
     pub upper: f64,
     pub kind: VarKind,
     pub obj: f64,
+    /// Where this variable's term went in `Model::terms` when it was
+    /// last added to a row, so a duplicate in the row being built is
+    /// merged there without scanning the row.
+    term_at: usize,
 }
 
 /// A constraint row; its terms are `Model::terms[start..end]`.
@@ -176,6 +180,7 @@ impl Model {
             upper,
             kind,
             obj,
+            term_at: usize::MAX,
         });
         Ok(VarId(self.vars.len() - 1))
     }
@@ -260,9 +265,16 @@ impl Model {
                 self.terms.truncate(start);
                 return Err(e);
             }
-            match self.terms[start..].iter_mut().find(|(j, _)| *j == v.0) {
-                Some((_, acc)) => *acc += c,
-                None => self.terms.push((v.0, c)),
+            // A position at or past `start` lies in this row, and a row
+            // holds each variable once, so a match there is this row's
+            // term even when the mark outlived a rejected row.
+            let at = self.vars[v.0].term_at;
+            match self.terms.get_mut(at) {
+                Some((j, acc)) if at >= start && *j == v.0 => *acc += c,
+                _ => {
+                    self.vars[v.0].term_at = self.terms.len();
+                    self.terms.push((v.0, c));
+                }
             }
         }
         self.rows.push(RowDef {
@@ -482,6 +494,58 @@ mod tests {
             .unwrap();
         let sol = m.solve(&SolveOptions::default()).unwrap();
         assert!((sol.value(x) - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn duplicate_merge_matches_the_row_scan() {
+        // Coefficients whose sums depend on their order, and rows
+        // rejected part-way (their marks outlive them), against the
+        // scan of the row built so far that the marks replaced.
+        const COEFS: [f64; 5] = [0.1, 0.2, 1e16, -1e16, 3.0];
+        check_cases(
+            256,
+            "duplicate_merge_matches_the_row_scan",
+            u64_range(0, u64::MAX),
+            |&seed| {
+                let mut rng = eagleeye_rng::SplitMix64::new(seed);
+                let n_vars = rng.range_usize(1, 6);
+                let mut m = Model::minimize();
+                let vars: Vec<VarId> = (0..n_vars).map(|_| m.add_binary_var(1.0)).collect();
+                let mut want: Vec<Vec<(usize, f64)>> = Vec::new();
+                let row_terms = |rng: &mut eagleeye_rng::SplitMix64| -> Vec<(VarId, f64)> {
+                    (0..rng.range_usize(0, 16))
+                        .map(|_| {
+                            let v = vars[rng.range_usize(0, n_vars)];
+                            (v, COEFS[rng.range_usize(0, COEFS.len())])
+                        })
+                        .collect()
+                };
+                for _ in 0..8 {
+                    if rng.chance(0.3) {
+                        let mut bad = row_terms(&mut rng);
+                        bad.push((VarId(n_vars), 1.0));
+                        prop_assert!(m.add_constraint(bad, Sense::Le, 1.0).is_err());
+                    }
+                    let terms = row_terms(&mut rng);
+                    let mut row: Vec<(usize, f64)> = Vec::new();
+                    for &(v, c) in &terms {
+                        match row.iter_mut().find(|(j, _)| *j == v.0) {
+                            Some((_, acc)) => *acc += c,
+                            None => row.push((v.0, c)),
+                        }
+                    }
+                    want.push(row);
+                    m.add_constraint(terms, Sense::Le, 1.0).unwrap();
+                }
+                let bits = |row: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    row.iter().map(|&(j, c)| (j, c.to_bits())).collect()
+                };
+                let got: Vec<_> = m.rows().map(|(terms, _, _)| bits(terms)).collect();
+                let want: Vec<_> = want.iter().map(|row| bits(row)).collect();
+                prop_assert_eq!(got, want);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -98,8 +98,8 @@ impl ConstellationLayout {
     ///
     /// # Errors
     ///
-    /// Returns [`OrbitError::InvalidElement`] for zero groups/planes or
-    /// invalid orbit parameters.
+    /// Returns [`OrbitError::InvalidElement`] for zero groups/planes,
+    /// more planes than groups, or invalid orbit parameters.
     pub fn with_planes(
         groups: usize,
         followers_per_group: usize,
@@ -133,7 +133,8 @@ impl ConstellationLayout {
     ///
     /// Returns [`OrbitError::InvalidElement`] when `phase_slots <
     /// groups` (a slot per group is required), for zero groups/planes,
-    /// or for invalid orbit parameters.
+    /// for more planes than `phase_slots` (a plane without a slot would
+    /// be empty), or for invalid orbit parameters.
     pub fn with_planes_slotted(
         groups: usize,
         followers_per_group: usize,
@@ -160,10 +161,15 @@ impl ConstellationLayout {
                 value: 0.0,
             });
         }
+        if planes > phase_slots {
+            return Err(OrbitError::InvalidElement {
+                name: "planes",
+                value: planes as f64,
+            });
+        }
         // Validate the orbit itself early.
         let _ = J2Propagator::circular(altitude_m, inclination_rad, 0.0, 0.0)?;
 
-        let planes = planes.min(phase_slots);
         let mut satellites = Vec::new();
         for g in 0..groups {
             // Round-robin plane assignment; slots within a plane are
@@ -353,6 +359,31 @@ mod tests {
             3
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_more_planes_than_phase_slots() {
+        let slotted = |groups, planes, slots| {
+            ConstellationLayout::with_planes_slotted(
+                groups,
+                1,
+                475_000.0,
+                97.2_f64.to_radians(),
+                planes,
+                slots,
+            )
+        };
+        for (groups, planes, slots) in [(2, 3, 2), (2, 9, 2), (2, 4, 3)] {
+            assert!(
+                matches!(
+                    slotted(groups, planes, slots),
+                    Err(OrbitError::InvalidElement { name: "planes", .. })
+                ),
+                "groups={groups} planes={planes} slots={slots}"
+            );
+        }
+        // Spare slots may host planes no group occupies yet.
+        assert!(slotted(2, 3, 3).is_ok());
     }
 
     #[test]

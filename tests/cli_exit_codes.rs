@@ -69,13 +69,18 @@ fn a_checkpoint_io_failure_exits_1() {
 }
 
 /// A value the evaluator rejects parses but fails the run: zero
-/// orbital planes exits like an out-of-range recall.
+/// orbital planes, or more planes than satellites, exits like an
+/// out-of-range recall.
 #[test]
 fn an_invalid_evaluator_parameter_exits_1() {
-    for flag in [["--planes", "0"], ["--recall", "2"]] {
+    for flags in [
+        &["--planes", "0"][..],
+        &["--recall", "2"],
+        &["--config", "low-res", "--sats", "2", "--planes", "3"],
+    ] {
         let args = [
             &["coverage", "--scale", "0.01", "--hours", "0.2"][..],
-            &flag,
+            flags,
         ]
         .concat();
         assert_eq!(status(&args), 1, "eagleeye {args:?}");

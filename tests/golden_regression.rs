@@ -183,7 +183,7 @@ fn counters_are_bit_identical_at_one_and_four_threads() {
 /// The full-scale golden: (captured, `captured_value` bits,
 /// `ilp/nodes_explored`, `ilp/lp_pivots`). The 125 one-task horizons,
 /// solved in closed form, count no effort.
-const GOLDEN_FULL_SCALE: (usize, u64, u64, u64) = (236, 0x40663f2d7470b72a, 158, 1037);
+const GOLDEN_FULL_SCALE: (usize, u64, u64, u64) = (236, 0x40663f2d7470b72a, 105, 837);
 
 #[test]
 fn full_scale_ilp_design_matches_the_golden_outcome_and_effort() {
