@@ -11,8 +11,8 @@ use super::{
 use crate::clustering::{cluster, Cluster, ClusteringMethod};
 use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{
-    repair, validate_schedule, FollowerState, GreedyScheduler, IlpRunStats, IlpScheduler, Schedule,
-    Scheduler, SchedulingProblem, TaskSpec,
+    repair, FollowerState, GreedyScheduler, IlpRunStats, IlpScheduler, Schedule, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
@@ -409,9 +409,11 @@ impl<'a> CoverageEvaluator<'a> {
         m.gauge_max("core/compile/memo_misses", s.memo_misses as f64);
     }
 
-    /// Pool digest of one satellite's compiled track: the orbital
-    /// elements, grid, membership geometry, sensing spec, and workload
-    /// that determine its states and membership, plus the
+    /// Pool digest of one satellite's compiled track: the orbit
+    /// (`phase_rad` and `raan_rad`, all that
+    /// [`ConstellationLayout::ground_track`] reads of `sat`), grid,
+    /// membership geometry, sensing spec, and workload that determine
+    /// its states and membership, plus the
     /// scheduler label that keeps memoized horizon solves from
     /// crossing solver identities. Options that flow entirely through
     /// the per-frame memo key ([`FrameInputs::key`]: recall, seed,
@@ -448,9 +450,19 @@ impl<'a> CoverageEvaluator<'a> {
             half_cross_m,
             half_along_m,
         } = *geom;
+        // Where the satellite sits in the layout is not part of its
+        // orbit: one orbit under two group indexes is one track.
+        let SatelliteSpec {
+            group: _,
+            role: _,
+            follower_index: _,
+            phase_rad,
+            raan_rad,
+        } = *sat;
         ScenarioHasher::new()
-            .str("eagleeye-core/track/v2")
-            .field(sat)
+            .str("eagleeye-core/track/v3")
+            .f64(phase_rad)
+            .f64(raan_rad)
             .field(spec)
             .f64(*duration_s)
             .f64(*inclination_rad)
@@ -1069,7 +1081,7 @@ impl<'a> CoverageEvaluator<'a> {
 /// an ILP horizon unless the ILP hit its deadline (a deadline fallback)
 /// or its iteration cap or was dominated by its greedy augmentation (a
 /// greedy fallback). An ILP error, or an ILP schedule failing
-/// [`validate_schedule`], is replaced by greedy's validated schedule
+/// [`Schedule::validate`], is replaced by greedy's validated schedule
 /// and labelled a greedy fallback.
 ///
 /// # Errors
@@ -1082,7 +1094,7 @@ fn labelled_ilp(
     problem: &SchedulingProblem,
 ) -> Result<(Schedule, Option<IlpRunStats>, SolvedOutcome), CoreError> {
     match ilp.schedule_with_stats(problem) {
-        Ok((schedule, stats)) if validate_schedule(problem, &schedule).is_ok() => {
+        Ok((schedule, stats)) if schedule.validate(problem).is_ok() => {
             let outcome = if stats.deadline_hits > 0 {
                 SolvedOutcome::GreedyFallback { deadline: true }
             } else if stats.iteration_limit_hits > 0 || stats.greedy_dominated {
@@ -1094,7 +1106,7 @@ fn labelled_ilp(
         }
         result => {
             let schedule = GreedyScheduler.schedule(problem)?;
-            validate_schedule(problem, &schedule)?;
+            schedule.validate(problem)?;
             let stats = result.ok().map(|(_, stats)| stats);
             Ok((
                 schedule,
@@ -1960,6 +1972,29 @@ mod tests {
     }
 
     #[test]
+    fn track_digest_binds_the_orbit_not_the_group() {
+        let targets = meridian_targets(10);
+        let eval = CoverageEvaluator::new(&targets, quick_options());
+        let geom = CompileGeometry {
+            bound_m: 90_000.0,
+            half_cross_m: 50_000.0,
+            half_along_m: 53_250.0,
+        };
+        let digest = |group: usize, phase_rad: f64| {
+            let sat = SatelliteSpec {
+                group,
+                role: SatelliteRole::Leader,
+                follower_index: 0,
+                phase_rad,
+                raan_rad: 0.0,
+            };
+            eval.track_digest(&sat, &geom, "ilp")
+        };
+        assert_eq!(digest(0, 0.5), digest(3, 0.5));
+        assert_ne!(digest(0, 0.5), digest(0, 0.6));
+    }
+
+    #[test]
     fn detection_roll_is_deterministic_and_uniformish() {
         let a = detection_roll(1, 2, 3);
         assert_eq!(a, detection_roll(1, 2, 3));
@@ -2213,7 +2248,7 @@ mod tests {
         assert_eq!(outcome, SolvedOutcome::GreedyFallback { deadline: true });
         assert!(stats.unwrap().deadline_hits > 0);
         // The fallback schedule still captures work and still validates.
-        validate_schedule(&p, &schedule).unwrap();
+        schedule.validate(&p).unwrap();
         assert!(schedule.captured_count() > 0);
     }
 

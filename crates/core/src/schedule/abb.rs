@@ -1,3 +1,4 @@
+use super::problem::{uncaptured, Cursor};
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
 use std::time::{Duration, Instant};
@@ -67,8 +68,8 @@ struct SearchCtx<'a> {
 impl SearchCtx<'_> {
     fn dfs(
         &mut self,
-        cursors: &mut Vec<(f64, (f64, f64))>,
-        captured: &mut Vec<bool>,
+        cursors: &mut [Cursor],
+        captured: &mut [bool],
         sequences: &mut Vec<Vec<Capture>>,
         value: f64,
         remaining_value: f64,
@@ -97,28 +98,21 @@ impl SearchCtx<'_> {
 
         // Children: every feasible (follower, target) next assignment,
         // ordered by earliest capture time.
-        let mut children: Vec<(usize, usize, f64)> = Vec::new();
-        for (f, cursor) in cursors.iter().enumerate() {
-            for (j, taken) in captured.iter().enumerate() {
-                if *taken {
-                    continue;
-                }
-                if let Some(t) = self.problem.earliest_capture(f, j, cursor.0, cursor.1) {
-                    children.push((f, j, t));
-                }
-            }
-        }
-        children.sort_by(|a, b| a.2.total_cmp(&b.2));
+        let mut children: Vec<_> = self
+            .problem
+            .next_captures(cursors.iter().copied().enumerate(), uncaptured(captured))
+            .collect();
+        children.sort_by(|a, b| a.2.time_s.total_cmp(&b.2.time_s));
 
-        for (f, j, t) in children {
+        for (f, _, capture) in children {
             if self.timed_out {
                 return;
             }
             let saved_cursor = cursors[f];
-            cursors[f] = (t, self.problem.capture_offset(f, j, t));
-            captured[j] = true;
-            sequences[f].push(Capture { task: j, time_s: t });
-            let tv = self.problem.tasks()[j].value;
+            cursors[f] = self.problem.cursor_after(f, capture);
+            captured[capture.task] = true;
+            sequences[f].push(capture);
+            let tv = self.problem.tasks()[capture.task].value;
             self.dfs(
                 cursors,
                 captured,
@@ -127,7 +121,7 @@ impl SearchCtx<'_> {
                 remaining_value - tv,
             );
             sequences[f].pop();
-            captured[j] = false;
+            captured[capture.task] = false;
             cursors[f] = saved_cursor;
         }
     }
@@ -154,11 +148,7 @@ impl Scheduler for AbbScheduler {
             timed_out: false,
             nodes_since_check: 0,
         };
-        let mut cursors: Vec<(f64, (f64, f64))> = problem
-            .followers()
-            .iter()
-            .map(|f| (f.available_from_s, f.pointing_offset))
-            .collect();
+        let mut cursors = problem.start_cursors();
         let mut captured = vec![false; n_tasks];
         let mut sequences = vec![Vec::new(); n_followers];
         let total_value: f64 = problem.tasks().iter().map(|t| t.value).sum();
@@ -171,16 +161,8 @@ impl Scheduler for AbbScheduler {
         );
 
         schedule.sequences = ctx.best;
-        schedule.total_value = schedule
-            .captured_tasks()
-            .iter()
-            .map(|&j| problem.tasks()[j].value)
-            .sum();
+        schedule.total_value = problem.value_of(&schedule.captured_tasks());
         Ok(schedule)
-    }
-
-    fn name(&self) -> &'static str {
-        "abb"
     }
 }
 

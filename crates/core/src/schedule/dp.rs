@@ -138,16 +138,12 @@ impl Scheduler for DpScheduler {
         schedule.total_value = best.0;
         Ok(schedule)
     }
-
-    fn name(&self) -> &'static str {
-        "dp-oracle"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{validate_schedule, FollowerState, IlpScheduler, TaskSpec};
+    use crate::schedule::{FollowerState, IlpScheduler, TaskSpec};
     use crate::SensingSpec;
     use eagleeye_check::{check_cases, f64_range, prop_assert, vec_of, Gen};
     use eagleeye_rng::SplitMix64;
@@ -214,7 +210,7 @@ mod tests {
                 .collect();
             let p = problem(tasks);
             let s = DpScheduler::default().schedule(&p).unwrap();
-            validate_schedule(&p, &s)
+            s.validate(&p)
                 .unwrap_or_else(|e| panic!("invalid DP schedule on seed {seed}: {e}"));
         }
     }

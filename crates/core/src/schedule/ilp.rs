@@ -1,4 +1,5 @@
 use super::graph::{slot_count, slot_time, source_reaches, Arc, End, OppNode, OpportunityGraph};
+use super::greedy::append_greedily;
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
 use eagleeye_ilp::{Model, Sense, SolveOptions, SolveStatus, VarId, COST_TOL};
@@ -114,9 +115,10 @@ impl IlpScheduler {
 
     /// Retimes every capture to its earliest feasible moment (the slot
     /// grid quantizes capture times; left-shifting recovers the slack)
-    /// and then greedily appends uncaptured tasks wherever they still
-    /// fit. Both passes preserve feasibility, so the result dominates the
-    /// raw discretized ILP solution.
+    /// and then appends uncaptured tasks wherever they still fit, with
+    /// greedy's own next-capture search ([`append_greedily`]) run from
+    /// the retimed cursors. Both passes preserve feasibility, so the
+    /// result dominates the raw discretized ILP solution.
     fn compact_and_augment(&self, problem: &SchedulingProblem, schedule: &mut Schedule) {
         let n_tasks = problem.tasks().len();
         let mut captured = vec![false; n_tasks];
@@ -127,22 +129,19 @@ impl IlpScheduler {
         }
 
         // Left-shift pass.
-        let mut cursors: Vec<(f64, (f64, f64))> = problem
-            .followers()
-            .iter()
-            .map(|f| (f.available_from_s, f.pointing_offset))
-            .collect();
+        let mut cursors = problem.start_cursors();
         for (f, seq) in schedule.sequences.iter_mut().enumerate() {
             let mut shifted = Vec::with_capacity(seq.len());
             for cap in seq.iter() {
                 let (t0, u0) = cursors[f];
                 match problem.earliest_capture(f, cap.task, t0, u0) {
                     Some(t) => {
-                        cursors[f] = (t, problem.capture_offset(f, cap.task, t));
-                        shifted.push(Capture {
+                        let capture = Capture {
                             task: cap.task,
                             time_s: t,
-                        });
+                        };
+                        cursors[f] = problem.cursor_after(f, capture);
+                        shifted.push(capture);
                     }
                     None => {
                         // Unreachable from the shifted predecessor (its
@@ -155,27 +154,12 @@ impl IlpScheduler {
             *seq = shifted;
         }
 
-        // Greedy append pass over uncaptured tasks.
-        loop {
-            let mut best: Option<(usize, usize, f64)> = None;
-            for (f, cursor) in cursors.iter().enumerate() {
-                for (j, taken) in captured.iter().enumerate() {
-                    if *taken {
-                        continue;
-                    }
-                    if let Some(t) = problem.earliest_capture(f, j, cursor.0, cursor.1) {
-                        match best {
-                            Some((_, _, bt)) if bt <= t => {}
-                            _ => best = Some((f, j, t)),
-                        }
-                    }
-                }
-            }
-            let Some((f, j, t)) = best else { break };
-            captured[j] = true;
-            schedule.sequences[f].push(Capture { task: j, time_s: t });
-            cursors[f] = (t, problem.capture_offset(f, j, t));
-        }
+        append_greedily(
+            problem,
+            &mut cursors,
+            &mut captured,
+            &mut schedule.sequences,
+        );
     }
 
     /// The capture the joint LP makes on a one-task horizon, found
@@ -464,7 +448,7 @@ impl IlpScheduler {
 
         self.compact_and_augment(problem, &mut schedule);
         let captured = schedule.captured_tasks();
-        schedule.total_value = captured.iter().map(|&j| problem.tasks()[j].value).sum();
+        schedule.total_value = problem.value_of(&captured);
 
         // Greedy cannot beat a schedule that captures every task when no
         // value is negative: its value sums a subset of the same values
@@ -487,10 +471,6 @@ impl IlpScheduler {
 impl Scheduler for IlpScheduler {
     fn schedule(&self, problem: &SchedulingProblem) -> Result<Schedule, CoreError> {
         self.schedule_with_stats(problem).map(|(s, _)| s)
-    }
-
-    fn name(&self) -> &'static str {
-        "ilp"
     }
 }
 

@@ -31,10 +31,16 @@
 //! oracle that certifies the ILP's optimality. It is compiled only
 //! under `cfg(test)`.
 //!
-//! For degraded operation, [`validate_schedule`] checks any schedule
+//! Greedy, the ILP's augmentation, [`repair`] and AB&B's child list
+//! share one next-capture search: every follower cursor crossed with
+//! every pending task at its earliest feasible capture time. Greedy,
+//! the augmentation and repair place the first capture at the earliest
+//! time and repeat; AB&B branches on all of them in time order.
+//!
+//! For degraded operation, [`Schedule::validate`] checks any schedule
 //! against C1–C3 and [`repair`] re-plans the tasks a follower failing
-//! mid-pass drops onto the survivors. The coverage evaluator applies
-//! both under
+//! mid-pass drops onto the survivors, with greedy's search. The
+//! coverage evaluator applies both under
 //! [`DegradedMode::Repair`](crate::coverage::DegradedMode::Repair).
 
 mod abb;
@@ -44,12 +50,10 @@ mod graph;
 mod greedy;
 mod ilp;
 mod problem;
-mod resilient;
 mod types;
 
 pub use abb::AbbScheduler;
-pub use greedy::GreedyScheduler;
+pub use greedy::{repair, GreedyScheduler, RepairOutcome};
 pub use ilp::{IlpRunStats, IlpScheduler};
 pub use problem::{FollowerState, SchedulingProblem, TaskSpec};
-pub use resilient::{repair, validate_schedule, RepairOutcome};
 pub use types::{Capture, Schedule, Scheduler};

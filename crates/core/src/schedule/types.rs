@@ -1,4 +1,5 @@
 use super::SchedulingProblem;
+use crate::pointing::off_nadir_rad;
 use crate::CoreError;
 use std::collections::BTreeSet;
 
@@ -39,24 +40,113 @@ impl Schedule {
         self.captured_tasks().len()
     }
 
-    /// Checks the schedule against the paper's constraints:
+    /// Checks the schedule against `problem`'s constraints:
     ///
     /// * capture times lie in each task's visibility window (C2: the
-    ///   window *is* the off-nadir constraint, re-verified directly);
+    ///   window *is* the off-nadir constraint, re-verified directly from
+    ///   raw geometry);
     /// * consecutive captures satisfy the actuation constraint C1,
     ///   including the slew from the follower's initial pointing;
-    /// * each task is captured at most once across all followers;
-    /// * sequences are time-ordered and start after availability.
+    /// * each task is captured at most once across all followers (C3's
+    ///   capture-once coupling);
+    /// * sequences are time-ordered and start after availability;
+    /// * the reported total value matches the captured tasks.
+    ///
+    /// Under [`DegradedMode::Repair`](crate::coverage::DegradedMode::Repair)
+    /// the coverage evaluator replaces an ILP schedule that fails it with
+    /// greedy's, and [`repair`](super::repair) checks its result with it.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::ScheduleViolation`] describing the first
     /// violated condition.
-    ///
-    /// This is a convenience wrapper around the standalone
-    /// [`validate_schedule`](super::validate_schedule) function.
     pub fn validate(&self, problem: &SchedulingProblem) -> Result<(), CoreError> {
-        super::resilient::validate_schedule(problem, self)
+        let spec = problem.spec();
+        if self.sequences.len() != problem.followers().len() {
+            return Err(CoreError::ScheduleViolation {
+                description: format!(
+                    "schedule has {} sequences for {} followers",
+                    self.sequences.len(),
+                    problem.followers().len()
+                ),
+            });
+        }
+        let mut seen = BTreeSet::new();
+        for (f, seq) in self.sequences.iter().enumerate() {
+            let follower = &problem.followers()[f];
+            let mut prev_t = follower.available_from_s;
+            let mut prev_u = follower.pointing_offset;
+            for (k, cap) in seq.iter().enumerate() {
+                if cap.task >= problem.tasks().len() {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!("capture references task {}", cap.task),
+                    });
+                }
+                if !seen.insert(cap.task) {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!("task {} captured twice", cap.task),
+                    });
+                }
+                if cap.time_s < prev_t - 1e-9 {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!(
+                            "follower {f} capture {k} at {} precedes {}",
+                            cap.time_s, prev_t
+                        ),
+                    });
+                }
+                let w =
+                    problem
+                        .window(f, cap.task)
+                        .ok_or_else(|| CoreError::ScheduleViolation {
+                            description: format!("task {} invisible to follower {f}", cap.task),
+                        })?;
+                if !w.contains(cap.time_s) {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!(
+                            "capture of task {} at {} outside window [{}, {}]",
+                            cap.task, cap.time_s, w.start_s, w.end_s
+                        ),
+                    });
+                }
+                // C2 re-verified from raw geometry.
+                let sat = follower.along_at(cap.time_s, spec.ground_speed_m_s);
+                let angle = off_nadir_rad(&problem.tasks()[cap.task].point, sat, spec.altitude_m);
+                if angle > spec.theta_max_rad + 1e-6 {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!(
+                            "off-nadir {:.4} rad exceeds max {:.4}",
+                            angle, spec.theta_max_rad
+                        ),
+                    });
+                }
+                // C1 against the previous configuration.
+                let u = problem.capture_offset(f, cap.task, cap.time_s);
+                let rot = problem.rotation_between(prev_u, u);
+                if !spec.adacs.can_rotate(rot, cap.time_s - prev_t) {
+                    return Err(CoreError::ScheduleViolation {
+                        description: format!(
+                            "follower {f}: rotation {:.4} rad in {:.2} s violates C1",
+                            rot,
+                            cap.time_s - prev_t
+                        ),
+                    });
+                }
+                prev_t = cap.time_s;
+                prev_u = u;
+            }
+        }
+        // Total value consistency.
+        let value = problem.value_of(&seen);
+        if (value - self.total_value).abs() > 1e-6 * (1.0 + value.abs()) {
+            return Err(CoreError::ScheduleViolation {
+                description: format!(
+                    "reported value {} != recomputed {}",
+                    self.total_value, value
+                ),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -70,9 +160,6 @@ pub trait Scheduler {
     /// an infeasible-to-improve instance yields an empty schedule, not
     /// an error.
     fn schedule(&self, problem: &SchedulingProblem) -> Result<Schedule, CoreError>;
-
-    /// Human-readable solver name for experiment output.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Per-horizon regression pins for the ILP scheduler.
+//! Per-horizon regression pins for the ILP scheduler, greedy and
+//! repair.
 //!
 //! Each case is a seeded scheduling problem in the shape of an 8 × 2
 //! design point's horizons (two followers trailing the leader by 100 km
@@ -7,13 +8,18 @@
 //! sequences, a digest of every capture time's bits, the total value's
 //! bits and the full [`IlpRunStats`]. Solver refactors that claim to be
 //! bit-identical must leave every pin unchanged; a pin that moves means
-//! a pivot, a branching decision or a row order changed.
+//! a pivot, a branching decision or a row order changed. Greedy and
+//! repair place the earliest feasible capture first, so their pins move
+//! when a tie is broken differently.
 
+use eagleeye_core::pointing::TimeWindow;
 use eagleeye_core::schedule::{
-    FollowerState, IlpRunStats, IlpScheduler, Schedule, SchedulingProblem, TaskSpec,
+    repair, FollowerState, GreedyScheduler, IlpRunStats, IlpScheduler, Schedule, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::SensingSpec;
 use eagleeye_rng::SplitMix64;
+use std::fmt::Debug;
 
 /// A design-point-shaped horizon: `n_tasks` tasks over `frames` leader
 /// frames centred on along-track origin 0, two followers at the default
@@ -45,12 +51,14 @@ fn frame_problem(seed: u64, n_tasks: usize, frames: f64, carried_state: bool) ->
         .expect("frame problem is well-formed")
 }
 
-/// What one solve is pinned to.
-struct Pin {
-    captured: [&'static [usize]; 2],
+/// What one solve is pinned to: its schedule and the solver's own
+/// account of it (the ILP's [`IlpRunStats`], repair's dropped and
+/// reassigned counts).
+struct Pin<S, const N: usize> {
+    captured: [&'static [usize]; N],
     time_digest: u64,
     total_value_bits: u64,
-    stats: IlpRunStats,
+    stats: S,
 }
 
 /// FNV-1a over `(follower, task, time bits)` of every capture, in
@@ -73,10 +81,24 @@ fn time_digest(schedule: &Schedule) -> u64 {
     h
 }
 
-fn assert_pinned(name: &str, scheduler: &IlpScheduler, problem: &SchedulingProblem, pin: &Pin) {
+fn assert_pinned(
+    name: &str,
+    scheduler: &IlpScheduler,
+    problem: &SchedulingProblem,
+    pin: &Pin<IlpRunStats, 2>,
+) {
     let (schedule, stats) = scheduler
         .schedule_with_stats(problem)
         .unwrap_or_else(|e| panic!("{name}: solve failed: {e}"));
+    assert_schedule_pinned(name, &schedule, stats, pin);
+}
+
+fn assert_schedule_pinned<S: PartialEq + Debug, const N: usize>(
+    name: &str,
+    schedule: &Schedule,
+    stats: S,
+    pin: &Pin<S, N>,
+) {
     let captured: Vec<Vec<usize>> = schedule
         .sequences
         .iter()
@@ -84,13 +106,13 @@ fn assert_pinned(name: &str, scheduler: &IlpScheduler, problem: &SchedulingProbl
         .collect();
     let actual = format!(
         "captured {captured:?}\ntime_digest {:#018x}\ntotal_value_bits {:#018x}\nstats {stats:?}",
-        time_digest(&schedule),
+        time_digest(schedule),
         schedule.total_value.to_bits(),
     );
     let want: Vec<Vec<usize>> = pin.captured.iter().map(|s| s.to_vec()).collect();
     assert_eq!(captured, want, "{name}: captured tasks moved\n{actual}");
     assert_eq!(
-        time_digest(&schedule),
+        time_digest(schedule),
         pin.time_digest,
         "{name}: capture times moved\n{actual}"
     );
@@ -275,6 +297,117 @@ fn one_task_carried_state() {
             time_digest: 0xc372679fecf94af5,
             total_value_bits: 0x3ff52537371263e0,
             stats: IlpRunStats::default(),
+        },
+    );
+}
+
+// Greedy takes the globally earliest feasible (follower, task) capture;
+// on an exact tie the first follower, then the first task, wins.
+
+#[test]
+fn greedy_two_followers_twenty_tasks() {
+    let p = frame_problem(8, 20, 3.0, true);
+    let schedule = GreedyScheduler.schedule(&p).expect("greedy schedules");
+    assert_schedule_pinned(
+        "greedy 2x20 carried",
+        &schedule,
+        (),
+        &Pin {
+            captured: [&[4, 16, 7, 14, 19, 3, 0, 9, 15, 13], &[17, 2, 6, 11, 12]],
+            time_digest: 0x460a9dea46f1fbcb,
+            total_value_bits: 0x40407626da32755b,
+            stats: (),
+        },
+    );
+}
+
+#[test]
+fn greedy_two_followers_forty_tasks() {
+    let p = frame_problem(9, 40, 4.0, false);
+    let schedule = GreedyScheduler.schedule(&p).expect("greedy schedules");
+    assert_schedule_pinned(
+        "greedy 2x40",
+        &schedule,
+        (),
+        &Pin {
+            captured: [
+                &[35, 34, 24, 5, 3, 38, 6, 8, 33, 17, 12, 0, 18, 25, 23, 2],
+                &[15, 13, 1, 29, 4, 36, 21, 7, 20, 19, 28, 26, 39, 9, 37, 22],
+            ],
+            time_digest: 0xdad4652d94dd4b3b,
+            total_value_bits: 0x40509a6b09cbb76a,
+            stats: (),
+        },
+    );
+}
+
+// Repair re-plans a failed follower's dropped tasks with greedy's
+// search on the survivors, but removes a placed task by swapping the
+// last dropped task into its place. That order decides later ties.
+
+#[test]
+fn repair_mid_pass() {
+    // Greedy's 2x20 schedule above; follower 0 fails at its third
+    // capture, and the survivor picks up after its own last capture.
+    let p = frame_problem(8, 20, 3.0, true);
+    let schedule = GreedyScheduler.schedule(&p).expect("greedy schedules");
+    let onset = schedule.sequences[0][2].time_s;
+    let repaired = repair(&p, &schedule, &[(0, onset)]).expect("repair validates");
+    assert_schedule_pinned(
+        "repair 2x20 carried",
+        &repaired.schedule,
+        (repaired.dropped_tasks, repaired.reassigned_tasks),
+        &Pin {
+            captured: [&[4, 16], &[17, 2, 6, 11, 12, 9, 15, 13, 3, 0]],
+            time_digest: 0x9ae0e19dcceb974c,
+            total_value_bits: 0x403b3daccad73182,
+            stats: (8, 5),
+        },
+    );
+}
+
+#[test]
+fn repair_ties_on_a_shared_window_start() {
+    // Three followers whose windows all open at a shared clip start, as
+    // the mix camera's compute delay makes them. Follower 0 holds every
+    // capture and fails before the first, so both survivors start
+    // fresh: each one's first re-planned capture reaches every dropped
+    // task at the clip start, a tie to the bit.
+    let mut rng = SplitMix64::new(13);
+    let tasks: Vec<TaskSpec> = (0..8)
+        .map(|_| {
+            TaskSpec::new(
+                rng.range_f64(-30_000.0, 30_000.0),
+                rng.range_f64(-20_000.0, 60_000.0),
+                rng.range_f64(0.5, 4.0),
+            )
+        })
+        .collect();
+    let followers: Vec<FollowerState> = [100_000.0, 120_000.0, 140_000.0]
+        .iter()
+        .map(|&trail| FollowerState::at_start(-trail))
+        .collect();
+    let clip = Some(TimeWindow {
+        start_s: 20.0,
+        end_s: 60.0,
+    });
+    let spec = SensingSpec::paper_default();
+    let solo = SchedulingProblem::new_with_clip(spec, tasks.clone(), followers[..1].to_vec(), clip)
+        .expect("solo problem is well-formed");
+    let p = SchedulingProblem::new_with_clip(spec, tasks, followers, clip)
+        .expect("clipped problem is well-formed");
+    let mut schedule = GreedyScheduler.schedule(&solo).expect("greedy schedules");
+    schedule.sequences.resize(3, Vec::new());
+    let repaired = repair(&p, &schedule, &[(0, 0.0)]).expect("repair validates");
+    assert_schedule_pinned(
+        "repair clipped handover",
+        &repaired.schedule,
+        (repaired.dropped_tasks, repaired.reassigned_tasks),
+        &Pin {
+            captured: [&[], &[0, 2, 3], &[5, 4, 6, 1]],
+            time_digest: 0xe172d0cf4a7a4285,
+            total_value_bits: 0x402b9cd77c044c83,
+            stats: (7, 7),
         },
     );
 }

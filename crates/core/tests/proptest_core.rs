@@ -11,8 +11,8 @@ use eagleeye_check::{check_cases, f64_range, prop_assert, u64_range, vec_of, Gen
 use eagleeye_core::clustering::{cluster, Cluster, ClusteringMethod};
 use eagleeye_core::pointing::GroundPoint;
 use eagleeye_core::schedule::{
-    validate_schedule, AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler, Scheduler,
-    SchedulingProblem, TaskSpec,
+    AbbScheduler, FollowerState, GreedyScheduler, IlpScheduler, Scheduler, SchedulingProblem,
+    TaskSpec,
 };
 use eagleeye_core::SensingSpec;
 use std::time::Duration;
@@ -188,7 +188,9 @@ fn ilp_schedules_validate_under_any_budget() {
                 ..IlpScheduler::default()
             };
             let schedule = ilp.schedule(&p).expect("ilp");
-            validate_schedule(&p, &schedule).expect("schedule feasible at any budget");
+            schedule
+                .validate(&p)
+                .expect("schedule feasible at any budget");
             Ok(())
         },
     );

@@ -1,11 +1,11 @@
 //! Edge-case coverage for the degraded-mode scheduling stack (the ILP,
-//! [`validate_schedule`] and [`repair`]): degenerate problems (no
+//! [`Schedule::validate`] and [`repair`]): degenerate problems (no
 //! tasks, no followers), zero budgets, total constellation loss, and
 //! repair of schedules invalidated mid-pass.
 
 use eagleeye_core::schedule::{
-    repair, validate_schedule, Capture, FollowerState, IlpRunStats, IlpScheduler, Schedule,
-    Scheduler, SchedulingProblem, TaskSpec,
+    repair, Capture, FollowerState, IlpRunStats, IlpScheduler, Schedule, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use std::time::Duration;
@@ -43,7 +43,7 @@ fn empty_problem_yields_empty_validated_schedule() {
     assert_eq!(s.captured_count(), 0);
     assert!(s.sequences.is_empty());
     assert_eq!(s.total_value, 0.0);
-    validate_schedule(&p, &s).expect("empty schedule validates");
+    s.validate(&p).expect("empty schedule validates");
 }
 
 #[test]
@@ -53,7 +53,7 @@ fn no_tasks_with_followers_schedules_nothing() {
     assert_eq!(s.captured_count(), 0);
     assert_eq!(s.sequences.len(), 1);
     assert!(s.sequences[0].is_empty());
-    validate_schedule(&p, &s).expect("empty sequences validate");
+    s.validate(&p).expect("empty sequences validate");
 }
 
 #[test]
@@ -62,7 +62,7 @@ fn no_followers_with_tasks_schedules_nothing() {
     let s = ilp(&p);
     assert_eq!(s.captured_count(), 0);
     assert!(s.sequences.is_empty());
-    validate_schedule(&p, &s).expect("followerless schedule validates");
+    s.validate(&p).expect("followerless schedule validates");
 }
 
 #[test]
@@ -70,7 +70,7 @@ fn empty_problem_survives_zero_budget_fallback_path() {
     let p = problem(vec![], vec![]);
     let (s, _) = zero_budget(&p);
     assert_eq!(s.captured_count(), 0);
-    validate_schedule(&p, &s).expect("validates");
+    s.validate(&p).expect("validates");
 }
 
 #[test]
@@ -93,7 +93,10 @@ fn all_followers_faulted_drops_everything_and_reassigns_nothing() {
     assert_eq!(repaired.reassigned_tasks, 0);
     assert_eq!(repaired.schedule.captured_count(), 0);
     assert_eq!(repaired.schedule.total_value, 0.0);
-    validate_schedule(&p, &repaired.schedule).expect("empty repaired schedule validates");
+    repaired
+        .schedule
+        .validate(&p)
+        .expect("empty repaired schedule validates");
 }
 
 #[test]
@@ -121,7 +124,10 @@ fn repair_of_mid_pass_invalidated_schedule_restores_validity() {
     assert_eq!(repaired.schedule.sequences[0], vec![seq0[0]]);
     assert_eq!(repaired.dropped_tasks, seq0.len() - 1);
     // Whatever was re-planned, the result is feasible end to end.
-    validate_schedule(&p, &repaired.schedule).expect("repaired schedule validates");
+    repaired
+        .schedule
+        .validate(&p)
+        .expect("repaired schedule validates");
     // Value bookkeeping was rebuilt from the surviving captures.
     let recomputed: f64 = repaired
         .schedule
@@ -163,7 +169,9 @@ fn validate_rejects_duplicate_captures_across_followers() {
         task: cap.task,
         time_s: cap.time_s,
     }];
-    let err = validate_schedule(&p, &corrupted).expect_err("duplicate capture must fail");
+    let err = corrupted
+        .validate(&p)
+        .expect_err("duplicate capture must fail");
     assert!(matches!(err, CoreError::ScheduleViolation { .. }), "{err}");
 }
 
@@ -191,5 +199,5 @@ fn zero_budget_fallback_still_validates_under_load() {
         s.captured_count() > 0,
         "the greedy augmentation still captures"
     );
-    validate_schedule(&p, &s).expect("fallback schedule validates");
+    s.validate(&p).expect("fallback schedule validates");
 }

@@ -1,11 +1,11 @@
 //! Cross-scheduler validation: every solver's output must pass the
-//! standalone [`validate_schedule`] checker on randomized instances,
+//! [`Schedule::validate`] checker on randomized instances,
 //! and corrupted schedules must be rejected with a descriptive
 //! [`CoreError::ScheduleViolation`].
 
 use eagleeye_core::schedule::{
-    validate_schedule, AbbScheduler, Capture, FollowerState, GreedyScheduler, IlpScheduler,
-    Schedule, Scheduler, SchedulingProblem, TaskSpec,
+    AbbScheduler, Capture, FollowerState, GreedyScheduler, IlpScheduler, Schedule, Scheduler,
+    SchedulingProblem, TaskSpec,
 };
 use eagleeye_core::{CoreError, SensingSpec};
 use eagleeye_rng::SplitMix64;
@@ -30,16 +30,13 @@ fn random_problem(seed: u64, n_tasks: usize, n_followers: usize) -> SchedulingPr
         .expect("random instance is well-formed")
 }
 
-fn assert_valid(problem: &SchedulingProblem, scheduler: &dyn Scheduler, seed: u64) {
+fn assert_valid(problem: &SchedulingProblem, name: &str, scheduler: &dyn Scheduler, seed: u64) {
     let schedule = scheduler
         .schedule(problem)
-        .unwrap_or_else(|e| panic!("{} failed on seed {seed}: {e}", scheduler.name()));
-    validate_schedule(problem, &schedule).unwrap_or_else(|e| {
-        panic!(
-            "{} produced an invalid schedule on seed {seed}: {e}",
-            scheduler.name()
-        )
-    });
+        .unwrap_or_else(|e| panic!("{name} failed on seed {seed}: {e}"));
+    schedule
+        .validate(problem)
+        .unwrap_or_else(|e| panic!("{name} produced an invalid schedule on seed {seed}: {e}"));
 }
 
 #[test]
@@ -49,9 +46,9 @@ fn all_schedulers_validate_on_random_instances() {
         let n_tasks = rng.range_usize_inclusive(1, 8);
         let n_followers = rng.range_usize_inclusive(1, 3);
         let p = random_problem(seed, n_tasks, n_followers);
-        assert_valid(&p, &IlpScheduler::default(), seed);
-        assert_valid(&p, &GreedyScheduler, seed);
-        assert_valid(&p, &AbbScheduler::default(), seed);
+        assert_valid(&p, "ilp", &IlpScheduler::default(), seed);
+        assert_valid(&p, "greedy", &GreedyScheduler, seed);
+        assert_valid(&p, "abb", &AbbScheduler::default(), seed);
     }
 }
 
@@ -64,12 +61,12 @@ fn valid_schedule() -> (SchedulingProblem, Schedule) {
         s.captured_count() >= 2,
         "corruption tests need at least two captures"
     );
-    validate_schedule(&p, &s).expect("baseline schedule is valid");
+    s.validate(&p).expect("baseline schedule is valid");
     (p, s)
 }
 
 fn expect_violation(problem: &SchedulingProblem, schedule: &Schedule, what: &str) {
-    match validate_schedule(problem, schedule) {
+    match schedule.validate(problem) {
         Err(CoreError::ScheduleViolation { description }) => {
             assert!(
                 !description.is_empty(),
