@@ -29,10 +29,22 @@ pub(crate) struct OppNode {
     pub offset: (f64, f64),
 }
 
-/// Endpoint of an arc in the per-follower opportunity graph. `Ord` so
-/// the ordered-map reference assembly in the ILP tests can key on it;
-/// production assembly numbers endpoints instead (nodes, then rest
-/// relays by follower) in the same order.
+/// A feasibility arc of one follower's graph. Endpoints are numbered
+/// capture nodes first (node `v` is `v`), then every follower's rest
+/// relays in follower order (relay `q` of follower `f` follows all
+/// nodes and the relays of followers before `f`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Arc {
+    pub follower: usize,
+    /// Tail endpoint; `None` for the follower's initial state.
+    pub from: Option<usize>,
+    /// Head endpoint.
+    pub to: usize,
+}
+
+/// Endpoint of an arc, decoded from its number, so the reference
+/// builds and assemblies in the tests can key on it.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum End {
     /// The follower's initial state.
@@ -41,14 +53,6 @@ pub(crate) enum End {
     Node(usize),
     /// Rest-chain relay of follower `f` at rest-time index `q`.
     Rest(usize, usize),
-}
-
-/// A feasibility arc.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Arc {
-    pub follower: usize,
-    pub from: End,
-    pub to: End,
 }
 
 /// The assembled graph for one scheduling problem, in flat arrays sized
@@ -64,6 +68,12 @@ pub(crate) struct OpportunityGraph {
     rest_times: Vec<f64>,
     rest_offsets: Vec<usize>,
     pub arcs: Vec<Arc>,
+    /// How many arcs each row key holds, counted as the arcs are
+    /// emitted. Keys follow the scheduling MILP's row order: each
+    /// follower's source (by follower), each endpoint's outgoing arcs
+    /// (by endpoint), each endpoint's incoming arcs, and each task's
+    /// arcs into its capture nodes (by task); see [`row_keys`].
+    pub row_arcs: Vec<usize>,
 }
 
 impl OpportunityGraph {
@@ -157,30 +167,43 @@ impl OpportunityGraph {
             start += idx.len();
         }
 
+        // Each arc is counted into its rows as it is emitted.
+        let out_base = problem.followers().len();
+        let n_ends = nodes.len() + rest_times.len();
         let mut arcs = Vec::with_capacity(arc_bound);
+        let mut row_arcs = vec![0usize; out_base + 2 * n_ends + n_tasks];
+        let mut emit = |arc: Arc| {
+            let (tail, head, task) = row_keys(&arc, out_base, n_ends, &nodes);
+            row_arcs[tail] += 1;
+            row_arcs[head] += 1;
+            if let Some(k) = task {
+                row_arcs[k] += 1;
+            }
+            arcs.push(arc);
+        };
         let mut start = 0;
         for &f in followers {
             let idx = follower_block(&order, &nodes, start, f);
             start += idx.len();
             let rests = &rest_times[rest_offsets[f]..rest_offsets[f + 1]];
+            let rest = |q: usize| nodes.len() + rest_offsets[f] + q;
             let state = &problem.followers()[f];
+            let mut arc = |from: Option<usize>, to: usize| {
+                emit(Arc {
+                    follower: f,
+                    from,
+                    to,
+                })
+            };
 
             // Source arcs.
             for &v in idx {
                 if source_reaches(problem, &nodes[v]) {
-                    arcs.push(Arc {
-                        follower: f,
-                        from: End::Source,
-                        to: End::Node(v),
-                    });
+                    arc(None, v);
                 }
             }
             if let Some(q) = first_rest_at_or_after(rests, state.available_from_s + t_max) {
-                arcs.push(Arc {
-                    follower: f,
-                    from: End::Source,
-                    to: End::Rest(f, q),
-                });
+                arc(None, rest(q));
             }
 
             // Node-to-node arcs within the horizon; node-to-rest beyond.
@@ -200,37 +223,21 @@ impl OpportunityGraph {
                     }
                     let rot = problem.rotation_between(nu.offset, nv.offset);
                     if spec.adacs.can_rotate(rot, dt) {
-                        arcs.push(Arc {
-                            follower: f,
-                            from: End::Node(u),
-                            to: End::Node(v),
-                        });
+                        arc(Some(u), v);
                     }
                 }
                 if let Some(q) = first_rest_at_or_after(rests, nu.time_s + t_max) {
-                    arcs.push(Arc {
-                        follower: f,
-                        from: End::Node(u),
-                        to: End::Rest(f, q),
-                    });
+                    arc(Some(u), rest(q));
                 }
             }
 
             // Rest chain and rest-to-node arcs.
             for q in 0..rests.len().saturating_sub(1) {
-                arcs.push(Arc {
-                    follower: f,
-                    from: End::Rest(f, q),
-                    to: End::Rest(f, q + 1),
-                });
+                arc(Some(rest(q)), rest(q + 1));
             }
             for &v in idx {
                 if let Some(q) = rest_index_at(rests, nodes[v].time_s) {
-                    arcs.push(Arc {
-                        follower: f,
-                        from: End::Rest(f, q),
-                        to: End::Node(v),
-                    });
+                    arc(Some(rest(q)), v);
                 }
             }
         }
@@ -240,7 +247,19 @@ impl OpportunityGraph {
             rest_times,
             rest_offsets,
             arcs,
+            row_arcs,
         }
+    }
+
+    /// The first outgoing-arcs key; keys below it are followers'
+    /// sources.
+    pub(crate) fn out_base(&self) -> usize {
+        self.rest_offsets.len() - 1
+    }
+
+    /// Endpoints: capture nodes and rest relays.
+    pub(crate) fn n_ends(&self) -> usize {
+        self.nodes.len() + self.rest_times.len()
     }
 
     /// Follower `f`'s rest times, sorted and distinct.
@@ -249,15 +268,19 @@ impl OpportunityGraph {
         &self.rest_times[self.rest_offsets[f]..self.rest_offsets[f + 1]]
     }
 
-    /// Rest relays over all followers.
-    pub(crate) fn n_rests(&self) -> usize {
-        self.rest_times.len()
-    }
-
-    /// Follower `f`'s first rest relay in the follower-order numbering
-    /// of all relays.
-    pub(crate) fn rest_base(&self, f: usize) -> usize {
-        self.rest_offsets[f]
+    /// Endpoint `e` of an arc (`None` for a source), decoded.
+    #[cfg(test)]
+    pub(crate) fn end(&self, e: Option<usize>) -> End {
+        let Some(e) = e else {
+            return End::Source;
+        };
+        match e.checked_sub(self.nodes.len()) {
+            None => End::Node(e),
+            Some(r) => {
+                let f = self.rest_offsets.partition_point(|&o| o <= r) - 1;
+                End::Rest(f, r - self.rest_offsets[f])
+            }
+        }
     }
 
     /// Direct pairwise feasibility between two capture nodes of the same
@@ -272,6 +295,25 @@ impl OpportunityGraph {
         let rot = problem.rotation_between(u.offset, v.offset);
         problem.spec().adacs.can_rotate(rot, dt)
     }
+}
+
+/// Arc `a`'s row keys (see [`OpportunityGraph::row_arcs`]): its tail's
+/// (a follower's source or an endpoint's outgoing arcs), its head's
+/// incoming arcs, and the task its head captures, if the head is a
+/// capture node. `out_base` is the follower count and `n_ends` the
+/// endpoint count.
+pub(crate) fn row_keys(
+    a: &Arc,
+    out_base: usize,
+    n_ends: usize,
+    nodes: &[OppNode],
+) -> (usize, usize, Option<usize>) {
+    let in_base = out_base + n_ends;
+    (
+        a.from.map_or(a.follower, |e| out_base + e),
+        in_base + a.to,
+        nodes.get(a.to).map(|n| in_base + n_ends + n.task),
+    )
 }
 
 /// Capture slots in window `w` when `slots` are asked for: one, at the
@@ -410,6 +452,9 @@ mod tests {
         );
     }
 
+    /// A reference build's arc: follower, tail, head.
+    type RefArc = (usize, End, End);
+
     /// The per-vector graph build the flat one replaced, kept as its
     /// oracle: a `times` vector per window, rest times as one vector per
     /// follower, and each follower's nodes found by filtering all of
@@ -419,7 +464,7 @@ mod tests {
         slots: usize,
         followers: &[usize],
         excluded_tasks: &[bool],
-    ) -> (Vec<OppNode>, Vec<Vec<f64>>, Vec<Arc>) {
+    ) -> (Vec<OppNode>, Vec<Vec<f64>>, Vec<RefArc>) {
         let spec = problem.spec();
         let slots = slots.max(1);
         let t_max = spec
@@ -468,11 +513,7 @@ mod tests {
             idx.sort_by(|&a, &b| nodes[a].time_s.total_cmp(&nodes[b].time_s));
             let rests = &rest_times[f];
             let state = &problem.followers()[f];
-            let arc = |from, to| Arc {
-                follower: f,
-                from,
-                to,
-            };
+            let arc = |from, to| (f, from, to);
             for &v in &idx {
                 let n = &nodes[v];
                 let dt = n.time_s - state.available_from_s;
@@ -605,9 +646,40 @@ mod tests {
                     let want: Vec<u64> = want.iter().map(|t| t.to_bits()).collect();
                     prop_assert_eq!(got, want);
                 }
-                prop_assert_eq!(g.n_rests(), rests.iter().map(Vec::len).sum::<usize>());
-                prop_assert_eq!(&g.arcs, &arcs);
+                prop_assert_eq!(g.arcs.len(), arcs.len());
                 prop_assert!(g.arcs.len() <= g.arcs.capacity());
+                // Endpoint numbers: nodes, then each follower's rests in
+                // follower order.
+                let mut rest_base = vec![nodes.len()];
+                for r in &rests {
+                    rest_base.push(rest_base.last().unwrap() + r.len());
+                }
+                let n_ends = *rest_base.last().unwrap();
+                prop_assert_eq!(g.n_ends(), n_ends);
+                let id = |e: End| match e {
+                    End::Source => None,
+                    End::Node(v) => Some(v),
+                    End::Rest(f, q) => Some(rest_base[f] + q),
+                };
+                // Arcs per row key: sources, endpoint tails, endpoint
+                // heads, captured tasks.
+                let n_followers = p.followers().len();
+                let mut row_arcs = vec![0; n_followers + 2 * n_ends + n_tasks];
+                for (a, &(f, from, to)) in g.arcs.iter().zip(&arcs) {
+                    let want = Arc {
+                        follower: f,
+                        from: id(from),
+                        to: id(to).unwrap(),
+                    };
+                    prop_assert_eq!(*a, want);
+                    prop_assert_eq!((g.end(a.from), g.end(Some(a.to))), (from, to));
+                    row_arcs[id(from).map_or(f, |e| n_followers + e)] += 1;
+                    row_arcs[n_followers + n_ends + a.to] += 1;
+                    if let End::Node(v) = to {
+                        row_arcs[n_followers + 2 * n_ends + nodes[v].task] += 1;
+                    }
+                }
+                prop_assert_eq!(&g.row_arcs, &row_arcs);
 
                 let single = nodes.iter().any(|n| {
                     slots == 1 || p.window(n.follower, n.task).unwrap().duration_s() < 1e-9
@@ -674,7 +746,7 @@ mod tests {
         );
         let g = OpportunityGraph::build(&p, 3, &[0], &[false; 6]);
         for a in &g.arcs {
-            if let (End::Node(u), End::Node(v)) = (a.from, a.to) {
+            if let (End::Node(u), End::Node(v)) = (g.end(a.from), g.end(Some(a.to))) {
                 assert!(g.nodes[v].time_s > g.nodes[u].time_s);
             }
         }
@@ -693,15 +765,15 @@ mod tests {
         );
         let g = OpportunityGraph::build(&p, 2, &[0], &[false, false]);
         let has_direct = g.arcs.iter().any(|a| {
-            matches!((a.from, a.to), (End::Node(u), End::Node(v))
+            matches!((g.end(a.from), g.end(Some(a.to))), (End::Node(u), End::Node(v))
                 if g.nodes[u].task == 0 && g.nodes[v].task == 1)
         });
         assert!(!has_direct, "400 km apart: beyond the direct horizon");
         let node_to_rest = g.arcs.iter().any(
-            |a| matches!((a.from, a.to), (End::Node(u), End::Rest(..)) if g.nodes[u].task == 0),
+            |a| matches!((g.end(a.from), g.end(Some(a.to))), (End::Node(u), End::Rest(..)) if g.nodes[u].task == 0),
         );
         let rest_to_node = g.arcs.iter().any(
-            |a| matches!((a.from, a.to), (End::Rest(..), End::Node(v)) if g.nodes[v].task == 1),
+            |a| matches!((g.end(a.from), g.end(Some(a.to))), (End::Rest(..), End::Node(v)) if g.nodes[v].task == 1),
         );
         assert!(node_to_rest && rest_to_node);
     }

@@ -1,4 +1,6 @@
-use super::graph::{slot_count, slot_time, source_reaches, Arc, End, OppNode, OpportunityGraph};
+use super::graph::{
+    row_keys, slot_count, slot_time, source_reaches, Arc, OppNode, OpportunityGraph,
+};
 use super::greedy::append_greedily;
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
@@ -216,7 +218,7 @@ impl IlpScheduler {
             return Ok(followers.iter().map(|&f| (f, Vec::new())).collect());
         }
 
-        let (model, arc_vars) = assemble(problem, &graph, followers)?;
+        let (model, arc_vars) = assemble(problem, &graph)?;
 
         let sol = match model.solve(&SolveOptions {
             time_limit: Some(self.time_limit),
@@ -267,25 +269,23 @@ impl IlpScheduler {
         let mut result = Vec::with_capacity(followers.len());
         for &f in followers {
             let mut seq = Vec::new();
-            let mut at = End::Source;
+            let mut at = None;
             // Bounded walk (paths are acyclic and finite).
             for _ in 0..graph.arcs.len() + 1 {
-                let next = chosen
+                let Some(to) = chosen
                     .iter()
                     .find(|a| a.follower == f && a.from == at)
-                    .map(|a| a.to);
-                match next {
-                    Some(End::Node(v)) => {
-                        let n = &graph.nodes[v];
-                        seq.push(Capture {
-                            task: n.task,
-                            time_s: n.time_s,
-                        });
-                        at = End::Node(v);
-                    }
-                    Some(rest @ End::Rest(..)) => at = rest,
-                    Some(End::Source) | None => break,
+                    .map(|a| a.to)
+                else {
+                    break;
+                };
+                if let Some(n) = graph.nodes.get(to) {
+                    seq.push(Capture {
+                        task: n.task,
+                        time_s: n.time_s,
+                    });
                 }
+                at = Some(to);
             }
             result.push((f, seq));
         }
@@ -297,8 +297,8 @@ impl IlpScheduler {
 /// per arc, valued by the task its head captures, and then the rows in
 /// this order:
 ///
-/// 1. capacity — one unit of flow out of each follower's source, in
-///    `followers` order;
+/// 1. capacity — one unit of flow out of each follower's source, by
+///    follower id;
 /// 2. conservation (out ≤ in) — one per endpoint with outgoing arcs, by
 ///    endpoint id: capture nodes first, then each follower's rest
 ///    relays in follower order;
@@ -310,49 +310,37 @@ impl IlpScheduler {
 fn assemble(
     problem: &SchedulingProblem,
     graph: &OpportunityGraph,
-    followers: &[usize],
 ) -> Result<(Model, Vec<VarId>), CoreError> {
-    // One counting sort groups every arc under up to three keys: its
-    // tail (a follower's source, or an endpoint), its head endpoint, and
-    // the task its head captures. Endpoint ids: node `v` is `v`; rest
-    // relay `q` of follower `f` follows all nodes and the relays of
-    // followers before `f`.
-    let n_nodes = graph.nodes.len();
-    let n_ends = n_nodes + graph.n_rests();
-    let out_base = problem.followers().len();
+    // The graph counted every arc under its row keys as it emitted it
+    // (`OpportunityGraph::row_arcs`). One prefix sum over those counts
+    // also sizes the model: a row per source, outgoing-arcs or task key
+    // with arcs, a conservation row also holding its endpoint's
+    // incoming arcs.
+    let counts = &graph.row_arcs;
+    let n_keys = counts.len();
+    let out_base = graph.out_base();
+    let n_ends = graph.n_ends();
     let in_base = out_base + n_ends;
-    let task_base = in_base + n_ends;
-    let n_keys = task_base + problem.tasks().len();
-    let end_id = |e: End| match e {
-        End::Node(v) => Some(v),
-        End::Rest(f, q) => Some(n_nodes + graph.rest_base(f) + q),
-        End::Source => None,
-    };
-    // An arc's keys; `n_keys` stands for none.
-    let keys = |a: &Arc| {
-        [
-            end_id(a.from).map_or(a.follower, |e| out_base + e),
-            end_id(a.to).map_or(n_keys, |e| in_base + e),
-            match a.to {
-                End::Node(v) => task_base + graph.nodes[v].task,
-                _ => n_keys,
-            },
-        ]
-    };
-    // After the fill, key `k`'s arcs are `grouped[offsets[k]..offsets[k
-    // + 1]]`, in arc order.
-    let mut offsets = vec![0usize; n_keys + 1];
-    for a in &graph.arcs {
-        for k in keys(a).into_iter().filter(|&k| k < n_keys) {
-            offsets[k] += 1;
+    let mut offsets = Vec::with_capacity(n_keys + 1);
+    let (mut total, mut n_rows, mut n_terms) = (0, 0, 0);
+    for (k, &count) in counts.iter().enumerate() {
+        total += count;
+        offsets.push(total);
+        if count > 0 && !(in_base..in_base + n_ends).contains(&k) {
+            n_rows += 1;
+            n_terms += count;
+            if (out_base..in_base).contains(&k) {
+                n_terms += counts[k + n_ends];
+            }
         }
     }
-    for k in 1..=n_keys {
-        offsets[k] += offsets[k - 1];
-    }
-    let mut grouped = vec![0usize; offsets[n_keys]];
+    offsets.push(total);
+    // After the fill, key `k`'s arcs are `grouped[offsets[k]..offsets[k
+    // + 1]]`, in arc order.
+    let mut grouped = vec![0usize; total];
     for (i, a) in graph.arcs.iter().enumerate().rev() {
-        for k in keys(a).into_iter().filter(|&k| k < n_keys) {
+        let (tail, head, task) = row_keys(a, out_base, n_ends, &graph.nodes);
+        for k in [tail, head].into_iter().chain(task) {
             offsets[k] -= 1;
             grouped[offsets[k]] = i;
         }
@@ -361,31 +349,25 @@ fn assemble(
 
     // Rows as (arcs with coefficient 1, arcs with -1, rhs), each with
     // at least one arc of the first kind.
-    let capacity = followers.iter().map(|&f| (group(f), &[][..], 1.0));
+    let capacity = (0..out_base).map(|f| (group(f), &[][..], 1.0));
     let conservation = (0..n_ends).map(|e| (group(out_base + e), group(in_base + e), 0.0));
-    let capture_once = (task_base..n_keys).map(|k| (group(k), &[][..], 1.0));
-    let rows = || {
-        capacity
-            .clone()
-            .chain(conservation.clone())
-            .chain(capture_once.clone())
-            .filter(|(plus, _, _)| !plus.is_empty())
-    };
-    let (n_rows, n_terms) = rows().fold((0, 0), |(r, t), (plus, minus, _)| {
-        (r + 1, t + plus.len() + minus.len())
-    });
+    let capture_once = (in_base + n_ends..n_keys).map(|k| (group(k), &[][..], 1.0));
 
     let mut model = Model::maximize();
     model.reserve(graph.arcs.len(), n_rows, n_terms);
     let mut arc_vars = Vec::with_capacity(graph.arcs.len());
     for a in &graph.arcs {
-        let value = match a.to {
-            End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
-            _ => 0.0,
-        };
+        let value = graph
+            .nodes
+            .get(a.to)
+            .map_or(0.0, |n| problem.tasks()[n.task].value);
         arc_vars.push(model.add_binary_var(value));
     }
-    for (plus, minus, rhs) in rows() {
+    let rows = capacity
+        .chain(conservation)
+        .chain(capture_once)
+        .filter(|(plus, _, _)| !plus.is_empty());
+    for (plus, minus, rhs) in rows {
         let terms = plus
             .iter()
             .map(|&i| (arc_vars[i], 1.0))
@@ -478,6 +460,7 @@ impl Scheduler for IlpScheduler {
 mod tests {
     use super::*;
     use crate::pointing::TimeWindow;
+    use crate::schedule::graph::End;
     use crate::schedule::{FollowerState, GreedyScheduler, TaskSpec};
     use crate::SensingSpec;
     use eagleeye_check::{
@@ -502,7 +485,7 @@ mod tests {
             .arcs
             .iter()
             .map(|a| {
-                let value = match a.to {
+                let value = match graph.end(Some(a.to)) {
                     End::Node(v) => problem.tasks()[graph.nodes[v].task].value,
                     _ => 0.0,
                 };
@@ -513,11 +496,11 @@ mod tests {
         let mut into: BTreeMap<End, Vec<usize>> = BTreeMap::new();
         let mut source_out: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, a) in graph.arcs.iter().enumerate() {
-            match a.from {
+            match graph.end(a.from) {
                 End::Source => source_out.entry(a.follower).or_default().push(i),
                 from => out_of.entry(from).or_default().push(i),
             }
-            into.entry(a.to).or_default().push(i);
+            into.entry(graph.end(Some(a.to))).or_default().push(i);
         }
         for &f in followers {
             if let Some(arcs) = source_out.get(&f) {
@@ -543,7 +526,7 @@ mod tests {
         }
         let mut task_in: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, a) in graph.arcs.iter().enumerate() {
-            if let End::Node(v) = a.to {
+            if let End::Node(v) = graph.end(Some(a.to)) {
                 task_in.entry(graph.nodes[v].task).or_default().push(i);
             }
         }
@@ -605,7 +588,7 @@ mod tests {
         };
         let graph = OpportunityGraph::build(p, slots, &followers, &excluded);
         (
-            assemble(p, &graph, &followers).unwrap(),
+            assemble(p, &graph).unwrap(),
             assemble_reference(p, &graph, &followers),
         )
     }

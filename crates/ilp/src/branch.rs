@@ -74,7 +74,20 @@ struct Open {
     /// The parent's LP objective (−∞ at the root): a tightened bound
     /// never lowers a minimum, so no solution under this node beats it.
     parent_bound: f64,
-    tableau: Option<Tableau>,
+    basis: Basis,
+}
+
+/// Where an open node's LP starts from.
+enum Basis {
+    /// The root's cold two-phase solve, which polls the deadline.
+    Cold,
+    /// The parent's final tableau: the one the parent solved (its first
+    /// child) or a copy of it (the sibling of a warm-solved parent).
+    Inherited(Tableau),
+    /// The final tableau of a cold-solved parent, rebuilt when the node
+    /// is solved by repeating that parent's cold solve. Its overrides
+    /// are this node's without the last.
+    Rederived,
 }
 
 impl Model {
@@ -90,7 +103,12 @@ impl Model {
     ///
     /// A popped node whose parent's LP bound can no longer beat the
     /// incumbent is pruned before its relaxation is solved, and its
-    /// inherited tableau is dropped unread.
+    /// inherited tableau is dropped unread. So a branching copies its
+    /// tableau for the second child only when the tableau came from a
+    /// warm re-solve; a cold-solved parent's second child, if it is
+    /// ever solved, repeats the parent's cold solve instead, which
+    /// rebuilds the same tableau bit for bit and is not counted in
+    /// [`SolveStats`].
     ///
     /// # Errors
     ///
@@ -113,11 +131,11 @@ impl Model {
             start: 0,
             end: 0,
             parent_bound: f64::NEG_INFINITY,
-            tableau: None,
+            basis: Basis::Cold,
         }];
         let mut limit_hit = false;
 
-        while let Some(mut node) = stack.pop() {
+        while let Some(node) = stack.pop() {
             if options.time_limit.is_some_and(|tl| start.elapsed() >= tl)
                 || options
                     .node_limit
@@ -142,13 +160,21 @@ impl Model {
                 continue;
             }
             bounds.truncate(node.end);
-            // Only a node without a tableau (the root) polls the deadline
-            // inside its LP: a child's LP re-solves its inherited tableau
-            // to completion, and the clock is checked between nodes.
-            let inherited = node.tableau.take();
-            let warm = inherited.is_some();
-            let lp_deadline = if warm { None } else { deadline };
+            // Only the root polls the deadline inside its LP: a child's
+            // LP re-solves its inherited tableau to completion, and the
+            // clock is checked between nodes. Nor does the repeat of a
+            // cold solve that already finished once.
             let overrides = &bounds[node.start..node.end];
+            let (warm, inherited) = match node.basis {
+                Basis::Cold => (false, None),
+                Basis::Inherited(tableau) => (true, Some(tableau)),
+                Basis::Rederived => {
+                    let parent = &overrides[..overrides.len() - 1];
+                    let rebuilt = self.solve_relaxation(parent, None, None)?;
+                    (true, rebuilt.map(|lp| lp.tableau))
+                }
+            };
+            let lp_deadline = if warm { None } else { deadline };
             let relaxed = match self.solve_relaxation(overrides, lp_deadline, inherited) {
                 Ok(r) => r,
                 // A node abandoned mid-LP does not count as explored.
@@ -213,19 +239,26 @@ impl Model {
                     let ceil = v.ceil();
                     let down = (j, self.vars[j].lower, floor);
                     let up = (j, ceil, self.vars[j].upper);
-                    // Both children inherit this node's final tableau:
-                    // only one variable's bound tightened, so its basis
-                    // stays dual feasible and re-solves in a few dual
-                    // pivots. Explore the side closer to the LP value
-                    // first (pushed last so it pops first); it re-solves
-                    // a copy, the other child the tableau itself.
+                    // Both children start from this node's final
+                    // tableau: only one variable's bound tightened, so
+                    // its basis stays dual feasible and re-solves in a
+                    // few dual pivots. Explore the side closer to the LP
+                    // value first (pushed last so it pops first); it
+                    // takes the tableau itself. The second child is
+                    // usually pruned unread on this node's bound, so it
+                    // gets a copy only of a warm re-solve's tableau; a
+                    // cold solve is repeated if the child is ever solved.
                     let (first, second) = if v - floor < 0.5 {
                         (down, up)
                     } else {
                         (up, down)
                     };
-                    let copy = tableau.clone();
-                    for (bound, tableau) in [(second, tableau), (first, copy)] {
+                    let sibling = if warmed {
+                        Basis::Inherited(tableau.clone())
+                    } else {
+                        Basis::Rederived
+                    };
+                    for (bound, basis) in [(second, sibling), (first, Basis::Inherited(tableau))] {
                         let start = bounds.len();
                         bounds.extend_from_within(node.start..node.end);
                         bounds.push(bound);
@@ -233,7 +266,7 @@ impl Model {
                             start,
                             end: bounds.len(),
                             parent_bound: obj,
-                            tableau: Some(tableau),
+                            basis,
                         });
                     }
                 }
@@ -307,15 +340,33 @@ mod tests {
     use eagleeye_check::{check_cases, prop_assert, prop_assert_eq, u64_range, usize_range};
     use eagleeye_rng::SplitMix64;
 
-    /// The search before parent-bound pruning, kept as its oracle: every
-    /// popped node's LP is solved, and a node is pruned on its own LP
-    /// bound only. Children inherit tableaus as in [`Model::solve`], so
-    /// the two searches see the same LPs; no limit applies.
-    fn solve_reference(m: &Model) -> Solution {
+    /// The search before a cold-solved parent's tableau was re-derived,
+    /// kept as the oracle of both searches since: every branching
+    /// copies its tableau for the first child and hands the second the
+    /// tableau itself, whatever solved it, and no limit applies. With
+    /// `parent_pruning` a popped node is pruned on its parent's bound
+    /// before its solve, as in [`Model::solve`]; without it every popped
+    /// node's LP is solved and pruned on its own bound only, the search
+    /// before parent-bound pruning. Also returns how many second
+    /// children of a cold-solved parent were solved: the nodes whose
+    /// tableau [`Model::solve`] rebuilds.
+    fn solve_reference(m: &Model, parent_pruning: bool) -> (Solution, usize) {
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
-        let mut stack = vec![(Vec::new(), None)];
-        while let Some((overrides, inherited)) = stack.pop() {
+        let mut rederived = 0;
+        // (overrides, parent bound, inherited tableau, second child of a
+        // cold-solved parent)
+        let mut stack = vec![(Vec::new(), f64::NEG_INFINITY, None, false)];
+        while let Some((overrides, parent_bound, inherited, cold_sibling)) = stack.pop() {
+            if parent_pruning
+                && incumbent
+                    .as_ref()
+                    .is_some_and(|(best, _)| parent_bound >= *best - ABSOLUTE_GAP)
+            {
+                stats.nodes_pruned += 1;
+                continue;
+            }
+            rederived += usize::from(cold_sibling);
             let warm = inherited.is_some();
             let relaxed = m.solve_relaxation(&overrides, None, inherited).unwrap();
             stats.nodes_explored += 1;
@@ -353,15 +404,16 @@ mod tests {
                         (up, down)
                     };
                     let copy = lp.tableau.clone();
-                    for (bound, tableau) in [(second, lp.tableau), (first, copy)] {
+                    let children = [(second, lp.tableau, !lp.warmed), (first, copy, false)];
+                    for (bound, tableau, cold_sibling) in children {
                         let mut child = overrides.clone();
                         child.push(bound);
-                        stack.push((child, Some(tableau)));
+                        stack.push((child, lp.objective, Some(tableau), cold_sibling));
                     }
                 }
             }
         }
-        m.finish(incumbent, false, stats)
+        (m.finish(incumbent, false, stats), rederived)
     }
 
     fn knapsack(values: &[f64], weights: &[f64], cap: f64) -> (Model, Vec<crate::VarId>) {
@@ -494,7 +546,7 @@ mod tests {
             |&(kind, seed)| {
                 let m = seeded_model(kind, seed);
                 let got = m.solve(&SolveOptions::default()).unwrap();
-                let want = solve_reference(&m);
+                let (want, _) = solve_reference(&m, false);
                 prop_assert_eq!(got.status(), want.status());
                 prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
                 let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -510,13 +562,46 @@ mod tests {
         );
     }
 
+    /// Re-deriving a cold-solved parent's tableau for its second child,
+    /// instead of copying it at the branching, moves no bit of the
+    /// answer and no effort counter: the repeated cold solve rebuilds
+    /// the same tableau and is not counted.
+    #[test]
+    fn rederived_siblings_match_the_copy_every_sibling_reference() {
+        let rederived_cases = std::cell::Cell::new([0usize; 3]);
+        check_cases(
+            256,
+            "rederived_siblings_match_the_copy_every_sibling_reference",
+            (usize_range(0, 3), u64_range(0, u64::MAX)),
+            |&(kind, seed)| {
+                let m = seeded_model(kind, seed);
+                let got = m.solve(&SolveOptions::default()).unwrap();
+                let (want, rederived) = solve_reference(&m, true);
+                prop_assert_eq!(got.status(), want.status());
+                prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+                let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want));
+                prop_assert_eq!(det_stats(got.stats()), det_stats(want.stats()));
+                let mut cases = rederived_cases.get();
+                cases[kind] += usize::from(rederived > 0);
+                rederived_cases.set(cases);
+                Ok(())
+            },
+        );
+        let cases = rederived_cases.get();
+        assert!(
+            cases.iter().sum::<usize>() >= 20,
+            "a cold-solved parent's sibling was solved in too few cases: {cases:?} by model kind"
+        );
+    }
+
     #[test]
     fn a_sibling_of_a_child_at_its_parents_bound_is_pruned_unsolved() {
         // max x + y − z s.t. x + y − z ≤ 2.25, x integer: the root LP
         // raises x to 2.25; the first child (x ≤ 2) is integral at the
         // root's bound, so the feasible sibling (x ≥ 3, z = 0.75) cannot
         // beat it and is dropped with its tableau. Solving it before
-        // pruning it, as `solve_reference` does, gives (3, 1, 2).
+        // pruning it, as `solve_reference(&m, false)` does, gives (3, 1, 2).
         let mut m = Model::maximize();
         let x = m.add_integer_var(0.0, 10.0, 1.0).unwrap();
         let y = m.add_continuous_var(0.0, 10.0, 1.0).unwrap();

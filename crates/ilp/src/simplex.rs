@@ -206,10 +206,6 @@ impl Tableau {
         let n_struct = model.num_vars();
         let m = model.num_constraints();
         let sign = model.sign();
-        let shifted_upper = |j: usize| {
-            let (lo, hi) = bound(j);
-            shifted_upper(lo, hi)
-        };
         // Validate, and count the column layout: [structural |
         // slack/surplus | artificial], one slack/surplus per `Le`/`Ge`
         // row and one artificial per `Eq`/`Ge` row, in row order.
@@ -221,7 +217,8 @@ impl Tableau {
             }
         }
         for j in 0..n_struct {
-            let u = shifted_upper(j);
+            let (lo, hi) = bound(j);
+            let u = shifted_upper(lo, hi);
             if u.is_nan() || u < 0.0 {
                 return Err(IlpError::NonFiniteValue {
                     context: "variable upper bound",
@@ -258,8 +255,9 @@ impl Tableau {
         let mut t = Tableau::zeroed(n_struct, m, n_cols, art_start);
         let v = t.view();
         for j in 0..n_struct {
-            v.lower[j] = bound(j).0;
-            v.upper[j] = shifted_upper(j);
+            let (lo, hi) = bound(j);
+            v.lower[j] = lo;
+            v.upper[j] = shifted_upper(lo, hi);
             v.cost[j] = sign * model.vars[j].obj;
         }
         v.upper[n_struct..].fill(f64::INFINITY);

@@ -25,6 +25,16 @@ impl EciState {
     }
 }
 
+/// The per-orbit constants of an ECI state: mean motion, semi-minor
+/// axis `a·√(1−e²)` and the inclination's sine and cosine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct OrbitShape {
+    pub(crate) mean_motion_rad_s: f64,
+    pub(crate) semi_minor_axis_m: f64,
+    pub(crate) sin_i: f64,
+    pub(crate) cos_i: f64,
+}
+
 /// Classical (Keplerian) orbital elements.
 ///
 /// Angles are radians; the semi-major axis is meters. The struct is a
@@ -183,6 +193,12 @@ impl KeplerianElements {
     fn eccentric_anomaly_rad(&self, mean_anomaly_rad: f64) -> Result<f64, OrbitError> {
         let m = eagleeye_geo::wrap_two_pi(mean_anomaly_rad);
         let e = self.eccentricity;
+        // On a circular orbit Newton's first step is exactly zero
+        // (`e·sin M` and `e·cos M` are ±0), so it returns `M` itself; a
+        // NaN anomaly still diverges below.
+        if e == 0.0 && !m.is_nan() {
+            return Ok(m);
+        }
         let mut big_e = if e < 0.8 { m } else { std::f64::consts::PI };
         for _ in 0..64 {
             let f = big_e - e * big_e.sin() - m;
@@ -199,6 +215,19 @@ impl KeplerianElements {
         })
     }
 
+    /// The constants of this orbit's shape and plane tilt, which the
+    /// secular drift of the angles leaves alone.
+    pub(crate) fn shape(&self) -> OrbitShape {
+        let e = self.eccentricity;
+        let (sin_i, cos_i) = self.inclination_rad.sin_cos();
+        OrbitShape {
+            mean_motion_rad_s: self.mean_motion_rad_s(),
+            semi_minor_axis_m: self.semi_major_axis_m * (1.0 - e * e).sqrt(),
+            sin_i,
+            cos_i,
+        }
+    }
+
     /// Computes the ECI state at a given mean anomaly (other elements
     /// fixed).
     ///
@@ -206,23 +235,33 @@ impl KeplerianElements {
     ///
     /// Propagates [`OrbitError::KeplerDivergence`].
     pub fn eci_state_at_mean_anomaly(&self, mean_anomaly_rad: f64) -> Result<EciState, OrbitError> {
+        self.eci_state_with(&self.shape(), mean_anomaly_rad)
+    }
+
+    /// [`Self::eci_state_at_mean_anomaly`] with this orbit's
+    /// [`Self::shape`] computed once by the caller.
+    pub(crate) fn eci_state_with(
+        &self,
+        shape: &OrbitShape,
+        mean_anomaly_rad: f64,
+    ) -> Result<EciState, OrbitError> {
         let e = self.eccentricity;
         let big_e = self.eccentric_anomaly_rad(mean_anomaly_rad)?;
         let (sin_e, cos_e) = big_e.sin_cos();
 
         // Perifocal coordinates.
         let a = self.semi_major_axis_m;
-        let b = a * (1.0 - e * e).sqrt();
+        let b = shape.semi_minor_axis_m;
         let x_pf = a * (cos_e - e);
         let y_pf = b * sin_e;
         let r = a * (1.0 - e * cos_e);
-        let n = self.mean_motion_rad_s();
+        let n = shape.mean_motion_rad_s;
         let vx_pf = -a * a * n * sin_e / r;
         let vy_pf = a * b * n * cos_e / r;
 
         // Rotate perifocal -> ECI: Rz(raan) * Rx(i) * Rz(argp).
         let (s_o, c_o) = self.raan_rad.sin_cos();
-        let (s_i, c_i) = self.inclination_rad.sin_cos();
+        let (s_i, c_i) = (shape.sin_i, shape.cos_i);
         let (s_w, c_w) = self.arg_perigee_rad.sin_cos();
 
         let r11 = c_o * c_w - s_o * s_w * c_i;
@@ -295,6 +334,60 @@ mod tests {
                 (eagleeye_geo::wrap_two_pi(recon) - eagleeye_geo::wrap_two_pi(m)).abs() < 1e-10
             );
         }
+    }
+
+    /// Newton's iteration as `eccentric_anomaly_rad` runs it on every
+    /// orbit, kept as the oracle of its circular-orbit shortcut.
+    fn eccentric_anomaly_newton(e: f64, mean_anomaly_rad: f64) -> Option<f64> {
+        let m = wrap_two_pi(mean_anomaly_rad);
+        let mut big_e = if e < 0.8 { m } else { std::f64::consts::PI };
+        for _ in 0..64 {
+            let step = (big_e - e * big_e.sin() - m) / (1.0 - e * big_e.cos());
+            big_e -= step;
+            if step.abs() < 1e-13 {
+                return Some(big_e);
+            }
+        }
+        None
+    }
+
+    /// On a circular orbit the shortcut returns Newton's answer bit for
+    /// bit: at 0 and −0, at and just under 2π, on anomalies that wrap to
+    /// them, on seeded anomalies over many turns, and with NaN, which
+    /// both reject.
+    #[test]
+    fn circular_shortcut_matches_newton() {
+        let tau = std::f64::consts::TAU;
+        let k = KeplerianElements::new(7e6, 0.0, 1.0, 0.0, 0.0, 0.0).unwrap();
+        let agrees = |m: f64| {
+            let got = k.eccentric_anomaly_rad(m).ok().map(f64::to_bits);
+            got == eccentric_anomaly_newton(0.0, m).map(f64::to_bits)
+        };
+        let below_tau = f64::from_bits(tau.to_bits() - 1);
+        for m in [
+            0.0,
+            -0.0,
+            tau,
+            below_tau,
+            -below_tau,
+            -1e-300,
+            -f64::EPSILON,
+            1e9 * tau,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            assert!(agrees(m), "anomaly {m:e}");
+        }
+        assert_eq!(k.eccentric_anomaly_rad(-1e-300).unwrap(), tau);
+        check_cases(
+            256,
+            "kepler_circular_shortcut_matches_newton",
+            f64_range(-1e4, 1e4),
+            |&m| {
+                prop_assert!(agrees(m), "anomaly {m:e}");
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::kepler::{EciState, KeplerianElements};
+use crate::kepler::{EciState, KeplerianElements, OrbitShape};
 use crate::OrbitError;
 use eagleeye_geo::earth::{J2, MEAN_RADIUS_M, WGS84_A_M};
 
@@ -27,6 +27,8 @@ use eagleeye_geo::earth::{J2, MEAN_RADIUS_M, WGS84_A_M};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct J2Propagator {
     elements: KeplerianElements,
+    /// The elements' shape, which the secular drift leaves alone.
+    shape: OrbitShape,
     raan_rate_rad_s: f64,
     argp_rate_rad_s: f64,
     mean_anomaly_rate_rad_s: f64,
@@ -35,11 +37,12 @@ pub struct J2Propagator {
 impl J2Propagator {
     /// Creates a propagator from an element set at epoch `t = 0`.
     pub fn new(elements: KeplerianElements) -> Self {
-        let n = elements.mean_motion_rad_s();
+        let shape = elements.shape();
+        let n = shape.mean_motion_rad_s;
         let p = elements.semi_latus_rectum_m();
         let re_p = WGS84_A_M / p;
         let factor = 1.5 * J2 * re_p * re_p * n;
-        let (s_i, c_i) = elements.inclination_rad().sin_cos();
+        let (s_i, c_i) = (shape.sin_i, shape.cos_i);
         let e2 = elements.eccentricity() * elements.eccentricity();
 
         let raan_rate = -factor * c_i;
@@ -48,6 +51,7 @@ impl J2Propagator {
 
         J2Propagator {
             elements,
+            shape,
             raan_rate_rad_s: raan_rate,
             argp_rate_rad_s: argp_rate,
             mean_anomaly_rate_rad_s: m_rate,
@@ -108,7 +112,7 @@ impl J2Propagator {
     /// near-circular orbits this workspace uses).
     pub fn state_at(&self, t_s: f64) -> Result<EciState, OrbitError> {
         let e = self.elements_at(t_s);
-        e.eci_state_at_mean_anomaly(e.mean_anomaly_rad())
+        e.eci_state_with(&self.shape, e.mean_anomaly_rad())
     }
 }
 
