@@ -8,8 +8,10 @@
 //! everything at ~90 % of wall time — the per-horizon scheduler solves.
 //! This module compiles each satellite's pass into a [`CompiledTrack`]:
 //!
-//! * **states** — the batch-propagated [`TrackState`]s (this is the
-//!   propagation cache the evaluator previously rebuilt every run);
+//! * **frames** — the [`LocalFrame`] (subsatellite point and heading)
+//!   of every frame that holds targets; every frame propagates its
+//!   subsatellite point, and only a frame whose membership query
+//!   returns candidates propagates a second point for its heading;
 //! * **frame membership** — a frame-major table of every in-frame
 //!   target with its projected `(x, y)`, stored struct-of-arrays and
 //!   computed once by a segment sweep that takes one [`BucketView`]
@@ -48,11 +50,13 @@ use crate::pointing::{GroundPoint, TimeWindow};
 use crate::schedule::{FollowerState, IlpRunStats};
 use crate::{CoreError, SensingSpec};
 use eagleeye_datasets::{BucketView, TargetSet};
-use eagleeye_geo::LocalFrame;
-use eagleeye_orbit::TrackState;
+use eagleeye_geo::{greatcircle, LocalFrame};
+use eagleeye_obs::{Metrics, Stopwatch};
+use eagleeye_orbit::{EpochGrid, GroundTrack};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Recover a poisoned guard: every mutation behind these locks is
 /// all-or-nothing (a pooled track is inserted fully built; a memo entry
@@ -178,14 +182,16 @@ pub(super) enum SolvedOutcome {
     },
 }
 
-/// One satellite's compiled pass: propagated states, frame-major
-/// membership with projected coefficients, and the frame memo.
+/// One satellite's compiled pass: frame-major membership with projected
+/// coefficients, the low-res frame of every frame with members, and
+/// the frame memo.
 #[derive(Debug)]
 pub(super) struct CompiledTrack {
-    /// Batch-propagated state per grid epoch.
-    pub states: Vec<TrackState>,
     /// Frame-major membership and projected coordinates.
     pub coeffs: FrameCoeffs,
+    /// The low-res frame of each frame with entries, in frame order:
+    /// the only frames capture execution projects into.
+    frames: Vec<LocalFrame>,
     /// Largest per-frame membership count (scratch preallocation size).
     pub peak_frame_entries: usize,
     /// Memo of solved frames, keyed by [`FrameInputs::key`].
@@ -193,10 +199,23 @@ pub(super) struct CompiledTrack {
 }
 
 impl CompiledTrack {
-    /// Compiles one satellite's track over every frame of its
-    /// batch-propagated `states`: per frame, the targets inside the
-    /// low-res box with their projected `(x, y)`, appended to the
-    /// frame-major table.
+    /// Compiles one satellite's `track` over every epoch of `grid`:
+    /// per frame, the targets inside the low-res box with their
+    /// projected `(x, y)`, appended to the frame-major table. Returns
+    /// the track and the wall time of its propagation pass.
+    ///
+    /// Two passes. The first propagates the subsatellite point of every
+    /// epoch ([`EpochGrid::ground_points`], which records the `orbit/*`
+    /// counters into `metrics`). The second sweeps membership; only a
+    /// frame whose membership query returns candidates propagates its
+    /// finite-difference point ([`EpochGrid::fd_ground_point`]) for the
+    /// heading, builds its [`LocalFrame`] and projects. Origin and
+    /// heading are bit-equal to those of the frame's
+    /// [`TrackState`](eagleeye_orbit::TrackState): `state_at_with_trig`
+    /// builds its subsatellite point and heading from the same two
+    /// ground points, and the altitude round trip
+    /// `with_altitude(alt).with_altitude(0.0)` it used to take leaves a
+    /// point's bits unchanged (`wrap_pi` is idempotent on its outputs).
     ///
     /// Bit-identical to the legacy per-frame walk by construction: the
     /// members come from the same [`BucketView`] the legacy
@@ -208,41 +227,68 @@ impl CompiledTrack {
     /// member's position and distance — and box-tested. The walk
     /// itself survives as this module's test oracle.
     pub fn compile(
-        states: Vec<TrackState>,
-        epochs: &[f64],
+        track: &GroundTrack,
+        grid: &EpochGrid,
         targets: &TargetSet,
         geom: &CompileGeometry,
-    ) -> Result<CompiledTrack, CoreError> {
-        let mut coeffs = FrameCoeffs::with_frames(states.len());
+        metrics: &Metrics,
+    ) -> Result<(CompiledTrack, Duration), CoreError> {
+        let sw = Stopwatch::start();
+        let ground = grid.ground_points(track, metrics)?;
+        let propagate_time = sw.elapsed();
+
+        let mut coeffs = FrameCoeffs::with_frames(ground.len());
+        let mut frames = Vec::new();
         let mut view: Option<BucketView> = None;
         let mut members = Vec::new();
         let mut peak_frame_entries = 0;
-        for (state, &t) in states.iter().zip(epochs) {
-            let subsat = state.subsatellite.with_altitude(0.0)?;
-            let frame = LocalFrame::new(subsat, state.heading_rad);
+        for (k, (subsat, &t)) in ground.iter().zip(grid.epochs()).enumerate() {
             if !view.as_ref().is_some_and(|v| v.covers(t)) {
                 view = None;
             }
             let v = view.get_or_insert_with(|| targets.bucket_view(t));
-            targets.members_in(v, &subsat, geom.bound_m, t, &mut members);
+            targets.members_in(v, subsat, geom.bound_m, t, &mut members);
             let start = coeffs.target.len();
-            for m in &members {
-                let (x, y) = frame.project_at(&m.position, m.distance_m);
-                if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
-                    coeffs.target.push(m.index as u32);
-                    coeffs.x.push(x);
-                    coeffs.y.push(y);
+            if !members.is_empty() {
+                let fd = grid.fd_ground_point(track, k)?;
+                let frame = LocalFrame::new(*subsat, greatcircle::initial_bearing_rad(subsat, &fd));
+                for m in &members {
+                    let (x, y) = frame.project_at(&m.position, m.distance_m);
+                    if x.abs() <= geom.half_cross_m && y.abs() <= geom.half_along_m {
+                        coeffs.target.push(m.index as u32);
+                        coeffs.x.push(x);
+                        coeffs.y.push(y);
+                    }
+                }
+                if coeffs.target.len() > start {
+                    frames.push(frame);
                 }
             }
             peak_frame_entries = peak_frame_entries.max(coeffs.target.len() - start);
             coeffs.offsets.push(coeffs.target.len() as u32);
         }
-        Ok(CompiledTrack {
-            states,
+        let track = CompiledTrack {
             coeffs,
+            frames,
             peak_frame_entries,
             solved: Mutex::new(BTreeMap::new()),
-        })
+        };
+        Ok((track, propagate_time))
+    }
+
+    /// Number of frames, empty ones included.
+    pub fn frame_count(&self) -> usize {
+        self.coeffs.offsets.len() - 1
+    }
+
+    /// Every frame in order: its low-res frame when it has entries,
+    /// `None` when it has none.
+    pub fn frames(&self) -> impl Iterator<Item = Option<&LocalFrame>> + '_ {
+        let mut stored = self.frames.iter();
+        self.coeffs
+            .offsets
+            .windows(2)
+            .map(move |w| if w[0] < w[1] { stored.next() } else { None })
     }
 
     /// Looks up a memoized frame by its key.
@@ -521,8 +567,15 @@ mod tests {
     };
     use eagleeye_datasets::Target;
     use eagleeye_geo::GeodeticPoint;
-    use eagleeye_orbit::{ConstellationLayout, EpochGrid};
+    use eagleeye_orbit::{ConstellationLayout, TrackState};
     use std::cell::Cell;
+
+    /// A frame's origin and heading as bits, so equality is
+    /// bit-equality.
+    fn frame_bits(frame: &LocalFrame) -> [u64; 4] {
+        let o = frame.origin();
+        [o.lat_rad(), o.lon_rad(), o.alt_m(), frame.heading_rad()].map(f64::to_bits)
+    }
 
     /// The per-frame walk the compiled engine replaced, kept as its
     /// oracle: a spatial query per frame, each candidate projected into
@@ -620,11 +673,13 @@ mod tests {
 
     /// The compiled membership equals the legacy per-frame walk frame
     /// by frame — each frame slice holds the same targets in the same
-    /// order with bit-equal `x`/`y` — and the target column (what swath
-    /// coverage unions) is the walk's members in frame order, across
-    /// static, moving, sparse, dateline/polar and moved-target sets,
-    /// leader and swath geometries, and every satellite of a
-    /// slot-pinned layout.
+    /// order with bit-equal `x`/`y`, and each frame with entries (and
+    /// no other) stores the walk's `LocalFrame` bit for bit — and the
+    /// target column (what swath coverage unions) is the walk's members
+    /// in frame order, across static, moving, sparse, dateline/polar
+    /// and moved-target sets, leader and swath geometries, tracks on
+    /// the grid's GMST epoch and shifted off it, and every satellite of
+    /// a slot-pinned layout.
     #[test]
     fn swept_membership_matches_frame_walk() {
         const CASES: u32 = 24;
@@ -639,9 +694,13 @@ mod tests {
                 (usize_range(0, 5), usize_range(0, 4)),
                 (usize_range(1, 4), usize_range(0, 3), usize_range(1, 3)),
                 usize_range(0, 4),
-                f64_range(-2.0, 2.0),
+                (
+                    f64_range(-2.0, 2.0),
+                    usize_range(0, 3),
+                    f64_range(-1.0, 1.0),
+                ),
             ),
-            |&(seed, (kind, shape), (groups, followers, planes), spare, dlat)| {
+            |&(seed, (kind, shape), (groups, followers, planes), spare, (dlat, epoch, gmst))| {
                 let layout = ConstellationLayout::with_planes_slotted(
                     groups,
                     followers,
@@ -655,10 +714,14 @@ mod tests {
                 let sat = &sats[seed as usize % sats.len()];
                 // One full orbit: every track reaches the polar caps and
                 // crosses the antimeridian.
+                // A third of the cases shift the track's GMST epoch
+                // off the grid's, so it compiles on direct trig.
                 let grid = EpochGrid::for_horizon(0.0, 6_000.0, spec.frame_cadence_s);
-                let states = grid
-                    .propagate(&layout.ground_track(sat).expect("ground track"))
-                    .expect("propagation");
+                let mut ground_track = layout.ground_track(sat).expect("ground track");
+                if epoch == 0 {
+                    ground_track = ground_track.with_gmst_epoch(gmst);
+                }
+                let states = grid.propagate(&ground_track).expect("propagation");
                 let targets = targets_under(&states, grid.epochs(), kind, seed, dlat);
 
                 // Leader frames and low-res swath frames share one box.
@@ -691,18 +754,36 @@ mod tests {
                     }
                 };
 
-                let track = CompiledTrack::compile(states, grid.epochs(), &targets, &geom)
-                    .expect("membership");
-                let walk = frame_walk(&track.states, grid.epochs(), &targets, &geom);
+                let (track, _) = CompiledTrack::compile(
+                    &ground_track,
+                    &grid,
+                    &targets,
+                    &geom,
+                    &Metrics::disabled(),
+                )
+                .expect("membership");
+                let walk = frame_walk(&states, grid.epochs(), &targets, &geom);
 
-                prop_assert_eq!(track.coeffs.offsets.len(), walk.len() + 1);
-                for (f, expected) in walk.iter().enumerate() {
+                prop_assert_eq!(track.frame_count(), walk.len());
+                prop_assert_eq!(track.frames().count(), walk.len());
+                for (f, (expected, frame)) in walk.iter().zip(track.frames()).enumerate() {
                     let got: Vec<_> = track
                         .coeffs
                         .frame(f)
                         .map(|(idx, x, y)| (idx, x.to_bits(), y.to_bits()))
                         .collect();
                     prop_assert_eq!(&got, expected);
+                    // A frame is stored exactly where it has entries, and
+                    // it is the one the walk builds from the full state.
+                    prop_assert_eq!(frame.is_some(), !expected.is_empty());
+                    if let Some(frame) = frame {
+                        let state = &states[f];
+                        let want = LocalFrame::new(
+                            state.subsatellite.with_altitude(0.0).expect("ground point"),
+                            state.heading_rad,
+                        );
+                        prop_assert_eq!(frame_bits(frame), frame_bits(&want));
+                    }
                 }
                 let walked: Vec<usize> = walk.iter().flatten().map(|m| m.0).collect();
                 let column: Vec<usize> = track.coeffs.target.iter().map(|&t| t as usize).collect();

@@ -17,7 +17,6 @@ use crate::schedule::{
 use crate::{Adacs, CoreError, SensingSpec};
 use eagleeye_datasets::TargetSet;
 use eagleeye_exec::{run_items, RunConfig};
-use eagleeye_geo::LocalFrame;
 use eagleeye_harden::ScenarioHasher;
 use eagleeye_obs::{Metrics, Stopwatch};
 use eagleeye_orbit::{ConstellationLayout, EpochGrid, SatelliteRole, SatelliteSpec};
@@ -676,7 +675,7 @@ impl<'a> CoverageEvaluator<'a> {
         let outcome = match sc.kind {
             PassKind::Leader(run) => self.leader_pass(sc, &run, &track, report, metrics)?,
             PassKind::Swath => {
-                report.frames_processed = track.states.len();
+                report.frames_processed = track.frame_count();
                 // Every entry's target was in frame. A target seen in
                 // several frames is listed once per frame; the merge's
                 // capture marking is idempotent.
@@ -693,9 +692,9 @@ impl<'a> CoverageEvaluator<'a> {
     }
 
     /// Pass `i`'s compiled track, pooled under `digest`, compiling it
-    /// on first use: batch propagation plus the membership sweep of the
-    /// scenario's frame box over every frame, as one range (DESIGN.md
-    /// §13.3). Propagation counters are recorded into `metrics` and
+    /// on first use: ground-point propagation plus the membership sweep
+    /// of the scenario's frame box over every frame, as one range
+    /// (DESIGN.md §13.3). Propagation counters are recorded into `metrics` and
     /// propagation wall time into `report`; a pooled track records
     /// neither (the work did not happen).
     fn track(
@@ -709,12 +708,10 @@ impl<'a> CoverageEvaluator<'a> {
         if let Some(track) = self.compile.get(digest, sc.hash) {
             return Ok(track);
         }
-        let sw = Stopwatch::start();
-        let states = sc
-            .grid
-            .propagate_observed(&sc.layout.ground_track(&sc.sats[i])?, metrics)?;
-        report.propagate_time += sw.elapsed();
-        let track = CompiledTrack::compile(states, sc.grid.epochs(), self.targets, &sc.geom)?;
+        let ground_track = sc.layout.ground_track(&sc.sats[i])?;
+        let (track, propagate_time) =
+            CompiledTrack::compile(&ground_track, &sc.grid, self.targets, &sc.geom, metrics)?;
+        report.propagate_time += propagate_time;
         self.compile.note_build();
         Ok(Arc::new(track))
     }
@@ -779,7 +776,7 @@ impl<'a> CoverageEvaluator<'a> {
         let mut captured = TargetBits::new(self.targets.len());
         let mut group_captures = Vec::new();
 
-        for (frame_idx, state) in track.states.iter().enumerate() {
+        for (frame_idx, frame) in track.frames().enumerate() {
             let t = grid.epochs()[frame_idx];
             let frame_id = frame_idx as u64;
             report.frames_processed += 1;
@@ -796,9 +793,9 @@ impl<'a> CoverageEvaluator<'a> {
             // slice of the compiled table (O(targets in view), no
             // spatial query).
             let in_frame = track.coeffs.frame(frame_idx);
-            if in_frame.len() == 0 {
+            let Some(frame) = frame else {
                 continue;
-            }
+            };
             report.frames_with_targets += 1;
 
             if leader_out {
@@ -937,7 +934,6 @@ impl<'a> CoverageEvaluator<'a> {
             // Execute captures: mark every target inside each
             // captured footprint (including undetected ones — the
             // serendipity effect behind Fig. 15).
-            let frame = LocalFrame::new(state.subsatellite.with_altitude(0.0)?, state.heading_rad);
             let along_origin = v * t;
             for cap in &solved.captures {
                 let k = active[cap.slot];

@@ -340,7 +340,7 @@ impl CoverageReport {
         metrics.add("ilp/iteration_limit_hits", *ilp_iteration_limit_hits as u64);
         metrics.add("ilp/warm_starts", *ilp_warm_starts as u64);
         metrics.add("ilp/warm_rejects", *ilp_warm_rejects as u64);
-        const FRAME_BUCKETS: &[u64] = &[1, 2, 5, 10, 20, 50];
+        const FRAME_BUCKETS: &[u64] = &[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000];
         for &n in per_frame_target_counts {
             metrics.observe("core/frame_targets", n as u64, FRAME_BUCKETS);
         }
@@ -742,9 +742,9 @@ mod tests {
     fn record_metrics_mirrors_counters_and_histograms() {
         let report = CoverageReport {
             frames_processed: 9,
-            frames_with_targets: 3,
-            per_frame_target_counts: vec![1, 6, 30],
-            per_frame_cluster_counts: vec![1, 4, 12],
+            frames_with_targets: 4,
+            per_frame_target_counts: vec![1, 6, 30, 466],
+            per_frame_cluster_counts: vec![1, 4, 12, 40],
             scheduler_calls: 3,
             scheduler_time: Duration::from_millis(4),
             captures_commanded: 5,
@@ -761,8 +761,12 @@ mod tests {
         assert_eq!(snap.counter("ilp/subproblems"), 3);
         assert_eq!(snap.counter("ilp/nodes_explored"), 11);
         let h = snap.histogram("core/frame_targets").unwrap();
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.sum(), 37);
+        assert_eq!(h.count(), 4);
+        assert_eq!(h.sum(), 503);
+        // Dense Lake frames reach hundreds of targets: 466 lands in the
+        // `≤ 500` bucket, not the overflow.
+        assert_eq!(h.bounds(), &[1, 2, 5, 10, 20, 50, 100, 200, 500, 1000]);
+        assert_eq!(h.counts(), &[1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 0]);
         let t = snap.timer("core/evaluate/schedule").unwrap();
         assert_eq!(t.total, Duration::from_millis(4));
         // Disabled metrics: a silent no-op.

@@ -40,6 +40,12 @@ impl LocalFrame {
         }
     }
 
+    /// The ground point the frame is anchored at.
+    #[inline]
+    pub fn origin(&self) -> GeodeticPoint {
+        self.origin
+    }
+
     /// The frame heading, clockwise from north, in `[0, 2π)`.
     #[inline]
     pub fn heading_rad(&self) -> f64 {

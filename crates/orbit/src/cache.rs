@@ -5,15 +5,19 @@
 //! recomputes, per satellite per frame, the Greenwich-sidereal-angle
 //! sine/cosine for the ECI→ECEF rotation — values that depend only on
 //! the epoch, not the satellite. [`EpochGrid`] hoists that trig out of
-//! the loop (one pair per epoch, shared by the whole constellation) and
-//! [`EpochGrid::propagate`] batch-propagates one satellite over the grid,
-//! so the frame loop reads precomputed [`TrackState`]s instead of
-//! re-deriving orbit state.
+//! the loop (one pair per epoch, shared by the whole constellation).
+//! [`EpochGrid::propagate`] batch-propagates one satellite's full
+//! [`TrackState`]s over the grid; [`EpochGrid::ground_points`] yields
+//! only its subsatellite points, one propagation per epoch, and
+//! [`EpochGrid::fd_ground_point`] the finite-difference point a heading
+//! needs, for the frames that need one.
 //!
 //! Cached and direct propagation are **bit-identical**: the grid
 //! evaluates [`GroundTrack::gmst_at`] — the same function `state_at`
 //! uses — at the same epochs, and feeds the results through
-//! [`GroundTrack::state_at_with_trig`].
+//! [`GroundTrack::state_at_with_trig`] or
+//! [`GroundTrack::ground_point_with_trig`], the step `state_at_with_trig`
+//! itself takes at `t` and `t + FD_DT_S`.
 //!
 //! # Invalidation
 //!
@@ -24,6 +28,7 @@
 //! propagating again; there is deliberately no partial-update API.
 
 use crate::{GroundTrack, OrbitError, TrackState};
+use eagleeye_geo::GeodeticPoint;
 use eagleeye_obs::Metrics;
 
 /// The frame epochs of an evaluation horizon, exactly as the coverage
@@ -114,41 +119,90 @@ impl EpochGrid {
     ///
     /// Propagates propagation and geodetic conversion failures.
     pub fn propagate(&self, track: &GroundTrack) -> Result<Vec<TrackState>, OrbitError> {
-        self.propagate_observed(track, &Metrics::disabled())
-    }
-
-    /// [`EpochGrid::propagate`] with observability: counts propagation
-    /// calls and whether the memoized trig was shared (`orbit/trig_hits`)
-    /// or the track fell back to direct propagation
-    /// (`orbit/trig_misses`). Identical results either way.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EpochGrid::propagate`].
-    #[expect(
-        clippy::float_cmp,
-        reason = "the memoised trig reproduces direct propagation bit for bit only at the exact epoch it was built for"
-    )]
-    pub fn propagate_observed(
-        &self,
-        track: &GroundTrack,
-        metrics: &Metrics,
-    ) -> Result<Vec<TrackState>, OrbitError> {
-        if metrics.is_enabled() {
-            metrics.incr("orbit/grid_propagations");
-            metrics.add("orbit/propagation_calls", self.len() as u64);
-        }
-        if track.gmst_epoch_rad() == self.gmst_epoch_rad {
-            metrics.incr("orbit/trig_hits");
+        if self.shares_trig(track) {
             self.epochs
                 .iter()
                 .zip(&self.trig)
                 .map(|(&t, &(sc, sc_fd))| track.state_at_with_trig(t, sc, sc_fd))
                 .collect()
         } else {
-            metrics.incr("orbit/trig_misses");
             self.epochs.iter().map(|&t| track.state_at(t)).collect()
         }
+    }
+
+    /// The subsatellite point (altitude 0) of one track at every epoch:
+    /// one propagation per epoch, no heading. The memoized trig serves
+    /// a track that shares the grid's GMST epoch; any other track gets
+    /// direct trig, with the same results.
+    ///
+    /// Counts the grid pass (`orbit/grid_propagations`), its epochs
+    /// (`orbit/propagation_calls`) and whether the memoized trig was
+    /// shared (`orbit/trig_hits`) or not (`orbit/trig_misses`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates propagation and geodetic conversion failures.
+    pub fn ground_points(
+        &self,
+        track: &GroundTrack,
+        metrics: &Metrics,
+    ) -> Result<Vec<GeodeticPoint>, OrbitError> {
+        if metrics.is_enabled() {
+            metrics.incr("orbit/grid_propagations");
+            metrics.add("orbit/propagation_calls", self.len() as u64);
+        }
+        if self.shares_trig(track) {
+            metrics.incr("orbit/trig_hits");
+            self.epochs
+                .iter()
+                .zip(&self.trig)
+                .map(|(&t, &(sc, _))| track.ground_point_with_trig(t, sc))
+                .collect()
+        } else {
+            metrics.incr("orbit/trig_misses");
+            let theta0 = track.gmst_epoch_rad();
+            self.epochs
+                .iter()
+                .map(|&t| {
+                    track.ground_point_with_trig(t, GroundTrack::gmst_at(theta0, t).sin_cos())
+                })
+                .collect()
+        }
+    }
+
+    /// The subsatellite point (altitude 0) of `track` at epoch `k` plus
+    /// [`GroundTrack::FD_DT_S`]: the finite-difference point of
+    /// `state_at`'s heading, with the memoized trig when the track
+    /// shares the grid's GMST epoch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates propagation and geodetic conversion failures.
+    ///
+    /// # Panics
+    ///
+    /// When `k` is not an epoch index of the grid.
+    pub fn fd_ground_point(
+        &self,
+        track: &GroundTrack,
+        k: usize,
+    ) -> Result<GeodeticPoint, OrbitError> {
+        let t = self.epochs[k] + GroundTrack::FD_DT_S;
+        let sc = if self.shares_trig(track) {
+            self.trig[k].1
+        } else {
+            GroundTrack::gmst_at(track.gmst_epoch_rad(), t).sin_cos()
+        };
+        track.ground_point_with_trig(t, sc)
+    }
+
+    /// Whether the memoized trig is `track`'s own.
+    #[expect(
+        clippy::float_cmp,
+        reason = "the memoised trig reproduces direct propagation bit for bit only at the exact epoch it was built for"
+    )]
+    fn shares_trig(&self, track: &GroundTrack) -> bool {
+        track.gmst_epoch_rad() == self.gmst_epoch_rad
     }
 }
 
@@ -220,10 +274,13 @@ mod tests {
         let grid = EpochGrid::for_horizon(0.0, 600.0, 15.0);
         let shared = paper_track(0.0);
         let shifted = paper_track(0.0).with_gmst_epoch(0.7);
-        let a = grid.propagate_observed(&shared, &metrics).unwrap();
-        let b = grid.propagate_observed(&shifted, &metrics).unwrap();
-        assert_eq!(a, grid.propagate(&shared).unwrap());
-        assert_eq!(b, grid.propagate(&shifted).unwrap());
+        for track in [shared, shifted] {
+            let points = grid.ground_points(&track, &metrics).unwrap();
+            let states = grid.propagate(&track).unwrap();
+            for (point, state) in points.iter().zip(&states) {
+                assert_eq!(*point, state.subsatellite.with_altitude(0.0).unwrap());
+            }
+        }
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("orbit/trig_hits"), 1);
         assert_eq!(snap.counter("orbit/trig_misses"), 1);

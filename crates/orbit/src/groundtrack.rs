@@ -147,14 +147,12 @@ impl GroundTrack {
         gmst_sc: (f64, f64),
         gmst_fd_sc: (f64, f64),
     ) -> Result<TrackState, OrbitError> {
-        let eci = self.propagator.state_at(t_s)?;
-        let sub = Self::subsatellite_with_trig(eci.position, gmst_sc)?;
+        let (eci, sub) = self.fix_with_trig(t_s, gmst_sc)?;
 
         // Heading and ground speed from a small finite difference of the
         // subsatellite point (captures Earth-rotation coupling exactly).
         let dt = Self::FD_DT_S;
-        let eci2 = self.propagator.state_at(t_s + dt)?;
-        let sub2 = Self::subsatellite_with_trig(eci2.position, gmst_fd_sc)?;
+        let sub2 = self.ground_point_with_trig(t_s + dt, gmst_fd_sc)?;
         let heading_rad = greatcircle::initial_bearing_rad(&sub, &sub2);
         let ground_speed_m_s = greatcircle::distance_m(&sub, &sub2) / dt;
 
@@ -172,13 +170,36 @@ impl GroundTrack {
         })
     }
 
-    fn subsatellite_with_trig(
-        eci_pos: Vec3,
+    /// The subsatellite point at `t_s`, at altitude 0, with the
+    /// sidereal-angle sine/cosine at `t_s` supplied by the caller: one
+    /// propagation, no finite difference.
+    ///
+    /// [`GroundTrack::state_at_with_trig`] is this at `t_s` and at
+    /// `t_s + FD_DT_S`, so its `subsatellite` (at altitude 0) and its
+    /// heading come from exactly these points.
+    ///
+    /// # Errors
+    ///
+    /// Propagates propagation and geodetic conversion failures.
+    pub fn ground_point_with_trig(
+        &self,
+        t_s: f64,
         gmst_sc: (f64, f64),
     ) -> Result<GeodeticPoint, OrbitError> {
-        let ecef = Self::eci_to_ecef_with_trig(eci_pos, gmst_sc);
+        Ok(self.fix_with_trig(t_s, gmst_sc)?.1)
+    }
+
+    /// The inertial state at `t_s` and its subsatellite point at
+    /// altitude 0.
+    fn fix_with_trig(
+        &self,
+        t_s: f64,
+        gmst_sc: (f64, f64),
+    ) -> Result<(EciState, GeodeticPoint), OrbitError> {
+        let eci = self.propagator.state_at(t_s)?;
+        let ecef = Self::eci_to_ecef_with_trig(eci.position, gmst_sc);
         let geo = ecef.to_geodetic_spherical()?;
-        Ok(geo.with_altitude(0.0)?)
+        Ok((eci, geo.with_altitude(0.0)?))
     }
 
     /// Cylindrical-shadow sunlight test: the satellite is eclipsed when

@@ -1,4 +1,5 @@
-//! Differential oracle: `EpochGrid` batched propagation must be
+//! Differential oracle: `EpochGrid` batched propagation (full states,
+//! and ground points with their finite-difference heading) must be
 //! **bit-identical** to direct per-epoch
 //! `GroundTrack::state_at` calls, across random constellations, frame
 //! cadences, horizons, and GMST epochs — including the grid's
@@ -7,6 +8,9 @@
 //! scale with `EAGLEEYE_CHECK_CASES`).
 
 use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, vec_of, Gen};
+use eagleeye_geo::greatcircle::initial_bearing_rad;
+use eagleeye_geo::GeodeticPoint;
+use eagleeye_obs::Metrics;
 use eagleeye_orbit::{EpochGrid, GroundTrack, J2Propagator, TrackState};
 
 const CASES: u32 = 64;
@@ -17,6 +21,27 @@ fn propagate_all(tracks: &[GroundTrack], grid: &EpochGrid) -> Vec<Vec<TrackState
         .iter()
         .map(|track| grid.propagate(track).expect("grid propagates"))
         .collect()
+}
+
+/// Whether epoch `k`'s ground point, and the bearing from it to the
+/// grid's finite-difference point, are the subsatellite point (at
+/// altitude 0) and heading of direct `state_at`, bit for bit.
+fn matches_ground_points(
+    grid: &EpochGrid,
+    track: &GroundTrack,
+    k: usize,
+    point: &GeodeticPoint,
+) -> bool {
+    let direct = track
+        .state_at(grid.epochs()[k])
+        .expect("direct propagation");
+    let fd = grid.fd_ground_point(track, k).expect("fd propagation");
+    *point
+        == direct
+            .subsatellite
+            .with_altitude(0.0)
+            .expect("ground point")
+        && initial_bearing_rad(point, &fd).to_bits() == direct.heading_rad.to_bits()
 }
 
 fn tracks_gen() -> impl Gen<Value = Vec<GroundTrack>> {
@@ -51,11 +76,15 @@ fn cache_matches_direct_propagation_bitwise() {
             prop_assert!(!grid.is_empty(), "horizon {duration_s} produced no epochs");
             for (i, track) in tracks.iter().enumerate() {
                 let row = grid.propagate(track).expect("grid propagates");
+                let points = grid
+                    .ground_points(track, &Metrics::disabled())
+                    .expect("grid propagates");
                 prop_assert_eq!(row.len(), grid.len());
+                prop_assert_eq!(points.len(), grid.len());
                 for (k, &t) in grid.epochs().iter().enumerate() {
                     let direct = track.state_at(t).expect("direct propagation");
                     prop_assert!(
-                        row[k] == direct,
+                        row[k] == direct && matches_ground_points(&grid, track, k, &points[k]),
                         "sat {} frame {} (t={}) diverges from direct propagation",
                         i,
                         k,
@@ -92,10 +121,13 @@ fn gmst_mismatch_fallback_matches_direct_propagation() {
             let grid = EpochGrid::for_horizon(0.0, duration_s, cadence_s);
             prop_assert!(track.gmst_epoch_rad() != grid.gmst_epoch_rad());
             let row = grid.propagate(&track).expect("fallback propagation");
+            let points = grid
+                .ground_points(&track, &Metrics::disabled())
+                .expect("fallback propagation");
             for (k, &t) in grid.epochs().iter().enumerate() {
                 let direct = track.state_at(t).expect("direct propagation");
                 prop_assert!(
-                    row[k] == direct,
+                    row[k] == direct && matches_ground_points(&grid, &track, k, &points[k]),
                     "fallback frame {} (t={}) diverges from direct propagation",
                     k,
                     t

@@ -2,9 +2,9 @@
 //! `eagleeye-check` harness (replay with `EAGLEEYE_CHECK_SEED`, scale
 //! with `EAGLEEYE_CHECK_CASES`).
 
-use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assume};
+use eagleeye_check::{check_cases, f64_range, prop_assert, prop_assert_eq, prop_assume};
 use eagleeye_geo::earth::{MEAN_RADIUS_M, MU_M3_S2};
-use eagleeye_geo::Vec3;
+use eagleeye_geo::{greatcircle, Vec3};
 use eagleeye_orbit::{EciState, GroundTrack, J2Propagator, KeplerianElements};
 
 const CASES: u32 = 64;
@@ -131,6 +131,60 @@ fn phase_separation_is_preserved() {
                 (angle - delta).abs() < 2e-3,
                 "separation {angle} vs {delta}"
             );
+            Ok(())
+        },
+    );
+}
+
+/// `state_at_with_trig` is the ground point at `t` and at
+/// `t + FD_DT_S` plus what it adds: its subsatellite latitude and
+/// longitude bits are those of `ground_point_with_trig` at `t`, and its
+/// heading bits are the bearing between the two ground points, across
+/// orbits, times and GMST epochs.
+#[test]
+fn track_state_is_built_from_two_ground_points() {
+    check_cases(
+        CASES,
+        "track_state_is_built_from_two_ground_points",
+        (
+            f64_range(350.0, 1_500.0),
+            f64_range(20.0, 160.0),
+            (
+                f64_range(0.0, std::f64::consts::TAU),
+                f64_range(0.0, std::f64::consts::TAU),
+            ),
+            f64_range(-1.0, std::f64::consts::TAU + 1.0),
+            f64_range(0.0, 86_400.0),
+        ),
+        |&(alt_km, incl_deg, (raan, phase), gmst0, t)| {
+            let track = GroundTrack::new(
+                J2Propagator::circular(alt_km * 1000.0, incl_deg.to_radians(), raan, phase)
+                    .expect("valid"),
+            )
+            .with_gmst_epoch(gmst0);
+            let theta0 = track.gmst_epoch_rad();
+            let fd_t = t + GroundTrack::FD_DT_S;
+            let sc = GroundTrack::gmst_at(theta0, t).sin_cos();
+            let sc_fd = GroundTrack::gmst_at(theta0, fd_t).sin_cos();
+            let state = track.state_at_with_trig(t, sc, sc_fd).expect("propagates");
+            let sub = track.ground_point_with_trig(t, sc).expect("propagates");
+            let sub2 = track
+                .ground_point_with_trig(fd_t, sc_fd)
+                .expect("propagates");
+            prop_assert_eq!(
+                state.subsatellite.lat_rad().to_bits(),
+                sub.lat_rad().to_bits()
+            );
+            prop_assert_eq!(
+                state.subsatellite.lon_rad().to_bits(),
+                sub.lon_rad().to_bits()
+            );
+            prop_assert_eq!(
+                state.heading_rad.to_bits(),
+                greatcircle::initial_bearing_rad(&sub, &sub2).to_bits()
+            );
+            prop_assert!(state.subsatellite.with_altitude(0.0).expect("ground point") == sub);
+            prop_assert!(state == track.state_at(t).expect("propagates"));
             Ok(())
         },
     );
