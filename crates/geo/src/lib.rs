@@ -53,10 +53,15 @@ pub use vec3::Vec3;
 
 /// Normalizes an angle in radians into the half-open interval `[0, 2π)`.
 ///
+/// A negative remainder smaller in magnitude than half an ulp of `2π`
+/// (about `-4.4e-16 < r < 0`) rounds to exactly `2π` when shifted up;
+/// it folds to `0.0`, the angle it is closest to inside the interval.
+///
 /// ```
 /// use std::f64::consts::PI;
 /// let a = eagleeye_geo::wrap_two_pi(-PI / 2.0);
 /// assert!((a - 1.5 * PI).abs() < 1e-12);
+/// assert_eq!(eagleeye_geo::wrap_two_pi(-1e-20), 0.0);
 /// ```
 #[inline]
 pub fn wrap_two_pi(rad: f64) -> f64 {
@@ -64,6 +69,9 @@ pub fn wrap_two_pi(rad: f64) -> f64 {
     let mut a = rad % two_pi;
     if a < 0.0 {
         a += two_pi;
+        if a >= two_pi {
+            a = 0.0;
+        }
     }
     a
 }
@@ -93,6 +101,16 @@ mod tests {
         for &a in &[0.0, 0.1, 3.0, 6.2] {
             assert!((wrap_two_pi(a) - a).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    #[expect(clippy::float_cmp, reason = "the folded result is exactly 0.0")]
+    fn wrap_two_pi_folds_a_rounded_up_remainder_to_zero() {
+        for &a in &[-1e-20, -1e-300, -f64::MIN_POSITIVE, -4.0e-16] {
+            assert_eq!(wrap_two_pi(a), 0.0, "wrap_two_pi({a:e})");
+        }
+        let below = -std::f64::consts::TAU * 3.0 - 1e-20;
+        assert!(wrap_two_pi(below) < std::f64::consts::TAU);
     }
 
     #[test]

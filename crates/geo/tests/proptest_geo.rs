@@ -167,3 +167,57 @@ fn regression_grid_index_antimeridian_cell() {
     )
     .expect("regression case must pass");
 }
+
+/// `wrap_two_pi` lands in `[0, 2π)` and `wrap_pi` in `(-π, π]` for tiny
+/// negatives (which once wrapped to exactly `2π`), `±0.0`, multiples of
+/// `±2π` and their neighbours, and random angles; both are idempotent
+/// on their own outputs, bit for bit. `wrap_pi`'s idempotence is what
+/// lets a compiled track anchor its frame at the ground point without
+/// the `with_altitude` round trip the full track state takes.
+#[test]
+fn wrap_stays_in_range_and_is_idempotent() {
+    use eagleeye_check::usize_range;
+    use eagleeye_geo::{wrap_pi, wrap_two_pi};
+    use std::f64::consts::{PI, TAU};
+    check_cases(
+        512,
+        "wrap_stays_in_range_and_is_idempotent",
+        (
+            usize_range(0, 4),
+            f64_range(-320.0, -15.36),
+            f64_range(-1_000.0, 1_000.0),
+            usize_range(0, 3),
+        ),
+        |&(kind, exponent, angle, nudge)| {
+            let x = match kind {
+                // Tiny negatives: 10^exponent below zero, down to
+                // subnormals.
+                0 => -(10f64.powf(exponent)),
+                1 => {
+                    if nudge == 0 {
+                        -0.0
+                    } else {
+                        0.0
+                    }
+                }
+                // A multiple of ±2π, or its neighbour on either side.
+                2 => {
+                    let k = (angle / 10.0).round() * TAU;
+                    match nudge {
+                        0 => k,
+                        1 => f64::from_bits(k.to_bits() + 1),
+                        _ => f64::from_bits(k.to_bits().saturating_sub(1)),
+                    }
+                }
+                _ => angle,
+            };
+            let a = wrap_two_pi(x);
+            prop_assert!((0.0..TAU).contains(&a), "wrap_two_pi({:e}) = {:e}", x, a);
+            prop_assert_eq!(wrap_two_pi(a).to_bits(), a.to_bits());
+            let p = wrap_pi(x);
+            prop_assert!(p > -PI && p <= PI, "wrap_pi({:e}) = {:e}", x, p);
+            prop_assert_eq!(wrap_pi(p).to_bits(), p.to_bits());
+            Ok(())
+        },
+    );
+}
