@@ -204,18 +204,18 @@ impl CompiledTrack {
     /// projected `(x, y)`, appended to the frame-major table. Returns
     /// the track and the wall time of its propagation pass.
     ///
-    /// Two passes. The first propagates the subsatellite point of every
-    /// epoch ([`EpochGrid::ground_points`], which records the `orbit/*`
-    /// counters into `metrics`). The second sweeps membership; only a
-    /// frame whose membership query returns candidates propagates its
-    /// finite-difference point ([`EpochGrid::fd_ground_point`]) for the
-    /// heading, builds its [`LocalFrame`] and projects. Origin and
-    /// heading are bit-equal to those of the frame's
-    /// [`TrackState`](eagleeye_orbit::TrackState): `state_at_with_trig`
-    /// builds its subsatellite point and heading from the same two
-    /// ground points, and the altitude round trip
-    /// `with_altitude(alt).with_altitude(0.0)` it used to take leaves a
-    /// point's bits unchanged (`wrap_pi` is idempotent on its outputs).
+    /// Two passes. The first propagates every epoch's subsatellite point
+    /// ([`EpochGrid::ground_points`], which records the `orbit/*`
+    /// counters into `metrics`); the returned time is this pass's. The
+    /// second sweeps membership: only a frame whose query returns
+    /// candidates propagates its finite-difference point
+    /// ([`EpochGrid::fd_ground_point`]), takes the heading and builds
+    /// its [`LocalFrame`]. That frame is bit-equal to
+    /// `LocalFrame::new(state.subsatellite.with_altitude(0.0),
+    /// state.heading_rad)` of the epoch's full
+    /// [`TrackState`](eagleeye_orbit::TrackState): both come from the
+    /// same two ground points, and re-wrapping a longitude moves no bits
+    /// (`wrap_pi` is idempotent on its outputs).
     ///
     /// Bit-identical to the legacy per-frame walk by construction: the
     /// members come from the same [`BucketView`] the legacy

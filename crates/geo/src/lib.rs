@@ -69,9 +69,12 @@ pub fn wrap_two_pi(rad: f64) -> f64 {
     let mut a = rad % two_pi;
     if a < 0.0 {
         a += two_pi;
-        if a >= two_pi {
-            a = 0.0;
-        }
+    }
+    // Only a shifted remainder can reach 2π. The test stays outside the
+    // branch above so both compile to selects: nested, it became a jump
+    // on the angle's sign and ran about twice as slow on random angles.
+    if a >= two_pi {
+        a = 0.0;
     }
     a
 }
