@@ -694,9 +694,9 @@ impl<'a> CoverageEvaluator<'a> {
     /// Pass `i`'s compiled track, pooled under `digest`, compiling it
     /// on first use: ground-point propagation plus the membership sweep
     /// of the scenario's frame box over every frame, as one range
-    /// (DESIGN.md §13.3). Propagation counters are recorded into `metrics` and
-    /// propagation wall time into `report`; a pooled track records
-    /// neither (the work did not happen).
+    /// (DESIGN.md §13.3). Propagation counters are recorded into
+    /// `metrics` and propagation wall time into `report`; a pooled track
+    /// records neither (the work did not happen).
     fn track(
         &self,
         sc: &Scenario,
