@@ -14,7 +14,8 @@ use eagleeye_core::schedule::{
     TaskSpec,
 };
 use eagleeye_core::SensingSpec;
-use std::time::{Duration, Instant};
+use eagleeye_obs::Stopwatch;
+use std::time::Duration;
 
 fn synthetic_frame(n: usize, seed: u64) -> SchedulingProblem {
     let tasks: Vec<TaskSpec> = (0..n)
@@ -41,13 +42,9 @@ const RUNS: usize = 3;
 fn time_scheduler(s: &dyn Scheduler, p: &SchedulingProblem, runs: usize) -> (f64, usize) {
     (0..runs)
         .map(|_| {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "this binary reports wall-clock latency; the timed result is deterministic"
-            )]
-            let start = Instant::now();
+            let sw = Stopwatch::start();
             let schedule = s.schedule(p).expect("scheduler run");
-            (start.elapsed().as_secs_f64(), schedule.captured_count())
+            (sw.elapsed().as_secs_f64(), schedule.captured_count())
         })
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one run")

@@ -8,7 +8,7 @@
 use eagleeye_bench::{print_csv, BenchCli};
 use eagleeye_core::clustering::{cluster, ClusteringMethod};
 use eagleeye_core::pointing::GroundPoint;
-use std::time::Instant;
+use eagleeye_obs::Stopwatch;
 
 /// A deterministic layout of `n` targets over a 100 x 110 km frame.
 fn frame_points(n: usize) -> Vec<(GroundPoint, f64)> {
@@ -30,13 +30,9 @@ const RUNS: usize = 10;
 fn time_cover(pts: &[(GroundPoint, f64)], method: ClusteringMethod) -> (f64, usize) {
     (0..RUNS)
         .map(|_| {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "this binary reports wall-clock latency; the timed result is deterministic"
-            )]
-            let start = Instant::now();
+            let sw = Stopwatch::start();
             let clusters = cluster(pts, 10_000.0, 10_000.0, method).expect("cover");
-            (start.elapsed().as_secs_f64(), clusters.len())
+            (sw.elapsed().as_secs_f64(), clusters.len())
         })
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .expect("at least one run")

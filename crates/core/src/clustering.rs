@@ -134,16 +134,16 @@ pub fn cluster(
         }
         ClusteringMethod::Ilp => {
             let candidates = candidates(points, box_w_m, box_h_m);
-            // Resource exhaustion inside the solver (iteration cap on a
-            // degenerate instance, deadline) degrades to the greedy
-            // heuristic rather than failing the frame.
+            // Resource exhaustion inside the solver (a deadline with no
+            // incumbent, the iteration cap on a degenerate instance)
+            // degrades to the greedy heuristic rather than failing the
+            // frame.
             let chosen = match ilp_cover(points.len(), &candidates) {
                 Ok(Some(chosen)) => chosen,
                 Ok(None)
-                | Err(CoreError::Solver(
-                    eagleeye_ilp::IlpError::IterationLimit { .. }
-                    | eagleeye_ilp::IlpError::Deadline,
-                )) => greedy_cover(points.len(), &candidates),
+                | Err(CoreError::Solver(eagleeye_ilp::IlpError::IterationLimit { .. })) => {
+                    greedy_cover(points.len(), &candidates)
+                }
                 Err(e) => return Err(e),
             };
             Ok(assemble(points, &candidates, chosen))
@@ -513,10 +513,9 @@ mod tests {
         let candidates = candidates(points, w, h);
         let chosen = match ilp_cover_reference(points.len(), &candidates) {
             Ok(Some(chosen)) => chosen,
-            Ok(None)
-            | Err(CoreError::Solver(
-                eagleeye_ilp::IlpError::IterationLimit { .. } | eagleeye_ilp::IlpError::Deadline,
-            )) => greedy_cover(points.len(), &candidates),
+            Ok(None) | Err(CoreError::Solver(eagleeye_ilp::IlpError::IterationLimit { .. })) => {
+                greedy_cover(points.len(), &candidates)
+            }
             Err(e) => panic!("reference cover failed: {e}"),
         };
         assemble(points, &candidates, chosen)

@@ -1,7 +1,8 @@
 use super::problem::{uncaptured, Cursor};
 use super::{Capture, Schedule, Scheduler, SchedulingProblem};
 use crate::CoreError;
-use std::time::{Duration, Instant};
+use eagleeye_harden::Deadline;
+use std::time::Duration;
 
 /// Reimplementation of the prior-work **anytime branch-and-bound**
 /// scheduler (AB&B, Chu et al. 2017 — the paper's §2.3/§4.3 baseline).
@@ -36,7 +37,8 @@ pub struct AbbScheduler {
 }
 
 impl AbbScheduler {
-    /// Creates an AB&B scheduler with the given anytime deadline.
+    /// Creates an AB&B scheduler with the given anytime deadline; one
+    /// too long to represent as an instant means no deadline.
     pub fn new(deadline: Duration) -> Self {
         AbbScheduler { deadline }
     }
@@ -49,16 +51,16 @@ impl Default for AbbScheduler {
     }
 }
 
-/// DFS nodes expanded between deadline checks. Querying the monotonic
-/// clock at every node costs a syscall-ish `Instant::now()` in the
-/// hottest loop of the search; at well under a microsecond per node, a
+/// DFS nodes expanded between deadline checks. Reading the monotonic
+/// clock at every node puts a syscall-ish read in the hottest loop of
+/// the search; at well under a microsecond per node, a
 /// stride of 256 bounds deadline overshoot to a fraction of a
 /// millisecond while removing ~99.6 % of the clock reads.
 const DEADLINE_CHECK_STRIDE: u32 = 256;
 
 struct SearchCtx<'a> {
     problem: &'a SchedulingProblem,
-    deadline: Instant,
+    deadline: Deadline,
     best_value: f64,
     best: Vec<Vec<Capture>>,
     timed_out: bool,
@@ -77,11 +79,7 @@ impl SearchCtx<'_> {
         self.nodes_since_check += 1;
         if self.nodes_since_check >= DEADLINE_CHECK_STRIDE {
             self.nodes_since_check = 0;
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "deadline enforcement is wall-clock by design; deadline runs are excluded from the determinism goldens"
-            )]
-            if Instant::now() >= self.deadline {
+            if self.deadline.expired() {
                 self.timed_out = true;
                 return;
             }
@@ -136,13 +134,9 @@ impl Scheduler for AbbScheduler {
             return Ok(schedule);
         }
 
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "anchoring the wall-clock deadline is the scheduler's time-budget contract"
-        )]
         let mut ctx = SearchCtx {
             problem,
-            deadline: Instant::now() + self.deadline,
+            deadline: Deadline::after(self.deadline),
             best_value: 0.0,
             best: vec![Vec::new(); n_followers],
             timed_out: false,
@@ -224,6 +218,16 @@ mod tests {
             .unwrap();
         assert!(sw.elapsed() < Duration::from_secs(2));
         s.validate(&p).unwrap();
+    }
+
+    /// A deadline too long to represent as an instant means no
+    /// deadline: the search returns the default deadline's schedule.
+    #[test]
+    fn unrepresentable_deadline_schedules_as_the_default() {
+        let p = problem(spread_tasks(6), vec![FollowerState::at_start(-100_000.0)]);
+        let s = AbbScheduler::new(Duration::MAX).schedule(&p).unwrap();
+        assert!(s.captured_count() > 0);
+        assert_eq!(s, AbbScheduler::default().schedule(&p).unwrap());
     }
 
     #[test]

@@ -233,10 +233,6 @@ impl IlpScheduler {
                 stats.iteration_limit_hits += 1;
                 return Ok(followers.iter().map(|&f| (f, Vec::new())).collect());
             }
-            Err(eagleeye_ilp::IlpError::Deadline) => {
-                stats.deadline_hits += 1;
-                return Ok(followers.iter().map(|&f| (f, Vec::new())).collect());
-            }
             Err(e) => return Err(e.into()),
         };
         let solver = *sol.stats();
@@ -247,9 +243,9 @@ impl IlpScheduler {
         stats.incumbent_updates += solver.incumbent_updates;
         stats.warm_starts += solver.warm_starts;
         stats.warm_rejects += solver.warm_rejects;
-        // Branch-and-bound converts an expired deadline into a limit
-        // status (`Feasible` with the incumbent, `Unknown` without one)
-        // rather than an error; count those as deadline hits too.
+        // Branch-and-bound reports an expired deadline as a limit status
+        // (`Feasible` with the incumbent, `Unknown` without one), never
+        // as an error; count those as deadline hits.
         if matches!(sol.status(), SolveStatus::Feasible | SolveStatus::Unknown) {
             stats.deadline_hits += 1;
         }
@@ -966,6 +962,26 @@ mod tests {
         .unwrap();
         s.validate(&p).unwrap();
         assert!(s.captured_count() > 10);
+    }
+
+    /// A time limit too long to represent as an instant means no limit:
+    /// the schedule and the solver effort are the default limit's.
+    #[test]
+    fn unrepresentable_time_limit_schedules_as_the_default() {
+        let tasks: Vec<TaskSpec> = (0..6)
+            .map(|i| TaskSpec::new(0.0, 30_000.0 + i as f64 * 20_000.0, 1.0))
+            .collect();
+        let p = problem(tasks, vec![FollowerState::at_start(-100_000.0)]);
+        let unlimited = IlpScheduler {
+            time_limit: Duration::MAX,
+            ..IlpScheduler::default()
+        };
+        let got = unlimited.schedule_with_stats(&p).unwrap();
+        assert_eq!(got.1.subproblems, 1);
+        assert_eq!(
+            got,
+            IlpScheduler::default().schedule_with_stats(&p).unwrap()
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! Deadline budget for long runs.
+//! Deadline budget for long runs and for single solves.
 //!
-//! A [`Deadline`] is a wall-clock budget for a whole run. The solvers'
-//! inner loops do not use this module: `abb` and `simplex` stride-poll
-//! their own deadlines (checking `Instant::now()` every N iterations so
-//! the clock read never dominates the loop).
+//! A [`Deadline`] is every wall-clock limit in the workspace: a whole
+//! run's budget, an ILP solve's time limit and the AB&B scheduler's
+//! anytime deadline. With `eagleeye_obs::Stopwatch`, which measures
+//! intervals, it is one of the two types that read the clock
+//! (DESIGN.md §11.1). The solvers' inner loops stride-poll
+//! [`Deadline::expired`] every N iterations so the clock read never
+//! dominates the loop.
 //!
 //! A [`Deadline`] is *anytime* by contract: blowing it never aborts a
 //! run. The supervised runner (`eagleeye_exec::run_items`) stops
 //! dispatching new work, keeps the partials that finished, and marks
-//! the result degraded (DESIGN.md §12). A run with no deadline performs
-//! no clock reads at all and is bit-deterministic.
+//! the result degraded (DESIGN.md §12); a solver returns its best
+//! incumbent so far. A run with no deadline performs no clock reads at
+//! all and is bit-deterministic.
 
 use std::time::{Duration, Instant};
 

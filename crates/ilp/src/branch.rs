@@ -3,8 +3,8 @@
 use crate::model::{Model, Solution, SolveStatus, VarKind};
 use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
-use eagleeye_harden::crash_point;
-use std::time::{Duration, Instant};
+use eagleeye_harden::{crash_point, Deadline};
+use std::time::Duration;
 
 /// Absolute tolerance for considering an LP value integral.
 const INTEGRALITY_TOL: f64 = 1e-6;
@@ -15,9 +15,10 @@ const ABSOLUTE_GAP: f64 = 1e-9;
 /// Options controlling a MILP solve.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SolveOptions {
-    /// Wall-clock limit; `None` means unlimited. When the limit is hit
-    /// the best incumbent is returned with [`SolveStatus::Feasible`]
-    /// (or [`SolveStatus::Unknown`] if none was found).
+    /// Wall-clock limit; `None` means unlimited, as does a limit too
+    /// long to represent as an instant. When the limit is hit the best
+    /// incumbent is returned with [`SolveStatus::Feasible`] (or
+    /// [`SolveStatus::Unknown`] if none was found).
     pub time_limit: Option<Duration>,
     /// Maximum branch-and-bound nodes to explore; `None` means unlimited.
     pub node_limit: Option<usize>,
@@ -33,8 +34,9 @@ impl SolveOptions {
     }
 }
 
-/// Statistics accumulated during a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Statistics accumulated during a solve. Every field counts search
+/// effort, so two solves of one model report equal statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolveStats {
     /// Branch-and-bound nodes whose LP relaxation was solved.
     pub nodes_explored: usize,
@@ -58,11 +60,6 @@ pub struct SolveStats {
     /// cold solve. Counted on feasible nodes, where the outcome of the
     /// attempt is observable.
     pub warm_rejects: usize,
-    /// Wall-clock time from solve start until the first incumbent was
-    /// found; `None` when the search ended with no feasible solution.
-    pub time_to_first_incumbent: Option<Duration>,
-    /// Wall-clock time of the solve.
-    pub elapsed: Duration,
 }
 
 /// An open node of the running search: its overrides are
@@ -110,6 +107,10 @@ impl Model {
     /// rebuilds the same tableau bit for bit and is not counted in
     /// [`SolveStats`].
     ///
+    /// A time limit becomes one [`Deadline`] at entry, checked between
+    /// nodes and polled inside the root's cold LP; a solve without one
+    /// reads no clock.
+    ///
     /// # Errors
     ///
     /// * [`IlpError::Unbounded`] when the relaxation is unbounded.
@@ -118,12 +119,7 @@ impl Model {
     /// Infeasibility and resource limits are **not** errors; they are
     /// reported through [`Solution::status`].
     pub fn solve(&self, options: &SolveOptions) -> Result<Solution, IlpError> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "anchors the optional B&B wall-clock deadline; deterministic whenever no deadline is set"
-        )]
-        let start = Instant::now();
-        let deadline = options.time_limit.map(|tl| start + tl);
+        let deadline = options.time_limit.map_or(Deadline::none(), Deadline::after);
         let mut stats = SolveStats::default();
         let mut incumbent: Option<(f64, Vec<f64>)> = None;
         let mut bounds: Vec<(usize, f64, f64)> = Vec::new();
@@ -136,7 +132,7 @@ impl Model {
         let mut limit_hit = false;
 
         while let Some(node) = stack.pop() {
-            if options.time_limit.is_some_and(|tl| start.elapsed() >= tl)
+            if deadline.expired()
                 || options
                     .node_limit
                     .is_some_and(|nl| stats.nodes_explored >= nl)
@@ -170,11 +166,11 @@ impl Model {
                 Basis::Inherited(tableau) => (true, Some(tableau)),
                 Basis::Rederived => {
                     let parent = &overrides[..overrides.len() - 1];
-                    let rebuilt = self.solve_relaxation(parent, None, None)?;
+                    let rebuilt = self.solve_relaxation(parent, Deadline::none(), None)?;
                     (true, rebuilt.map(|lp| lp.tableau))
                 }
             };
-            let lp_deadline = if warm { None } else { deadline };
+            let lp_deadline = if warm { Deadline::none() } else { deadline };
             let relaxed = match self.solve_relaxation(overrides, lp_deadline, inherited) {
                 Ok(r) => r,
                 // A node abandoned mid-LP does not count as explored.
@@ -221,9 +217,6 @@ impl Model {
                     };
                     if better {
                         stats.incumbent_updates += 1;
-                        if stats.time_to_first_incumbent.is_none() {
-                            stats.time_to_first_incumbent = Some(start.elapsed());
-                        }
                         match &mut incumbent {
                             Some((best, best_values)) => {
                                 *best = obj;
@@ -273,7 +266,6 @@ impl Model {
             }
         }
 
-        stats.elapsed = start.elapsed();
         Ok(self.finish(incumbent, limit_hit, stats))
     }
 
@@ -368,7 +360,9 @@ mod tests {
             }
             rederived += usize::from(cold_sibling);
             let warm = inherited.is_some();
-            let relaxed = m.solve_relaxation(&overrides, None, inherited).unwrap();
+            let relaxed = m
+                .solve_relaxation(&overrides, Deadline::none(), inherited)
+                .unwrap();
             stats.nodes_explored += 1;
             let Some(lp) = relaxed else {
                 continue;
@@ -581,7 +575,7 @@ mod tests {
                 prop_assert_eq!(got.objective.to_bits(), want.objective.to_bits());
                 let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 prop_assert_eq!(bits(&got), bits(&want));
-                prop_assert_eq!(det_stats(got.stats()), det_stats(want.stats()));
+                prop_assert_eq!(got.stats(), want.stats());
                 let mut cases = rederived_cases.get();
                 cases[kind] += usize::from(rederived > 0);
                 rederived_cases.set(cases);
@@ -696,6 +690,20 @@ mod tests {
         ));
     }
 
+    /// A limit too long to represent as an instant means no limit: the
+    /// solve runs to the unlimited solve's optimum, effort included.
+    #[test]
+    fn unrepresentable_time_limit_solves_to_optimal() {
+        let values = [41.0, 50.0, 49.0, 59.0, 45.0, 47.0];
+        let weights = [31.0, 37.0, 38.0, 46.0, 35.0, 40.0];
+        let (m, _) = knapsack(&values, &weights, 100.0);
+        let sol = m
+            .solve(&SolveOptions::with_time_limit(Duration::MAX))
+            .unwrap();
+        assert_eq!(sol.status(), SolveStatus::Optimal);
+        assert_eq!(sol, m.solve(&SolveOptions::default()).unwrap());
+    }
+
     #[test]
     fn general_integer_variables() {
         // max 2x + 3y, 4x + 5y <= 17, x,y integer >= 0 => x=3,y=1 (9) or
@@ -735,23 +743,8 @@ mod tests {
         assert!(stats.nodes_explored >= 1);
         assert!(stats.lp_pivots <= stats.lp_iterations);
         // This knapsack has a feasible optimum, so the incumbent was
-        // set at least once and its discovery time was stamped.
+        // set at least once.
         assert!(stats.incumbent_updates >= 1);
-        assert!(stats.time_to_first_incumbent.is_some());
-        assert!(stats.time_to_first_incumbent.unwrap() <= stats.elapsed);
-    }
-
-    /// Deterministic stats: everything except the wall-clock fields.
-    fn det_stats(s: &SolveStats) -> (usize, usize, usize, usize, usize, usize, usize) {
-        (
-            s.nodes_explored,
-            s.lp_iterations,
-            s.lp_pivots,
-            s.nodes_pruned,
-            s.incumbent_updates,
-            s.warm_starts,
-            s.warm_rejects,
-        )
     }
 
     #[test]
@@ -764,7 +757,7 @@ mod tests {
         let (m, _) = knapsack(&values, &weights, 100.0);
         let a = m.solve(&SolveOptions::default()).unwrap();
         let b = m.solve(&SolveOptions::default()).unwrap();
-        assert_eq!(det_stats(a.stats()), det_stats(b.stats()));
+        assert_eq!(a.stats(), b.stats());
         let stats = a.stats();
         assert!(stats.nodes_explored > 10);
         assert!(
@@ -785,6 +778,5 @@ mod tests {
         let sol = m.solve(&SolveOptions::default()).unwrap();
         assert_eq!(sol.status(), SolveStatus::Infeasible);
         assert_eq!(sol.stats().incumbent_updates, 0);
-        assert_eq!(sol.stats().time_to_first_incumbent, None);
     }
 }

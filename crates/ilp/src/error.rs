@@ -38,8 +38,11 @@ pub enum IlpError {
         /// The limit that was hit.
         limit: usize,
     },
-    /// The solver's wall-clock deadline expired mid-LP. Branch-and-bound
-    /// converts this into a limit status rather than surfacing it.
+    /// The solve's [`SolveOptions::time_limit`](crate::SolveOptions::time_limit)
+    /// expired mid-LP. [`Model::solve`](crate::Model::solve) never
+    /// returns it: the search reports its limit through
+    /// [`SolveStatus`](crate::SolveStatus) (`Feasible` or `Unknown`)
+    /// instead.
     Deadline,
 }
 

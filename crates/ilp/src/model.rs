@@ -1,6 +1,7 @@
 use crate::branch::SolveStats;
 use crate::simplex::{LpSolution, Tableau};
 use crate::IlpError;
+use eagleeye_harden::Deadline;
 use std::fmt;
 
 /// Handle to a variable in a [`Model`].
@@ -325,7 +326,7 @@ impl Model {
     pub(crate) fn solve_relaxation(
         &self,
         bound_overrides: &[(usize, f64, f64)],
-        deadline: Option<std::time::Instant>,
+        deadline: Deadline,
         inherited: Option<Tableau>,
     ) -> Result<Option<LpSolution>, IlpError> {
         let warm = match inherited.filter(|t| t.n_struct() == self.vars.len()) {
@@ -711,7 +712,7 @@ mod tests {
         };
         let s = match warm {
             Some(s) => s,
-            None => match Tableau::new(model, |j| (lower[j], upper[j]))?.solve(None)? {
+            None => match Tableau::new(model, |j| (lower[j], upper[j]))?.solve(Deadline::none())? {
                 Some(s) => s,
                 None => return Ok(None),
             },
@@ -812,7 +813,7 @@ mod tests {
                 s.warmed,
             )
         };
-        let Some(root) = model.solve_relaxation(&[], None, None).unwrap() else {
+        let Some(root) = model.solve_relaxation(&[], Deadline::none(), None).unwrap() else {
             return Ok(());
         };
         let mut stack = vec![(Vec::new(), root)];
@@ -840,7 +841,7 @@ mod tests {
                 let mut child = overrides.clone();
                 child.push(bound);
                 let inherited = parent.tableau.clone();
-                let got = model.solve_relaxation(&child, None, Some(inherited.clone()));
+                let got = model.solve_relaxation(&child, Deadline::none(), Some(inherited.clone()));
                 let want = relax_rebuild(model, &child, Some(inherited));
                 let mut count = seen.get();
                 count.children += 1;

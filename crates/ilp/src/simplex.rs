@@ -28,7 +28,7 @@
 
 use crate::model::{shifted_upper, Model, Sense};
 use crate::IlpError;
-use std::time::Instant;
+use eagleeye_harden::Deadline;
 
 /// An optimal LP solution. A solve returns `None` in its place when no
 /// feasible point exists.
@@ -68,9 +68,9 @@ const PIVOT_TOL: f64 = 1e-9;
 const FEAS_TOL: f64 = 1e-7;
 /// Consecutive non-improving iterations before switching to Bland's rule.
 const STALL_LIMIT: usize = 64;
-/// Pivot iterations between deadline checks. `Instant::now()` in the
-/// pivot loop is pure overhead at this granularity; checking every
-/// 128 iterations keeps overshoot well under a millisecond.
+/// Pivot iterations between deadline checks. A clock read per pivot is
+/// pure overhead at this granularity; checking every 128 iterations
+/// keeps overshoot well under a millisecond.
 const DEADLINE_CHECK_STRIDE: usize = 128;
 
 /// `model`'s rows with every column `j` shifted by `lower(j)`, each
@@ -377,12 +377,9 @@ impl Tableau {
     /// * [`IlpError::Unbounded`] when the objective is unbounded below.
     /// * [`IlpError::IterationLimit`] if the iteration cap is exceeded
     ///   (indicates numerical trouble; the cap scales with problem size).
-    /// * [`IlpError::Deadline`] if the wall clock passes `deadline`
-    ///   mid-solve (checked every few hundred iterations).
-    pub(crate) fn solve(
-        mut self,
-        deadline: Option<Instant>,
-    ) -> Result<Option<LpSolution>, IlpError> {
+    /// * [`IlpError::Deadline`] if `deadline` expires mid-solve (polled
+    ///   every [`DEADLINE_CHECK_STRIDE`] iterations).
+    pub(crate) fn solve(mut self, deadline: Deadline) -> Result<Option<LpSolution>, IlpError> {
         let mut v = self.view();
         // Phase 1: minimize the sum of artificials.
         if v.art_start < v.n_cols {
@@ -480,7 +477,7 @@ impl Tableau {
         if !v.dual_restore() {
             return None;
         }
-        let obj = v.run_phase(/*phase_one=*/ false, None);
+        let obj = v.run_phase(/*phase_one=*/ false, Deadline::none());
         Some(obj.map(|obj| self.extract(obj, true)))
     }
 }
@@ -747,7 +744,7 @@ impl View<'_> {
     /// Runs simplex iterations for one phase (phase 1 minimizes the sum
     /// of artificials; phase 2 the real cost, artificials banned).
     /// Returns the phase objective value at optimality.
-    fn run_phase(&mut self, phase_one: bool, deadline: Option<Instant>) -> Result<f64, IlpError> {
+    fn run_phase(&mut self, phase_one: bool, deadline: Deadline) -> Result<f64, IlpError> {
         let ban_artificials = !phase_one;
         // Reduced costs: d_j = c_j - c_Bᵀ (B⁻¹ A)_j, computed from the
         // current (already pivoted) tableau.
@@ -780,16 +777,8 @@ impl View<'_> {
                     limit: self.max_iterations(),
                 });
             }
-            if self.iterations.is_multiple_of(DEADLINE_CHECK_STRIDE) {
-                if let Some(d) = deadline {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "strided deadline poll is wall-clock by design (DESIGN.md §8); deterministic whenever no deadline is set"
-                    )]
-                    if Instant::now() >= d {
-                        return Err(IlpError::Deadline);
-                    }
-                }
+            if self.iterations.is_multiple_of(DEADLINE_CHECK_STRIDE) && deadline.expired() {
+                return Err(IlpError::Deadline);
             }
             let use_bland = stall >= STALL_LIMIT;
             let enter = priced
@@ -1018,7 +1007,7 @@ mod tests {
     }
 
     fn solve(p: &LpProblem) -> Result<Option<LpSolution>, IlpError> {
-        model(p)?.solve_relaxation(&[], None, None)
+        model(p)?.solve_relaxation(&[], Deadline::none(), None)
     }
 
     /// Re-solves `parent`'s final tableau for `child`, which shares its
@@ -1388,7 +1377,11 @@ mod tests {
         })
         .unwrap();
         let fallback = other
-            .solve_relaxation(&[(0, 0.0, 0.0)], None, Some(cold.tableau.clone()))
+            .solve_relaxation(
+                &[(0, 0.0, 0.0)],
+                Deadline::none(),
+                Some(cold.tableau.clone()),
+            )
             .unwrap()
             .expect("feasible");
         assert!(!fallback.warmed);
@@ -1502,7 +1495,7 @@ mod tests {
         for seed in 0..300u64 {
             let model = seeded_model(seed);
             let root = model
-                .solve_relaxation(&[], None, None)
+                .solve_relaxation(&[], Deadline::none(), None)
                 .unwrap()
                 .expect("feasible at the witness");
             for (j, var) in model.vars.iter().enumerate() {
@@ -1527,8 +1520,12 @@ mod tests {
                             (shifted(var.lower) < 0.0) != (shifted(bound.1) < 0.0)
                         });
                         let inherited = Some(root.tableau.clone());
-                        let warm = model.solve_relaxation(&[bound], None, inherited).unwrap();
-                        let cold = model.solve_relaxation(&[bound], None, None).unwrap();
+                        let warm = model
+                            .solve_relaxation(&[bound], Deadline::none(), inherited)
+                            .unwrap();
+                        let cold = model
+                            .solve_relaxation(&[bound], Deadline::none(), None)
+                            .unwrap();
                         match (&warm, &cold) {
                             (None, None) => infeasible += 1,
                             (Some(w), Some(c)) => {
@@ -1639,6 +1636,35 @@ mod tests {
         }
     }
 
+    /// `n` columns, each capped by its own `x_j ≤ 1` row and worth
+    /// entering: the cold solve pivots every one of them in, so it runs
+    /// `n + 1` iterations to the objective `−Σ (1 + j mod 3)`.
+    fn unit_rows_problem(n: usize) -> LpProblem {
+        LpProblem {
+            cost: (0..n).map(|j| -1.0 - (j % 3) as f64).collect(),
+            upper: vec![f64::INFINITY; n],
+            rows: (0..n).map(|j| row(&[(j, 1.0)], Sense::Le, 1.0)).collect(),
+        }
+    }
+
+    /// A cold solve longer than one poll stride gives up under an
+    /// expired deadline and runs to the optimum under none.
+    #[test]
+    fn cold_solve_polls_its_deadline_every_stride() {
+        let n = 2 * DEADLINE_CHECK_STRIDE;
+        let p = unit_rows_problem(n);
+        let m = model(&p).unwrap();
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        assert_eq!(
+            m.solve_relaxation(&[], expired, None),
+            Err(IlpError::Deadline)
+        );
+        let s = optimal(m.solve_relaxation(&[], Deadline::none(), None));
+        assert!(s.iterations > DEADLINE_CHECK_STRIDE, "{}", s.iterations);
+        assert_eq!(s.pivots, n);
+        assert_close(s.objective, p.cost.iter().sum());
+    }
+
     /// Every primal iteration of a seeded LP suite prices through
     /// [`check_pricing`], which asserts that the weighted (and, after a
     /// pivot, fused) selection equals the reference scan. The suite
@@ -1659,7 +1685,7 @@ mod tests {
         flips += s.iterations - 1;
         for seed in 0..200u64 {
             let model = seeded_model(seed);
-            let Some(root) = model.solve_relaxation(&[], None, None).unwrap() else {
+            let Some(root) = model.solve_relaxation(&[], Deadline::none(), None).unwrap() else {
                 continue;
             };
             // Cold solves without artificials end in one phase; the
@@ -1672,9 +1698,11 @@ mod tests {
             for j in 0..model.vars.len() {
                 let v = root.values()[j].clamp(model.vars[j].lower, model.vars[j].upper);
                 let fixed = [(j, v, v)];
-                let _ = model.solve_relaxation(&fixed, None, None).unwrap();
                 let _ = model
-                    .solve_relaxation(&fixed, None, Some(root.tableau.clone()))
+                    .solve_relaxation(&fixed, Deadline::none(), None)
+                    .unwrap();
+                let _ = model
+                    .solve_relaxation(&fixed, Deadline::none(), Some(root.tableau.clone()))
                     .unwrap();
             }
         }

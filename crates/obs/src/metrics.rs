@@ -16,8 +16,9 @@
 //! at any thread count.
 
 use crate::registry::MetricsRegistry;
+use crate::Stopwatch;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Environment variable that enables tracing when set to `1`
 /// (or any non-empty value other than `0`).
@@ -111,13 +112,9 @@ impl Metrics {
     /// the clock is never read.
     pub fn time<R>(&self, key: &str, f: impl FnOnce() -> R) -> R {
         if self.is_enabled() {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "timers measure wall time and are exempt from the cross-run contract (DESIGN.md §10.1)"
-            )]
-            let start = Instant::now();
+            let sw = Stopwatch::start();
             let out = f();
-            self.record_duration(key, start.elapsed());
+            self.record_duration(key, sw.elapsed());
             out
         } else {
             f()
@@ -136,19 +133,11 @@ impl Metrics {
     /// } // records core/evaluate/cluster, then core/evaluate
     /// assert_eq!(m.snapshot().timer("core/evaluate").unwrap().count, 1);
     /// ```
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "span timers measure wall time and are exempt from the cross-run contract (DESIGN.md §10.1)"
-    )]
     pub fn span(&self, key: &str) -> SpanTimer {
         SpanTimer {
             metrics: self.clone(),
             key: key.to_string(),
-            start: if self.is_enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
+            start: self.is_enabled().then(Stopwatch::start),
         }
     }
 
@@ -192,7 +181,7 @@ impl Metrics {
 pub struct SpanTimer {
     metrics: Metrics,
     key: String,
-    start: Option<Instant>,
+    start: Option<Stopwatch>,
 }
 
 impl SpanTimer {
@@ -210,8 +199,8 @@ impl SpanTimer {
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.metrics.record_duration(&self.key, start.elapsed());
+        if let Some(sw) = self.start {
+            self.metrics.record_duration(&self.key, sw.elapsed());
         }
     }
 }

@@ -2,21 +2,20 @@
 //!
 //! The workspace's `clippy.toml` disallows `Instant::now()` everywhere
 //! (DESIGN.md §11, R3) so simulation results can never silently depend
-//! on wall time; each read that is right by design carries an
-//! `#[expect(clippy::disallowed_methods, reason = …)]`. Code
-//! that genuinely needs a measured [`Duration`] back — the coverage
-//! evaluator accumulates per-phase times into its report, which the
-//! registry later mirrors under `core/evaluate/*` — starts a
-//! [`Stopwatch`] instead of touching the clock directly. The clock
-//! read then lives *here*, in the observability layer, where it is
-//! auditable and excluded from the determinism contract
-//! (DESIGN.md §10.1: timers vary run to run and are exempt from
-//! `same_outcome`).
+//! on wall time. Two types read the clock instead: a
+//! [`Deadline`](eagleeye_harden::Deadline) for every wall-clock limit,
+//! and a [`Stopwatch`] for every measured interval — the coverage
+//! evaluator's per-phase times (which the registry later mirrors under
+//! `core/evaluate/*`), [`Metrics::time`](crate::Metrics::time),
+//! [`Metrics::span`](crate::Metrics::span) and the latencies the bench
+//! binaries print. The interval read then lives *here*, in the
+//! observability layer, where it is auditable and excluded from the
+//! determinism contract (DESIGN.md §10.1: timers vary run to run and
+//! are exempt from `same_outcome`).
 //!
 //! For timing that only needs to land in the metrics registry, prefer
-//! [`Metrics::time`](crate::Metrics::time) or
-//! [`Metrics::span`](crate::Metrics::span), which skip the clock
-//! entirely when the handle is disabled.
+//! `Metrics::time` or `Metrics::span`, which start no stopwatch when
+//! the handle is disabled.
 
 use std::time::{Duration, Instant};
 
