@@ -92,6 +92,12 @@ fn main() {
             CoverageEvaluator::new(&targets, options(Some(plan), DegradedMode::Repair, metrics))
                 .evaluate(&config)
                 .expect("resilient evaluation");
+        (outages, naive, resilient)
+    });
+
+    // Progress lines in grid order, not in the workers' completion
+    // order, so the log is as deterministic as the CSV.
+    for (&(rate, seed), (outages, naive, resilient)) in grid.iter().zip(&cells) {
         eprintln!(
             "done: rate={rate} seed={seed} outages={outages} captured \
              {}/{}/{} (nofault/naive/resilient), naive lost {} commanded captures \
@@ -107,8 +113,7 @@ fn main() {
             naive.ilp_deadline_hits,
             resilient.ilp_deadline_hits,
         );
-        (outages, naive, resilient)
-    });
+    }
 
     let mut rows = Vec::new();
     for (r_idx, &rate) in rates.iter().enumerate() {

@@ -83,7 +83,7 @@ pub struct Cluster {
 }
 
 /// A candidate footprint placement and the points it covers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Candidate {
     covered: Vec<usize>,
 }
@@ -129,20 +129,21 @@ pub fn cluster(
             .collect()),
         ClusteringMethod::Greedy => {
             let candidates = candidates(points, box_w_m, box_h_m);
-            let chosen = greedy_cover(points.len(), &candidates);
+            let chosen = greedy_cover(&candidates, &covering(points.len(), &candidates));
             Ok(assemble(points, &candidates, chosen))
         }
         ClusteringMethod::Ilp => {
             let candidates = candidates(points, box_w_m, box_h_m);
+            let covering = covering(points.len(), &candidates);
             // Resource exhaustion inside the solver (a deadline with no
             // incumbent, the iteration cap on a degenerate instance)
             // degrades to the greedy heuristic rather than failing the
             // frame.
-            let chosen = match ilp_cover(points.len(), &candidates) {
+            let chosen = match ilp_cover(&candidates, &covering) {
                 Ok(Some(chosen)) => chosen,
                 Ok(None)
                 | Err(CoreError::Solver(eagleeye_ilp::IlpError::IterationLimit { .. })) => {
-                    greedy_cover(points.len(), &candidates)
+                    greedy_cover(&candidates, &covering)
                 }
                 Err(e) => return Err(e),
             };
@@ -154,46 +155,76 @@ pub fn cluster(
 /// Generates canonical candidate placements: boxes whose left edge is at
 /// some point's x and bottom edge at some point's y, deduplicated by
 /// covered set.
+///
+/// One sweep in x order. The points a box anchored at x-rank `rank` can
+/// cover are the window `by_x[rank..end)`: equal-x points ranked before
+/// the anchor stay out, and `end` only moves right. The window is kept
+/// sorted by y rank, ties in x order, so it reads as the stable y sort
+/// of its x range. Anchoring the bottom edge at each member's y gives
+/// y-sorted intervals; an interval anchored lower that reaches the same
+/// top covers a superset, so only the first (lowest) anchor per
+/// distinct top is kept — the maximal windows — and a two-pointer `hi`
+/// finds each top. This prunes dominated candidates without losing any
+/// optimal cover.
+///
+/// A covered set is the points inside a rectangle of (x rank, y rank),
+/// so it equals the points inside its own bounding box in ranks, and
+/// two sets are equal exactly when those boxes are. The dedup keys on
+/// the box and keeps each set's first occurrence.
 fn candidates(points: &[(GroundPoint, f64)], w: f64, h: f64) -> Vec<Candidate> {
     let n = points.len();
-    // Sort point indices by x for cheap range filtering.
+    let x = |i: usize| points[i].0.cross_m;
+    let y = |i: usize| points[i].0.along_m;
     let mut by_x: Vec<usize> = (0..n).collect();
-    by_x.sort_by(|&a, &b| points[a].0.cross_m.total_cmp(&points[b].0.cross_m));
+    by_x.sort_by(|&a, &b| x(a).total_cmp(&x(b)));
+    // A stable sort of `by_x`: equal y keeps x order.
+    let mut by_y = by_x.clone();
+    by_y.sort_by(|&a, &b| y(a).total_cmp(&y(b)));
+    let mut x_rank = vec![0; n];
+    for (r, &i) in by_x.iter().enumerate() {
+        x_rank[i] = r;
+    }
+    let mut y_rank = vec![0; n];
+    for (r, &i) in by_y.iter().enumerate() {
+        y_rank[i] = r;
+    }
 
-    let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
+    let mut seen: BTreeSet<[usize; 4]> = BTreeSet::new();
     let mut out = Vec::new();
+    // Y ranks of `by_x[rank..end)`, ascending.
+    let mut window: Vec<usize> = Vec::new();
+    let mut end = 0;
     for (rank, &i) in by_x.iter().enumerate() {
-        let min_x = points[i].0.cross_m;
-        // Points within the x-range of a box anchored at min_x.
-        let mut in_x = Vec::new();
-        for &j in &by_x[rank..] {
-            if points[j].0.cross_m > min_x + w {
-                break;
-            }
-            in_x.push(j);
+        if rank > 0 {
+            let gone = y_rank[by_x[rank - 1]];
+            window.remove(window.partition_point(|&r| r < gone));
         }
-        // Anchor the bottom edge at each member's y. For a fixed x-anchor
-        // the covered sets are y-sorted intervals; an interval anchored
-        // lower that reaches the same top covers a superset, so keep only
-        // the first (lowest) anchor per distinct top — the maximal
-        // windows. This prunes dominated candidates without losing any
-        // optimal cover.
-        let mut by_y = in_x.clone();
-        by_y.sort_by(|&a, &b| points[a].0.along_m.total_cmp(&points[b].0.along_m));
+        let max_x = x(i) + w;
+        while end < n && !(x(by_x[end]) > max_x) {
+            let yr = y_rank[by_x[end]];
+            window.insert(window.partition_point(|&r| r < yr), yr);
+            end += 1;
+        }
+        let mut hi = 0;
         let mut last_hi = usize::MAX;
-        for (lo, &j) in by_y.iter().enumerate() {
-            let min_y = points[j].0.along_m;
-            let mut hi = lo;
-            while hi + 1 < by_y.len() && points[by_y[hi + 1]].0.along_m <= min_y + h {
+        for lo in 0..window.len() {
+            let max_y = y(by_y[window[lo]]) + h;
+            hi = hi.max(lo);
+            while hi + 1 < window.len() && y(by_y[window[hi + 1]]) <= max_y {
                 hi += 1;
             }
             if hi == last_hi {
                 continue; // dominated by the previous (lower) anchor
             }
             last_hi = hi;
-            let mut covered: Vec<usize> = by_y[lo..=hi].to_vec();
-            covered.sort_unstable();
-            if seen.insert(covered.clone()) {
+            let members = &window[lo..=hi];
+            let (x_lo, x_hi) = members.iter().fold((n, 0), |(a, b), &yr| {
+                let xr = x_rank[by_y[yr]];
+                (a.min(xr), b.max(xr))
+            });
+            if seen.insert([x_lo, x_hi, window[lo], window[hi]]) {
+                let mut covered: Vec<usize> = members.iter().map(|&yr| by_y[yr]).collect();
+                covered.sort_unstable();
                 out.push(Candidate { covered });
             }
         }
@@ -202,28 +233,34 @@ fn candidates(points: &[(GroundPoint, f64)], w: f64, h: f64) -> Vec<Candidate> {
 }
 
 /// Greedy set cover: repeatedly take the candidate covering the most
-/// uncovered points.
-fn greedy_cover(n_points: usize, candidates: &[Candidate]) -> Vec<usize> {
-    let mut uncovered: BTreeSet<usize> = (0..n_points).collect();
+/// uncovered points, the last such candidate on a tie.
+///
+/// Each candidate's gain, its count of uncovered points, is kept
+/// current: covering a point decrements the gain of every candidate in
+/// the point's `covering` list, so a round is one scan over the gains.
+fn greedy_cover(candidates: &[Candidate], covering: &[Vec<usize>]) -> Vec<usize> {
+    let mut gain: Vec<usize> = candidates.iter().map(|c| c.covered.len()).collect();
+    let mut is_covered = vec![false; covering.len()];
+    let mut uncovered = covering.len();
     let mut chosen = Vec::new();
-    while !uncovered.is_empty() {
-        let best = candidates
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, c)| c.covered.iter().filter(|p| uncovered.contains(p)).count());
-        let Some((idx, cand)) = best else { break };
-        let gain = cand
-            .covered
-            .iter()
-            .filter(|p| uncovered.contains(p))
-            .count();
-        if gain == 0 {
+    while uncovered > 0 {
+        // `max_by_key` returns the last of equal maxima.
+        let Some((best, &best_gain)) = gain.iter().enumerate().max_by_key(|&(_, g)| g) else {
+            break;
+        };
+        if best_gain == 0 {
             break; // canonical candidates always cover their anchors; defensive
         }
-        for p in &cand.covered {
-            uncovered.remove(p);
+        for &p in &candidates[best].covered {
+            if !is_covered[p] {
+                is_covered[p] = true;
+                uncovered -= 1;
+                for &ci in &covering[p] {
+                    gain[ci] -= 1;
+                }
+            }
         }
-        chosen.push(idx);
+        chosen.push(best);
     }
     chosen
 }
@@ -261,14 +298,16 @@ fn forced_cover(covering: &[Vec<usize>], n_candidates: usize) -> Option<Vec<usiz
 /// Exact minimum cover: the forced cover when it covers every point,
 /// else an ILP. Returns `None` when the solver hit its time limit
 /// without proving optimality (caller falls back to greedy).
-fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usize>>, CoreError> {
-    let covering = covering(n_points, candidates);
+fn ilp_cover(
+    candidates: &[Candidate],
+    covering: &[Vec<usize>],
+) -> Result<Option<Vec<usize>>, CoreError> {
     if covering.iter().any(Vec::is_empty) {
         // A point no candidate covers cannot happen (its own anchor
         // covers it), but guard against future candidate pruning.
         return Ok(None);
     }
-    if let Some(forced) = forced_cover(&covering, candidates.len()) {
+    if let Some(forced) = forced_cover(covering, candidates.len()) {
         return Ok(Some(forced));
     }
     let mut model = Model::minimize();
@@ -276,7 +315,7 @@ fn ilp_cover(n_points: usize, candidates: &[Candidate]) -> Result<Option<Vec<usi
         .iter()
         .map(|_| model.add_binary_var(1.0))
         .collect();
-    for cover in &covering {
+    for cover in covering {
         model.add_constraint(cover.iter().map(|&ci| (vars[ci], 1.0)), Sense::Ge, 1.0)?;
     }
     let options = SolveOptions::with_time_limit(Duration::from_secs(3));
@@ -480,6 +519,91 @@ mod tests {
         assert!(elapsed.as_secs() < 30, "took {elapsed:?}");
     }
 
+    /// The candidate generator as it was before the sliding window:
+    /// per-anchor window clones, a quadratic y loop and a set-of-vectors
+    /// dedup. Kept as the oracle of [`candidates`].
+    ///
+    /// Generates canonical candidate placements: boxes whose left edge is at
+    /// some point's x and bottom edge at some point's y, deduplicated by
+    /// covered set.
+    fn candidates_reference(points: &[(GroundPoint, f64)], w: f64, h: f64) -> Vec<Candidate> {
+        let n = points.len();
+        // Sort point indices by x for cheap range filtering.
+        let mut by_x: Vec<usize> = (0..n).collect();
+        by_x.sort_by(|&a, &b| points[a].0.cross_m.total_cmp(&points[b].0.cross_m));
+
+        let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
+        let mut out = Vec::new();
+        for (rank, &i) in by_x.iter().enumerate() {
+            let min_x = points[i].0.cross_m;
+            // Points within the x-range of a box anchored at min_x.
+            let mut in_x = Vec::new();
+            for &j in &by_x[rank..] {
+                if points[j].0.cross_m > min_x + w {
+                    break;
+                }
+                in_x.push(j);
+            }
+            // Anchor the bottom edge at each member's y. For a fixed x-anchor
+            // the covered sets are y-sorted intervals; an interval anchored
+            // lower that reaches the same top covers a superset, so keep only
+            // the first (lowest) anchor per distinct top — the maximal
+            // windows. This prunes dominated candidates without losing any
+            // optimal cover.
+            let mut by_y = in_x.clone();
+            by_y.sort_by(|&a, &b| points[a].0.along_m.total_cmp(&points[b].0.along_m));
+            let mut last_hi = usize::MAX;
+            for (lo, &j) in by_y.iter().enumerate() {
+                let min_y = points[j].0.along_m;
+                let mut hi = lo;
+                while hi + 1 < by_y.len() && points[by_y[hi + 1]].0.along_m <= min_y + h {
+                    hi += 1;
+                }
+                if hi == last_hi {
+                    continue; // dominated by the previous (lower) anchor
+                }
+                last_hi = hi;
+                let mut covered: Vec<usize> = by_y[lo..=hi].to_vec();
+                covered.sort_unstable();
+                if seen.insert(covered.clone()) {
+                    out.push(Candidate { covered });
+                }
+            }
+        }
+        out
+    }
+
+    /// The greedy cover as it was before gain counters: every round
+    /// rescans every candidate against the uncovered set. Kept as the
+    /// oracle of [`greedy_cover`].
+    ///
+    /// Greedy set cover: repeatedly take the candidate covering the most
+    /// uncovered points.
+    fn greedy_cover_reference(n_points: usize, candidates: &[Candidate]) -> Vec<usize> {
+        let mut uncovered: BTreeSet<usize> = (0..n_points).collect();
+        let mut chosen = Vec::new();
+        while !uncovered.is_empty() {
+            let best = candidates
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, c)| c.covered.iter().filter(|p| uncovered.contains(p)).count());
+            let Some((idx, cand)) = best else { break };
+            let gain = cand
+                .covered
+                .iter()
+                .filter(|p| uncovered.contains(p))
+                .count();
+            if gain == 0 {
+                break; // canonical candidates always cover their anchors; defensive
+            }
+            for p in &cand.covered {
+                uncovered.remove(p);
+            }
+            chosen.push(idx);
+        }
+        chosen
+    }
+
     /// The minimum cover as it was chosen before forced covers: always
     /// through the ILP, kept as the oracle of [`ilp_cover`].
     fn ilp_cover_reference(
@@ -508,13 +632,14 @@ mod tests {
         ))
     }
 
-    /// `cluster(.., ClusteringMethod::Ilp)` through the always-ILP cover.
+    /// `cluster(.., ClusteringMethod::Ilp)` through the reference
+    /// kernels and the always-ILP cover.
     fn cluster_reference(points: &[(GroundPoint, f64)], w: f64, h: f64) -> Vec<Cluster> {
-        let candidates = candidates(points, w, h);
+        let candidates = candidates_reference(points, w, h);
         let chosen = match ilp_cover_reference(points.len(), &candidates) {
             Ok(Some(chosen)) => chosen,
             Ok(None) | Err(CoreError::Solver(eagleeye_ilp::IlpError::IterationLimit { .. })) => {
-                greedy_cover(points.len(), &candidates)
+                greedy_cover_reference(points.len(), &candidates)
             }
             Err(e) => panic!("reference cover failed: {e}"),
         };
@@ -552,6 +677,87 @@ mod tests {
             pts.push((p, value));
         }
         pts
+    }
+
+    /// A seeded Lake-like point set: `n` points in a few clumps about a
+    /// box wide over a 10 × 10-box frame, the dense case (real Lake
+    /// frames hold ~460 points). Half the sets snap to a quarter-box
+    /// lattice, so dense frames also carry runs of equal x and equal y.
+    fn lake_points(seed: u64, n: usize, w: f64, h: f64) -> Vec<(GroundPoint, f64)> {
+        let mut rng = SplitMix64::new(seed);
+        let snap = rng.chance(0.5);
+        let centres: Vec<(f64, f64)> = (0..1 + n / 40)
+            .map(|_| (rng.range_f64(0.0, 10.0 * w), rng.range_f64(0.0, 10.0 * h)))
+            .collect();
+        (0..n)
+            .map(|_| {
+                let (cx, cy) = centres[rng.range_usize(0, centres.len())];
+                let mut x = cx + 0.7 * w * rng.gaussian();
+                let mut y = cy + 0.7 * h * rng.gaussian();
+                if snap {
+                    x = (x / (w / 4.0)).round() * (w / 4.0);
+                    y = (y / (h / 4.0)).round() * (h / 4.0);
+                }
+                (GroundPoint::new(x, y), rng.range_f64(0.1, 3.0))
+            })
+            .collect()
+    }
+
+    /// The sliding-window candidates and the gain-counter greedy change
+    /// no bit: over spread, clustered, duplicated, box-edge and dense
+    /// Lake-like point sets they give the reference kernels' candidate
+    /// sequence and greedy choices, and `cluster` gives the clusters of
+    /// a pipeline built on the references. The ILP path is compared on
+    /// sets of at most 40 points, where its 3 s limit never fires.
+    #[test]
+    fn kernels_match_their_references() {
+        let (w, h) = (10_000.0, 8_000.0);
+        let gen = (
+            u64_range(0, u64::MAX),
+            usize_range(0, 5),
+            usize_range(1, 61),
+            usize_range(1, 501),
+        );
+        check_cases(
+            64,
+            "kernels_match_their_references",
+            gen,
+            |&(seed, kind, n, lake_n)| {
+                let pts = match kind {
+                    4 => lake_points(seed, lake_n, w, h),
+                    _ => seeded_points(seed, kind, n, w, h),
+                };
+                let cands = candidates(&pts, w, h);
+                let reference = candidates_reference(&pts, w, h);
+                prop_assert_eq!(&cands, &reference);
+                let chosen = greedy_cover(&cands, &covering(pts.len(), &cands));
+                prop_assert_eq!(&chosen, &greedy_cover_reference(pts.len(), &reference));
+                let greedy = cluster(&pts, w, h, ClusteringMethod::Greedy)
+                    .map_err(|e| eagleeye_check::Failure::fail(format!("cluster failed: {e}")))?;
+                prop_assert_eq!(greedy, assemble(&pts, &reference, chosen));
+                if pts.len() <= 40 {
+                    let got = cluster(&pts, w, h, ClusteringMethod::Ilp).map_err(|e| {
+                        eagleeye_check::Failure::fail(format!("cluster failed: {e}"))
+                    })?;
+                    prop_assert_eq!(got, cluster_reference(&pts, w, h));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Among candidates of equal gain greedy takes the last one, the
+    /// rule of `Iterator::max_by_key` that the reference scan used.
+    #[test]
+    fn greedy_breaks_gain_ties_to_the_last_candidate() {
+        let cands: Vec<Candidate> = [vec![0, 1], vec![1, 2], vec![2, 3]]
+            .into_iter()
+            .map(|covered| Candidate { covered })
+            .collect();
+        // All three gain 2, so the last, {2, 3}, goes first; then {0, 1}
+        // gains 2 against {1, 2}'s 1.
+        assert_eq!(greedy_cover(&cands, &covering(4, &cands)), vec![2, 0]);
+        assert_eq!(greedy_cover_reference(4, &cands), vec![2, 0]);
     }
 
     /// Forced covers change no answer: over isolated, clustered,
