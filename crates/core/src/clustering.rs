@@ -378,7 +378,7 @@ fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eagleeye_check::{check_cases, prop_assert_eq, u64_range, usize_range};
+    use eagleeye_check::{check, check_cases, prop_assert_eq, u64_range, usize_range};
     use eagleeye_rng::SplitMix64;
     use std::cell::Cell;
 
@@ -718,8 +718,7 @@ mod tests {
             usize_range(1, 61),
             usize_range(1, 501),
         );
-        check_cases(
-            64,
+        check(
             "kernels_match_their_references",
             gen,
             |&(seed, kind, n, lake_n)| {
