@@ -1,18 +1,3 @@
-use eagleeye_rng::SplitMix64;
-
-/// One detection emitted by the onboard model for a frame.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Detection {
-    /// Index of the target within the frame's candidate list (false
-    /// positives get `usize::MAX`).
-    pub target_index: usize,
-    /// Model confidence in `[0, 1]`; the scheduler uses this as the
-    /// priority score (paper §3.2).
-    pub confidence: f64,
-    /// True for hallucinated detections with no underlying target.
-    pub is_false_positive: bool,
-}
-
 /// Analytic object-detection quality model.
 ///
 /// Recall is a logistic function of *pixels on target* `p = size/GSD`:
@@ -29,35 +14,20 @@ pub struct Detection {
 /// ```
 /// use eagleeye_detect::DetectorModel;
 ///
-/// let d = DetectorModel::ship_detector();
-/// let hits = d.detect(&[(0.9, 150.0); 1000], 42);
-/// let found = hits.iter().filter(|h| !h.is_false_positive).count();
-/// let recall = d.recall_at_gsd(d.gsd_m(), 150.0);
-/// assert!((found as f64 / 1000.0 - recall).abs() < 0.05);
+/// let d = DetectorModel::oiltank_detector();
+/// // At the knee, 1.8 px on target (a 36 m tank at 20 m/px), recall is
+/// // half its 0.98 ceiling; finer imagery detects better.
+/// assert!((d.recall_at_gsd(20.0, 36.0) - 0.49).abs() < 1e-9);
+/// assert!(d.recall_at_gsd(0.72, 36.0) > d.recall_at_gsd(20.0, 36.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorModel {
     max_recall: f64,
     p_half_px: f64,
     steepness: f64,
-    precision: f64,
-    gsd_m: f64,
 }
 
 impl DetectorModel {
-    /// Detector calibrated for the ship workload: the paper reports
-    /// mAP@50 = 77.6 % for YOLOv8 on 30 m GSD imagery of ~90–300 m ships
-    /// (≈ 3–10 px on target).
-    pub fn ship_detector() -> Self {
-        DetectorModel {
-            max_recall: 0.95,
-            p_half_px: 2.2,
-            steepness: 2.2,
-            precision: 0.9,
-            gsd_m: 30.0,
-        }
-    }
-
     /// Detector calibrated for oil-tank detection (Fig. 3a): detection
     /// accuracy stays high from 0.7 m/px all the way to ~11.5 m/px for
     /// 20–80 m tanks.
@@ -66,76 +36,13 @@ impl DetectorModel {
             max_recall: 0.98,
             p_half_px: 1.8,
             steepness: 3.0,
-            precision: 0.95,
-            gsd_m: 0.72,
         }
-    }
-
-    /// Generic detector for point-like targets whose size roughly equals
-    /// the leader GSD footprint (lakes, airplanes on 30 m imagery).
-    pub fn generic(gsd_m: f64) -> Self {
-        DetectorModel {
-            max_recall: 0.92,
-            p_half_px: 1.5,
-            steepness: 2.0,
-            precision: 0.9,
-            gsd_m,
-        }
-    }
-
-    /// Model precision.
-    #[inline]
-    pub fn precision(&self) -> f64 {
-        self.precision
-    }
-
-    /// Sensor GSD in meters per pixel.
-    #[inline]
-    pub fn gsd_m(&self) -> f64 {
-        self.gsd_m
     }
 
     /// Recall for a target of `target_size_m` imaged at `gsd_m_px`.
     pub fn recall_at_gsd(&self, gsd_m_px: f64, target_size_m: f64) -> f64 {
         let px = target_size_m / gsd_m_px.max(1e-9);
         self.max_recall / (1.0 + (-self.steepness * (px - self.p_half_px)).exp())
-    }
-
-    /// Runs the detector over a frame's candidate targets, given as
-    /// `(value, size_m)` pairs. Returns one [`Detection`] per detected
-    /// target plus sampled false positives; deterministic in `seed`.
-    ///
-    /// Confidence is the target's value scaled by a small detection
-    /// noise, so target priority ordering is (mostly) preserved — the
-    /// property the scheduler's objective relies on.
-    pub fn detect(&self, targets: &[(f64, f64)], seed: u64) -> Vec<Detection> {
-        let mut rng = SplitMix64::new(seed);
-        let mut out = Vec::new();
-        for (i, &(value, size_m)) in targets.iter().enumerate() {
-            let r = self.recall_at_gsd(self.gsd_m, size_m);
-            if rng.chance(r.clamp(0.0, 1.0)) {
-                let confidence = (value * rng.range_f64(0.9, 1.0)).clamp(0.0, 1.0);
-                out.push(Detection {
-                    target_index: i,
-                    confidence,
-                    is_false_positive: false,
-                });
-            }
-        }
-        // False positives: emitted at a rate making the requested
-        // precision hold in expectation: fp = tp * (1 - precision)/precision.
-        let tp = out.len() as f64;
-        let fp_expected = tp * (1.0 - self.precision) / self.precision;
-        let fp_count = fp_expected.floor() as usize
-            + usize::from(rng.chance(fp_expected.fract().clamp(0.0, 1.0)));
-        for _ in 0..fp_count {
-            out.push(Detection {
-                target_index: usize::MAX,
-                confidence: rng.range_f64(0.3, 0.7),
-                is_false_positive: true,
-            });
-        }
-        out
     }
 }
 
@@ -145,22 +52,13 @@ mod tests {
 
     #[test]
     fn recall_is_monotone_in_resolution() {
-        let d = DetectorModel::ship_detector();
+        let d = DetectorModel::oiltank_detector();
         let mut last = 1.0;
-        for gsd in [10.0, 30.0, 60.0, 120.0, 300.0, 1000.0] {
-            let r = d.recall_at_gsd(gsd, 100.0);
+        for gsd in [0.72, 3.0, 11.5, 20.0, 60.0, 300.0] {
+            let r = d.recall_at_gsd(gsd, 40.0);
             assert!(r <= last + 1e-12, "recall not monotone at gsd {gsd}");
             last = r;
         }
-    }
-
-    #[test]
-    fn ship_detector_matches_paper_operating_point() {
-        // ~77.6% mAP at 30 m GSD for ships in the 90-300 m range; use a
-        // mid-size 150 m ship.
-        let d = DetectorModel::ship_detector();
-        let r = d.recall_at_gsd(30.0, 150.0);
-        assert!(r > 0.7 && r < 0.95, "recall {r}");
     }
 
     #[test]
@@ -170,31 +68,5 @@ mod tests {
         assert!(d.recall_at_gsd(0.72, 40.0) > 0.9);
         assert!(d.recall_at_gsd(11.5, 40.0) > 0.8);
         assert!(d.recall_at_gsd(60.0, 40.0) < 0.3);
-    }
-
-    #[test]
-    fn detect_is_deterministic_in_seed() {
-        let d = DetectorModel::ship_detector();
-        let targets = vec![(0.8, 120.0); 50];
-        assert_eq!(d.detect(&targets, 5), d.detect(&targets, 5));
-    }
-
-    #[test]
-    fn false_positive_rate_tracks_precision() {
-        let d = DetectorModel::ship_detector();
-        let hits = d.detect(&[(1.0, 300.0); 3000], 2);
-        let fp = hits.iter().filter(|h| h.is_false_positive).count() as f64;
-        let tp = hits.len() as f64 - fp;
-        // Expected fp = tp * (1 - precision) / precision.
-        let want = tp * (1.0 - d.precision()) / d.precision();
-        assert!((fp - want).abs() < 1.0, "fp {fp} vs {want}");
-    }
-
-    #[test]
-    fn confidence_stays_in_unit_interval() {
-        let d = DetectorModel::ship_detector();
-        for h in d.detect(&[(0.9, 300.0); 64], 3) {
-            assert!((0.0..=1.0).contains(&h.confidence));
-        }
     }
 }

@@ -4,16 +4,17 @@
 //!
 //! The paper runs YOLOv8 variants on a Jetson AGX Orin (15 W mode) over
 //! tiled low-resolution frames. No GPU or imagery is available in this
-//! reproduction, and none is needed: the scheduler and the coverage
-//! simulator consume only (a) which targets were detected, with what
-//! confidence, and (b) how long inference took. This crate models both
-//! from first principles, calibrated to the paper's published numbers:
+//! reproduction, and none is needed: the coverage simulator consumes
+//! only (a) whether each target was detected, a seeded roll against a
+//! flat recall (`CoverageOptions::recall` in `eagleeye-core`, Fig. 15),
+//! and (b) how long inference took. This crate models recall and
+//! latency from first principles, calibrated to the paper's published
+//! numbers:
 //!
-//! * [`DetectorModel`] — recall/precision as a logistic function of
-//!   pixels-on-target (target size ÷ GSD), calibrated so a ship at the
-//!   30 m/px leader GSD is detected with the paper's 77.6 % mAP@50, and
-//!   an oil tank survives ~10× GSD degradation for *detection* while
-//!   fine-grained measurement degrades (Fig. 3's key contrast).
+//! * [`DetectorModel`] — recall as a logistic function of
+//!   pixels-on-target (target size ÷ GSD), calibrated so an oil tank
+//!   survives ~10× GSD degradation for *detection* while fine-grained
+//!   measurement degrades (Fig. 3's key contrast).
 //! * [`TilingConfig`] + [`YoloVariant`] — frame tiling and per-tile
 //!   latency such that the default 100-tile frame yields the paper's
 //!   mix-camera compute times: 1.4 / 2.6 / 5.5 / 8.6 / 11.8 s for
@@ -28,10 +29,10 @@
 //! ```
 //! use eagleeye_detect::{DetectorModel, YoloVariant, TilingConfig};
 //!
-//! let model = DetectorModel::ship_detector();
-//! // A ~100 m ship: easily seen at 30 m/px, invisible at 3 km/px.
-//! assert!(model.recall_at_gsd(30.0, 100.0) > 0.6);
-//! assert!(model.recall_at_gsd(3000.0, 100.0) < 0.05);
+//! let model = DetectorModel::oiltank_detector();
+//! // A 40 m tank: detected at 11.5 m/px, lost at 60 m/px (Fig. 3a).
+//! assert!(model.recall_at_gsd(11.5, 40.0) > 0.8);
+//! assert!(model.recall_at_gsd(60.0, 40.0) < 0.3);
 //!
 //! let tiling = TilingConfig::paper_default();
 //! let t = YoloVariant::N.frame_processing_time_s(&tiling);
@@ -50,7 +51,7 @@ mod elision;
 mod latency;
 mod volume;
 
-pub use detector::{Detection, DetectorModel};
+pub use detector::DetectorModel;
 pub use elision::TileElision;
 pub use latency::{TilingConfig, YoloVariant};
 pub use volume::VolumeEstimator;

@@ -1,6 +1,6 @@
 //! Orbital edge computing simulator: energy harvesting, per-subsystem
-//! energy accounting, battery state, and compute-latency budgeting for a
-//! 3U cubesat.
+//! energy accounting, radio link budgets and fault injection for a 3U
+//! cubesat.
 //!
 //! This crate stands in for the energy/compute side of `cote` (the
 //! orbital edge computing simulator the paper builds on), using the same
@@ -16,9 +16,9 @@
 //! * [`ActivityProfile`] — what a satellite does in one orbit (frames
 //!   imaged, tiles inferred, seconds slewing and transmitting).
 //! * [`simulate_orbit`] — per-orbit energy report by subsystem, the data
-//!   behind the paper's Fig. 16.
-//! * [`Battery`] + [`simulate_battery`] — time-stepped battery state for
-//!   failure analysis (e.g. 4× tiling exhausting the leader's budget).
+//!   behind the paper's Fig. 16, and the crate's one energy model: an
+//!   activity is sustainable when its consumption fits the orbit's
+//!   harvest (4× tiling does not fit the leader's).
 //! * [`FaultPlan`] — seeded, reproducible fault injection (outages,
 //!   detector dropout, link/ADACS derating, brownouts) consumed by the
 //!   degraded-mode machinery in `eagleeye-core`.
@@ -45,14 +45,12 @@
 )]
 
 mod activity;
-mod battery;
 mod energy;
 mod fault;
 mod power;
 mod radio;
 
 pub use activity::ActivityProfile;
-pub use battery::{simulate_battery, Battery, BatterySeries};
 pub use energy::{simulate_orbit, OrbitEnergyReport, SubsystemEnergy};
 pub use fault::{Fault, FaultKind, FaultPlan};
 pub use power::PowerProfile;

@@ -20,8 +20,6 @@ pub struct PowerProfile {
     pub adacs_idle_w: f64,
     /// Radio transmit power, watts.
     pub tx_w: f64,
-    /// Battery capacity, joules.
-    pub battery_capacity_j: f64,
 }
 
 impl PowerProfile {
@@ -35,8 +33,6 @@ impl PowerProfile {
             adacs_slew_w: 4.0,
             adacs_idle_w: 0.5,
             tx_w: 8.0,
-            // ~20 Wh battery, typical for 3U.
-            battery_capacity_j: 20.0 * 3_600.0,
         }
     }
 

@@ -9,9 +9,9 @@
 //! * [`ilp`] — the MILP solver substrate (simplex + branch-and-bound).
 //! * [`orbit`] — Keplerian elements, J2 propagation, ground tracks, layouts.
 //! * [`geo`] — geodesy, great circles, tangent frames, spatial index.
-//! * [`sim`] — energy, battery, and radio-link models.
+//! * [`sim`] — per-orbit energy, radio-link and fault models.
 //! * [`datasets`] — the four synthetic evaluation workloads.
-//! * [`detect`] — the analytic ML detector behaviour model.
+//! * [`detect`] — recall vs. GSD, inference latency and volume error models.
 //! * [`obs`] — opt-in metrics/tracing (`EAGLEEYE_TRACE=1`).
 //! * [`harden`] — crash-safe run layer: checkpoint/resume, deadline
 //!   watchdog with anytime degradation, supervised retry/quarantine,
